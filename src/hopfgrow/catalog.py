@@ -203,7 +203,7 @@ def _skew_free_expected(params):
     v = params["v"]
     same_q = params["same_q"]
     pairs = 1 if same_q else v
-    return {
+    out = {
         "confluent": True,
         "weights": 1,
         "weights_with_primitive_power": 0,
@@ -215,10 +215,17 @@ def _skew_free_expected(params):
         "bounds": {"independent-family": 1 + v, "weight-count": 2,
                    "weight-commutator-count": 1 + pairs,
                    "primitive-quotient": 1 + v},
-        "growth_kind": "exponential",
-        "detector": "exponential",
         "pbw_independent": True,
     }
+    if v >= 2:
+        out["growth_kind"] = "exponential"
+        out["detector"] = "exponential"
+    else:
+        # the normal words g^a y^b give dim F_n = (n + 1)^2
+        out["growth_kind"] = "polynomial"
+        out["growth_degree"] = 2
+        out["detector"] = "inconclusive"
+    return out
 
 
 def _skew_trunc_expected(params):
@@ -326,7 +333,7 @@ def _b_series_expected(params):
 EXAMPLES = {
     "skew_free": ExampleSpec(
         "group algebra of Z freely extended by v skew primitives "
-        "(lambda_i(g) = q_i; exponential growth)",
+        "(lambda_i(g) = q_i; exponential growth for v >= 2)",
         {"v": 2, "same_q": False, "tau": None},
         lambda prm: skew_free_presentation(v=prm["v"], same_q=prm["same_q"],
                                            tau=prm["tau"]),
@@ -381,16 +388,21 @@ EXAMPLES = {
 }
 
 
-def build_example(name, params=None):
+def _merge_params(name, params):
+    """The registry entry and its defaults overridden by params."""
     entry = EXAMPLES.get(name)
     if entry is None:
         raise PresentationError("unknown builtin example %r; try list-examples" % name)
     merged = dict(entry.defaults)
-    if params:
-        for k, v in params.items():
-            if k not in merged:
-                raise PresentationError("example %r has no parameter %r" % (name, k))
-            merged[k] = v
+    for k, v in (params or {}).items():
+        if k not in merged:
+            raise PresentationError("example %r has no parameter %r" % (name, k))
+        merged[k] = v
+    return entry, merged
+
+
+def build_example(name, params=None):
+    entry, merged = _merge_params(name, params)
     return entry.build(merged), merged
 
 
@@ -424,15 +436,7 @@ def run_example_check(name, params=None):
     from .growth import measure_growth, pbw_dependence_scan
     from .invariants import compute_invariants
 
-    entry = EXAMPLES.get(name)
-    if entry is None:
-        raise PresentationError("unknown builtin example %r" % name)
-    merged = dict(entry.defaults)
-    if params:
-        for k, v in params.items():
-            if k not in merged:
-                raise PresentationError("example %r has no parameter %r" % (name, k))
-            merged[k] = v
+    entry, merged = _merge_params(name, params)
     expected = entry.expected(merged)
     outcome = CheckOutcome()
     if expected.get("stub"):
@@ -446,7 +450,7 @@ def run_example_check(name, params=None):
         for rule, val in expected["bounds"].items():
             outcome.add("bound:%s" % rule, 0, val)
         return outcome
-    p, merged = build_example(name, merged)
+    p = entry.build(merged)
     cfg = example_config(name, merged)
     conf = p.check_confluence()
     if expected.get("confluent") is False:

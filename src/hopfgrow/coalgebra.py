@@ -15,18 +15,9 @@ from .linalg import ScalarElimination, nullspace_of_columns, solve_in_span
 from .scalars import quantum_binomial
 
 
-def _delta_cache(p):
-    cache = getattr(p, "_coproduct_cache", None)
-    if cache is None:
-        cache = {}
-        p._coproduct_cache = cache
-    return cache
-
-
 def delta_word(p, word):
     """Coproduct of a single normal word, as a TensorElement."""
-    cache = _delta_cache(p)
-    cached = cache.get(word)
+    cached = p._coproduct_cache.get(word)
     if cached is not None:
         return cached
     h, yw = word
@@ -47,7 +38,7 @@ def delta_word(p, word):
             for wr, cr in relt.terms.items():
                 add_term(acc, (wl, wr), cl * cr)
     result = TensorElement(acc)
-    cache[word] = result
+    p._coproduct_cache[word] = result
     return result
 
 

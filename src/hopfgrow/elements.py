@@ -2,9 +2,10 @@
 
 A normal word is a pair (group element, tuple of y-indices); an
 AlgebraElement is a finite linear combination of normal words with
-nonzero Scalar coefficients.  The deg-lex order on y-words compares
-total degree, then the multidegree vector, then the letter sequence;
-group letters weigh nothing.
+nonzero Scalar coefficients; a TensorElement is the same combination
+over pairs of normal words.  The deg-lex order on y-words compares total
+degree, then the multidegree vector, then the letter sequence; group
+letters weigh nothing.
 """
 
 
@@ -54,29 +55,29 @@ class AlgebraElement:
         out = dict(self.terms)
         for w, c in other.terms.items():
             add_term(out, w, c)
-        return AlgebraElement(out)
+        return type(self)(out)
 
     def __sub__(self, other):
         out = dict(self.terms)
         for w, c in other.terms.items():
             add_term(out, w, -c)
-        return AlgebraElement(out)
+        return type(self)(out)
 
     def __neg__(self):
-        return AlgebraElement({w: -c for w, c in self.terms.items()})
+        return type(self)({w: -c for w, c in self.terms.items()})
 
     def scale(self, scalar):
         if scalar.is_zero():
-            return AlgebraElement({})
+            return type(self)({})
         out = {}
         for w, c in self.terms.items():
             p = scalar * c
             if not p.is_zero():
                 out[w] = p
-        return AlgebraElement(out)
+        return type(self)(out)
 
     def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
+        if type(other) is not type(self):
             return NotImplemented
         if set(self.terms.keys()) != set(other.terms.keys()):
             return False
@@ -110,50 +111,10 @@ class AlgebraElement:
         return " + ".join(bits)
 
 
-class TensorElement:
+class TensorElement(AlgebraElement):
     """Finite map from pairs of normal words to nonzero scalars."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            add_term(out, w, c)
-        return TensorElement(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            add_term(out, w, -c)
-        return TensorElement(out)
-
-    def __neg__(self):
-        return TensorElement({w: -c for w, c in self.terms.items()})
-
-    def scale(self, scalar):
-        if scalar.is_zero():
-            return TensorElement({})
-        out = {}
-        for w, c in self.terms.items():
-            p = scalar * c
-            if not p.is_zero():
-                out[w] = p
-        return TensorElement(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        if set(self.terms.keys()) != set(other.terms.keys()):
-            return False
-        return all(c == other.terms[w] for w, c in self.terms.items())
-
-    __hash__ = None
+    __slots__ = ()
 
     def __repr__(self):
         if not self.terms:

@@ -163,10 +163,13 @@ def parse_presentation_data(data, name=None):
     if not isinstance(data, dict):
         raise PresentationError("presentation file must be a JSON object")
     scal = data.get("scalars", {})
-    domain = ScalarDomain(scal.get("cyclotomic_order", 1),
-                          tuple(scal.get("transcendentals", ())))
     grp = data.get("group", {})
-    group = GroupData(grp.get("free_rank", 0), tuple(grp.get("torsion", ())))
+    try:
+        domain = ScalarDomain(scal.get("cyclotomic_order", 1),
+                              tuple(scal.get("transcendentals", ())))
+        group = GroupData(grp.get("free_rank", 0), tuple(grp.get("torsion", ())))
+    except ValueError as exc:
+        raise PresentationError("bad scalars or group: %s" % exc)
     gens = []
     for k, gdata in enumerate(data.get("generators", ())):
         where = "generators[%d]" % k
@@ -211,6 +214,8 @@ def load_presentation(path):
         except json.JSONDecodeError as exc:
             raise PresentationError(
                 "%s: line %d column %d: %s" % (path, exc.lineno, exc.colno, exc.msg))
+    if not isinstance(data, dict):
+        raise PresentationError("%s: presentation file must be a JSON object" % path)
     name = data.get("meta", {}).get("name") or path
     p = parse_presentation_data(data, name=name)
     return p, data.get("meta", {})

@@ -70,9 +70,8 @@ class OverlapFailure:
 
 
 class ConfluenceResult:
-    def __init__(self, failures, degree_bound):
+    def __init__(self, failures):
         self.failures = failures
-        self.degree_bound = degree_bound
 
     @property
     def confluent(self):
@@ -90,7 +89,12 @@ class Presentation:
         self._validate()
         self._nf_cache = {}
         self._char_cache = {}
+        self._coproduct_cache = {}
         self._confluence = None
+        self._rules_by_first = {}
+        for rule in self.rules:
+            self._rules_by_first.setdefault(rule.lhs[0], []).append(rule)
+        self._max_lhs = max((len(r.lhs) for r in self.rules), default=0)
         self.tau_free = all(
             t.is_zero() for g in self.gens for t in (g.tau or []))
         self.is_multigraded = self.tau_free and all(
@@ -210,43 +214,43 @@ class Presentation:
     def _commute_group_left(self, yword, h):
         """Move a group element from the right of a y-word to its left.
 
-        Returns branches (coeff, group element, surviving y-word); the
-        additive character tau produces branches that drop one y and pick
-        up an extra weight factor in the group part.
+        Returns {(group element, kept y-word): coeff}; the additive
+        character tau adds terms that drop one y and pick up an extra
+        weight factor in the group part.  Equal terms merge after each
+        letter, so cancelling branches never multiply.
         """
+        h = self.group.reduce(h)
         if not yword or self.group.is_identity(h):
-            return [(self.domain.one(), self.group.reduce(h), tuple(yword))]
-        branches = [(self.domain.one(), self.group.reduce(h), ())]
+            return {(h, tuple(yword)): self.domain.one()}
+        terms = {(h, ()): self.domain.one()}
         for letter in reversed(yword):
-            new = []
-            for c, hh, kept in branches:
-                lam = self.char_value(letter, hh)
-                new.append((c * lam, hh, (letter,) + kept))
+            new = {}
+            for (hh, kept), c in terms.items():
+                add_term(new, (hh, (letter,) + kept), c * self.char_value(letter, hh))
                 if not self.tau_free:
                     tau = self.tau_value(letter, hh)
                     if not tau.is_zero():
-                        mu = self.gens[letter].weight
-                        new.append((c * tau, self.group.mul(hh, mu), kept))
-                        new.append((-(c * tau), hh, kept))
-            branches = new
-        return branches
+                        ct = c * tau
+                        add_term(new, (self.group.mul(hh, self.gens[letter].weight), kept), ct)
+                        add_term(new, (hh, kept), -ct)
+            terms = new
+        return terms
 
-    def _find_redex(self, yword):
-        for pos in range(len(yword)):
-            for rule in self.rules:
-                L = len(rule.lhs)
-                if yword[pos:pos + L] == rule.lhs:
-                    return pos, rule
-        return None
+    def _redexes(self, word, start=0):
+        """Yield (pos, rule) for each redex at pos >= start: leftmost first,
+        in rule order at each position."""
+        by_first = self._rules_by_first
+        for pos in range(start, len(word)):
+            for rule in by_first.get(word[pos], ()):
+                if word[pos:pos + len(rule.lhs)] == rule.lhs:
+                    yield pos, rule
 
-    def normal_form_yword(self, yword):
-        """Normal form of a pure y-word as an AlgebraElement (memoized)."""
-        yword = tuple(yword)
-        if not self.rules:
-            return AlgebraElement({(self.group.identity(), yword): self.domain.one()})
-        cached = self._nf_cache.get(yword)
-        if cached is not None:
-            return cached
+    def _leftmost_redex(self, word):
+        return next(self._redexes(word), None)
+
+    def _rewrite(self, yword, choose):
+        """Normal form of a y-word, resolving the redex choose(word) picks
+        until it returns None."""
         bound = len(yword)
         acc = {}
         stack = [(self.domain.one(), self.group.identity(), yword)]
@@ -255,7 +259,7 @@ class Presentation:
             if len(w) > bound:
                 raise RewriteInternalError(
                     "intermediate degree %d exceeds input degree %d" % (len(w), bound))
-            hit = self._find_redex(w)
+            hit = choose(w)
             if hit is None:
                 add_term(acc, (h, w), c)
                 continue
@@ -266,12 +270,20 @@ class Presentation:
                 if self.group.is_identity(g2):
                     stack.append((c * coeff, h, prefix + ys2 + suffix))
                 else:
-                    for c3, h3, kept in self._commute_group_left(prefix, g2):
+                    for (h3, kept), c3 in self._commute_group_left(prefix, g2).items():
                         stack.append((c * coeff * c3, self.group.mul(h, h3),
                                       kept + ys2 + suffix))
-        result = AlgebraElement(acc)
-        self._nf_cache[yword] = result
-        return result
+        return AlgebraElement(acc)
+
+    def normal_form_yword(self, yword):
+        """Normal form of a pure y-word as an AlgebraElement (memoized)."""
+        yword = tuple(yword)
+        if not self.rules:
+            return AlgebraElement({(self.group.identity(), yword): self.domain.one()})
+        cached = self._nf_cache.get(yword)
+        if cached is None:
+            cached = self._nf_cache[yword] = self._rewrite(yword, self._leftmost_redex)
+        return cached
 
     def normal_form_yword_random(self, yword, rng):
         """Like normal_form_yword but resolving redexes in random order.
@@ -279,26 +291,10 @@ class Presentation:
         Confluence makes the result independent of the strategy; this
         exists so that independence can be tested, not for production use.
         """
-        acc = {}
-        stack = [(self.domain.one(), self.group.identity(), tuple(yword))]
-        while stack:
-            c, h, w = stack.pop()
-            redexes = [(pos, rule) for pos in range(len(w)) for rule in self.rules
-                       if w[pos:pos + len(rule.lhs)] == rule.lhs]
-            if not redexes:
-                add_term(acc, (h, w), c)
-                continue
-            pos, rule = redexes[rng.randrange(len(redexes))]
-            prefix = w[:pos]
-            suffix = w[pos + len(rule.lhs):]
-            for (g2, ys2), coeff in rule.rhs.terms.items():
-                if self.group.is_identity(g2):
-                    stack.append((c * coeff, h, prefix + ys2 + suffix))
-                else:
-                    for c3, h3, kept in self._commute_group_left(prefix, g2):
-                        stack.append((c * coeff * c3, self.group.mul(h, h3),
-                                      kept + ys2 + suffix))
-        return AlgebraElement(acc)
+        def choose(w):
+            redexes = list(self._redexes(w))
+            return rng.choice(redexes) if redexes else None
+        return self._rewrite(tuple(yword), choose)
 
     def normalize(self, raw):
         """Normal form of raw input.
@@ -319,22 +315,21 @@ class Presentation:
         for coeff, letters in terms:
             if coeff.is_zero():
                 continue
-            branches = [(coeff, self.group.identity(), ())]
+            branches = {(self.group.identity(), ()): coeff}
             for kind, val in letters:
                 if kind == "g":
-                    val = self.group.reduce(val)
-                    new = []
-                    for c, hf, ys in branches:
-                        for c2, h2, kept in self._commute_group_left(ys, val):
-                            new.append((c * c2, self.group.mul(hf, h2), kept))
+                    new = {}
+                    for (hf, ys), c in branches.items():
+                        for (h2, kept), c2 in self._commute_group_left(ys, val).items():
+                            add_term(new, (self.group.mul(hf, h2), kept), c * c2)
                     branches = new
                 elif kind == "y":
                     if not 0 <= val < self.ny:
                         raise PresentationError("unknown y-generator index %r" % (val,))
-                    branches = [(c, hf, ys + (val,)) for c, hf, ys in branches]
+                    branches = {(hf, ys + (val,)): c for (hf, ys), c in branches.items()}
                 else:
                     raise PresentationError("unknown letter kind %r" % (kind,))
-            for c, hf, ys in branches:
+            for (hf, ys), c in branches.items():
                 nf = self.normal_form_yword(ys)
                 for (h3, ys3), c3 in nf.terms.items():
                     add_term(acc, (self.group.mul(hf, h3), ys3), c * c3)
@@ -346,7 +341,7 @@ class Presentation:
         for (h1, u), c1 in a.terms.items():
             for (h2, v), c2 in b.terms.items():
                 c12 = c1 * c2
-                for c3, h3, kept in self._commute_group_left(u, h2):
+                for (h3, kept), c3 in self._commute_group_left(u, h2).items():
                     nf = self.normal_form_yword(kept + v)
                     hh = self.group.mul(h1, h3)
                     for (h4, ys4), c4 in nf.terms.items():
@@ -366,12 +361,11 @@ class Presentation:
         if kind == "g":
             if self.tau_free:
                 return [(self.group.mul(h, val), yw)]
-            out = set()
-            for c2, h2, kept in self._commute_group_left(yw, val):
-                nf = self.normal_form_yword(kept)
-                for (h3, ys3), c3 in nf.terms.items():
-                    if not (c2 * c3).is_zero():
-                        out.add((self.group.mul(self.group.mul(h, h2), h3), ys3))
+            out = {}
+            for (h2, kept), c2 in self._commute_group_left(yw, val).items():
+                hh = self.group.mul(h, h2)
+                for (h3, ys3), c3 in self.normal_form_yword(kept).terms.items():
+                    add_term(out, (self.group.mul(hh, h3), ys3), c2 * c3)
             return sorted(out)
         nf = self.normal_form_yword(yw + (val,))
         return sorted((self.group.mul(h, h3), ys3) for (h3, ys3) in nf.terms)
@@ -379,30 +373,31 @@ class Presentation:
     # -- irreducible word enumeration -----------------------------------
     def irreducible_ywords(self, max_degree):
         """All rule-irreducible y-words of total degree <= max_degree, by degree."""
-        lhs_set = [r.lhs for r in self.rules]
         by_degree = [[()]]
         for d in range(1, max_degree + 1):
+            # words of degree d - 1 are irreducible, so any redex ends at the last letter
+            start = max(0, d - self._max_lhs)
             level = []
             for w in by_degree[d - 1]:
                 for i in range(self.ny):
                     cand = w + (i,)
-                    # w is irreducible, so any redex must end at the last letter
-                    if any(cand[-len(l):] == l for l in lhs_set if len(l) <= len(cand)):
-                        continue
-                    level.append(cand)
+                    if next(self._redexes(cand, start), None) is None:
+                        level.append(cand)
             by_degree.append(level)
         return by_degree
 
     # -- confluence -------------------------------------------------------
-    def check_confluence(self, degree_bound=12):
-        """Resolve all overlap ambiguities up to the degree bound.
+    def check_confluence(self):
+        """Resolve every overlap ambiguity.
 
         Checks y-rule/y-rule overlaps (shared boundary and containment) and
         y-rule/group-commutation overlaps against each positive group
-        generator.  Returns a ConfluenceResult listing every critical pair
+        generator.  A finite rule set has finitely many overlaps, each of
+        length at most |u| + |v| - 1 (Bergman's diamond lemma), so none is
+        skipped.  Returns a ConfluenceResult listing every critical pair
         whose two reductions differ.
         """
-        if self._confluence is not None and self._confluence.degree_bound >= degree_bound:
+        if self._confluence is not None:
             return self._confluence
         failures = []
 
@@ -418,8 +413,6 @@ class Presentation:
                 if u[len(u) - c_len:] != v[:c_len]:
                     continue
                 word = u + v[c_len:]
-                if len(word) > degree_bound:
-                    continue
                 # reduce the left redex first
                 first = close([(c, (("g", g),) + tuple(("y", i) for i in yw)
                                 + tuple(("y", i) for i in v[c_len:]))
@@ -474,7 +467,7 @@ class Presentation:
                         "rule %s against group generator g%d"
                         % (self._yname(u), gi + 1),
                         first, second))
-        result = ConfluenceResult(failures, degree_bound)
+        result = ConfluenceResult(failures)
         self._confluence = result
         return result
 

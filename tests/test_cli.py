@@ -109,10 +109,14 @@ def test_growth_resource_ceiling(capsys, monkeypatch):
     assert code == 3
 
 
-@pytest.mark.parametrize("name", ["skew_free", "skew_trunc", "taft", "qplane",
-                                  "exterior", "b_series_stub"])
-def test_check_example_all_builtins(capsys, name):
-    code, payload = run_json(capsys, "check-example", name)
+@pytest.mark.parametrize("name, params", [
+    ("skew_free", []), ("skew_trunc", []), ("taft", []), ("qplane", []),
+    ("exterior", []), ("b_series_stub", []), ("skew_free", ["v=1"]),
+], ids=["skew_free", "skew_trunc", "taft", "qplane", "exterior",
+        "b_series_stub", "skew_free-v=1"])
+def test_check_example_all_builtins(capsys, name, params):
+    argv = [arg for prm in params for arg in ("--param", prm)]
+    code, payload = run_json(capsys, "check-example", name, *argv)
     assert code == 0, payload
     assert payload["report"]["passed"], payload["report"]["checks"]
 
@@ -139,12 +143,20 @@ def test_stub_refuses_computation(capsys):
     assert "b_series_stub" in err or "B(1,1" in err
 
 
-def test_exit_code_usage(capsys):
+def test_exit_code_usage(capsys, tmp_path):
     code, out, err = run(capsys, "normalize", "--element", "y1")
     assert code == 1
     code, out, err = run(capsys, "normalize", "--example", "nope",
                          "--element", "y1")
     assert code == 1
+    # malformed presentation files end in one error line, not a traceback
+    path = tmp_path / "bad.json"
+    for doc in ([], {"scalars": {"cyclotomic_order": 0}},
+                {"group": {"free_rank": -1}}):
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "invariants", str(path))
+        assert code == 1, doc
+        assert err.startswith("presentation error:") and err.count("\n") == 1, err
 
 
 def test_exit_code_non_confluent(capsys):
@@ -181,3 +193,4 @@ def test_parse_error_exit(capsys, tmp_path):
     code, out, err = run(capsys, "invariants", str(path))
     assert code == 1
     assert "line" in err
+

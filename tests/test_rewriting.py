@@ -106,6 +106,24 @@ def test_truncation_confluence_dichotomy():
         bad.require_confluent()
 
 
+def test_long_overlaps_are_checked():
+    # y1^13 -> y2 overlaps itself in 12 words of length 14..25: in each,
+    # the two reductions leave y2 y1^k and y1^k y2, both irreducible
+    dom = ScalarDomain(13)
+    group = GroupData(1)
+    g = group.generator(0)
+    gens = [SkewGenerator("y1", g, (dom.zeta(),)),
+            SkewGenerator("y2", group.power(g, 13), (dom.one(),))]
+    rule = ((0,) * 13, {(group.identity(), (1,)): dom.one()})
+    p = Presentation(dom, group, gens, [rule])
+    result = p.check_confluence()
+    assert not result.confluent
+    assert len(result.failures) == 12
+    assert sorted(len(f.word) for f in result.failures) == list(range(14, 26))
+    with pytest.raises(NonConfluentError):
+        p.require_confluent()
+
+
 def test_randomized_reduction_order_agrees(rng):
     for pres in [taft_presentation(3), exterior_presentation(3),
                  qplane_presentation(3), skew_trunc_presentation(2, beta=1, v=2)]:
@@ -121,6 +139,7 @@ def test_randomized_reduction_order_agrees(rng):
 def test_multiplication_associative(rng):
     for pres in [taft_presentation(2), exterior_presentation(2),
                  qplane_presentation(2), skew_free_presentation(v=2),
+                 skew_free_presentation(v=1, tau=1),
                  skew_trunc_presentation(2, beta=1)]:
         for _ in range(10):
             a = random_element(pres, rng, max_degree=2, nterms=2)
