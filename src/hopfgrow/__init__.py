@@ -10,10 +10,10 @@ measured growth function.
 
 from .bounds import (BoundReport, GrowthVerdict, all_bounds, bound_first,
                      bound_second, bound_third, detect_exponential)
-from .catalog import (BSeriesStub, EXAMPLES, build_example,
-                      exterior_presentation, qplane_presentation,
-                      run_example_check, skew_free_presentation,
-                      skew_trunc_presentation, taft_presentation)
+from .catalog import (EXAMPLES, build_example, exterior_presentation,
+                      qplane_presentation, run_example_check,
+                      skew_free_presentation, skew_trunc_presentation,
+                      taft_presentation)
 from .coalgebra import (SkewPrimitiveSpace, antipode, counit, delta,
                         delta_power_formula, find_skew_primitives,
                         is_skew_primitive)

@@ -10,6 +10,7 @@ from .errors import ConsistencyError
 from .groups import cyclic_support
 from .invariants import (_char_at, _strip_coradical, is_skew_primitive,
                          proportionality_mod_coradical)
+from .intmat import integer_rank
 from .linalg import ScalarElimination
 from .scalars import (INFINITE, ScalarShapeError, multiplicative_order,
                       subgroup_rank)
@@ -198,29 +199,27 @@ def all_bounds(p, report, primitives=None, degree_bound=6):
     return out
 
 
-def _pair_cases(q1, q2, d1, d2):
+def _pair_cases(u1, u2, d1, d2):
     """Which of the four free-subalgebra criteria fire for this data."""
     fired = []
-    o1 = multiplicative_order(q1)
-    o2 = multiplicative_order(q2)
-    if o1 is None or o2 is None:
-        raise ValueError("pair data is not analyzable")
+    o1 = u1.order()
+    o2 = u2.order()
     if d1 * d2 > 0:
-        if q1 == q2 and o1 is INFINITE:
+        if u1 == u2 and o1 is INFINITE:
             fired.append("equal-nonroot")
-        if (q1 ** d1).is_one() and o2 is INFINITE:
+        u1d = u1 ** d1
+        if u1d.is_one() and o2 is INFINITE:
             fired.append("torsion-against-nonroot-trivial")
-        q1d = q1 ** d1
-        od = multiplicative_order(q1d)
-        if od is not None and od is not INFINITE and od != 1 and o2 is INFINITE:
+        od = u1d.order()
+        if od is not INFINITE and od != 1 and o2 is INFINITE:
             fired.append("torsion-against-nonroot")
     if d1 * d2 != 0:
-        if subgroup_rank([q1, q2]) == 2:
+        if integer_rank([u1.exps, u2.exps]) == 2:
             fired.append("rank-two")
     return fired
 
 
-def _necessary_relation_solutions(q1, q2, d1, d2, m_max):
+def _necessary_relation_solutions(u1, u2, d1, d2, m_max):
     """Exponent pairs (M1, M2) solving the non-freeness constraint."""
     solutions = []
     for total in range(2, m_max + 1):
@@ -228,7 +227,7 @@ def _necessary_relation_solutions(q1, q2, d1, d2, m_max):
             m2 = total - m1
             e1 = d1 * (m1 * (m1 - 1)) + d2 * (m1 * m2)
             e2 = d2 * (m2 * (m2 - 1)) + d1 * (m1 * m2)
-            if ((q1 ** e1) * (q2 ** e2)).is_one():
+            if ((u1 ** e1) * (u2 ** e2)).is_one():
                 solutions.append((m1, m2))
     return solutions
 
@@ -257,20 +256,19 @@ def detect_exponential(p, report, m_max=12):
                     {"pair": label, "reason": "weights share no cyclic support"})
                 continue
             x, d1, d2 = support
-            q1 = _char_at(p, r1.character, gens_elts, x)
-            q2 = _char_at(p, r2.character, gens_elts, x)
-            try:
-                fired = _pair_cases(q1, q2, d1, d2)
-                fired += ["%s (swapped)" % c for c in _pair_cases(q2, q1, d2, d1)]
-            except ValueError:
+            u1 = _char_at(p, r1.character, gens_elts, x).as_unit_monomial()
+            u2 = _char_at(p, r2.character, gens_elts, x).as_unit_monomial()
+            if u1 is None or u2 is None:
                 evidence["skipped"].append(
                     {"pair": label, "reason": "pair scalars are not unit monomials"})
                 continue
+            fired = _pair_cases(u1, u2, d1, d2)
+            fired += ["%s (swapped)" % c for c in _pair_cases(u2, u1, d2, d1)]
             entry = {"pair": label, "support_exponents": (d1, d2),
                      "cases": sorted(set(fired))}
             evidence["pairs"].append(entry)
             if not fired:
-                solutions = _necessary_relation_solutions(q1, q2, d1, d2, m_max)
+                solutions = _necessary_relation_solutions(u1, u2, d1, d2, m_max)
                 evidence["relation_solutions"].append({
                     "pair": label,
                     "solutions": solutions,

@@ -141,52 +141,6 @@ def exterior_presentation(s=2, free=False):
     return Presentation(dom, group, gens, rules, name="exterior")
 
 
-class BSeriesStub:
-    """Metadata-only stand-in for the finite quotient of the pointed Hopf
-    domain B(1, 1, p_1, ..., p_s, q) of Goodearl and Zhang.
-
-    The defining relations live in their construction and are not
-    reproduced here; only the published invariant data is recorded.  Any
-    attempt to compute with the stub is an explicit error.
-    """
-
-    def __init__(self, ps=(2, 3)):
-        ps = tuple(int(p) for p in ps)
-        if any(p < 2 for p in ps):
-            raise PresentationError("all p_i must be at least 2")
-        self.ps = ps
-        m = 1
-        for p in ps:
-            m *= p
-        self.modulus = m
-        self.weight_exponents = tuple(m // p for p in ps)        # x^{m_i}
-        self.commutator_exponents = tuple(-(m // p) ** 2 for p in ps)  # q^{-m_i^2}
-
-    def expected(self):
-        s = len(self.ps)
-        return {
-            "weights": s,
-            "weights_with_primitive_power": s,
-            "weights_with_free_commutator": 0,
-            "weight_commutators": s,
-            "torsion_weight_commutators": s,
-            "dim_torsion_span": s,
-            "dim_free_quotient": 0,
-            "coradical_gk_dimension": 0,
-            "bounds": {"weight-count": 0, "weight-commutator-count": 0,
-                       "primitive-quotient": 0},
-            "weight_exponents": list(self.weight_exponents),
-            "commutator_exponents": list(self.commutator_exponents),
-        }
-
-    def presentation(self):
-        raise PresentationError(
-            "builtin 'b_series_stub' records expected invariants only; its "
-            "defining relations are Goodearl-Zhang's construction "
-            "B(1,1,p_1,...,p_s,q) and must be supplied as a presentation "
-            "file to compute with them")
-
-
 # ----------------------------------------------------------------------
 # registry, expected values, and the check harness
 
@@ -323,13 +277,6 @@ def _exterior_expected(params):
     }
 
 
-def _b_series_expected(params):
-    stub = BSeriesStub(params["ps"])
-    out = stub.expected()
-    out["stub"] = True
-    return out
-
-
 EXAMPLES = {
     "skew_free": ExampleSpec(
         "group algebra of Z freely extended by v skew primitives "
@@ -376,14 +323,6 @@ EXAMPLES = {
         _exterior_expected,
         {"degree_bound": 4, "group_word_bound": 2, "power_bound": 3,
          "n_max": 12, "pbw_degree": 4},
-    ),
-    "b_series_stub": ExampleSpec(
-        "metadata-only record of a finite quotient of the Goodearl-Zhang "
-        "B-series domain; computing with it is an error",
-        {"ps": (2, 3)},
-        lambda prm: BSeriesStub(prm["ps"]).presentation(),
-        _b_series_expected,
-        {},
     ),
 }
 
@@ -439,17 +378,6 @@ def run_example_check(name, params=None):
     entry, merged = _merge_params(name, params)
     expected = entry.expected(merged)
     outcome = CheckOutcome()
-    if expected.get("stub"):
-        # metadata-only: validate the internal consistency of the record
-        outcome.add("power-weights-cover-weights", expected["weights"],
-                    expected["weights_with_primitive_power"])
-        outcome.add("no-free-pairs", 0,
-                    expected["weight_commutators"]
-                    - expected["torsion_weight_commutators"])
-        outcome.add("quotient-dimension", 0, expected["dim_free_quotient"])
-        for rule, val in expected["bounds"].items():
-            outcome.add("bound:%s" % rule, 0, val)
-        return outcome
     p = entry.build(merged)
     cfg = example_config(name, merged)
     conf = p.check_confluence()

@@ -345,21 +345,34 @@ def cmd_list_examples(args):
     return EXIT_OK
 
 
+def _nonnegative(text):
+    """argparse type of the bound flags: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must not be negative, got %d" % value)
+    return value
+
+
 def _add_common(sub, element=False, weight=False):
     sub.add_argument("file", nargs="?", help="presentation file (JSON)")
     sub.add_argument("--example", help="builtin example name")
     sub.add_argument("--param", action="append", metavar="K=V",
                      help="builtin parameter override")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--degree", type=int, default=6,
+    sub.add_argument("--degree", type=_nonnegative, default=6,
                      help="y-degree bound for searches")
-    sub.add_argument("--group-bound", dest="group_bound", type=int, default=6,
+    sub.add_argument("--group-bound", dest="group_bound", type=_nonnegative,
+                     default=6,
                      help="group word-length bound")
-    sub.add_argument("--power-bound", dest="power_bound", type=int, default=6,
+    sub.add_argument("--power-bound", dest="power_bound", type=_nonnegative,
+                     default=6,
                      help="largest power tested for primitivity")
-    sub.add_argument("--nmax", type=int, default=12,
+    sub.add_argument("--nmax", type=_nonnegative, default=12,
                      help="growth measurement horizon")
-    sub.add_argument("--mmax", type=int, default=12,
+    sub.add_argument("--mmax", type=_nonnegative, default=12,
                      help="exponent ceiling for the relation search")
     if element:
         sub.add_argument("--element", required=True,

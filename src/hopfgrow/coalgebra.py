@@ -143,11 +143,6 @@ class SkewPrimitiveSpace:
     def dim(self):
         return len(self.basis)
 
-    def coradical_line(self):
-        """The element weight - 1 (zero when the weight is the identity)."""
-        p = self.presentation
-        return p.group_element(self.weight) - p.one()
-
     def witnesses(self):
         """Basis vectors outside the coradical, reduced mod k(weight - 1)."""
         if not self.has_coradical_line:

@@ -7,6 +7,7 @@ Equality is coefficient-wise, so the representation is canonical.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -28,19 +29,6 @@ def euler_phi(n):
     if m > 1:
         result -= result // m
     return result
-
-
-def _prime_factors(n):
-    out = []
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out.append(p)
-            n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _poly_divmod_int(num, den):
@@ -93,6 +81,12 @@ class CycloField:
 
     Keeps a lazily extended table expressing zeta^m in the power basis for
     m >= phi(N), so reduction of arbitrary products stays cheap.
+
+    The roots of unity of the field are exactly +-zeta^a.  They form a
+    cyclic group of order unity_order = lcm(2, N), generated by rho = zeta
+    for even N and rho = -zeta for odd N; every decision about roots of
+    unity goes through the exponent k of rho^k, found by one lookup in an
+    index built on first use.
     """
 
     def __init__(self, conductor):
@@ -108,8 +102,8 @@ class CycloField:
         one = [_ZERO] * self.degree
         one[0] = _ONE
         self._one = CycloRational(self, tuple(one))
-        # all roots of unity in Q(zeta_N) form a cyclic group of this order
         self.unity_order = conductor if conductor % 2 == 0 else 2 * conductor
+        self._root_index = None
 
     def zero(self):
         return self._zero
@@ -161,6 +155,51 @@ class CycloField:
     def from_coeffs(self, coeffs):
         return CycloRational(self, self._reduce([Fraction(c) for c in coeffs]))
 
+    def zeta_multiple(self, x):
+        """(a, r) with x = r * zeta^a for a rational r and the least a >= 0,
+        or None when x is zero or no rational multiple of a root of unity.
+
+        The index maps the coefficients of zeta^a, scaled to a leading 1,
+        to a and that leading coefficient; every rational multiple of
+        zeta^a has the same key.  Building it costs O(N * phi(N)) once.
+        """
+        lead = next((c for c in x.coeffs if c), None)
+        if lead is None:
+            return None
+        if self._root_index is None:
+            index = {}
+            for a in range(self.conductor):
+                row = self.zeta(a).coeffs
+                head = next(c for c in row if c)
+                index.setdefault(_scaled(row, head), (a, head))
+            self._root_index = index
+        hit = self._root_index.get(_scaled(x.coeffs, lead))
+        if hit is None:
+            return None
+        a, head = hit
+        return a, lead / head
+
+    def root_exponent(self, x):
+        """k in [0, unity_order) with x = rho^k, or None for a non-root."""
+        hit = self.zeta_multiple(x)
+        if hit is None or hit[1] not in (1, -1):
+            return None
+        a, r = hit
+        # zeta = rho^(N+1) for odd N, and -1 = rho^(unity_order/2)
+        k = a if self.conductor % 2 == 0 else a * (self.conductor + 1)
+        if r == -1:
+            k += self.unity_order // 2
+        return k % self.unity_order
+
+    def root_power(self, k):
+        """rho^k as a field element."""
+        root = self.zeta(k)
+        return -root if self.conductor % 2 and k % 2 else root
+
+    def root_order(self, k):
+        """Multiplicative order of rho^k."""
+        return self.unity_order // gcd(k, self.unity_order)
+
     def __eq__(self, other):
         return isinstance(other, CycloField) and other.conductor == self.conductor
 
@@ -169,6 +208,10 @@ class CycloField:
 
     def __repr__(self):
         return "CycloField(%d)" % self.conductor
+
+
+def _scaled(coeffs, lead):
+    return coeffs if lead == 1 else tuple(c / lead for c in coeffs)
 
 
 def _poly_mul_frac(a, b):
@@ -314,21 +357,9 @@ class CycloRational:
         return hash((self.field.conductor, self.coeffs))
 
     def unity_order(self):
-        """Multiplicative order if this is a root of unity, else None.
-
-        The roots of unity in Q(zeta_N) have order dividing lcm(2, N), so
-        membership is decidable by direct powering.
-        """
-        if self.is_zero():
-            return None
-        bound = self.field.unity_order
-        if not (self ** bound).is_one():
-            return None
-        order = bound
-        for p in set(_prime_factors(bound)):
-            while order % p == 0 and (self ** (order // p)).is_one():
-                order //= p
-        return order
+        """Multiplicative order if this is a root of unity, else None."""
+        k = self.field.root_exponent(self)
+        return None if k is None else self.field.root_order(k)
 
     def __repr__(self):
         if self.is_zero():

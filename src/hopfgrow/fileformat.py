@@ -153,43 +153,57 @@ def _parse_scalar_entry(domain, data, where):
             if isinstance(data, str) and not _RATIONAL.match(data):
                 return parse_scalar_expr(domain, data)
             return domain.rational(Fraction(data))
-    except (ValueError, KeyError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
         raise PresentationError("%s: bad scalar %r (%s)" % (where, data, exc))
     raise PresentationError("%s: bad scalar %r" % (where, data))
 
 
+_JSON_TYPES = {dict: "object", list: "list", str: "string"}
+
+
+def _typed(value, kind, where):
+    """value, or a PresentationError when it is not of the JSON type kind."""
+    if not isinstance(value, kind):
+        raise PresentationError("%s must be a JSON %s" % (where, _JSON_TYPES[kind]))
+    return value
+
+
 def parse_presentation_data(data, name=None):
     """Build a Presentation from a decoded JSON document."""
-    if not isinstance(data, dict):
-        raise PresentationError("presentation file must be a JSON object")
-    scal = data.get("scalars", {})
-    grp = data.get("group", {})
+    _typed(data, dict, "presentation file")
+    scal = _typed(data.get("scalars", {}), dict, "scalars")
+    grp = _typed(data.get("group", {}), dict, "group")
     try:
         domain = ScalarDomain(scal.get("cyclotomic_order", 1),
                               tuple(scal.get("transcendentals", ())))
         group = GroupData(grp.get("free_rank", 0), tuple(grp.get("torsion", ())))
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise PresentationError("bad scalars or group: %s" % exc)
     gens = []
-    for k, gdata in enumerate(data.get("generators", ())):
+    for k, gdata in enumerate(_typed(data.get("generators", []), list,
+                                     "generators")):
         where = "generators[%d]" % k
-        if "name" not in gdata or "weight" not in gdata:
+        if "name" not in _typed(gdata, dict, where) or "weight" not in gdata:
             raise PresentationError("%s: needs name and weight" % where)
-        character = [_parse_scalar_entry(domain, c, where)
-                     for c in gdata.get("character", ())]
+        character = [_parse_scalar_entry(domain, c, where) for c in _typed(
+            gdata.get("character", []), list, where + ".character")]
         tau = None
         if "tau" in gdata:
-            tau = [_parse_scalar_entry(domain, c, where) for c in gdata["tau"]]
-        gens.append(SkewGenerator(gdata["name"], tuple(gdata["weight"]),
+            tau = [_parse_scalar_entry(domain, c, where)
+                   for c in _typed(gdata["tau"], list, where + ".tau")]
+        weight = _typed(gdata["weight"], list, where + ".weight")
+        gens.append(SkewGenerator(gdata["name"], tuple(weight),
                                   tuple(character), tau))
     pre = Presentation(domain, group, gens, (), name=name)
     rules = []
-    for k, rdata in enumerate(data.get("relations", ())):
+    for k, rdata in enumerate(_typed(data.get("relations", []), list,
+                                     "relations")):
         where = "relations[%d]" % k
-        lhs_txt = rdata.get("lhs")
-        rhs_txt = rdata.get("rhs", "")
+        lhs_txt = _typed(rdata, dict, where).get("lhs")
+        rhs_txt = _typed(rdata.get("rhs", ""), str, where + ".rhs")
         if not lhs_txt:
             raise PresentationError("%s: missing lhs" % where)
+        _typed(lhs_txt, str, where + ".lhs")
         lhs = []
         for tok in _tokens(lhs_txt):
             m = _POWERED.match(tok)
@@ -214,11 +228,10 @@ def load_presentation(path):
         except json.JSONDecodeError as exc:
             raise PresentationError(
                 "%s: line %d column %d: %s" % (path, exc.lineno, exc.colno, exc.msg))
-    if not isinstance(data, dict):
-        raise PresentationError("%s: presentation file must be a JSON object" % path)
-    name = data.get("meta", {}).get("name") or path
-    p = parse_presentation_data(data, name=name)
-    return p, data.get("meta", {})
+    _typed(data, dict, "%s: presentation file" % path)
+    meta = _typed(data.get("meta", {}), dict, "meta")
+    p = parse_presentation_data(data, name=meta.get("name") or path)
+    return p, meta
 
 
 def presentation_to_jsonable(p, meta=None):

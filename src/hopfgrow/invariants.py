@@ -9,6 +9,8 @@ eigenvalue is a product of character values and the decomposition stays
 inside the scalar domain.
 """
 
+from itertools import combinations
+
 from .coalgebra import find_skew_primitives, is_skew_primitive
 from .elements import AlgebraElement, add_term, word_key
 from .errors import ConsistencyError
@@ -161,7 +163,7 @@ class QuotientSpace:
 
 
 # -- small dense matrix helpers over coordinate dicts ---------------------
-def _mat_apply(matrix, vec, domain):
+def _mat_apply(matrix, vec):
     out = {}
     for j, c in vec.items():
         for i, m in matrix[j].items():
@@ -169,7 +171,7 @@ def _mat_apply(matrix, vec, domain):
     return out
 
 
-def _mat_shift(matrix, c, dim, domain):
+def _mat_shift(matrix, c, dim):
     """matrix - c * identity."""
     out = []
     for j in range(dim):
@@ -179,8 +181,8 @@ def _mat_shift(matrix, c, dim, domain):
     return out
 
 
-def _mat_mul(a, b, dim, domain):
-    return [_mat_apply(a, b[j], domain) for j in range(dim)]
+def _mat_mul(a, b, dim):
+    return [_mat_apply(a, b[j]) for j in range(dim)]
 
 
 def _generalized_eigenspaces(domain, matrix, dim, candidates):
@@ -193,10 +195,10 @@ def _generalized_eigenspaces(domain, matrix, dim, candidates):
     spaces = []
     total = 0
     for c in candidates:
-        n = _mat_shift(matrix, c, dim, domain)
+        n = _mat_shift(matrix, c, dim)
         power = n
         for _ in range(dim - 1):
-            power = _mat_mul(n, power, dim, domain)
+            power = _mat_mul(n, power, dim)
         kernel = nullspace_of_columns(domain, [power[j] for j in range(dim)],
                                       tags=list(range(dim)))
         if kernel:
@@ -235,15 +237,15 @@ def _decompose_vector(domain, vec, spaces):
     return parts
 
 
-def _nilpotency_level(domain, matrix, c, dim, vec, bound):
-    n = _mat_shift(matrix, c, dim, domain)
+def _nilpotency_level(matrix, c, dim, vec, bound):
+    n = _mat_shift(matrix, c, dim)
     level = 0
     current = vec
     while current:
         level += 1
         if level > bound:
             return None
-        current = _mat_apply(n, current, domain)
+        current = _mat_apply(n, current)
     return level
 
 
@@ -296,10 +298,6 @@ class WitnessRecord:
         self.power_primitive_n = None
         self.power_predicted_n = None
 
-    @property
-    def in_torsion_span(self):
-        return self.gamma_class == "torsion"
-
     def __repr__(self):
         return "WitnessRecord(weight=%s, gamma=%r, level=%s, class=%s)" % (
             self.weight, self.gamma, self.level, self.gamma_class)
@@ -351,7 +349,7 @@ def _weight_quotient(p, weight, vectors, conjugators):
     return QuotientSpace(p, sat.basis)
 
 
-def _character_refine(p, q, spaces_cache, gens_elts, vec, bound):
+def _character_refine(p, spaces_cache, gens_elts, vec):
     """Progressively split a coordinate vector into character components.
 
     Returns a list of (character tuple, vector); characters are tuples of
@@ -375,7 +373,7 @@ def _uniform_level(p, q, spaces_cache, gens_elts, character, vec, bound):
     shifted = []
     for h, c in zip(gens_elts, character):
         matrix, _ = spaces_cache[h]
-        shifted.append(_mat_shift(matrix, c, q.dim, domain))
+        shifted.append(_mat_shift(matrix, c, q.dim))
     frontier = [vec]
     level = 0
     while frontier:
@@ -385,7 +383,7 @@ def _uniform_level(p, q, spaces_cache, gens_elts, character, vec, bound):
         new = []
         for n in shifted:
             for v in frontier:
-                img = _mat_apply(n, v, domain)
+                img = _mat_apply(n, v)
                 if img:
                     new.append(img)
         if not new:
@@ -420,7 +418,7 @@ def commutator_level(p, y, level_bound=24):
     parts = _decompose_vector(p.domain, ybar, spaces)
     components = []
     for c, part in parts:
-        level = _nilpotency_level(p.domain, matrix, c, q.dim, part, level_bound)
+        level = _nilpotency_level(matrix, c, q.dim, part, level_bound)
         components.append((c, level, q.lift(part)))
     single = None
     if len(components) == 1 and components[0][1] is not None:
@@ -450,8 +448,7 @@ def generalized_commutator(p, y, generators=None, level_bound=24):
         cands = q.eigenvalue_candidates(h)
         spaces_cache[h] = (matrix, _generalized_eigenspaces(
             p.domain, matrix, q.dim, cands))
-    comps = _character_refine(p, q, spaces_cache, gens_elts, q.coords(y),
-                              level_bound)
+    comps = _character_refine(p, spaces_cache, gens_elts, q.coords(y))
     out = []
     for chars, vec in comps:
         level = _uniform_level(p, q, spaces_cache, gens_elts, chars, vec,
@@ -505,11 +502,10 @@ class InvariantReport:
 
     @property
     def torsion_commutators(self):
-        out = []
+        out = {}
         for wc in self.torsion_weight_commutators:
-            if not any(wc.gamma == g for g in out):
-                out.append(wc.gamma)
-        return out
+            out.setdefault(wc.gamma.as_unit_monomial(), wc.gamma)
+        return list(out.values())
 
     @property
     def free_weights(self):
@@ -607,12 +603,8 @@ def _char_at(p, character, gens_elts, weight):
     return val
 
 
-def _relation_search(g1, g2, bound):
-    """Positive (N, M) with g1^N g2^M = 1 among unit monomials, or None."""
-    u1 = g1.as_unit_monomial()
-    u2 = g2.as_unit_monomial()
-    if u1 is None or u2 is None:
-        return None
+def _relation_search(u1, u2, bound):
+    """Positive (N, M) with u1^N u2^M = 1 among unit monomials, or None."""
     for total in range(2, bound + 1):
         for n in range(1, total):
             m = total - n
@@ -639,6 +631,10 @@ def compute_invariants(p, degree_bound=6, group_word_bound=6, power_bound=6,
     })
     gens_elts = p.group.generators()
     dom = p.domain
+    # every commutator is a unit monomial (classify_gamma checks it), so
+    # its UnitMonomial form keys the deduplication in first-seen order
+    pairs = {}          # (weight, commutator) -> WeightCommutator
+    commutators = {}    # commutator -> its first scalar
     for h in p.group.ball(group_word_bound):
         space = find_skew_primitives(p, h, degree_bound, group_word_bound)
         if not space.witnesses():
@@ -658,8 +654,7 @@ def compute_invariants(p, degree_bound=6, group_word_bound=6, power_bound=6,
         for c, kbasis in spaces:
             refined = []
             for vec in kbasis:
-                refined.extend(_character_refine(p, q, spaces_cache, gens_elts,
-                                                 vec, effective_bound))
+                refined.extend(_character_refine(p, spaces_cache, gens_elts, vec))
             elim = ScalarElimination(dom)
             chosen = []
             for chars, v in refined:
@@ -672,8 +667,7 @@ def compute_invariants(p, degree_bound=6, group_word_bound=6, power_bound=6,
                 if gens_elts and _char_at(p, chars, gens_elts, weight) != c:
                     raise ConsistencyError(
                         "character does not reproduce the commutator eigenvalue")
-                level = _nilpotency_level(dom, matrix_w, c, q.dim, v,
-                                          effective_bound)
+                level = _nilpotency_level(matrix_w, c, q.dim, v, effective_bound)
                 if level is None:
                     raise ConsistencyError("commutator level exceeded its bound")
                 char_level = _uniform_level(p, q, spaces_cache, gens_elts, chars,
@@ -693,36 +687,30 @@ def compute_invariants(p, degree_bound=6, group_word_bound=6, power_bound=6,
             report.weights_with_primitive_power.append(weight)
         if any(r.gamma_class in ("trivial", "free") for r in recs):
             report.weights_with_free_commutator.append(weight)
+        free_gammas = {}
         for rec in recs:
-            found = None
-            for wc in report.weight_commutators:
-                if wc.weight == weight and wc.gamma == rec.gamma:
-                    found = wc
-                    break
+            key = rec.gamma.as_unit_monomial()
+            found = pairs.get((weight, key))
             if found is None:
-                report.weight_commutators.append(WeightCommutator(
-                    weight, rec.gamma, rec.level, rec.gamma_class))
+                pairs[(weight, key)] = WeightCommutator(
+                    weight, rec.gamma, rec.level, rec.gamma_class)
             elif rec.level < found.level:
                 found.level = rec.level
-            if not any(rec.gamma == g for g in report.commutators):
-                report.commutators.append(rec.gamma)
+            commutators.setdefault(key, rec.gamma)
+            if rec.gamma_class == "free":
+                free_gammas.setdefault(key, rec.gamma)
         # pairwise relation diagnostics between non-torsion commutators
-        free_gammas = []
-        for rec in recs:
-            if rec.gamma_class == "free" and not any(rec.gamma == g
-                                                     for g in free_gammas):
-                free_gammas.append(rec.gamma)
-        for i in range(len(free_gammas)):
-            for j in range(i + 1, len(free_gammas)):
-                rel = _relation_search(free_gammas[i], free_gammas[j],
-                                       2 * degree_bound * degree_bound)
-                report.diagnostics.append({
-                    "weight": weight,
-                    "gammas": (free_gammas[i], free_gammas[j]),
-                    "relation": rel,
-                    "note": ("multiplicative relation found" if rel
-                             else "free-subalgebra expected"),
-                })
+        for (u1, g1), (u2, g2) in combinations(free_gammas.items(), 2):
+            rel = _relation_search(u1, u2, 2 * degree_bound * degree_bound)
+            report.diagnostics.append({
+                "weight": weight,
+                "gammas": (g1, g2),
+                "relation": rel,
+                "note": ("multiplicative relation found" if rel
+                         else "free-subalgebra expected"),
+            })
+    report.weight_commutators = list(pairs.values())
+    report.commutators = list(commutators.values())
     report.dim_torsion_span = sum(
         1 for r in report.witnesses if r.gamma_class == "torsion")
     report.dim_free_span = sum(

@@ -518,9 +518,6 @@ class Presentation:
             frontier = new_frontier
         return dims
 
-    def filtration_dim(self, letters, n, max_words=None):
-        return self.filtration_dims(letters, n, max_words=max_words)[n]
-
     def __repr__(self):
         label = self.name or "presentation"
         return "<Presentation %s: %r, %d y-gens, %d rules>" % (

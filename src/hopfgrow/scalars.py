@@ -14,7 +14,7 @@ never a guess.
 
 from fractions import Fraction
 
-from .cyclotomic import CycloField, CycloRational
+from .cyclotomic import CycloField
 from .intmat import integer_rank
 
 INFINITE = float("inf")
@@ -149,7 +149,11 @@ class ScalarDomain:
 
 
 class Scalar:
-    """A fraction of Laurent polynomials over Q(zeta_N)."""
+    """A fraction of Laurent polynomials over Q(zeta_N).
+
+    A one-term denominator is always the constant 1: the constructor folds
+    it into the numerator, and only zero, one and negation skip the fold.
+    """
 
     __slots__ = ("domain", "num", "den")
 
@@ -264,9 +268,6 @@ class Scalar:
     __hash__ = None  # representation is non-canonical
 
     # ------------------------------------------------------------------
-    def is_monomial_fraction(self):
-        return len(self.num) == 1 and len(self.den) == 1
-
     def as_unit_monomial(self):
         """The UnitMonomial form, or None if not of that shape.
 
@@ -275,13 +276,11 @@ class Scalar:
         """
         if len(self.num) != 1 or len(self.den) != 1:
             return None
-        (en, cn), = self.num.items()
-        (ed, cd), = self.den.items()
-        root = cn / cd
-        if root.unity_order() is None:
+        (exps, c), = self.num.items()
+        k = self.domain.field.root_exponent(c)
+        if k is None:
             return None
-        exps = tuple(x - y for x, y in zip(en, ed))
-        return UnitMonomial(self.domain, root, exps)
+        return UnitMonomial(self.domain, k, exps)
 
     def rational_value(self):
         """The value as a Fraction, or raise if not a rational constant."""
@@ -289,14 +288,10 @@ class Scalar:
             return Fraction(0)
         if len(self.num) != 1 or len(self.den) != 1:
             raise ScalarShapeError("not a rational constant: %r" % (self,), self)
-        (en, cn), = self.num.items()
-        (ed, cd), = self.den.items()
-        if en != ed:
+        (e, c), = self.num.items()
+        if any(e) or not c.is_rational():
             raise ScalarShapeError("not a rational constant: %r" % (self,), self)
-        v = cn / cd
-        if not v.is_rational():
-            raise ScalarShapeError("not a rational constant: %r" % (self,), self)
-        return v.rational_value()
+        return c.rational_value()
 
     def __repr__(self):
         if self.is_zero():
@@ -329,14 +324,23 @@ def _lp_repr(lp, domain):
 
 
 class UnitMonomial:
-    """(root of unity) * q_1^e_1 ... q_k^e_k, the group-analyzable scalars."""
+    """rho^k * q_1^e_1 ... q_n^e_n, the group-analyzable scalars.
 
-    __slots__ = ("domain", "root", "exps")
+    rho generates the roots of unity of the field (see CycloField) and k
+    is kept modulo their number, so the form is canonical and hashable and
+    its arithmetic is integer arithmetic.
+    """
 
-    def __init__(self, domain, root, exps):
+    __slots__ = ("domain", "k", "exps")
+
+    def __init__(self, domain, k, exps):
         self.domain = domain
-        self.root = root
+        self.k = k % domain.field.unity_order
         self.exps = tuple(exps)
+
+    @property
+    def root(self):
+        return self.domain.field.root_power(self.k)
 
     def to_scalar(self):
         return self.domain.monomial(self.root, self.exps)
@@ -345,32 +349,31 @@ class UnitMonomial:
         return not any(self.exps)
 
     def is_one(self):
-        return self.root.is_one() and not any(self.exps)
+        return self.k == 0 and not any(self.exps)
 
     def order(self):
         """Multiplicative order: an integer, or INFINITE."""
         if not self.is_torsion():
             return INFINITE
-        return self.root.unity_order()
+        return self.domain.field.root_order(self.k)
 
     def __mul__(self, other):
-        return UnitMonomial(self.domain, self.root * other.root,
+        return UnitMonomial(self.domain, self.k + other.k,
                             tuple(x + y for x, y in zip(self.exps, other.exps)))
 
     def inverse(self):
-        return UnitMonomial(self.domain, self.root.inverse(),
-                            tuple(-x for x in self.exps))
+        return UnitMonomial(self.domain, -self.k, tuple(-x for x in self.exps))
 
     def __pow__(self, n):
-        return UnitMonomial(self.domain, self.root ** n,
+        return UnitMonomial(self.domain, n * self.k,
                             tuple(n * x for x in self.exps))
 
     def __eq__(self, other):
-        return (isinstance(other, UnitMonomial)
-                and self.root == other.root and self.exps == other.exps)
+        return (isinstance(other, UnitMonomial) and self.k == other.k
+                and self.exps == other.exps and self.domain == other.domain)
 
     def __hash__(self):
-        return hash((self.root.coeffs, self.exps))
+        return hash((self.k, self.exps))
 
     def __repr__(self):
         return repr(self.to_scalar())
@@ -423,15 +426,6 @@ def multiplicative_order(x):
     if um is None:
         return None
     return um.order()
-
-
-def is_root_of_unity(x):
-    """True/False for unit monomials; ScalarShapeError otherwise."""
-    order = multiplicative_order(x)
-    if order is None:
-        raise ScalarShapeError(
-            "root-of-unity analysis needs a unit monomial, got %r" % (x,), x)
-    return order is not INFINITE
 
 
 def subgroup_rank(gens):

@@ -7,23 +7,17 @@ back to an explicit fraction of coefficient lists.
 """
 
 from fractions import Fraction
-
-from .elements import AlgebraElement
-
-
-def _zeta_exponent(domain, root):
-    for a in range(domain.conductor):
-        if domain.field.zeta(a) == root:
-            return a
-    return None
+from math import gcd
 
 
 def scalar_to_jsonable(s):
     um = s.as_unit_monomial()
-    if um is not None:
-        a = _zeta_exponent(s.domain, um.root)
-        if a is not None:
-            return {"root": [a, um.root.unity_order()], "exps": list(um.exps)}
+    field = s.domain.field
+    # rho^k is a power of zeta exactly when k is a multiple of the index
+    # of <zeta> among the roots of unity (1 for even N, 2 for odd N)
+    if um is not None and um.k % (field.unity_order // field.conductor) == 0:
+        return {"root": [um.k % field.conductor, field.root_order(um.k)],
+                "exps": list(um.exps)}
     def lp(side):
         return [[list(e), [str(c) for c in coeff.coeffs]]
                 for e, coeff in sorted(side.items())]
@@ -35,13 +29,13 @@ def scalar_from_jsonable(domain, data):
         return domain.rational(Fraction(data))
     if "root" in data:
         a, claimed = data["root"]
-        root = domain.field.zeta(a)
-        if claimed is not None and root.unity_order() != claimed:
+        order = domain.conductor // gcd(a, domain.conductor)
+        if claimed is not None and order != claimed:
             raise ValueError(
                 "scalar sanity check failed: zeta^%d has order %s, file says %s"
-                % (a, root.unity_order(), claimed))
+                % (a, order, claimed))
         exps = data.get("exps", [0] * domain.nvars)
-        return domain.monomial(root, exps)
+        return domain.monomial(domain.field.zeta(a), exps)
     def lp(side):
         out = domain.zero()
         for e, coeffs in side:
@@ -67,36 +61,21 @@ def scalar_to_expr(s):
     if s.is_zero():
         return "0"
     if len(s.num) == 1 and len(s.den) == 1:
-        (en, cn), = s.num.items()
-        (ed, cd), = s.den.items()
-        coeff = cn / cd
-        exps = tuple(x - y for x, y in zip(en, ed))
-        parts = []
-        done = False
-        if coeff.is_rational():
-            if coeff.rational_value() != 1 or not any(exps):
-                parts.append(str(coeff.rational_value()))
-            done = True
-        else:
-            for a in range(1, s.domain.conductor):
-                ratio = coeff / s.domain.field.zeta(a)
-                if ratio.is_rational():
-                    if ratio.rational_value() != 1:
-                        parts.append(str(ratio.rational_value()))
-                    parts.append("zeta^%d" % a)
-                    done = True
-                    break
-        if done:
+        (exps, coeff), = s.num.items()
+        hit = s.domain.field.zeta_multiple(coeff)
+        if hit is not None:
+            a, r = hit
+            parts = []
+            if r != 1 or (a == 0 and not any(exps)):
+                parts.append(str(r))
+            if a:
+                parts.append("zeta^%d" % a)
             for i, e in enumerate(exps):
                 if e:
                     name = s.domain.transcendentals[i]
                     parts.append(name if e == 1 else "%s^%d" % (name, e))
             return " * ".join(parts) if parts else "1"
     return repr(s)
-
-
-def group_to_str(group, h, names=None):
-    return group.format_element(h, names)
 
 
 def word_to_str(p, word):
@@ -125,11 +104,6 @@ def element_to_str(p, elt):
                 cs = "(%s)" % cs
             bits.append("%s * %s" % (cs, ws))
     return " + ".join(bits)
-
-
-def element_to_jsonable(p, elt):
-    return [{"word": word_to_str(p, w), "coeff": scalar_to_jsonable(c)}
-            for w, c in sorted(elt.terms.items())]
 
 
 def tensor_to_str(p, t):

@@ -26,8 +26,7 @@ def test_list_examples(capsys):
     code, payload = run_json(capsys, "list-examples")
     assert code == 0
     names = {e["name"] for e in payload["report"]["examples"]}
-    assert names == {"skew_free", "skew_trunc", "taft", "qplane", "exterior",
-                     "b_series_stub"}
+    assert names == {"skew_free", "skew_trunc", "taft", "qplane", "exterior"}
 
 
 def test_normalize_command(capsys):
@@ -111,9 +110,9 @@ def test_growth_resource_ceiling(capsys, monkeypatch):
 
 @pytest.mark.parametrize("name, params", [
     ("skew_free", []), ("skew_trunc", []), ("taft", []), ("qplane", []),
-    ("exterior", []), ("b_series_stub", []), ("skew_free", ["v=1"]),
+    ("exterior", []), ("skew_free", ["v=1"]),
 ], ids=["skew_free", "skew_trunc", "taft", "qplane", "exterior",
-        "b_series_stub", "skew_free-v=1"])
+        "skew_free-v=1"])
 def test_check_example_all_builtins(capsys, name, params):
     argv = [arg for prm in params for arg in ("--param", prm)]
     code, payload = run_json(capsys, "check-example", name, *argv)
@@ -130,29 +129,28 @@ def test_check_example_taft(capsys):
     assert "bounds-below-growth" in names
 
 
-def test_check_example_stub(capsys):
-    code, payload = run_json(capsys, "check-example", "b_series_stub",
-                             "--param", "ps=2,3,5")
-    assert code == 0
-    assert payload["report"]["passed"]
-
-
-def test_stub_refuses_computation(capsys):
-    code, out, err = run(capsys, "invariants", "--example", "b_series_stub")
-    assert code == 1
-    assert "b_series_stub" in err or "B(1,1" in err
-
-
 def test_exit_code_usage(capsys, tmp_path):
     code, out, err = run(capsys, "normalize", "--element", "y1")
     assert code == 1
     code, out, err = run(capsys, "normalize", "--example", "nope",
                          "--element", "y1")
     assert code == 1
+    # negative bound flags are usage errors
+    for flag in (["--nmax", "-3"], ["--degree", "-2"]):
+        code, out, err = run(capsys, "growth", "--example", "taft", *flag)
+        assert code == 1, flag
+        assert err.startswith("usage error:") and err.count("\n") == 1, err
     # malformed presentation files end in one error line, not a traceback
     path = tmp_path / "bad.json"
     for doc in ([], {"scalars": {"cyclotomic_order": 0}},
-                {"group": {"free_rank": -1}}):
+                {"group": {"free_rank": -1}}, {"scalars": 3}, {"meta": 3},
+                {"generators": [3]}, {"relations": [3]},
+                {"scalars": {"cyclotomic_order": "x"}},
+                {"group": {"torsion": 5}},
+                {"generators": [{"name": "y", "weight": 1}]},
+                {"generators": [{"name": "y", "weight": [],
+                                 "character": [{"root": ["x", 3]}]}]},
+                {"relations": [{"lhs": 3}]}):
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "invariants", str(path))
         assert code == 1, doc

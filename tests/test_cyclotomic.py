@@ -49,6 +49,35 @@ def test_unity_orders():
     assert f.rational(Fraction(2, 3)).unity_order() is None
 
 
+def _order_by_powering(x):
+    """Reference order: the least n <= lcm(2, N) with x^n = 1, else None.
+
+    Every root of unity of Q(zeta_N) has order dividing lcm(2, N).
+    """
+    power = x
+    for n in range(1, x.field.unity_order + 1):
+        if power.is_one():
+            return n
+        power = power * x
+    return None
+
+
+@pytest.mark.parametrize("conductor", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15])
+def test_unity_order_matches_powering(conductor):
+    f = CycloField(conductor)
+    for a in range(conductor):
+        for sign in (1, -1):
+            for r in (1, Fraction(2, 3)):
+                x = f.zeta(a) * (sign * r)
+                assert x.unity_order() == _order_by_powering(x), (a, sign, r)
+        y = f.one() + f.zeta(a)
+        if not y.is_zero():
+            assert y.unity_order() == _order_by_powering(y), a
+    assert f.zero().unity_order() is None
+    if conductor != 3:  # 1 + zeta_3 = -zeta_3^2 is a root of unity
+        assert (f.one() + f.zeta()).unity_order() is None
+
+
 def _random_element(f, rng):
     return f.from_coeffs([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                           for _ in range(f.degree)])

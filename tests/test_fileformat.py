@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -60,11 +61,23 @@ def test_scalar_expr_parsing():
         parse_scalar_expr(dom, "nope")
 
 
+def _root_multiples():
+    """r * zeta^a * q1^e for odd and even conductors, -zeta^a included."""
+    for conductor in (3, 4, 6, 9):
+        dom = ScalarDomain(conductor, ("q1",))
+        for a in range(conductor):
+            for r in (1, -1, Fraction(2, 3)):
+                for e in (0, -2):
+                    yield dom.rational(r) * dom.zeta(a) * dom.q(0, e)
+
+
 def test_scalar_expr_round_trip():
     dom = ScalarDomain(6, ("q1",))
     for s in [dom.one(), dom.rational(-2), dom.zeta(2), dom.q(0) ** -3,
               dom.rational("3/5") * dom.zeta() * dom.q(0)]:
         assert parse_scalar_expr(dom, scalar_to_expr(s)) == s
+    for s in _root_multiples():
+        assert parse_scalar_expr(s.domain, scalar_to_expr(s)) == s
 
 
 def test_scalar_jsonable_round_trip():
@@ -73,6 +86,31 @@ def test_scalar_jsonable_round_trip():
               dom.one() + dom.q(0), (dom.one() + dom.zeta()) / dom.q(0)]:
         data = json.loads(json.dumps(scalar_to_jsonable(s)))
         assert scalar_from_jsonable(dom, data) == s
+    for s in _root_multiples():
+        data = json.loads(json.dumps(scalar_to_jsonable(s)))
+        assert scalar_from_jsonable(s.domain, data) == s
+
+
+@pytest.mark.parametrize("conductor, make, expr, data", [
+    # -zeta_3 is no power of zeta_3, so it keeps the fraction form
+    (3, lambda d: -d.zeta(), "-1 * zeta^1",
+     {"num": [[[0], ["0", "-1"]]], "den": [[[0], ["1", "0"]]]}),
+    (3, lambda d: d.zeta(5), "zeta^2", {"root": [2, 3], "exps": [0]}),
+    (3, lambda d: d.rational(Fraction(2, 3)) * d.zeta(2) * d.q(0, -2),
+     "2/3 * zeta^2 * q1^-2",
+     {"num": [[[-2], ["-2/3", "-2/3"]]], "den": [[[0], ["1", "0"]]]}),
+    (4, lambda d: -d.zeta(), "-1 * zeta^1", {"root": [3, 4], "exps": [0]}),
+    (4, lambda d: d.rational(Fraction(2, 3)) * d.zeta(2) * d.q(0, -2),
+     "-2/3 * q1^-2",
+     {"num": [[[-2], ["-2/3", "0"]]], "den": [[[0], ["1", "0"]]]}),
+    (6, lambda d: d.zeta(5), "-1 * zeta^2", {"root": [5, 6], "exps": [0]}),
+    (6, lambda d: -d.zeta(), "-1 * zeta^1", {"root": [4, 3], "exps": [0]}),
+])
+def test_scalar_serialization_pins(conductor, make, expr, data):
+    """Exponent choice and JSON form of roots of unity, as released."""
+    s = make(ScalarDomain(conductor, ("q1",)))
+    assert scalar_to_expr(s) == expr
+    assert scalar_to_jsonable(s) == data
 
 
 def test_element_expr():

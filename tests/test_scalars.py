@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from hopfgrow.scalars import (INFINITE, Scalar, ScalarDomain, ScalarShapeError,
-                              multiplicative_order, quantum_binomial,
-                              subgroup_rank)
+                              UnitMonomial, multiplicative_order,
+                              quantum_binomial, subgroup_rank)
 
 
 def binom(n, s):
@@ -172,3 +172,38 @@ def test_unit_monomial_detection(dom):
     assert (dom.rational(2) * dom.q(0)).as_unit_monomial() is None
     # quotients of monomials normalize into unit-monomial shape
     assert (dom.q(0) / dom.q(1)).as_unit_monomial() is not None
+    # the exponent of the root is kept modulo the number of roots
+    w = dom.field.unity_order
+    assert UnitMonomial(dom, w + 3, (2, -1)) == um
+    assert UnitMonomial(dom, -w + 3, (2, -1)).to_scalar() == um.to_scalar()
+
+
+@pytest.mark.parametrize("conductor", [1, 2, 3, 4, 6, 9, 12])
+def test_unit_monomial_arithmetic_matches_scalars(conductor):
+    dom = ScalarDomain(conductor, ("q1",))
+    units = [(dom.zeta(a) * dom.rational(sign) * dom.q(0, e)).as_unit_monomial()
+             for a in range(conductor) for sign in (1, -1) for e in (0, 1, -2)]
+    scalars = [u.to_scalar() for u in units]
+    for u, s in zip(units, scalars):
+        for v, t in zip(units, scalars):
+            assert (u == v) == (s == t)
+            if u == v:
+                assert hash(u) == hash(v)
+    rng = random.Random(conductor)
+    for _ in range(30):
+        i, j = rng.randrange(len(units)), rng.randrange(len(units))
+        u, v, s, t = units[i], units[j], scalars[i], scalars[j]
+        n = rng.randint(-7, 7)
+        assert (u * v).to_scalar() == s * t
+        assert u.inverse().to_scalar() == s.inverse()
+        assert (u ** n).to_scalar() == s ** n
+        assert (u ** n).is_one() == (s ** n).is_one()
+        if any(u.exps):
+            assert u.order() is INFINITE
+        else:
+            power = s
+            for order in range(1, dom.field.unity_order + 1):
+                if power.is_one():
+                    break
+                power = power * s
+            assert u.order() == order
