@@ -244,7 +244,6 @@ def detect_exponential(p, report, m_max=12):
     """
     evidence = {"pairs": [], "skipped": [], "relation_solutions": [],
                 "rank_criterion": None}
-    gens_elts = p.group.generators()
     witnesses = [r for r in report.witnesses if r.character is not None]
     for i in range(len(witnesses)):
         for j in range(i + 1, len(witnesses)):
@@ -256,8 +255,8 @@ def detect_exponential(p, report, m_max=12):
                     {"pair": label, "reason": "weights share no cyclic support"})
                 continue
             x, d1, d2 = support
-            u1 = _char_at(p, r1.character, gens_elts, x).as_unit_monomial()
-            u2 = _char_at(p, r2.character, gens_elts, x).as_unit_monomial()
+            u1 = _char_at(p, r1.character, x).as_unit_monomial()
+            u2 = _char_at(p, r2.character, x).as_unit_monomial()
             if u1 is None or u2 is None:
                 evidence["skipped"].append(
                     {"pair": label, "reason": "pair scalars are not unit monomials"})

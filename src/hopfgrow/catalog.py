@@ -354,6 +354,9 @@ def example_config(name, params):
         cfg["pbw_degree"] = params["p"] + 1
     if name == "qplane":
         cfg["n_max"] = 12 if params["v"] == 1 else 24
+    if name == "skew_trunc":
+        # the PBW scan must reach the truncation relation y1^p
+        cfg["pbw_degree"] = max(cfg["pbw_degree"], params["p"])
     return cfg
 
 

@@ -1,8 +1,12 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_N).
 
 Elements are represented as polynomials in zeta_N of degree < phi(N),
-reduced modulo the N-th cyclotomic polynomial, with Fraction coefficients.
-Equality is coefficient-wise, so the representation is canonical.
+reduced modulo the N-th cyclotomic polynomial, with integer coefficients
+over one common positive denominator (the nf_elem form of FLINT/Antic).
+Dividing through by the gcd makes the representation canonical, so
+equality is coefficient-wise.  Phi_N is monic with integer coefficients,
+so a product is an integer convolution and an integer reduction; the gcd
+pass is skipped when the denominator is 1.
 """
 
 from fractions import Fraction
@@ -79,8 +83,9 @@ def cyclotomic_polynomial(n):
 class CycloField:
     """The field Q(zeta_N) for a fixed conductor N.
 
-    Keeps a lazily extended table expressing zeta^m in the power basis for
-    m >= phi(N), so reduction of arbitrary products stays cheap.
+    Keeps a lazily extended table of integer rows expressing zeta^m in the
+    power basis for m >= phi(N) (Phi_N is monic with integer coefficients),
+    so reduction of arbitrary products is integer arithmetic.
 
     The roots of unity of the field are exactly +-zeta^a.  They form a
     cyclic group of order unity_order = lcm(2, N), generated by rho = zeta
@@ -97,11 +102,9 @@ class CycloField:
         modulus = cyclotomic_polynomial(conductor)
         self._modulus = tuple(Fraction(c) for c in modulus)
         # zeta^degree = -(lower part of Phi_N), Phi_N being monic
-        self._ext_rows = [tuple(-Fraction(c) for c in modulus[:-1])]
-        self._zero = CycloRational(self, (_ZERO,) * self.degree)
-        one = [_ZERO] * self.degree
-        one[0] = _ONE
-        self._one = CycloRational(self, tuple(one))
+        self._ext_rows = [tuple(-c for c in modulus[:-1])]
+        self._zero = CycloRational(self, (0,) * self.degree, 1)
+        self._one = CycloRational(self, (1,) + (0,) * (self.degree - 1), 1)
         self.unity_order = conductor if conductor % 2 == 0 else 2 * conductor
         self._root_index = None
 
@@ -112,72 +115,77 @@ class CycloField:
         return self._one
 
     def rational(self, value):
-        coeffs = [_ZERO] * self.degree
-        coeffs[0] = Fraction(value)
-        return CycloRational(self, tuple(coeffs))
+        value = Fraction(value)
+        return CycloRational(self, (value.numerator,) + (0,) * (self.degree - 1),
+                             value.denominator)
 
     def zeta(self, power=1):
         """zeta_N^power as a field element."""
         power %= self.conductor
         if power < self.degree:
-            coeffs = [_ZERO] * self.degree
-            coeffs[power] = _ONE
-            return CycloRational(self, tuple(coeffs))
-        return CycloRational(self, self._power_row(power))
+            nums = [0] * self.degree
+            nums[power] = 1
+            return CycloRational(self, tuple(nums), 1)
+        return CycloRational(self, self._power_row(power), 1)
 
     def _power_row(self, m):
         d = self.degree
         while len(self._ext_rows) <= m - d:
             prev = self._ext_rows[-1]
-            shifted = [_ZERO] + list(prev[:-1])
+            shifted = (0,) + prev[:-1]
             top = prev[-1]
             if top:
                 base = self._ext_rows[0]
-                shifted = [shifted[i] + top * base[i] for i in range(d)]
-            self._ext_rows.append(tuple(shifted))
+                shifted = tuple(shifted[i] + top * base[i] for i in range(d))
+            self._ext_rows.append(shifted)
         return self._ext_rows[m - d]
 
-    def _reduce(self, coeffs):
+    def _reduce(self, nums):
+        """Integer coefficients of sum nums[m] * zeta^m in the power basis."""
         d = self.degree
-        if len(coeffs) <= d:
-            return tuple(list(coeffs) + [_ZERO] * (d - len(coeffs)))
-        out = list(coeffs[:d])
-        for m in range(d, len(coeffs)):
-            c = coeffs[m]
-            if not c:
-                continue
-            row = self._power_row(m)
-            for i in range(d):
-                if row[i]:
+        out = list(nums[:d])
+        out.extend([0] * (d - len(out)))
+        for m in range(d, len(nums)):
+            c = nums[m]
+            if c:
+                row = self._power_row(m)
+                for i in range(d):
                     out[i] += c * row[i]
         return tuple(out)
 
     def from_coeffs(self, coeffs):
-        return CycloRational(self, self._reduce([Fraction(c) for c in coeffs]))
+        """The element sum coeffs[m] * zeta^m for rational coeffs."""
+        coeffs = [Fraction(c) for c in coeffs]
+        den = 1
+        for c in coeffs:
+            den = den * c.denominator // gcd(den, c.denominator)
+        nums = self._reduce([c.numerator * (den // c.denominator) for c in coeffs])
+        return _canonical(self, nums, den)
 
     def zeta_multiple(self, x):
         """(a, r) with x = r * zeta^a for a rational r and the least a >= 0,
         or None when x is zero or no rational multiple of a root of unity.
 
-        The index maps the coefficients of zeta^a, scaled to a leading 1,
-        to a and that leading coefficient; every rational multiple of
-        zeta^a has the same key.  Building it costs O(N * phi(N)) once.
+        The index maps the primitive integer vector of zeta^a (its
+        coefficients divided by their gcd, the first nonzero one made
+        positive) to a and the factor s with zeta^a = s * vector; every
+        rational multiple of zeta^a has the same key.  Building it costs
+        O(N * phi(N)) once.
         """
-        lead = next((c for c in x.coeffs if c), None)
-        if lead is None:
+        if x.is_zero():
             return None
         if self._root_index is None:
             index = {}
             for a in range(self.conductor):
-                row = self.zeta(a).coeffs
-                head = next(c for c in row if c)
-                index.setdefault(_scaled(row, head), (a, head))
+                key, s = _primitive(self.zeta(a).nums)
+                index.setdefault(key, (a, s))
             self._root_index = index
-        hit = self._root_index.get(_scaled(x.coeffs, lead))
+        key, s = _primitive(x.nums)
+        hit = self._root_index.get(key)
         if hit is None:
             return None
         a, head = hit
-        return a, lead / head
+        return a, Fraction(s, x.den * head)
 
     def root_exponent(self, x):
         """k in [0, unity_order) with x = rho^k, or None for a non-root."""
@@ -210,8 +218,23 @@ class CycloField:
         return "CycloField(%d)" % self.conductor
 
 
-def _scaled(coeffs, lead):
-    return coeffs if lead == 1 else tuple(c / lead for c in coeffs)
+def _primitive(nums):
+    """(key, s) with nums = s * key, key a primitive integer vector whose
+    first nonzero entry is positive; nums must not be all zero."""
+    g = gcd(*nums)
+    if next(n for n in nums if n) < 0:
+        g = -g
+    return (nums if g == 1 else tuple(n // g for n in nums)), g
+
+
+def _canonical(field, nums, den):
+    """The element nums / den (den > 0), divided through by the gcd."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple(n // g for n in nums)
+            den //= g
+    return CycloRational(field, nums, den)
 
 
 def _poly_mul_frac(a, b):
@@ -257,61 +280,95 @@ def _poly_ext_gcd_frac(a, m):
 
 
 class CycloRational:
-    """An element of Q(zeta_N), canonical in the power basis mod Phi_N."""
+    """An element nums / den of Q(zeta_N) in the power basis mod Phi_N.
 
-    __slots__ = ("field", "coeffs")
+    nums is a tuple of phi(N) integers and den a positive integer with
+    gcd(den, *nums) = 1; zero is ((0, ...), 1).  The form is canonical,
+    so equality and hashing compare (nums, den).  The constructor trusts
+    its arguments to be canonical.
+    """
 
-    def __init__(self, field, coeffs):
+    __slots__ = ("field", "nums", "den")
+
+    def __init__(self, field, nums, den):
         self.field = field
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_one(self):
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self.den == 1 and self.nums == self.field._one.nums
 
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError("not a rational element: %r" % (self,))
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def _check(self, other):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("mixed cyclotomic conductors %d and %d"
                              % (self.field.conductor, other.field.conductor))
 
     def __add__(self, other):
         self._check(other)
-        return CycloRational(self.field,
-                             tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == db:
+            nums = tuple(a + b for a, b in zip(self.nums, other.nums))
+            if da == 1:
+                return CycloRational(self.field, nums, 1)
+            return _canonical(self.field, nums, da)
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        nums = tuple(a * ma + b * mb for a, b in zip(self.nums, other.nums))
+        return _canonical(self.field, nums, da * ma)
 
     def __sub__(self, other):
-        self._check(other)
-        return CycloRational(self.field,
-                             tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + (-other)
 
     def __neg__(self):
-        return CycloRational(self.field, tuple(-a for a in self.coeffs))
+        return CycloRational(self.field, tuple(-a for a in self.nums), self.den)
+
+    def _scale(self, p, q):
+        """self * p / q for integers p, q with q > 0."""
+        if q == 1 and p == 1:
+            return self
+        if not p:
+            return self.field.zero()
+        return _canonical(self.field, tuple(a * p for a in self.nums), self.den * q)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, CycloRational):
             q = Fraction(other)
-            return CycloRational(self.field, tuple(a * q for a in self.coeffs))
+            return self._scale(q.numerator, q.denominator)
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return self.field.zero()
-        if other.is_rational():
-            q = other.coeffs[0]
-            return CycloRational(self.field, tuple(a * q for a in self.coeffs))
-        if self.is_rational():
-            q = self.coeffs[0]
-            return CycloRational(self.field, tuple(a * q for a in other.coeffs))
-        prod = _poly_mul_frac(self.coeffs, other.coeffs)
-        return CycloRational(self.field, self.field._reduce(prod))
+        a, b = self.nums, other.nums
+        if not any(b[1:]):
+            return self._scale(b[0], other.den)
+        if not any(a[1:]):
+            return other._scale(a[0], self.den)
+        field = self.field
+        d = field.degree
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        nums = field._reduce(prod)
+        den = self.den * other.den
+        if den == 1:
+            return CycloRational(field, nums, 1)
+        return _canonical(field, nums, den)
 
     __rmul__ = __mul__
 
@@ -319,7 +376,7 @@ class CycloRational:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % self.field.conductor)
         if self.is_rational():
-            return self.field.rational(1 / self.coeffs[0])
+            return self.field.rational(Fraction(self.den, self.nums[0]))
         g, u = _poly_ext_gcd_frac(list(self.coeffs), list(self.field._modulus))
         while g and not g[-1]:
             g.pop()
@@ -327,8 +384,7 @@ class CycloRational:
             # Phi_N is irreducible over Q, so the gcd must be a constant
             raise ArithmeticError("cyclotomic inversion failed")
         c = g[0]
-        inv = [x / c for x in u]
-        return CycloRational(self.field, self.field._reduce(inv))
+        return self.field.from_coeffs([x / c for x in u])
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -349,12 +405,13 @@ class CycloRational:
     def __eq__(self, other):
         if not isinstance(other, CycloRational):
             if isinstance(other, (int, Fraction)):
-                return self.is_rational() and self.coeffs[0] == other
+                return self.is_rational() and Fraction(self.nums[0], self.den) == other
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return (self.nums == other.nums and self.den == other.den
+                and self.field == other.field)
 
     def __hash__(self):
-        return hash((self.field.conductor, self.coeffs))
+        return hash((self.field.conductor, self.nums, self.den))
 
     def unity_order(self):
         """Multiplicative order if this is a root of unity, else None."""

@@ -593,7 +593,7 @@ def _power_tests(p, recs, power_bound):
                 % rec.power_predicted_n)
 
 
-def _char_at(p, character, gens_elts, weight):
+def _char_at(p, character, weight):
     # the generators are the standard basis, so the coordinates of the
     # weight are its exponents with respect to them
     val = p.domain.one()
@@ -664,7 +664,7 @@ def compute_invariants(p, degree_bound=6, group_word_bound=6, power_bound=6,
                 raise ConsistencyError(
                     "character refinement changed an eigenspace dimension")
             for chars, v in chosen:
-                if gens_elts and _char_at(p, chars, gens_elts, weight) != c:
+                if gens_elts and _char_at(p, chars, weight) != c:
                     raise ConsistencyError(
                         "character does not reproduce the commutator eigenvalue")
                 level = _nilpotency_level(matrix_w, c, q.dim, v, effective_bound)

@@ -6,6 +6,11 @@ equality is decided by cross-multiplication.  A light normalization (fold a
 monomial denominator into the numerator, strip common monomial content)
 keeps sizes bounded without multivariate gcd machinery.
 
+A one-term denominator is always the constant 1, so a scalar with
+len(den) == 1 is a Laurent polynomial.  Sums, products and comparisons of
+two Laurent polynomials work on the numerators alone; only true fractions
+such as 1/(1 + q) take the cross-multiplication path.
+
 Unit monomials -- scalars of the shape (root of unity) * q^e -- are the
 only scalars that take part in group-theoretic analysis (multiplicative
 order, subgroup rank).  Anything else in such a position is a hard error,
@@ -13,6 +18,7 @@ never a guess.
 """
 
 from fractions import Fraction
+from operator import add
 
 from .cyclotomic import CycloField
 from .intmat import integer_rank
@@ -55,7 +61,7 @@ def _lp_mul(a, b):
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(add, ea, eb))
             p = ca * cb
             cur = out.get(e)
             if cur is None:
@@ -152,7 +158,8 @@ class Scalar:
     """A fraction of Laurent polynomials over Q(zeta_N).
 
     A one-term denominator is always the constant 1: the constructor folds
-    it into the numerator, and only zero, one and negation skip the fold.
+    it into the numerator.  Zero, one, negation and the Laurent polynomial
+    paths of +, * skip the fold; they build that denominator directly.
     """
 
     __slots__ = ("domain", "num", "den")
@@ -200,7 +207,7 @@ class Scalar:
     def _check(self, other):
         if not isinstance(other, Scalar):
             raise TypeError("expected Scalar, got %r" % (other,))
-        if self.domain != other.domain:
+        if self.domain is not other.domain and self.domain != other.domain:
             raise ValueError("scalars from different domains")
 
     def __add__(self, other):
@@ -209,6 +216,11 @@ class Scalar:
             return other
         if other.is_zero():
             return self
+        if len(self.den) == 1 and len(other.den) == 1:
+            num = _lp_add(self.num, other.num)
+            if not num:
+                return self.domain.zero()
+            return Scalar(self.domain, num, self.domain._one_lp, _normalized=True)
         num = _lp_add(_lp_mul(self.num, other.den), _lp_mul(other.num, self.den))
         return Scalar(self.domain, num, _lp_mul(self.den, other.den))
 
@@ -219,11 +231,15 @@ class Scalar:
         return Scalar(self.domain, _lp_neg(self.num), dict(self.den), _normalized=True)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Scalar) and isinstance(other, (int, Fraction)):
             other = self.domain.rational(other)
         self._check(other)
         if self.is_zero() or other.is_zero():
             return self.domain.zero()
+        if len(self.den) == 1 and len(other.den) == 1:
+            # nonzero Laurent polynomials have a nonzero product
+            return Scalar(self.domain, _lp_mul(self.num, other.num),
+                          self.domain._one_lp, _normalized=True)
         return Scalar(self.domain, _lp_mul(self.num, other.num),
                       _lp_mul(self.den, other.den))
 
@@ -257,12 +273,14 @@ class Scalar:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Scalar) and isinstance(other, (int, Fraction)):
             other = self.domain.rational(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self.domain != other.domain:
+        if self.domain is not other.domain and self.domain != other.domain:
             return False
+        if len(self.den) == 1 and len(other.den) == 1:
+            return _lp_eq(self.num, other.num)
         return _lp_eq(_lp_mul(self.num, other.den), _lp_mul(other.num, self.den))
 
     __hash__ = None  # representation is non-canonical

@@ -110,9 +110,9 @@ def test_growth_resource_ceiling(capsys, monkeypatch):
 
 @pytest.mark.parametrize("name, params", [
     ("skew_free", []), ("skew_trunc", []), ("taft", []), ("qplane", []),
-    ("exterior", []), ("skew_free", ["v=1"]),
+    ("exterior", []), ("skew_free", ["v=1"]), ("skew_trunc", ["p=5"]),
 ], ids=["skew_free", "skew_trunc", "taft", "qplane", "exterior",
-        "skew_free-v=1"])
+        "skew_free-v=1", "skew_trunc-p=5"])
 def test_check_example_all_builtins(capsys, name, params):
     argv = [arg for prm in params for arg in ("--param", prm)]
     code, payload = run_json(capsys, "check-example", name, *argv)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -103,3 +104,78 @@ def test_inverse_of_zero_raises():
     f = CycloField(4)
     with pytest.raises(ZeroDivisionError):
         f.zero().inverse()
+
+
+def _oracle_element(f, rng):
+    """A seeded element with negative coefficients and denominators up to
+    10^6: a common denominator, per-coefficient ones, or a rational."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        den = rng.randint(1, 10 ** 6)
+        coeffs = [Fraction(rng.randint(-10 ** 6, 10 ** 6), den)
+                  for _ in range(f.degree)]
+    elif kind == 1:
+        coeffs = [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+                  if rng.random() < 0.7 else Fraction(0) for _ in range(f.degree)]
+    else:
+        coeffs = [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))]
+    return f.from_coeffs(coeffs)
+
+
+@pytest.mark.parametrize("conductor", [1, 2, 3, 4, 5, 7, 8, 9, 12, 15])
+def test_arithmetic_matches_sympy(conductor):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    modulus = sympy.Poly(sympy.cyclotomic_poly(conductor, x), x, domain="QQ")
+    assert tuple(int(c) for c in reversed(modulus.all_coeffs())) \
+        == cyclotomic_polynomial(conductor)
+    f = CycloField(conductor)
+
+    def to_poly(e):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(e.coeffs)], x, domain="QQ")
+
+    def coeffs_of(poly):
+        low = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+        return tuple(low + [Fraction(0)] * (f.degree - len(low)))
+
+    def check_canonical(e):
+        assert e.den >= 1 and len(e.nums) == f.degree
+        assert math.gcd(e.den, *e.nums) == 1
+        assert all(isinstance(n, int) for n in e.nums)
+        assert f.from_coeffs(e.coeffs) == e
+        assert hash(f.from_coeffs(e.coeffs)) == hash(e)
+
+    rng = random.Random(500 + conductor)
+    for _ in range(12):
+        a, b = _oracle_element(f, rng), _oracle_element(f, rng)
+        pa, pb = to_poly(a), to_poly(b)
+        assert coeffs_of(pa) == a.coeffs
+        results = [(a + b, pa + pb), (a - b, pa - pb), (a * b, (pa * pb).rem(modulus))]
+        if not a.is_zero():
+            inv = pa.invert(modulus)
+            results.append((a.inverse(), inv))
+            n = rng.randint(-3, -1)
+            results.append((a ** n, (inv ** -n).rem(modulus)))
+        n = rng.randint(0, 4)
+        results.append((a ** n, (pa ** n).rem(modulus)))
+        for ours, theirs in results:
+            check_canonical(ours)
+            assert ours.coeffs == coeffs_of(theirs)
+        # equal values built in different ways share one form and one hash
+        assert a * b == b * a and hash(a * b) == hash(b * a)
+        assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    assert f.zero().nums == (0,) * f.degree and f.zero().den == 1
+    assert (f.rational(Fraction(3, 7)) - f.rational(Fraction(3, 7))).den == 1
+
+
+@pytest.mark.parametrize("conductor", [1, 2, 3, 4, 5, 7, 8, 9, 12, 15])
+def test_zeta_multiple_recovers_the_rational_factor(conductor):
+    f = CycloField(conductor)
+    for a in range(conductor):
+        for r in (1, -1, Fraction(1, 2), Fraction(-3, 7), Fraction(10 ** 6, 999983)):
+            x = f.zeta(a) * r
+            b, s = f.zeta_multiple(x)
+            assert b <= a and f.zeta(b) * s == x, (a, r)
+            assert (x.unity_order() is None) == (r not in (1, -1)), (a, r)
+    assert f.zeta_multiple(f.zero()) is None

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from hopfgrow.scalars import (INFINITE, Scalar, ScalarDomain, ScalarShapeError,
-                              UnitMonomial, multiplicative_order,
-                              quantum_binomial, subgroup_rank)
+                              UnitMonomial, _lp_add, _lp_eq, _lp_mul,
+                              multiplicative_order, quantum_binomial,
+                              subgroup_rank)
 
 
 def binom(n, s):
@@ -207,3 +208,55 @@ def test_unit_monomial_arithmetic_matches_scalars(conductor):
                     break
                 power = power * s
             assert u.order() == order
+
+
+def _by_hand(a, b):
+    """Sum, product and equality of a and b by cross-multiplying num/den."""
+    total = (_lp_add(_lp_mul(a.num, b.den), _lp_mul(b.num, a.den)),
+             _lp_mul(a.den, b.den))
+    product = (_lp_mul(a.num, b.num), _lp_mul(a.den, b.den))
+    equal = _lp_eq(_lp_mul(a.num, b.den), _lp_mul(b.num, a.den))
+    return total, product, equal
+
+
+def _has_value(x, value):
+    num, den = value
+    return _lp_eq(_lp_mul(x.num, den), _lp_mul(num, x.den))
+
+
+def _check_invariant(x):
+    assert all(not c.is_zero() for c in x.num.values())
+    assert all(not c.is_zero() for c in x.den.values())
+    if len(x.den) == 1:
+        assert x.den == {x.domain._e0: x.domain.field.one()}
+
+
+def test_laurent_fast_path_matches_cross_multiplication():
+    dom = ScalarDomain(12, ("q1", "q2"))
+    rng = random.Random(20261018)
+    q1, q2 = dom.q(0), dom.q(1)
+    fraction_dens = [dom.one() + q1, q1 - dom.zeta() * q2, q1 * q1 + dom.rational(3)]
+    pool = []
+    for _ in range(12):
+        x = _random_scalar(dom, rng, allow_fraction=False)
+        pool.append(x)
+        pool.append(x / fraction_dens[rng.randrange(len(fraction_dens))])
+    pool += [dom.zero(), dom.one(), q1, -q1, q1 * q2 ** -2]
+    # equal values built in different ways, on both paths
+    pool += [q1 * q2, q2 * q1, (q1 + q2) - q2, (dom.one() - q1 * q1) / (dom.one() - q1),
+             dom.one() + q1]
+    laurent = 0
+    for a in pool:
+        _check_invariant(a)
+        for b in pool:
+            total, product, equal = _by_hand(a, b)
+            s, p = a + b, a * b
+            _check_invariant(s)
+            _check_invariant(p)
+            assert _has_value(s, total)
+            assert _has_value(p, product)
+            assert (a == b) == equal
+            if len(a.den) == 1 and len(b.den) == 1:
+                laurent += 1
+                assert len(s.den) == 1 and len(p.den) == 1
+    assert 0 < laurent < len(pool) ** 2
