@@ -7,6 +7,7 @@ is what the coradical contributes to every bound.
 
 import itertools
 import math
+import operator
 
 from .intmat import integer_kernel, integer_rank
 from .scalars import INFINITE
@@ -37,7 +38,10 @@ class GroupData:
         return elt[:r] + tuple(x % m for x, m in zip(elt[r:], self.torsion))
 
     def mul(self, a, b):
-        return self.reduce(tuple(x + y for x, y in zip(a, b)))
+        c = tuple(map(operator.add, a, b))
+        if self.torsion or len(c) != self.ngens:
+            return self.reduce(c)
+        return c
 
     def inv(self, a):
         return self.reduce(tuple(-x for x in a))
@@ -56,7 +60,9 @@ class GroupData:
         return [self.generator(i) for i in range(self.ngens)]
 
     def is_identity(self, a):
-        return not any(self.reduce(a))
+        if self.torsion or len(a) != self.ngens:
+            a = self.reduce(a)
+        return not any(a)
 
     def word_length(self, a):
         a = self.reduce(a)

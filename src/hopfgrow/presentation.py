@@ -355,20 +355,31 @@ class Presentation:
         return result
 
     def word_times_letter(self, word, letter):
-        """Support of (normal word) * letter; exact, with a tau-free fast path."""
+        """Support of letter * (normal word h w), as a list of normal words.
+
+        A group letter x only joins the group part: x h w = (x h) w.  A
+        y-letter crosses h alone, by y_i h = lambda_i(h) h y_i
+        + tau_i(h) h (mu_i - 1), so the result is h times the normal form
+        of y_i w, plus the words (h mu_i, w) and (h, w) when tau_i(h) != 0.
+        Those terms merge exactly; when tau_i(h) = 0 every coefficient is
+        nonzero and none is computed.
+        """
         h, yw = word
         kind, val = letter
+        group = self.group
         if kind == "g":
-            if self.tau_free:
-                return [(self.group.mul(h, val), yw)]
-            out = {}
-            for (h2, kept), c2 in self._commute_group_left(yw, val).items():
-                hh = self.group.mul(h, h2)
-                for (h3, ys3), c3 in self.normal_form_yword(kept).terms.items():
-                    add_term(out, (self.group.mul(hh, h3), ys3), c2 * c3)
-            return sorted(out)
-        nf = self.normal_form_yword(yw + (val,))
-        return sorted((self.group.mul(h, h3), ys3) for (h3, ys3) in nf.terms)
+            return [(group.mul(val, h), yw)]
+        nf = self.normal_form_yword((val,) + yw)
+        tau = None if self.tau_free else self.tau_value(val, h)
+        if tau is None or tau.is_zero():
+            return [(group.mul(h, h3), ys3) for (h3, ys3) in nf.terms]
+        lam = self.char_value(val, h)
+        out = {}
+        for (h3, ys3), c3 in nf.terms.items():
+            add_term(out, (group.mul(h, h3), ys3), lam * c3)
+        add_term(out, (group.mul(h, self.gens[val].weight), yw), tau)
+        add_term(out, (h, yw), -tau)
+        return list(out)
 
     # -- irreducible word enumeration -----------------------------------
     def irreducible_ywords(self, max_degree):
@@ -493,8 +504,12 @@ class Presentation:
     def filtration_dims(self, letters, n_max, max_words=None):
         """Number of distinct normal words in products of <= n generators.
 
-        Breadth-first closure: dims[n] counts the words reachable by
-        products of at most n letters from the generating set (1 included).
+        Breadth-first closure by left products, F_n = V F_{n-1}: level n
+        adds the support of letter * w for each word w first reached at
+        level n - 1.  dims[n] counts the words reached by products of at
+        most n letters from the generating set (1 included).  That is the
+        size of a spanning set of normal words, so an upper bound on
+        dim F_n, equal to it when no combination of reached words cancels.
         Raises ResourceCeilingError past max_words, attaching the partial
         sequence.
         """

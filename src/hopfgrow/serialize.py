@@ -78,6 +78,11 @@ def scalar_to_expr(s):
     return repr(s)
 
 
+def _bracket(cs):
+    """A printed coefficient, parenthesised when it has several terms."""
+    return "(%s)" % cs if "+" in cs or " - " in cs else cs
+
+
 def word_to_str(p, word):
     h, yw = word
     bits = []
@@ -100,9 +105,7 @@ def element_to_str(p, elt):
         elif ws == "1":
             bits.append(cs)
         else:
-            if "+" in cs or " - " in cs:
-                cs = "(%s)" % cs
-            bits.append("%s * %s" % (cs, ws))
+            bits.append("%s * %s" % (_bracket(cs), ws))
     return " + ".join(bits)
 
 
@@ -114,5 +117,5 @@ def tensor_to_str(p, t):
         c = t.terms[(l, r)]
         cs = scalar_to_str(c)
         pair = "%s (x) %s" % (word_to_str(p, l), word_to_str(p, r))
-        bits.append(pair if cs == "1" else "%s * [%s]" % (cs, pair))
+        bits.append(pair if cs == "1" else "%s * [%s]" % (_bracket(cs), pair))
     return " + ".join(bits)

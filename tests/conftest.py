@@ -3,6 +3,9 @@ import random
 import pytest
 
 from hopfgrow.elements import AlgebraElement
+from hopfgrow.groups import GroupData
+from hopfgrow.presentation import Presentation, SkewGenerator
+from hopfgrow.scalars import ScalarDomain
 
 
 def random_element(p, rng, max_degree=3, group_radius=2, nterms=3):
@@ -20,6 +23,72 @@ def random_element(p, rng, max_degree=3, group_radius=2, nterms=3):
         word = p.normalize([(coeff, (("g", h),) + tuple(("y", i) for i in yw))])
         out = out + word
     return out
+
+
+def random_presentation(rng):
+    """A random free or truncated skew extension with valid Hopf data."""
+    conductor = rng.randint(1, 12)
+    v = rng.randint(1, 3)
+    truncate = rng.random() < 0.4
+    p1 = rng.choice([2, 3])
+    if truncate:
+        conductor = p1 * rng.randint(1, 12 // p1)  # make room for the root
+    free_rank = rng.choice([0, 1, 1])
+    torsion = ()
+    if rng.random() < 0.4:
+        divs = [m for m in range(2, conductor + 1) if conductor % m == 0]
+        if divs:
+            torsion = (rng.choice(divs),)
+    if free_rank == 0 and not torsion:
+        free_rank = 1
+    dom = ScalarDomain(conductor, ("q1",))
+    group = GroupData(free_rank, torsion)
+    gens = []
+    for i in range(v):
+        # weight: mostly a single generator, sometimes a product
+        weight = group.generators()[rng.randrange(group.ngens)]
+        if rng.random() < 0.3:
+            weight = group.mul(weight, group.generators()[rng.randrange(group.ngens)])
+        images = []
+        trivial = rng.random() < 0.2
+        for j in range(group.ngens):
+            if trivial:
+                images.append(dom.one())
+            elif j < free_rank:
+                a = rng.randrange(conductor)
+                e = rng.randint(-2, 2)
+                images.append(dom.zeta(a) * dom.q(0) ** e if e
+                              else dom.zeta(a) if a else dom.one())
+            else:
+                m = torsion[j - free_rank]
+                images.append(dom.zeta((conductor // m) * rng.randrange(m)))
+        tau = None
+        if trivial and free_rank and rng.random() < 0.5:
+            tau = [dom.rational(rng.randint(1, 2)) if j < free_rank
+                   else dom.zero() for j in range(group.ngens)]
+        gens.append(SkewGenerator("y%d" % (i + 1), weight, tuple(images), tau))
+    rules = []
+    if truncate and free_rank:
+        # retarget the first generator so its truncation is Hopf-compatible:
+        # all character values p1-th roots, the self-commutation primitive
+        g1 = group.generator(0)
+        images = [dom.zeta(conductor // p1)]
+        for j in range(1, group.ngens):
+            if j < free_rank:
+                images.append(dom.zeta((conductor // p1) * rng.randrange(p1)))
+            else:
+                m = torsion[j - free_rank]
+                choices = [a for a in range(m)
+                           if ((conductor // m) * a * p1) % conductor == 0]
+                images.append(dom.zeta((conductor // m) * rng.choice(choices)))
+        gens[0] = SkewGenerator("y1", g1, tuple(images), None)
+        beta = rng.choice([0, 1])
+        rhs = {}
+        if beta:
+            rhs[(group.power(g1, p1), ())] = dom.rational(beta)
+            rhs[(group.identity(), ())] = dom.rational(-beta)
+        rules.append(((0,) * p1, rhs))
+    return Presentation(dom, group, gens, rules, name="random")
 
 
 @pytest.fixture

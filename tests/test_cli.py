@@ -45,6 +45,16 @@ def test_delta_command(capsys):
     assert {"left": "g1", "right": "y", "coeff": "1"} in terms
 
 
+def test_delta_text_brackets_coefficients(capsys):
+    code, out, err = run(capsys, "delta", "--example", "taft", "--param", "p=5",
+                         "--element", "y y y + g1 y")
+    assert code == 0
+    assert out == (
+        "delta(y y y + g1 y) = y y y (x) 1 + g1 y (x) g1"
+        " + (1 + z + z^2) * [g1 y y (x) y] + g1^2 (x) g1 y"
+        " + (1 + z + z^2) * [g1^2 y (x) y y] + g1^3 (x) y y y\n")
+
+
 def test_primitives_command(capsys):
     code, payload = run_json(capsys, "primitives", "--example", "exterior",
                              "--param", "s=2", "--weight", "g1",
@@ -100,6 +110,17 @@ def test_growth_command_exponential(capsys):
     assert payload["report"]["detector"]["classification"] == "exponential"
 
 
+def test_growth_command_tau(capsys):
+    code, payload = run_json(capsys, "growth", "--example", "skew_free",
+                             "--param", "tau=1", "--nmax", "13",
+                             "--degree", "2", "--group-bound", "2",
+                             "--power-bound", "2")
+    assert code == 0
+    dims = payload["report"]["dims"]
+    assert dims[13] == 49121
+    assert dims == [3 * 2 ** (n + 1) - 2 * n - 5 for n in range(14)]
+
+
 def test_growth_resource_ceiling(capsys, monkeypatch):
     monkeypatch.setenv("HOPFGROW_MAX_WORDS", "40")
     code, out, err = run(capsys, "growth", "--example", "skew_free",
@@ -111,8 +132,10 @@ def test_growth_resource_ceiling(capsys, monkeypatch):
 @pytest.mark.parametrize("name, params", [
     ("skew_free", []), ("skew_trunc", []), ("taft", []), ("qplane", []),
     ("exterior", []), ("skew_free", ["v=1"]), ("skew_trunc", ["p=5"]),
+    ("skew_free", ["v=2", "tau=1"]), ("skew_free", ["v=1", "tau=1"]),
 ], ids=["skew_free", "skew_trunc", "taft", "qplane", "exterior",
-        "skew_free-v=1", "skew_trunc-p=5"])
+        "skew_free-v=1", "skew_trunc-p=5", "skew_free-v=2-tau=1",
+        "skew_free-v=1-tau=1"])
 def test_check_example_all_builtins(capsys, name, params):
     argv = [arg for prm in params for arg in ("--param", prm)]
     code, payload = run_json(capsys, "check-example", name, *argv)

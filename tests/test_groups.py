@@ -14,6 +14,18 @@ def test_arithmetic_and_reduction():
     assert g.is_identity(g.mul(a, g.inv(a)))
 
 
+def test_mul_rejects_wrong_length():
+    z2 = GroupData(2)
+    assert z2.mul((1, 2), (3, -2)) == (4, 0)
+    assert z2.is_identity((0, 0)) and not z2.is_identity((0, 1))
+    with pytest.raises(ValueError):
+        z2.mul((1,), (1, 2))
+    with pytest.raises(ValueError):
+        z2.mul((1, 2, 3), (1, 2, 3))
+    with pytest.raises(ValueError):
+        z2.is_identity((0,))
+
+
 def test_word_length_and_ball():
     z = GroupData(1)
     assert [len(z.ball(n)) for n in range(4)] == [1, 3, 5, 7]

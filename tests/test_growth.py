@@ -1,14 +1,20 @@
+import random
+
 import pytest
 
 from hopfgrow.catalog import (exterior_presentation, qplane_presentation,
                               skew_free_presentation, skew_trunc_presentation,
                               taft_presentation)
+from hopfgrow.elements import AlgebraElement
 from hopfgrow.groups import GroupData
 from hopfgrow.growth import (dp_word_counts, fit_growth, measure_growth,
                              pbw_dependence_scan)
 from hopfgrow.invariants import compute_invariants
+from hopfgrow.linalg import ScalarElimination
 from hopfgrow.presentation import Presentation
 from hopfgrow.scalars import ScalarDomain
+
+from conftest import random_presentation
 
 
 def test_laurent_growth_degree_one():
@@ -72,6 +78,83 @@ def test_dp_oracle_matches_enumeration():
         assert p.is_multigraded
         dims = p.filtration_dims(p.default_generating_letters(), 8)
         assert dp_word_counts(p, 8) == dims
+
+
+def _span_rank_dims(p, n_max):
+    """dim F_n as the rank of F_{n-1} plus the products x * b, for x a
+    generating letter and b a basis element of F_{n-1} (1 included).
+
+    Products with a basis element already in F_{n-2} lie in F_{n-1}, so
+    only the basis elements new at level n - 1 are multiplied.
+    """
+    letters = [p.group_element(val) if kind == "g" else p.y(val)
+               for kind, val in p.default_generating_letters()]
+    elim = ScalarElimination(p.domain)
+    elim.insert(p.one().terms, 0)
+    new_basis = [p.one()]
+    dims = [1]
+    for _ in range(n_max):
+        level = []
+        for b in new_basis:
+            for x in letters:
+                prod = p.multiply(x, b)
+                if elim.insert(dict(prod.terms), len(elim.pivots)) is None:
+                    level.append(prod)
+        new_basis = level
+        dims.append(len(elim.pivots))
+    return dims
+
+
+@pytest.mark.parametrize("build, n_max, expected", [
+    (lambda: skew_free_presentation(v=1, tau=1), 6, [1, 4, 9, 16, 25, 36, 49]),
+    (lambda: skew_free_presentation(v=2, tau=1), 5, [1, 5, 15, 37, 83, 177]),
+    (lambda: skew_trunc_presentation(2, v=1), 6, None),
+    (lambda: skew_trunc_presentation(3, v=2), 5, None),
+    (lambda: qplane_presentation(2), 6, None),
+    (lambda: taft_presentation(3), 6, None),
+    (lambda: exterior_presentation(2), 6, None),
+], ids=["skew_free-v=1-tau=1", "skew_free-v=2-tau=1", "skew_trunc-p=2-v=1",
+        "skew_trunc-p=3-v=2", "qplane-2", "taft-3", "exterior-2"])
+def test_closure_matches_span_rank(build, n_max, expected):
+    p = build()
+    dims = p.filtration_dims(p.default_generating_letters(), n_max)
+    assert dims == _span_rank_dims(p, n_max)
+    if expected is not None:
+        assert dims == expected
+
+
+def _check_left_product_support(p, radius=1, degree=3):
+    """word_times_letter gives the exact support of letter * word."""
+    ywords = [w for level in p.irreducible_ywords(degree) for w in level]
+    for kind, val in p.default_generating_letters():
+        x = p.group_element(val) if kind == "g" else p.y(val)
+        for h in p.group.ball(radius):
+            for yw in ywords:
+                word = (h, yw)
+                support = p.word_times_letter(word, (kind, val))
+                assert len(support) == len(set(support))
+                product = p.multiply(x, AlgebraElement({word: p.domain.one()}))
+                assert set(support) == set(product.terms), (p, kind, val, word)
+
+
+def test_word_times_letter_is_left_product_support():
+    for p in [skew_free_presentation(v=1, tau=1), skew_free_presentation(v=2, tau=1),
+              skew_trunc_presentation(3, v=2), qplane_presentation(2),
+              taft_presentation(3)]:
+        _check_left_product_support(p)
+
+
+def test_closure_matches_span_rank_random():
+    rng = random.Random(404)
+    count = 0
+    while count < 40:
+        p = random_presentation(rng)
+        if not p.check_confluence().confluent:
+            continue
+        dims = p.filtration_dims(p.default_generating_letters(), 4)
+        assert dims == _span_rank_dims(p, 4), p
+        _check_left_product_support(p, degree=2)
+        count += 1
 
 
 def test_fit_growth_short_window():
