@@ -8,6 +8,12 @@ The coalgebra structure is determined on generators by
 and extended multiplicatively (anti-multiplicatively for S) over normal
 words.  All of it requires a confluent presentation: without a basis the
 results would be meaningless.
+
+Coproducts of words grow from cached prefixes: every prefix of an
+irreducible y-word is irreducible, so Delta(w y_i) = Delta(w) Delta(y_i)
+extends a normal word by one letter on each side, and
+Delta(h w) = (h (x) h) Delta(w) only shifts group parts.  The cache on
+the presentation is keyed by the pure y-word w.
 """
 
 from .elements import AlgebraElement, TensorElement, add_term, word_key, y_counts
@@ -15,31 +21,56 @@ from .linalg import ScalarElimination, nullspace_of_columns, solve_in_span
 from .scalars import quantum_binomial
 
 
-def delta_word(p, word):
-    """Coproduct of a single normal word, as a TensorElement."""
-    cached = p._coproduct_cache.get(word)
+def _delta_yword(p, yw):
+    """Coproduct of a pure y-word as {(left word, right word): coeff}.
+
+    Built from the cached coproduct of its prefix by
+    Delta(w y_i) = Delta(w) (y_i (x) 1 + mu_i (x) y_i); every prefix of an
+    irreducible word is irreducible, so each step extends a normal word.
+    """
+    cache = p._coproduct_cache
+    cached = cache.get(yw)
     if cached is not None:
         return cached
-    h, yw = word
+    group = p.group
+    e = group.identity()
     one = p.domain.one()
-    branches = [(one, (("g", h),), (("g", h),))]
-    for i in yw:
-        mu = p.gens[i].weight
-        new = []
-        for c, left, right in branches:
-            new.append((c, left + (("y", i),), right))
-            new.append((c, left + (("g", mu),), right + (("y", i),)))
-        branches = new
+    if not yw:
+        result = cache[yw] = {((e, ()), (e, ())): one}
+        return result
+    i = yw[-1]
+    mu = p.group_element(p.gens[i].weight)
+    moved = {}  # u_l -> u_l mu_i in normal form
     acc = {}
-    for c, left, right in branches:
-        lelt = p.normalize([(c, left)])
-        relt = p.normalize([(one, right)])
-        for wl, cl in lelt.terms.items():
-            for wr, cr in relt.terms.items():
-                add_term(acc, (wl, wr), cl * cr)
-    result = TensorElement(acc)
-    p._coproduct_cache[word] = result
-    return result
+    for ((hl, ul), right), c in _delta_yword(p, yw[:-1]).items():
+        for (h2, v), c2 in p.normal_form_yword(ul + (i,)).terms.items():
+            add_term(acc, ((group.mul(hl, h2), v), right), c * c2)
+        ul_mu = moved.get(ul)
+        if ul_mu is None:
+            ul_mu = moved[ul] = p.multiply(AlgebraElement({(e, ul): one}), mu).terms
+        hr, ur = right
+        right_nf = p.normal_form_yword(ur + (i,)).terms
+        for (h2, v), c2 in ul_mu.items():
+            left = (group.mul(hl, h2), v)
+            for (h3, v3), c3 in right_nf.items():
+                add_term(acc, (left, (group.mul(hr, h3), v3)), c * c2 * c3)
+    cache[yw] = acc
+    return acc
+
+
+def delta_word(p, word):
+    """Coproduct of a single normal word h w, as a fresh TensorElement.
+
+    Delta(h w) = (h (x) h) Delta(w): the coproduct of the y-word w comes
+    from the cache on the presentation, and h only shifts both group parts.
+    """
+    h, yw = word
+    terms = _delta_yword(p, yw)
+    if p.group.is_identity(h):
+        return TensorElement(dict(terms))
+    mul = p.group.mul
+    return TensorElement({((mul(h, hl), ul), (mul(h, hr), ur)): c
+                          for ((hl, ul), (hr, ur)), c in terms.items()})
 
 
 def delta(p, a):

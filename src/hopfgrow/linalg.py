@@ -37,7 +37,7 @@ def _content_normalize(col, combo):
         return col, combo
     key = min(col.keys())
     um = col[key].as_unit_monomial()
-    if um is None:
+    if um is None or um.is_one():
         return col, combo
     inv = um.inverse().to_scalar()
     col = {k: inv * v for k, v in col.items()}

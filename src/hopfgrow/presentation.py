@@ -89,7 +89,7 @@ class Presentation:
         self._validate()
         self._nf_cache = {}
         self._char_cache = {}
-        self._coproduct_cache = {}
+        self._coproduct_cache = {}  # y-word -> {(left, right): coeff}
         self._confluence = None
         self._rules_by_first = {}
         for rule in self.rules:

@@ -121,6 +121,17 @@ def test_growth_command_tau(capsys):
     assert dims == [3 * 2 ** (n + 1) - 2 * n - 5 for n in range(14)]
 
 
+def test_growth_command_qplane(capsys):
+    code, payload = run_json(capsys, "growth", "--example", "qplane",
+                             "--param", "v=3", "--nmax", "24")
+    assert code == 0
+    report = payload["report"]
+    assert report["dims"][24] == 38025
+    assert report["estimate"]["kind"] == "polynomial"
+    assert report["estimate"]["degree"] == 4
+    assert report["detector"]["classification"] == "inconclusive"
+
+
 def test_growth_resource_ceiling(capsys, monkeypatch):
     monkeypatch.setenv("HOPFGROW_MAX_WORDS", "40")
     code, out, err = run(capsys, "growth", "--example", "skew_free",

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfgrow.catalog import (exterior_presentation, qplane_presentation,
                               skew_free_presentation, skew_trunc_presentation,
@@ -14,7 +16,7 @@ from hopfgrow.groups import GroupData
 from hopfgrow.presentation import Presentation, SkewGenerator
 from hopfgrow.scalars import ScalarDomain
 
-from conftest import random_element
+from conftest import random_element, random_presentation
 
 ALL_BUILTINS = [
     lambda: skew_free_presentation(v=2),
@@ -119,41 +121,44 @@ def test_antipode_examples():
 
 
 def _check_coalgebra_axioms(p, rng, samples=30, max_degree=3):
-    ident = (p.group.identity(), ())
     for _ in range(samples):
-        a = random_element(p, rng, max_degree=max_degree)
-        t = delta(p, a)
-        # coassociativity
-        left = {}
-        right = {}
-        for (l, r), c in t.terms.items():
-            for (l2, m2), c2 in delta_word(p, l).terms.items():
-                add_term(left, (l2, m2, r), c * c2)
-            for (m2, r2), c2 in delta_word(p, r).terms.items():
-                add_term(right, (l, m2, r2), c * c2)
-        assert left == right
-        # counit axiom both sides
-        recovered_l = AlgebraElement({})
-        recovered_r = AlgebraElement({})
-        for (l, r), c in t.terms.items():
-            eps_l = counit(p, AlgebraElement({l: c}))
-            recovered_l = recovered_l + AlgebraElement({r: p.domain.one()}).scale(eps_l)
-            eps_r = counit(p, AlgebraElement({r: c}))
-            recovered_r = recovered_r + AlgebraElement({l: p.domain.one()}).scale(eps_r)
-        assert recovered_l == a
-        assert recovered_r == a
-        # antipode axiom both sides: m(S(x)id)Delta = eps * 1 = m(id(x)S)Delta
-        eps_a = counit(p, a)
-        target = p.one().scale(eps_a)
-        left_s = AlgebraElement({})
-        right_s = AlgebraElement({})
-        for (l, r), c in t.terms.items():
-            sl = antipode(p, AlgebraElement({l: c}))
-            left_s = left_s + p.multiply(sl, AlgebraElement({r: p.domain.one()}))
-            sr = antipode(p, AlgebraElement({r: p.domain.one()}))
-            right_s = right_s + p.multiply(AlgebraElement({l: c}), sr)
-        assert left_s == target
-        assert right_s == target
+        _check_axioms_at(p, random_element(p, rng, max_degree=max_degree))
+
+
+def _check_axioms_at(p, a):
+    """Coassociativity, counit and antipode axioms on the element a."""
+    t = delta(p, a)
+    # coassociativity
+    left = {}
+    right = {}
+    for (l, r), c in t.terms.items():
+        for (l2, m2), c2 in delta_word(p, l).terms.items():
+            add_term(left, (l2, m2, r), c * c2)
+        for (m2, r2), c2 in delta_word(p, r).terms.items():
+            add_term(right, (l, m2, r2), c * c2)
+    assert left == right
+    # counit axiom both sides
+    recovered_l = AlgebraElement({})
+    recovered_r = AlgebraElement({})
+    for (l, r), c in t.terms.items():
+        eps_l = counit(p, AlgebraElement({l: c}))
+        recovered_l = recovered_l + AlgebraElement({r: p.domain.one()}).scale(eps_l)
+        eps_r = counit(p, AlgebraElement({r: c}))
+        recovered_r = recovered_r + AlgebraElement({l: p.domain.one()}).scale(eps_r)
+    assert recovered_l == a
+    assert recovered_r == a
+    # antipode axiom both sides: m(S(x)id)Delta = eps * 1 = m(id(x)S)Delta
+    eps_a = counit(p, a)
+    target = p.one().scale(eps_a)
+    left_s = AlgebraElement({})
+    right_s = AlgebraElement({})
+    for (l, r), c in t.terms.items():
+        sl = antipode(p, AlgebraElement({l: c}))
+        left_s = left_s + p.multiply(sl, AlgebraElement({r: p.domain.one()}))
+        sr = antipode(p, AlgebraElement({r: p.domain.one()}))
+        right_s = right_s + p.multiply(AlgebraElement({l: c}), sr)
+    assert left_s == target
+    assert right_s == target
 
 
 @pytest.mark.parametrize("builder", ALL_BUILTINS)
@@ -245,3 +250,97 @@ def test_degree_two_primitive_weight_product_constraint():
                     lam_ji = p.char_value(j, p.gens[i].weight)
                     prod = prod * (lam_ij * lam_ji) ** (counts[i] * counts[j])
             assert prod.is_one()
+
+
+def _delta_word_expanded(p, word):
+    """Oracle: Delta(h y_{i_1} ... y_{i_d}) expanded into its 2^d products
+    of generator coproducts, each side normalized on its own."""
+    h, yw = word
+    one = p.domain.one()
+    branches = [(one, (("g", h),), (("g", h),))]
+    for i in yw:
+        mu = p.gens[i].weight
+        new = []
+        for c, left, right in branches:
+            new.append((c, left + (("y", i),), right))
+            new.append((c, left + (("g", mu),), right + (("y", i),)))
+        branches = new
+    acc = {}
+    for c, left, right in branches:
+        lelt = p.normalize([(c, left)])
+        relt = p.normalize([(one, right)])
+        for wl, cl in lelt.terms.items():
+            for wr, cr in relt.terms.items():
+                add_term(acc, (wl, wr), cl * cr)
+    return TensorElement(acc)
+
+
+def _normal_words(p, degree, radius):
+    return [(h, yw) for words in p.irreducible_ywords(degree) for yw in words
+            for h in p.group.ball(radius)]
+
+
+def _confluent_random_presentation(rng):
+    while True:
+        p = random_presentation(rng)
+        if p.check_confluence().confluent:
+            return p
+
+
+ORACLE_BUILTINS = [
+    lambda: skew_trunc_presentation(3, v=2),
+    lambda: skew_trunc_presentation(2, v=1),
+    lambda: qplane_presentation(3),
+    lambda: skew_free_presentation(v=1, tau=1),
+    lambda: skew_free_presentation(v=2, tau=1),
+    lambda: taft_presentation(7),
+    lambda: exterior_presentation(3),
+]
+
+
+@pytest.mark.parametrize("builder", ORACLE_BUILTINS)
+def test_delta_word_matches_expansion(builder):
+    p = builder()
+    for word in _normal_words(p, 3, 1):
+        assert delta_word(p, word) == _delta_word_expanded(p, word), word
+
+
+def test_delta_word_matches_expansion_random():
+    rng = random.Random(707)
+    for _ in range(25):
+        p = _confluent_random_presentation(rng)
+        for word in _normal_words(p, 3, 1):
+            assert delta_word(p, word) == _delta_word_expanded(p, word), (p, word)
+
+
+def test_delta_word_normalizes_kept_words():
+    # y2 has a trivial character and tau, so moving mu across y1 y2 y1
+    # keeps y1 y1, which the truncation y1^2 = mu1^2 - 1 rewrites
+    dom = ScalarDomain(2)
+    group = GroupData(1)
+    g = group.generator(0)
+    gens = [SkewGenerator("y1", g, (dom.rational(-1),)),
+            SkewGenerator("y2", g, (dom.one(),), (dom.one(),))]
+    rhs = {(group.power(g, 2), ()): dom.one(), (group.identity(), ()): -dom.one()}
+    p = Presentation(dom, group, gens, [((0, 0), rhs)])
+    assert p.check_confluence().confluent
+    for word in _normal_words(p, 4, 1):
+        assert delta_word(p, word) == _delta_word_expanded(p, word), word
+
+
+def test_delta_word_returns_a_fresh_element():
+    p = skew_free_presentation(v=1, tau=1)
+    word = (p.group.identity(), (0, 0))
+    t = delta_word(p, word)
+    t.terms.clear()
+    assert delta_word(p, word) == _delta_word_expanded(p, word)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_delta_word_property(seed, data):
+    p = _confluent_random_presentation(random.Random(seed))
+    words = _normal_words(p, 3, 1)
+    word = words[data.draw(st.integers(0, len(words) - 1), label="word")]
+    assert delta_word(p, word) == _delta_word_expanded(p, word)
+    _check_axioms_at(p, AlgebraElement({word: p.domain.one()}))
