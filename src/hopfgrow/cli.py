@@ -12,7 +12,8 @@
 Presentations come from a builtin (--example, with --param overrides) or a
 JSON file.  Exit codes: 0 ok, 1 usage or parse error, 2 hypothesis or
 consistency failure (including non-confluence and check mismatches),
-3 resource ceiling reached.
+3 resource ceiling reached.  HOPFGROW_MAX_WORDS caps the growth
+enumeration; a value that is not a nonnegative integer is a usage error.
 """
 
 import argparse
@@ -27,7 +28,7 @@ from .errors import (ConsistencyError, NonConfluentError, PresentationError,
                      ResourceCeilingError, ScalarShapeError)
 from .fileformat import (load_presentation, parse_element_expr,
                          parse_group_element)
-from .growth import measure_growth, pbw_dependence_scan
+from .growth import measure_growth, pbw_dependence_scan, word_ceiling
 from .invariants import compute_invariants
 from .scalars import INFINITE
 from .serialize import (element_to_str, scalar_to_expr, tensor_to_str,
@@ -421,6 +422,10 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        try:
+            word_ceiling()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         return args.func(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

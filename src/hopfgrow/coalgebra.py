@@ -9,11 +9,12 @@ and extended multiplicatively (anti-multiplicatively for S) over normal
 words.  All of it requires a confluent presentation: without a basis the
 results would be meaningless.
 
-Coproducts of words grow from cached prefixes: every prefix of an
-irreducible y-word is irreducible, so Delta(w y_i) = Delta(w) Delta(y_i)
-extends a normal word by one letter on each side, and
-Delta(h w) = (h (x) h) Delta(w) only shifts group parts.  The cache on
-the presentation is keyed by the pure y-word w.
+Coproducts of words grow from cached suffixes: every suffix of an
+irreducible y-word is irreducible, so Delta(y_i w) = Delta(y_i) Delta(w)
+multiplies a normal word by one letter on the left of each side, through
+the presentation's left-product kernel, and Delta(h w) = (h (x) h)
+Delta(w) only shifts group parts.  The cache on the presentation is keyed
+by the pure y-word w.
 """
 
 from .elements import AlgebraElement, TensorElement, add_term, word_key, y_counts
@@ -24,36 +25,29 @@ from .scalars import quantum_binomial
 def _delta_yword(p, yw):
     """Coproduct of a pure y-word as {(left word, right word): coeff}.
 
-    Built from the cached coproduct of its prefix by
-    Delta(w y_i) = Delta(w) (y_i (x) 1 + mu_i (x) y_i); every prefix of an
-    irreducible word is irreducible, so each step extends a normal word.
+    Built from the cached coproduct of its suffix by
+    Delta(y_i w) = (y_i (x) 1 + mu_i (x) y_i) Delta(w); every suffix of an
+    irreducible word is irreducible, so each side takes one kernel step,
+    and mu_i only relabels a group part.
     """
     cache = p._coproduct_cache
     cached = cache.get(yw)
     if cached is not None:
         return cached
-    group = p.group
-    e = group.identity()
-    one = p.domain.one()
     if not yw:
-        result = cache[yw] = {((e, ()), (e, ())): one}
+        e = p.group.identity()
+        result = cache[yw] = {((e, ()), (e, ())): p.domain.one()}
         return result
-    i = yw[-1]
-    mu = p.group_element(p.gens[i].weight)
-    moved = {}  # u_l -> u_l mu_i in normal form
+    i = yw[0]
+    mu = p.gens[i].weight
+    mul = p.group.mul
     acc = {}
-    for ((hl, ul), right), c in _delta_yword(p, yw[:-1]).items():
-        for (h2, v), c2 in p.normal_form_yword(ul + (i,)).terms.items():
-            add_term(acc, ((group.mul(hl, h2), v), right), c * c2)
-        ul_mu = moved.get(ul)
-        if ul_mu is None:
-            ul_mu = moved[ul] = p.multiply(AlgebraElement({(e, ul): one}), mu).terms
-        hr, ur = right
-        right_nf = p.normal_form_yword(ur + (i,)).terms
-        for (h2, v), c2 in ul_mu.items():
-            left = (group.mul(hl, h2), v)
-            for (h3, v3), c3 in right_nf.items():
-                add_term(acc, (left, (group.mul(hr, h3), v3)), c * c2 * c3)
+    for (left, right), c in _delta_yword(p, yw[1:]).items():
+        for left2, c2 in p._y_times(i, {left: c}).items():
+            add_term(acc, (left2, right), c2)
+        moved = (mul(mu, left[0]), left[1])
+        for right2, c2 in p._y_times(i, {right: c}).items():
+            add_term(acc, (moved, right2), c2)
     cache[yw] = acc
     return acc
 

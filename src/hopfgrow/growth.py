@@ -23,10 +23,22 @@ ENV_MAX_WORDS = "HOPFGROW_MAX_WORDS"
 
 
 def word_ceiling():
+    """The enumeration word ceiling: HOPFGROW_MAX_WORDS, or the default.
+
+    Raises ValueError when the variable is set to anything but a
+    nonnegative integer.
+    """
     raw = os.environ.get(ENV_MAX_WORDS)
     if raw is None:
         return DEFAULT_MAX_WORDS
-    return int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError("%s must be a nonnegative integer, got %r"
+                         % (ENV_MAX_WORDS, raw))
+    return value
 
 
 class GrowthReport:

@@ -14,6 +14,16 @@ combination of words g y_{i_1} ... y_{i_s} with the y-word irreducible.
 Rules must be oriented by the deg-lex order (total y-degree, multidegree,
 letter sequence; group letters weigh nothing), which makes rewriting
 terminate; confluence is checked, never assumed.
+
+Every product goes through one left-product kernel, NF(y_i w) for a normal
+y-word w.  A redex of y_i w can only start at position 0, so one rule test
+decides whether y_i w is normal; otherwise the rule's right-hand side folds
+onto the rest of w through cached products by smaller words (deg-lex
+rewriting is compatible with concatenation: Bergman, The diamond lemma for
+ring theory, Adv. Math. 29, 1978).  Normal forms of words, normalize,
+multiply, coproducts and the growth closure are folds of that kernel;
+whole-word rewriting in random order stays as the independent test
+oracle.
 """
 
 import itertools
@@ -21,6 +31,15 @@ import itertools
 from .elements import AlgebraElement, add_term, y_counts, yword_key
 from .errors import (NonConfluentError, PresentationError,
                      ResourceCeilingError, RewriteInternalError)
+
+
+def _times(a, b):
+    """a * b for scalars, without a product when either factor is 1."""
+    if b.is_one():
+        return a
+    if a.is_one():
+        return b
+    return a * b
 
 
 class SkewGenerator:
@@ -87,14 +106,14 @@ class Presentation:
         self.ny = len(self.gens)
         self.rules = [RewriteRule(lhs, self._coerce_rhs(rhs)) for lhs, rhs in rules]
         self._validate()
-        self._nf_cache = {}
+        self._letter_cache = {}  # (i, normal y-word w) -> NF(y_i w)
         self._char_cache = {}
+        self._tau_cache = {}
         self._coproduct_cache = {}  # y-word -> {(left, right): coeff}
         self._confluence = None
-        self._rules_by_first = {}
+        self._rules_by_first = {}  # first letter -> [(rest of lhs, rule)]
         for rule in self.rules:
-            self._rules_by_first.setdefault(rule.lhs[0], []).append(rule)
-        self._max_lhs = max((len(r.lhs) for r in self.rules), default=0)
+            self._rules_by_first.setdefault(rule.lhs[0], []).append((rule.lhs[1:], rule))
         self.tau_free = all(
             t.is_zero() for g in self.gens for t in (g.tau or []))
         self.is_multigraded = self.tau_free and all(
@@ -183,10 +202,15 @@ class Presentation:
     def tau_value(self, i, h):
         """tau_i (additive character) evaluated at h; supported on free part."""
         h = self.group.reduce(h)
+        key = (i, h)
+        cached = self._tau_cache.get(key)
+        if cached is not None:
+            return cached
         val = self.domain.zero()
         for img, e in zip(self.gens[i].tau, h[:self.group.free_rank]):
             if e and not img.is_zero():
                 val = val + img * e
+        self._tau_cache[key] = val
         return val
 
     # -- element constructors ------------------------------------------
@@ -210,7 +234,112 @@ class Presentation:
                 return i
         raise PresentationError("unknown generator %r" % name)
 
-    # -- rewriting -------------------------------------------------------
+    # -- left products: the rewriting kernel ------------------------------
+    def _front_rule(self, i, w):
+        """The first rule whose left-hand side is a prefix of y_i w, or None."""
+        for rest, rule in self._rules_by_first.get(i, ()):
+            if w[:len(rest)] == rest:
+                return rule
+        return None
+
+    def _letter_times(self, i, w):
+        """NF(y_i w) for a normal y-word w, as a {(h, word): coeff} dict.
+
+        With no rule matching at position 0, y_i w is normal; otherwise
+        _rule_fold rewrites the match.  The products a fold asks for come
+        from the cache or are computed on an explicit stack of suspended
+        folds, since words can be far longer than the recursion limit.
+        Results are cached and shared: callers must not change them.  A
+        rule-free presentation caches nothing.
+        """
+        if not self.rules:
+            return {(self.group.identity(), (i,) + w): self.domain.one()}
+        cache = self._letter_cache
+        key = (i, w)
+        found = cache.get(key)
+        if found is not None:
+            return found
+        stack = []  # (key, suspended rule fold waiting for a product)
+        while True:
+            found = cache.get(key)
+            if found is None:
+                rule = self._front_rule(*key)
+                if rule is None:
+                    found = cache[key] = {
+                        (self.group.identity(), (key[0],) + key[1]): self.domain.one()}
+                else:
+                    stack.append((key, self._rule_fold(rule, key[1])))
+            while stack:
+                top, fold = stack[-1]
+                try:
+                    key = fold.send(found)
+                    break
+                except StopIteration as done:
+                    found = cache[top] = done.value
+                    stack.pop()
+            else:
+                return found
+
+    def _rule_fold(self, rule, w):
+        """NF(lhs s) for the rule matching y_i w at position 0, w = lhs[1:] s.
+
+        The sum of c g (u s) over the right-hand side terms c g u, where the
+        letters of u fold onto the normal word s from the right.  A
+        generator: it yields each (letter, normal y-word) pair whose product
+        it needs, is sent that product, and returns the sum.
+        """
+        e = self.group.identity()
+        s = w[len(rule.lhs) - 1:]
+        acc = {}
+        for (g, u), c in rule.rhs.terms.items():
+            terms = {(e, s): c}
+            for i in reversed(u):
+                new = {}
+                for (h, v), cv in terms.items():
+                    nf = yield i, v
+                    self._add_letter_times(new, i, h, v, cv, nf)
+                terms = new
+            for (h, v), cv in terms.items():
+                add_term(acc, (self.group.mul(g, h), v), cv)
+        return acc
+
+    def _add_letter_times(self, acc, i, h, v, c, nf):
+        """Add c y_i (h v) to acc, for a normal word h v and nf = NF(y_i v):
+
+            y_i h v = lambda_i(h) h NF(y_i v) + tau_i(h) h (mu_i - 1) v.
+        """
+        mul = self.group.mul
+        lam = _times(c, self.char_value(i, h))
+        for (h3, v3), c3 in nf.items():
+            add_term(acc, (mul(h, h3), v3), _times(lam, c3))
+        if not self.tau_free:
+            tau = self.tau_value(i, h)
+            if not tau.is_zero():
+                tau = _times(c, tau)
+                add_term(acc, (mul(h, self.gens[i].weight), v), tau)
+                add_term(acc, (h, v), -tau)
+
+    def _y_times(self, i, terms):
+        """y_i times {(h, normal y-word): coeff}, in normal form."""
+        out = {}
+        for (h, v), c in terms.items():
+            self._add_letter_times(out, i, h, v, c, self._letter_times(i, v))
+        return out
+
+    def normal_form_yword(self, yword):
+        """Normal form of a pure y-word as an AlgebraElement.
+
+        A right fold of left products, y_{i_1} (y_{i_2} (... y_{i_s})): each
+        step multiplies a normal word by one letter through the kernel, so
+        rules are tested at position 0 only and the products of shorter
+        suffixes come from its cache.
+        """
+        terms = {(self.group.identity(), ()): self.domain.one()}
+        for i in reversed(tuple(yword)):
+            terms = self._y_times(i, terms)
+        return AlgebraElement(terms)
+
+    # -- random-order rewriting: the independent oracle ------------------
     def _commute_group_left(self, yword, h):
         """Move a group element from the right of a y-word to its left.
 
@@ -236,21 +365,24 @@ class Presentation:
             terms = new
         return terms
 
-    def _redexes(self, word, start=0):
-        """Yield (pos, rule) for each redex at pos >= start: leftmost first,
-        in rule order at each position."""
+    def _redexes(self, word):
+        """Yield (pos, rule) for each redex: leftmost first, in rule order
+        at each position."""
         by_first = self._rules_by_first
-        for pos in range(start, len(word)):
-            for rule in by_first.get(word[pos], ()):
-                if word[pos:pos + len(rule.lhs)] == rule.lhs:
+        for pos in range(len(word)):
+            for rest, rule in by_first.get(word[pos], ()):
+                if word[pos + 1:pos + 1 + len(rest)] == rest:
                     yield pos, rule
 
-    def _leftmost_redex(self, word):
-        return next(self._redexes(word), None)
+    def normal_form_yword_random(self, yword, rng):
+        """Like normal_form_yword but resolving redexes in random order.
 
-    def _rewrite(self, yword, choose):
-        """Normal form of a y-word, resolving the redex choose(word) picks
-        until it returns None."""
+        An independent oracle for the kernel: whole-word redex search, with
+        group parts moved left through prefixes.  Confluence makes the
+        result independent of the strategy; this exists so that
+        independence can be tested, not for production use.
+        """
+        yword = tuple(yword)
         bound = len(yword)
         acc = {}
         stack = [(self.domain.one(), self.group.identity(), yword)]
@@ -259,11 +391,11 @@ class Presentation:
             if len(w) > bound:
                 raise RewriteInternalError(
                     "intermediate degree %d exceeds input degree %d" % (len(w), bound))
-            hit = choose(w)
-            if hit is None:
+            redexes = list(self._redexes(w))
+            if not redexes:
                 add_term(acc, (h, w), c)
                 continue
-            pos, rule = hit
+            pos, rule = rng.choice(redexes)
             prefix = w[:pos]
             suffix = w[pos + len(rule.lhs):]
             for (g2, ys2), coeff in rule.rhs.terms.items():
@@ -275,33 +407,14 @@ class Presentation:
                                       kept + ys2 + suffix))
         return AlgebraElement(acc)
 
-    def normal_form_yword(self, yword):
-        """Normal form of a pure y-word as an AlgebraElement (memoized)."""
-        yword = tuple(yword)
-        if not self.rules:
-            return AlgebraElement({(self.group.identity(), yword): self.domain.one()})
-        cached = self._nf_cache.get(yword)
-        if cached is None:
-            cached = self._nf_cache[yword] = self._rewrite(yword, self._leftmost_redex)
-        return cached
-
-    def normal_form_yword_random(self, yword, rng):
-        """Like normal_form_yword but resolving redexes in random order.
-
-        Confluence makes the result independent of the strategy; this
-        exists so that independence can be tested, not for production use.
-        """
-        def choose(w):
-            redexes = list(self._redexes(w))
-            return rng.choice(redexes) if redexes else None
-        return self._rewrite(tuple(yword), choose)
-
+    # -- products ----------------------------------------------------------
     def normalize(self, raw):
         """Normal form of raw input.
 
         Accepts an AlgebraElement (re-normalized), a single letter sequence,
         or a list of (Scalar, letters) terms, where a letter is ("g", group
-        element) or ("y", index).
+        element) or ("y", index).  Each letter sequence is a right fold: a
+        group letter relabels the group parts, a y-letter is a kernel step.
         """
         if isinstance(raw, AlgebraElement):
             terms = [(c, (("g", g),) + tuple(("y", i) for i in yw))
@@ -311,41 +424,36 @@ class Presentation:
             terms = [(self.domain.one(), tuple(raw))]
         else:
             terms = [(c, tuple(letters)) for c, letters in raw]
+        mul = self.group.mul
         acc = {}
         for coeff, letters in terms:
             if coeff.is_zero():
                 continue
             branches = {(self.group.identity(), ()): coeff}
-            for kind, val in letters:
+            for kind, val in reversed(letters):
                 if kind == "g":
-                    new = {}
-                    for (hf, ys), c in branches.items():
-                        for (h2, kept), c2 in self._commute_group_left(ys, val).items():
-                            add_term(new, (self.group.mul(hf, h2), kept), c * c2)
-                    branches = new
+                    branches = {(mul(val, h), v): c for (h, v), c in branches.items()}
                 elif kind == "y":
                     if not 0 <= val < self.ny:
                         raise PresentationError("unknown y-generator index %r" % (val,))
-                    branches = {(hf, ys + (val,)): c for (hf, ys), c in branches.items()}
+                    branches = self._y_times(val, branches)
                 else:
                     raise PresentationError("unknown letter kind %r" % (kind,))
-            for (hf, ys), c in branches.items():
-                nf = self.normal_form_yword(ys)
-                for (h3, ys3), c3 in nf.terms.items():
-                    add_term(acc, (self.group.mul(hf, h3), ys3), c * c3)
+            for word, c in branches.items():
+                add_term(acc, word, c)
         return AlgebraElement(acc)
 
     def multiply(self, a, b):
-        """Product of two elements, in normal form."""
+        """Product of two elements, in normal form: the letters of each word
+        h1 u of a fold onto b from the right, then h1 relabels."""
+        mul = self.group.mul
         acc = {}
         for (h1, u), c1 in a.terms.items():
-            for (h2, v), c2 in b.terms.items():
-                c12 = c1 * c2
-                for (h3, kept), c3 in self._commute_group_left(u, h2).items():
-                    nf = self.normal_form_yword(kept + v)
-                    hh = self.group.mul(h1, h3)
-                    for (h4, ys4), c4 in nf.terms.items():
-                        add_term(acc, (self.group.mul(hh, h4), ys4), c12 * c3 * c4)
+            terms = b.terms
+            for i in reversed(u):
+                terms = self._y_times(i, terms)
+            for (h, v), c in terms.items():
+                add_term(acc, (mul(h1, h), v), c1 * c)
         return AlgebraElement(acc)
 
     def power(self, a, n):
@@ -358,43 +466,32 @@ class Presentation:
         """Support of letter * (normal word h w), as a list of normal words.
 
         A group letter x only joins the group part: x h w = (x h) w.  A
-        y-letter crosses h alone, by y_i h = lambda_i(h) h y_i
-        + tau_i(h) h (mu_i - 1), so the result is h times the normal form
-        of y_i w, plus the words (h mu_i, w) and (h, w) when tau_i(h) != 0.
-        Those terms merge exactly; when tau_i(h) = 0 every coefficient is
-        nonzero and none is computed.
+        y-letter is one kernel step, y_i h w = lambda_i(h) h NF(y_i w)
+        + tau_i(h) h (mu_i - 1) w, with NF(y_i w) from the left-product
+        kernel.  The tau terms merge exactly; when tau_i(h) = 0 every
+        coefficient is nonzero and none is computed.
         """
         h, yw = word
         kind, val = letter
         group = self.group
         if kind == "g":
             return [(group.mul(val, h), yw)]
-        nf = self.normal_form_yword((val,) + yw)
+        nf = self._letter_times(val, yw)
         tau = None if self.tau_free else self.tau_value(val, h)
         if tau is None or tau.is_zero():
-            return [(group.mul(h, h3), ys3) for (h3, ys3) in nf.terms]
-        lam = self.char_value(val, h)
+            return [(group.mul(h, h3), ys3) for (h3, ys3) in nf]
         out = {}
-        for (h3, ys3), c3 in nf.terms.items():
-            add_term(out, (group.mul(h, h3), ys3), lam * c3)
-        add_term(out, (group.mul(h, self.gens[val].weight), yw), tau)
-        add_term(out, (h, yw), -tau)
+        self._add_letter_times(out, val, h, yw, self.domain.one(), nf)
         return list(out)
 
     # -- irreducible word enumeration -----------------------------------
     def irreducible_ywords(self, max_degree):
         """All rule-irreducible y-words of total degree <= max_degree, by degree."""
         by_degree = [[()]]
-        for d in range(1, max_degree + 1):
-            # words of degree d - 1 are irreducible, so any redex ends at the last letter
-            start = max(0, d - self._max_lhs)
-            level = []
-            for w in by_degree[d - 1]:
-                for i in range(self.ny):
-                    cand = w + (i,)
-                    if next(self._redexes(cand, start), None) is None:
-                        level.append(cand)
-            by_degree.append(level)
+        for _ in range(max_degree):
+            # y_i w with w irreducible can only have a redex at position 0
+            by_degree.append([(i,) + w for i in range(self.ny) for w in by_degree[-1]
+                              if self._front_rule(i, w) is None])
         return by_degree
 
     # -- confluence -------------------------------------------------------

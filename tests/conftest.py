@@ -91,6 +91,14 @@ def random_presentation(rng):
     return Presentation(dom, group, gens, rules, name="random")
 
 
+def confluent_random_presentation(rng):
+    """The first confluent presentation random_presentation draws."""
+    while True:
+        p = random_presentation(rng)
+        if p.check_confluence().confluent:
+            return p
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

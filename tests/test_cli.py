@@ -163,7 +163,7 @@ def test_check_example_taft(capsys):
     assert "bounds-below-growth" in names
 
 
-def test_exit_code_usage(capsys, tmp_path):
+def test_exit_code_usage(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "normalize", "--element", "y1")
     assert code == 1
     code, out, err = run(capsys, "normalize", "--example", "nope",
@@ -189,6 +189,12 @@ def test_exit_code_usage(capsys, tmp_path):
         code, out, err = run(capsys, "invariants", str(path))
         assert code == 1, doc
         assert err.startswith("presentation error:") and err.count("\n") == 1, err
+    # so is a word ceiling that is not a nonnegative integer
+    for raw in ("abc", "-5"):
+        monkeypatch.setenv("HOPFGROW_MAX_WORDS", raw)
+        code, out, err = run(capsys, "growth", "--example", "taft", "--nmax", "3")
+        assert code == 1, raw
+        assert err.startswith("usage error:") and err.count("\n") == 1, err
 
 
 def test_exit_code_non_confluent(capsys):

@@ -16,7 +16,7 @@ from hopfgrow.groups import GroupData
 from hopfgrow.presentation import Presentation, SkewGenerator
 from hopfgrow.scalars import ScalarDomain
 
-from conftest import random_element, random_presentation
+from conftest import confluent_random_presentation, random_element
 
 ALL_BUILTINS = [
     lambda: skew_free_presentation(v=2),
@@ -280,13 +280,6 @@ def _normal_words(p, degree, radius):
             for h in p.group.ball(radius)]
 
 
-def _confluent_random_presentation(rng):
-    while True:
-        p = random_presentation(rng)
-        if p.check_confluence().confluent:
-            return p
-
-
 ORACLE_BUILTINS = [
     lambda: skew_trunc_presentation(3, v=2),
     lambda: skew_trunc_presentation(2, v=1),
@@ -308,7 +301,7 @@ def test_delta_word_matches_expansion(builder):
 def test_delta_word_matches_expansion_random():
     rng = random.Random(707)
     for _ in range(25):
-        p = _confluent_random_presentation(rng)
+        p = confluent_random_presentation(rng)
         for word in _normal_words(p, 3, 1):
             assert delta_word(p, word) == _delta_word_expanded(p, word), (p, word)
 
@@ -339,7 +332,7 @@ def test_delta_word_returns_a_fresh_element():
 @settings(max_examples=30, deadline=None, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_delta_word_property(seed, data):
-    p = _confluent_random_presentation(random.Random(seed))
+    p = confluent_random_presentation(random.Random(seed))
     words = _normal_words(p, 3, 1)
     word = words[data.draw(st.integers(0, len(words) - 1), label="word")]
     assert delta_word(p, word) == _delta_word_expanded(p, word)

@@ -2,16 +2,19 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfgrow.catalog import (exterior_presentation, qplane_presentation,
                               skew_free_presentation, skew_trunc_presentation,
                               taft_presentation)
+from hopfgrow.elements import AlgebraElement, add_term
 from hopfgrow.errors import NonConfluentError, PresentationError
 from hopfgrow.groups import GroupData
 from hopfgrow.presentation import Presentation, SkewGenerator
 from hopfgrow.scalars import ScalarDomain
 
-from conftest import random_element
+from conftest import confluent_random_presentation, random_element
 
 
 def test_commute_y_past_group():
@@ -125,15 +128,74 @@ def test_long_overlaps_are_checked():
 
 
 def test_randomized_reduction_order_agrees(rng):
-    for pres in [taft_presentation(3), exterior_presentation(3),
-                 qplane_presentation(3), skew_trunc_presentation(2, beta=1, v=2)]:
+    builtins = [taft_presentation(3), exterior_presentation(3),
+                qplane_presentation(3), skew_trunc_presentation(2, beta=1, v=2),
+                skew_trunc_presentation(3, beta=1, v=2),
+                skew_free_presentation(v=2, tau=1)]
+    for pres in builtins + [confluent_random_presentation(rng) for _ in range(25)]:
         count = 0
         while count < 30:
             deg = rng.randint(0, 6)
             yw = tuple(rng.randrange(pres.ny) for _ in range(deg))
             reference = pres.normal_form_yword(yw)
-            assert pres.normal_form_yword_random(yw, rng) == reference
+            assert pres.normal_form_yword_random(yw, rng) == reference, yw
             count += 1
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_normal_form_matches_random_order_property(seed, data):
+    rng = random.Random(seed)
+    pres = confluent_random_presentation(rng)
+    yw = tuple(data.draw(st.lists(st.integers(0, pres.ny - 1), max_size=6),
+                         label="word"))
+    assert pres.normal_form_yword(yw) == pres.normal_form_yword_random(yw, rng)
+
+
+def _normalize_random_order(pres, letters, rng):
+    """Oracle for normalize: each group letter moves left through the
+    y-letters before it, then each y-word rewrites in random order."""
+    group = pres.group
+    branches = {(group.identity(), ()): pres.domain.one()}
+    for kind, val in letters:
+        if kind == "y":
+            branches = {(h, ys + (val,)): c for (h, ys), c in branches.items()}
+            continue
+        new = {}
+        for (h, ys), c in branches.items():
+            for (h2, kept), c2 in pres._commute_group_left(ys, val).items():
+                add_term(new, (group.mul(h, h2), kept), c * c2)
+        branches = new
+    acc = {}
+    for (h, ys), c in branches.items():
+        for (h3, ys3), c3 in pres.normal_form_yword_random(ys, rng).terms.items():
+            add_term(acc, (group.mul(h, h3), ys3), c * c3)
+    return AlgebraElement(acc)
+
+
+def test_normalize_matches_random_order_with_group_letters():
+    rng = random.Random(909)
+    builtins = [skew_free_presentation(v=1, tau=1), skew_free_presentation(v=2, tau=1),
+                skew_trunc_presentation(3, beta=1, v=2), qplane_presentation(2)]
+    for pres in builtins + [confluent_random_presentation(rng) for _ in range(15)]:
+        ball = pres.group.ball(1)
+        for _ in range(12):
+            letters = [("g", rng.choice(ball)) if rng.random() < 0.4
+                       else ("y", rng.randrange(pres.ny)) for _ in range(rng.randint(0, 6))]
+            assert pres.normalize([(pres.domain.one(), letters)]) == \
+                _normalize_random_order(pres, letters, rng), letters
+
+
+def test_long_words_need_no_recursion():
+    # the kernel keeps suspended folds on a stack of its own, so words far
+    # longer than the recursion limit normalize
+    pres = qplane_presentation(2)
+    ident = pres.group.identity()
+    (word, c), = pres.normal_form_yword((1, 0)).terms.items()
+    assert word == (ident, (0, 1))
+    long = pres.normal_form_yword((1,) + (0,) * 1000)
+    assert long.terms == {(ident, (0,) * 1000 + (1,)): c ** 1000}
+    assert taft_presentation(7).normal_form_yword((0,) * 1500).is_zero()
 
 
 def test_multiplication_associative(rng):
