@@ -17,7 +17,7 @@ Delta(w) only shifts group parts.  The cache on the presentation is keyed
 by the pure y-word w.
 """
 
-from .elements import AlgebraElement, TensorElement, add_term, word_key, y_counts
+from .elements import AlgebraElement, TensorElement, add_term, word_key
 from .linalg import ScalarElimination, nullspace_of_columns, solve_in_span
 from .scalars import quantum_binomial
 
@@ -205,39 +205,33 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
 
     The search space is the span of normal words with total y-degree at
     most degree_bound and group part of word length at most
-    group_word_bound.  For multigraded presentations the kernel splits
-    into independent blocks: one pure-group block, and for each y-word
-    multidegree a block whose group part is forced by the weight.
+    group_word_bound.  The kernel splits along the presentation's grading:
+    a normal word h w has degree (counts(w) mod L, h mu(w) mod M), where
+    no rewriting step leaves a degree.  Give a (x) b the degree of
+    counts(a) + counts(b) and the group content of a; then the defect
+    z -> Delta(z) - z(x)1 - weight(x)z keeps the degree of z except for
+    its weight(x)z part, and Delta(x) = x(x)1 forces x into k1.  So each
+    count class c is one block: the words of degree (c, weight M), and in
+    the class c = 0 also those of degree (0, M), for the coradical line.
     """
     p.require_confluent()
-    weight = p.group.reduce(weight)
-    ball = p.group.ball(group_word_bound)
-    words_by_degree = p.irreducible_ywords(degree_bound)
+    group = p.group
+    weight = group.reduce(weight)
+    ball_by_class = {}
+    for h in group.ball(group_word_bound):
+        ball_by_class.setdefault(p._group_class(h), []).append(h)
+    blocks = {}
+    for words in p.irreducible_ywords(degree_bound):
+        for yw in words:
+            counts, content = p._degree((group.identity(), yw))
+            classes = {p._group_class([a - b for a, b in zip(weight, content)])}
+            if not any(counts):
+                classes.add(p._group_class([-b for b in content]))
+            group_parts = sorted(h for cls in classes for h in ball_by_class.get(cls, ()))
+            blocks.setdefault(counts, []).extend((h, yw) for h in group_parts)
     basis = []
-    if p.is_multigraded:
-        group_block = [(h, ()) for h in ball]
-        basis.extend(_kernel_elements(p, group_block, weight))
-        blocks = {}
-        for d in range(1, degree_bound + 1):
-            for yw in words_by_degree[d]:
-                blocks.setdefault(y_counts(yw, p.ny), []).append(yw)
-        for counts in sorted(blocks):
-            mu_total = p.group.identity()
-            for i, e in enumerate(counts):
-                if e:
-                    mu_total = p.group.mul(mu_total, p.group.power(p.gens[i].weight, e))
-            h = p.group.mul(weight, p.group.inv(mu_total))
-            if p.group.word_length(h) > group_word_bound:
-                continue
-            candidates = [(h, yw) for yw in blocks[counts]]
-            basis.extend(_kernel_elements(p, candidates, weight))
-    else:
-        candidates = [(h, ()) for h in ball]
-        for d in range(1, degree_bound + 1):
-            for yw in words_by_degree[d]:
-                for h in ball:
-                    candidates.append((h, yw))
-        basis = _kernel_elements(p, candidates, weight)
+    for candidates in blocks.values():
+        basis.extend(_kernel_elements(p, candidates, weight))
     basis.sort(key=lambda e: max(word_key(w, p.ny) for w in e.terms))
 
     # canonicalize against the coradical line k(weight - 1): when the line

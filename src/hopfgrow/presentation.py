@@ -31,6 +31,29 @@ import itertools
 from .elements import AlgebraElement, add_term, y_counts, yword_key
 from .errors import (NonConfluentError, PresentationError,
                      ResourceCeilingError, RewriteInternalError)
+from .intmat import row_reduce_with_transform
+
+
+def _echelon_lattice(rows):
+    """The lattice the integer rows span, as echelon (pivot column, row)
+    pairs with every pivot positive."""
+    lattice = []
+    for row in row_reduce_with_transform(rows)[0]:
+        col = next((k for k, x in enumerate(row) if x), None)
+        if col is not None:
+            lattice.append((col, row if row[col] > 0 else [-x for x in row]))
+    return lattice
+
+
+def _reduce_mod(vec, lattice):
+    """The canonical representative of vec modulo an echelon lattice: each
+    pivot column brought into [0, pivot)."""
+    vec = list(vec)
+    for col, row in lattice:
+        quot = vec[col] // row[col]
+        if quot:
+            vec = [a - quot * b for a, b in zip(vec, row)]
+    return tuple(vec)
 
 
 def _times(a, b):
@@ -116,8 +139,11 @@ class Presentation:
             self._rules_by_first.setdefault(rule.lhs[0], []).append((rule.lhs[1:], rule))
         self.tau_free = all(
             t.is_zero() for g in self.gens for t in (g.tau or []))
-        self.is_multigraded = self.tau_free and all(
-            self._rule_is_graded(r) for r in self.rules)
+        self._count_lattice, self._group_lattice = self._grading()
+        # multigraded: rewriting keeps both the y-counts and the group
+        # content of a word, i.e. L = 0 and M is trivial
+        self.is_multigraded = not self._count_lattice and all(
+            self.group.is_identity(row) for _, row in self._group_lattice)
 
     # ------------------------------------------------------------------
     def _coerce_rhs(self, rhs):
@@ -177,12 +203,52 @@ class Presentation:
                         "rule %r -> ... is not deg-lex decreasing at word %r"
                         % (rule.lhs, yw))
 
-    def _rule_is_graded(self, rule):
-        target = y_counts(rule.lhs, self.ny)
-        for (g, yw) in rule.rhs.terms:
-            if y_counts(yw, self.ny) != target or not self.group.is_identity(g):
-                return False
-        return True
+    # -- the grading rewriting respects ----------------------------------
+    def _content(self, yword):
+        """mu(w), the product of the weights of the letters, as an integer
+        vector (torsion coordinates unreduced)."""
+        vec = [0] * self.group.ngens
+        for i in yword:
+            vec = [a + b for a, b in zip(vec, self.gens[i].weight)]
+        return vec
+
+    def _grading(self):
+        """Lattices L in Z^ny and M in Z^ngens, in echelon form.
+
+        A normal word h w has degree (counts(w) mod L, h mu(w) mod M), and
+        no rewriting step leaves a degree.  A rule term c g u of lhs moves
+        the counts by counts(u) - counts(lhs) and the group content by
+        g mu(u) mu(lhs)^-1; the tau terms of y_i h drop y_i and move the
+        group content by 1 or mu_i^-1.  M also holds the torsion rows
+        m_j e_j, so that it reduces group elements as well.
+        """
+        count_rows, group_rows = [], []
+        for rule in self.rules:
+            counts = y_counts(rule.lhs, self.ny)
+            content = self._content(rule.lhs)
+            for g, u in rule.rhs.terms:
+                count_rows.append([a - b for a, b in zip(counts, y_counts(u, self.ny))])
+                group_rows.append([a - b - c for a, b, c
+                                   in zip(content, g, self._content(u))])
+        for i, gen in enumerate(self.gens):
+            if any(not t.is_zero() for t in gen.tau):
+                count_rows.append([int(k == i) for k in range(self.ny)])
+                group_rows.append(list(gen.weight))
+        r = self.group.free_rank
+        for j, m in enumerate(self.group.torsion):
+            group_rows.append([m if k == r + j else 0 for k in range(self.group.ngens)])
+        return _echelon_lattice(count_rows), _echelon_lattice(group_rows)
+
+    def _group_class(self, vec):
+        """The canonical representative of a group element mod M."""
+        return _reduce_mod(vec, self._group_lattice)
+
+    def _degree(self, word):
+        """The degree (counts(w) mod L, h mu(w) mod M) of a normal word h w."""
+        h, yw = word
+        counts = _reduce_mod(y_counts(yw, self.ny), self._count_lattice)
+        content = self._content(yw)
+        return counts, self._group_class([a + b for a, b in zip(h, content)])
 
     # -- scalar-valued character data ----------------------------------
     def char_value(self, i, h):
@@ -411,17 +477,14 @@ class Presentation:
     def normalize(self, raw):
         """Normal form of raw input.
 
-        Accepts an AlgebraElement (re-normalized), a single letter sequence,
-        or a list of (Scalar, letters) terms, where a letter is ("g", group
-        element) or ("y", index).  Each letter sequence is a right fold: a
-        group letter relabels the group parts, a y-letter is a kernel step.
+        Accepts an AlgebraElement (re-normalized) or a list of (Scalar,
+        letters) terms, where a letter is ("g", group element) or ("y",
+        index).  Each letter sequence is a right fold: a group letter
+        relabels the group parts, a y-letter is a kernel step.
         """
         if isinstance(raw, AlgebraElement):
             terms = [(c, (("g", g),) + tuple(("y", i) for i in yw))
                      for (g, yw), c in raw.terms.items()]
-        elif raw and isinstance(raw, (list, tuple)) and isinstance(raw[0], tuple) \
-                and len(raw) and isinstance(raw[0][0], str):
-            terms = [(self.domain.one(), tuple(raw))]
         else:
             terms = [(c, tuple(letters)) for c, letters in raw]
         mul = self.group.mul

@@ -66,6 +66,53 @@ def test_primitives_command(capsys):
     assert set(space["witnesses"]) == {"y1", "y2"}
 
 
+def test_primitives_command_skew_trunc(capsys):
+    code, payload = run_json(capsys, "primitives", "--example", "skew_trunc",
+                             "--param", "p=4", "--degree", "4",
+                             "--group-bound", "3")
+    assert code == 0
+    assert payload["presentation"]["params"] == {
+        "bad_gen": False, "beta": 1, "p": 4, "v": 2}
+    assert payload["report"] == {
+        "bounds_used": {"degree_bound": 4, "group_word_bound": 3},
+        "spaces": [
+            {"basis": ["-1 * g1^-3 + 1"], "dim": 1, "has_coradical_line": True,
+             "weight": "g1^-3", "witnesses": []},
+            {"basis": ["-1 * g1^-2 + 1"], "dim": 1, "has_coradical_line": True,
+             "weight": "g1^-2", "witnesses": []},
+            {"basis": ["-1 * g1^-1 + 1"], "dim": 1, "has_coradical_line": True,
+             "weight": "g1^-1", "witnesses": []},
+            {"basis": ["-1 + g1", "y2", "y1"], "dim": 3,
+             "has_coradical_line": True, "weight": "g1",
+             "witnesses": ["y2", "y1"]},
+            {"basis": ["-1 + g1^2"], "dim": 1, "has_coradical_line": True,
+             "weight": "g1^2", "witnesses": []},
+            {"basis": ["-1 + g1^3"], "dim": 1, "has_coradical_line": True,
+             "weight": "g1^3", "witnesses": []},
+        ]}
+
+
+def test_invariants_command_skew_trunc(capsys):
+    code, out, err = run(capsys, "invariants", "--example", "skew_trunc",
+                         "--degree", "5", "--group-bound", "5",
+                         "--power-bound", "5")
+    assert code == 0
+    assert err == ""
+    assert out == (
+        "invariants of skew_trunc (bounds {'degree_bound': 5, 'group_word_bound': 5,"
+        " 'power_bound': 5, 'level_bound': 12})\n"
+        "  weights: {g1}\n"
+        "  with primitive power: {g1}\n"
+        "  with free commutator: {g1}\n"
+        "  pair (g1, q1): level 1, free\n"
+        "  pair (g1, zeta^1): level 1, torsion\n"
+        "  dim torsion span = 1, dim free quotient = 1\n"
+        "    witness y2: gamma q1, level 1 (free)\n"
+        "    witness y1: gamma zeta^1, level 1 (torsion), power 3 primitive\n"
+        "  note: group-like elements are searched within the declared group only,"
+        " and all memberships are relative to the stated bounds\n")
+
+
 def test_invariants_command(capsys):
     code, payload = run_json(capsys, "invariants", "--example", "exterior",
                              "--param", "s=3", "--degree", "4",

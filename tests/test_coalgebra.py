@@ -1,22 +1,25 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from hopfgrow.catalog import (exterior_presentation, qplane_presentation,
                               skew_free_presentation, skew_trunc_presentation,
                               taft_presentation)
-from hopfgrow.coalgebra import (antipode, counit, delta, delta_power_formula,
-                                delta_word, find_skew_primitives,
-                                is_skew_primitive)
-from hopfgrow.elements import AlgebraElement, TensorElement, add_term
+from hopfgrow.coalgebra import (_kernel_elements, antipode, counit, delta,
+                                delta_power_formula, delta_word,
+                                find_skew_primitives, is_skew_primitive)
+from hopfgrow.elements import (AlgebraElement, TensorElement, add_term,
+                               word_key, y_counts)
 from hopfgrow.errors import NonConfluentError
 from hopfgrow.groups import GroupData
+from hopfgrow.linalg import ScalarElimination, solve_in_span
 from hopfgrow.presentation import Presentation, SkewGenerator
 from hopfgrow.scalars import ScalarDomain
 
-from conftest import confluent_random_presentation, random_element
+from conftest import (confluent_random_presentation, normalize_random_order,
+                      random_element, random_presentation)
 
 ALL_BUILTINS = [
     lambda: skew_free_presentation(v=2),
@@ -252,11 +255,134 @@ def test_degree_two_primitive_weight_product_constraint():
             assert prod.is_one()
 
 
+def _find_skew_primitives_full(p, weight, degree_bound, group_word_bound):
+    """Oracle: one kernel over every normal word of the bounds, the ball
+    times all irreducible y-words, with no grading.  Returns the sorted
+    basis, with the coradical line first when it lies in the span, and
+    whether it does."""
+    weight = p.group.reduce(weight)
+    ball = p.group.ball(group_word_bound)
+    candidates = [(h, yw) for words in p.irreducible_ywords(degree_bound)
+                  for yw in words for h in ball]
+    basis = _kernel_elements(p, candidates, weight)
+    basis.sort(key=lambda e: max(word_key(w, p.ny) for w in e.terms))
+    if p.group.is_identity(weight):
+        return basis, False
+    line = p.group_element(weight) - p.one()
+    if solve_in_span(p.domain, [dict(e.terms) for e in basis],
+                     dict(line.terms)) is None:
+        return basis, False
+    elim = ScalarElimination(p.domain)
+    stacked = []
+    for idx, e in enumerate([line] + basis):
+        if elim.insert(dict(e.terms), idx) is None:
+            reduced = AlgebraElement(dict(elim.pivots[-1][1]))
+            lead = max(reduced.terms.keys(), key=lambda w: word_key(w, p.ny))
+            stacked.append(reduced.scale(reduced.terms[lead].inverse()))
+    return stacked, True
+
+
+def _assert_matches_full_search(p, weight, degree_bound, group_word_bound):
+    space = find_skew_primitives(p, weight, degree_bound, group_word_bound)
+    basis, has_line = _find_skew_primitives_full(p, weight, degree_bound,
+                                                 group_word_bound)
+    assert space.basis == basis, (p, weight)
+    assert space.has_coradical_line == has_line, (p, weight)
+
+
+PRIMITIVE_BUILTINS = [
+    (lambda: skew_trunc_presentation(2, v=2), 4, 3),
+    (lambda: skew_trunc_presentation(3, v=2), 4, 3),
+    (lambda: skew_trunc_presentation(4, v=2), 4, 3),
+    (lambda: skew_free_presentation(v=2), 4, 3),
+    (lambda: skew_free_presentation(v=1, tau=1), 4, 3),
+    (lambda: skew_free_presentation(v=2, tau=1), 3, 2),
+    (lambda: qplane_presentation(3), 4, 3),
+    (lambda: taft_presentation(5), 4, 3),
+    (lambda: exterior_presentation(3), 4, 3),
+]
+
+
+@pytest.mark.parametrize("builder,degree,radius", PRIMITIVE_BUILTINS)
+def test_primitives_match_full_search(builder, degree, radius):
+    p = builder()
+    for weight in p.group.ball(radius):
+        _assert_matches_full_search(p, weight, degree, radius)
+
+
+def test_primitives_match_full_search_random():
+    rng = random.Random(1902)
+    for _ in range(40):
+        p = confluent_random_presentation(rng)
+        for weight in p.group.ball(1):
+            _assert_matches_full_search(p, weight, 3, 1)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_primitives_match_full_search_property(seed, data):
+    p = confluent_random_presentation(random.Random(seed))
+    ball = p.group.ball(1)
+    weight = ball[data.draw(st.integers(0, len(ball) - 1), label="weight")]
+    _assert_matches_full_search(p, weight, 3, 1)
+
+
+def test_tau_primitive_spans_two_count_classes():
+    # y2 has the trivial character and tau2(g1) = 1, and lambda1(mu2) = 1,
+    # so z = y1 y2 - y2 y1 - y1 is (1, g1 g2)-primitive while none of its
+    # y-degree parts is: y2 g1 = g1 y2 + g1 (g2 - 1) puts a term of counts
+    # (1, 0) into Delta(y2 y1)
+    dom = ScalarDomain(1, ("q1",))
+    group = GroupData(2)
+    g1, g2 = group.generators()
+    one, zero = dom.one(), dom.zero()
+    gens = [SkewGenerator("y1", g1, (dom.q(0), one)),
+            SkewGenerator("y2", g2, (one, one), (one, zero))]
+    p = Presentation(dom, group, gens)
+    weight = group.mul(g1, g2)
+    z = p.multiply(p.y(0), p.y(1)) - p.multiply(p.y(1), p.y(0)) - p.y(0)
+    assert is_skew_primitive(p, z) == weight
+    space = find_skew_primitives(p, weight, 2, 2)
+    assert solve_in_span(p.domain, [dict(e.terms) for e in space.basis],
+                         dict(z.terms)) is not None
+    _assert_matches_full_search(p, weight, 2, 2)
+
+
+def _rules_are_graded(p):
+    """The former definition of is_multigraded: no tau, and every rule term
+    keeps the y-counts of its left-hand side and has no group part."""
+    return p.tau_free and all(
+        y_counts(u, p.ny) == y_counts(rule.lhs, p.ny) and p.group.is_identity(g)
+        for rule in p.rules for g, u in rule.rhs.terms)
+
+
+def test_is_multigraded_matches_graded_rules():
+    builtins = [skew_free_presentation(v=2), skew_free_presentation(v=1, tau=1),
+                skew_free_presentation(v=2, tau=1), taft_presentation(5),
+                taft_presentation(3, free=True), qplane_presentation(3),
+                exterior_presentation(3), skew_trunc_presentation(3, beta=0, v=2)]
+    builtins += [skew_trunc_presentation(p, v=2) for p in (2, 3, 4)]
+    rng = random.Random(4411)
+    randoms = [random_presentation(rng) for _ in range(100)]
+    for p in builtins + randoms:
+        assert p.is_multigraded == _rules_are_graded(p), p
+    assert {p.is_multigraded for p in randoms} == {True, False}
+    # a rule term with a group part of finite order moves words out of
+    # their degree as much as one of infinite order
+    dom = ScalarDomain(2)
+    group = GroupData(0, (2,))
+    gens = [SkewGenerator("y%d" % k, (1,), (dom.rational(-1),)) for k in (1, 2)]
+    p = Presentation(dom, group, gens, [((1, 0), {((1,), (0, 1)): dom.one()})])
+    assert not p.is_multigraded and not _rules_are_graded(p)
+
+
 def _delta_word_expanded(p, word):
     """Oracle: Delta(h y_{i_1} ... y_{i_d}) expanded into its 2^d products
-    of generator coproducts, each side normalized on its own."""
+    of generator coproducts, each side normalized on its own by moving
+    group letters left and rewriting in random order, so that no step goes
+    through the left-product kernel."""
     h, yw = word
     one = p.domain.one()
+    rng = random.Random(len(yw))
     branches = [(one, (("g", h),), (("g", h),))]
     for i in yw:
         mu = p.gens[i].weight
@@ -267,11 +393,11 @@ def _delta_word_expanded(p, word):
         branches = new
     acc = {}
     for c, left, right in branches:
-        lelt = p.normalize([(c, left)])
-        relt = p.normalize([(one, right)])
+        lelt = normalize_random_order(p, left, rng)
+        relt = normalize_random_order(p, right, rng)
         for wl, cl in lelt.terms.items():
             for wr, cr in relt.terms.items():
-                add_term(acc, (wl, wr), cl * cr)
+                add_term(acc, (wl, wr), c * cl * cr)
     return TensorElement(acc)
 
 
@@ -329,7 +455,6 @@ def test_delta_word_returns_a_fresh_element():
     assert delta_word(p, word) == _delta_word_expanded(p, word)
 
 
-@settings(max_examples=30, deadline=None, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_delta_word_property(seed, data):
     p = confluent_random_presentation(random.Random(seed))

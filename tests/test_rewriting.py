@@ -2,27 +2,29 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from hopfgrow.catalog import (exterior_presentation, qplane_presentation,
                               skew_free_presentation, skew_trunc_presentation,
                               taft_presentation)
-from hopfgrow.elements import AlgebraElement, add_term
+from hopfgrow.elements import AlgebraElement
 from hopfgrow.errors import NonConfluentError, PresentationError
 from hopfgrow.groups import GroupData
 from hopfgrow.presentation import Presentation, SkewGenerator
 from hopfgrow.scalars import ScalarDomain
 
-from conftest import confluent_random_presentation, random_element
+from conftest import (confluent_random_presentation, normalize_random_order,
+                      random_element)
 
 
 def test_commute_y_past_group():
     p = skew_free_presentation(v=1)
     g = p.group.generator(0)
     q = p.domain.q(0)
-    result = p.normalize([("y", 0), ("g", g)])
-    assert result == p.normalize([("g", g), ("y", 0)]).scale(q)
+    one = p.domain.one()
+    result = p.normalize([(one, [("y", 0), ("g", g)])])
+    assert result == p.normalize([(one, [("g", g), ("y", 0)])]).scale(q)
     assert list(result.terms.keys()) == [(g, (0,))]
     assert result.terms[(g, (0,))] == q
 
@@ -30,24 +32,27 @@ def test_commute_y_past_group():
 def test_group_inverse_cancels():
     p = skew_free_presentation(v=1)
     g = p.group.generator(0)
-    result = p.normalize([("g", g), ("g", p.group.inv(g))])
+    one = p.domain.one()
+    result = p.normalize([(one, [("g", g), ("g", p.group.inv(g))])])
     assert result == p.one()
 
 
 def test_exterior_rules():
     p = exterior_presentation(s=2)
     minus = p.domain.rational(-1)
-    assert p.normalize([("y", 1), ("y", 0)]) == \
-        p.normalize([("y", 0), ("y", 1)]).scale(minus)
-    assert p.normalize([("y", 0), ("y", 0)]).is_zero()
+    one = p.domain.one()
+    assert p.normalize([(one, [("y", 1), ("y", 0)])]) == \
+        p.normalize([(one, [("y", 0), ("y", 1)])]).scale(minus)
+    assert p.normalize([(one, [("y", 0), ("y", 0)])]).is_zero()
 
 
 def test_tau_commutation():
     # trivial character with additive character: y g = g y + g(mu - 1)
     p = skew_free_presentation(v=1, tau=1)
     g = p.group.generator(0)
-    result = p.normalize([("y", 0), ("g", g)])
-    gy = p.normalize([("g", g), ("y", 0)])
+    one = p.domain.one()
+    result = p.normalize([(one, [("y", 0), ("g", g)])])
+    gy = p.normalize([(one, [("g", g), ("y", 0)])])
     g2 = p.group_element(p.group.power(g, 2))
     expected = gy + g2 - p.group_element(g)
     assert result == expected
@@ -142,7 +147,6 @@ def test_randomized_reduction_order_agrees(rng):
             count += 1
 
 
-@settings(max_examples=30, deadline=None, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_normal_form_matches_random_order_property(seed, data):
     rng = random.Random(seed)
@@ -150,27 +154,6 @@ def test_normal_form_matches_random_order_property(seed, data):
     yw = tuple(data.draw(st.lists(st.integers(0, pres.ny - 1), max_size=6),
                          label="word"))
     assert pres.normal_form_yword(yw) == pres.normal_form_yword_random(yw, rng)
-
-
-def _normalize_random_order(pres, letters, rng):
-    """Oracle for normalize: each group letter moves left through the
-    y-letters before it, then each y-word rewrites in random order."""
-    group = pres.group
-    branches = {(group.identity(), ()): pres.domain.one()}
-    for kind, val in letters:
-        if kind == "y":
-            branches = {(h, ys + (val,)): c for (h, ys), c in branches.items()}
-            continue
-        new = {}
-        for (h, ys), c in branches.items():
-            for (h2, kept), c2 in pres._commute_group_left(ys, val).items():
-                add_term(new, (group.mul(h, h2), kept), c * c2)
-        branches = new
-    acc = {}
-    for (h, ys), c in branches.items():
-        for (h3, ys3), c3 in pres.normal_form_yword_random(ys, rng).terms.items():
-            add_term(acc, (group.mul(h, h3), ys3), c * c3)
-    return AlgebraElement(acc)
 
 
 def test_normalize_matches_random_order_with_group_letters():
@@ -183,7 +166,26 @@ def test_normalize_matches_random_order_with_group_letters():
             letters = [("g", rng.choice(ball)) if rng.random() < 0.4
                        else ("y", rng.randrange(pres.ny)) for _ in range(rng.randint(0, 6))]
             assert pres.normalize([(pres.domain.one(), letters)]) == \
-                _normalize_random_order(pres, letters, rng), letters
+                normalize_random_order(pres, letters, rng), letters
+
+
+def test_products_keep_the_degree():
+    # every term of y_i (h w) has the degree (counts(w) + e_i, h mu_i mu(w))
+    # of the word before rewriting: the grading the primitive search uses
+    rng = random.Random(3131)
+    builtins = [skew_trunc_presentation(3, beta=1, v=2),
+                skew_trunc_presentation(2, beta=1),
+                skew_free_presentation(v=2, tau=1), taft_presentation(5),
+                exterior_presentation(3), qplane_presentation(3)]
+    for pres in builtins + [confluent_random_presentation(rng) for _ in range(25)]:
+        for words in pres.irreducible_ywords(3):
+            for yw in words:
+                for h in pres.group.ball(1):
+                    word = AlgebraElement({(h, yw): pres.domain.one()})
+                    for i in range(pres.ny):
+                        degree = pres._degree((h, (i,) + yw))
+                        for term in pres.multiply(pres.y(i), word).terms:
+                            assert pres._degree(term) == degree, (pres, h, yw, i)
 
 
 def test_long_words_need_no_recursion():
