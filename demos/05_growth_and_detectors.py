@@ -39,7 +39,8 @@ for label, p, nmax in [
     if growth.estimate["kind"] == "polynomial":
         print("  bounds", bounds, "all below measured degree",
               growth.estimate["degree"])
-    # the closure enumeration agrees with the independent counting oracle
+    # the factored count (group ball times y-closure) agrees with the
+    # independent counting oracle
     if p.is_multigraded:
         assert dp_word_counts(p, 8) == growth.dims[:9]
         print("  counting oracle agrees through n = 8")

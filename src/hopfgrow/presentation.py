@@ -664,16 +664,147 @@ class Presentation:
     def filtration_dims(self, letters, n_max, max_words=None):
         """Number of distinct normal words in products of <= n generators.
 
-        Breadth-first closure by left products, F_n = V F_{n-1}: level n
-        adds the support of letter * w for each word w first reached at
-        level n - 1.  dims[n] counts the words reached by products of at
-        most n letters from the generating set (1 included).  That is the
-        size of a spanning set of normal words, so an upper bound on
-        dim F_n, equal to it when no combination of reached words cancels.
-        Raises ResourceCeilingError past max_words, attaching the partial
-        sequence.
+        dims[n] counts the words reached by products of at most n letters
+        from the generating set (1 included), each letter multiplying on
+        the left and reaching the support of its product.  That is the size
+        of a spanning set of normal words, so an upper bound on dim F_n,
+        equal to it when no combination of reached words cancels.
+
+        When every tau_i vanishes, a y-step commutes with left
+        multiplication by the group: the support of y_i (k h w) is
+        k h supp NF(y_i w), with no coefficient vanishing since lambda_i is
+        invertible, and a group letter only relabels the group part.  So
+        the words reached by at most n letters are
+
+            R_n = union over b <= n of B_{n-b} T_b,
+
+        with B_r the products of at most r group letters and T_b the words
+        reached from 1 by at most b y-letters.  Each normal y-word v has
+        centers h' v, first reached in T at level b; the words h v in R_n
+        are the union of the shifted balls B_{n-b} h'.  A tau term
+        tau_i(h) h (mu_i - 1) w depends on h, so with tau the y-steps do not
+        commute with the group and the breadth-first closure
+        _closure_dims runs instead.
+
+        Raises ResourceCeilingError at the first level whose count passes
+        max_words, attaching the sequence of the levels before it.
         """
         self.require_confluent()
+        if not self.tau_free:
+            return self._closure_dims(letters, n_max, max_words)
+        dist, ball = self._letter_ball(
+            [val for kind, val in letters if kind == "g"], n_max)
+        centers, complete = self._y_closure(
+            [val for kind, val in letters if kind != "g"], n_max, dist, max_words)
+        dims = self._center_dims(centers, dist, ball, complete)
+        if max_words is not None:
+            # the first level that adds a word past the ceiling; the closure
+            # stops at level `complete` only when it does
+            n = next((n for n in range(1, complete)
+                      if dims[n] > max(max_words, dims[n - 1])), complete)
+            if n <= n_max:
+                raise ResourceCeilingError(
+                    "enumeration exceeded %d words" % max_words, partial=dims[:n])
+        return dims
+
+    def _letter_ball(self, group_letters, n_max):
+        """Word lengths over the group letters up to n_max, as {k: dist},
+        and the ball sizes ball[r] = #{k : dist[k] <= r} for r <= n_max."""
+        mul = self.group.mul
+        dist = {self.group.identity(): 0}
+        frontier = list(dist)
+        ball = [1]
+        for r in range(1, n_max + 1):
+            new_frontier = []
+            for k in frontier:
+                for x in group_letters:
+                    k2 = mul(x, k)
+                    if k2 not in dist:
+                        dist[k2] = r
+                        new_frontier.append(k2)
+            ball.append(len(dist))
+            frontier = new_frontier
+        return dist, ball
+
+    def _y_closure(self, ys, n_max, dist, max_words):
+        """The words reached from 1 by at most n_max y-letters (tau-free).
+
+        Returns ({normal y-word v: [(h, first level b)]}, complete): the
+        centers h v of each v, and the number of levels counted in full.
+        A center (h, b) is dropped when a kept one (c, b') dominates it,
+        dist(h c^-1) <= b - b': then B_{n-b} h lies in B_{n-b'} c for every
+        n, and so do the shifted balls of everything reached from h v.  A
+        kept center is thus a word new at its level.  The closure stops
+        during the first level at which more than max_words centers are
+        kept; the levels before it are complete.
+        """
+        group = self.group
+        e = group.identity()
+
+        def dominated(h, b, found):
+            # an element outside dist is longer than any level difference
+            return any(h == c or dist.get(group.mul(h, group.inv(c)), n_max + 1) <= b - bc
+                       for c, bc in found)
+
+        centers = {(): [(e, 0)]}
+        frontier = [(e, ())]
+        size = 1
+        for b in range(1, n_max + 1):
+            if not frontier:
+                break
+            new_frontier = []
+            for h, w in frontier:
+                for i in ys:
+                    for h3, v in self._letter_times(i, w):
+                        h2 = group.mul(h, h3) if any(h3) else h
+                        found = centers.get(v)
+                        if found is None:
+                            centers[v] = [(h2, b)]
+                        elif dominated(h2, b, found):
+                            continue
+                        else:
+                            found.append((h2, b))
+                        new_frontier.append((h2, v))
+                        size += 1
+                        if max_words is not None and size > max_words:
+                            return centers, b
+            frontier = new_frontier
+        return centers, n_max + 1
+
+    def _center_dims(self, centers, dist, ball, complete):
+        """dims[n] for n < complete: a y-word with one center (h, b) adds
+        ball[n - b]; the centers of any other one merge their shifted balls
+        h B_{n-b}, each element at its first level."""
+        by_level = [0] * complete  # one-center words, by level
+        new = [0] * complete       # elements of merged balls, by first level
+        mul = self.group.mul
+        for cs in centers.values():
+            if len(cs) == 1:
+                b = cs[0][1]
+                if b < complete:
+                    by_level[b] += 1
+                continue
+            first = {}
+            for h, b in cs:
+                for k, d in dist.items():
+                    if b + d < complete:
+                        x = mul(k, h)
+                        if first.get(x, complete) > b + d:
+                            first[x] = b + d
+            for level in first.values():
+                new[level] += 1
+        dims = []
+        merged = 0
+        for n in range(complete):
+            merged += new[n]
+            dims.append(merged + sum(by_level[b] * ball[n - b] for b in range(n + 1)))
+        return dims
+
+    def _closure_dims(self, letters, n_max, max_words=None):
+        """filtration_dims by breadth-first closure, F_n = V F_{n-1}: level
+        n adds the support of letter * w for each word w first reached at
+        level n - 1.  The only path with tau, and the test oracle of the
+        factored count without."""
         seen = {(self.group.identity(), ())}
         frontier = list(seen)
         dims = [1]

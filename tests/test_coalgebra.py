@@ -316,6 +316,11 @@ def test_primitives_match_full_search_random():
         p = confluent_random_presentation(rng)
         for weight in p.group.ball(1):
             _assert_matches_full_search(p, weight, 3, 1)
+        if not p.tau_free:
+            # a primitive that mixes count classes through tau, such as
+            # y1 y2 - y2 y1 - tau y1, has the weight mu1 mu2 of length 2
+            for weight in p.group.ball(2):
+                _assert_matches_full_search(p, weight, 2, 2)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())

@@ -1,17 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hopfgrow.catalog import (exterior_presentation, qplane_presentation,
-                              skew_free_presentation, skew_trunc_presentation,
-                              taft_presentation)
+from hopfgrow.catalog import (build_example, exterior_presentation,
+                              qplane_presentation, skew_free_presentation,
+                              skew_trunc_presentation, taft_presentation)
 from hopfgrow.elements import AlgebraElement
+from hopfgrow.errors import ResourceCeilingError
 from hopfgrow.groups import GroupData
 from hopfgrow.growth import (dp_word_counts, fit_growth, measure_growth,
                              pbw_dependence_scan)
 from hopfgrow.invariants import compute_invariants
 from hopfgrow.linalg import ScalarElimination
-from hopfgrow.presentation import Presentation
+from hopfgrow.presentation import Presentation, SkewGenerator
 from hopfgrow.scalars import ScalarDomain
 
 from conftest import random_presentation
@@ -65,10 +68,29 @@ def test_truncated_still_exponential():
     assert report.estimate["kind"] == "exponential"
 
 
+def _ceiling_partial(dims_fn, p, n_max, max_words):
+    with pytest.raises(ResourceCeilingError) as exc:
+        dims_fn(p.default_generating_letters(), n_max, max_words=max_words)
+    return exc.value.partial
+
+
 def test_word_ceiling_truncates():
-    report = measure_growth(skew_free_presentation(v=2), n_max=12, max_words=50)
-    assert report.truncated
-    assert report.estimate["kind"] == "inconclusive"
+    # the partial sequence ends at the last level within the ceiling; the
+    # first three take the factored count, the tau presentation the closure
+    for build, n_max, max_words, partial in [
+            (lambda: skew_free_presentation(v=2), 12, 50, [1, 5, 15, 37]),
+            (lambda: qplane_presentation(3), 24, 1000,
+             [1, 6, 20, 50, 105, 196, 336, 540, 825]),
+            (lambda: skew_trunc_presentation(3, v=2), 13, 2000,
+             [1, 5, 15, 36, 77, 155, 301, 572, 1073, 1997]),
+            (lambda: skew_free_presentation(v=2, tau=1), 8, 100,
+             [1, 5, 15, 37, 83])]:
+        p = build()
+        report = measure_growth(p, n_max=n_max, max_words=max_words)
+        assert report.truncated
+        assert report.estimate["kind"] == "inconclusive"
+        assert report.dims == partial
+        assert _ceiling_partial(p._closure_dims, p, n_max, max_words) == partial
 
 
 def test_dp_oracle_matches_enumeration():
@@ -155,6 +177,94 @@ def test_closure_matches_span_rank_random():
         assert dims == _span_rank_dims(p, 4), p
         _check_left_product_support(p, degree=2)
         count += 1
+
+
+# the tau-free settings of every builtin, each with its horizon n; a
+# truncation with bad_gen and beta != 0 is not confluent and has no dims
+TAU_FREE_SETTINGS = [
+    ("skew_free", {}, 10), ("skew_free", {"v": 1}, 10), ("skew_free", {"v": 3}, 8),
+    ("skew_free", {"same_q": True}, 10),
+    ("skew_trunc", {}, 10), ("skew_trunc", {"p": 2}, 10), ("skew_trunc", {"p": 4}, 10),
+    ("skew_trunc", {"p": 5}, 10), ("skew_trunc", {"v": 1}, 10),
+    ("skew_trunc", {"beta": 0}, 10), ("skew_trunc", {"bad_gen": True, "beta": 0}, 8),
+    ("taft", {}, 10), ("taft", {"p": 2}, 10), ("taft", {"p": 5}, 10),
+    ("taft", {"p": 7}, 10), ("taft", {"free": True}, 10),
+    ("qplane", {}, 10), ("qplane", {"v": 1}, 10), ("qplane", {"v": 3}, 10),
+    ("exterior", {}, 10), ("exterior", {"s": 1}, 10), ("exterior", {"s": 3}, 10),
+    ("exterior", {"free": True}, 10),
+]
+
+
+def _assert_factored_matches_closure(p, n_max):
+    assert p.tau_free
+    letters = p.default_generating_letters()
+    assert p.filtration_dims(letters, n_max) == p._closure_dims(letters, n_max), p
+
+
+def test_factored_dims_match_closure_builtins():
+    for name, params, n_max in TAU_FREE_SETTINGS:
+        p, _ = build_example(name, params)
+        _assert_factored_matches_closure(p, n_max)
+
+
+def _tau_free_confluent(rng):
+    while True:
+        p = random_presentation(rng)
+        if p.tau_free and p.check_confluence().confluent:
+            return p
+
+
+def test_factored_dims_match_closure_random():
+    rng = random.Random(606)
+    for _ in range(200):
+        _assert_factored_matches_closure(_tau_free_confluent(rng), 6)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_max=st.integers(0, 6))
+def test_factored_dims_match_closure_property(seed, n_max):
+    _assert_factored_matches_closure(_tau_free_confluent(random.Random(seed)), n_max)
+
+
+def _truncation(dom, group, mu, character, power, extra=()):
+    """y1 of weight mu with y1^power = mu^power - 1, plus free generators."""
+    gens = [SkewGenerator("y1", mu, character)]
+    gens += [SkewGenerator("y%d" % (i + 2), w, c) for i, (w, c) in enumerate(extra)]
+    rhs = {(group.power(mu, power), ()): dom.one(),
+           (group.identity(), ()): dom.rational(-1)}
+    return Presentation(dom, group, gens, [((0,) * power, rhs)], name="truncation")
+
+
+def _g3_truncation(v):
+    # lambda_1(g1^3) = -1, so y1^2 is skew primitive of weight g1^6
+    dom, z = ScalarDomain(2, ("q1",)), GroupData(1)
+    g1 = z.generator(0)
+    extra = [(g1, (dom.q(0),))] if v == 2 else []
+    return _truncation(dom, z, z.power(g1, 3), (dom.rational(-1),), 2, extra)
+
+
+def _rank2_truncation():
+    # weight g1^2 with lambda_1(g1) = zeta_3, so y1^3 = g1^6 - 1
+    dom, z2 = ScalarDomain(3, ("q1",)), GroupData(2)
+    g1, g2 = z2.generators()
+    return _truncation(dom, z2, z2.power(g1, 2), (dom.zeta(), dom.one()), 3,
+                       [(g2, (dom.one(), dom.q(0)))])
+
+
+@pytest.mark.parametrize("build, n_max", [
+    (lambda: _g3_truncation(1), 8), (lambda: _g3_truncation(2), 6),
+    (_rank2_truncation, 5)], ids=["g3-v=1", "g3-v=2", "rank2-g1^2"])
+def test_factored_dims_merge_several_centers(build, n_max):
+    # y1^power reaches g1^6 v at level power < 6 = dist(g1^6): that center
+    # and 1 v both count, and their shifted balls overlap
+    p = build()
+    assert p.tau_free and p.check_confluence().confluent
+    letters = p.default_generating_letters()
+    dist, _ = p._letter_ball([val for kind, val in letters if kind == "g"], n_max)
+    centers, _ = p._y_closure(range(p.ny), n_max, dist, None)
+    assert any(len(cs) > 1 for cs in centers.values())
+    dims = p.filtration_dims(letters, n_max)
+    assert dims == p._closure_dims(letters, n_max)
+    assert dims == _span_rank_dims(p, n_max)
 
 
 def test_fit_growth_short_window():
