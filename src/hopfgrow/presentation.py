@@ -687,72 +687,83 @@ class Presentation:
         _closure_dims runs instead.
 
         Raises ResourceCeilingError at the first level whose count passes
-        max_words, attaching the sequence of the levels before it.
+        max_words, attaching the sequence of the levels before it.  The
+        ball, T and the count all run level by level and stop by that
+        level, so the ceiling bounds their work as it bounds the closure.
         """
         self.require_confluent()
         if not self.tau_free:
             return self._closure_dims(letters, n_max, max_words)
-        dist, ball = self._letter_ball(
-            [val for kind, val in letters if kind == "g"], n_max)
-        centers, complete = self._y_closure(
-            [val for kind, val in letters if kind != "g"], n_max, dist, max_words)
-        dims = self._center_dims(centers, dist, ball, complete)
-        if max_words is not None:
-            # the first level that adds a word past the ceiling; the closure
-            # stops at level `complete` only when it does
-            n = next((n for n in range(1, complete)
-                      if dims[n] > max(max_words, dims[n - 1])), complete)
-            if n <= n_max:
-                raise ResourceCeilingError(
-                    "enumeration exceeded %d words" % max_words, partial=dims[:n])
-        return dims
+        dist, spheres, horizon = self._letter_ball(
+            [val for kind, val in letters if kind == "g"], n_max, max_words)
+        levels = self._y_levels(
+            [val for kind, val in letters if kind != "g"], horizon, dist, max_words)
+        counts = self._center_counts(levels, dist, spheres, horizon)
+        dims = [next(counts)]
+        for count in counts:
+            # the first level that adds a word past the ceiling
+            if count > dims[-1] and max_words is not None and count > max_words:
+                break
+            dims.append(count)
+        else:
+            if len(dims) > n_max:
+                return dims
+            # T stopped during the next level, where the count passes the ceiling
+        raise ResourceCeilingError(
+            "enumeration exceeded %d words" % max_words, partial=dims)
 
-    def _letter_ball(self, group_letters, n_max):
-        """Word lengths over the group letters up to n_max, as {k: dist},
-        and the ball sizes ball[r] = #{k : dist[k] <= r} for r <= n_max."""
+    def _letter_ball(self, group_letters, n_max, max_words=None):
+        """Word lengths over the group letters, as {k: dist}, the spheres
+        spheres[r] = [k : dist[k] = r] up to the last nonempty one, and the
+        horizon: n_max, or the first radius whose ball grows past max_words.
+        dims >= ball, so the closure passes the ceiling by the horizon."""
         mul = self.group.mul
         dist = {self.group.identity(): 0}
-        frontier = list(dist)
-        ball = [1]
+        spheres = [list(dist)]
         for r in range(1, n_max + 1):
-            new_frontier = []
-            for k in frontier:
+            sphere = []
+            for k in spheres[-1]:
                 for x in group_letters:
                     k2 = mul(x, k)
                     if k2 not in dist:
                         dist[k2] = r
-                        new_frontier.append(k2)
-            ball.append(len(dist))
-            frontier = new_frontier
-        return dist, ball
+                        sphere.append(k2)
+            if not sphere:
+                break
+            spheres.append(sphere)
+            if max_words is not None and len(dist) > max_words:
+                return dist, spheres, r
+        return dist, spheres, n_max
 
-    def _y_closure(self, ys, n_max, dist, max_words):
-        """The words reached from 1 by at most n_max y-letters (tau-free).
+    def _y_levels(self, ys, n_max, dist, max_words):
+        """The closure T of 1 under the y-letters alone (tau-free), by level.
 
-        Returns ({normal y-word v: [(h, first level b)]}, complete): the
-        centers h v of each v, and the number of levels counted in full.
-        A center (h, b) is dropped when a kept one (c, b') dominates it,
-        dist(h c^-1) <= b - b': then B_{n-b} h lies in B_{n-b'} c for every
-        n, and so do the shifted balls of everything reached from h v.  A
-        kept center is thus a word new at its level.  The closure stops
-        during the first level at which more than max_words centers are
-        kept; the levels before it are complete.
+        Yields, for b = 0, 1, ..., the centers h v kept at level b, up to
+        level n_max or the first level that keeps none: the number of
+        y-words v first reached at b, and the later centers, of y-words
+        reached before or earlier in the level, as (h, v, first center of
+        v, its level).  A center (h, b) is dropped when a kept one (c, b') of the same v
+        dominates it, dist(h c^-1) <= b - b':
+        then B_{n-b} h lies in B_{n-b'} c for every n, and so do the shifted
+        balls of everything reached from h v.  A kept center is thus a word
+        new at its level.  In place of the first level at which more than
+        max_words centers are kept, the closure yields None and stops.
         """
         group = self.group
         e = group.identity()
 
         def dominated(h, b, found):
             # an element outside dist is longer than any level difference
-            return any(h == c or dist.get(group.mul(h, group.inv(c)), n_max + 1) <= b - bc
+            return any(dist.get(group.mul(h, group.inv(c)), n_max + 1) <= b - bc
                        for c, bc in found)
 
         centers = {(): [(e, 0)]}
         frontier = [(e, ())]
         size = 1
+        yield 1, []
         for b in range(1, n_max + 1):
-            if not frontier:
-                break
             new_frontier = []
+            new, later = 0, []
             for h, w in frontier:
                 for i in ys:
                     for h3, v in self._letter_times(i, w):
@@ -760,45 +771,86 @@ class Presentation:
                         found = centers.get(v)
                         if found is None:
                             centers[v] = [(h2, b)]
+                            new += 1
                         elif dominated(h2, b, found):
                             continue
                         else:
+                            later.append((h2, v) + found[0])
                             found.append((h2, b))
                         new_frontier.append((h2, v))
                         size += 1
                         if max_words is not None and size > max_words:
-                            return centers, b
+                            yield None
+                            return
+            yield new, later
+            if not new_frontier:
+                return
             frontier = new_frontier
-        return centers, n_max + 1
 
-    def _center_dims(self, centers, dist, ball, complete):
-        """dims[n] for n < complete: a y-word with one center (h, b) adds
-        ball[n - b]; the centers of any other one merge their shifted balls
-        h B_{n-b}, each element at its first level."""
-        by_level = [0] * complete  # one-center words, by level
-        new = [0] * complete       # elements of merged balls, by first level
-        mul = self.group.mul
-        for cs in centers.values():
-            if len(cs) == 1:
-                b = cs[0][1]
-                if b < complete:
-                    by_level[b] += 1
-                continue
-            first = {}
-            for h, b in cs:
-                for k, d in dist.items():
-                    if b + d < complete:
-                        x = mul(k, h)
-                        if first.get(x, complete) > b + d:
-                            first[x] = b + d
-            for level in first.values():
-                new[level] += 1
-        dims = []
-        merged = 0
-        for n in range(complete):
-            merged += new[n]
-            dims.append(merged + sum(by_level[b] * ball[n - b] for b in range(n + 1)))
-        return dims
+    def _center_counts(self, levels, dist, spheres, n_max):
+        """Yield dims[n] for n <= n_max, stopping at the level that
+        `levels` gives as None.
+
+        The first center (h, b) of a y-word v adds its shifted ball
+        B_{n-b} h v, ball[n - b] words; over all y-words that is the
+        convolution of their first levels with the sphere sizes, summed on
+        whichever side has fewer nonzero terms up to n.  A later center
+        (h', b') of v adds the words of B_{n-b'} h' v outside that ball,
+        each found on its sphere and counted once; the first ball takes
+        such a word x back at level b + dist(x h^-1).  Once T has ended
+        and every shifted ball has stopped growing, the count stays.
+        """
+        group = self.group
+        last = len(spheres) - 1
+        ball = list(itertools.accumulate(len(sphere) for sphere in spheres))
+        outside = {}   # v: the words of v counted outside its first ball
+        later = []     # (b', h', h, b, outside[v]) for the later centers
+        by_level = []  # y-words by the level of their first center
+        upto = []      # upto[m]: y-words first reached at levels <= m
+        nonzero = []   # the levels m <= n with by_level[m] > 0
+        taken_back = {}
+        extra = 0
+        lo = 0
+        top = 0        # the last level with a center
+        levels = iter(levels)
+        for n in range(n_max + 1):
+            kept = next(levels, (0, []))
+            if kept is None:
+                return
+            new, kept_later = kept
+            if new or kept_later:
+                top = n
+            by_level.append(new)
+            for h2, v, h, b in kept_later:
+                later.append((n, h2, h, b, outside.setdefault(v, set())))
+            if new:
+                nonzero.append(n)
+            upto.append(new + (upto[-1] if n else 0))
+            if len(nonzero) <= min(n, last):
+                count = sum(by_level[b] * ball[min(n - b, last)] for b in nonzero)
+            else:
+                count = sum(len(spheres[j]) * upto[n - j] for j in range(min(n, last) + 1))
+            # the later centers whose sphere n - b' is nonempty
+            while lo < len(later) and later[lo][0] < n - last:
+                lo += 1
+            for b2, h2, h, b, counted in itertools.islice(later, lo, None):
+                h_inv = group.inv(h)
+                for k in spheres[n - b2]:
+                    x = group.mul(k, h2)
+                    if x in counted:
+                        continue
+                    d = dist.get(group.mul(x, h_inv))
+                    if d is not None and d <= n - b:
+                        continue
+                    counted.add(x)
+                    extra += 1
+                    if d is not None:
+                        taken_back[b + d] = taken_back.get(b + d, 0) + 1
+            extra -= taken_back.pop(n, 0)
+            yield count + extra
+            if top < n and n >= top + last:
+                yield from itertools.repeat(count + extra, n_max - n)
+                return
 
     def _closure_dims(self, letters, n_max, max_words=None):
         """filtration_dims by breadth-first closure, F_n = V F_{n-1}: level

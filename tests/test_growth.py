@@ -250,21 +250,70 @@ def _rank2_truncation():
                        [(g2, (dom.one(), dom.q(0)))])
 
 
+def _cyclic_g3_truncation():
+    # the g3 truncation over Z/12, where g1^6 is also 6 letters from 1
+    dom, c12 = ScalarDomain(2), GroupData(0, (12,))
+    g1 = c12.generator(0)
+    return _truncation(dom, c12, c12.power(g1, 3), (dom.rational(-1),), 2)
+
+
 @pytest.mark.parametrize("build, n_max", [
     (lambda: _g3_truncation(1), 8), (lambda: _g3_truncation(2), 6),
-    (_rank2_truncation, 5)], ids=["g3-v=1", "g3-v=2", "rank2-g1^2"])
+    (_rank2_truncation, 5), (_cyclic_g3_truncation, 10)],
+    ids=["g3-v=1", "g3-v=2", "rank2-g1^2", "cyclic-g3"])
 def test_factored_dims_merge_several_centers(build, n_max):
     # y1^power reaches g1^6 v at level power < 6 = dist(g1^6): that center
     # and 1 v both count, and their shifted balls overlap
     p = build()
     assert p.tau_free and p.check_confluence().confluent
     letters = p.default_generating_letters()
-    dist, _ = p._letter_ball([val for kind, val in letters if kind == "g"], n_max)
-    centers, _ = p._y_closure(range(p.ny), n_max, dist, None)
-    assert any(len(cs) > 1 for cs in centers.values())
+    dist, _, _ = p._letter_ball([val for kind, val in letters if kind == "g"], n_max)
+    assert any(later for _, later in p._y_levels(range(p.ny), n_max, dist, None))
     dims = p.filtration_dims(letters, n_max)
     assert dims == p._closure_dims(letters, n_max)
     assert dims == _span_rank_dims(p, n_max)
+
+
+@pytest.mark.parametrize("build, n_max, max_words", [
+    (lambda: taft_presentation(3), 10 ** 5, 8),
+    (lambda: taft_presentation(3, free=True), 10 ** 5, 300),
+    (lambda: qplane_presentation(1), 10 ** 5, 500),
+    (lambda: qplane_presentation(3), 10 ** 5, 2000),
+    (lambda: _g3_truncation(1), 10 ** 5, 500),
+    (_rank2_truncation, 300, 2000)],
+    ids=["taft-3", "taft-free", "qplane-1", "qplane-3", "g3-v=1", "rank2-g1^2"])
+def test_word_ceiling_stops_a_long_horizon(build, n_max, max_words):
+    # with n_max far past the level where the closure raises, the ball over
+    # the group letters and the count stop by that level too (the rank-2
+    # horizon stays small: a ball that ignored the ceiling would hold
+    # about 2 n_max^2 elements)
+    p = build()
+    partial = _ceiling_partial(p._closure_dims, p, n_max, max_words)
+    assert _ceiling_partial(p.filtration_dims, p, n_max, max_words) == partial
+    group_letters = [val for kind, val in p.default_generating_letters() if kind == "g"]
+    dist, _, horizon = p._letter_ball(group_letters, n_max, max_words)
+    assert len(dist) <= (1 + len(group_letters)) * max_words
+    assert horizon < n_max or len(dist) <= max_words
+
+
+def test_word_ceiling_on_y_letters_alone():
+    # with no group letter T is the whole closure, so its own ceiling stops it
+    p = skew_free_presentation(v=2)
+    letters = [("y", 0), ("y", 1)]
+    for dims_fn in (p.filtration_dims, p._closure_dims):
+        with pytest.raises(ResourceCeilingError) as exc:
+            dims_fn(letters, 12, max_words=50)
+        assert exc.value.partial == [1, 3, 7, 15, 31]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: taft_presentation(3), lambda: exterior_presentation(2), _cyclic_g3_truncation],
+    ids=["taft-3", "exterior-2", "cyclic-g3"])
+def test_factored_dims_long_horizon_finite(build):
+    # a finite closure: the count stays once T and every ball have ended
+    p = build()
+    letters = p.default_generating_letters()
+    assert p.filtration_dims(letters, 10 ** 5) == p._closure_dims(letters, 10 ** 5)
 
 
 def test_fit_growth_short_window():
