@@ -130,8 +130,10 @@ def dp_word_counts(p, n_max):
     """Irreducible-word counts by the forbidden-subword automaton, convolved
     with group ball sizes: an independent oracle for filtration_dims.
 
-    Valid for multigraded presentations, where rewriting can only shorten
-    a word's group part plus y-degree.
+    Valid for length-filtered presentations: every right-hand side term
+    c g u of a rule has |g| + |u| <= |lhs|, |g| the word length over the
+    group generators.  Multigraded presentations are among them, and so is
+    the truncation y1^p = beta (g1^p - 1).
     """
     states, lhss = _prefix_states(p.rules)
     index = {s: k for k, s in enumerate(states)}

@@ -686,6 +686,19 @@ class Presentation:
         commute with the group and the breadth-first closure
         _closure_dims runs instead.
 
+        The presentation is length-filtered for the letters when they hold
+        every y-generator and every right-hand side term c g u of a rule
+        has dist(g) + |u| <= |lhs|, dist the word length over the group
+        letters.  By induction over the kernel fold every term h3 v3 of
+        NF(y_i w) then has dist(h3) <= |w| + 1 - |v3|, and dist is
+        subadditive, so every center h v reached at level b has
+        dist(h) <= b - |v|.  Each normal y-word v is reached at level |v|
+        with center 1, its suffixes being normal, and that center dominates
+        every later one.  So T_b is the normal y-words of length <= b, one
+        center each, and dims[n] = sum_t Y(t) ball[n - t], Y(t) the words
+        of length t avoiding every left-hand side: _word_levels counts
+        them without enumerating T.
+
         Raises ResourceCeilingError at the first level whose count passes
         max_words, attaching the sequence of the levels before it.  The
         ball, T and the count all run level by level and stop by that
@@ -696,8 +709,11 @@ class Presentation:
             return self._closure_dims(letters, n_max, max_words)
         dist, spheres, horizon = self._letter_ball(
             [val for kind, val in letters if kind == "g"], n_max, max_words)
-        levels = self._y_levels(
-            [val for kind, val in letters if kind != "g"], horizon, dist, max_words)
+        ys = [val for kind, val in letters if kind != "g"]
+        if self._length_filtered(ys, dist):
+            levels = self._word_levels(set(ys))
+        else:
+            levels = self._y_levels(ys, horizon, dist, max_words)
         counts = self._center_counts(levels, dist, spheres, horizon)
         dims = [next(counts)]
         for count in counts:
@@ -735,8 +751,33 @@ class Presentation:
                 return dist, spheres, r
         return dist, spheres, n_max
 
+    def _length_filtered(self, ys, dist):
+        """Whether ys holds every y-generator and every rule term c g u has
+        dist(g) + |u| <= |lhs|, an element outside dist failing."""
+        return len(set(ys)) == self.ny and all(
+            g in dist and dist[g] + len(u) <= len(rule.lhs)
+            for rule in self.rules for g, u in rule.rhs.terms)
+
+    def _word_levels(self, ys):
+        """Yield (Y(b), []) for b = 0, 1, ... before the first b with
+        Y(b) = 0, Y(b) the normal words of length b in the distinct letters
+        ys: a transfer count over the first K - 1 letters of a word, K the
+        longest left-hand side, which decide the rule test of y_i w."""
+        k = max((len(rule.lhs) for rule in self.rules), default=1) - 1
+        states = {(): 1}
+        while states:
+            yield sum(states.values()), []
+            new = {}
+            for s, m in states.items():
+                for i in ys:
+                    if self._front_rule(i, s) is None:
+                        s2 = ((i,) + s)[:k]
+                        new[s2] = new.get(s2, 0) + m
+            states = new
+
     def _y_levels(self, ys, n_max, dist, max_words):
-        """The closure T of 1 under the y-letters alone (tau-free), by level.
+        """The closure T of 1 under the y-letters alone, by level, for a
+        tau-free presentation that is not length-filtered.
 
         Yields, for b = 0, 1, ..., the centers h v kept at level b, up to
         level n_max or the first level that keeps none: the number of

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -94,10 +95,14 @@ def test_word_ceiling_truncates():
 
 
 def test_dp_oracle_matches_enumeration():
+    # the oracle holds on length-filtered presentations: the multigraded
+    # ones, and the truncation y1^3 = g1^3 - 1, which is not multigraded
+    truncated = skew_trunc_presentation(3, beta=1, v=2)
+    assert not truncated.is_multigraded
     for p in [qplane_presentation(2), taft_presentation(3),
               exterior_presentation(2), skew_free_presentation(v=2),
-              skew_trunc_presentation(3, beta=0, v=2)]:
-        assert p.is_multigraded
+              skew_trunc_presentation(3, beta=0, v=2), truncated]:
+        assert p.is_multigraded or p is truncated
         dims = p.filtration_dims(p.default_generating_letters(), 8)
         assert dp_word_counts(p, 8) == dims
 
@@ -195,16 +200,36 @@ TAU_FREE_SETTINGS = [
 ]
 
 
+def _word_levels_match_y_levels(p, n_max):
+    """On a length-filtered presentation, check that the count of normal
+    y-words by length equals the new words of T level by level, with no
+    later center; return whether the presentation is length-filtered."""
+    letters = p.default_generating_letters()
+    ys = [val for kind, val in letters if kind == "y"]
+    dist, _, _ = p._letter_ball([val for kind, val in letters if kind == "g"], n_max)
+    if not p._length_filtered(ys, dist):
+        return False
+    levels = list(p._y_levels(ys, n_max, dist, None))
+    assert all(not later for _, later in levels), p
+    new = [count for count, _ in levels]
+    if new[-1] == 0:
+        new.pop()  # T's closing empty level
+    counted = itertools.islice(p._word_levels(set(ys)), n_max + 1)
+    assert [count for count, _ in counted] == new, p
+    return True
+
+
 def _assert_factored_matches_closure(p, n_max):
     assert p.tau_free
     letters = p.default_generating_letters()
     assert p.filtration_dims(letters, n_max) == p._closure_dims(letters, n_max), p
+    return _word_levels_match_y_levels(p, n_max)
 
 
 def test_factored_dims_match_closure_builtins():
     for name, params, n_max in TAU_FREE_SETTINGS:
         p, _ = build_example(name, params)
-        _assert_factored_matches_closure(p, n_max)
+        assert _assert_factored_matches_closure(p, n_max), (name, params)
 
 
 def _tau_free_confluent(rng):
@@ -215,14 +240,26 @@ def _tau_free_confluent(rng):
 
 
 def test_factored_dims_match_closure_random():
+    # every presentation random_presentation draws is length-filtered
     rng = random.Random(606)
     for _ in range(200):
-        _assert_factored_matches_closure(_tau_free_confluent(rng), 6)
+        assert _assert_factored_matches_closure(_tau_free_confluent(rng), 6)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n_max=st.integers(0, 6))
 def test_factored_dims_match_closure_property(seed, n_max):
+    # below n_max = p1 the ball misses the rule term g1^p1: T by _y_levels
     _assert_factored_matches_closure(_tau_free_confluent(random.Random(seed)), n_max)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: skew_free_presentation(v=2), lambda: qplane_presentation(2),
+    lambda: skew_trunc_presentation(3, v=2)], ids=["skew_free", "qplane-2", "skew_trunc"])
+def test_factored_dims_repeated_y_letter(build):
+    # a y-letter listed twice reaches the same words, so counts them once
+    p = build()
+    letters = p.default_generating_letters() + [("y", 0)]
+    assert p.filtration_dims(letters, 6) == p._closure_dims(letters, 6)
 
 
 def _truncation(dom, group, mu, character, power, extra=()):
@@ -255,6 +292,41 @@ def _cyclic_g3_truncation():
     dom, c12 = ScalarDomain(2), GroupData(0, (12,))
     g1 = c12.generator(0)
     return _truncation(dom, c12, c12.power(g1, 3), (dom.rational(-1),), 2)
+
+
+def _random_truncation(rng):
+    """y1 of weight g1^k, k >= 2, with y1^p = g1^(kp) - 1 over Z, Z^2 or
+    Z/pj, plus at most one free generator.  Over Z and Z^2 the rule term
+    g1^(kp) lies kp > p letters from 1; over Z/pj it may lie closer."""
+    power = rng.choice([2, 3])
+    k = rng.choice([k for k in (2, 3, 4, 5) if k % power])
+    dom = ScalarDomain(power, ("q1",))
+    group = rng.choice([GroupData(1), GroupData(2),
+                        GroupData(0, (power * rng.randint(1, 6),))])
+    g1 = group.generator(0)
+    # lambda_1 takes p-th roots of unity, primitive on the weight g1^k
+    character = (dom.zeta(rng.randrange(1, power)),)
+    character += tuple(dom.zeta(rng.randrange(power)) for _ in range(1, group.ngens))
+    extra = []
+    if rng.random() < 0.5:
+        weight = group.generator(rng.randrange(group.ngens))
+        extra.append((weight, tuple(dom.q(0) if j < group.free_rank else dom.zeta()
+                                    for j in range(group.ngens))))
+    return _truncation(dom, group, group.power(g1, k), character, power, extra)
+
+
+def test_factored_dims_random_truncations():
+    # both sides of the choice: T by _y_levels where a rule term lies too
+    # far from 1, the count of normal y-words where the group wraps round
+    rng = random.Random(909)
+    sides = set()
+    for _ in range(24):
+        p = _random_truncation(rng)
+        assert p.check_confluence().confluent
+        sides.add(_assert_factored_matches_closure(p, 5))
+        letters = p.default_generating_letters()
+        assert p.filtration_dims(letters, 5) == _span_rank_dims(p, 5), p
+    assert sides == {True, False}
 
 
 @pytest.mark.parametrize("build, n_max", [
