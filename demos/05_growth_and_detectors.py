@@ -39,7 +39,7 @@ for label, p, nmax in [
     if growth.estimate["kind"] == "polynomial":
         print("  bounds", bounds, "all below measured degree",
               growth.estimate["degree"])
-    # the factored count (group ball times y-closure) agrees with the
+    # the count (normal y-words convolved with the group ball) agrees with the
     # independent counting oracle
     if p.is_multigraded:
         assert dp_word_counts(p, 8) == growth.dims[:9]

@@ -69,7 +69,10 @@ def parse_scalar_expr(domain, text):
 
 def _scalar_factor(domain, tok):
     if _RATIONAL.match(tok):
-        return domain.rational(Fraction(tok))
+        try:
+            return domain.rational(Fraction(tok))
+        except ZeroDivisionError:
+            return None
     m = _POWERED.match(tok)
     if not m:
         return None
@@ -177,7 +180,7 @@ def parse_presentation_data(data, name=None):
         domain = ScalarDomain(scal.get("cyclotomic_order", 1),
                               tuple(scal.get("transcendentals", ())))
         group = GroupData(grp.get("free_rank", 0), tuple(grp.get("torsion", ())))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise PresentationError("bad scalars or group: %s" % exc)
     gens = []
     for k, gdata in enumerate(_typed(data.get("generators", []), list,
@@ -191,9 +194,12 @@ def parse_presentation_data(data, name=None):
         if "tau" in gdata:
             tau = [_parse_scalar_entry(domain, c, where)
                    for c in _typed(gdata["tau"], list, where + ".tau")]
+        name = _typed(gdata["name"], str, where + ".name")
         weight = _typed(gdata["weight"], list, where + ".weight")
-        gens.append(SkewGenerator(gdata["name"], tuple(weight),
-                                  tuple(character), tau))
+        if len(weight) != group.ngens or any(type(x) is not int for x in weight):
+            raise PresentationError("%s.weight needs %d integer exponents"
+                                    % (where, group.ngens))
+        gens.append(SkewGenerator(name, tuple(weight), tuple(character), tau))
     pre = Presentation(domain, group, gens, (), name=name)
     rules = []
     for k, rdata in enumerate(_typed(data.get("relations", []), list,

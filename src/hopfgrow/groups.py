@@ -17,8 +17,8 @@ class GroupData:
     """Z^free_rank x prod Z/m_j with componentwise addition."""
 
     def __init__(self, free_rank=0, torsion=()):
-        if free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
+        if type(free_rank) is not int or free_rank < 0:
+            raise ValueError("free rank must be a nonnegative integer")
         torsion = tuple(int(m) for m in torsion)
         if any(m < 2 for m in torsion):
             raise ValueError("torsion orders must be >= 2")

@@ -670,63 +670,58 @@ class Presentation:
         of a spanning set of normal words, so an upper bound on dim F_n,
         equal to it when no combination of reached words cancels.
 
-        When every tau_i vanishes, a y-step commutes with left
-        multiplication by the group: the support of y_i (k h w) is
-        k h supp NF(y_i w), with no coefficient vanishing since lambda_i is
-        invertible, and a group letter only relabels the group part.  So
-        the words reached by at most n letters are
+        The presentation is length-filtered for the letters when it is
+        tau-free, the letters hold every y-generator and every rule term
+        c g u has dist(g) + |u| <= |lhs|, dist the word length over the
+        group letters.  Without tau a y-step commutes with the group, and
+        by induction over the kernel fold every word h v reached by b
+        y-letters has dist(h) <= b - |v|, while each normal y-word v is
+        reached by |v| of them with group part 1.  So dims[n] is
+        sum_t Y(t) ball[n - t], Y(t) the normal y-words of length t from
+        _word_levels, summed on the side with fewer nonzero terms up to n.
 
-            R_n = union over b <= n of B_{n-b} T_b,
-
-        with B_r the products of at most r group letters and T_b the words
-        reached from 1 by at most b y-letters.  Each normal y-word v has
-        centers h' v, first reached in T at level b; the words h v in R_n
-        are the union of the shifted balls B_{n-b} h'.  A tau term
-        tau_i(h) h (mu_i - 1) w depends on h, so with tau the y-steps do not
-        commute with the group and the breadth-first closure
-        _closure_dims runs instead.
-
-        The presentation is length-filtered for the letters when they hold
-        every y-generator and every right-hand side term c g u of a rule
-        has dist(g) + |u| <= |lhs|, dist the word length over the group
-        letters.  By induction over the kernel fold every term h3 v3 of
-        NF(y_i w) then has dist(h3) <= |w| + 1 - |v3|, and dist is
-        subadditive, so every center h v reached at level b has
-        dist(h) <= b - |v|.  Each normal y-word v is reached at level |v|
-        with center 1, its suffixes being normal, and that center dominates
-        every later one.  So T_b is the normal y-words of length <= b, one
-        center each, and dims[n] = sum_t Y(t) ball[n - t], Y(t) the words
-        of length t avoiding every left-hand side: _word_levels counts
-        them without enumerating T.
+        Everything else takes the breadth-first closure _closure_dims: a
+        tau term tau_i(h) h (mu_i - 1) w depends on h, and a rule term
+        with dist(g) + |u| > |lhs| reaches a y-word at a group part outside
+        the ball around its first one.  The ball runs only to n_max, so with
+        n_max < |lhs| the choice falls to the closure too.
 
         Raises ResourceCeilingError at the first level whose count passes
-        max_words, attaching the sequence of the levels before it.  The
-        ball, T and the count all run level by level and stop by that
-        level, so the ceiling bounds their work as it bounds the closure.
+        max_words, attaching the sequence of the levels before it.  A ball
+        cut at its horizon holds more than max_words words, so the count
+        raises by that level, before it reads the ball past the cut.
         """
         self.require_confluent()
         if not self.tau_free:
             return self._closure_dims(letters, n_max, max_words)
-        dist, spheres, horizon = self._letter_ball(
-            [val for kind, val in letters if kind == "g"], n_max, max_words)
         ys = [val for kind, val in letters if kind != "g"]
-        if self._length_filtered(ys, dist):
-            levels = self._word_levels(set(ys))
-        else:
-            levels = self._y_levels(ys, horizon, dist, max_words)
-        counts = self._center_counts(levels, dist, spheres, horizon)
-        dims = [next(counts)]
-        for count in counts:
-            # the first level that adds a word past the ceiling
-            if count > dims[-1] and max_words is not None and count > max_words:
-                break
+        dist, spheres, _ = self._letter_ball(
+            [val for kind, val in letters if kind == "g"], n_max, max_words)
+        if not self._length_filtered(ys, dist):
+            return self._closure_dims(letters, n_max, max_words)
+        last = len(spheres) - 1
+        ball = list(itertools.accumulate(len(sphere) for sphere in spheres))
+        by_level, upto, nonzero = [], [], []  # Y(t), its partial sums, t with Y(t) > 0
+        levels = self._word_levels(set(ys))
+        dims = []
+        for n in range(n_max + 1):
+            new = next(levels, 0)
+            by_level.append(new)
+            upto.append(new + (upto[-1] if n else 0))
+            if new:
+                nonzero.append(n)
+            if len(nonzero) <= min(n, last):
+                count = sum(by_level[t] * ball[min(n - t, last)] for t in nonzero)
+            else:
+                count = sum(len(spheres[j]) * upto[n - j] for j in range(min(n, last) + 1))
+            if dims and count > dims[-1] and max_words is not None and count > max_words:
+                raise ResourceCeilingError(
+                    "enumeration exceeded %d words" % max_words, partial=dims)
             dims.append(count)
-        else:
-            if len(dims) > n_max:
-                return dims
-            # T stopped during the next level, where the count passes the ceiling
-        raise ResourceCeilingError(
-            "enumeration exceeded %d words" % max_words, partial=dims)
+            if nonzero[-1] < n and n >= nonzero[-1] + last:
+                # Y has ended and every ball B_{n-t} is full: the count stays
+                return dims + [count] * (n_max - n)
+        return dims
 
     def _letter_ball(self, group_letters, n_max, max_words=None):
         """Word lengths over the group letters, as {k: dist}, the spheres
@@ -759,14 +754,14 @@ class Presentation:
             for rule in self.rules for g, u in rule.rhs.terms)
 
     def _word_levels(self, ys):
-        """Yield (Y(b), []) for b = 0, 1, ... before the first b with
-        Y(b) = 0, Y(b) the normal words of length b in the distinct letters
-        ys: a transfer count over the first K - 1 letters of a word, K the
+        """Yield Y(b) for b = 0, 1, ... before the first b with Y(b) = 0,
+        Y(b) the normal words of length b in the distinct letters ys: a
+        transfer count over the first K - 1 letters of a word, K the
         longest left-hand side, which decide the rule test of y_i w."""
         k = max((len(rule.lhs) for rule in self.rules), default=1) - 1
         states = {(): 1}
         while states:
-            yield sum(states.values()), []
+            yield sum(states.values())
             new = {}
             for s, m in states.items():
                 for i in ys:
@@ -775,129 +770,11 @@ class Presentation:
                         new[s2] = new.get(s2, 0) + m
             states = new
 
-    def _y_levels(self, ys, n_max, dist, max_words):
-        """The closure T of 1 under the y-letters alone, by level, for a
-        tau-free presentation that is not length-filtered.
-
-        Yields, for b = 0, 1, ..., the centers h v kept at level b, up to
-        level n_max or the first level that keeps none: the number of
-        y-words v first reached at b, and the later centers, of y-words
-        reached before or earlier in the level, as (h, v, first center of
-        v, its level).  A center (h, b) is dropped when a kept one (c, b') of the same v
-        dominates it, dist(h c^-1) <= b - b':
-        then B_{n-b} h lies in B_{n-b'} c for every n, and so do the shifted
-        balls of everything reached from h v.  A kept center is thus a word
-        new at its level.  In place of the first level at which more than
-        max_words centers are kept, the closure yields None and stops.
-        """
-        group = self.group
-        e = group.identity()
-
-        def dominated(h, b, found):
-            # an element outside dist is longer than any level difference
-            return any(dist.get(group.mul(h, group.inv(c)), n_max + 1) <= b - bc
-                       for c, bc in found)
-
-        centers = {(): [(e, 0)]}
-        frontier = [(e, ())]
-        size = 1
-        yield 1, []
-        for b in range(1, n_max + 1):
-            new_frontier = []
-            new, later = 0, []
-            for h, w in frontier:
-                for i in ys:
-                    for h3, v in self._letter_times(i, w):
-                        h2 = group.mul(h, h3) if any(h3) else h
-                        found = centers.get(v)
-                        if found is None:
-                            centers[v] = [(h2, b)]
-                            new += 1
-                        elif dominated(h2, b, found):
-                            continue
-                        else:
-                            later.append((h2, v) + found[0])
-                            found.append((h2, b))
-                        new_frontier.append((h2, v))
-                        size += 1
-                        if max_words is not None and size > max_words:
-                            yield None
-                            return
-            yield new, later
-            if not new_frontier:
-                return
-            frontier = new_frontier
-
-    def _center_counts(self, levels, dist, spheres, n_max):
-        """Yield dims[n] for n <= n_max, stopping at the level that
-        `levels` gives as None.
-
-        The first center (h, b) of a y-word v adds its shifted ball
-        B_{n-b} h v, ball[n - b] words; over all y-words that is the
-        convolution of their first levels with the sphere sizes, summed on
-        whichever side has fewer nonzero terms up to n.  A later center
-        (h', b') of v adds the words of B_{n-b'} h' v outside that ball,
-        each found on its sphere and counted once; the first ball takes
-        such a word x back at level b + dist(x h^-1).  Once T has ended
-        and every shifted ball has stopped growing, the count stays.
-        """
-        group = self.group
-        last = len(spheres) - 1
-        ball = list(itertools.accumulate(len(sphere) for sphere in spheres))
-        outside = {}   # v: the words of v counted outside its first ball
-        later = []     # (b', h', h, b, outside[v]) for the later centers
-        by_level = []  # y-words by the level of their first center
-        upto = []      # upto[m]: y-words first reached at levels <= m
-        nonzero = []   # the levels m <= n with by_level[m] > 0
-        taken_back = {}
-        extra = 0
-        lo = 0
-        top = 0        # the last level with a center
-        levels = iter(levels)
-        for n in range(n_max + 1):
-            kept = next(levels, (0, []))
-            if kept is None:
-                return
-            new, kept_later = kept
-            if new or kept_later:
-                top = n
-            by_level.append(new)
-            for h2, v, h, b in kept_later:
-                later.append((n, h2, h, b, outside.setdefault(v, set())))
-            if new:
-                nonzero.append(n)
-            upto.append(new + (upto[-1] if n else 0))
-            if len(nonzero) <= min(n, last):
-                count = sum(by_level[b] * ball[min(n - b, last)] for b in nonzero)
-            else:
-                count = sum(len(spheres[j]) * upto[n - j] for j in range(min(n, last) + 1))
-            # the later centers whose sphere n - b' is nonempty
-            while lo < len(later) and later[lo][0] < n - last:
-                lo += 1
-            for b2, h2, h, b, counted in itertools.islice(later, lo, None):
-                h_inv = group.inv(h)
-                for k in spheres[n - b2]:
-                    x = group.mul(k, h2)
-                    if x in counted:
-                        continue
-                    d = dist.get(group.mul(x, h_inv))
-                    if d is not None and d <= n - b:
-                        continue
-                    counted.add(x)
-                    extra += 1
-                    if d is not None:
-                        taken_back[b + d] = taken_back.get(b + d, 0) + 1
-            extra -= taken_back.pop(n, 0)
-            yield count + extra
-            if top < n and n >= top + last:
-                yield from itertools.repeat(count + extra, n_max - n)
-                return
-
     def _closure_dims(self, letters, n_max, max_words=None):
         """filtration_dims by breadth-first closure, F_n = V F_{n-1}: level
         n adds the support of letter * w for each word w first reached at
-        level n - 1.  The only path with tau, and the test oracle of the
-        factored count without."""
+        level n - 1.  The path of every presentation that is not
+        length-filtered, and the test oracle of the count."""
         seen = {(self.group.identity(), ())}
         frontier = list(seen)
         dims = [1]

@@ -130,3 +130,56 @@ def confluent_random_presentation(rng):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def truncation(dom, group, mu, character, power, extra=()):
+    """y1 of weight mu with y1^power = mu^power - 1, plus free generators."""
+    gens = [SkewGenerator("y1", mu, character)]
+    gens += [SkewGenerator("y%d" % (i + 2), w, c) for i, (w, c) in enumerate(extra)]
+    rhs = {(group.power(mu, power), ()): dom.one(),
+           (group.identity(), ()): dom.rational(-1)}
+    return Presentation(dom, group, gens, [((0,) * power, rhs)], name="truncation")
+
+
+def g3_truncation(v):
+    # lambda_1(g1^3) = -1, so y1^2 is skew primitive of weight g1^6
+    dom, z = ScalarDomain(2, ("q1",)), GroupData(1)
+    g1 = z.generator(0)
+    extra = [(g1, (dom.q(0),))] if v == 2 else []
+    return truncation(dom, z, z.power(g1, 3), (dom.rational(-1),), 2, extra)
+
+
+def rank2_truncation():
+    # weight g1^2 with lambda_1(g1) = zeta_3, so y1^3 = g1^6 - 1
+    dom, z2 = ScalarDomain(3, ("q1",)), GroupData(2)
+    g1, g2 = z2.generators()
+    return truncation(dom, z2, z2.power(g1, 2), (dom.zeta(), dom.one()), 3,
+                      [(g2, (dom.one(), dom.q(0)))])
+
+
+def cyclic_g3_truncation():
+    # the g3 truncation over Z/12, where g1^6 is also 6 letters from 1
+    dom, c12 = ScalarDomain(2), GroupData(0, (12,))
+    g1 = c12.generator(0)
+    return truncation(dom, c12, c12.power(g1, 3), (dom.rational(-1),), 2)
+
+
+def random_truncation(rng):
+    """y1 of weight g1^k, k >= 2, with y1^p = g1^(kp) - 1 over Z, Z^2 or
+    Z/pj, plus at most one free generator.  Over Z and Z^2 the rule term
+    g1^(kp) lies kp > p letters from 1; over Z/pj it may lie closer."""
+    power = rng.choice([2, 3])
+    k = rng.choice([k for k in (2, 3, 4, 5) if k % power])
+    dom = ScalarDomain(power, ("q1",))
+    group = rng.choice([GroupData(1), GroupData(2),
+                        GroupData(0, (power * rng.randint(1, 6),))])
+    g1 = group.generator(0)
+    # lambda_1 takes p-th roots of unity, primitive on the weight g1^k
+    character = (dom.zeta(rng.randrange(1, power)),)
+    character += tuple(dom.zeta(rng.randrange(power)) for _ in range(1, group.ngens))
+    extra = []
+    if rng.random() < 0.5:
+        weight = group.generator(rng.randrange(group.ngens))
+        extra.append((weight, tuple(dom.q(0) if j < group.free_rank else dom.zeta()
+                                    for j in range(group.ngens))))
+    return truncation(dom, group, group.power(g1, k), character, power, extra)

@@ -3,7 +3,9 @@ import json
 import jsonschema
 import pytest
 
+from hopfgrow.catalog import taft_presentation
 from hopfgrow.cli import main
+from hopfgrow.fileformat import presentation_to_jsonable
 
 with open("src/hopfgrow/schemas/report.schema.json") as fh:
     SCHEMA = json.load(fh)
@@ -278,4 +280,19 @@ def test_parse_error_exit(capsys, tmp_path):
     code, out, err = run(capsys, "invariants", str(path))
     assert code == 1
     assert "line" in err
+    # one malformed taft-3 document per kind of error the parser once let
+    # escape as a traceback
+    taft = presentation_to_jsonable(taft_presentation(3))
+    gen = taft["generators"][0]
+    for change in [
+            {"generators": [dict(gen, weight=[1, 0])]},
+            {"generators": [dict(gen, weight=[1.5])]},
+            {"generators": [dict(gen, name={})]},
+            {"relations": [{"lhs": "y y y", "rhs": "1/0"}]},
+            {"scalars": {"cyclotomic_order": 10 ** 30}},
+            {"group": {"free_rank": 1.5}, "generators": [], "relations": []}]:
+        path.write_text(json.dumps(dict(taft, **change)))
+        code, out, err = run(capsys, "invariants", str(path))
+        assert (code, out, err.count("\n")) == (1, "", 1), (change, err)
+        assert err.startswith("presentation error: ")
 

@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,9 @@ from hopfgrow.fileformat import (load_presentation, parse_element_expr,
 from hopfgrow.scalars import ScalarDomain
 from hopfgrow.serialize import (element_to_str, scalar_from_jsonable,
                                 scalar_to_expr, scalar_to_jsonable)
+
+from conftest import (cyclic_g3_truncation, g3_truncation, random_presentation,
+                      random_truncation, rank2_truncation)
 
 BUILTINS = [
     skew_free_presentation(v=2),
@@ -42,12 +47,81 @@ def equivalent(p1, p2):
     return True
 
 
-@pytest.mark.parametrize("p", BUILTINS, ids=lambda p: p.name)
+def _document(p):
+    return json.loads(json.dumps(presentation_to_jsonable(p)))  # plain JSON types
+
+
+# the truncations bring torsion groups, rank 2 and rule terms far from 1
+@pytest.mark.parametrize("p", BUILTINS + [
+    g3_truncation(1), g3_truncation(2), rank2_truncation(), cyclic_g3_truncation()],
+    ids=lambda p: p.name)
 def test_round_trip(p):
-    data = presentation_to_jsonable(p)
-    data = json.loads(json.dumps(data))  # force plain JSON types
-    again = parse_presentation_data(data, name=p.name)
-    assert equivalent(p, again)
+    assert equivalent(p, parse_presentation_data(_document(p), name=p.name))
+
+
+def test_round_trip_random():
+    # random draws bring tau, torsion characters and truncations
+    rng = random.Random(1111)
+    for p in [random_presentation(rng) for _ in range(200)] + [
+            random_truncation(rng) for _ in range(40)]:
+        assert equivalent(p, parse_presentation_data(_document(p))), p
+
+
+_MUTANT_VALUES = [
+    0, 1, -1, 2, 10 ** 30, -10 ** 30, 1.5, 3.0, True, None, "", "x", "3", "1/0",
+    "y1", "g1", "zeta^-3", "1 + ", [], {}, [1, 0], [0], [-1], ["a"], [None],
+    [1.5], [[1]], ["1/0"], [10 ** 30], {"root": [1, 3]}, {"root": None},
+    {"num": []}, {"num": [[[0], ["1/0"]]]}, {"x": 1}]
+_MUTANT_TOKENS = ["1/0", "*", "+", "-", "^", "1", "0", "g0", "g1^-1", "y1^0",
+                  "y1^-2", "y2", "zeta", "q1", "q2", "x^"]
+
+
+def _paths(tree, path=()):
+    yield path
+    items = tree.items() if isinstance(tree, dict) else (
+        enumerate(tree) if isinstance(tree, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _mutant(doc, rng):
+    """doc with one or two nodes replaced by a value from _MUTANT_VALUES,
+    deleted, wrapped in a list, given one more list item or, for a
+    string, one more token."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 2)):
+        path = rng.choice(list(_paths(doc))[1:])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        old, op = parent[key], rng.random()
+        if op < 0.5:
+            parent[key] = copy.deepcopy(rng.choice(_MUTANT_VALUES))
+        elif op < 0.65:
+            del parent[key]
+        elif op < 0.8 and isinstance(old, str):
+            tokens = old.split()
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice(_MUTANT_TOKENS))
+            parent[key] = " ".join(tokens)
+        elif isinstance(old, list) and old:
+            old.append(copy.deepcopy(rng.choice(old)))
+        else:
+            parent[key] = [old]
+    return doc
+
+
+def test_mutated_documents_parse_or_raise_presentation_error():
+    rng = random.Random(1212)
+    docs = [_document(p) for p in BUILTINS]
+    outcomes = set()
+    for _ in range(5000):
+        try:
+            parse_presentation_data(_mutant(rng.choice(docs), rng))
+            outcomes.add("parsed")
+        except PresentationError:
+            outcomes.add("rejected")
+    assert outcomes == {"parsed", "rejected"}
 
 
 def test_scalar_expr_parsing():

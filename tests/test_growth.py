@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -15,10 +14,11 @@ from hopfgrow.growth import (dp_word_counts, fit_growth, measure_growth,
                              pbw_dependence_scan)
 from hopfgrow.invariants import compute_invariants
 from hopfgrow.linalg import ScalarElimination
-from hopfgrow.presentation import Presentation, SkewGenerator
+from hopfgrow.presentation import Presentation
 from hopfgrow.scalars import ScalarDomain
 
-from conftest import random_presentation
+from conftest import (cyclic_g3_truncation, g3_truncation, random_presentation,
+                      random_truncation, rank2_truncation)
 
 
 def test_laurent_growth_degree_one():
@@ -200,30 +200,25 @@ TAU_FREE_SETTINGS = [
 ]
 
 
-def _word_levels_match_y_levels(p, n_max):
-    """On a length-filtered presentation, check that the count of normal
-    y-words by length equals the new words of T level by level, with no
-    later center; return whether the presentation is length-filtered."""
+def _length_filtered(p, n_max):
     letters = p.default_generating_letters()
-    ys = [val for kind, val in letters if kind == "y"]
     dist, _, _ = p._letter_ball([val for kind, val in letters if kind == "g"], n_max)
-    if not p._length_filtered(ys, dist):
-        return False
-    levels = list(p._y_levels(ys, n_max, dist, None))
-    assert all(not later for _, later in levels), p
-    new = [count for count, _ in levels]
-    if new[-1] == 0:
-        new.pop()  # T's closing empty level
-    counted = itertools.islice(p._word_levels(set(ys)), n_max + 1)
-    assert [count for count, _ in counted] == new, p
-    return True
+    return p._length_filtered([val for kind, val in letters if kind == "y"], dist)
 
 
 def _assert_factored_matches_closure(p, n_max):
+    """filtration_dims against the closure at every n <= n_max, which pins
+    Y(t) on the counted side since ball[0] = 1, and their partial sequences
+    under a ceiling halfway up; return which side ran."""
     assert p.tau_free
     letters = p.default_generating_letters()
-    assert p.filtration_dims(letters, n_max) == p._closure_dims(letters, n_max), p
-    return _word_levels_match_y_levels(p, n_max)
+    dims = p._closure_dims(letters, n_max)
+    assert p.filtration_dims(letters, n_max) == dims, p
+    if dims[-1] > 1:
+        max_words = (1 + dims[-1]) // 2
+        assert (_ceiling_partial(p.filtration_dims, p, n_max, max_words)
+                == _ceiling_partial(p._closure_dims, p, n_max, max_words)), p
+    return _length_filtered(p, n_max)
 
 
 def test_factored_dims_match_closure_builtins():
@@ -248,7 +243,7 @@ def test_factored_dims_match_closure_random():
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n_max=st.integers(0, 6))
 def test_factored_dims_match_closure_property(seed, n_max):
-    # below n_max = p1 the ball misses the rule term g1^p1: T by _y_levels
+    # below n_max = p1 the ball misses the rule term g1^p1: the closure runs
     _assert_factored_matches_closure(_tau_free_confluent(random.Random(seed)), n_max)
 
 
@@ -262,66 +257,13 @@ def test_factored_dims_repeated_y_letter(build):
     assert p.filtration_dims(letters, 6) == p._closure_dims(letters, 6)
 
 
-def _truncation(dom, group, mu, character, power, extra=()):
-    """y1 of weight mu with y1^power = mu^power - 1, plus free generators."""
-    gens = [SkewGenerator("y1", mu, character)]
-    gens += [SkewGenerator("y%d" % (i + 2), w, c) for i, (w, c) in enumerate(extra)]
-    rhs = {(group.power(mu, power), ()): dom.one(),
-           (group.identity(), ()): dom.rational(-1)}
-    return Presentation(dom, group, gens, [((0,) * power, rhs)], name="truncation")
-
-
-def _g3_truncation(v):
-    # lambda_1(g1^3) = -1, so y1^2 is skew primitive of weight g1^6
-    dom, z = ScalarDomain(2, ("q1",)), GroupData(1)
-    g1 = z.generator(0)
-    extra = [(g1, (dom.q(0),))] if v == 2 else []
-    return _truncation(dom, z, z.power(g1, 3), (dom.rational(-1),), 2, extra)
-
-
-def _rank2_truncation():
-    # weight g1^2 with lambda_1(g1) = zeta_3, so y1^3 = g1^6 - 1
-    dom, z2 = ScalarDomain(3, ("q1",)), GroupData(2)
-    g1, g2 = z2.generators()
-    return _truncation(dom, z2, z2.power(g1, 2), (dom.zeta(), dom.one()), 3,
-                       [(g2, (dom.one(), dom.q(0)))])
-
-
-def _cyclic_g3_truncation():
-    # the g3 truncation over Z/12, where g1^6 is also 6 letters from 1
-    dom, c12 = ScalarDomain(2), GroupData(0, (12,))
-    g1 = c12.generator(0)
-    return _truncation(dom, c12, c12.power(g1, 3), (dom.rational(-1),), 2)
-
-
-def _random_truncation(rng):
-    """y1 of weight g1^k, k >= 2, with y1^p = g1^(kp) - 1 over Z, Z^2 or
-    Z/pj, plus at most one free generator.  Over Z and Z^2 the rule term
-    g1^(kp) lies kp > p letters from 1; over Z/pj it may lie closer."""
-    power = rng.choice([2, 3])
-    k = rng.choice([k for k in (2, 3, 4, 5) if k % power])
-    dom = ScalarDomain(power, ("q1",))
-    group = rng.choice([GroupData(1), GroupData(2),
-                        GroupData(0, (power * rng.randint(1, 6),))])
-    g1 = group.generator(0)
-    # lambda_1 takes p-th roots of unity, primitive on the weight g1^k
-    character = (dom.zeta(rng.randrange(1, power)),)
-    character += tuple(dom.zeta(rng.randrange(power)) for _ in range(1, group.ngens))
-    extra = []
-    if rng.random() < 0.5:
-        weight = group.generator(rng.randrange(group.ngens))
-        extra.append((weight, tuple(dom.q(0) if j < group.free_rank else dom.zeta()
-                                    for j in range(group.ngens))))
-    return _truncation(dom, group, group.power(g1, k), character, power, extra)
-
-
 def test_factored_dims_random_truncations():
-    # both sides of the choice: T by _y_levels where a rule term lies too
-    # far from 1, the count of normal y-words where the group wraps round
+    # both sides of the choice: the closure where a rule term lies too far
+    # from 1, the count of normal y-words where the group wraps round
     rng = random.Random(909)
     sides = set()
     for _ in range(24):
-        p = _random_truncation(rng)
+        p = random_truncation(rng)
         assert p.check_confluence().confluent
         sides.add(_assert_factored_matches_closure(p, 5))
         letters = p.default_generating_letters()
@@ -330,17 +272,16 @@ def test_factored_dims_random_truncations():
 
 
 @pytest.mark.parametrize("build, n_max", [
-    (lambda: _g3_truncation(1), 8), (lambda: _g3_truncation(2), 6),
-    (_rank2_truncation, 5), (_cyclic_g3_truncation, 10)],
+    (lambda: g3_truncation(1), 8), (lambda: g3_truncation(2), 6),
+    (rank2_truncation, 5), (cyclic_g3_truncation, 10)],
     ids=["g3-v=1", "g3-v=2", "rank2-g1^2", "cyclic-g3"])
 def test_factored_dims_merge_several_centers(build, n_max):
     # y1^power reaches g1^6 v at level power < 6 = dist(g1^6): that center
     # and 1 v both count, and their shifted balls overlap
     p = build()
     assert p.tau_free and p.check_confluence().confluent
+    assert not _length_filtered(p, n_max)
     letters = p.default_generating_letters()
-    dist, _, _ = p._letter_ball([val for kind, val in letters if kind == "g"], n_max)
-    assert any(later for _, later in p._y_levels(range(p.ny), n_max, dist, None))
     dims = p.filtration_dims(letters, n_max)
     assert dims == p._closure_dims(letters, n_max)
     assert dims == _span_rank_dims(p, n_max)
@@ -351,8 +292,8 @@ def test_factored_dims_merge_several_centers(build, n_max):
     (lambda: taft_presentation(3, free=True), 10 ** 5, 300),
     (lambda: qplane_presentation(1), 10 ** 5, 500),
     (lambda: qplane_presentation(3), 10 ** 5, 2000),
-    (lambda: _g3_truncation(1), 10 ** 5, 500),
-    (_rank2_truncation, 300, 2000)],
+    (lambda: g3_truncation(1), 10 ** 5, 500),
+    (rank2_truncation, 300, 2000)],
     ids=["taft-3", "taft-free", "qplane-1", "qplane-3", "g3-v=1", "rank2-g1^2"])
 def test_word_ceiling_stops_a_long_horizon(build, n_max, max_words):
     # with n_max far past the level where the closure raises, the ball over
@@ -378,8 +319,16 @@ def test_word_ceiling_on_y_letters_alone():
         assert exc.value.partial == [1, 3, 7, 15, 31]
 
 
+def test_word_ceiling_zero_without_growth():
+    # over the trivial group with no y-generator nothing grows past the
+    # word 1, so not even a ceiling of 0 words raises
+    p = Presentation(ScalarDomain(1), GroupData(0), [], ())
+    for dims_fn in (p.filtration_dims, p._closure_dims):
+        assert dims_fn(p.default_generating_letters(), 4, max_words=0) == [1] * 5
+
+
 @pytest.mark.parametrize("build", [
-    lambda: taft_presentation(3), lambda: exterior_presentation(2), _cyclic_g3_truncation],
+    lambda: taft_presentation(3), lambda: exterior_presentation(2), cyclic_g3_truncation],
     ids=["taft-3", "exterior-2", "cyclic-g3"])
 def test_factored_dims_long_horizon_finite(build):
     # a finite closure: the count stays once T and every ball have ended
