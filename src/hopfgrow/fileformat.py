@@ -194,12 +194,12 @@ def parse_presentation_data(data, name=None):
         if "tau" in gdata:
             tau = [_parse_scalar_entry(domain, c, where)
                    for c in _typed(gdata["tau"], list, where + ".tau")]
-        name = _typed(gdata["name"], str, where + ".name")
+        gname = _typed(gdata["name"], str, where + ".name")
         weight = _typed(gdata["weight"], list, where + ".weight")
         if len(weight) != group.ngens or any(type(x) is not int for x in weight):
             raise PresentationError("%s.weight needs %d integer exponents"
                                     % (where, group.ngens))
-        gens.append(SkewGenerator(name, tuple(weight), tuple(character), tau))
+        gens.append(SkewGenerator(gname, tuple(weight), tuple(character), tau))
     pre = Presentation(domain, group, gens, (), name=name)
     rules = []
     for k, rdata in enumerate(_typed(data.get("relations", []), list,

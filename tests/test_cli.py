@@ -272,6 +272,15 @@ def test_file_input(capsys, tmp_path):
                              "--element", "y g1")
     assert code == 0
     assert payload["report"]["normal_form"] == "q1 * g1 y"
+    assert payload["presentation"]["name"] == str(path)
+    # a meta name names the presentation in the text header and in JSON
+    doc["meta"] = {"name": "ore-from-file"}
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "invariants", str(path))
+    assert code == 0
+    assert out.startswith("invariants of ore-from-file (bounds ")
+    code, payload = run_json(capsys, "growth", str(path), "--nmax", "2")
+    assert payload["presentation"]["name"] == "ore-from-file"
 
 
 def test_parse_error_exit(capsys, tmp_path):

@@ -230,6 +230,7 @@ def test_file_loading(tmp_path):
     p, meta = load_presentation(str(path))
     assert equivalent(p, taft_presentation(3))
     assert meta["name"] == "taft3-from-file"
+    assert p.name == "taft3-from-file"
 
 
 def test_file_error_reports_location(tmp_path):
