@@ -178,19 +178,17 @@ class SkewPrimitiveSpace:
         return "<SkewPrimitiveSpace weight=%s dim=%d>" % (self.weight, self.dim)
 
 
-def _defect_column(p, word, weight):
+def _defect_column(p, word, weight, minus_one):
     """Column of z -> Delta(z) - z(x)1 - weight(x)z at a basis word."""
-    col = {}
-    for pair, c in delta_word(p, word).terms.items():
-        add_term(col, pair, c)
-    ident = (p.group.identity(), ())
-    add_term(col, (word, ident), -p.domain.one())
-    add_term(col, ((weight, ()), word), -p.domain.one())
+    col = delta_word(p, word).terms
+    add_term(col, (word, (p.group.identity(), ())), minus_one)
+    add_term(col, ((weight, ()), word), minus_one)
     return col
 
 
 def _kernel_elements(p, candidates, weight):
-    columns = [_defect_column(p, w, weight) for w in candidates]
+    minus_one = -p.domain.one()
+    columns = [_defect_column(p, w, weight, minus_one) for w in candidates]
     kernel = nullspace_of_columns(p.domain, columns, tags=candidates)
     out = []
     for combo in kernel:
@@ -240,13 +238,13 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
     has_line = False
     if not p.group.is_identity(weight):
         line = p.group_element(weight) - p.one()
-        line_cols = [dict(e.terms) for e in basis]
-        has_line = solve_in_span(p.domain, line_cols, dict(line.terms)) is not None
+        line_cols = [e.terms for e in basis]
+        has_line = solve_in_span(p.domain, line_cols, line.terms) is not None
         if has_line:
             elim = ScalarElimination(p.domain)
             stacked = []
             for idx, e in enumerate([line] + basis):
-                if elim.insert(dict(e.terms), idx) is None:
+                if elim.insert(e.terms, idx) is None:
                     reduced = AlgebraElement(dict(elim.pivots[-1][1]))
                     lead = max(reduced.terms.keys(), key=lambda w: word_key(w, p.ny))
                     stacked.append(reduced.scale(reduced.terms[lead].inverse()))

@@ -33,6 +33,27 @@ from .serialize import element_to_str, scalar_from_jsonable, scalar_to_jsonable
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 _POWERED = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?$")
 
+# the largest y-power, free rank or cyclotomic order a file may ask for;
+# each is checked before anything of that size is built
+_SIZE_CEILING = 1000
+
+
+def _bounded(size, what):
+    """size, or a PresentationError when it is an int above the ceiling."""
+    if type(size) is int and size > _SIZE_CEILING:
+        raise PresentationError("%s %d is above the size ceiling %d"
+                                % (what, size, _SIZE_CEILING))
+    return size
+
+
+def _power(m, what):
+    """The ^power of a _POWERED match, checked against the ceiling."""
+    digits = m.group(2) or "1"
+    if len(digits) > 20:  # above the ceiling, and too long to echo or convert
+        raise PresentationError("%s has %d digits, above the size ceiling %d"
+                                % (what, len(digits), _SIZE_CEILING))
+    return _bounded(int(digits), what)
+
 
 def _tokens(text):
     out = []
@@ -108,14 +129,15 @@ def parse_element_expr(p, text):
             continue
         m = _POWERED.match(tok)
         name = m.group(1) if m else None
-        power = int(m.group(2) or 1) if m else 1
         if name and len(name) > 1 and name.startswith("g") and name[1:].isdigit():
             idx = int(name[1:]) - 1
             if not 0 <= idx < p.group.ngens:
                 raise PresentationError("unknown group generator %r" % tok)
+            power = int(m.group(2) or 1)
             letters.append(("g", p.group.power(p.group.generator(idx), power)))
             continue
         if name and any(g.name == name for g in p.gens):
+            power = _power(m, "power of %s" % name)
             if power < 0:
                 raise PresentationError("negative power of a skew generator %r" % tok)
             yi = p.gen_index(name)
@@ -176,10 +198,11 @@ def parse_presentation_data(data, name=None):
     _typed(data, dict, "presentation file")
     scal = _typed(data.get("scalars", {}), dict, "scalars")
     grp = _typed(data.get("group", {}), dict, "group")
+    order = _bounded(scal.get("cyclotomic_order", 1), "scalars.cyclotomic_order")
+    free_rank = _bounded(grp.get("free_rank", 0), "group.free_rank")
     try:
-        domain = ScalarDomain(scal.get("cyclotomic_order", 1),
-                              tuple(scal.get("transcendentals", ())))
-        group = GroupData(grp.get("free_rank", 0), tuple(grp.get("torsion", ())))
+        domain = ScalarDomain(order, tuple(scal.get("transcendentals", ())))
+        group = GroupData(free_rank, tuple(grp.get("torsion", ())))
     except (ValueError, TypeError, OverflowError) as exc:
         raise PresentationError("bad scalars or group: %s" % exc)
     gens = []
@@ -216,11 +239,15 @@ def parse_presentation_data(data, name=None):
             if not m or not any(g.name == m.group(1) for g in pre.gens):
                 raise PresentationError("%s: lhs token %r is not a skew generator"
                                         % (where, tok))
-            lhs.extend([pre.gen_index(m.group(1))] * int(m.group(2) or 1))
+            power = _power(m, "%s.lhs: power of %s" % (where, m.group(1)))
+            lhs.extend([pre.gen_index(m.group(1))] * power)
         if rhs_txt in ("", "0"):
             rhs = {}
         else:
-            elt = parse_element_expr(pre, rhs_txt)
+            try:
+                elt = parse_element_expr(pre, rhs_txt)
+            except PresentationError as exc:
+                raise PresentationError("%s.rhs: %s" % (where, exc))
             rhs = {w: c for w, c in elt.terms.items()}
         rules.append((tuple(lhs), rhs))
     return Presentation(domain, group, gens, rules, name=name)

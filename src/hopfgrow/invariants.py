@@ -78,7 +78,7 @@ class ConjugationSpace:
         counter = 0
         while queue:
             v = queue.pop(0)
-            if elim.insert(dict(v.terms), counter) is not None:
+            if elim.insert(v.terms, counter) is not None:
                 continue
             counter += 1
             basis.append(v)
@@ -99,8 +99,8 @@ class ConjugationSpace:
         return len(self.basis)
 
     def coordinates(self, elt):
-        cols = [dict(b.terms) for b in self.basis]
-        sol = solve_in_span(self.presentation.domain, cols, dict(elt.terms))
+        cols = [b.terms for b in self.basis]
+        sol = solve_in_span(self.presentation.domain, cols, elt.terms)
         return sol
 
 
@@ -120,7 +120,7 @@ class QuotientSpace:
             image = _strip_coradical(v)
             if not image:
                 continue
-            if elim.insert(dict(image), len(self.lifts)) is None:
+            if elim.insert(image, len(self.lifts)) is None:
                 self.lifts.append(v)
                 self.columns.append(image)
 
@@ -392,7 +392,7 @@ def _uniform_level(p, q, spaces_cache, gens_elts, character, vec, bound):
         elim = ScalarElimination(domain)
         pruned = []
         for v in new:
-            if elim.insert(dict(v), len(pruned)) is None:
+            if elim.insert(v, len(pruned)) is None:
                 pruned.append(v)
         frontier = pruned
     return level
@@ -658,7 +658,7 @@ def compute_invariants(p, degree_bound=6, group_word_bound=6, power_bound=6,
             elim = ScalarElimination(dom)
             chosen = []
             for chars, v in refined:
-                if elim.insert(dict(v), len(chosen)) is None:
+                if elim.insert(v, len(chosen)) is None:
                     chosen.append((chars, v))
             if len(chosen) != len(kbasis):
                 raise ConsistencyError(

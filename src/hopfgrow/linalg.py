@@ -1,10 +1,14 @@
 """Exact linear algebra over the scalar domain.
 
 Vectors are sparse columns: dicts mapping a hashable, sortable row key to
-a nonzero Scalar.  Elimination is fraction-free in the Bareiss spirit:
-rows are cleared by cross-scaling (p*col - c*pivot) rather than division,
-and columns are rescaled by unit-monomial content when that is exact and
-cheap, so entries stay polynomial-sized without multivariate gcds.
+a nonzero Scalar.  Elimination is fraction-free.  A pivot entry that is a
+unit monomial u is stored with -u^-1, and clears a column's entry c in
+place: col += (-c u^-1) pivot, over the pivot column's keys only.  Any
+other pivot entry p takes the cross step p*col - c*pivot, after which the
+column and its combination are divided by the previous such entry of the
+same reduction whenever that divides every entry of both exactly
+(Bareiss's divisor).  Nothing is rescaled for content, so entries stay
+polynomial-sized without multivariate gcds.
 """
 
 
@@ -31,18 +35,33 @@ def _scale_sub(p, col, c, pcol):
     return out
 
 
-def _content_normalize(col, combo):
-    """Divide both by a unit-monomial content when one exists (exact)."""
-    if not col:
-        return col, combo
-    key = min(col.keys())
-    um = col[key].as_unit_monomial()
-    if um is None or um.is_one():
-        return col, combo
-    inv = um.inverse().to_scalar()
-    col = {k: inv * v for k, v in col.items()}
-    combo = {k: inv * v for k, v in combo.items()}
-    return col, combo
+def _add_multiple(col, f, pcol):
+    """col += f*pcol in place, touching pcol's keys only."""
+    for k, v in pcol.items():
+        w = f * v
+        cur = col.get(k)
+        if cur is None:
+            col[k] = w
+        else:
+            s = cur + w
+            if s.is_zero():
+                del col[k]
+            else:
+                col[k] = s
+
+
+def _divide_exact(col, combo, d):
+    """(col/d, combo/d), or None unless d divides every entry of both."""
+    out = []
+    for vec in (col, combo):
+        quotient = {}
+        for k, v in vec.items():
+            w = v._divexact(d)
+            if w is None:
+                return None
+            quotient[k] = w
+        out.append(quotient)
+    return out
 
 
 class ScalarElimination:
@@ -50,38 +69,51 @@ class ScalarElimination:
 
     def __init__(self, domain):
         self.domain = domain
-        self.pivots = []  # (row_key, column, combo), in insertion order
+        # (row_key, column, combo, -1/entry if the entry is a unit
+        # monomial else None), in insertion order
+        self.pivots = []
 
     def _reduce(self, col, combo):
-        for rk, pcol, pcombo in self.pivots:
+        prev = None  # the last non-unit pivot entry col was multiplied by
+        for rk, pcol, pcombo, neg_inv in self.pivots:
             c = col.get(rk)
             if c is None:
+                continue
+            if neg_inv is not None:
+                f = c * neg_inv
+                _add_multiple(col, f, pcol)
+                _add_multiple(combo, f, pcombo)
                 continue
             p = pcol[rk]
             col = _scale_sub(p, col, c, pcol)
             combo = _scale_sub(p, combo, c, pcombo)
-        return _content_normalize(col, combo)
+            if prev is not None:
+                col, combo = _divide_exact(col, combo, prev) or (col, combo)
+            prev = p
+        return col, combo
 
     def insert(self, col, tag):
         """Feed one column; returns a kernel combination dict or None.
 
-        The returned dict maps previously inserted tags to scalars; the
-        combination of the tagged columns with those coefficients is zero.
+        The column is copied, never changed.  The returned dict maps
+        previously inserted tags to scalars; the combination of the tagged
+        columns with those coefficients is zero.
         """
         combo = {tag: self.domain.one()}
-        col, combo = self._reduce(col, combo)
+        col, combo = self._reduce(dict(col), combo)
         if not col:
             return combo
-        # prefer a pivot entry that is a unit monomial: later divisions stay exact
+        # prefer a pivot entry that is a unit monomial: reducing by it
+        # needs no cross step
         candidates = sorted(col.keys())
-        rk = None
+        rk, um = candidates[0], None
         for k in candidates:
-            if col[k].as_unit_monomial() is not None:
+            um = col[k].as_unit_monomial()
+            if um is not None:
                 rk = k
                 break
-        if rk is None:
-            rk = candidates[0]
-        self.pivots.append((rk, col, combo))
+        neg_inv = -um.inverse().to_scalar() if um is not None else None
+        self.pivots.append((rk, col, combo, neg_inv))
         return None
 
     @property
@@ -96,7 +128,7 @@ def nullspace_of_columns(domain, columns, tags=None):
     elim = ScalarElimination(domain)
     kernel = []
     for col, tag in zip(columns, tags):
-        combo = elim.insert(dict(col), tag)
+        combo = elim.insert(col, tag)
         if combo is not None:
             kernel.append(combo)
     return kernel
@@ -105,7 +137,7 @@ def nullspace_of_columns(domain, columns, tags=None):
 def rank_of_columns(domain, columns):
     elim = ScalarElimination(domain)
     for i, col in enumerate(columns):
-        elim.insert(dict(col), i)
+        elim.insert(col, i)
     return elim.rank
 
 
@@ -118,9 +150,9 @@ def solve_in_span(domain, basis_columns, target, tags=None):
         tags = list(range(len(basis_columns)))
     elim = ScalarElimination(domain)
     for col, tag in zip(basis_columns, tags):
-        elim.insert(dict(col), tag)
+        elim.insert(col, tag)
     sentinel = object()
-    combo = elim.insert(dict(target), sentinel)
+    combo = elim.insert(target, sentinel)
     if combo is None:
         return None
     scale = combo.pop(sentinel)

@@ -18,7 +18,7 @@ never a guess.
 """
 
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 from .cyclotomic import CycloField
 from .intmat import integer_rank
@@ -74,6 +74,40 @@ def _lp_mul(a, b):
                 else:
                     out[e] = s
     return out
+
+
+def _lp_divexact(a, b):
+    """a / b when b divides a as Laurent polynomials, else None.
+
+    Both are shifted to ordinary polynomials that no variable divides, so
+    a quotient, if any, is an ordinary polynomial too, with each exponent
+    between 0 and deg(a) - deg(b) in that variable.  The remainder is
+    divided by the lex-leading term of b until it is zero; a quotient
+    exponent outside that box means there is no quotient.  Each step
+    lowers the remainder's lex-leading exponent, so no quotient exponent
+    repeats and the loop ends within the box.
+    """
+    if not a:
+        return {}
+    nvars = len(next(iter(b)))
+    sa = tuple(min(e[i] for e in a) for i in range(nvars))
+    sb = tuple(min(e[i] for e in b) for i in range(nvars))
+    rem = {tuple(map(sub, e, sa)): c for e, c in a.items()}
+    divisor = {tuple(map(sub, e, sb)): c for e, c in b.items()}
+    top = tuple(max(e[i] for e in rem) - max(e[i] for e in divisor)
+                for i in range(nvars))
+    lead = max(divisor)
+    lead_inv = divisor[lead].inverse()
+    quotient = {}
+    while rem:
+        e = max(rem)
+        m = tuple(map(sub, e, lead))
+        if any(x < 0 or x > t for x, t in zip(m, top)):
+            return None
+        c = quotient[m] = rem[e] * lead_inv
+        rem = _lp_add(rem, _lp_mul({m: -c}, divisor))  # cancels rem[e]
+    shift = tuple(map(sub, sa, sb))
+    return {tuple(map(add, e, shift)): c for e, c in quotient.items()}
 
 
 def _lp_eq(a, b):
@@ -253,6 +287,17 @@ class Scalar:
             return self.domain.zero()
         return Scalar(self.domain, _lp_mul(self.num, other.den),
                       _lp_mul(self.den, other.num))
+
+    def _divexact(self, other):
+        """self / other as a Laurent polynomial, or None when other does
+        not divide self in the Laurent polynomial ring (or either is a
+        fraction)."""
+        if len(self.den) != 1 or len(other.den) != 1:
+            return None
+        num = _lp_divexact(self.num, other.num)
+        if num is None:
+            return None
+        return Scalar(self.domain, num, self.domain._one_lp, _normalized=True)
 
     def inverse(self):
         if self.is_zero():

@@ -68,6 +68,20 @@ def test_primitives_command(capsys):
     assert set(space["witnesses"]) == {"y1", "y2"}
 
 
+def test_primitives_command_skew_free_tau(capsys):
+    # with tau the grading is trivial, so every block is large; at these
+    # bounds each weight past g1 has only its coradical line
+    code, payload = run_json(capsys, "primitives", "--example", "skew_free",
+                             "--param", "v=2", "--param", "tau=1",
+                             "--degree", "4", "--group-bound", "3")
+    assert code == 0
+    spaces = payload["report"]["spaces"]
+    assert [(s["weight"], s["dim"]) for s in spaces] == [
+        ("g1^-3", 1), ("g1^-2", 1), ("g1^-1", 1), ("g1", 3), ("g1^2", 1), ("g1^3", 1)]
+    assert all(s["has_coradical_line"] for s in spaces)
+    assert [s["witnesses"] for s in spaces if s["witnesses"]] == [["y2", "y1"]]
+
+
 def test_primitives_command_skew_trunc(capsys):
     code, payload = run_json(capsys, "primitives", "--example", "skew_trunc",
                              "--param", "p=4", "--degree", "4",
@@ -299,7 +313,8 @@ def test_parse_error_exit(capsys, tmp_path):
             {"generators": [dict(gen, name={})]},
             {"relations": [{"lhs": "y y y", "rhs": "1/0"}]},
             {"scalars": {"cyclotomic_order": 10 ** 30}},
-            {"group": {"free_rank": 1.5}, "generators": [], "relations": []}]:
+            {"group": {"free_rank": 1.5}, "generators": [], "relations": []},
+            {"relations": [{"lhs": "y^1000000000"}]}]:
         path.write_text(json.dumps(dict(taft, **change)))
         code, out, err = run(capsys, "invariants", str(path))
         assert (code, out, err.count("\n")) == (1, "", 1), (change, err)

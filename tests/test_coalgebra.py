@@ -269,13 +269,12 @@ def _find_skew_primitives_full(p, weight, degree_bound, group_word_bound):
     if p.group.is_identity(weight):
         return basis, False
     line = p.group_element(weight) - p.one()
-    if solve_in_span(p.domain, [dict(e.terms) for e in basis],
-                     dict(line.terms)) is None:
+    if solve_in_span(p.domain, [e.terms for e in basis], line.terms) is None:
         return basis, False
     elim = ScalarElimination(p.domain)
     stacked = []
     for idx, e in enumerate([line] + basis):
-        if elim.insert(dict(e.terms), idx) is None:
+        if elim.insert(e.terms, idx) is None:
             reduced = AlgebraElement(dict(elim.pivots[-1][1]))
             lead = max(reduced.terms.keys(), key=lambda w: word_key(w, p.ny))
             stacked.append(reduced.scale(reduced.terms[lead].inverse()))
@@ -347,8 +346,8 @@ def test_tau_primitive_spans_two_count_classes():
     z = p.multiply(p.y(0), p.y(1)) - p.multiply(p.y(1), p.y(0)) - p.y(0)
     assert is_skew_primitive(p, z) == weight
     space = find_skew_primitives(p, weight, 2, 2)
-    assert solve_in_span(p.domain, [dict(e.terms) for e in space.basis],
-                         dict(z.terms)) is not None
+    assert solve_in_span(p.domain, [e.terms for e in space.basis],
+                         z.terms) is not None
     _assert_matches_full_search(p, weight, 2, 2)
 
 

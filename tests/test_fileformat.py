@@ -1,6 +1,8 @@
 import copy
 import json
+import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -264,3 +266,54 @@ def test_bad_sanity_order_rejected():
             "generators": [{"name": "y", "weight": [1],
                             "character": [{"root": [1, 3], "exps": []}]}],
         })
+
+
+@pytest.fixture
+def address_space_cap():
+    """Cap this process's address space at its size plus 256 MB while a
+    test runs: a parse that expands a size it should refuse then ends in
+    MemoryError instead of taking gigabytes."""
+    resource = pytest.importorskip("resource")
+    try:
+        with open("/proc/self/statm") as fh:
+            size = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    except OSError:
+        pytest.skip("no /proc/self/statm")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + (256 << 20)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"relations": [{"lhs": "y^1000000000", "rhs": ""}]}, "relations[0].lhs"),
+    ({"relations": [{"lhs": "y^" + "9" * 5000, "rhs": ""}]},
+     "relations[0].lhs"),
+    ({"relations": [{"lhs": "y y y", "rhs": "y^1000000000 - 1"}]}, "relations[0].rhs"),
+    ({"group": {"free_rank": 10 ** 9}, "generators": [], "relations": []},
+     "group.free_rank"),
+    ({"scalars": {"cyclotomic_order": 10 ** 9}}, "scalars.cyclotomic_order"),
+], ids=["lhs-power", "lhs-digits", "rhs-power", "free-rank", "cyclotomic-order"])
+def test_sizes_bounded_before_expansion(change, field, address_space_cap):
+    doc = dict(_document(taft_presentation(3)), **change)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PresentationError) as err:
+            parse_presentation_data(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value).startswith(field) and "size ceiling 1000" in str(err.value)
+    assert peak < 1 << 20
+
+
+def test_size_ceiling_is_inclusive():
+    p = taft_presentation(3)
+    assert parse_element_expr(p, "y^1000").is_zero()  # y^3 = 0
+    with pytest.raises(PresentationError, match="size ceiling"):
+        parse_element_expr(p, "y^1001")

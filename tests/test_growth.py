@@ -125,7 +125,7 @@ def _span_rank_dims(p, n_max):
         for b in new_basis:
             for x in letters:
                 prod = p.multiply(x, b)
-                if elim.insert(dict(prod.terms), len(elim.pivots)) is None:
+                if elim.insert(prod.terms, len(elim.pivots)) is None:
                     level.append(prod)
         new_basis = level
         dims.append(len(elim.pivots))
