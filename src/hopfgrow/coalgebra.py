@@ -18,7 +18,7 @@ by the pure y-word w.
 """
 
 from .elements import AlgebraElement, TensorElement, add_term, word_key
-from .linalg import ScalarElimination, nullspace_of_columns, solve_in_span
+from .linalg import ScalarElimination, nullspace_of_columns
 from .scalars import quantum_binomial
 
 
@@ -232,22 +232,23 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
         basis.extend(_kernel_elements(p, candidates, weight))
     basis.sort(key=lambda e: max(word_key(w, p.ny) for w in e.terms))
 
-    # canonicalize against the coradical line k(weight - 1): when the line
-    # lies in the span, re-derive a basis with the line first and the rest
-    # reduced against it (and against each other)
+    # canonicalize against the coradical line k(weight - 1): the line lies
+    # in the span of the independent basis exactly when eliminating it
+    # first leaves len(basis) pivots; the basis is then re-derived from
+    # them, the line first and the rest reduced against it (and against
+    # each other)
     has_line = False
     if not p.group.is_identity(weight):
+        elim = ScalarElimination(p.domain)
         line = p.group_element(weight) - p.one()
-        line_cols = [e.terms for e in basis]
-        has_line = solve_in_span(p.domain, line_cols, line.terms) is not None
+        for idx, e in enumerate([line] + basis):
+            elim.insert(e.terms, idx)
+        has_line = elim.rank == len(basis)
         if has_line:
-            elim = ScalarElimination(p.domain)
-            stacked = []
-            for idx, e in enumerate([line] + basis):
-                if elim.insert(e.terms, idx) is None:
-                    reduced = AlgebraElement(dict(elim.pivots[-1][1]))
-                    lead = max(reduced.terms.keys(), key=lambda w: word_key(w, p.ny))
-                    stacked.append(reduced.scale(reduced.terms[lead].inverse()))
-            basis = stacked
+            basis = []
+            for _, col, _, _ in elim.pivots:
+                reduced = AlgebraElement(dict(col))
+                lead = max(reduced.terms.keys(), key=lambda w: word_key(w, p.ny))
+                basis.append(reduced.scale(reduced.terms[lead].inverse()))
     return SkewPrimitiveSpace(p, weight, basis, degree_bound,
                               group_word_bound, has_line)

@@ -55,6 +55,16 @@ def _power(m, what):
     return _bounded(int(digits), what)
 
 
+def _number(convert, text, what):
+    """convert(text) for int or Fraction, or a PresentationError when the
+    text has more digits than Python converts."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise PresentationError("%s has %d digits, more than Python converts"
+                                % (what, sum(ch.isdigit() for ch in text))) from None
+
+
 def _tokens(text):
     out = []
     for raw in text.replace("*", " ").split():
@@ -91,13 +101,14 @@ def parse_scalar_expr(domain, text):
 def _scalar_factor(domain, tok):
     if _RATIONAL.match(tok):
         try:
-            return domain.rational(Fraction(tok))
+            return domain.rational(_number(Fraction, tok, "a rational"))
         except ZeroDivisionError:
             return None
     m = _POWERED.match(tok)
     if not m:
         return None
-    name, power = m.group(1), int(m.group(2) or 1)
+    name = m.group(1)
+    power = _number(int, m.group(2) or "1", "power of %s" % name)
     if name == "zeta":
         return domain.zeta(power)
     if name in domain.transcendentals:
@@ -130,10 +141,10 @@ def parse_element_expr(p, text):
         m = _POWERED.match(tok)
         name = m.group(1) if m else None
         if name and len(name) > 1 and name.startswith("g") and name[1:].isdigit():
-            idx = int(name[1:]) - 1
+            idx = _number(int, name[1:], "a group generator index") - 1
             if not 0 <= idx < p.group.ngens:
                 raise PresentationError("unknown group generator %r" % tok)
-            power = int(m.group(2) or 1)
+            power = _number(int, m.group(2) or "1", "power of %s" % name)
             letters.append(("g", p.group.power(p.group.generator(idx), power)))
             continue
         if name and any(g.name == name for g in p.gens):
@@ -162,10 +173,10 @@ def parse_group_element(group, text):
         m = _POWERED.match(tok)
         if not m or not m.group(1).startswith("g") or not m.group(1)[1:].isdigit():
             raise PresentationError("bad group token %r" % tok)
-        idx = int(m.group(1)[1:]) - 1
+        idx = _number(int, m.group(1)[1:], "a group generator index") - 1
         if not 0 <= idx < group.ngens:
             raise PresentationError("unknown group generator %r" % tok)
-        power = int(m.group(2) or 1)
+        power = _number(int, m.group(2) or "1", "power of %s" % m.group(1))
         elt = group.mul(elt, group.power(group.generator(idx), power))
     return elt
 
@@ -261,6 +272,9 @@ def load_presentation(path):
         except json.JSONDecodeError as exc:
             raise PresentationError(
                 "%s: line %d column %d: %s" % (path, exc.lineno, exc.colno, exc.msg))
+        except ValueError:  # a number past Python's limit on digit strings
+            raise PresentationError(
+                "%s: a number has more digits than Python converts" % path) from None
     _typed(data, dict, "%s: presentation file" % path)
     meta = _typed(data.get("meta", {}), dict, "meta")
     p = parse_presentation_data(data, name=meta.get("name") or path)

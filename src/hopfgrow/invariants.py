@@ -1,29 +1,31 @@
 """Skew-primitive invariants: weights, commutators, levels, characters.
 
 For each candidate weight g the (1,g)-primitives are computed, saturated
-under inverse conjugation by the group, and decomposed into generalized
-eigenspaces of T_{g^{-1}}: z -> g^{-1} z g.  On the span of normal words
-T_{g^{-1}} is triangular -- a word g' y_{i_1}..y_{i_s} maps to the product
-of the lambda_i(g) times itself plus lower-degree terms -- so every
-eigenvalue is a product of character values and the decomposition stays
-inside the scalar domain.
+under inverse conjugation by the group, and taken modulo the coradical:
+one QuotientSpace per weight, whose coordinates are solved against the
+elimination that picked its basis.  Each conjugation T_{h^{-1}}:
+z -> h^{-1} z h is split once into generalized eigenspaces.  The
+eigenvalue of T_{g^{-1}} is the commutator, its nilpotency index the
+level, and the joint split under the group generators the character;
+commutator_level, generalized_commutator and compute_invariants share
+that one split and one level function.  On the span of normal words
+T_{h^{-1}} is triangular -- a word g' y_{i_1}..y_{i_s} maps to the
+product of the lambda_i(h) times itself plus lower-degree terms -- so
+every eigenvalue is a product of character values and the decomposition
+stays inside the scalar domain.
 """
 
 from itertools import combinations
 
 from .coalgebra import find_skew_primitives, is_skew_primitive
-from .elements import AlgebraElement, add_term, word_key
+from .elements import AlgebraElement, add_term
 from .errors import ConsistencyError
-from .linalg import ScalarElimination, nullspace_of_columns, solve_in_span
+from .linalg import ScalarElimination, nullspace_of_columns
 from .scalars import INFINITE, ScalarShapeError, multiplicative_order
 
 
 class SaturationError(RuntimeError):
-    """Conjugation closure outgrew its guard; carries the dimension reached."""
-
-    def __init__(self, message, achieved_dim):
-        super().__init__(message)
-        self.achieved_dim = achieved_dim
+    """Conjugation closure outgrew its guard."""
 
 
 def conjugate(p, h, elt):
@@ -62,79 +64,69 @@ def _strip_coradical(elt):
     return {w: c for w, c in elt.terms.items() if w[1]}
 
 
-class ConjugationSpace:
-    """Span of primitives closed under inverse conjugation by given elements."""
+# guards of the conjugation closure: its dimension, and the word length
+# of its group parts against that of the seeds
+_MAX_DIM = 64
+_WORD_SLACK = 8
 
-    def __init__(self, p, vectors, conjugators, max_dim=64, max_word_length=None):
-        self.presentation = p
-        self.conjugators = [p.group.reduce(h) for h in conjugators]
-        if max_word_length is None:
-            max_word_length = 4 * max(
-                (p.group.word_length(w[0]) for v in vectors for w in v.terms),
-                default=0) + 8
-        elim = ScalarElimination(p.domain)
-        basis = []
-        queue = [v for v in vectors if not v.is_zero()]
-        counter = 0
-        while queue:
-            v = queue.pop(0)
-            if elim.insert(v.terms, counter) is not None:
-                continue
-            counter += 1
-            basis.append(v)
-            if len(basis) > max_dim:
-                raise SaturationError(
-                    "conjugation closure exceeded %d dimensions" % max_dim,
-                    achieved_dim=len(basis))
-            if any(p.group.word_length(w[0]) > max_word_length for w in v.terms):
-                raise SaturationError(
-                    "conjugation closure left the group-word bound %d"
-                    % max_word_length, achieved_dim=len(basis))
-            for h in self.conjugators:
-                queue.append(conjugate(p, h, v))
-        self.basis = basis
 
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def coordinates(self, elt):
-        cols = [b.terms for b in self.basis]
-        sol = solve_in_span(self.presentation.domain, cols, elt.terms)
-        return sol
+def _saturate(p, vectors, conjugators):
+    """Basis of the span of vectors closed under inverse conjugation by
+    the conjugators, and the elimination that built it, tagged by basis
+    index."""
+    max_word_length = 4 * max(
+        (p.group.word_length(w[0]) for v in vectors for w in v.terms),
+        default=0) + _WORD_SLACK
+    elim = ScalarElimination(p.domain)
+    basis = []
+    queue = [v for v in vectors if not v.is_zero()]
+    for v in queue:  # grows while it is read
+        if elim.insert(v.terms, len(basis)) is not None:
+            continue
+        basis.append(v)
+        if len(basis) > _MAX_DIM:
+            raise SaturationError(
+                "conjugation closure exceeded %d dimensions" % _MAX_DIM)
+        if any(p.group.word_length(w[0]) > max_word_length for w in v.terms):
+            raise SaturationError(
+                "conjugation closure left the group-word bound %d" % max_word_length)
+        queue.extend(conjugate(p, h, v) for h in conjugators)
+    return basis, elim
 
 
 class QuotientSpace:
-    """A conjugation-stable space modulo its coradical part.
+    """The conjugation closure of primitives of one weight, modulo the
+    coradical.
 
-    Keeps lifts for each quotient basis vector so that coordinate vectors
-    can be turned back into actual primitives.
+    The closure of the vectors and the line weight - 1 under the
+    conjugators keeps, as lifts, the vectors that are independent modulo
+    the coradical; coordinates are solved against the elimination that
+    picked them.
     """
 
-    def __init__(self, p, sat_basis):
+    def __init__(self, p, weight, vectors, conjugators):
         self.presentation = p
-        elim = ScalarElimination(p.domain)
+        seeds = list(vectors)
+        if not p.group.is_identity(weight):
+            seeds.append(p.group_element(weight) - p.one())
+        basis, _ = _saturate(p, seeds, conjugators)
+        self.elim = ScalarElimination(p.domain)
         self.lifts = []
-        self.columns = []
-        for v in sat_basis:
+        for v in basis:
             image = _strip_coradical(v)
-            if not image:
-                continue
-            if elim.insert(image, len(self.lifts)) is None:
+            if image and self.elim.insert(image, len(self.lifts)) is None:
                 self.lifts.append(v)
-                self.columns.append(image)
+        self._operators = {}
 
     @property
     def dim(self):
         return len(self.lifts)
 
-    def coords(self, elt_or_image):
-        image = (_strip_coradical(elt_or_image)
-                 if isinstance(elt_or_image, AlgebraElement) else elt_or_image)
-        sol = solve_in_span(self.presentation.domain, self.columns, image)
+    def coords(self, elt):
+        sol = self.elim.solve(_strip_coradical(elt))
         if sol is None:
             raise ConsistencyError("vector escapes its conjugation-stable space")
-        return {i: c for i, c in sol.items() if not c.is_zero()}
+        return sol
 
     def lift(self, coords):
         out = AlgebraElement({})
@@ -142,27 +134,14 @@ class QuotientSpace:
             out = out + self.lifts[i].scale(c)
         return out
 
-    def operator_matrix(self, h):
-        """Columns of the induced T_{h^{-1}} in quotient coordinates."""
-        p = self.presentation
-        return [self.coords(conjugate(p, h, lift)) for lift in self.lifts]
-
-    def eigenvalue_candidates(self, h):
-        """Diagonal values of the triangular conjugation action: character
-        products over the y-letters of each supporting word."""
-        p = self.presentation
-        seen = []
-        for col in self.columns:
-            for (_, yw) in col:
-                val = p.domain.one()
-                for i in yw:
-                    val = val * p.char_value(i, h)
-                if not any(val == s for s in seen):
-                    seen.append(val)
-        return seen
+    def operator(self, h):
+        """The induced T_{h^{-1}}, built once per conjugator."""
+        op = self._operators.get(h)
+        if op is None:
+            op = self._operators[h] = _Conjugation(self, h)
+        return op
 
 
-# -- small dense matrix helpers over coordinate dicts ---------------------
 def _mat_apply(matrix, vec):
     out = {}
     for j, c in vec.items():
@@ -171,82 +150,100 @@ def _mat_apply(matrix, vec):
     return out
 
 
-def _mat_shift(matrix, c, dim):
-    """matrix - c * identity."""
-    out = []
-    for j in range(dim):
-        col = dict(matrix[j])
-        add_term(col, j, -c)
-        out.append(col)
-    return out
+class _Conjugation:
+    """T_{h^{-1}} on a quotient space: its matrix, whose column j holds
+    the coordinates of the image of lift j, its generalized eigenspaces
+    as (eigenvalue, basis) pairs, and one elimination over their union
+    that splits vectors."""
+
+    def __init__(self, q, h):
+        p = q.presentation
+        self.matrix = [q.coords(conjugate(p, h, lift)) for lift in q.lifts]
+        # the action is triangular on normal words, so the eigenvalues are
+        # among the character products over the y-letters of each word
+        candidates = []
+        for lift in q.lifts:
+            for _, yw in lift.terms:
+                if not yw:
+                    continue
+                val = p.domain.one()
+                for i in yw:
+                    val = val * p.char_value(i, h)
+                if not any(val == s for s in candidates):
+                    candidates.append(val)
+        self.spaces = []
+        self._elim = ScalarElimination(p.domain)
+        for c in candidates:
+            n = self.shifted(c)
+            power = n
+            for _ in range(q.dim - 1):
+                power = [_mat_apply(n, col) for col in power]
+            kernel = nullspace_of_columns(p.domain, power)
+            for bi, b in enumerate(kernel):
+                self._elim.insert(b, (len(self.spaces), bi))
+            if kernel:
+                self.spaces.append((c, kernel))
+        if self._elim.rank != q.dim:
+            raise ConsistencyError(
+                "eigenvalues not computable in the scalar domain: generalized "
+                "eigenspaces cover %d of %d dimensions" % (self._elim.rank, q.dim))
+
+    def shifted(self, c):
+        """matrix - c * identity."""
+        out = []
+        for j, col in enumerate(self.matrix):
+            col = dict(col)
+            add_term(col, j, -c)
+            out.append(col)
+        return out
+
+    def split(self, vec):
+        """vec as [(eigenvalue, component)], one per eigenspace it meets."""
+        if not vec:
+            return []
+        sol = self._elim.solve(vec)
+        if sol is None:
+            raise ConsistencyError("vector not covered by its eigenspace split")
+        parts = []
+        for si, (c, basis) in enumerate(self.spaces):
+            part = {}
+            for (sj, bj), coeff in sol.items():
+                if sj == si:
+                    for i, v in basis[bj].items():
+                        add_term(part, i, coeff * v)
+            if part:
+                parts.append((c, part))
+        return parts
 
 
-def _mat_mul(a, b, dim):
-    return [_mat_apply(a, b[j]) for j in range(dim)]
+def _refine(operators, vec):
+    """Split a coordinate vector into joint generalized eigencomponents:
+    [(character, component)], a character holding one eigenvalue per
+    operator."""
+    comps = [((), vec)]
+    for op in operators:
+        comps = [(chars + (c,), part) for chars, v in comps
+                 for c, part in op.split(v)]
+    return comps
 
 
-def _generalized_eigenspaces(domain, matrix, dim, candidates):
-    """Split coordinate space into generalized eigenspaces of the matrix.
-
-    Returns [(eigenvalue, [coordinate vectors])]; raises when the spaces
-    do not fill the whole dimension (the operator would then not be
-    triangularizable over the scalar domain).
-    """
-    spaces = []
-    total = 0
-    for c in candidates:
-        n = _mat_shift(matrix, c, dim)
-        power = n
-        for _ in range(dim - 1):
-            power = _mat_mul(n, power, dim)
-        kernel = nullspace_of_columns(domain, [power[j] for j in range(dim)],
-                                      tags=list(range(dim)))
-        if kernel:
-            spaces.append((c, kernel))
-            total += len(kernel)
-    if total != dim:
-        raise ConsistencyError(
-            "eigenvalues not computable in the scalar domain: generalized "
-            "eigenspaces cover %d of %d dimensions" % (total, dim))
-    return spaces
-
-
-def _decompose_vector(domain, vec, spaces):
-    """Write vec as a sum of vectors from the given eigenspaces."""
-    if not vec:
-        return []
-    columns = []
-    tags = []
-    for si, (c, basis) in enumerate(spaces):
-        for bi, b in enumerate(basis):
-            columns.append(b)
-            tags.append((si, bi))
-    sol = solve_in_span(domain, columns, vec, tags=tags)
-    if sol is None:
-        raise ConsistencyError("vector not covered by its eigenspace split")
-    parts = []
-    for si, (c, basis) in enumerate(spaces):
-        part = {}
-        for (sj, bj), coeff in sol.items():
-            if sj != si or coeff.is_zero():
-                continue
-            for i, v in basis[bj].items():
-                add_term(part, i, coeff * v)
-        if part:
-            parts.append((c, part))
-    return parts
-
-
-def _nilpotency_level(matrix, c, dim, vec, bound):
-    n = _mat_shift(matrix, c, dim)
-    level = 0
-    current = vec
-    while current:
-        level += 1
-        if level > bound:
-            return None
-        current = _mat_apply(n, current)
-    return level
+def _level(domain, shifted, vec, bound):
+    """Least n with every product of n shifted operators killing the
+    nonzero vec, or None when n exceeds bound."""
+    frontier = [vec]
+    for level in range(1, bound + 1):
+        images = []
+        for n in shifted:
+            for v in frontier:
+                img = _mat_apply(n, v)
+                if img:
+                    images.append(img)
+        if not images:
+            return level
+        # a basis of the images keeps the frontier small
+        elim = ScalarElimination(domain)
+        frontier = [v for i, v in enumerate(images) if elim.insert(v, i) is None]
+    return None
 
 
 class WeightCommutator:
@@ -256,7 +253,7 @@ class WeightCommutator:
         self.weight = weight
         self.gamma = gamma
         self.level = level
-        self.gamma_class = gamma_class  # "trivial" | "torsion" | "free-noutorsion"
+        self.gamma_class = gamma_class  # "trivial" | "torsion" | "free"
 
     @property
     def is_torsion(self):
@@ -318,112 +315,33 @@ def conjugation_matrix(p, h, space_or_vectors):
     Returns (matrix, basis): matrix[j] maps basis index i to the
     coefficient of basis_i in T(basis_j).
     """
-    if hasattr(space_or_vectors, "basis"):
-        vectors = list(space_or_vectors.basis)
-    else:
-        vectors = list(space_or_vectors)
+    vectors = list(getattr(space_or_vectors, "basis", space_or_vectors))
     h = p.group.reduce(h)
-    sat = ConjugationSpace(p, vectors, [h])
+    basis, elim = _saturate(p, vectors, [h])
     cols = []
-    for b in sat.basis:
-        img = conjugate(p, h, b)
-        coords = sat.coordinates(img)
+    for b in basis:
+        coords = elim.solve(conjugate(p, h, b).terms)
         if coords is None:
             raise ConsistencyError("conjugation image escapes the saturated space")
-        cols.append({i: c for i, c in coords.items() if not c.is_zero()})
-    return cols, sat.basis
-
-
-def _line_of(p, weight):
-    if p.group.is_identity(weight):
-        return None
-    return p.group_element(weight) - p.one()
-
-
-def _weight_quotient(p, weight, vectors, conjugators):
-    seeds = list(vectors)
-    line = _line_of(p, weight)
-    if line is not None:
-        seeds.append(line)
-    sat = ConjugationSpace(p, seeds, conjugators)
-    return QuotientSpace(p, sat.basis)
-
-
-def _character_refine(p, spaces_cache, gens_elts, vec):
-    """Progressively split a coordinate vector into character components.
-
-    Returns a list of (character tuple, vector); characters are tuples of
-    scalars, one per conjugating group generator.
-    """
-    comps = [((), vec)]
-    for h in gens_elts:
-        matrix, spaces = spaces_cache[h]
-        new = []
-        for chars, v in comps:
-            for c, part in _decompose_vector(p.domain, v, spaces):
-                new.append((chars + (c,), part))
-        comps = new
-    return comps
-
-
-def _uniform_level(p, q, spaces_cache, gens_elts, character, vec, bound):
-    """Minimal n with every n-fold mixed product of the shifted conjugations
-    sending the vector into the coradical."""
-    domain = p.domain
-    shifted = []
-    for h, c in zip(gens_elts, character):
-        matrix, _ = spaces_cache[h]
-        shifted.append(_mat_shift(matrix, c, q.dim))
-    frontier = [vec]
-    level = 0
-    while frontier:
-        level += 1
-        if level > bound + 1:
-            return None
-        new = []
-        for n in shifted:
-            for v in frontier:
-                img = _mat_apply(n, v)
-                if img:
-                    new.append(img)
-        if not new:
-            return level
-        # deduplicate up to span to keep the frontier small
-        elim = ScalarElimination(domain)
-        pruned = []
-        for v in new:
-            if elim.insert(v, len(pruned)) is None:
-                pruned.append(v)
-        frontier = pruned
-    return level
+        cols.append(coords)
+    return cols, basis
 
 
 def commutator_level(p, y, level_bound=24):
     """Commutator data of a skew primitive: unique (gamma, level) or split.
 
-    The saturated conjugation space of y under its own weight is analyzed;
+    The generalized commutator of y under conjugation by its own weight;
     when y is not a generalized eigenvector for a single eigenvalue the
     analysis returns the decomposition instead of a single pair.
     """
     weight = is_skew_primitive(p, y)
     if weight is None:
         raise ValueError("element is not skew primitive")
-    if y.group_support_only():
-        raise ValueError("element lies in the coradical; its level would be 0")
-    q = _weight_quotient(p, weight, [y], [weight])
-    matrix = q.operator_matrix(weight)
-    candidates = q.eigenvalue_candidates(weight)
-    spaces = _generalized_eigenspaces(p.domain, matrix, q.dim, candidates)
-    ybar = q.coords(y)
-    parts = _decompose_vector(p.domain, ybar, spaces)
-    components = []
-    for c, part in parts:
-        level = _nilpotency_level(matrix, c, q.dim, part, level_bound)
-        components.append((c, level, q.lift(part)))
-    single = None
-    if len(components) == 1 and components[0][1] is not None:
-        c, level, elt = components[0]
-        single = WeightCommutator(weight, c, level, classify_gamma(c))
+    single, comps = generalized_commutator(p, y, [weight], level_bound)
+    components = [(chars[0], level, elt) for chars, level, elt in comps]
+    if single is not None:
+        (gamma,), level = single
+        single = WeightCommutator(weight, gamma, level, classify_gamma(gamma))
     return CommutatorAnalysis(weight, components, single)
 
 
@@ -432,7 +350,7 @@ def generalized_commutator(p, y, generators=None, level_bound=24):
 
     Returns (character tuple, level) when y carries a single generalized
     character, else (None, components): the decomposition into character
-    summands.
+    summands.  The level is None when it exceeds level_bound.
     """
     weight = is_skew_primitive(p, y)
     if weight is None:
@@ -441,19 +359,13 @@ def generalized_commutator(p, y, generators=None, level_bound=24):
         raise ValueError("element lies in the coradical")
     gens_elts = ([p.group.reduce(g) for g in generators] if generators
                  else p.group.generators())
-    q = _weight_quotient(p, weight, [y], gens_elts)
-    spaces_cache = {}
-    for h in gens_elts:
-        matrix = q.operator_matrix(h)
-        cands = q.eigenvalue_candidates(h)
-        spaces_cache[h] = (matrix, _generalized_eigenspaces(
-            p.domain, matrix, q.dim, cands))
-    comps = _character_refine(p, spaces_cache, gens_elts, q.coords(y))
+    q = QuotientSpace(p, weight, [y], gens_elts)
+    ops = [q.operator(h) for h in gens_elts]
     out = []
-    for chars, vec in comps:
-        level = _uniform_level(p, q, spaces_cache, gens_elts, chars, vec,
-                               level_bound)
-        out.append((chars, level, q.lift(vec)))
+    for chars, vec in _refine(ops, q.coords(y)):
+        shifted = [op.shifted(c) for op, c in zip(ops, chars)]
+        out.append((chars, _level(p.domain, shifted, vec, level_bound),
+                    q.lift(vec)))
     if len(out) == 1 and out[0][1] is not None:
         return (out[0][0], out[0][1]), out
     return None, out
@@ -640,26 +552,18 @@ def compute_invariants(p, degree_bound=6, group_word_bound=6, power_bound=6,
         if not space.witnesses():
             continue
         weight = p.group.reduce(h)
-        q = _weight_quotient(p, weight, space.basis, gens_elts)
-        effective_bound = max(level_bound, q.dim)
-        matrix_w = q.operator_matrix(weight)
-        cands = q.eigenvalue_candidates(weight)
-        spaces = _generalized_eigenspaces(dom, matrix_w, q.dim, cands)
-        spaces_cache = {}
-        for g2 in gens_elts:
-            m2 = q.operator_matrix(g2)
-            spaces_cache[g2] = (m2, _generalized_eigenspaces(
-                dom, m2, q.dim, q.eigenvalue_candidates(g2)))
+        q = QuotientSpace(p, weight, space.basis, gens_elts)
+        bound = max(level_bound, q.dim)
+        ops = [q.operator(g2) for g2 in gens_elts]
+        own = q.operator(weight)
         recs = []
-        for c, kbasis in spaces:
-            refined = []
-            for vec in kbasis:
-                refined.extend(_character_refine(p, spaces_cache, gens_elts, vec))
+        for c, kbasis in own.spaces:
             elim = ScalarElimination(dom)
             chosen = []
-            for chars, v in refined:
-                if elim.insert(v, len(chosen)) is None:
-                    chosen.append((chars, v))
+            for vec in kbasis:
+                for chars, v in _refine(ops, vec):
+                    if elim.insert(v, len(chosen)) is None:
+                        chosen.append((chars, v))
             if len(chosen) != len(kbasis):
                 raise ConsistencyError(
                     "character refinement changed an eigenspace dimension")
@@ -667,11 +571,11 @@ def compute_invariants(p, degree_bound=6, group_word_bound=6, power_bound=6,
                 if gens_elts and _char_at(p, chars, weight) != c:
                     raise ConsistencyError(
                         "character does not reproduce the commutator eigenvalue")
-                level = _nilpotency_level(matrix_w, c, q.dim, v, effective_bound)
+                level = _level(dom, [own.shifted(c)], v, bound)
                 if level is None:
                     raise ConsistencyError("commutator level exceeded its bound")
-                char_level = _uniform_level(p, q, spaces_cache, gens_elts, chars,
-                                            v, effective_bound)
+                char_level = _level(
+                    dom, [op.shifted(x) for op, x in zip(ops, chars)], v, bound)
                 elt = q.lift(v)
                 if level == 1:
                     elt = normalize_witness(p, weight, c, elt)

@@ -116,6 +116,18 @@ class ScalarElimination:
         self.pivots.append((rk, col, combo, neg_inv))
         return None
 
+    def solve(self, target):
+        """Coefficients by tag expressing target in the span of the
+        inserted columns, or None; target is copied and nothing is
+        inserted."""
+        sentinel = object()
+        col, combo = self._reduce(dict(target), {sentinel: self.domain.one()})
+        if col:
+            return None
+        # combo says: scale*target + sum(c_i * column_i) == 0
+        neg_inv = -(combo.pop(sentinel).inverse())
+        return {tag: neg_inv * c for tag, c in combo.items()}
+
     @property
     def rank(self):
         return len(self.pivots)
@@ -151,11 +163,4 @@ def solve_in_span(domain, basis_columns, target, tags=None):
     elim = ScalarElimination(domain)
     for col, tag in zip(basis_columns, tags):
         elim.insert(col, tag)
-    sentinel = object()
-    combo = elim.insert(target, sentinel)
-    if combo is None:
-        return None
-    scale = combo.pop(sentinel)
-    # combo says: scale*target + sum(c_i * basis_i) == 0
-    neg_inv = -(scale.inverse())
-    return {tag: neg_inv * c for tag, c in combo.items()}
+    return elim.solve(target)

@@ -252,6 +252,15 @@ def test_exit_code_usage(capsys, tmp_path, monkeypatch):
         code, out, err = run(capsys, "invariants", str(path))
         assert code == 1, doc
         assert err.startswith("presentation error:") and err.count("\n") == 1, err
+    # so is an integer past Python's limit on converting digit strings
+    big = "9" * 5000
+    for argv in (["normalize", "--element", "g1^" + big],
+                 ["normalize", "--element", "zeta^" + big + " y"],
+                 ["normalize", "--element", big + " y"],
+                 ["primitives", "--weight", "g1^" + big]):
+        code, out, err = run(capsys, argv[0], "--example", "taft", *argv[1:])
+        assert (code, out, err.count("\n")) == (1, "", 1), err[:200]
+        assert err.startswith("presentation error:") and big not in err
     # so is a word ceiling that is not a nonnegative integer
     for raw in ("abc", "-5"):
         monkeypatch.setenv("HOPFGROW_MAX_WORDS", raw)
@@ -314,9 +323,19 @@ def test_parse_error_exit(capsys, tmp_path):
             {"relations": [{"lhs": "y y y", "rhs": "1/0"}]},
             {"scalars": {"cyclotomic_order": 10 ** 30}},
             {"group": {"free_rank": 1.5}, "generators": [], "relations": []},
-            {"relations": [{"lhs": "y^1000000000"}]}]:
+            {"relations": [{"lhs": "y^1000000000"}]},
+            # integers past Python's limit on converting digit strings
+            {"relations": [{"lhs": "y y y", "rhs": "g1^" + "9" * 5000}]},
+            {"relations": [{"lhs": "y y y", "rhs": "zeta^" + "9" * 5000}]},
+            {"relations": [{"lhs": "y y y", "rhs": "9" * 5000 + " g1"}]}]:
         path.write_text(json.dumps(dict(taft, **change)))
         code, out, err = run(capsys, "invariants", str(path))
         assert (code, out, err.count("\n")) == (1, "", 1), (change, err)
         assert err.startswith("presentation error: ")
+        assert "9" * 100 not in err
+    # a JSON number past that limit fails in the JSON decoder itself
+    path.write_text('{"group": {"free_rank": %s}}' % ("9" * 5000))
+    code, out, err = run(capsys, "invariants", str(path))
+    assert (code, out, err.count("\n")) == (1, "", 1), err[:200]
+    assert err.startswith("presentation error: ") and "9" * 100 not in err
 

@@ -207,3 +207,40 @@ def test_commutator_infinite_order_weight():
         if rec.gamma_class == "free":
             assert multiplicative_order(rec.gamma) is INFINITE
             assert p.group.element_order(rec.weight) is INFINITE
+
+
+@pytest.mark.parametrize("p", [
+    exterior_presentation(2), taft_presentation(5), qplane_presentation(1),
+    qplane_presentation(3), skew_free_presentation(v=1),
+    skew_free_presentation(v=2), skew_free_presentation(v=1, tau=1),
+    skew_trunc_presentation(3, beta=1, v=2)],
+    ids=["exterior-s=2", "taft-p=5", "qplane-v=1", "qplane-v=3", "skew_free-v=1",
+         "skew_free-v=2", "skew_free-v=1-tau=1", "skew_trunc-p=3"])
+def test_entry_points_agree_on_witnesses(p):
+    report = compute_invariants(p, degree_bound=3, group_word_bound=2,
+                                power_bound=3)
+    assert report.witnesses
+    for rec in report.witnesses:
+        single, _ = generalized_commutator(p, rec.element)
+        assert single == (rec.character, rec.char_level)
+        wc = commutator_level(p, rec.element).single
+        assert (wc.gamma, wc.level) == (rec.gamma, rec.level)
+
+
+@pytest.mark.parametrize("p", [
+    skew_free_presentation(v=1, tau=1), taft_presentation(3),
+    skew_free_presentation(v=2)],
+    ids=["skew_free-v=1-tau=1", "taft-p=3", "skew_free-v=2"])
+def test_level_bound_boundary(p):
+    # the level is None exactly when it exceeds the bound
+    y = p.y(0)
+    level = commutator_level(p, y).single.level
+    below = commutator_level(p, y, level_bound=level - 1)
+    assert below.single is None
+    assert [c[1] for c in below.components] == [None]
+    at = commutator_level(p, y, level_bound=level)
+    assert at.single.level == level
+    single, comps = generalized_commutator(p, y, level_bound=level - 1)
+    assert single is None and [c[1] for c in comps] == [None]
+    single, _ = generalized_commutator(p, y, level_bound=level)
+    assert single[1] == level

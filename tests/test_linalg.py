@@ -163,7 +163,12 @@ def _assert_matches_oracle(domain, columns, target=None):
     if all(pcol[rk].as_unit_monomial() is not None for rk, pcol, _ in oracle.pivots):
         assert [rk for rk, *_ in elim.pivots] == [rk for rk, *_ in oracle.pivots]
     if target is not None:
-        assert solve_in_span(domain, columns, target) == _oracle_solve(domain, columns, target)
+        expected = _oracle_solve(domain, columns, target)
+        assert solve_in_span(domain, columns, target) == expected
+        # solving against the held elimination inserts nothing
+        rank = elim.rank
+        assert elim.solve(target) == expected
+        assert elim.rank == rank
 
 
 def _random_columns(rng, pool, nrows, ncols):
