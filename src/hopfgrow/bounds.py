@@ -55,7 +55,7 @@ class GrowthVerdict:
         return "GrowthVerdict(%s)" % self.classification
 
 
-def bound_first(p, primitives, degree_bound=6):
+def bound_first(p, primitives):
     """Independent-family bound: coradical rank + size of the family.
 
     Hypotheses: (a) the family is linearly independent modulo the
@@ -181,13 +181,13 @@ def bound_third(report):
     })
 
 
-def all_bounds(p, report, primitives=None, degree_bound=6):
-    """Convenience: run every bound on one invariant report."""
-    if primitives is None:
-        primitives = [r.element for r in report.witnesses]
+def all_bounds(p, report):
+    """Convenience: run every bound on one invariant report, the
+    independent-family bound on its witnesses."""
+    primitives = [r.element for r in report.witnesses]
     out = []
     if primitives:
-        out.append(bound_first(p, primitives, degree_bound))
+        out.append(bound_first(p, primitives))
     base, refinement = bound_second(report)
     out.extend([base, refinement])
     third = bound_third(report)

@@ -9,8 +9,20 @@ from fractions import Fraction
 
 from .errors import PresentationError
 from .groups import GroupData
+from .growth import DEFAULT_MAX_WORDS
 from .presentation import Presentation, SkewGenerator
 from .scalars import ScalarDomain
+
+
+def _typed(**params):
+    """Raise PresentationError unless each parameter, a (value, kind) pair,
+    is a bool (kind bool), an int (int) or an int or Fraction (Fraction)."""
+    for name, (value, kind) in params.items():
+        kinds = (int, Fraction) if kind is Fraction else (kind,)
+        if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kinds):
+            raise PresentationError("parameter %s must be %s, got %r" % (name, {
+                bool: "true or false", int: "an integer", Fraction: "a rational"}[kind],
+                value))
 
 
 def skew_free_presentation(v=2, same_q=False, tau=None, conductor=1):
@@ -21,6 +33,7 @@ def skew_free_presentation(v=2, same_q=False, tau=None, conductor=1):
     instead has the trivial character and the additive character
     tau_v(g) = tau.  No relations among the y's: the y-words are free.
     """
+    _typed(v=(v, int), same_q=(same_q, bool), tau=(0 if tau is None else tau, Fraction))
     if v < 1:
         raise PresentationError("need at least one skew generator")
     ntrans = 1 if same_q else v
@@ -47,6 +60,7 @@ def skew_trunc_presentation(p=3, beta=1, v=2, bad_gen=False):
     which breaks confluence whenever beta != 0: the overlap y1^p * g2
     cannot be resolved.
     """
+    _typed(p=(p, int), beta=(beta, Fraction), v=(v, int), bad_gen=(bad_gen, bool))
     if p < 2:
         raise PresentationError("truncation exponent must be at least 2")
     rank = 2 if bad_gen else 1
@@ -75,6 +89,7 @@ def taft_presentation(p=3, free=False):
     With free=True the power relation is dropped, leaving the unquotiented
     extension in which y^p survives as a skew primitive of weight g^p = 1.
     """
+    _typed(p=(p, int), free=(free, bool))
     if p < 2:
         raise PresentationError("Taft parameter must be at least 2")
     dom = ScalarDomain(p)
@@ -93,6 +108,7 @@ def qplane_presentation(v=2):
     for v = 3, adds a weight-1 primitive with the trivial character.
     Growth is polynomial of degree 1 + v.
     """
+    _typed(v=(v, int))
     if not 1 <= v <= 3:
         raise PresentationError("quantum plane builtin supports v in {1, 2, 3}")
     dom = ScalarDomain(1, ("q1",))
@@ -123,6 +139,7 @@ def exterior_presentation(s=2, free=False):
     the four-dimensional algebra with basis {1, x, y, xy}.  With free=True,
     the y-relations are dropped.
     """
+    _typed(s=(s, int), free=(free, bool))
     if s < 1:
         raise PresentationError("need at least one anticommuting generator")
     dom = ScalarDomain(2)
@@ -182,6 +199,15 @@ def _skew_free_expected(params):
     return out
 
 
+def _skew_free_n_max(v):
+    """13, or less where dim F_n = sum_t v^t (2(n - t) + 1), the normal
+    words g^a w with |a| + |w| <= n, passes the word ceiling (v >= 3)."""
+    n = 13
+    while sum(v ** t * (2 * (n - t) + 1) for t in range(n + 1)) > DEFAULT_MAX_WORDS:
+        n -= 1
+    return n
+
+
 def _skew_trunc_expected(params):
     p, beta, v, bad = params["p"], params["beta"], params["v"], params["bad_gen"]
     if bad and beta != 0:
@@ -212,8 +238,40 @@ def _skew_trunc_expected(params):
     return out
 
 
+def _free_over_cyclic_expected(torsion_dim, free_dim, exponential, dependence):
+    """taft and exterior with free=true: free y-words over a finite cyclic
+    group <g>, every y of weight g with lambda(g) a root of unity != 1, so
+    the primitives are those of weight g (commutator lambda(g)) and of
+    weight 1 (commutator 1), of dimensions torsion_dim and free_dim."""
+    return {
+        "confluent": True,  # no rules, so no overlaps
+        "weights": 2,  # g and 1
+        "weights_with_primitive_power": 1,  # g: its torsion commutator predicts one
+        "weights_with_free_commutator": 1,  # 1: it conjugates trivially
+        "weight_commutators": 2,  # (g, lambda(g)) and (1, 1)
+        "torsion_weight_commutators": 1,  # (g, lambda(g))
+        "dim_torsion_span": torsion_dim,
+        "dim_free_quotient": free_dim,
+        # lambda(g) != 1 fails the independent family; the coradical is
+        # finite, so the counts are weight 1, the pair (1, 1) and free_dim
+        "bounds": {"independent-family": None, "weight-count": 1,
+                   "weight-commutator-count": 1, "primitive-quotient": free_dim},
+        # one y letter: the words g^a y^b make dim F_n linear in n
+        "growth_kind": "exponential" if exponential else "polynomial",
+        "growth_degree": None if exponential else 1,
+        "detector": "inconclusive",  # roots of unity fire no criterion
+        "pbw_independent": False,  # the witness y^p, or y^2 in L_2, is a power
+        "pbw_dependence_degree": dependence,
+    }
+
+
 def _taft_expected(params):
     p = params["p"]
+    if params["free"]:
+        # y^n is primitive iff (n choose k)_zeta = 0 for 0 < k < n, i.e.
+        # n = 1 or n = p: y of weight g and y^p of weight g^p = 1, and the
+        # monomial y^p is the witness y^p
+        return _free_over_cyclic_expected(1, 1, False, p)
     return {
         "confluent": True,
         "weights": 1,
@@ -257,6 +315,15 @@ def _qplane_expected(params):
 
 def _exterior_expected(params):
     s = params["s"]
+    if params["free"]:
+        # the y-words are T(V) for V odd of dimension s, so the primitives
+        # modulo the coradical are the free Lie superalgebra L(V); from
+        # 1/(1 - st) = prod_n (1 - t^n)^(-d_n) (n even), (1 + t^n)^(d_n)
+        # (n odd): d_1 = s, d_2 = s(s + 1)/2, d_3 = (s^3 - s)/3 and
+        # d_4 = (s^4 - s^2)/4 up to the degree bound 4; the odd degrees have
+        # weight x, and y_1^2 = [y_1, y_1]/2 lies in the witness span of L_2
+        return _free_over_cyclic_expected(
+            s + (s ** 3 - s) // 3, s * (s + 1) // 2 + (s ** 4 - s ** 2) // 4, s > 1, 2)
     return {
         "confluent": True,
         "weights": 1,
@@ -285,8 +352,8 @@ EXAMPLES = {
         lambda prm: skew_free_presentation(v=prm["v"], same_q=prm["same_q"],
                                            tau=prm["tau"]),
         _skew_free_expected,
-        {"degree_bound": 4, "group_word_bound": 3, "power_bound": 3,
-         "n_max": 13, "pbw_degree": 6},
+        lambda prm: {"degree_bound": 4, "group_word_bound": 3, "power_bound": 3,
+                     "n_max": _skew_free_n_max(prm["v"]), "pbw_degree": 6},
     ),
     "skew_trunc": ExampleSpec(
         "the free extension plus one truncation y1^p = beta (mu1^p - 1); "
@@ -295,16 +362,17 @@ EXAMPLES = {
         lambda prm: skew_trunc_presentation(p=prm["p"], beta=prm["beta"],
                                             v=prm["v"], bad_gen=prm["bad_gen"]),
         _skew_trunc_expected,
-        {"degree_bound": 4, "group_word_bound": 3, "power_bound": 4,
-         "n_max": 12, "pbw_degree": 4},
+        # the PBW scan must reach the truncation relation y1^p
+        lambda prm: {"degree_bound": 4, "group_word_bound": 3, "power_bound": 4,
+                     "n_max": 12, "pbw_degree": max(4, prm["p"])},
     ),
     "taft": ExampleSpec(
         "Taft algebra: Z/p with one skew primitive, y g = zeta_p g y, y^p = 0",
         {"p": 3, "free": False},
         lambda prm: taft_presentation(p=prm["p"], free=prm["free"]),
         _taft_expected,
-        {"degree_bound": None, "group_word_bound": 2, "power_bound": None,
-         "n_max": 12, "pbw_degree": None},
+        lambda prm: {"degree_bound": prm["p"], "group_word_bound": 2,
+                     "power_bound": prm["p"], "n_max": 12, "pbw_degree": prm["p"] + 1},
     ),
     "qplane": ExampleSpec(
         "quantum-plane quotient over Z with v in {1,2,3} skew primitives; "
@@ -312,8 +380,8 @@ EXAMPLES = {
         {"v": 2},
         lambda prm: qplane_presentation(v=prm["v"]),
         _qplane_expected,
-        {"degree_bound": 3, "group_word_bound": 3, "power_bound": 3,
-         "n_max": None, "pbw_degree": 8},
+        lambda prm: {"degree_bound": 3, "group_word_bound": 3, "power_bound": 3,
+                     "n_max": 12 if prm["v"] == 1 else 24, "pbw_degree": 8},
     ),
     "exterior": ExampleSpec(
         "anticommuting generators over Z/2 (s = 1 is the four-dimensional "
@@ -321,8 +389,8 @@ EXAMPLES = {
         {"s": 2, "free": False},
         lambda prm: exterior_presentation(s=prm["s"], free=prm["free"]),
         _exterior_expected,
-        {"degree_bound": 4, "group_word_bound": 2, "power_bound": 3,
-         "n_max": 12, "pbw_degree": 4},
+        lambda prm: {"degree_bound": 4, "group_word_bound": 2, "power_bound": 3,
+                     "n_max": 12, "pbw_degree": 4},
     ),
 }
 
@@ -345,21 +413,6 @@ def build_example(name, params=None):
     return entry.build(merged), merged
 
 
-def example_config(name, params):
-    entry = EXAMPLES[name]
-    cfg = dict(entry.check_config)
-    if name == "taft":
-        cfg["degree_bound"] = params["p"]
-        cfg["power_bound"] = params["p"]
-        cfg["pbw_degree"] = params["p"] + 1
-    if name == "qplane":
-        cfg["n_max"] = 12 if params["v"] == 1 else 24
-    if name == "skew_trunc":
-        # the PBW scan must reach the truncation relation y1^p
-        cfg["pbw_degree"] = max(cfg["pbw_degree"], params["p"])
-    return cfg
-
-
 class CheckOutcome:
     def __init__(self):
         self.lines = []
@@ -379,10 +432,10 @@ def run_example_check(name, params=None):
     from .invariants import compute_invariants
 
     entry, merged = _merge_params(name, params)
+    p = entry.build(merged)  # first: it rejects parameters of the wrong type
     expected = entry.expected(merged)
     outcome = CheckOutcome()
-    p = entry.build(merged)
-    cfg = example_config(name, merged)
+    cfg = entry.check_config(merged)
     conf = p.check_confluence()
     if expected.get("confluent") is False:
         outcome.add("confluent", False, conf.confluent)
@@ -422,13 +475,11 @@ def run_example_check(name, params=None):
         degree = growth.estimate["degree"]
         sound = all(v is None or v <= degree for v in results.values())
         outcome.add("bounds-below-growth", True, sound)
-    if cfg.get("pbw_degree") and "pbw_independent" in expected:
-        scan = pbw_dependence_scan(p, [r.element for r in report.witnesses],
-                                   degree_bound=cfg["pbw_degree"])
-        outcome.add("pbw-independent", expected["pbw_independent"],
-                    scan.independent)
-        if not scan.independent and expected.get("pbw_dependence_degree") is not None:
-            outcome.add("pbw-dependence-degree",
-                        expected["pbw_dependence_degree"], sum(scan.monomial))
-            outcome.add("pbw-conclusions", True, scan.consistent)
+    scan = pbw_dependence_scan(p, [r.element for r in report.witnesses],
+                               degree_bound=cfg["pbw_degree"])
+    outcome.add("pbw-independent", expected["pbw_independent"], scan.independent)
+    if not scan.independent and expected.get("pbw_dependence_degree") is not None:
+        outcome.add("pbw-dependence-degree",
+                    expected["pbw_dependence_degree"], sum(scan.monomial))
+        outcome.add("pbw-conclusions", True, scan.consistent)
     return outcome

@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from .bounds import all_bounds, detect_exponential
-from .catalog import EXAMPLES, build_example, example_config, run_example_check
+from .catalog import EXAMPLES, build_example, run_example_check
 from .coalgebra import delta, find_skew_primitives
 from .errors import (ConsistencyError, NonConfluentError, PresentationError,
                      ResourceCeilingError, ScalarShapeError)
@@ -53,19 +53,19 @@ def _parse_param(text):
     if "=" not in text:
         raise UsageError("--param wants key=value, got %r" % text)
     key, raw = text.split("=", 1)
-    value = raw
     if raw.lower() in ("true", "false"):
-        value = raw.lower() == "true"
-    elif "," in raw:
-        value = tuple(int(x) for x in raw.split(","))
-    elif "/" in raw:
-        value = Fraction(raw)
-    else:
-        try:
-            value = int(raw)
-        except ValueError:
-            pass
-    return key, value
+        return key, raw.lower() == "true"
+    try:
+        if "," in raw:
+            return key, tuple(int(x) for x in raw.split(","))
+        if "/" in raw:
+            return key, Fraction(raw)
+        return key, int(raw)
+    except (ValueError, ZeroDivisionError):
+        # the value is not echoed: it may be thousands of digits long
+        if "," in raw or "/" in raw or raw.strip().lstrip("+-").isdigit():
+            raise UsageError("--param %s: not a number this program reads" % key) from None
+    return key, raw  # not a number: the builder rejects what it cannot use
 
 
 def _load(args):

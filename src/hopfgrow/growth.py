@@ -8,6 +8,7 @@ rounded slope; when it is loose and the consecutive ratios stay bounded
 away from 1, the growth is flagged exponential.
 """
 
+import itertools
 import math
 import os
 import statistics
@@ -20,6 +21,11 @@ from .scalars import INFINITE, multiplicative_order
 
 DEFAULT_MAX_WORDS = 2_000_000
 ENV_MAX_WORDS = "HOPFGROW_MAX_WORDS"
+# fit_growth: largest log-log residual of a polynomial fit, least ratio
+# dims[n + 1] / dims[n] - 1 of exponential growth, fewest window points
+_POLY_RESIDUAL_TOL = 0.05
+_EXP_DELTA = 0.15
+_MIN_WINDOW = 4
 
 
 def word_ceiling():
@@ -63,14 +69,14 @@ class GrowthReport:
         return "GrowthReport(%s, n_max=%d)" % (self.estimate, self.n_max)
 
 
-def fit_growth(dims, poly_residual_tol=0.05, exp_delta=0.15, min_window=4):
+def fit_growth(dims):
     """Classify a dimension sequence; see module docstring for the rules."""
     n_max = len(dims) - 1
     lo = max(1, (n_max + 1) // 2)
     window = list(range(lo, n_max + 1))
-    if len(window) < min_window:
+    if len(window) < _MIN_WINDOW:
         return {"kind": "inconclusive",
-                "reason": "window below %d points" % min_window}
+                "reason": "window below %d points" % _MIN_WINDOW}
     xs = [math.log(n) for n in window]
     ys = [math.log(dims[n]) for n in window]
     if max(ys) == min(ys):
@@ -79,11 +85,11 @@ def fit_growth(dims, poly_residual_tol=0.05, exp_delta=0.15, min_window=4):
         slope, intercept = statistics.linear_regression(xs, ys)
     residual = math.sqrt(sum((y - (slope * x + intercept)) ** 2
                              for x, y in zip(xs, ys)) / len(window))
-    if residual < poly_residual_tol:
+    if residual < _POLY_RESIDUAL_TOL:
         return {"kind": "polynomial", "degree": round(slope),
                 "slope": slope, "residual": residual}
     ratios = [dims[n + 1] / dims[n] for n in window[:-1]]
-    if all(r >= 1 + exp_delta for r in ratios):
+    if all(r >= 1 + _EXP_DELTA for r in ratios):
         rate = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
         return {"kind": "exponential", "rate": rate,
                 "min_ratio": min(ratios), "residual": residual}
@@ -91,20 +97,19 @@ def fit_growth(dims, poly_residual_tol=0.05, exp_delta=0.15, min_window=4):
             "reason": "neither fit criterion met"}
 
 
-def measure_growth(p, n_max=12, letters=None, max_words=None):
-    """Exact growth of the default (or given) generating set up to n_max.
+def measure_growth(p, n_max=12, max_words=None):
+    """Exact growth of the default generating set up to n_max.
 
     Returns a GrowthReport; when the enumeration hits the word ceiling the
     report carries the partial sequence and is flagged truncated.
     """
-    if letters is None:
-        letters = p.default_generating_letters()
     if max_words is None:
         max_words = word_ceiling()
     desc = "%d group letters and %d skew generators" % (
         2 * p.group.ngens, p.ny)
     try:
-        dims = p.filtration_dims(letters, n_max, max_words=max_words)
+        dims = p.filtration_dims(p.default_generating_letters(), n_max,
+                                 max_words=max_words)
     except ResourceCeilingError as exc:
         dims = exc.partial or [1]
         return GrowthReport(dims, {"kind": "inconclusive",
@@ -180,36 +185,20 @@ class PbwScan:
         return "PbwScan(dependent at %s)" % (self.monomial,)
 
 
-def _exponent_tuples(nvars, degree_bound):
-    """Exponent tuples with sum <= bound, in (total degree, lex) order."""
-    if nvars == 0:
-        return [()]
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + (remaining,)
-            return
-        for e in range(remaining + 1):
-            yield from rec(prefix + (e,), remaining - e, slots - 1)
-
-    tuples = []
-    for total in range(degree_bound + 1):
-        tuples.extend(sorted(rec((), total, nvars)))
-    return tuples
-
-
 def pbw_dependence_scan(p, primitives, degree_bound=8):
     """Scan ordered monomials in the primitives for dependence over the
     coradical.
 
-    Monomials z_1^{e_1} ... z_k^{e_k} are normalized and fed to an exact
-    elimination in multidegree order (the empty monomial included, so a
-    combination landing in the coradical is a genuine dependence).  On the
-    first dependence, the minimal relation is checked against the
-    dependence-analyzer predictions: the dependent monomial is a pure
-    power z^{p} with lambda_z a primitive p-th root of unity, the other
-    monomials involved are single primitives or matching pure powers, and
-    all weights agree with weight_z^{p}.
+    The monomials z_1^{e_1} ... z_k^{e_k} of total degree 1 to degree_bound
+    come in (total degree, lex) order; each is z_i times a monomial of the
+    degree before, i the first index with e_i > 0, so it costs one left
+    product.  Each goes into one exact elimination modulo the coradical as
+    it is built, so a combination landing in the coradical is a genuine
+    dependence, and the scan stops at the first one.  Its minimal relation
+    is checked against the dependence-analyzer predictions: the dependent
+    monomial is a pure power z^{p} with lambda_z a primitive p-th root of
+    unity, the other monomials involved are single primitives or matching
+    pure powers, and all weights agree with weight_z^{p}.
     """
     p.require_confluent()
     weights = []
@@ -218,53 +207,26 @@ def pbw_dependence_scan(p, primitives, degree_bound=8):
         if w is None:
             raise ValueError("family member is not skew primitive: %r" % (z,))
         weights.append(w)
-    if not primitives:
-        return PbwScan(True, degree_bound)
-    exps = _exponent_tuples(len(primitives), degree_bound)
-    normal_forms = {}
-    for e in exps:
-        prod = p.one()
-        for i, power in enumerate(e):
-            for _ in range(power):
-                prod = p.multiply(prod, primitives[i])
-        normal_forms[e] = prod
-    # fast path: distinct single normal words outside the coradical are
-    # trivially independent
-    seen_words = set()
-    trivially_independent = True
-    for e in exps:
-        if sum(e) == 0:
-            continue
-        terms = normal_forms[e].terms
-        if len(terms) != 1:
-            trivially_independent = False
-            break
-        word = next(iter(terms))
-        if not word[1] or word in seen_words:
-            trivially_independent = False
-            break
-        seen_words.add(word)
-    if trivially_independent:
-        return PbwScan(True, degree_bound)
     elim = ScalarElimination(p.domain)
-    inserted = []
-    for e in exps:
-        if sum(e) == 0:
-            continue  # the empty monomial is the coradical absorber
-        image = _strip_coradical(normal_forms[e])
-        combo = elim.insert(image, e)
-        if combo is None:
-            inserted.append(e)
-            continue
-        # first dependence: normalize the relation so this monomial has
-        # coefficient one
-        lead = combo.pop(e)
-        inv = lead.inverse()
-        relation = {e2: inv * c for e2, c in combo.items() if not c.is_zero()}
-        conclusions = _check_dependence_conclusions(
-            p, primitives, weights, e, relation)
-        return PbwScan(False, degree_bound, monomial=e, relation=relation,
-                       conclusions=conclusions)
+    k = len(primitives)
+    level = {(): p.one()}  # sorted index tuple (i_1, ..., i_t) -> z_{i_1} ... z_{i_t}
+    for total in range(1, degree_bound + 1):
+        prev, level = level, {}
+        # descending index tuples are ascending exponent tuples
+        for idx in reversed(list(itertools.combinations_with_replacement(range(k), total))):
+            level[idx] = p.multiply(primitives[idx[0]], prev[idx[1:]])
+            e = tuple(idx.count(i) for i in range(k))
+            combo = elim.insert(_strip_coradical(level[idx]), e)
+            if combo is None:
+                continue
+            # first dependence: normalize the relation so this monomial has
+            # coefficient one
+            inv = combo.pop(e).inverse()
+            relation = {e2: inv * c for e2, c in combo.items() if not c.is_zero()}
+            conclusions = _check_dependence_conclusions(
+                p, primitives, weights, e, relation)
+            return PbwScan(False, degree_bound, monomial=e, relation=relation,
+                           conclusions=conclusions)
     return PbwScan(True, degree_bound)
 
 

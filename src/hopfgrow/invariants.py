@@ -493,7 +493,7 @@ def _power_tests(p, recs, power_bound):
         z = rec.element
         zp = z
         for n in range(2, power_bound + 1):
-            zp = p.multiply(zp, z)
+            zp = p.multiply(z, zp)
             if zp.is_zero() or is_skew_primitive(p, zp) is not None:
                 rec.power_primitive_n = n
                 break

@@ -522,7 +522,7 @@ class Presentation:
     def power(self, a, n):
         result = self.one()
         for _ in range(n):
-            result = self.multiply(result, a)
+            result = self.multiply(a, result)
         return result
 
     def word_times_letter(self, word, letter):
@@ -561,82 +561,59 @@ class Presentation:
     def check_confluence(self):
         """Resolve every overlap ambiguity.
 
-        Checks y-rule/y-rule overlaps (shared boundary and containment) and
-        y-rule/group-commutation overlaps against each positive group
-        generator.  A finite rule set has finitely many overlaps, each of
-        length at most |u| + |v| - 1 (Bergman's diamond lemma), so none is
-        skipped.  Returns a ConfluenceResult listing every critical pair
-        whose two reductions differ.
+        For each ordered pair of rules u -> a, v -> b and each position s at
+        which v meets u, the word u v[|u| - s:] reduces by the first rule at
+        0 and by the second at s: shared boundaries, where v reaches the end
+        of u, by growing overlap, then containments left to right.  Each u
+        times each positive group generator x reduces by its rule and by
+        normalize(u x), which commutes x to the left.  A finite rule set has
+        finitely many overlaps, each of length at most |u| + |v| - 1
+        (Bergman's diamond lemma), so none is skipped.  Returns a
+        ConfluenceResult listing every critical pair whose two reductions
+        differ.
         """
         if self._confluence is not None:
             return self._confluence
+
+        def letters(yword):
+            return tuple(("y", i) for i in yword)
+
+        def reduced(word, pos, rule, tail=()):
+            """NF of word with the redex of rule at pos replaced by its
+            right-hand side, times the letters tail."""
+            head = letters(word[:pos])
+            rest = letters(word[pos + len(rule.lhs):]) + tail
+            return self.normalize([(c, head + (("g", g),) + letters(yw) + rest)
+                                   for (g, yw), c in rule.rhs.terms.items()])
+
         failures = []
-
-        def close(raw_terms):
-            return self.normalize(raw_terms)
-
         for ra, rb in itertools.product(self.rules, repeat=2):
             u, v = ra.lhs, rb.lhs
-            # shared-boundary overlaps: u = a c, v = c b with c nonempty
-            for c_len in range(1, min(len(u), len(v)) + 1):
-                if c_len == len(u) and c_len == len(v):
+            for s in [*range(len(u) - 1, max(len(u) - len(v), 0) - 1, -1),
+                      *range(1, len(u) - len(v))]:
+                # at 0, v inside a longer u is the pair the other way round
+                if (s == 0 and len(u) == len(v)) or u[s:s + len(v)] != v[:len(u) - s]:
                     continue
-                if u[len(u) - c_len:] != v[:c_len]:
+                word = u + v[len(u) - s:]
+                first, second = reduced(word, 0, ra), reduced(word, s, rb)
+                if first == second:
                     continue
-                word = u + v[c_len:]
-                # reduce the left redex first
-                first = close([(c, (("g", g),) + tuple(("y", i) for i in yw)
-                                + tuple(("y", i) for i in v[c_len:]))
-                               for (g, yw), c in ra.rhs.terms.items()])
-                second = close([(c, tuple(("y", i) for i in u[:len(u) - c_len])
-                                 + (("g", g),) + tuple(("y", i) for i in yw))
-                                for (g, yw), c in rb.rhs.terms.items()])
-                if first != second:
-                    failures.append(OverlapFailure(
-                        "yy", word,
-                        "rules %s and %s on word %s"
-                        % (self._yname(u), self._yname(v), self._yname(word)),
-                        first, second))
-            # containment: v strictly inside u
-            if len(v) < len(u):
-                for pos in range(0, len(u) - len(v) + 1):
-                    if u[pos:pos + len(v)] != v:
-                        continue
-                    if pos == 0 or pos + len(v) == len(u):
-                        continue  # boundary cases are shared-boundary overlaps
-                    first = self.normalize(ra.rhs)
-                    second = close([(c, tuple(("y", i) for i in u[:pos]) + (("g", g),)
-                                     + tuple(("y", i) for i in yw)
-                                     + tuple(("y", i) for i in u[pos + len(v):]))
-                                    for (g, yw), c in rb.rhs.terms.items()])
-                    if first != second:
-                        failures.append(OverlapFailure(
-                            "yy", u,
-                            "rule %s inside %s" % (self._yname(v), self._yname(u)),
-                            first, second))
-        # y-rule versus group commutation: the word (lhs)g reduced both ways
+                if s + len(v) < len(u):
+                    detail = "rule %s inside %s" % (self._yname(v), self._yname(u))
+                else:
+                    detail = "rules %s and %s on word %s" % (
+                        self._yname(u), self._yname(v), self._yname(word))
+                failures.append(OverlapFailure("yy", word, detail, first, second))
         for rule in self.rules:
-            u = rule.lhs
             for gi in range(self.group.ngens):
-                x = self.group.generator(gi)
-                first = close([(c, (("g", g),) + tuple(("y", i) for i in yw) + (("g", x),))
-                               for (g, yw), c in rule.rhs.terms.items()])
-                # commute x one step left, then reduce
-                last = u[-1]
-                lam = self.char_value(last, x)
-                raw = [(lam, tuple(("y", i) for i in u[:-1]) + (("g", x), ("y", last)))]
-                tau = self.tau_value(last, x)
-                if not tau.is_zero():
-                    mu = self.gens[last].weight
-                    raw.append((tau, tuple(("y", i) for i in u[:-1])
-                                + (("g", self.group.mul(x, mu)),)))
-                    raw.append((-tau, tuple(("y", i) for i in u[:-1]) + (("g", x),)))
-                second = close(raw)
+                x = (("g", self.group.generator(gi)),)
+                first = reduced(rule.lhs, 0, rule, x)
+                second = self.normalize([(self.domain.one(), letters(rule.lhs) + x)])
                 if first != second:
                     failures.append(OverlapFailure(
-                        "ygroup", u + (("g", x),),
+                        "ygroup", rule.lhs + x,
                         "rule %s against group generator g%d"
-                        % (self._yname(u), gi + 1),
+                        % (self._yname(rule.lhs), gi + 1),
                         first, second))
         result = ConfluenceResult(failures)
         self._confluence = result

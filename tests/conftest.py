@@ -14,6 +14,17 @@ settings.register_profile("hopfgrow", max_examples=30, deadline=None, database=N
 settings.load_profile("hopfgrow")
 
 
+# every builtin setting that check-example is tested on, as (name, --param
+# values), with its test id
+CHECK_SETTINGS = [
+    ("skew_free", []), ("skew_trunc", []), ("taft", []), ("qplane", []),
+    ("exterior", []), ("skew_free", ["v=1"]), ("skew_trunc", ["p=5"]),
+    ("skew_free", ["v=2", "tau=1"]), ("skew_free", ["v=1", "tau=1"]),
+    ("taft", ["free=true"]), ("exterior", ["free=true"]), ("skew_free", ["v=3"]),
+]
+CHECK_IDS = ["-".join([name] + params) for name, params in CHECK_SETTINGS]
+
+
 def random_element(p, rng, max_degree=3, group_radius=2, nterms=3):
     """A random element with small words and simple coefficients."""
     ball = p.group.ball(group_radius)

@@ -7,6 +7,8 @@ from hopfgrow.catalog import taft_presentation
 from hopfgrow.cli import main
 from hopfgrow.fileformat import presentation_to_jsonable
 
+from conftest import CHECK_IDS, CHECK_SETTINGS
+
 with open("src/hopfgrow/schemas/report.schema.json") as fh:
     SCHEMA = json.load(fh)
 
@@ -203,13 +205,7 @@ def test_growth_resource_ceiling(capsys, monkeypatch):
     assert code == 3
 
 
-@pytest.mark.parametrize("name, params", [
-    ("skew_free", []), ("skew_trunc", []), ("taft", []), ("qplane", []),
-    ("exterior", []), ("skew_free", ["v=1"]), ("skew_trunc", ["p=5"]),
-    ("skew_free", ["v=2", "tau=1"]), ("skew_free", ["v=1", "tau=1"]),
-], ids=["skew_free", "skew_trunc", "taft", "qplane", "exterior",
-        "skew_free-v=1", "skew_trunc-p=5", "skew_free-v=2-tau=1",
-        "skew_free-v=1-tau=1"])
+@pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
 def test_check_example_all_builtins(capsys, name, params):
     argv = [arg for prm in params for arg in ("--param", prm)]
     code, payload = run_json(capsys, "check-example", name, *argv)
@@ -261,6 +257,16 @@ def test_exit_code_usage(capsys, tmp_path, monkeypatch):
         code, out, err = run(capsys, argv[0], "--example", "taft", *argv[1:])
         assert (code, out, err.count("\n")) == (1, "", 1), err[:200]
         assert err.startswith("presentation error:") and big not in err
+    # so is a --param value that is not a number, or not one the builder takes
+    for argv in (["invariants", "--example", "taft", "--param", "p=1,x"],
+                 ["invariants", "--example", "taft", "--param", "p=1/x"],
+                 ["invariants", "--example", "taft", "--param", "p=x"],
+                 ["check-example", "taft", "--param", "p=x"],
+                 ["invariants", "--example", "taft", "--param", "p=" + big]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.count("\n")) == (1, "", 1), err[-300:]
+        assert err.startswith(("usage error:", "presentation error:")), err
+        assert ("parameter p" in err or "--param p" in err) and big not in err, err
     # so is a word ceiling that is not a nonnegative integer
     for raw in ("abc", "-5"):
         monkeypatch.setenv("HOPFGROW_MAX_WORDS", raw)

@@ -4,20 +4,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfgrow.catalog import (build_example, exterior_presentation,
+from hopfgrow.catalog import (EXAMPLES, build_example, exterior_presentation,
                               qplane_presentation, skew_free_presentation,
                               skew_trunc_presentation, taft_presentation)
+from hopfgrow.cli import _parse_param
+from hopfgrow.coalgebra import is_skew_primitive
 from hopfgrow.elements import AlgebraElement
 from hopfgrow.errors import ResourceCeilingError
 from hopfgrow.groups import GroupData
-from hopfgrow.growth import (dp_word_counts, fit_growth, measure_growth,
-                             pbw_dependence_scan)
-from hopfgrow.invariants import compute_invariants
+from hopfgrow.growth import (PbwScan, _check_dependence_conclusions, dp_word_counts,
+                             fit_growth, measure_growth, pbw_dependence_scan)
+from hopfgrow.invariants import _strip_coradical, compute_invariants
 from hopfgrow.linalg import ScalarElimination
-from hopfgrow.presentation import Presentation
+from hopfgrow.presentation import Presentation, SkewGenerator
 from hopfgrow.scalars import ScalarDomain
 
-from conftest import (cyclic_g3_truncation, g3_truncation, random_presentation,
+from conftest import (CHECK_IDS, CHECK_SETTINGS, confluent_random_presentation,
+                      cyclic_g3_truncation, g3_truncation, random_presentation,
                       random_truncation, rank2_truncation)
 
 
@@ -388,3 +391,97 @@ def test_pbw_truncated_with_beta():
     assert not scan.independent
     assert scan.monomial == (3, 0)
     assert scan.consistent
+
+
+# -- the earlier PBW scan: the oracle of pbw_dependence_scan ----------------
+def _exponent_tuples(nvars, degree_bound):
+    """Exponent tuples with sum <= bound, in (total degree, lex) order."""
+    if nvars == 0:
+        return [()]
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            yield prefix + (remaining,)
+            return
+        for e in range(remaining + 1):
+            yield from rec(prefix + (e,), remaining - e, slots - 1)
+
+    tuples = []
+    for total in range(degree_bound + 1):
+        tuples.extend(sorted(rec((), total, nvars)))
+    return tuples
+
+
+def _pbw_scan_oracle(p, primitives, degree_bound):
+    """Every monomial normalized up front by right products, the verdict
+    for distinct single words outside the coradical read off directly, and
+    only otherwise the elimination."""
+    weights = [is_skew_primitive(p, z) for z in primitives]
+    if not primitives:
+        return PbwScan(True, degree_bound)
+    exps = _exponent_tuples(len(primitives), degree_bound)
+    normal_forms = {}
+    for e in exps:
+        prod = p.one()
+        for i, power in enumerate(e):
+            for _ in range(power):
+                prod = p.multiply(prod, primitives[i])
+        normal_forms[e] = prod
+    seen_words = set()
+    for e in exps[1:]:
+        terms = normal_forms[e].terms
+        word = next(iter(terms), None)
+        if len(terms) != 1 or not word[1] or word in seen_words:
+            break
+        seen_words.add(word)
+    else:
+        return PbwScan(True, degree_bound)
+    elim = ScalarElimination(p.domain)
+    for e in exps[1:]:
+        combo = elim.insert(_strip_coradical(normal_forms[e]), e)
+        if combo is None:
+            continue
+        inv = combo.pop(e).inverse()
+        relation = {e2: inv * c for e2, c in combo.items() if not c.is_zero()}
+        return PbwScan(False, degree_bound, monomial=e, relation=relation,
+                       conclusions=_check_dependence_conclusions(
+                           p, primitives, weights, e, relation))
+    return PbwScan(True, degree_bound)
+
+
+def _assert_scan_matches_oracle(p, family, degree_bound):
+    scan = pbw_dependence_scan(p, family, degree_bound)
+    oracle = _pbw_scan_oracle(p, family, degree_bound)
+    assert scan.independent == oracle.independent
+    assert scan.monomial == oracle.monomial
+    assert scan.relation == oracle.relation
+    assert scan.conclusions == oracle.conclusions
+
+
+@pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
+def test_pbw_scan_matches_oracle_on_witnesses(name, params):
+    p, merged = build_example(name, dict(_parse_param(prm) for prm in params))
+    cfg = EXAMPLES[name].check_config(merged)
+    report = compute_invariants(p, cfg["degree_bound"], cfg["group_word_bound"],
+                                cfg["power_bound"])
+    _assert_scan_matches_oracle(p, [r.element for r in report.witnesses],
+                                cfg["pbw_degree"])
+
+
+def test_pbw_scan_matches_oracle_random():
+    rng = random.Random(515)
+    for _ in range(25):
+        p = confluent_random_presentation(rng)
+        _assert_scan_matches_oracle(p, [p.y(i) for i in range(p.ny)], 4)
+
+
+def test_pbw_scan_multiplies_in_monomial_order():
+    # with y2 y1 -> 0 the ordered monomials y1^a y2^b are nonzero normal
+    # words, while every product in the other order vanishes
+    dom, group = ScalarDomain(1, ("q1",)), GroupData(1)
+    g = group.generator(0)
+    gens = [SkewGenerator("y%d" % i, g, (dom.q(0),)) for i in (1, 2)]
+    p = Presentation(dom, group, gens, [((1, 0), {})])
+    family = [p.y(0), p.y(1)]
+    assert pbw_dependence_scan(p, family, 4).independent
+    _assert_scan_matches_oracle(p, family, 4)

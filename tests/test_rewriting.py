@@ -132,6 +132,31 @@ def test_long_overlaps_are_checked():
         p.require_confluent()
 
 
+def _two_rule_presentation(rank, lhs):
+    """y1 -> y2 and lhs -> 0, with y1 and y2 of weight g and lambda = q1
+    over Z (rank 1), or over the trivial group (rank 0)."""
+    dom = ScalarDomain(1, ("q1",))
+    group = GroupData(rank)
+    weight, char = ((group.generator(0), (dom.q(0),)) if rank else ((), ()))
+    gens = [SkewGenerator("y1", weight, char), SkewGenerator("y2", weight, char)]
+    rules = [((0,), {(group.identity(), (1,)): dom.one()}), (lhs, {})]
+    return Presentation(dom, group, gens, rules)
+
+
+@pytest.mark.parametrize("rank, lhs, expected", [
+    # y1 is a proper suffix of y2 y1: a shared boundary of one letter
+    (1, (1, 0), [("yy", "rules y2 y1 and y1 on word y2 y1"),
+                 ("ygroup", "rule y2 y1 against group generator g1")]),
+    # y1 lies strictly inside y2 y1 y2; no group generator to commute
+    (0, (1, 0, 1), [("yy", "rule y1 inside y2 y1 y2")]),
+    # y1 is a proper prefix of y1 y2
+    (0, (0, 1), [("yy", "rules y1 and y1 y2 on word y1 y2")]),
+], ids=["suffix", "containment", "prefix"])
+def test_overlap_kinds_are_each_checked(rank, lhs, expected):
+    failures = _two_rule_presentation(rank, lhs).check_confluence().failures
+    assert [(f.kind, f.detail) for f in failures] == expected
+
+
 def test_randomized_reduction_order_agrees(rng):
     builtins = [taft_presentation(3), exterior_presentation(3),
                 qplane_presentation(3), skew_trunc_presentation(2, beta=1, v=2),
