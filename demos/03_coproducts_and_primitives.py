@@ -15,7 +15,7 @@ p = taft_presentation(3)
 y = p.y(0)
 print("Taft algebra, p = 3")
 print("  delta(y)   =", tensor_to_str(p, delta(p, y)))
-print("  delta(y^2) =", tensor_to_str(p, delta(p, p.power(y, 2))))
+print("  delta(y^2) =", tensor_to_str(p, delta(p, p.multiply(y, y))))
 print("  eps(y + 3) =", counit(p, y + p.one().scale(p.domain.rational(3))))
 print("  S(y)       =", element_to_str(p, antipode(p, y)))
 print()

@@ -26,9 +26,9 @@ from .catalog import EXAMPLES, build_example, run_example_check
 from .coalgebra import delta, find_skew_primitives
 from .errors import (ConsistencyError, NonConfluentError, PresentationError,
                      ResourceCeilingError, ScalarShapeError)
-from .fileformat import (load_presentation, parse_element_expr,
+from .fileformat import (_SIZE_CEILING, load_presentation, parse_element_expr,
                          parse_group_element)
-from .growth import measure_growth, pbw_dependence_scan, word_ceiling
+from .growth import measure_growth, word_ceiling
 from .invariants import compute_invariants
 from .scalars import INFINITE
 from .serialize import (element_to_str, scalar_to_expr, tensor_to_str,
@@ -357,6 +357,15 @@ def _nonnegative(text):
     return value
 
 
+def _horizon(text):
+    """argparse type of --nmax: an integer from 0 to the parser's size cap,
+    since the growth sequence holds n_max + 1 entries."""
+    value = _nonnegative(text)
+    if value > _SIZE_CEILING:
+        raise argparse.ArgumentTypeError("%d exceeds the cap %d" % (value, _SIZE_CEILING))
+    return value
+
+
 def _add_common(sub, element=False, weight=False):
     sub.add_argument("file", nargs="?", help="presentation file (JSON)")
     sub.add_argument("--example", help="builtin example name")
@@ -371,7 +380,7 @@ def _add_common(sub, element=False, weight=False):
     sub.add_argument("--power-bound", dest="power_bound", type=_nonnegative,
                      default=6,
                      help="largest power tested for primitivity")
-    sub.add_argument("--nmax", type=_nonnegative, default=12,
+    sub.add_argument("--nmax", type=_horizon, default=12,
                      help="growth measurement horizon")
     sub.add_argument("--mmax", type=_nonnegative, default=12,
                      help="exponent ceiling for the relation search")

@@ -309,11 +309,6 @@ class CycloRational:
     def is_rational(self):
         return not any(self.nums[1:])
 
-    def rational_value(self):
-        if not self.is_rational():
-            raise ValueError("not a rational element: %r" % (self,))
-        return Fraction(self.nums[0], self.den)
-
     def _check(self, other):
         if self.field is not other.field and self.field != other.field:
             raise ValueError("mixed cyclotomic conductors %d and %d"

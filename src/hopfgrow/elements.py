@@ -85,16 +85,6 @@ class AlgebraElement:
 
     __hash__ = None
 
-    def y_degree(self):
-        """Maximal total y-degree of a term (-1 for the zero element)."""
-        if not self.terms:
-            return -1
-        return max(len(w[1]) for w in self.terms)
-
-    def top_terms(self):
-        d = self.y_degree()
-        return {w: c for w, c in self.terms.items() if len(w[1]) == d}
-
     def group_support_only(self):
         """True when every word has an empty y-part (element of the coradical)."""
         return all(not w[1] for w in self.terms)

@@ -16,10 +16,6 @@ class NonConfluentError(RuntimeError):
         super().__init__("presentation is not confluent; unresolved overlaps: %s" % names)
 
 
-class RewriteInternalError(RuntimeError):
-    """Internal rewriting invariant broken (degree guard tripped)."""
-
-
 class ResourceCeilingError(RuntimeError):
     """An enumeration exceeded its configured word-count ceiling."""
 

@@ -145,22 +145,3 @@ def nullspace_of_columns(domain, columns, tags=None):
             kernel.append(combo)
     return kernel
 
-
-def rank_of_columns(domain, columns):
-    elim = ScalarElimination(domain)
-    for i, col in enumerate(columns):
-        elim.insert(col, i)
-    return elim.rank
-
-
-def solve_in_span(domain, basis_columns, target, tags=None):
-    """Coefficients expressing target in the span, or None.
-
-    Returns a dict tag -> Scalar with sum(coeff * basis) == target.
-    """
-    if tags is None:
-        tags = list(range(len(basis_columns)))
-    elim = ScalarElimination(domain)
-    for col, tag in zip(basis_columns, tags):
-        elim.insert(col, tag)
-    return elim.solve(target)

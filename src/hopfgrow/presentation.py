@@ -21,16 +21,15 @@ decides whether y_i w is normal; otherwise the rule's right-hand side folds
 onto the rest of w through cached products by smaller words (deg-lex
 rewriting is compatible with concatenation: Bergman, The diamond lemma for
 ring theory, Adv. Math. 29, 1978).  Normal forms of words, normalize,
-multiply, coproducts and the growth closure are folds of that kernel;
-whole-word rewriting in random order stays as the independent test
-oracle.
+multiply, coproducts and the growth closure are folds of that kernel.
+The tests check it against whole-word rewriting in random order, an
+oracle in tests/oracles.py that evaluates the characters itself.
 """
 
 import itertools
 
 from .elements import AlgebraElement, add_term, y_counts, yword_key
-from .errors import (NonConfluentError, PresentationError,
-                     ResourceCeilingError, RewriteInternalError)
+from .errors import NonConfluentError, PresentationError, ResourceCeilingError
 from .intmat import row_reduce_with_transform
 
 
@@ -280,9 +279,6 @@ class Presentation:
         return val
 
     # -- element constructors ------------------------------------------
-    def zero_element(self):
-        return AlgebraElement({})
-
     def one(self):
         return AlgebraElement({(self.group.identity(), ()): self.domain.one()})
 
@@ -405,74 +401,6 @@ class Presentation:
             terms = self._y_times(i, terms)
         return AlgebraElement(terms)
 
-    # -- random-order rewriting: the independent oracle ------------------
-    def _commute_group_left(self, yword, h):
-        """Move a group element from the right of a y-word to its left.
-
-        Returns {(group element, kept y-word): coeff}; the additive
-        character tau adds terms that drop one y and pick up an extra
-        weight factor in the group part.  Equal terms merge after each
-        letter, so cancelling branches never multiply.
-        """
-        h = self.group.reduce(h)
-        if not yword or self.group.is_identity(h):
-            return {(h, tuple(yword)): self.domain.one()}
-        terms = {(h, ()): self.domain.one()}
-        for letter in reversed(yword):
-            new = {}
-            for (hh, kept), c in terms.items():
-                add_term(new, (hh, (letter,) + kept), c * self.char_value(letter, hh))
-                if not self.tau_free:
-                    tau = self.tau_value(letter, hh)
-                    if not tau.is_zero():
-                        ct = c * tau
-                        add_term(new, (self.group.mul(hh, self.gens[letter].weight), kept), ct)
-                        add_term(new, (hh, kept), -ct)
-            terms = new
-        return terms
-
-    def _redexes(self, word):
-        """Yield (pos, rule) for each redex: leftmost first, in rule order
-        at each position."""
-        by_first = self._rules_by_first
-        for pos in range(len(word)):
-            for rest, rule in by_first.get(word[pos], ()):
-                if word[pos + 1:pos + 1 + len(rest)] == rest:
-                    yield pos, rule
-
-    def normal_form_yword_random(self, yword, rng):
-        """Like normal_form_yword but resolving redexes in random order.
-
-        An independent oracle for the kernel: whole-word redex search, with
-        group parts moved left through prefixes.  Confluence makes the
-        result independent of the strategy; this exists so that
-        independence can be tested, not for production use.
-        """
-        yword = tuple(yword)
-        bound = len(yword)
-        acc = {}
-        stack = [(self.domain.one(), self.group.identity(), yword)]
-        while stack:
-            c, h, w = stack.pop()
-            if len(w) > bound:
-                raise RewriteInternalError(
-                    "intermediate degree %d exceeds input degree %d" % (len(w), bound))
-            redexes = list(self._redexes(w))
-            if not redexes:
-                add_term(acc, (h, w), c)
-                continue
-            pos, rule = rng.choice(redexes)
-            prefix = w[:pos]
-            suffix = w[pos + len(rule.lhs):]
-            for (g2, ys2), coeff in rule.rhs.terms.items():
-                if self.group.is_identity(g2):
-                    stack.append((c * coeff, h, prefix + ys2 + suffix))
-                else:
-                    for (h3, kept), c3 in self._commute_group_left(prefix, g2).items():
-                        stack.append((c * coeff * c3, self.group.mul(h, h3),
-                                      kept + ys2 + suffix))
-        return AlgebraElement(acc)
-
     # -- products ----------------------------------------------------------
     def normalize(self, raw):
         """Normal form of raw input.
@@ -518,12 +446,6 @@ class Presentation:
             for (h, v), c in terms.items():
                 add_term(acc, (mul(h1, h), v), c1 * c)
         return AlgebraElement(acc)
-
-    def power(self, a, n):
-        result = self.one()
-        for _ in range(n):
-            result = self.multiply(a, result)
-        return result
 
     def word_times_letter(self, word, letter):
         """Support of letter * (normal word h w), as a list of normal words.
@@ -638,21 +560,20 @@ class Presentation:
             letters.append(("y", i))
         return letters
 
-    def filtration_dims(self, letters, n_max, max_words=None):
+    def filtration_dims(self, n_max, max_words=None):
         """Number of distinct normal words in products of <= n generators.
 
         dims[n] counts the words reached by products of at most n letters
-        from the generating set (1 included), each letter multiplying on
-        the left and reaching the support of its product.  That is the size
-        of a spanning set of normal words, so an upper bound on dim F_n,
-        equal to it when no combination of reached words cancels.
+        of default_generating_letters (1 included), each letter multiplying
+        on the left and reaching the support of its product.  That is the
+        size of a spanning set of normal words, so an upper bound on
+        dim F_n, equal to it when no combination of reached words cancels.
 
-        The presentation is length-filtered for the letters when it is
-        tau-free, the letters hold every y-generator and every rule term
-        c g u has dist(g) + |u| <= |lhs|, dist the word length over the
-        group letters.  Without tau a y-step commutes with the group, and
-        by induction over the kernel fold every word h v reached by b
-        y-letters has dist(h) <= b - |v|, while each normal y-word v is
+        The presentation is length-filtered when it is tau-free and every
+        rule term c g u has dist(g) + |u| <= |lhs|, dist the word length
+        over the group letters.  Without tau a y-step commutes with the
+        group, and by induction over the kernel fold every word h v reached
+        by b y-letters has dist(h) <= b - |v|, while each normal y-word v is
         reached by |v| of them with group part 1.  So dims[n] is
         sum_t Y(t) ball[n - t], Y(t) the normal y-words of length t from
         _word_levels, summed on the side with fewer nonzero terms up to n.
@@ -670,16 +591,14 @@ class Presentation:
         """
         self.require_confluent()
         if not self.tau_free:
-            return self._closure_dims(letters, n_max, max_words)
-        ys = [val for kind, val in letters if kind != "g"]
-        dist, spheres, _ = self._letter_ball(
-            [val for kind, val in letters if kind == "g"], n_max, max_words)
-        if not self._length_filtered(ys, dist):
-            return self._closure_dims(letters, n_max, max_words)
+            return self._closure_dims(n_max, max_words)
+        dist, spheres, _ = self._letter_ball(n_max, max_words)
+        if not self._length_filtered(dist):
+            return self._closure_dims(n_max, max_words)
         last = len(spheres) - 1
         ball = list(itertools.accumulate(len(sphere) for sphere in spheres))
         by_level, upto, nonzero = [], [], []  # Y(t), its partial sums, t with Y(t) > 0
-        levels = self._word_levels(set(ys))
+        levels = self._word_levels()
         dims = []
         for n in range(n_max + 1):
             new = next(levels, 0)
@@ -700,12 +619,14 @@ class Presentation:
                 return dims + [count] * (n_max - n)
         return dims
 
-    def _letter_ball(self, group_letters, n_max, max_words=None):
+    def _letter_ball(self, n_max, max_words=None):
         """Word lengths over the group letters, as {k: dist}, the spheres
         spheres[r] = [k : dist[k] = r] up to the last nonempty one, and the
         horizon: n_max, or the first radius whose ball grows past max_words.
         dims >= ball, so the closure passes the ceiling by the horizon."""
         mul = self.group.mul
+        group_letters = [val for kind, val in self.default_generating_letters()
+                         if kind == "g"]
         dist = {self.group.identity(): 0}
         spheres = [list(dist)]
         for r in range(1, n_max + 1):
@@ -723,35 +644,35 @@ class Presentation:
                 return dist, spheres, r
         return dist, spheres, n_max
 
-    def _length_filtered(self, ys, dist):
-        """Whether ys holds every y-generator and every rule term c g u has
-        dist(g) + |u| <= |lhs|, an element outside dist failing."""
-        return len(set(ys)) == self.ny and all(
-            g in dist and dist[g] + len(u) <= len(rule.lhs)
-            for rule in self.rules for g, u in rule.rhs.terms)
+    def _length_filtered(self, dist):
+        """Whether every rule term c g u has dist(g) + |u| <= |lhs|, an
+        element outside dist failing."""
+        return all(g in dist and dist[g] + len(u) <= len(rule.lhs)
+                   for rule in self.rules for g, u in rule.rhs.terms)
 
-    def _word_levels(self, ys):
+    def _word_levels(self):
         """Yield Y(b) for b = 0, 1, ... before the first b with Y(b) = 0,
-        Y(b) the normal words of length b in the distinct letters ys: a
-        transfer count over the first K - 1 letters of a word, K the
-        longest left-hand side, which decide the rule test of y_i w."""
+        Y(b) the normal y-words of length b: a transfer count over the
+        first K - 1 letters of a word, K the longest left-hand side, which
+        decide the rule test of y_i w."""
         k = max((len(rule.lhs) for rule in self.rules), default=1) - 1
         states = {(): 1}
         while states:
             yield sum(states.values())
             new = {}
             for s, m in states.items():
-                for i in ys:
+                for i in range(self.ny):
                     if self._front_rule(i, s) is None:
                         s2 = ((i,) + s)[:k]
                         new[s2] = new.get(s2, 0) + m
             states = new
 
-    def _closure_dims(self, letters, n_max, max_words=None):
+    def _closure_dims(self, n_max, max_words=None):
         """filtration_dims by breadth-first closure, F_n = V F_{n-1}: level
         n adds the support of letter * w for each word w first reached at
         level n - 1.  The path of every presentation that is not
         length-filtered, and the test oracle of the count."""
+        letters = self.default_generating_letters()
         seen = {(self.group.identity(), ())}
         frontier = list(seen)
         dims = [1]

@@ -345,17 +345,6 @@ class Scalar:
             return None
         return UnitMonomial(self.domain, k, exps)
 
-    def rational_value(self):
-        """The value as a Fraction, or raise if not a rational constant."""
-        if self.is_zero():
-            return Fraction(0)
-        if len(self.num) != 1 or len(self.den) != 1:
-            raise ScalarShapeError("not a rational constant: %r" % (self,), self)
-        (e, c), = self.num.items()
-        if any(e) or not c.is_rational():
-            raise ScalarShapeError("not a rational constant: %r" % (self,), self)
-        return c.rational_value()
-
     def __repr__(self):
         if self.is_zero():
             return "0"

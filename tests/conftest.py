@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import settings
 
-from hopfgrow.elements import AlgebraElement, add_term
+from hopfgrow.elements import AlgebraElement
 from hopfgrow.groups import GroupData
 from hopfgrow.presentation import Presentation, SkewGenerator
 from hopfgrow.scalars import ScalarDomain
@@ -40,28 +40,6 @@ def random_element(p, rng, max_degree=3, group_radius=2, nterms=3):
         word = p.normalize([(coeff, (("g", h),) + tuple(("y", i) for i in yw))])
         out = out + word
     return out
-
-
-def normalize_random_order(pres, letters, rng):
-    """Oracle for normalize that shares no code with the left-product
-    kernel: each group letter moves left through the y-letters before it,
-    then each y-word rewrites in random order."""
-    group = pres.group
-    branches = {(group.identity(), ()): pres.domain.one()}
-    for kind, val in letters:
-        if kind == "y":
-            branches = {(h, ys + (val,)): c for (h, ys), c in branches.items()}
-            continue
-        new = {}
-        for (h, ys), c in branches.items():
-            for (h2, kept), c2 in pres._commute_group_left(ys, val).items():
-                add_term(new, (group.mul(h, h2), kept), c * c2)
-        branches = new
-    acc = {}
-    for (h, ys), c in branches.items():
-        for (h3, ys3), c3 in pres.normal_form_yword_random(ys, rng).terms.items():
-            add_term(acc, (group.mul(h, h3), ys3), c * c3)
-    return AlgebraElement(acc)
 
 
 def random_presentation(rng):

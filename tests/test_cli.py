@@ -205,6 +205,16 @@ def test_growth_resource_ceiling(capsys, monkeypatch):
     assert code == 3
 
 
+def test_growth_horizon_capped(capsys):
+    # n_max + 1 dims are built, so a horizon past the parser's size cap is
+    # refused before any growth is measured
+    code, out, err = run(capsys, "growth", "--example", "taft", "--nmax", "1000000000000")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:") and "--nmax" in err and err.count("\n") == 1, err
+    code, out, err = run(capsys, "growth", "--example", "taft", "--nmax", "1000")
+    assert code == 0 and out.splitlines()[1001] == "1000\t9", err
+
+
 @pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
 def test_check_example_all_builtins(capsys, name, params):
     argv = [arg for prm in params for arg in ("--param", prm)]

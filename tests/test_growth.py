@@ -72,9 +72,9 @@ def test_truncated_still_exponential():
     assert report.estimate["kind"] == "exponential"
 
 
-def _ceiling_partial(dims_fn, p, n_max, max_words):
+def _ceiling_partial(dims_fn, n_max, max_words):
     with pytest.raises(ResourceCeilingError) as exc:
-        dims_fn(p.default_generating_letters(), n_max, max_words=max_words)
+        dims_fn(n_max, max_words=max_words)
     return exc.value.partial
 
 
@@ -94,7 +94,7 @@ def test_word_ceiling_truncates():
         assert report.truncated
         assert report.estimate["kind"] == "inconclusive"
         assert report.dims == partial
-        assert _ceiling_partial(p._closure_dims, p, n_max, max_words) == partial
+        assert _ceiling_partial(p._closure_dims, n_max, max_words) == partial
 
 
 def test_dp_oracle_matches_enumeration():
@@ -106,7 +106,7 @@ def test_dp_oracle_matches_enumeration():
               exterior_presentation(2), skew_free_presentation(v=2),
               skew_trunc_presentation(3, beta=0, v=2), truncated]:
         assert p.is_multigraded or p is truncated
-        dims = p.filtration_dims(p.default_generating_letters(), 8)
+        dims = p.filtration_dims(8)
         assert dp_word_counts(p, 8) == dims
 
 
@@ -147,7 +147,7 @@ def _span_rank_dims(p, n_max):
         "skew_trunc-p=3-v=2", "qplane-2", "taft-3", "exterior-2"])
 def test_closure_matches_span_rank(build, n_max, expected):
     p = build()
-    dims = p.filtration_dims(p.default_generating_letters(), n_max)
+    dims = p.filtration_dims(n_max)
     assert dims == _span_rank_dims(p, n_max)
     if expected is not None:
         assert dims == expected
@@ -181,7 +181,7 @@ def test_closure_matches_span_rank_random():
         p = random_presentation(rng)
         if not p.check_confluence().confluent:
             continue
-        dims = p.filtration_dims(p.default_generating_letters(), 4)
+        dims = p.filtration_dims(4)
         assert dims == _span_rank_dims(p, 4), p
         _check_left_product_support(p, degree=2)
         count += 1
@@ -204,9 +204,8 @@ TAU_FREE_SETTINGS = [
 
 
 def _length_filtered(p, n_max):
-    letters = p.default_generating_letters()
-    dist, _, _ = p._letter_ball([val for kind, val in letters if kind == "g"], n_max)
-    return p._length_filtered([val for kind, val in letters if kind == "y"], dist)
+    dist, _, _ = p._letter_ball(n_max)
+    return p._length_filtered(dist)
 
 
 def _assert_factored_matches_closure(p, n_max):
@@ -214,13 +213,12 @@ def _assert_factored_matches_closure(p, n_max):
     Y(t) on the counted side since ball[0] = 1, and their partial sequences
     under a ceiling halfway up; return which side ran."""
     assert p.tau_free
-    letters = p.default_generating_letters()
-    dims = p._closure_dims(letters, n_max)
-    assert p.filtration_dims(letters, n_max) == dims, p
+    dims = p._closure_dims(n_max)
+    assert p.filtration_dims(n_max) == dims, p
     if dims[-1] > 1:
         max_words = (1 + dims[-1]) // 2
-        assert (_ceiling_partial(p.filtration_dims, p, n_max, max_words)
-                == _ceiling_partial(p._closure_dims, p, n_max, max_words)), p
+        assert (_ceiling_partial(p.filtration_dims, n_max, max_words)
+                == _ceiling_partial(p._closure_dims, n_max, max_words)), p
     return _length_filtered(p, n_max)
 
 
@@ -250,16 +248,6 @@ def test_factored_dims_match_closure_property(seed, n_max):
     _assert_factored_matches_closure(_tau_free_confluent(random.Random(seed)), n_max)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: skew_free_presentation(v=2), lambda: qplane_presentation(2),
-    lambda: skew_trunc_presentation(3, v=2)], ids=["skew_free", "qplane-2", "skew_trunc"])
-def test_factored_dims_repeated_y_letter(build):
-    # a y-letter listed twice reaches the same words, so counts them once
-    p = build()
-    letters = p.default_generating_letters() + [("y", 0)]
-    assert p.filtration_dims(letters, 6) == p._closure_dims(letters, 6)
-
-
 def test_factored_dims_random_truncations():
     # both sides of the choice: the closure where a rule term lies too far
     # from 1, the count of normal y-words where the group wraps round
@@ -269,8 +257,7 @@ def test_factored_dims_random_truncations():
         p = random_truncation(rng)
         assert p.check_confluence().confluent
         sides.add(_assert_factored_matches_closure(p, 5))
-        letters = p.default_generating_letters()
-        assert p.filtration_dims(letters, 5) == _span_rank_dims(p, 5), p
+        assert p.filtration_dims(5) == _span_rank_dims(p, 5), p
     assert sides == {True, False}
 
 
@@ -284,9 +271,8 @@ def test_factored_dims_merge_several_centers(build, n_max):
     p = build()
     assert p.tau_free and p.check_confluence().confluent
     assert not _length_filtered(p, n_max)
-    letters = p.default_generating_letters()
-    dims = p.filtration_dims(letters, n_max)
-    assert dims == p._closure_dims(letters, n_max)
+    dims = p.filtration_dims(n_max)
+    assert dims == p._closure_dims(n_max)
     assert dims == _span_rank_dims(p, n_max)
 
 
@@ -304,22 +290,21 @@ def test_word_ceiling_stops_a_long_horizon(build, n_max, max_words):
     # horizon stays small: a ball that ignored the ceiling would hold
     # about 2 n_max^2 elements)
     p = build()
-    partial = _ceiling_partial(p._closure_dims, p, n_max, max_words)
-    assert _ceiling_partial(p.filtration_dims, p, n_max, max_words) == partial
-    group_letters = [val for kind, val in p.default_generating_letters() if kind == "g"]
-    dist, _, horizon = p._letter_ball(group_letters, n_max, max_words)
-    assert len(dist) <= (1 + len(group_letters)) * max_words
+    partial = _ceiling_partial(p._closure_dims, n_max, max_words)
+    assert _ceiling_partial(p.filtration_dims, n_max, max_words) == partial
+    dist, _, horizon = p._letter_ball(n_max, max_words)
+    assert len(dist) <= (1 + 2 * p.group.ngens) * max_words
     assert horizon < n_max or len(dist) <= max_words
 
 
 def test_word_ceiling_on_y_letters_alone():
-    # with no group letter T is the whole closure, so its own ceiling stops it
-    p = skew_free_presentation(v=2)
-    letters = [("y", 0), ("y", 1)]
+    # over the trivial group the letters are the two y's alone, and the
+    # normal y-words are the whole closure, so their own ceiling stops it
+    dom, group = ScalarDomain(1), GroupData(0)
+    p = Presentation(dom, group, [SkewGenerator("y%d" % i, (), ()) for i in (1, 2)])
+    assert p.default_generating_letters() == [("y", 0), ("y", 1)]
     for dims_fn in (p.filtration_dims, p._closure_dims):
-        with pytest.raises(ResourceCeilingError) as exc:
-            dims_fn(letters, 12, max_words=50)
-        assert exc.value.partial == [1, 3, 7, 15, 31]
+        assert _ceiling_partial(dims_fn, 12, 50) == [1, 3, 7, 15, 31]
 
 
 def test_word_ceiling_zero_without_growth():
@@ -327,7 +312,7 @@ def test_word_ceiling_zero_without_growth():
     # word 1, so not even a ceiling of 0 words raises
     p = Presentation(ScalarDomain(1), GroupData(0), [], ())
     for dims_fn in (p.filtration_dims, p._closure_dims):
-        assert dims_fn(p.default_generating_letters(), 4, max_words=0) == [1] * 5
+        assert dims_fn(4, max_words=0) == [1] * 5
 
 
 @pytest.mark.parametrize("build", [
@@ -336,8 +321,7 @@ def test_word_ceiling_zero_without_growth():
 def test_factored_dims_long_horizon_finite(build):
     # a finite closure: the count stays once T and every ball have ended
     p = build()
-    letters = p.default_generating_letters()
-    assert p.filtration_dims(letters, 10 ** 5) == p._closure_dims(letters, 10 ** 5)
+    assert p.filtration_dims(10 ** 5) == p._closure_dims(10 ** 5)
 
 
 def test_fit_growth_short_window():

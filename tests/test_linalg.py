@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from hopfgrow import coalgebra
 from hopfgrow.catalog import (qplane_presentation, skew_free_presentation,
                               skew_trunc_presentation, taft_presentation)
-from hopfgrow.linalg import (ScalarElimination, nullspace_of_columns,
-                             rank_of_columns, solve_in_span)
+from hopfgrow.linalg import ScalarElimination, nullspace_of_columns
 from hopfgrow.scalars import ScalarDomain, _lp_divexact, _lp_eq, _lp_mul
 
 
@@ -25,6 +24,14 @@ def _combine(domain, columns, combo):
     return out
 
 
+def _eliminate(domain, columns):
+    """A ScalarElimination holding the columns, tagged by index."""
+    elim = ScalarElimination(domain)
+    for tag, col in enumerate(columns):
+        elim.insert(col, tag)
+    return elim
+
+
 def test_nullspace_simple():
     dom = ScalarDomain(1, ("q1",))
     one = dom.one()
@@ -33,7 +40,7 @@ def test_nullspace_simple():
     kernel = nullspace_of_columns(dom, cols)
     assert len(kernel) == 1
     assert _combine(dom, cols, kernel[0]) == {}
-    assert rank_of_columns(dom, cols) == 2
+    assert _eliminate(dom, cols).rank == 2
 
 
 def test_solve_in_span():
@@ -42,7 +49,8 @@ def test_solve_in_span():
     q = dom.q(0)
     basis = [{"a": one, "b": q}, {"b": one}]
     target = {"a": q, "b": q * q + one}
-    sol = solve_in_span(dom, basis, target)
+    elim = _eliminate(dom, basis)
+    sol = elim.solve(target)
     assert sol is not None
     recombined = _combine(dom, basis, sol)
     diff = dict(recombined)
@@ -53,8 +61,8 @@ def test_solve_in_span():
         else:
             diff[k] = s
     assert diff == {}
-    assert solve_in_span(dom, basis, {"c": one}) is None
-    assert solve_in_span(dom, basis, {}) == {}
+    assert elim.solve({"c": one}) is None
+    assert elim.solve({}) == {}
 
 
 def test_random_kernels_annihilate():
@@ -75,7 +83,7 @@ def test_random_kernels_annihilate():
         kernel = nullspace_of_columns(dom, cols)
         for combo in kernel:
             assert _combine(dom, cols, combo) == {}
-        assert rank_of_columns(dom, cols) + len(kernel) == ncols
+        assert _eliminate(dom, cols).rank + len(kernel) == ncols
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +172,6 @@ def _assert_matches_oracle(domain, columns, target=None):
         assert [rk for rk, *_ in elim.pivots] == [rk for rk, *_ in oracle.pivots]
     if target is not None:
         expected = _oracle_solve(domain, columns, target)
-        assert solve_in_span(domain, columns, target) == expected
         # solving against the held elimination inserts nothing
         rank = elim.rank
         assert elim.solve(target) == expected
@@ -192,7 +199,7 @@ def test_elimination_matches_oracle_random():
     for trial in range(80):
         pool = units if trial % 4 == 0 else units + non_units
         cols = _random_columns(rng, pool, rng.randint(2, 5), rng.randint(2, 7))
-        # a target in the span, so that solve_in_span has something to find
+        # a target in the span, so that solve has something to find
         target = {}
         for col in cols[:3]:
             c = rng.choice(pool)
