@@ -347,7 +347,7 @@ def cmd_list_examples(args):
 
 
 def _nonnegative(text):
-    """argparse type of the bound flags: an integer >= 0."""
+    """An integer >= 0, from a flag's text."""
     try:
         value = int(text)
     except ValueError:
@@ -358,8 +358,10 @@ def _nonnegative(text):
 
 
 def _horizon(text):
-    """argparse type of --nmax: an integer from 0 to the parser's size cap,
-    since the growth sequence holds n_max + 1 entries."""
+    """argparse type of the bound flags: an integer from 0 to the parser's
+    size cap.  The growth sequence holds n_max + 1 entries, and the search
+    spaces grow with the degree, group word and power bounds, so a larger
+    value asks for work that cannot finish."""
     value = _nonnegative(text)
     if value > _SIZE_CEILING:
         raise argparse.ArgumentTypeError("%d exceeds the cap %d" % (value, _SIZE_CEILING))
@@ -372,17 +374,17 @@ def _add_common(sub, element=False, weight=False):
     sub.add_argument("--param", action="append", metavar="K=V",
                      help="builtin parameter override")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--degree", type=_nonnegative, default=6,
+    sub.add_argument("--degree", type=_horizon, default=6,
                      help="y-degree bound for searches")
-    sub.add_argument("--group-bound", dest="group_bound", type=_nonnegative,
+    sub.add_argument("--group-bound", dest="group_bound", type=_horizon,
                      default=6,
                      help="group word-length bound")
-    sub.add_argument("--power-bound", dest="power_bound", type=_nonnegative,
+    sub.add_argument("--power-bound", dest="power_bound", type=_horizon,
                      default=6,
                      help="largest power tested for primitivity")
     sub.add_argument("--nmax", type=_horizon, default=12,
                      help="growth measurement horizon")
-    sub.add_argument("--mmax", type=_nonnegative, default=12,
+    sub.add_argument("--mmax", type=_horizon, default=12,
                      help="exponent ceiling for the relation search")
     if element:
         sub.add_argument("--element", required=True,

@@ -18,8 +18,8 @@ by the pure y-word w.
 """
 
 from .elements import AlgebraElement, TensorElement, add_term, word_key
-from .linalg import ScalarElimination, nullspace_of_columns
-from .scalars import quantum_binomial
+from .linalg import ScalarElimination, _dependences_mod, nullspace_of_columns
+from .scalars import _point, quantum_binomial
 
 
 def _delta_yword(p, yw):
@@ -186,10 +186,91 @@ def _defect_column(p, word, weight, minus_one):
     return col
 
 
-def _kernel_elements(p, candidates, weight):
+def _delta_yword_at(p, yw, point):
+    """_delta_yword(p, yw) at the point, or None when a coefficient has no
+    value there; cached beside it.  A term c (hl ul (x) hr ur) is kept in
+    image[hl] as (ul, hl^-1 hr, ur, value of c): shifting both sides by h
+    then changes hl alone.  Zero values are dropped."""
+    cache = p._coproduct_point_cache
+    if yw in cache:
+        return cache[yw]
+    group = p.group
+    image = {}
+    for ((hl, ul), (hr, ur)), c in _delta_yword(p, yw).items():
+        v = c._at(point)
+        if v is None:
+            image = None
+            break
+        if v:
+            image.setdefault(hl, []).append((ul, group.mul(group.inv(hl), hr), ur, v))
+    cache[yw] = image
+    return image
+
+
+def _defect_column_at(p, word, weight, point):
+    """_defect_column at the point, or None when it has no value there;
+    the row of hl ul (x) hr ur is (hl, ul, hl^-1 hr, ur)."""
+    h, yw = word
+    image = _delta_yword_at(p, yw, point)
+    if image is None:
+        return None
+    group = p.group
+    col = {}
+    for hl, terms in image.items():
+        hl = group.mul(h, hl)
+        for ul, ratio, ur, v in terms:
+            col[hl, ul, ratio, ur] = v
+    prime = point[0]
+    for key in ((h, yw, group.inv(h), ()), (weight, (), group.mul(group.inv(weight), h), yw)):
+        v = (col.get(key, 0) - 1) % prime
+        if v:
+            col[key] = v
+        else:
+            del col[key]
+    return col
+
+
+def _certified_kernel(p, candidates, weight):
+    """The kernel that nullspace_of_columns finds on the defect columns of
+    the candidates, from their ranks at the point, or None.
+
+    Columns independent at the point are independent, since every minor
+    that is nonzero there is nonzero.  Each column j dependent at the
+    point is solved exactly against its support S there alone: when j is
+    in the span of S, which is independent, the relation is unique up to
+    a scalar, which _kernel_elements fixes by the lead coefficient, and
+    the full elimination finds it too.  When every such j passes, each
+    prefix has the same rank as at the point, so the full elimination
+    finds no other dependent column.  None (a column with no value, or a
+    j outside the span of its S) leaves the block to the full elimination.
+    """
+    point = _point(p.domain.conductor, p.domain.nvars)
+    columns = []
+    for w in candidates:
+        col = _defect_column_at(p, w, weight, point)
+        if col is None:
+            return None
+        columns.append(col)
     minus_one = -p.domain.one()
-    columns = [_defect_column(p, w, weight, minus_one) for w in candidates]
-    kernel = nullspace_of_columns(p.domain, columns, tags=candidates)
+    kernel = []
+    for j, support in _dependences_mod(columns, point[0]):
+        tags = [candidates[i] for i in support] + [candidates[j]]
+        exact = [_defect_column(p, w, weight, minus_one) for w in tags]
+        relations = nullspace_of_columns(p.domain, exact, tags=tags)
+        if len(relations) != 1 or candidates[j] not in relations[0]:
+            return None
+        kernel.append(relations[0])
+    return kernel
+
+
+def _kernel_elements(p, candidates, weight):
+    kernel = None
+    if len(candidates) > 1:
+        kernel = _certified_kernel(p, candidates, weight)
+    if kernel is None:
+        minus_one = -p.domain.one()
+        columns = [_defect_column(p, w, weight, minus_one) for w in candidates]
+        kernel = nullspace_of_columns(p.domain, columns, tags=candidates)
     out = []
     for combo in kernel:
         elt = AlgebraElement(dict(combo))
@@ -211,6 +292,15 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
     its weight(x)z part, and Delta(x) = x(x)1 forces x into k1.  So each
     count class c is one block: the words of degree (c, weight M), and in
     the class c = 0 also those of degree (0, M), for the coradical line.
+
+    A block of two or more words is first eliminated at one point mod P
+    (_certified_kernel): columns independent there are independent, and
+    only each dependence found there is solved exactly, on its own
+    support.  A block with no dependence there has no kernel.  When a
+    check fails, or a coefficient has no value at the point, the block is
+    eliminated exactly as a whole.  Either way the kernel is the one the
+    exact elimination of the whole block finds, so the basis never
+    depends on the point.
     """
     p.require_confluent()
     group = p.group

@@ -408,6 +408,16 @@ class CycloRational:
     def __hash__(self):
         return hash((self.field.conductor, self.nums, self.den))
 
+    def _at(self, prime, zeta_powers):
+        """The image mod prime under zeta -> zeta_powers[1], or None when
+        prime divides den; zeta_powers[i] is the image of zeta^i."""
+        v = sum(n * z for n, z in zip(self.nums, zeta_powers))
+        if self.den == 1:
+            return v % prime
+        if self.den % prime == 0:
+            return None
+        return v * pow(self.den, -1, prime) % prime
+
     def unity_order(self):
         """Multiplicative order if this is a root of unity, else None."""
         k = self.field.root_exponent(self)

@@ -26,16 +26,12 @@ from fractions import Fraction
 
 from .errors import PresentationError
 from .groups import GroupData
-from .presentation import Presentation, SkewGenerator
+from .presentation import _SIZE_CEILING, Presentation, SkewGenerator
 from .scalars import ScalarDomain
 from .serialize import element_to_str, scalar_from_jsonable, scalar_to_jsonable
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 _POWERED = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?$")
-
-# the largest y-power, free rank or cyclotomic order a file may ask for;
-# each is checked before anything of that size is built
-_SIZE_CEILING = 1000
 
 
 def _bounded(size, what):

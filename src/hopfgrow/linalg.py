@@ -9,6 +9,17 @@ column and its combination are divided by the previous such entry of the
 same reduction whenever that divides every entry of both exactly
 (Bareiss's divisor).  Nothing is rescaled for content, so entries stay
 polynomial-sized without multivariate gcds.
+
+_dependences_mod eliminates residue columns mod a prime P instead.  The
+primitive search maps a block's columns to Z/P by the ring homomorphism
+of scalars._point.  A minor that is nonzero there is nonzero over the
+domain, so the rank at the point bounds the exact rank from below
+(Schwartz, J. ACM 27(4), 1980; Zippel, EUROSAM 1979), and columns
+independent there are independent.  Every dependence found there is
+checked by an exact solve on its own support, and the block falls back
+to ScalarElimination whole when a check fails or an entry has no value
+at the point.  A bad point therefore costs time, never a wrong answer:
+results do not depend on the point.
 """
 
 
@@ -131,6 +142,38 @@ class ScalarElimination:
     @property
     def rank(self):
         return len(self.pivots)
+
+
+def _dependences_mod(columns, prime):
+    """Gaussian elimination of residue columns mod prime, in order.
+
+    Returns (j, support) for each column j that reduces to zero, support
+    the sorted indices of the earlier columns in its relation: column j is
+    a combination of exactly those columns mod prime.  The columns are
+    reduced in place.
+    """
+    pivots = []  # (row key, column, combination, inverse of the row's entry)
+    out = []
+    for j, col in enumerate(columns):
+        combo = {j: 1}
+        for rk, pcol, pcombo, inv in pivots:
+            c = col.get(rk)
+            if c is None:
+                continue
+            f = c * inv % prime
+            for vec, pvec in ((col, pcol), (combo, pcombo)):
+                for k, v in pvec.items():
+                    w = (vec.get(k, 0) - f * v) % prime
+                    if w:
+                        vec[k] = w
+                    else:
+                        del vec[k]
+        if col:
+            rk = next(iter(col))
+            pivots.append((rk, col, combo, pow(col[rk], -1, prime)))
+        else:
+            out.append((j, sorted(k for k in combo if k != j)))
+    return out
 
 
 def nullspace_of_columns(domain, columns, tags=None):

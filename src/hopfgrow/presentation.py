@@ -32,6 +32,11 @@ from .elements import AlgebraElement, add_term, y_counts, yword_key
 from .errors import NonConfluentError, PresentationError, ResourceCeilingError
 from .intmat import row_reduce_with_transform
 
+# the largest y-power, free rank or cyclotomic order a file may ask for, and
+# the largest growth horizon; each is checked before anything of that size
+# is built
+_SIZE_CEILING = 1000
+
 
 def _echelon_lattice(rows):
     """The lattice the integer rows span, as echelon (pivot column, row)
@@ -132,6 +137,7 @@ class Presentation:
         self._char_cache = {}
         self._tau_cache = {}
         self._coproduct_cache = {}  # y-word -> {(left, right): coeff}
+        self._coproduct_point_cache = {}  # y-word -> that at the point, or None
         self._confluence = None
         self._rules_by_first = {}  # first letter -> [(rest of lhs, rule)]
         for rule in self.rules:
@@ -588,7 +594,12 @@ class Presentation:
         max_words, attaching the sequence of the levels before it.  A ball
         cut at its horizon holds more than max_words words, so the count
         raises by that level, before it reads the ball past the cut.
+        Raises ValueError, before any work, when n_max is above the size
+        ceiling _SIZE_CEILING: the sequence holds n_max + 1 entries.
         """
+        if n_max > _SIZE_CEILING:
+            raise ValueError("n_max %d is above the size ceiling %d"
+                             % (n_max, _SIZE_CEILING))
         self.require_confluent()
         if not self.tau_free:
             return self._closure_dims(n_max, max_words)

@@ -15,12 +15,22 @@ Unit monomials -- scalars of the shape (root of unity) * q^e -- are the
 only scalars that take part in group-theoretic analysis (multiplicative
 order, subgroup rank).  Anything else in such a position is a hard error,
 never a guess.
+
+Every domain shape (N, k) has one point: a prime P = 1 (mod N) below
+2^30, an image of zeta_N that is a primitive N-th root of unity mod P,
+and nonzero images of q_1..q_k, all from a fixed seed.  A scalar has a
+value there when P divides no denominator of its Q(zeta_N) coefficients
+and its denominator does not vanish there; the value map is a ring
+homomorphism from those scalars onto Z/P.
 """
 
+import random
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 from operator import add, sub
 
-from .cyclotomic import CycloField
+from .cyclotomic import CycloField, euler_phi
 from .intmat import integer_rank
 
 INFINITE = float("inf")
@@ -108,6 +118,38 @@ def _lp_divexact(a, b):
         rem = _lp_add(rem, _lp_mul({m: -c}, divisor))  # cancels rem[e]
     shift = tuple(map(sub, sa, sb))
     return {tuple(map(add, e, shift)): c for e, c in quotient.items()}
+
+
+def _lp_at(a, point):
+    """The value of a Laurent polynomial at the point, or None."""
+    prime, zeta_powers, qs = point
+    total = 0
+    for e, c in a.items():
+        v = c._at(prime, zeta_powers)
+        if v is None:
+            return None
+        for q, k in zip(qs, e):
+            if k:
+                v = v * pow(q, k, prime)
+        total += v
+    return total % prime
+
+
+@lru_cache(maxsize=None)
+def _point(conductor, nvars):
+    """(P, images of zeta^0..zeta^(phi(N) - 1), images of q_1..q_k): P the
+    largest prime kN + 1 below 2^30, so residues and their sums of
+    products stay small ints."""
+    prime = (2 ** 30 - 2) // conductor * conductor + 1
+    while any(prime % d == 0 for d in range(2, isqrt(prime) + 1)):
+        prime -= conductor
+    rng = random.Random(1)
+    while True:
+        zeta = pow(rng.randrange(2, prime), (prime - 1) // conductor, prime)
+        if all(pow(zeta, d, prime) != 1 for d in range(1, conductor) if conductor % d == 0):
+            break
+    zeta_powers = tuple(pow(zeta, i, prime) for i in range(euler_phi(conductor)))
+    return prime, zeta_powers, tuple(rng.randrange(1, prime) for _ in range(nvars))
 
 
 def _lp_eq(a, b):
@@ -298,6 +340,17 @@ class Scalar:
         if num is None:
             return None
         return Scalar(self.domain, num, self.domain._one_lp, _normalized=True)
+
+    def _at(self, point):
+        """The value mod P at the point (see _point), or None when the
+        scalar has none there."""
+        num = _lp_at(self.num, point)
+        if num is None or len(self.den) == 1:
+            return num
+        den = _lp_at(self.den, point)
+        if not den:
+            return None
+        return num * pow(den, -1, point[0]) % point[0]
 
     def inverse(self):
         if self.is_zero():

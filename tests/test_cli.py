@@ -3,8 +3,9 @@ import json
 import jsonschema
 import pytest
 
-from hopfgrow.catalog import taft_presentation
-from hopfgrow.cli import main
+from hopfgrow.catalog import EXAMPLES, build_example, taft_presentation
+from hopfgrow.cli import UsageError, _parse_param, build_parser, main
+from hopfgrow.growth import dp_word_counts
 from hopfgrow.fileformat import presentation_to_jsonable
 
 from conftest import CHECK_IDS, CHECK_SETTINGS
@@ -197,6 +198,49 @@ def test_growth_command_qplane(capsys):
     assert report["detector"]["classification"] == "inconclusive"
 
 
+COUNT_KEYS = ("weights", "weights_with_primitive_power", "weights_with_free_commutator",
+              "weight_commutators", "torsion_weight_commutators", "dim_torsion_span",
+              "dim_free_quotient")
+
+
+def _catalog_expected(name, params):
+    _, merged = build_example(name, dict(_parse_param(prm) for prm in params))
+    return EXAMPLES[name].expected(merged)
+
+
+@pytest.mark.parametrize("command, name, params", [
+    ("invariants", "skew_trunc", []), ("invariants", "skew_free", []),
+    ("bounds", "skew_free", []), ("invariants", "skew_free", ["v=3"]),
+    ("invariants", "skew_free", ["v=2", "tau=1"])],
+    ids=["invariants-skew_trunc", "invariants-skew_free", "bounds-skew_free",
+         "invariants-skew_free-v=3", "invariants-skew_free-v=2-tau=1"])
+def test_default_bounds_finish(capsys, command, name, params):
+    # the default degree, group bound and power bound (6/6/6) give the
+    # catalog's counts, bounds and verdict
+    argv = [arg for prm in params for arg in ("--param", prm)]
+    code, payload = run_json(capsys, command, "--example", name, *argv)
+    assert code == 0
+    expected = _catalog_expected(name, params)
+    report = payload["report"]
+    invariants = report["invariants"] if command == "bounds" else report
+    assert {k: invariants["counts"][k] for k in COUNT_KEYS} == {
+        k: expected[k] for k in COUNT_KEYS}
+    if command == "bounds":
+        assert {b["rule"]: b["value"] for b in report["bounds"]} == expected["bounds"]
+        assert report["detector"]["classification"] == expected["detector"]
+
+
+@pytest.mark.parametrize("name, nmax", [("skew_free", 10), ("skew_trunc", 13)])
+def test_growth_default_bounds_finish(capsys, name, nmax):
+    code, payload = run_json(capsys, "growth", "--example", name, "--nmax", str(nmax))
+    assert code == 0
+    expected = _catalog_expected(name, [])
+    report = payload["report"]
+    assert report["dims"] == dp_word_counts(build_example(name)[0], nmax)
+    assert report["estimate"]["kind"] == expected["growth_kind"]
+    assert report["detector"]["classification"] == expected["detector"]
+
+
 def test_growth_resource_ceiling(capsys, monkeypatch):
     monkeypatch.setenv("HOPFGROW_MAX_WORDS", "40")
     code, out, err = run(capsys, "growth", "--example", "skew_free",
@@ -213,6 +257,23 @@ def test_growth_horizon_capped(capsys):
     assert err.startswith("usage error:") and "--nmax" in err and err.count("\n") == 1, err
     code, out, err = run(capsys, "growth", "--example", "taft", "--nmax", "1000")
     assert code == 0 and out.splitlines()[1001] == "1000\t9", err
+
+
+def test_bound_flags_capped(capsys):
+    # every bound flag sizes a search space or a list, so a value past the
+    # parser's size cap is refused.  The parser is asked first, so that a
+    # missing cap fails here rather than start the uncapped work below.
+    parser = build_parser()
+    for flag in ("--degree", "--group-bound", "--power-bound", "--nmax", "--mmax"):
+        with pytest.raises(UsageError, match="%s: 1001 exceeds the cap 1000" % flag):
+            parser.parse_args(["primitives", "--example", "qplane", flag, "1001"])
+        args = parser.parse_args(["primitives", "--example", "qplane", flag, "1000"])
+        assert getattr(args, flag[2:].replace("-", "_")) == 1000
+    code, out, err = run(capsys, "primitives", "--example", "qplane", "--degree", "0",
+                         "--group-bound", "1000000000")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:") and "--group-bound" in err, err
+    assert err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)

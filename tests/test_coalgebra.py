@@ -1,25 +1,30 @@
 import random
+from fractions import Fraction
 from functools import reduce
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfgrow.catalog import (exterior_presentation, qplane_presentation,
-                              skew_free_presentation, skew_trunc_presentation,
-                              taft_presentation)
-from hopfgrow.coalgebra import (_kernel_elements, antipode, counit, delta,
-                                delta_power_formula, delta_word,
+from hopfgrow import coalgebra
+from hopfgrow.catalog import (EXAMPLES, build_example, exterior_presentation,
+                              qplane_presentation, skew_free_presentation,
+                              skew_trunc_presentation, taft_presentation)
+from hopfgrow.cli import _parse_param
+from hopfgrow.coalgebra import (_defect_column, _kernel_elements, antipode, counit,
+                                delta, delta_power_formula, delta_word,
                                 find_skew_primitives, is_skew_primitive)
 from hopfgrow.elements import (AlgebraElement, TensorElement, add_term,
                                word_key, y_counts)
 from hopfgrow.errors import NonConfluentError
 from hopfgrow.groups import GroupData
-from hopfgrow.linalg import ScalarElimination
+from hopfgrow.invariants import compute_invariants
+from hopfgrow.linalg import ScalarElimination, nullspace_of_columns
 from hopfgrow.presentation import Presentation, SkewGenerator
-from hopfgrow.scalars import ScalarDomain
+from hopfgrow.scalars import ScalarDomain, _point
 
-from conftest import confluent_random_presentation, random_presentation
+from conftest import (CHECK_IDS, CHECK_SETTINGS, confluent_random_presentation,
+                      random_presentation)
 from oracles import (check_axioms_at, check_coalgebra_axioms, delta_word_expanded,
                      normalize_random_order)
 
@@ -298,6 +303,127 @@ def test_primitives_match_full_search_property(seed, data):
     ball = p.group.ball(1)
     weight = ball[data.draw(st.integers(0, len(ball) - 1), label="weight")]
     _assert_matches_full_search(p, weight, 3, 1)
+
+
+def _exact_kernel_elements(p, candidates, weight):
+    """Oracle: the kernel of a block's exact defect columns by
+    nullspace_of_columns, each relation scaled to lead coefficient 1."""
+    minus_one = -p.domain.one()
+    columns = [_defect_column(p, w, weight, minus_one) for w in candidates]
+    out = []
+    for combo in nullspace_of_columns(p.domain, columns, tags=candidates):
+        elt = AlgebraElement(dict(combo))
+        lead = max(elt.terms, key=lambda w: word_key(w, p.ny))
+        out.append(elt.scale(elt.terms[lead].inverse()))
+    return out
+
+
+def _record_blocks(monkeypatch):
+    """A list that collects (p, candidates, weight, kernel, certified) for
+    every block the primitive search solves from now on; certified says
+    whether the block was proved at the point, without the fallback."""
+    blocks, certified = [], []
+    kernel_elements = coalgebra._kernel_elements
+    certified_kernel = coalgebra._certified_kernel
+
+    def certify(p, candidates, weight):
+        kernel = certified_kernel(p, candidates, weight)
+        certified.append(kernel is not None)
+        return kernel
+
+    def record(p, candidates, weight):
+        certified.clear()
+        kernel = kernel_elements(p, candidates, weight)
+        blocks.append((p, list(candidates), weight, kernel, certified == [True]))
+        return kernel
+
+    monkeypatch.setattr(coalgebra, "_kernel_elements", record)
+    monkeypatch.setattr(coalgebra, "_certified_kernel", certify)
+    return blocks
+
+
+def _assert_blocks_match_oracle(blocks):
+    """Each kernel equals the oracle's, down to the printed coefficients."""
+    for p, candidates, weight, kernel, _ in blocks:
+        oracle = _exact_kernel_elements(p, candidates, weight)
+        assert kernel == oracle, (p, weight, candidates)
+        assert [repr(e) for e in kernel] == [repr(e) for e in oracle], (p, weight)
+
+
+@pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
+def test_certified_blocks_match_oracle_on_check_settings(monkeypatch, name, params):
+    p, merged = build_example(name, dict(_parse_param(prm) for prm in params))
+    if not p.check_confluence().confluent:
+        return
+    cfg = EXAMPLES[name].check_config(merged)
+    blocks = _record_blocks(monkeypatch)
+    compute_invariants(p, degree_bound=cfg["degree_bound"],
+                       group_word_bound=cfg["group_word_bound"],
+                       power_bound=cfg["power_bound"])
+    assert any(certified and len(candidates) > 1
+               for _, candidates, _, _, certified in blocks)
+    _assert_blocks_match_oracle(blocks)
+
+
+def test_certified_blocks_match_oracle_random(monkeypatch):
+    rng = random.Random(1117)
+    blocks = _record_blocks(monkeypatch)
+    for _ in range(30):
+        p = confluent_random_presentation(rng)
+        for weight in p.group.ball(1):
+            find_skew_primitives(p, weight, 3, 1)
+    assert sum(bool(kernel) for *_, kernel, _ in blocks) > 10
+    _assert_blocks_match_oracle(blocks)
+
+
+@pytest.mark.parametrize("v", [2, 3])
+def test_bad_point_falls_back(monkeypatch, v):
+    # with q1 = q2 = -1 at the point, y1^2 and y1 y2 + y2 y1 are primitive
+    # there but not over Q(q1, ..., qv): their blocks must fall back to the
+    # exact elimination and still find no relation.  (A shared residue
+    # other than +-1 leaves every block of these bounds certified.)
+    prime, zeta_powers, qs = _point(1, v)
+    bad = (prime, zeta_powers, (prime - 1, prime - 1) + qs[2:])
+    monkeypatch.setattr(coalgebra, "_point", lambda conductor, nvars: bad)
+    blocks = _record_blocks(monkeypatch)
+    p = skew_free_presentation(v=v)
+    for weight in p.group.ball(2):
+        find_skew_primitives(p, weight, 3, 2)
+    assert any(not certified and len(candidates) > 1
+               for _, candidates, _, _, certified in blocks)
+    _assert_blocks_match_oracle(blocks)
+
+
+def test_column_vanishing_at_the_point_falls_back(monkeypatch):
+    # a point at which every entry of a block's first column vanishes: the
+    # column looks dependent on nothing there, yet it is not zero, so the
+    # block falls back, and the relations that use the column (such as the
+    # coradical line g - 1) are still found
+    dependences = coalgebra._dependences_mod
+    monkeypatch.setattr(coalgebra, "_dependences_mod",
+                        lambda columns, prime: dependences([{}] + columns[1:], prime))
+    blocks = _record_blocks(monkeypatch)
+    p = qplane_presentation(2)
+    for weight in p.group.ball(1):
+        find_skew_primitives(p, weight, 2, 1)
+    assert any(kernel and not certified for *_, kernel, certified in blocks)
+    _assert_blocks_match_oracle(blocks)
+
+
+def test_scalar_without_value_falls_back(monkeypatch):
+    # tau = 1/P puts the denominator P into the coproducts of words that
+    # move y2 past g, so the blocks holding them have no value at the point
+    prime = _point(1, 2)[0]
+    p = skew_free_presentation(v=2, tau=Fraction(1, prime))
+    blocks = _record_blocks(monkeypatch)
+    for weight in p.group.ball(2):
+        find_skew_primitives(p, weight, 3, 1)
+    assert None in p._coproduct_point_cache.values()
+    assert any(not certified and len(candidates) > 1
+               for _, candidates, _, _, certified in blocks)
+    assert any(certified and len(candidates) > 1
+               for _, candidates, _, _, certified in blocks)
+    _assert_blocks_match_oracle(blocks)
 
 
 def test_tau_primitive_spans_two_count_classes():

@@ -16,7 +16,7 @@ from hopfgrow.growth import (PbwScan, _check_dependence_conclusions, dp_word_cou
                              fit_growth, measure_growth, pbw_dependence_scan)
 from hopfgrow.invariants import _strip_coradical, compute_invariants
 from hopfgrow.linalg import ScalarElimination
-from hopfgrow.presentation import Presentation, SkewGenerator
+from hopfgrow.presentation import _SIZE_CEILING, Presentation, SkewGenerator
 from hopfgrow.scalars import ScalarDomain
 
 from conftest import (CHECK_IDS, CHECK_SETTINGS, confluent_random_presentation,
@@ -30,6 +30,14 @@ def test_laurent_growth_degree_one():
     assert report.dims == [2 * n + 1 for n in range(13)]
     assert report.estimate["kind"] == "polynomial"
     assert report.estimate["degree"] == 1
+
+
+def test_measure_growth_horizon_capped():
+    # dims holds n_max + 1 entries, so a horizon past the size ceiling is
+    # refused before any count or list of that length is built
+    with pytest.raises(ValueError, match="n_max 1000000000 is above the size ceiling 1000"):
+        measure_growth(taft_presentation(3), n_max=10 ** 9)
+    assert measure_growth(taft_presentation(3), n_max=1000).dims[1000] == 9
 
 
 def test_qplane_growth_degrees():
@@ -291,7 +299,9 @@ def test_word_ceiling_stops_a_long_horizon(build, n_max, max_words):
     # about 2 n_max^2 elements)
     p = build()
     partial = _ceiling_partial(p._closure_dims, n_max, max_words)
-    assert _ceiling_partial(p.filtration_dims, n_max, max_words) == partial
+    # filtration_dims takes horizons up to the size ceiling only
+    assert _ceiling_partial(p.filtration_dims, min(n_max, _SIZE_CEILING),
+                            max_words) == partial
     dist, _, horizon = p._letter_ball(n_max, max_words)
     assert len(dist) <= (1 + 2 * p.group.ngens) * max_words
     assert horizon < n_max or len(dist) <= max_words
@@ -319,9 +329,10 @@ def test_word_ceiling_zero_without_growth():
     lambda: taft_presentation(3), lambda: exterior_presentation(2), cyclic_g3_truncation],
     ids=["taft-3", "exterior-2", "cyclic-g3"])
 def test_factored_dims_long_horizon_finite(build):
-    # a finite closure: the count stays once T and every ball have ended
+    # a finite closure: the count stays once T and every ball have ended,
+    # up to the largest horizon filtration_dims accepts
     p = build()
-    assert p.filtration_dims(10 ** 5) == p._closure_dims(10 ** 5)
+    assert p.filtration_dims(_SIZE_CEILING) == p._closure_dims(_SIZE_CEILING)
 
 
 def test_fit_growth_short_window():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hopfgrow import coalgebra
 from hopfgrow.catalog import (qplane_presentation, skew_free_presentation,
                               skew_trunc_presentation, taft_presentation)
-from hopfgrow.linalg import ScalarElimination, nullspace_of_columns
+from hopfgrow.linalg import ScalarElimination, _dependences_mod, nullspace_of_columns
 from hopfgrow.scalars import ScalarDomain, _lp_divexact, _lp_eq, _lp_mul
 
 
@@ -213,14 +213,18 @@ def test_elimination_matches_oracle_random():
 
 
 def test_elimination_matches_oracle_on_primitive_blocks(monkeypatch):
-    # the defect columns that the primitive search eliminates, recorded
+    # the exact defect columns of every block the primitive search solves,
+    # whole, though the search itself eliminates most of them mod a prime
     recorded = []
+    kernel_elements = coalgebra._kernel_elements
 
-    def recording(domain, columns, tags=None):
-        recorded.append((domain, columns))
-        return nullspace_of_columns(domain, columns, tags)
+    def recording(p, candidates, weight):
+        minus_one = -p.domain.one()
+        recorded.append((p.domain, [coalgebra._defect_column(p, w, weight, minus_one)
+                                    for w in candidates]))
+        return kernel_elements(p, candidates, weight)
 
-    monkeypatch.setattr(coalgebra, "nullspace_of_columns", recording)
+    monkeypatch.setattr(coalgebra, "_kernel_elements", recording)
     # the weight g^2 of the tau presentations makes non-unit pivots
     for p, degree, radius in [
             (skew_free_presentation(v=2), 3, 2), (taft_presentation(3), 3, 2),
@@ -261,3 +265,13 @@ def test_lp_divexact_inverts_lp_mul(data):
         off = a * b + dom.q(0, 3)
         assert _lp_divexact(off.num, b.num) is None
         assert off._divexact(b) is None
+
+
+def test_dependences_mod_prime():
+    prime = 101
+    c0, c1 = {"a": 1, "b": 2}, {"b": 1, "c": 5}
+    c2 = {"a": 3, "b": 8, "c": 10}  # 3 c0 + 2 c1
+    c3 = {"a": 50, "b": 100}  # 50 c0 mod 101, that is -c0 * 51
+    c4 = {"d": 7}
+    cols = [c0, c1, c2, c3, c4, {}]
+    assert _dependences_mod(cols, prime) == [(2, [0, 1]), (3, [0]), (5, [])]

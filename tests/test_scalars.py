@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from hopfgrow.cyclotomic import cyclotomic_polynomial
 from hopfgrow.scalars import (INFINITE, Scalar, ScalarDomain, ScalarShapeError,
-                              UnitMonomial, _lp_add, _lp_eq, _lp_mul,
+                              UnitMonomial, _lp_add, _lp_eq, _lp_mul, _point,
                               multiplicative_order, quantum_binomial,
                               subgroup_rank)
 
@@ -260,3 +261,44 @@ def test_laurent_fast_path_matches_cross_multiplication():
                 laurent += 1
                 assert len(s.den) == 1 and len(p.den) == 1
     assert 0 < laurent < len(pool) ** 2
+
+
+@pytest.mark.parametrize("conductor", [1, 2, 3, 12, 1000])
+def test_point_shape(conductor):
+    prime, zeta_powers, qs = _point(conductor, 2)
+    assert prime < 2 ** 30 and (prime - 1) % conductor == 0
+    assert all(prime % d for d in range(2, math.isqrt(prime) + 1))
+    # zeta goes to a root of Phi_N mod P, so Q(zeta_N) maps into Z/P
+    zeta = zeta_powers[1] if len(zeta_powers) > 1 else (-1) ** (conductor - 1)
+    phi = cyclotomic_polynomial(conductor)
+    assert sum(c * pow(zeta, i, prime) for i, c in enumerate(phi)) % prime == 0
+    assert zeta_powers == tuple(pow(zeta, i, prime) for i in range(len(phi) - 1))
+    assert len(qs) == 2 and all(0 < q < prime for q in qs)
+    assert _point(conductor, 2) is _point(conductor, 2)
+
+
+def test_value_at_point_is_a_homomorphism(dom):
+    point = _point(12, 2)
+    prime = point[0]
+    rng = random.Random(5)
+    pool = [dom.zeta(rng.randrange(12)) * dom.q(0, rng.randint(-2, 2))
+            * dom.q(1, rng.randint(-2, 2)) * dom.rational(Fraction(rng.randint(-3, 3), 7))
+            for _ in range(12)]
+    for _ in range(60):
+        a = pool[rng.randrange(12)] + pool[rng.randrange(12)] * pool[rng.randrange(12)]
+        b = pool[rng.randrange(12)] - pool[rng.randrange(12)]
+        va, vb = a._at(point), b._at(point)
+        assert (a + b)._at(point) == (va + vb) % prime
+        assert (a * b)._at(point) == va * vb % prime
+        if vb:
+            assert (a / b)._at(point) == va * pow(vb, -1, prime) % prime
+
+
+def test_value_at_point_missing(dom):
+    # no value where P divides a rational denominator, or where a true
+    # fraction's denominator vanishes at the point
+    prime, _, (q1, _) = point = _point(12, 2)
+    assert dom.rational(Fraction(3, prime))._at(point) is None
+    assert dom.rational(Fraction(prime, 3))._at(point) == 0
+    assert (dom.one() / (dom.q(0) - dom.rational(q1)))._at(point) is None
+    assert (dom.q(0) / (dom.q(0) - dom.rational(q1 + 1)))._at(point) == prime - q1
