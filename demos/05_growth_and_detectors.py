@@ -39,9 +39,9 @@ for label, p, nmax in [
     if growth.estimate["kind"] == "polynomial":
         print("  bounds", bounds, "all below measured degree",
               growth.estimate["degree"])
-    # the count (normal y-words convolved with the group ball) agrees with the
-    # independent counting oracle
-    if p.is_multigraded:
+    # on a length-filtered presentation the count (normal y-words convolved
+    # with the group ball) agrees with the independent counting oracle
+    if p.length_filtered:
         assert dp_word_counts(p, 8) == growth.dims[:9]
         print("  counting oracle agrees through n = 8")
     print()

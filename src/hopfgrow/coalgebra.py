@@ -263,6 +263,14 @@ def _certified_kernel(p, candidates, weight):
     return kernel
 
 
+def _lead_normalized(p, terms):
+    """The element with terms {word: coeff}, scaled so that its word_key
+    largest word has coefficient 1."""
+    elt = AlgebraElement(dict(terms))
+    lead = max(elt.terms, key=lambda w: word_key(w, p.ny))
+    return elt.scale(elt.terms[lead].inverse())
+
+
 def _kernel_elements(p, candidates, weight):
     kernel = None
     if len(candidates) > 1:
@@ -271,12 +279,7 @@ def _kernel_elements(p, candidates, weight):
         minus_one = -p.domain.one()
         columns = [_defect_column(p, w, weight, minus_one) for w in candidates]
         kernel = nullspace_of_columns(p.domain, columns, tags=candidates)
-    out = []
-    for combo in kernel:
-        elt = AlgebraElement(dict(combo))
-        lead = max(elt.terms.keys(), key=lambda w: word_key(w, p.ny))
-        out.append(elt.scale(elt.terms[lead].inverse()))
-    return out
+    return [_lead_normalized(p, combo) for combo in kernel]
 
 
 def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
@@ -335,10 +338,6 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
             elim.insert(e.terms, idx)
         has_line = elim.rank == len(basis)
         if has_line:
-            basis = []
-            for _, col, _, _ in elim.pivots:
-                reduced = AlgebraElement(dict(col))
-                lead = max(reduced.terms.keys(), key=lambda w: word_key(w, p.ny))
-                basis.append(reduced.scale(reduced.terms[lead].inverse()))
+            basis = [_lead_normalized(p, col) for _, col, _, _ in elim.pivots]
     return SkewPrimitiveSpace(p, weight, basis, degree_bound,
                               group_word_bound, has_line)

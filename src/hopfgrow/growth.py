@@ -69,10 +69,14 @@ class GrowthReport:
         return "GrowthReport(%s, n_max=%d)" % (self.estimate, self.n_max)
 
 
+def _fit_window(n_max):
+    """The levels (lo, n_max) the fit reads: the upper half of 1..n_max."""
+    return max(1, (n_max + 1) // 2), n_max
+
+
 def fit_growth(dims):
     """Classify a dimension sequence; see module docstring for the rules."""
-    n_max = len(dims) - 1
-    lo = max(1, (n_max + 1) // 2)
+    lo, n_max = _fit_window(len(dims) - 1)
     window = list(range(lo, n_max + 1))
     if len(window) < _MIN_WINDOW:
         return {"kind": "inconclusive",
@@ -116,8 +120,7 @@ def measure_growth(p, n_max=12, max_words=None):
                             (0, len(dims) - 1), desc, truncated=True)
     if any(b < a for a, b in zip(dims, dims[1:])) or dims[0] != 1:
         raise ConsistencyError("growth sequence is not a filtration")
-    n = len(dims) - 1
-    return GrowthReport(dims, fit_growth(dims), (max(1, (n + 1) // 2), n), desc)
+    return GrowthReport(dims, fit_growth(dims), _fit_window(len(dims) - 1), desc)
 
 
 # -- independent counting oracle ------------------------------------------
@@ -136,10 +139,10 @@ def dp_word_counts(p, n_max):
     stays in the package because the benchmark checks its growth answers
     against it.
 
-    Valid for length-filtered presentations: every right-hand side term
-    c g u of a rule has |g| + |u| <= |lhs|, |g| the word length over the
-    group generators.  Multigraded presentations are among them, and so is
-    the truncation y1^p = beta (g1^p - 1).
+    Valid where p.length_filtered holds, which is exactly where
+    filtration_dims takes the same count: the multigraded presentations,
+    the truncation y1^p = beta (g1^p - 1) and the tau extensions of
+    skew_free among them.
     """
     states, lhss = _prefix_states(p.rules)
     index = {s: k for k, s in enumerate(states)}

@@ -142,13 +142,16 @@ class Presentation:
         self._rules_by_first = {}  # first letter -> [(rest of lhs, rule)]
         for rule in self.rules:
             self._rules_by_first.setdefault(rule.lhs[0], []).append((rule.lhs[1:], rule))
-        self.tau_free = all(
-            t.is_zero() for g in self.gens for t in (g.tau or []))
+        self.tau_free = all(t.is_zero() for g in self.gens for t in g.tau)
+        # length-filtered: no rule term, and no tau term g mu_i, lengthens a
+        # word g u, of length |g| + |u| with |g| its group word length
+        length = self.group.word_length
+        self.length_filtered = all(
+            length(g) + len(u) <= len(rule.lhs)
+            for rule in self.rules for g, u in rule.rhs.terms) and all(
+            length(gen.weight) <= 1 for gen in self.gens
+            if any(not t.is_zero() for t in gen.tau))
         self._count_lattice, self._group_lattice = self._grading()
-        # multigraded: rewriting keeps both the y-counts and the group
-        # content of a word, i.e. L = 0 and M is trivial
-        self.is_multigraded = not self._count_lattice and all(
-            self.group.is_identity(row) for _, row in self._group_lattice)
 
     # ------------------------------------------------------------------
     def _coerce_rhs(self, rhs):
@@ -575,20 +578,17 @@ class Presentation:
         size of a spanning set of normal words, so an upper bound on
         dim F_n, equal to it when no combination of reached words cancels.
 
-        The presentation is length-filtered when it is tau-free and every
-        rule term c g u has dist(g) + |u| <= |lhs|, dist the word length
-        over the group letters.  Without tau a y-step commutes with the
-        group, and by induction over the kernel fold every word h v reached
-        by b y-letters has dist(h) <= b - |v|, while each normal y-word v is
-        reached by |v| of them with group part 1.  So dims[n] is
+        On a length_filtered presentation the words reached are exactly
+        the normal words h v with |h| + |v| <= n, so dims[n] is
         sum_t Y(t) ball[n - t], Y(t) the normal y-words of length t from
-        _word_levels, summed on the side with fewer nonzero terms up to n.
-
-        Everything else takes the breadth-first closure _closure_dims: a
-        tau term tau_i(h) h (mu_i - 1) w depends on h, and a rule term
-        with dist(g) + |u| > |lhs| reaches a y-word at a group part outside
-        the ball around its first one.  The ball runs only to n_max, so with
-        n_max < |lhs| the choice falls to the closure too.
+        _word_levels, summed on the side with fewer nonzero terms up to n:
+        1. each such word is reached by n letters: v by its y-letters from
+           1, using tau_i(1) = 0, then h by group letters;
+        2. no step lengthens a word: a rule term c g u has |g| + |u| <=
+           |lhs|, and moving g left past y_j gives lambda_j(g) g y_j,
+           tau_j(g) g mu_j and -tau_j(g) g, where |g mu_j| <= |g| + 1.
+        Every other presentation takes the breadth-first closure
+        _closure_dims.
 
         Raises ResourceCeilingError at the first level whose count passes
         max_words, attaching the sequence of the levels before it.  A ball
@@ -601,11 +601,9 @@ class Presentation:
             raise ValueError("n_max %d is above the size ceiling %d"
                              % (n_max, _SIZE_CEILING))
         self.require_confluent()
-        if not self.tau_free:
+        if not self.length_filtered:
             return self._closure_dims(n_max, max_words)
-        dist, spheres, _ = self._letter_ball(n_max, max_words)
-        if not self._length_filtered(dist):
-            return self._closure_dims(n_max, max_words)
+        spheres = self._letter_ball(n_max, max_words)
         last = len(spheres) - 1
         ball = list(itertools.accumulate(len(sphere) for sphere in spheres))
         by_level, upto, nonzero = [], [], []  # Y(t), its partial sums, t with Y(t) > 0
@@ -631,35 +629,29 @@ class Presentation:
         return dims
 
     def _letter_ball(self, n_max, max_words=None):
-        """Word lengths over the group letters, as {k: dist}, the spheres
-        spheres[r] = [k : dist[k] = r] up to the last nonempty one, and the
-        horizon: n_max, or the first radius whose ball grows past max_words.
-        dims >= ball, so the closure passes the ceiling by the horizon."""
+        """The spheres of elements at each word length r over the group
+        letters, up to n_max or the last nonempty one, cut at the first
+        radius whose ball grows past max_words: dims >= ball, so the count
+        passes the ceiling by that radius."""
         mul = self.group.mul
         group_letters = [val for kind, val in self.default_generating_letters()
                          if kind == "g"]
-        dist = {self.group.identity(): 0}
-        spheres = [list(dist)]
-        for r in range(1, n_max + 1):
+        seen = {self.group.identity()}
+        spheres = [list(seen)]
+        for _ in range(n_max):
             sphere = []
             for k in spheres[-1]:
                 for x in group_letters:
                     k2 = mul(x, k)
-                    if k2 not in dist:
-                        dist[k2] = r
+                    if k2 not in seen:
+                        seen.add(k2)
                         sphere.append(k2)
             if not sphere:
                 break
             spheres.append(sphere)
-            if max_words is not None and len(dist) > max_words:
-                return dist, spheres, r
-        return dist, spheres, n_max
-
-    def _length_filtered(self, dist):
-        """Whether every rule term c g u has dist(g) + |u| <= |lhs|, an
-        element outside dist failing."""
-        return all(g in dist and dist[g] + len(u) <= len(rule.lhs)
-                   for rule in self.rules for g, u in rule.rhs.terms)
+            if max_words is not None and len(seen) > max_words:
+                break
+        return spheres
 
     def _word_levels(self):
         """Yield Y(b) for b = 0, 1, ... before the first b with Y(b) = 0,
@@ -682,7 +674,7 @@ class Presentation:
         """filtration_dims by breadth-first closure, F_n = V F_{n-1}: level
         n adds the support of letter * w for each word w first reached at
         level n - 1.  The path of every presentation that is not
-        length-filtered, and the test oracle of the count."""
+        length_filtered, and the test oracle of the count."""
         letters = self.default_generating_letters()
         seen = {(self.group.identity(), ())}
         frontier = list(seen)

@@ -230,13 +230,17 @@ def test_default_bounds_finish(capsys, command, name, params):
         assert report["detector"]["classification"] == expected["detector"]
 
 
-@pytest.mark.parametrize("name, nmax", [("skew_free", 10), ("skew_trunc", 13)])
-def test_growth_default_bounds_finish(capsys, name, nmax):
-    code, payload = run_json(capsys, "growth", "--example", name, "--nmax", str(nmax))
+@pytest.mark.parametrize("name, params, nmax", [
+    ("skew_free", [], 10), ("skew_trunc", [], 13), ("skew_free", ["v=2", "tau=1"], 10)],
+    ids=["skew_free-10", "skew_trunc-13", "skew_free-v=2-tau=1-10"])
+def test_growth_default_bounds_finish(capsys, name, params, nmax):
+    argv = [arg for prm in params for arg in ("--param", prm)]
+    code, payload = run_json(capsys, "growth", "--example", name, *argv, "--nmax", str(nmax))
     assert code == 0
-    expected = _catalog_expected(name, [])
+    expected = _catalog_expected(name, params)
     report = payload["report"]
-    assert report["dims"] == dp_word_counts(build_example(name)[0], nmax)
+    p, _ = build_example(name, dict(_parse_param(prm) for prm in params))
+    assert report["dims"] == dp_word_counts(p, nmax)
     assert report["estimate"]["kind"] == expected["growth_kind"]
     assert report["detector"]["classification"] == expected["detector"]
 

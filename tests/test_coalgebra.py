@@ -447,14 +447,21 @@ def test_tau_primitive_spans_two_count_classes():
 
 
 def _rules_are_graded(p):
-    """The former definition of is_multigraded: no tau, and every rule term
-    keeps the y-counts of its left-hand side and has no group part."""
+    """No tau, and every rule term keeps the y-counts of its left-hand side
+    and has no group part."""
     return p.tau_free and all(
         y_counts(u, p.ny) == y_counts(rule.lhs, p.ny) and p.group.is_identity(g)
         for rule in p.rules for g, u in rule.rhs.terms)
 
 
-def test_is_multigraded_matches_graded_rules():
+def _lattices_are_trivial(p):
+    """L is empty and every row of M is the identity: rewriting keeps both
+    the y-counts and the group content of a word."""
+    return not p._count_lattice and all(
+        p.group.is_identity(row) for _, row in p._group_lattice)
+
+
+def test_grading_lattices_match_graded_rules():
     builtins = [skew_free_presentation(v=2), skew_free_presentation(v=1, tau=1),
                 skew_free_presentation(v=2, tau=1), taft_presentation(5),
                 taft_presentation(3, free=True), qplane_presentation(3),
@@ -463,15 +470,15 @@ def test_is_multigraded_matches_graded_rules():
     rng = random.Random(4411)
     randoms = [random_presentation(rng) for _ in range(100)]
     for p in builtins + randoms:
-        assert p.is_multigraded == _rules_are_graded(p), p
-    assert {p.is_multigraded for p in randoms} == {True, False}
+        assert _lattices_are_trivial(p) == _rules_are_graded(p), p
+    assert {_lattices_are_trivial(p) for p in randoms} == {True, False}
     # a rule term with a group part of finite order moves words out of
     # their degree as much as one of infinite order
     dom = ScalarDomain(2)
     group = GroupData(0, (2,))
     gens = [SkewGenerator("y%d" % k, (1,), (dom.rational(-1),)) for k in (1, 2)]
     p = Presentation(dom, group, gens, [((1, 0), {((1,), (0, 1)): dom.one()})])
-    assert not p.is_multigraded and not _rules_are_graded(p)
+    assert not _lattices_are_trivial(p) and not _rules_are_graded(p)
 
 
 def _normal_words(p, degree, radius):

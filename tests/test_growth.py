@@ -12,8 +12,9 @@ from hopfgrow.coalgebra import is_skew_primitive
 from hopfgrow.elements import AlgebraElement
 from hopfgrow.errors import ResourceCeilingError
 from hopfgrow.groups import GroupData
-from hopfgrow.growth import (PbwScan, _check_dependence_conclusions, dp_word_counts,
-                             fit_growth, measure_growth, pbw_dependence_scan)
+from hopfgrow.growth import (DEFAULT_MAX_WORDS, PbwScan, _check_dependence_conclusions,
+                             dp_word_counts, fit_growth, measure_growth,
+                             pbw_dependence_scan)
 from hopfgrow.invariants import _strip_coradical, compute_invariants
 from hopfgrow.linalg import ScalarElimination
 from hopfgrow.presentation import _SIZE_CEILING, Presentation, SkewGenerator
@@ -87,8 +88,8 @@ def _ceiling_partial(dims_fn, n_max, max_words):
 
 
 def test_word_ceiling_truncates():
-    # the partial sequence ends at the last level within the ceiling; the
-    # first three take the factored count, the tau presentation the closure
+    # the partial sequence ends at the last level within the ceiling; each
+    # presentation is length-filtered and takes the count, the tau one too
     for build, n_max, max_words, partial in [
             (lambda: skew_free_presentation(v=2), 12, 50, [1, 5, 15, 37]),
             (lambda: qplane_presentation(3), 24, 1000,
@@ -98,6 +99,7 @@ def test_word_ceiling_truncates():
             (lambda: skew_free_presentation(v=2, tau=1), 8, 100,
              [1, 5, 15, 37, 83])]:
         p = build()
+        assert p.length_filtered
         report = measure_growth(p, n_max=n_max, max_words=max_words)
         assert report.truncated
         assert report.estimate["kind"] == "inconclusive"
@@ -107,13 +109,15 @@ def test_word_ceiling_truncates():
 
 def test_dp_oracle_matches_enumeration():
     # the oracle holds on length-filtered presentations: the multigraded
-    # ones, and the truncation y1^3 = g1^3 - 1, which is not multigraded
+    # ones, the truncation y1^3 = g1^3 - 1, whose count lattice L is not
+    # zero, and the tau ones whose tau-generators have weight g1
     truncated = skew_trunc_presentation(3, beta=1, v=2)
-    assert not truncated.is_multigraded
+    assert truncated._count_lattice
     for p in [qplane_presentation(2), taft_presentation(3),
               exterior_presentation(2), skew_free_presentation(v=2),
-              skew_trunc_presentation(3, beta=0, v=2), truncated]:
-        assert p.is_multigraded or p is truncated
+              skew_trunc_presentation(3, beta=0, v=2), truncated,
+              skew_free_presentation(v=1, tau=1), skew_free_presentation(v=2, tau=1)]:
+        assert p.length_filtered
         dims = p.filtration_dims(8)
         assert dp_word_counts(p, 8) == dims
 
@@ -195,9 +199,9 @@ def test_closure_matches_span_rank_random():
         count += 1
 
 
-# the tau-free settings of every builtin, each with its horizon n; a
+# the settings of every builtin, tau included, each with its horizon n; a
 # truncation with bad_gen and beta != 0 is not confluent and has no dims
-TAU_FREE_SETTINGS = [
+BUILTIN_SETTINGS = [
     ("skew_free", {}, 10), ("skew_free", {"v": 1}, 10), ("skew_free", {"v": 3}, 8),
     ("skew_free", {"same_q": True}, 10),
     ("skew_trunc", {}, 10), ("skew_trunc", {"p": 2}, 10), ("skew_trunc", {"p": 4}, 10),
@@ -208,52 +212,78 @@ TAU_FREE_SETTINGS = [
     ("qplane", {}, 10), ("qplane", {"v": 1}, 10), ("qplane", {"v": 3}, 10),
     ("exterior", {}, 10), ("exterior", {"s": 1}, 10), ("exterior", {"s": 3}, 10),
     ("exterior", {"free": True}, 10),
+    ("skew_free", {"tau": 1}, 8), ("skew_free", {"v": 1, "tau": 1}, 10),
+    ("skew_free", {"v": 3, "tau": 1}, 6),
 ]
-
-
-def _length_filtered(p, n_max):
-    dist, _, _ = p._letter_ball(n_max)
-    return p._length_filtered(dist)
 
 
 def _assert_factored_matches_closure(p, n_max):
     """filtration_dims against the closure at every n <= n_max, which pins
     Y(t) on the counted side since ball[0] = 1, and their partial sequences
     under a ceiling halfway up; return which side ran."""
-    assert p.tau_free
     dims = p._closure_dims(n_max)
     assert p.filtration_dims(n_max) == dims, p
     if dims[-1] > 1:
         max_words = (1 + dims[-1]) // 2
         assert (_ceiling_partial(p.filtration_dims, n_max, max_words)
                 == _ceiling_partial(p._closure_dims, n_max, max_words)), p
-    return _length_filtered(p, n_max)
+    return p.length_filtered
 
 
 def test_factored_dims_match_closure_builtins():
-    for name, params, n_max in TAU_FREE_SETTINGS:
+    for name, params, n_max in BUILTIN_SETTINGS:
         p, _ = build_example(name, params)
         assert _assert_factored_matches_closure(p, n_max), (name, params)
 
 
-def _tau_free_confluent(rng):
-    while True:
-        p = random_presentation(rng)
-        if p.tau_free and p.check_confluence().confluent:
-            return p
-
-
 def test_factored_dims_match_closure_random():
-    # every presentation random_presentation draws is length-filtered
+    # every tau-free presentation random_presentation draws is
+    # length-filtered; a tau-generator whose weight is a product of two
+    # group generators is not
     rng = random.Random(606)
+    sides = set()
     for _ in range(200):
-        assert _assert_factored_matches_closure(_tau_free_confluent(rng), 6)
+        p = confluent_random_presentation(rng)
+        filtered = _assert_factored_matches_closure(p, 6)
+        assert filtered or not p.tau_free, p
+        sides.add(filtered)
+    assert sides == {True, False}
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n_max=st.integers(0, 6))
 def test_factored_dims_match_closure_property(seed, n_max):
-    # below n_max = p1 the ball misses the rule term g1^p1: the closure runs
-    _assert_factored_matches_closure(_tau_free_confluent(random.Random(seed)), n_max)
+    # the filter does not depend on n_max: below n_max = p1, where the ball
+    # does not yet reach the rule term g1^p1, a filtered draw still counts
+    _assert_factored_matches_closure(confluent_random_presentation(random.Random(seed)),
+                                     n_max)
+
+
+def test_tau_weight_past_one_letter_takes_the_closure():
+    # y g = g y + g (g^2 - 1): the tau term reaches g^(a+2) y^(b-1) from
+    # g^a y^b, two letters further from 1 than the y it drops, so the
+    # closure outgrows the count sum_t Y(t) ball[n - t] = (n + 1)^2
+    dom, z = ScalarDomain(1), GroupData(1)
+    g2 = z.power(z.generator(0), 2)
+    p = Presentation(dom, z, [SkewGenerator("y", g2, (dom.one(),), (dom.one(),))])
+    assert not p.tau_free and not p.length_filtered
+    assert dp_word_counts(p, 8) == [(n + 1) ** 2 for n in range(9)]
+    assert p.filtration_dims(8) == [1, 4, 10, 19, 31, 46, 64, 85, 109]
+    assert _assert_factored_matches_closure(p, 8) is False
+
+
+@pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
+def test_check_settings_take_the_count(name, params, monkeypatch):
+    # every checked setting, tau included, is length-filtered: at its check
+    # horizon filtration_dims never falls back to the closure
+    p, merged = build_example(name, dict(_parse_param(prm) for prm in params))
+    n_max = EXAMPLES[name].check_config(merged)["n_max"]
+
+    def closure(*args, **kwargs):
+        raise AssertionError("filtration_dims took the closure")
+
+    monkeypatch.setattr(Presentation, "_closure_dims", closure)
+    dims = p.filtration_dims(n_max, max_words=DEFAULT_MAX_WORDS)
+    assert len(dims) == n_max + 1
 
 
 def test_factored_dims_random_truncations():
@@ -278,7 +308,7 @@ def test_factored_dims_merge_several_centers(build, n_max):
     # and 1 v both count, and their shifted balls overlap
     p = build()
     assert p.tau_free and p.check_confluence().confluent
-    assert not _length_filtered(p, n_max)
+    assert not p.length_filtered
     dims = p.filtration_dims(n_max)
     assert dims == p._closure_dims(n_max)
     assert dims == _span_rank_dims(p, n_max)
@@ -302,9 +332,10 @@ def test_word_ceiling_stops_a_long_horizon(build, n_max, max_words):
     # filtration_dims takes horizons up to the size ceiling only
     assert _ceiling_partial(p.filtration_dims, min(n_max, _SIZE_CEILING),
                             max_words) == partial
-    dist, _, horizon = p._letter_ball(n_max, max_words)
-    assert len(dist) <= (1 + 2 * p.group.ngens) * max_words
-    assert horizon < n_max or len(dist) <= max_words
+    spheres = p._letter_ball(n_max, max_words)
+    ball = sum(len(sphere) for sphere in spheres)
+    assert ball <= (1 + 2 * p.group.ngens) * max_words
+    assert len(spheres) - 1 < n_max or ball <= max_words
 
 
 def test_word_ceiling_on_y_letters_alone():
