@@ -12,8 +12,8 @@ from .invariants import (_char_at, _strip_coradical, is_skew_primitive,
                          proportionality_mod_coradical)
 from .intmat import integer_rank
 from .linalg import ScalarElimination
-from .scalars import (INFINITE, ScalarShapeError, multiplicative_order,
-                      subgroup_rank)
+from .scalars import (INFINITE, ScalarShapeError, _powers_cancel,
+                      multiplicative_order, subgroup_rank)
 
 
 class HypothesisCheck:
@@ -227,7 +227,7 @@ def _necessary_relation_solutions(u1, u2, d1, d2, m_max):
             m2 = total - m1
             e1 = d1 * (m1 * (m1 - 1)) + d2 * (m1 * m2)
             e2 = d2 * (m2 * (m2 - 1)) + d1 * (m1 * m2)
-            if ((u1 ** e1) * (u2 ** e2)).is_one():
+            if _powers_cancel(u1, e1, u2, e2):
                 solutions.append((m1, m2))
     return solutions
 

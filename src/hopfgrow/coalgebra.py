@@ -282,6 +282,19 @@ def _kernel_elements(p, candidates, weight):
     return [_lead_normalized(p, combo) for combo in kernel]
 
 
+def _graded_ywords(p, degree_bound):
+    """The irreducible y-words of degree at most degree_bound, in the order
+    of irreducible_ywords, each with its degree (counts(w) mod L, mu(w) mod
+    M); cached on the presentation."""
+    found = p._graded_ywords.get(degree_bound)
+    if found is None:
+        e = p.group.identity()
+        found = p._graded_ywords[degree_bound] = [
+            (yw, *p._degree((e, yw)))
+            for words in p.irreducible_ywords(degree_bound) for yw in words]
+    return found
+
+
 def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
     """Solve for all (1,weight)-primitives within the given bounds.
 
@@ -296,6 +309,19 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
     count class c is one block: the words of degree (c, weight M), and in
     the class c = 0 also those of degree (0, M), for the coradical line.
 
+    On a count_graded presentation a nonempty y-word w enters only with
+    the group part 1.  A word h w with h != 1 has a private row h w (x) 1
+    in the defect D.  Delta(h' w') is the sum over subwords S of w' of
+    h' left_S (x) h' NF(y_S).  S empty gives h' w' (x) h', which reaches
+    that row only if h' = 1, and then h' w' != h w.  Any other S gives a
+    right factor with a nonempty y-word, since NF keeps letter counts.
+    weight (x) z has no y-letter on the left.  So only z (x) 1 of h w
+    itself reaches the row, with entry -1: the column is a pivot of every
+    elimination and lies in no kernel vector.  Without it, each dependent
+    column keeps its unique relation, and the basis and its order do not
+    change.  The empty y-word keeps every group part, for the coradical
+    line.
+
     A block of two or more words is first eliminated at one point mod P
     (_certified_kernel): columns independent there are independent, and
     only each dependence found there is solved exactly, on its own
@@ -308,18 +334,20 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
     p.require_confluent()
     group = p.group
     weight = group.reduce(weight)
+    e = group.identity()
     ball_by_class = {}
     for h in group.ball(group_word_bound):
         ball_by_class.setdefault(p._group_class(h), []).append(h)
     blocks = {}
-    for words in p.irreducible_ywords(degree_bound):
-        for yw in words:
-            counts, content = p._degree((group.identity(), yw))
-            classes = {p._group_class([a - b for a, b in zip(weight, content)])}
-            if not any(counts):
-                classes.add(p._group_class([-b for b in content]))
+    for yw, counts, content in _graded_ywords(p, degree_bound):
+        classes = {p._group_class([a - b for a, b in zip(weight, content)])}
+        if not any(counts):
+            classes.add(p._group_class([-b for b in content]))
+        if yw and p.count_graded:
+            group_parts = [e] if e in classes else []
+        else:
             group_parts = sorted(h for cls in classes for h in ball_by_class.get(cls, ()))
-            blocks.setdefault(counts, []).extend((h, yw) for h in group_parts)
+        blocks.setdefault(counts, []).extend((h, yw) for h in group_parts)
     basis = []
     for candidates in blocks.values():
         basis.extend(_kernel_elements(p, candidates, weight))

@@ -21,7 +21,7 @@ from .coalgebra import find_skew_primitives, is_skew_primitive
 from .elements import AlgebraElement, add_term
 from .errors import ConsistencyError
 from .linalg import ScalarElimination, nullspace_of_columns
-from .scalars import INFINITE, ScalarShapeError, multiplicative_order
+from .scalars import INFINITE, ScalarShapeError, _powers_cancel, multiplicative_order
 
 
 class SaturationError(RuntimeError):
@@ -520,7 +520,7 @@ def _relation_search(u1, u2, bound):
     for total in range(2, bound + 1):
         for n in range(1, total):
             m = total - n
-            if ((u1 ** n) * (u2 ** m)).is_one():
+            if _powers_cancel(u1, n, u2, m):
                 return (n, m)
     return None
 

@@ -138,6 +138,7 @@ class Presentation:
         self._tau_cache = {}
         self._coproduct_cache = {}  # y-word -> {(left, right): coeff}
         self._coproduct_point_cache = {}  # y-word -> that at the point, or None
+        self._graded_ywords = {}  # degree bound -> [(irreducible y-word, its degree)]
         self._confluence = None
         self._rules_by_first = {}  # first letter -> [(rest of lhs, rule)]
         for rule in self.rules:
@@ -151,6 +152,14 @@ class Presentation:
             for rule in self.rules for g, u in rule.rhs.terms) and all(
             length(gen.weight) <= 1 for gen in self.gens
             if any(not t.is_zero() for t in gen.tau))
+        # count-graded: every rule term c g u keeps the letter counts of its
+        # left-hand side, with g = 1 unless tau vanishes (moving g left past
+        # y_j then drops no letter), so the normal form of a y-word is a sum
+        # of words with its letter counts
+        self.count_graded = all(
+            y_counts(u, self.ny) == y_counts(rule.lhs, self.ny)
+            and (self.tau_free or self.group.is_identity(g))
+            for rule in self.rules for g, u in rule.rhs.terms)
         self._count_lattice, self._group_lattice = self._grading()
 
     # ------------------------------------------------------------------

@@ -484,6 +484,14 @@ class UnitMonomial:
         return repr(self.to_scalar())
 
 
+def _powers_cancel(u1, a, u2, b):
+    """Whether u1^a u2^b = 1 for unit monomials, decided on the integers:
+    a k1 + b k2 vanishes modulo the number of roots of unity, and
+    a e1 + b e2 vanishes."""
+    return ((a * u1.k + b * u2.k) % u1.domain.field.unity_order == 0
+            and all(a * x + b * y == 0 for x, y in zip(u1.exps, u2.exps)))
+
+
 # ----------------------------------------------------------------------
 def quantum_binomial(n, s, lam):
     """Gaussian binomial coefficient evaluated at a scalar.

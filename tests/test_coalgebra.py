@@ -24,7 +24,7 @@ from hopfgrow.presentation import Presentation, SkewGenerator
 from hopfgrow.scalars import ScalarDomain, _point
 
 from conftest import (CHECK_IDS, CHECK_SETTINGS, confluent_random_presentation,
-                      random_presentation)
+                      random_presentation, truncation)
 from oracles import (check_axioms_at, check_coalgebra_axioms, delta_word_expanded,
                      normalize_random_order)
 
@@ -412,9 +412,9 @@ def test_column_vanishing_at_the_point_falls_back(monkeypatch):
 
 def test_scalar_without_value_falls_back(monkeypatch):
     # tau = 1/P puts the denominator P into the coproducts of words that
-    # move y2 past g, so the blocks holding them have no value at the point
-    prime = _point(1, 2)[0]
-    p = skew_free_presentation(v=2, tau=Fraction(1, prime))
+    # move y3 past g, so the blocks holding them have no value at the point
+    prime = _point(1, 3)[0]
+    p = skew_free_presentation(v=3, tau=Fraction(1, prime))
     blocks = _record_blocks(monkeypatch)
     for weight in p.group.ball(2):
         find_skew_primitives(p, weight, 3, 1)
@@ -444,6 +444,88 @@ def test_tau_primitive_spans_two_count_classes():
     space = find_skew_primitives(p, weight, 2, 2)
     assert _in_span(p, space.basis, z)
     _assert_matches_full_search(p, weight, 2, 2)
+
+
+def _bases_without_the_flag(monkeypatch, p, weights, degree, radius):
+    """Assert that the primitive space at each weight equals, down to the
+    printed coefficients, the one the search finds with count_graded
+    turned off."""
+    fast = [find_skew_primitives(p, w, degree, radius) for w in weights]
+    with monkeypatch.context() as m:
+        m.setattr(p, "count_graded", False)
+        full = [find_skew_primitives(p, w, degree, radius) for w in weights]
+    for a, b in zip(fast, full):
+        assert a.basis == b.basis, (p, a.weight)
+        assert [repr(e) for e in a.basis] == [repr(e) for e in b.basis], (p, a.weight)
+        assert a.has_coradical_line == b.has_coradical_line, (p, a.weight)
+
+
+@pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
+def test_count_graded_search_matches_full_search_on_check_settings(
+        monkeypatch, name, params):
+    p, merged = build_example(name, dict(_parse_param(prm) for prm in params))
+    if not p.check_confluence().confluent:
+        return
+    cfg = EXAMPLES[name].check_config(merged)
+    radius = cfg["group_word_bound"]
+    _bases_without_the_flag(monkeypatch, p, p.group.ball(radius),
+                            cfg["degree_bound"], radius)
+
+
+def test_count_graded_search_matches_full_search_random(monkeypatch):
+    rng = random.Random(1903)
+    graded = 0
+    for _ in range(150):
+        p = confluent_random_presentation(rng)
+        graded += p.count_graded
+        _bases_without_the_flag(monkeypatch, p, p.group.ball(1), 3, 1)
+    assert graded > 50
+
+
+def test_count_graded_holds_on_builtins_but_truncations():
+    settings = [(name, dict(_parse_param(prm) for prm in params))
+                for name, params in CHECK_SETTINGS]
+    settings += [("skew_trunc", {"beta": 0}), ("skew_trunc", {"p": 2, "beta": 3}),
+                 ("skew_free", {"same_q": True}), ("taft", {"p": 7}),
+                 ("exterior", {"s": 1}), ("qplane", {"v": 1})]
+    for name, params in settings:
+        p, merged = build_example(name, params)
+        truncated = name == "skew_trunc" and merged["beta"] != 0
+        assert p.count_graded is not truncated, (name, params)
+    # a rule term with a group part keeps the letter counts only without
+    # tau: y1 g = g y1 + tau(g) g (g - 1) drops a letter
+    dom = ScalarDomain(1)
+    group = GroupData(1)
+    g = group.generator(0)
+    for tau, graded in [(None, True), ((dom.one(),), False)]:
+        gens = [SkewGenerator("y%d" % k, g, (dom.one(),), tau) for k in (1, 2)]
+        p = Presentation(dom, group, gens, [((1, 0), {(g, (0, 1)): dom.one()})])
+        assert p.count_graded is graded
+
+
+def test_count_graded_is_needed():
+    # over Z x Z/2 = <g> x <x>, y1 of weight g with lambda1 = (-1, 1) and
+    # y1^2 = g^2 - 1, y2 of weight x with the trivial character: at weight
+    # g^2 the primitive y1y2y1y2 - y1y2y2y1 + y2y1y2y1 + y2^2 - g^2 y2^2
+    # needs the group part g^2 on a nonempty y-word, so a search that keeps
+    # only the group part 1 there loses it
+    dom = ScalarDomain(2)
+    group = GroupData(1, (2,))
+    g, x = group.generators()
+    one = dom.one()
+    p = truncation(dom, group, g, (dom.rational(-1), one), 2, [(x, (one, one))])
+    weight = group.power(g, 2)
+    space = find_skew_primitives(p, weight, 4, 2)
+    z = p.normalize([(one, (("y", 0), ("y", 1), ("y", 0), ("y", 1))),
+                     (-one, (("y", 0), ("y", 1), ("y", 1), ("y", 0))),
+                     (one, (("y", 1), ("y", 0), ("y", 1), ("y", 0))),
+                     (one, (("y", 1), ("y", 1))),
+                     (-one, (("g", weight), ("y", 1), ("y", 1)))])
+    assert is_skew_primitive(p, z) == weight
+    assert space.dim == 2 and space.witnesses() == [z]
+    assert not p.count_graded
+    p.count_graded = True
+    assert find_skew_primitives(p, weight, 4, 2).dim == 1
 
 
 def _rules_are_graded(p):

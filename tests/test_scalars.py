@@ -7,7 +7,7 @@ import pytest
 from hopfgrow.cyclotomic import cyclotomic_polynomial
 from hopfgrow.scalars import (INFINITE, Scalar, ScalarDomain, ScalarShapeError,
                               UnitMonomial, _lp_add, _lp_eq, _lp_mul, _point,
-                              multiplicative_order, quantum_binomial,
+                              _powers_cancel, multiplicative_order, quantum_binomial,
                               subgroup_rank)
 
 
@@ -178,6 +178,26 @@ def test_unit_monomial_detection(dom):
     w = dom.field.unity_order
     assert UnitMonomial(dom, w + 3, (2, -1)) == um
     assert UnitMonomial(dom, -w + 3, (2, -1)).to_scalar() == um.to_scalar()
+
+
+@pytest.mark.parametrize("conductor", [1, 2, 3, 6])
+def test_powers_cancel_matches_scalar_powers(conductor):
+    # u^a v^b = 1 decided on the exponents, against the scalar product
+    dom = ScalarDomain(conductor, ("q1", "q2"))
+    units = [(dom.zeta(a) * dom.rational(sign) * dom.q(0, e) * dom.q(1, -e))
+             .as_unit_monomial()
+             for a in range(conductor) for sign in (1, -1) for e in (0, 1, -2)]
+    exponents = range(-2, 5)
+    powers = [{a: u.to_scalar() ** a for a in exponents} for u in units]
+    rng = random.Random(conductor)
+    cancels = set()
+    for _ in range(1500):
+        i, j = rng.randrange(len(units)), rng.randrange(len(units))
+        a, b = rng.choice(exponents), rng.choice(exponents)
+        expected = (powers[i][a] * powers[j][b]).is_one()
+        assert _powers_cancel(units[i], a, units[j], b) == expected, (i, a, j, b)
+        cancels.add(expected)
+    assert cancels == {True, False}
 
 
 @pytest.mark.parametrize("conductor", [1, 2, 3, 4, 6, 9, 12])
