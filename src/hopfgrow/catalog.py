@@ -162,6 +162,9 @@ def exterior_presentation(s=2, free=False):
 # registry, expected values, and the check harness
 
 class ExampleSpec:
+    """A builtin: build takes the merged parameters as keywords, so its
+    keyword names are the keys of defaults."""
+
     def __init__(self, description, defaults, build, expected, check_config):
         self.description = description
         self.defaults = defaults
@@ -349,8 +352,7 @@ EXAMPLES = {
         "group algebra of Z freely extended by v skew primitives "
         "(lambda_i(g) = q_i; exponential growth for v >= 2)",
         {"v": 2, "same_q": False, "tau": None},
-        lambda prm: skew_free_presentation(v=prm["v"], same_q=prm["same_q"],
-                                           tau=prm["tau"]),
+        skew_free_presentation,
         _skew_free_expected,
         lambda prm: {"degree_bound": 4, "group_word_bound": 3, "power_bound": 3,
                      "n_max": _skew_free_n_max(prm["v"]), "pbw_degree": 6},
@@ -359,8 +361,7 @@ EXAMPLES = {
         "the free extension plus one truncation y1^p = beta (mu1^p - 1); "
         "bad_gen=true breaks confluence when beta != 0",
         {"p": 3, "beta": 1, "v": 2, "bad_gen": False},
-        lambda prm: skew_trunc_presentation(p=prm["p"], beta=prm["beta"],
-                                            v=prm["v"], bad_gen=prm["bad_gen"]),
+        skew_trunc_presentation,
         _skew_trunc_expected,
         # the PBW scan must reach the truncation relation y1^p
         lambda prm: {"degree_bound": 4, "group_word_bound": 3, "power_bound": 4,
@@ -369,7 +370,7 @@ EXAMPLES = {
     "taft": ExampleSpec(
         "Taft algebra: Z/p with one skew primitive, y g = zeta_p g y, y^p = 0",
         {"p": 3, "free": False},
-        lambda prm: taft_presentation(p=prm["p"], free=prm["free"]),
+        taft_presentation,
         _taft_expected,
         lambda prm: {"degree_bound": prm["p"], "group_word_bound": 2,
                      "power_bound": prm["p"], "n_max": 12, "pbw_degree": prm["p"] + 1},
@@ -378,7 +379,7 @@ EXAMPLES = {
         "quantum-plane quotient over Z with v in {1,2,3} skew primitives; "
         "polynomial growth of degree 1 + v",
         {"v": 2},
-        lambda prm: qplane_presentation(v=prm["v"]),
+        qplane_presentation,
         _qplane_expected,
         lambda prm: {"degree_bound": 3, "group_word_bound": 3, "power_bound": 3,
                      "n_max": 12 if prm["v"] == 1 else 24, "pbw_degree": 8},
@@ -387,7 +388,7 @@ EXAMPLES = {
         "anticommuting generators over Z/2 (s = 1 is the four-dimensional "
         "example); finite dimensional, all bounds zero",
         {"s": 2, "free": False},
-        lambda prm: exterior_presentation(s=prm["s"], free=prm["free"]),
+        exterior_presentation,
         _exterior_expected,
         lambda prm: {"degree_bound": 4, "group_word_bound": 2, "power_bound": 3,
                      "n_max": 12, "pbw_degree": 4},
@@ -410,7 +411,7 @@ def _merge_params(name, params):
 
 def build_example(name, params=None):
     entry, merged = _merge_params(name, params)
-    return entry.build(merged), merged
+    return entry.build(**merged), merged
 
 
 class CheckOutcome:
@@ -432,7 +433,7 @@ def run_example_check(name, params=None):
     from .invariants import compute_invariants
 
     entry, merged = _merge_params(name, params)
-    p = entry.build(merged)  # first: it rejects parameters of the wrong type
+    p = entry.build(**merged)  # first: it rejects parameters of the wrong type
     expected = entry.expected(merged)
     outcome = CheckOutcome()
     cfg = entry.check_config(merged)

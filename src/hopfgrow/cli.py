@@ -10,7 +10,8 @@
     hopfgrow list-examples
 
 Presentations come from a builtin (--example, with --param overrides) or a
-JSON file.  Exit codes: 0 ok, 1 usage or parse error, 2 hypothesis or
+JSON file.  Exit codes: 0 ok, 1 usage or parse error or a standard output
+closed before the report was written (silently), 2 hypothesis or
 consistency failure (including non-confluence and check mismatches),
 3 resource ceiling reached.  HOPFGROW_MAX_WORDS caps the growth
 enumeration; a value that is not a nonnegative integer is a usage error.
@@ -18,6 +19,7 @@ enumeration; a value that is not a nonnegative integer is a usage error.
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -68,8 +70,13 @@ def _parse_param(text):
     return key, raw  # not a number: the builder rejects what it cannot use
 
 
+def _params(args):
+    """The --param overrides as a dict."""
+    return dict(_parse_param(s) for s in args.param or [])
+
+
 def _load(args):
-    params = dict(_parse_param(s) for s in (args.param or []))
+    params = _params(args)
     if args.example and args.file:
         raise UsageError("give either --example or a file, not both")
     if args.example:
@@ -168,6 +175,12 @@ def _invariant_text(p, report):
     return "\n".join(lines)
 
 
+def _invariants(p, args):
+    return compute_invariants(p, degree_bound=args.degree,
+                              group_word_bound=args.group_bound,
+                              power_bound=args.power_bound)
+
+
 def _bound_payload(results):
     return [{"rule": r.rule, "value": r.value,
              "hypotheses": [{"name": h.name, "passed": h.passed,
@@ -237,9 +250,7 @@ def cmd_primitives(args):
 
 def cmd_invariants(args):
     p, source = _load(args)
-    report = compute_invariants(p, degree_bound=args.degree,
-                                group_word_bound=args.group_bound,
-                                power_bound=args.power_bound)
+    report = _invariants(p, args)
     _emit(args, {"command": "invariants", "presentation": source,
                  "report": _invariant_payload(p, report)},
           _invariant_text(p, report))
@@ -248,9 +259,7 @@ def cmd_invariants(args):
 
 def cmd_bounds(args):
     p, source = _load(args)
-    report = compute_invariants(p, degree_bound=args.degree,
-                                group_word_bound=args.group_bound,
-                                power_bound=args.power_bound)
+    report = _invariants(p, args)
     results = all_bounds(p, report)
     verdict = detect_exponential(p, report, m_max=args.mmax)
     payload = {
@@ -283,9 +292,7 @@ def cmd_bounds(args):
 def cmd_growth(args):
     p, source = _load(args)
     growth = measure_growth(p, n_max=args.nmax)
-    report = compute_invariants(p, degree_bound=args.degree,
-                                group_word_bound=args.group_bound,
-                                power_bound=args.power_bound)
+    report = _invariants(p, args)
     verdict = detect_exponential(p, report, m_max=args.mmax)
     if (verdict.classification == "exponential"
             and growth.estimate["kind"] == "polynomial"):
@@ -310,7 +317,7 @@ def cmd_growth(args):
 
 
 def cmd_check_example(args):
-    params = dict(_parse_param(s) for s in (args.param or []))
+    params = _params(args)
     outcome = run_example_check(args.name, params)
     payload = {"example": args.name,
                "params": {k: _plain(v) for k, v in params.items()},
@@ -368,24 +375,42 @@ def _horizon(text):
     return value
 
 
-def _add_common(sub, element=False, weight=False):
+# the search-bound flags: default and help
+_BOUND_FLAGS = {
+    "--degree": (6, "y-degree bound for searches"),
+    "--group-bound": (6, "group word-length bound"),
+    "--power-bound": (6, "largest power tested for primitivity"),
+    "--nmax": (12, "growth measurement horizon"),
+    "--mmax": (12, "exponent ceiling for the relation search"),
+}
+_INVARIANT_BOUNDS = ("--degree", "--group-bound", "--power-bound")
+
+# the presentation commands: name, handler, help, the bound flags the
+# handler reads (the command accepts no other), and _add_common's options
+_COMMANDS = (
+    ("normalize", cmd_normalize, "normal form of an element", (),
+     {"element": True}),
+    ("delta", cmd_delta, "coproduct of an element", (), {"element": True}),
+    ("primitives", cmd_primitives, "skew-primitive spaces by weight",
+     ("--degree", "--group-bound"), {"weight": True}),
+    ("invariants", cmd_invariants, "weight/commutator invariant report",
+     _INVARIANT_BOUNDS, {}),
+    ("bounds", cmd_bounds, "invariants, all lower bounds, detectors",
+     _INVARIANT_BOUNDS + ("--mmax",), {}),
+    ("growth", cmd_growth, "measured growth and its classification",
+     _INVARIANT_BOUNDS + ("--nmax", "--mmax"), {}),
+)
+
+
+def _add_common(sub, bounds, element=False, weight=False):
     sub.add_argument("file", nargs="?", help="presentation file (JSON)")
     sub.add_argument("--example", help="builtin example name")
     sub.add_argument("--param", action="append", metavar="K=V",
                      help="builtin parameter override")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--degree", type=_horizon, default=6,
-                     help="y-degree bound for searches")
-    sub.add_argument("--group-bound", dest="group_bound", type=_horizon,
-                     default=6,
-                     help="group word-length bound")
-    sub.add_argument("--power-bound", dest="power_bound", type=_horizon,
-                     default=6,
-                     help="largest power tested for primitivity")
-    sub.add_argument("--nmax", type=_horizon, default=12,
-                     help="growth measurement horizon")
-    sub.add_argument("--mmax", type=_horizon, default=12,
-                     help="exponent ceiling for the relation search")
+    for flag in bounds:
+        default, text = _BOUND_FLAGS[flag]
+        sub.add_argument(flag, type=_horizon, default=default, help=text)
     if element:
         sub.add_argument("--element", required=True,
                          help="element expression, e.g. '2 * g1 y1 + y2'")
@@ -399,24 +424,10 @@ def build_parser():
                                  "measurements for pointed Hopf algebra "
                                  "presentations")
     subs = parser.add_subparsers(dest="command", required=True)
-    s = subs.add_parser("normalize", help="normal form of an element")
-    _add_common(s, element=True)
-    s.set_defaults(func=cmd_normalize)
-    s = subs.add_parser("delta", help="coproduct of an element")
-    _add_common(s, element=True)
-    s.set_defaults(func=cmd_delta)
-    s = subs.add_parser("primitives", help="skew-primitive spaces by weight")
-    _add_common(s, weight=True)
-    s.set_defaults(func=cmd_primitives)
-    s = subs.add_parser("invariants", help="weight/commutator invariant report")
-    _add_common(s)
-    s.set_defaults(func=cmd_invariants)
-    s = subs.add_parser("bounds", help="invariants, all lower bounds, detectors")
-    _add_common(s)
-    s.set_defaults(func=cmd_bounds)
-    s = subs.add_parser("growth", help="measured growth and its classification")
-    _add_common(s)
-    s.set_defaults(func=cmd_growth)
+    for name, func, text, bounds, options in _COMMANDS:
+        s = subs.add_parser(name, help=text)
+        _add_common(s, bounds, **options)
+        s.set_defaults(func=func)
     s = subs.add_parser("check-example",
                         help="compare a builtin against its expected values")
     s.add_argument("name")
@@ -437,7 +448,14 @@ def main(argv=None):
             word_ceiling()
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early, as `head` does: what is still buffered
+        # goes to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

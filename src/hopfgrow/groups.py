@@ -96,11 +96,7 @@ class GroupData:
 
     # -- subgroup analysis ---------------------------------------------
     def subgroup_free_rank(self, gens):
-        rows = [list(self.reduce(g)[:self.free_rank]) for g in gens]
-        rows = [r for r in rows if any(r)]
-        if not rows:
-            return 0
-        return integer_rank(rows)
+        return integer_rank([self.reduce(g)[:self.free_rank] for g in gens])
 
     def subgroup_is_torsionfree(self, gens):
         """Whether the subgroup generated by gens has no nonzero torsion.

@@ -1,33 +1,5 @@
 """Small exact integer matrix utilities: rank, HNF-style reduction, kernels."""
 
-from fractions import Fraction
-
-
-def integer_rank(rows):
-    """Rank of a matrix given as a list of integer row vectors."""
-    m = [[Fraction(x) for x in row] for row in rows if any(row)]
-    rank = 0
-    col = 0
-    ncols = len(m[0]) if m else 0
-    while rank < len(m) and col < ncols:
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for r in range(rank + 1, len(m)):
-            if m[r][col]:
-                f = m[r][col] / pv
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        col += 1
-    return rank
-
 
 def row_reduce_with_transform(rows):
     """Integer row echelon form by unimodular operations.
@@ -64,6 +36,13 @@ def row_reduce_with_transform(rows):
         if top == n:
             break
     return h, u
+
+
+def integer_rank(rows):
+    """Rank of a matrix given as a list of integer row vectors: the nonzero
+    rows of its echelon form."""
+    h, _ = row_reduce_with_transform(rows)
+    return sum(1 for row in h if any(row))
 
 
 def integer_kernel(rows):

@@ -590,7 +590,7 @@ class Presentation:
         On a length_filtered presentation the words reached are exactly
         the normal words h v with |h| + |v| <= n, so dims[n] is
         sum_t Y(t) ball[n - t], Y(t) the normal y-words of length t from
-        _word_levels, summed on the side with fewer nonzero terms up to n:
+        _word_levels:
         1. each such word is reached by n letters: v by its y-letters from
            1, using tau_i(1) = 0, then h by group letters;
         2. no step lengthens a word: a rule term c g u has |g| + |u| <=
@@ -613,28 +613,20 @@ class Presentation:
         if not self.length_filtered:
             return self._closure_dims(n_max, max_words)
         spheres = self._letter_ball(n_max, max_words)
-        last = len(spheres) - 1
         ball = list(itertools.accumulate(len(sphere) for sphere in spheres))
-        by_level, upto, nonzero = [], [], []  # Y(t), its partial sums, t with Y(t) > 0
+        ball += ball[-1:] * (n_max + 1 - len(ball))  # no element past the last sphere
         levels = self._word_levels()
+        nonzero = []  # (t, Y(t)) with Y(t) > 0
         dims = []
         for n in range(n_max + 1):
             new = next(levels, 0)
-            by_level.append(new)
-            upto.append(new + (upto[-1] if n else 0))
             if new:
-                nonzero.append(n)
-            if len(nonzero) <= min(n, last):
-                count = sum(by_level[t] * ball[min(n - t, last)] for t in nonzero)
-            else:
-                count = sum(len(spheres[j]) * upto[n - j] for j in range(min(n, last) + 1))
+                nonzero.append((n, new))
+            count = sum(y * ball[n - t] for t, y in nonzero)
             if dims and count > dims[-1] and max_words is not None and count > max_words:
                 raise ResourceCeilingError(
                     "enumeration exceeded %d words" % max_words, partial=dims)
             dims.append(count)
-            if nonzero[-1] < n and n >= nonzero[-1] + last:
-                # Y has ended and every ball B_{n-t} is full: the count stays
-                return dims + [count] * (n_max - n)
         return dims
 
     def _letter_ball(self, n_max, max_words=None):

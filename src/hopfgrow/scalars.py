@@ -555,8 +555,5 @@ def subgroup_rank(gens):
         um = x.as_unit_monomial()
         if um is None:
             raise ScalarShapeError("not a unit monomial: %r" % (x,), x)
-        rows.append(list(um.exps))
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
+        rows.append(um.exps)
     return integer_rank(rows)

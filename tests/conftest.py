@@ -172,3 +172,19 @@ def random_truncation(rng):
         extra.append((weight, tuple(dom.q(0) if j < group.free_rank else dom.zeta()
                                     for j in range(group.ngens))))
     return truncation(dom, group, group.power(g1, k), character, power, extra)
+
+
+def random_truncation_pair(rng):
+    """y1 of weight g1 with y1^p = g1^p - 1 beside y2 of weight g2, over
+    Z x Z/2, Z x Z/p or Z^2, as in the Z x Z/2 case whose primitive at g1^2
+    needs a group part other than 1 on a nonempty y-word.  Every character
+    value is a p-th root of unity, lambda_1(g1) a primitive one, and on g2
+    it is 1 when the order of g2 is prime to p."""
+    power = rng.choice([2, 3])
+    dom = ScalarDomain(power)
+    group = rng.choice([GroupData(1, (2,)), GroupData(1, (power,)), GroupData(2)])
+    g1, g2 = group.generators()
+    roots_on_g2 = power if not group.torsion or group.torsion[0] % power == 0 else 1
+    character1 = (dom.zeta(rng.randrange(1, power)), dom.zeta(rng.randrange(roots_on_g2)))
+    character2 = (dom.zeta(rng.randrange(power)), dom.zeta(rng.randrange(roots_on_g2)))
+    return truncation(dom, group, g1, character1, power, [(g2, character2)])

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -268,16 +272,50 @@ def test_bound_flags_capped(capsys):
     # parser's size cap is refused.  The parser is asked first, so that a
     # missing cap fails here rather than start the uncapped work below.
     parser = build_parser()
-    for flag in ("--degree", "--group-bound", "--power-bound", "--nmax", "--mmax"):
+    for flag in BOUND_FLAGS:
         with pytest.raises(UsageError, match="%s: 1001 exceeds the cap 1000" % flag):
-            parser.parse_args(["primitives", "--example", "qplane", flag, "1001"])
-        args = parser.parse_args(["primitives", "--example", "qplane", flag, "1000"])
+            parser.parse_args(["growth", "--example", "qplane", flag, "1001"])
+        args = parser.parse_args(["growth", "--example", "qplane", flag, "1000"])
         assert getattr(args, flag[2:].replace("-", "_")) == 1000
     code, out, err = run(capsys, "primitives", "--example", "qplane", "--degree", "0",
                          "--group-bound", "1000000000")
     assert (code, out) == (1, "")
     assert err.startswith("usage error:") and "--group-bound" in err, err
     assert err.count("\n") == 1, err
+
+
+BOUND_FLAGS = ("--degree", "--group-bound", "--power-bound", "--nmax", "--mmax")
+
+# the bound flags each presentation command reads
+BOUND_FLAGS_READ = {
+    "normalize": (), "delta": (), "primitives": ("--degree", "--group-bound"),
+    "invariants": ("--degree", "--group-bound", "--power-bound"),
+    "bounds": ("--degree", "--group-bound", "--power-bound", "--mmax"),
+    "growth": BOUND_FLAGS,
+}
+
+
+def test_commands_take_only_the_bound_flags_they_read(capsys):
+    # a bound flag the command would ignore is refused as an unrecognized
+    # argument, before any work; one it reads parses and is capped
+    parser = build_parser()
+    refused = 0
+    for command, read in BOUND_FLAGS_READ.items():
+        argv = [command, "--example", "qplane"]
+        if command in ("normalize", "delta"):
+            argv += ["--element", "y1"]
+        for flag in BOUND_FLAGS:
+            if flag in read:
+                args = parser.parse_args(argv + [flag, "1000"])
+                assert getattr(args, flag[2:].replace("-", "_")) == 1000
+                with pytest.raises(UsageError, match="%s: 1001 exceeds the cap" % flag):
+                    parser.parse_args(argv + [flag, "1001"])
+                continue
+            code, out, err = run(capsys, *argv, flag, "2")
+            assert (code, out, err.count("\n")) == (1, "", 1), (command, flag, err)
+            assert err.startswith("usage error: unrecognized arguments: ") and flag in err
+            refused += 1
+    assert refused == 16
 
 
 @pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
@@ -420,3 +458,19 @@ def test_parse_error_exit(capsys, tmp_path):
     assert (code, out, err.count("\n")) == (1, "", 1), err[:200]
     assert err.startswith("presentation error: ") and "9" * 100 not in err
 
+
+
+def test_closed_stdout_exits_without_traceback():
+    # the reader of the pipe is gone before the report is written, as when
+    # `head -1` has stopped reading
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    try:
+        result = subprocess.run([sys.executable, "-m", "hopfgrow", "list-examples"],
+                                stdout=write, stderr=subprocess.PIPE, env=env,
+                                timeout=60)
+    finally:
+        os.close(write)
+    assert result.returncode == 1
+    assert b"Traceback" not in result.stderr and result.stderr.count(b"\n") <= 1

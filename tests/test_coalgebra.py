@@ -24,7 +24,7 @@ from hopfgrow.presentation import Presentation, SkewGenerator
 from hopfgrow.scalars import ScalarDomain, _point
 
 from conftest import (CHECK_IDS, CHECK_SETTINGS, confluent_random_presentation,
-                      random_presentation, truncation)
+                      random_presentation, random_truncation_pair, truncation)
 from oracles import (check_axioms_at, check_coalgebra_axioms, delta_word_expanded,
                      normalize_random_order)
 
@@ -480,6 +480,12 @@ def test_count_graded_search_matches_full_search_random(monkeypatch):
         graded += p.count_graded
         _bases_without_the_flag(monkeypatch, p, p.group.ball(1), 3, 1)
     assert graded > 50
+    # at the degree and radius where the Z x Z/2 case of
+    # test_count_graded_is_needed has its primitive
+    for _ in range(100):
+        p = random_truncation_pair(rng)
+        assert p.check_confluence().confluent
+        _bases_without_the_flag(monkeypatch, p, p.group.ball(2), 4, 2)
 
 
 def test_count_graded_holds_on_builtins_but_truncations():

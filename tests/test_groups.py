@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from hopfgrow.groups import GroupData, cyclic_support
+from hopfgrow.intmat import integer_rank
 from hopfgrow.scalars import INFINITE
 
 
@@ -51,6 +54,24 @@ def test_subgroup_rank_and_torsion():
     assert not g.subgroup_is_torsionfree([(0, 0, 1)])
     assert g.subgroup_is_torsionfree([(1, 0, 0), (0, 1, 0)])
     assert not g.subgroup_is_torsionfree([(1, 0, 1), (1, 0, 0)])
+
+
+def test_integer_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2011)
+    cases = [[], [[], []], [[0, 0], [0, 0]]]  # no rows, zero-width rows, zero rows
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.3:  # a dependent row
+            rows.append([rng.randint(-2, 2) * a + rng.randint(-2, 2) * b
+                         for a, b in zip(rows[0], rows[-1])])
+        if rng.random() < 0.2:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+        cases.append(rows)
+    for rows in cases:
+        ncols = len(rows[0]) if rows else 0
+        assert integer_rank(rows) == sympy.Matrix(len(rows), ncols, sum(rows, [])).rank(), rows
 
 
 def test_cyclic_support_free():
