@@ -121,13 +121,13 @@ def qplane_presentation(v=2):
     if v >= 3:
         data.append((group.identity(), dom.one()))
     gens = [SkewGenerator("y%d" % (i + 1), w, (c,)) for i, (w, c) in enumerate(data)]
-    pres_probe = Presentation(dom, group, gens, (), name="qplane_probe")
     rules = []
     ident = group.identity()
     for j in range(v):
         for i in range(j):
-            # orient y_j y_i -> lambda_ji y_i y_j  (j > i)
-            lam = pres_probe.char_value(j, gens[i].weight)
+            # orient y_j y_i -> lambda_ji y_i y_j  (j > i), where
+            # lambda_ji = lambda_j(g^e) = c_j^e for the weight g^e of y_i
+            lam = data[j][1] ** data[i][0][0]
             rules.append(((j, i), {(ident, (i, j)): lam}))
     return Presentation(dom, group, gens, rules, name="qplane")
 

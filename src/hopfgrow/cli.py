@@ -402,15 +402,26 @@ _COMMANDS = (
 )
 
 
+class _Unread(argparse.Action):
+    """A bound flag the command does not read.  It is declared so that its
+    value is not taken for the file positional, and refused with it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise UsageError("unrecognized arguments: %s %s" % (option_string, values))
+
+
 def _add_common(sub, bounds, element=False, weight=False):
     sub.add_argument("file", nargs="?", help="presentation file (JSON)")
     sub.add_argument("--example", help="builtin example name")
     sub.add_argument("--param", action="append", metavar="K=V",
                      help="builtin parameter override")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    for flag in bounds:
-        default, text = _BOUND_FLAGS[flag]
-        sub.add_argument(flag, type=_horizon, default=default, help=text)
+    for flag, (default, text) in _BOUND_FLAGS.items():
+        if flag in bounds:
+            sub.add_argument(flag, type=_horizon, default=default, help=text)
+        else:
+            sub.add_argument(flag, action=_Unread, default=argparse.SUPPRESS,
+                             help=argparse.SUPPRESS)
     if element:
         sub.add_argument("--element", required=True,
                          help="element expression, e.g. '2 * g1 y1 + y2'")

@@ -279,6 +279,22 @@ def _poly_ext_gcd_frac(a, m):
     return r0, s0
 
 
+def _power(x, n, one):
+    """x^n for an integer n by square-and-multiply, one being the unit of
+    x's ring; a negative n raises x.inverse()."""
+    if n == 0:
+        return one
+    base = x if n > 0 else x.inverse()
+    n = abs(n)
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
 class CycloRational:
     """An element nums / den of Q(zeta_N) in the power basis mod Phi_N.
 
@@ -385,17 +401,7 @@ class CycloRational:
         return self * other.inverse()
 
     def __pow__(self, n):
-        if n == 0:
-            return self.field.one()
-        base = self if n > 0 else self.inverse()
-        n = abs(n)
-        result = self.field.one()
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.field.one())
 
     def __eq__(self, other):
         if not isinstance(other, CycloRational):

@@ -27,6 +27,8 @@ def word_key(word, nygens):
 
 
 def add_term(terms, word, coeff):
+    """terms[word] += coeff in place, keeping only nonzero entries: the
+    accumulate step of every sparse sum, scalar and linear alike."""
     if coeff.is_zero():
         return
     cur = terms.get(word)
@@ -79,9 +81,7 @@ class AlgebraElement:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        if set(self.terms.keys()) != set(other.terms.keys()):
-            return False
-        return all(c == other.terms[w] for w, c in self.terms.items())
+        return self.terms == other.terms
 
     __hash__ = None
 

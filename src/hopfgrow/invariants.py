@@ -547,11 +547,10 @@ def compute_invariants(p, degree_bound=6, group_word_bound=6, power_bound=6,
     # its UnitMonomial form keys the deduplication in first-seen order
     pairs = {}          # (weight, commutator) -> WeightCommutator
     commutators = {}    # commutator -> its first scalar
-    for h in p.group.ball(group_word_bound):
-        space = find_skew_primitives(p, h, degree_bound, group_word_bound)
+    for weight in p.group.ball(group_word_bound):
+        space = find_skew_primitives(p, weight, degree_bound, group_word_bound)
         if not space.witnesses():
             continue
-        weight = p.group.reduce(h)
         q = QuotientSpace(p, weight, space.basis, gens_elts)
         bound = max(level_bound, q.dim)
         ops = [q.operator(g2) for g2 in gens_elts]

@@ -22,43 +22,22 @@ at the point.  A bad point therefore costs time, never a wrong answer:
 results do not depend on the point.
 """
 
+from .elements import add_term
+
 
 def _scale_sub(p, col, c, pcol):
-    """p*col - c*pcol as a pruned sparse column."""
-    out = {}
-    for k, v in col.items():
-        w = p * v
-        if not w.is_zero():
-            out[k] = w
+    """p*col - c*pcol as a pruned sparse column; p is a nonzero pivot
+    entry, so no product p*v vanishes."""
+    out = {k: p * v for k, v in col.items()}
     for k, v in pcol.items():
-        w = c * v
-        if w.is_zero():
-            continue
-        cur = out.get(k)
-        if cur is None:
-            out[k] = -w
-        else:
-            s = cur - w
-            if s.is_zero():
-                del out[k]
-            else:
-                out[k] = s
+        add_term(out, k, -(c * v))
     return out
 
 
 def _add_multiple(col, f, pcol):
     """col += f*pcol in place, touching pcol's keys only."""
     for k, v in pcol.items():
-        w = f * v
-        cur = col.get(k)
-        if cur is None:
-            col[k] = w
-        else:
-            s = cur + w
-            if s.is_zero():
-                del col[k]
-            else:
-                col[k] = s
+        add_term(col, k, f * v)
 
 
 def _divide_exact(col, combo, d):

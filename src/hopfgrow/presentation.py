@@ -60,15 +60,6 @@ def _reduce_mod(vec, lattice):
     return tuple(vec)
 
 
-def _times(a, b):
-    """a * b for scalars, without a product when either factor is 1."""
-    if b.is_one():
-        return a
-    if a.is_one():
-        return b
-    return a * b
-
-
 class SkewGenerator:
     """A skew-primitive generator: name, weight, characters."""
 
@@ -269,8 +260,8 @@ class Presentation:
 
     # -- scalar-valued character data ----------------------------------
     def char_value(self, i, h):
-        """lambda_i evaluated at the group element h."""
-        h = self.group.reduce(h)
+        """lambda_i evaluated at the group element h.  Reduced or not, h
+        has one value: _validate checks lambda_i(t_j)^m_j = 1."""
         key = (i, h)
         cached = self._char_cache.get(key)
         if cached is not None:
@@ -283,8 +274,8 @@ class Presentation:
         return val
 
     def tau_value(self, i, h):
-        """tau_i (additive character) evaluated at h; supported on free part."""
-        h = self.group.reduce(h)
+        """tau_i (additive character) evaluated at h; supported on the free
+        part, so h need not be reduced."""
         key = (i, h)
         cached = self._tau_cache.get(key)
         if cached is not None:
@@ -389,13 +380,13 @@ class Presentation:
             y_i h v = lambda_i(h) h NF(y_i v) + tau_i(h) h (mu_i - 1) v.
         """
         mul = self.group.mul
-        lam = _times(c, self.char_value(i, h))
+        lam = c * self.char_value(i, h)
         for (h3, v3), c3 in nf.items():
-            add_term(acc, (mul(h, h3), v3), _times(lam, c3))
+            add_term(acc, (mul(h, h3), v3), lam * c3)
         if not self.tau_free:
             tau = self.tau_value(i, h)
             if not tau.is_zero():
-                tau = _times(c, tau)
+                tau = c * tau
                 add_term(acc, (mul(h, self.gens[i].weight), v), tau)
                 add_term(acc, (h, v), -tau)
 

@@ -9,7 +9,10 @@ keeps sizes bounded without multivariate gcd machinery.
 A one-term denominator is always the constant 1, so a scalar with
 len(den) == 1 is a Laurent polynomial.  Sums, products and comparisons of
 two Laurent polynomials work on the numerators alone; only true fractions
-such as 1/(1 + q) take the cross-multiplication path.
+such as 1/(1 + q) take the cross-multiplication path.  Nothing mutates a
+scalar's num or den once it is built, so every Laurent polynomial shares
+its domain's one dict as den, and a product by one returns the other
+operand itself.
 
 Unit monomials -- scalars of the shape (root of unity) * q^e -- are the
 only scalars that take part in group-theoretic analysis (multiplicative
@@ -30,7 +33,8 @@ from functools import lru_cache
 from math import isqrt
 from operator import add, sub
 
-from .cyclotomic import CycloField, euler_phi
+from .cyclotomic import _power, CycloField, euler_phi
+from .elements import add_term
 from .intmat import integer_rank
 
 INFINITE = float("inf")
@@ -51,15 +55,7 @@ def _lp_prune(d):
 def _lp_add(a, b):
     out = dict(a)
     for e, c in b.items():
-        cur = out.get(e)
-        if cur is None:
-            out[e] = c
-        else:
-            s = cur + c
-            if s.is_zero():
-                del out[e]
-            else:
-                out[e] = s
+        add_term(out, e, c)
     return out
 
 
@@ -71,18 +67,7 @@ def _lp_mul(a, b):
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
-            p = ca * cb
-            cur = out.get(e)
-            if cur is None:
-                if not p.is_zero():
-                    out[e] = p
-            else:
-                s = cur + p
-                if s.is_zero():
-                    del out[e]
-                else:
-                    out[e] = s
+            add_term(out, tuple(map(add, ea, eb)), ca * cb)
     return out
 
 
@@ -152,16 +137,6 @@ def _point(conductor, nvars):
     return prime, zeta_powers, tuple(rng.randrange(1, prime) for _ in range(nvars))
 
 
-def _lp_eq(a, b):
-    if len(a) != len(b):
-        return False
-    for e, c in a.items():
-        other = b.get(e)
-        if other is None or other != c:
-            return False
-    return True
-
-
 class ScalarDomain:
     """Fixed coefficient domain: conductor N and named transcendentals."""
 
@@ -171,8 +146,8 @@ class ScalarDomain:
         self.nvars = len(self.transcendentals)
         self._e0 = (0,) * self.nvars
         self._one_lp = {self._e0: self.field.one()}
-        self._zero = Scalar(self, {}, dict(self._one_lp), _normalized=True)
-        self._one = Scalar(self, dict(self._one_lp), dict(self._one_lp), _normalized=True)
+        self._zero = Scalar(self, {}, self._one_lp, _normalized=True)
+        self._one = Scalar(self, self._one_lp, self._one_lp, _normalized=True)
 
     @property
     def conductor(self):
@@ -188,12 +163,12 @@ class ScalarDomain:
         value = Fraction(value)
         if value == 0:
             return self._zero
-        return Scalar(self, {self._e0: self.field.rational(value)}, dict(self._one_lp))
+        return Scalar(self, {self._e0: self.field.rational(value)}, self._one_lp)
 
     def from_cyclo(self, c):
         if c.is_zero():
             return self._zero
-        return Scalar(self, {self._e0: c}, dict(self._one_lp))
+        return Scalar(self, {self._e0: c}, self._one_lp)
 
     def zeta(self, power=1):
         return self.from_cyclo(self.field.zeta(power))
@@ -206,7 +181,7 @@ class ScalarDomain:
             raise IndexError("no transcendental with index %r" % (index,))
         e = [0] * self.nvars
         e[index] = power
-        return Scalar(self, {tuple(e): self.field.one()}, dict(self._one_lp))
+        return Scalar(self, {tuple(e): self.field.one()}, self._one_lp)
 
     def monomial(self, coeff, exps):
         exps = tuple(exps)
@@ -216,7 +191,7 @@ class ScalarDomain:
             coeff = self.field.rational(coeff)
         if coeff.is_zero():
             return self._zero
-        return Scalar(self, {exps: coeff}, dict(self._one_lp))
+        return Scalar(self, {exps: coeff}, self._one_lp)
 
     def __eq__(self, other):
         return (isinstance(other, ScalarDomain)
@@ -235,7 +210,9 @@ class Scalar:
 
     A one-term denominator is always the constant 1: the constructor folds
     it into the numerator.  Zero, one, negation and the Laurent polynomial
-    paths of +, * skip the fold; they build that denominator directly.
+    paths of +, * skip the fold and take the domain's one dict as that
+    denominator.  num and den are never mutated, so scalars share them;
+    x * 1 and 1 * x return x itself.
     """
 
     __slots__ = ("domain", "num", "den")
@@ -252,7 +229,7 @@ class Scalar:
             raise ZeroDivisionError("scalar with zero denominator")
         if not num:
             self.num = {}
-            self.den = dict(domain._one_lp)
+            self.den = domain._one_lp
             return
         if len(den) == 1:
             # fold a monomial denominator into the numerator
@@ -262,7 +239,7 @@ class Scalar:
                 num = {tuple(x - y for x, y in zip(en, e)): cn * cinv
                        for en, cn in num.items()}
             self.num = num
-            self.den = dict(domain._one_lp)
+            self.den = domain._one_lp
             return
         # strip common monomial content so exponents stay near zero
         keys = list(num.keys()) + list(den.keys())
@@ -278,7 +255,7 @@ class Scalar:
         return not self.num
 
     def is_one(self):
-        return _lp_eq(self.num, self.den)
+        return self.num == self.den
 
     def _check(self, other):
         if not isinstance(other, Scalar):
@@ -304,7 +281,7 @@ class Scalar:
         return self + (-other)
 
     def __neg__(self):
-        return Scalar(self.domain, _lp_neg(self.num), dict(self.den), _normalized=True)
+        return Scalar(self.domain, _lp_neg(self.num), self.den, _normalized=True)
 
     def __mul__(self, other):
         if not isinstance(other, Scalar) and isinstance(other, (int, Fraction)):
@@ -312,6 +289,10 @@ class Scalar:
         self._check(other)
         if self.is_zero() or other.is_zero():
             return self.domain.zero()
+        if other.is_one():
+            return self
+        if self.is_one():
+            return other
         if len(self.den) == 1 and len(other.den) == 1:
             # nonzero Laurent polynomials have a nonzero product
             return Scalar(self.domain, _lp_mul(self.num, other.num),
@@ -355,20 +336,10 @@ class Scalar:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero scalar")
-        return Scalar(self.domain, dict(self.den), dict(self.num))
+        return Scalar(self.domain, self.den, self.num)
 
     def __pow__(self, n):
-        if n == 0:
-            return self.domain.one()
-        base = self if n > 0 else self.inverse()
-        n = abs(n)
-        result = self.domain.one()
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.domain.one())
 
     def __eq__(self, other):
         if not isinstance(other, Scalar) and isinstance(other, (int, Fraction)):
@@ -378,8 +349,8 @@ class Scalar:
         if self.domain is not other.domain and self.domain != other.domain:
             return False
         if len(self.den) == 1 and len(other.den) == 1:
-            return _lp_eq(self.num, other.num)
-        return _lp_eq(_lp_mul(self.num, other.den), _lp_mul(other.num, self.den))
+            return self.num == other.num
+        return _lp_mul(self.num, other.den) == _lp_mul(other.num, self.den)
 
     __hash__ = None  # representation is non-canonical
 
@@ -402,7 +373,7 @@ class Scalar:
         if self.is_zero():
             return "0"
         num = _lp_repr(self.num, self.domain)
-        if _lp_eq(self.den, self.domain._one_lp):
+        if self.den == self.domain._one_lp:
             return num
         return "(%s)/(%s)" % (num, _lp_repr(self.den, self.domain))
 

@@ -47,10 +47,6 @@ def scalar_from_jsonable(domain, data):
     return num / den
 
 
-def scalar_to_str(s):
-    return repr(s)
-
-
 def scalar_to_expr(s):
     """Expression syntax for a scalar when one exists, else the plain repr.
 
@@ -115,7 +111,7 @@ def tensor_to_str(p, t):
     bits = []
     for (l, r) in sorted(t.terms.keys()):
         c = t.terms[(l, r)]
-        cs = scalar_to_str(c)
+        cs = repr(c)
         pair = "%s (x) %s" % (word_to_str(p, l), word_to_str(p, r))
         bits.append(pair if cs == "1" else "%s * [%s]" % (_bracket(cs), pair))
     return " + ".join(bits)

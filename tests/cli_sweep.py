@@ -1,0 +1,82 @@
+"""Run a fixed list of hopfgrow commands and record what each prints.
+
+    python tests/cli_sweep.py OUT_DIR [SRC_DIR]
+
+Each command runs as `python -m hopfgrow ...` with SRC_DIR (default:
+the src/ next to this file) on PYTHONPATH.  Its stdout, stderr and exit
+code go to OUT_DIR/<n>.out, <n>.err and <n>.code, and OUT_DIR/commands
+lists the commands by number.  Two checkouts compare with `diff -r` on
+their output directories; a change that should not alter any output
+leaves no difference.  The list covers check-example on every builtin
+setting the tests check, and invariants, bounds, primitives, growth,
+delta and normalize on the same settings (tau ones included), in text
+and json; no command takes more than a few seconds.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
+sys.path.insert(0, str(HERE))
+
+from conftest import CHECK_SETTINGS  # noqa: E402
+
+# search bounds below the defaults: at 6/6/6, invariants on
+# exterior free=true runs for minutes
+_SEARCH = ["--degree", "4", "--group-bound", "2"]
+
+
+def _element(name):
+    """The normalize and delta input on a builtin: a group letter moved
+    past its first y-letter both ways, a power of that letter and a
+    scalar."""
+    y = "y" if name == "taft" else "y1"
+    return "%s g1 %s + 2 * g1^-1 %s^2 - zeta^0" % (y, y, y)
+
+
+def commands():
+    out = []
+    for name, params in CHECK_SETTINGS:
+        source = ["--example", name] + [a for prm in params for a in ("--param", prm)]
+        per_format = [
+            ["check-example", name] + source[2:],
+            ["invariants"] + source + _SEARCH + ["--power-bound", "3"],
+            ["bounds"] + source + _SEARCH + ["--power-bound", "3", "--mmax", "6"],
+            ["primitives"] + source + _SEARCH,
+            ["primitives"] + source + _SEARCH + ["--weight", "g1"],
+            ["growth"] + source + _SEARCH + ["--power-bound", "3", "--nmax", "8",
+                                             "--mmax", "6"],
+            ["delta"] + source + ["--element", _element(name)],
+            ["normalize"] + source + ["--element", _element(name)],
+        ]
+        for fmt in ("text", "json"):
+            out += [argv + ["--format", fmt] for argv in per_format]
+    return out
+
+
+def main(argv):
+    if len(argv) not in (2, 3):
+        sys.exit(__doc__.strip().splitlines()[2])
+    out_dir = Path(argv[1])
+    src = Path(argv[2]) if len(argv) == 3 else HERE.parent / "src"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    env.pop("HOPFGROW_MAX_WORDS", None)
+    listing = []
+    for n, cmd in enumerate(commands()):
+        done = subprocess.run([sys.executable, "-m", "hopfgrow"] + cmd,
+                              capture_output=True, env=env, timeout=60)
+        stem = out_dir / ("%03d" % n)
+        stem.with_suffix(".out").write_bytes(done.stdout)
+        stem.with_suffix(".err").write_bytes(done.stderr)
+        stem.with_suffix(".code").write_text("%d\n" % done.returncode)
+        listing.append("%03d %s" % (n, " ".join(cmd)))
+    (out_dir / "commands").write_text("\n".join(listing) + "\n")
+    print("%d commands -> %s" % (len(listing), out_dir))
+
+
+if __name__ == "__main__":
+    main(sys.argv)

@@ -318,6 +318,19 @@ def test_commands_take_only_the_bound_flags_they_read(capsys):
     assert refused == 16
 
 
+def test_unread_bound_flag_is_refused_with_its_value(capsys, tmp_path):
+    # the value of a refused flag is named with it, not taken for the
+    # optional file positional
+    path = tmp_path / "taft.json"
+    path.write_text(json.dumps(presentation_to_jsonable(taft_presentation(3))))
+    for argv in (["normalize", "--example", "qplane", "--element", "y2 y1", "--nmax", "5"],
+                 ["delta", "--example", "taft", "--element", "y y", "--degree", "3"],
+                 ["delta", str(path), "--element", "y", "--mmax", "4"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == "usage error: unrecognized arguments: %s %s\n" % tuple(argv[-2:])
+
+
 @pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
 def test_check_example_all_builtins(capsys, name, params):
     argv = [arg for prm in params for arg in ("--param", prm)]

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 
 from hopfgrow.cyclotomic import cyclotomic_polynomial
 from hopfgrow.scalars import (INFINITE, Scalar, ScalarDomain, ScalarShapeError,
-                              UnitMonomial, _lp_add, _lp_eq, _lp_mul, _point,
+                              UnitMonomial, _lp_add, _lp_mul, _point,
                               _powers_cancel, multiplicative_order, quantum_binomial,
                               subgroup_rank)
 
@@ -236,13 +237,13 @@ def _by_hand(a, b):
     total = (_lp_add(_lp_mul(a.num, b.den), _lp_mul(b.num, a.den)),
              _lp_mul(a.den, b.den))
     product = (_lp_mul(a.num, b.num), _lp_mul(a.den, b.den))
-    equal = _lp_eq(_lp_mul(a.num, b.den), _lp_mul(b.num, a.den))
+    equal = _lp_mul(a.num, b.den) == _lp_mul(b.num, a.den)
     return total, product, equal
 
 
 def _has_value(x, value):
     num, den = value
-    return _lp_eq(_lp_mul(x.num, den), _lp_mul(num, x.den))
+    return _lp_mul(x.num, den) == _lp_mul(num, x.den)
 
 
 def _check_invariant(x):
@@ -322,3 +323,97 @@ def test_value_at_point_missing(dom):
     assert dom.rational(Fraction(prime, 3))._at(point) == 0
     assert (dom.one() / (dom.q(0) - dom.rational(q1)))._at(point) is None
     assert (dom.q(0) / (dom.q(0) - dom.rational(q1 + 1)))._at(point) == prime - q1
+
+
+# -- the one shortcuts: x * 1 returns x, dict == decides equality, and no
+# operation changes an operand's num or den.  The oracle multiplies and
+# adds num/den dicts with its own loops, so it shares no code with
+# scalars._lp_mul, _lp_add or elements.add_term.
+def _poly_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out[e] + ca * cb if e in out else ca * cb
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def _poly_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out[e] + c if e in out else c
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def _same_value(x, num, den):
+    """Whether x = num/den, by cross-multiplication."""
+    return _poly_mul(x.num, den) == _poly_mul(num, x.den)
+
+
+def _snapshot(*scalars):
+    return [sorted((e, c.nums, c.den) for e, c in side.items())
+            for x in scalars for side in (x.num, x.den)]
+
+
+def _shortcut_pool(conductor, seed):
+    dom = ScalarDomain(conductor, ("q1", "q2"))
+    rng = random.Random(seed)
+    one, q1, q2 = dom.one(), dom.q(0), dom.q(1)
+    dens = [one + q1, q1 - dom.zeta() * q2, q1 * q1 + dom.rational(3)]
+    pool = [dom.zero(), one, -one, q1, q1 * q2 ** -1, dom.zeta(), one + q1,
+            q1 / (one + q1), (one + q1) / (one + q1), (one + q1) / (q1 + one),
+            (q2 - q1) / (q1 - dom.zeta() * q2) * (q1 - dom.zeta() * q2) / (q2 - q1)]
+    for _ in range(10):
+        x = _random_scalar(dom, rng, allow_fraction=False)
+        pool += [x, x / dens[rng.randrange(len(dens))]]
+    return dom, pool
+
+
+@pytest.mark.parametrize("conductor", [1, 3, 4])
+def test_shortcuts_match_cross_multiplication(conductor):
+    dom, pool = _shortcut_pool(conductor, 2026 + conductor)
+    one = dom.one()
+    assert sum(len(x.den) > 1 for x in pool) >= 5
+    assert sum(x.is_one() for x in pool) >= 3
+    for a in pool:
+        _check_invariant(a)
+        assert a.is_one() == _same_value(a, one.num, one.den)
+        # a * one is a; one * a is a unless a is one too, when it is one
+        assert a * one is a and a * 1 is a
+        assert one * a is a or a.is_one() and one * a is one
+        for b in pool:
+            assert (a == b) == (_poly_mul(a.num, b.den) == _poly_mul(b.num, a.den))
+            den = _poly_mul(a.den, b.den)
+            s, p = a + b, a * b
+            _check_invariant(s)
+            _check_invariant(p)
+            assert _same_value(s, _poly_add(_poly_mul(a.num, b.den),
+                                            _poly_mul(b.num, a.den)), den)
+            assert _same_value(p, _poly_mul(a.num, b.num), den)
+
+
+@pytest.mark.parametrize("conductor", [1, 3, 4])
+def test_operations_leave_operands_unchanged(conductor):
+    dom, pool = _shortcut_pool(conductor, 7 * conductor)
+    unary = [operator.neg, lambda x: x ** 2, Scalar.is_one]
+    nonzero = [Scalar.inverse, lambda x: x ** -2]
+    binary = [operator.add, operator.sub, operator.mul, operator.eq]
+    results = []
+    one_lp = {dom._e0: dom.field.one()}
+    assert dom._one_lp == one_lp
+
+    def run(op, *operands):
+        before = _snapshot(dom.one(), *operands)
+        results.append(op(*operands))
+        assert _snapshot(dom.one(), *operands) == before, (op, operands)
+
+    for a in pool:
+        for op in unary + (nonzero if not a.is_zero() else []):
+            run(op, a)
+        for b in pool:
+            for op in binary + ([operator.truediv] if not b.is_zero() else []):
+                run(op, a, b)
+    # every Laurent scalar, results included, shares the domain's one dict
+    assert dom._one_lp == one_lp and dom.one().num is dom._one_lp
+    scalars = pool + [x for x in results if isinstance(x, Scalar)]
+    assert all(x.den is dom._one_lp for x in scalars if len(x.den) == 1)
