@@ -8,6 +8,7 @@ and expected values for the check command.
 from fractions import Fraction
 
 from .errors import PresentationError
+from .fileformat import _bounded
 from .groups import GroupData
 from .growth import DEFAULT_MAX_WORDS
 from .presentation import Presentation, SkewGenerator
@@ -25,7 +26,7 @@ def _typed(**params):
                 value))
 
 
-def skew_free_presentation(v=2, same_q=False, tau=None, conductor=1):
+def skew_free_presentation(v=2, same_q=False, tau=None):
     """Group algebra of Z extended by v free skew-primitive generators.
 
     Generator y_i has weight g and character lambda_i(g) = q_i (all equal
@@ -37,7 +38,7 @@ def skew_free_presentation(v=2, same_q=False, tau=None, conductor=1):
     if v < 1:
         raise PresentationError("need at least one skew generator")
     ntrans = 1 if same_q else v
-    dom = ScalarDomain(conductor, tuple("q%d" % (i + 1) for i in range(ntrans)))
+    dom = ScalarDomain(1, tuple("q%d" % (i + 1) for i in range(ntrans)))
     group = GroupData(1)
     g = group.generator(0)
     gens = []
@@ -63,6 +64,7 @@ def skew_trunc_presentation(p=3, beta=1, v=2, bad_gen=False):
     _typed(p=(p, int), beta=(beta, Fraction), v=(v, int), bad_gen=(bad_gen, bool))
     if p < 2:
         raise PresentationError("truncation exponent must be at least 2")
+    _bounded(p, "parameter p")
     rank = 2 if bad_gen else 1
     dom = ScalarDomain(p, ("q1",))
     group = GroupData(rank)
@@ -92,6 +94,7 @@ def taft_presentation(p=3, free=False):
     _typed(p=(p, int), free=(free, bool))
     if p < 2:
         raise PresentationError("Taft parameter must be at least 2")
+    _bounded(p, "parameter p")
     dom = ScalarDomain(p)
     group = GroupData(0, (p,))
     g = group.generator(0)

@@ -14,7 +14,8 @@ irreducible y-word is irreducible, so Delta(y_i w) = Delta(y_i) Delta(w)
 multiplies a normal word by one letter on the left of each side, through
 the presentation's left-product kernel, and Delta(h w) = (h (x) h)
 Delta(w) only shifts group parts.  The cache on the presentation is keyed
-by the pure y-word w.
+by the pure y-word w; its values at one point mod P sit on the same keys,
+cached beside it, for the primitive search.
 """
 
 from .elements import AlgebraElement, TensorElement, add_term, word_key
@@ -52,6 +53,16 @@ def _delta_yword(p, yw):
     return acc
 
 
+def _shifted(p, h, terms):
+    """(h (x) h) times the tensor terms {(left, right): value}, as a fresh
+    dict: h only shifts both group parts."""
+    if p.group.is_identity(h):
+        return dict(terms)
+    mul = p.group.mul
+    return {((mul(h, hl), ul), (mul(h, hr), ur)): c
+            for ((hl, ul), (hr, ur)), c in terms.items()}
+
+
 def delta_word(p, word):
     """Coproduct of a single normal word h w, as a fresh TensorElement.
 
@@ -59,12 +70,7 @@ def delta_word(p, word):
     from the cache on the presentation, and h only shifts both group parts.
     """
     h, yw = word
-    terms = _delta_yword(p, yw)
-    if p.group.is_identity(h):
-        return TensorElement(dict(terms))
-    mul = p.group.mul
-    return TensorElement({((mul(h, hl), ul), (mul(h, hr), ur)): c
-                          for ((hl, ul), (hr, ur)), c in terms.items()})
+    return TensorElement(_shifted(p, h, _delta_yword(p, yw)))
 
 
 def delta(p, a):
@@ -187,41 +193,33 @@ def _defect_column(p, word, weight, minus_one):
 
 
 def _delta_yword_at(p, yw, point):
-    """_delta_yword(p, yw) at the point, or None when a coefficient has no
-    value there; cached beside it.  A term c (hl ul (x) hr ur) is kept in
-    image[hl] as (ul, hl^-1 hr, ur, value of c): shifting both sides by h
-    then changes hl alone.  Zero values are dropped."""
+    """_delta_yword(p, yw) at the point: {(left, right): value mod P} on
+    the same keys, zero values dropped, or None when a coefficient has no
+    value there; cached beside it."""
     cache = p._coproduct_point_cache
     if yw in cache:
         return cache[yw]
-    group = p.group
     image = {}
-    for ((hl, ul), (hr, ur)), c in _delta_yword(p, yw).items():
+    for pair, c in _delta_yword(p, yw).items():
         v = c._at(point)
         if v is None:
             image = None
             break
         if v:
-            image.setdefault(hl, []).append((ul, group.mul(group.inv(hl), hr), ur, v))
+            image[pair] = v
     cache[yw] = image
     return image
 
 
 def _defect_column_at(p, word, weight, point):
-    """_defect_column at the point, or None when it has no value there;
-    the row of hl ul (x) hr ur is (hl, ul, hl^-1 hr, ur)."""
-    h, yw = word
-    image = _delta_yword_at(p, yw, point)
+    """_defect_column at the point, on the same keys, or None when it has
+    no value there."""
+    image = _delta_yword_at(p, word[1], point)
     if image is None:
         return None
-    group = p.group
-    col = {}
-    for hl, terms in image.items():
-        hl = group.mul(h, hl)
-        for ul, ratio, ur, v in terms:
-            col[hl, ul, ratio, ur] = v
+    col = _shifted(p, word[0], image)
     prime = point[0]
-    for key in ((h, yw, group.inv(h), ()), (weight, (), group.mul(group.inv(weight), h), yw)):
+    for key in ((word, (p.group.identity(), ())), ((weight, ()), word)):
         v = (col.get(key, 0) - 1) % prime
         if v:
             col[key] = v
@@ -272,9 +270,7 @@ def _lead_normalized(p, terms):
 
 
 def _kernel_elements(p, candidates, weight):
-    kernel = None
-    if len(candidates) > 1:
-        kernel = _certified_kernel(p, candidates, weight)
+    kernel = _certified_kernel(p, candidates, weight)
     if kernel is None:
         minus_one = -p.domain.one()
         columns = [_defect_column(p, w, weight, minus_one) for w in candidates]
@@ -322,14 +318,15 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
     change.  The empty y-word keeps every group part, for the coradical
     line.
 
-    A block of two or more words is first eliminated at one point mod P
-    (_certified_kernel): columns independent there are independent, and
-    only each dependence found there is solved exactly, on its own
-    support.  A block with no dependence there has no kernel.  When a
-    check fails, or a coefficient has no value at the point, the block is
-    eliminated exactly as a whole.  Either way the kernel is the one the
-    exact elimination of the whole block finds, so the basis never
-    depends on the point.
+    A block opens only when a y-word brings it a candidate, and is first
+    eliminated at one point mod P (_certified_kernel): columns
+    independent there are independent, and only each dependence found
+    there is solved exactly, on its own support.  A block with no
+    dependence there, such as one column nonzero there, has no kernel.
+    When a check fails, or a coefficient has no value at the point, the
+    block is eliminated exactly as a whole.  Either way the kernel is the
+    one the exact elimination of the whole block finds, so the basis
+    never depends on the point.
     """
     p.require_confluent()
     group = p.group
@@ -347,7 +344,8 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
             group_parts = [e] if e in classes else []
         else:
             group_parts = sorted(h for cls in classes for h in ball_by_class.get(cls, ()))
-        blocks.setdefault(counts, []).extend((h, yw) for h in group_parts)
+        if group_parts:
+            blocks.setdefault(counts, []).extend((h, yw) for h in group_parts)
     basis = []
     for candidates in blocks.values():
         basis.extend(_kernel_elements(p, candidates, weight))

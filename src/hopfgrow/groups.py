@@ -112,13 +112,7 @@ class GroupData:
         r = self.free_rank
         if not self.torsion:
             return True
-        free_rows = [list(g[:r]) for g in gens]
-        if r == 0:
-            kernel = [[1 if i == j else 0 for j in range(len(gens))]
-                      for i in range(len(gens))]
-        else:
-            kernel = integer_kernel(free_rows)
-        for vec in kernel:
+        for vec in integer_kernel([g[:r] for g in gens]):
             tors = [sum(c * g[r + j] for c, g in zip(vec, gens)) % m
                     for j, m in enumerate(self.torsion)]
             if any(tors):

@@ -1,7 +1,7 @@
 """Skew-primitive invariants: weights, commutators, levels, characters.
 
-For each candidate weight g the (1,g)-primitives are computed, saturated
-under inverse conjugation by the group, and taken modulo the coradical:
+For each candidate weight g the (1,g)-primitives are computed and closed
+under inverse conjugation by the group modulo the coradical in one pass:
 one QuotientSpace per weight, whose coordinates are solved against the
 elimination that picked its basis.  Each conjugation T_{h^{-1}}:
 z -> h^{-1} z h is split once into generalized eigenspaces.  The
@@ -19,12 +19,12 @@ from itertools import combinations
 
 from .coalgebra import find_skew_primitives, is_skew_primitive
 from .elements import AlgebraElement, add_term
-from .errors import ConsistencyError
+from .errors import ConsistencyError, ResourceCeilingError
 from .linalg import ScalarElimination, nullspace_of_columns
 from .scalars import INFINITE, ScalarShapeError, _powers_cancel, multiplicative_order
 
 
-class SaturationError(RuntimeError):
+class SaturationError(ResourceCeilingError):
     """Conjugation closure outgrew its guard."""
 
 
@@ -70,18 +70,24 @@ _MAX_DIM = 64
 _WORD_SLACK = 8
 
 
-def _saturate(p, vectors, conjugators):
-    """Basis of the span of vectors closed under inverse conjugation by
-    the conjugators, and the elimination that built it, tagged by basis
-    index."""
+def _saturate(p, vectors, conjugators, image):
+    """The closure of the vectors under inverse conjugation by the
+    conjugators: the vectors whose image (a sparse column) is independent
+    of those kept before, each conjugated once kept, and the one
+    elimination of their images, tagged by index.  Modulo the coradical
+    nothing is lost, since conjugation maps the coradical into itself: if
+    v = sum a_i l_i there, over l_i kept before v, then T(v) = sum a_i
+    T(l_i), and each T(l_i) is queued earlier.  So the kept vectors and
+    their order are those the full closure keeps modulo the coradical.
+    """
     max_word_length = 4 * max(
         (p.group.word_length(w[0]) for v in vectors for w in v.terms),
         default=0) + _WORD_SLACK
     elim = ScalarElimination(p.domain)
     basis = []
-    queue = [v for v in vectors if not v.is_zero()]
+    queue = list(vectors)
     for v in queue:  # grows while it is read
-        if elim.insert(v.terms, len(basis)) is not None:
+        if elim.insert(image(v), len(basis)) is not None:
             continue
         basis.append(v)
         if len(basis) > _MAX_DIM:
@@ -98,24 +104,13 @@ class QuotientSpace:
     """The conjugation closure of primitives of one weight, modulo the
     coradical.
 
-    The closure of the vectors and the line weight - 1 under the
-    conjugators keeps, as lifts, the vectors that are independent modulo
-    the coradical; coordinates are solved against the elimination that
-    picked them.
+    One _saturate pass modulo the coradical keeps the lifts and the
+    elimination of their images that coordinates are solved against.
     """
 
-    def __init__(self, p, weight, vectors, conjugators):
+    def __init__(self, p, vectors, conjugators):
         self.presentation = p
-        seeds = list(vectors)
-        if not p.group.is_identity(weight):
-            seeds.append(p.group_element(weight) - p.one())
-        basis, _ = _saturate(p, seeds, conjugators)
-        self.elim = ScalarElimination(p.domain)
-        self.lifts = []
-        for v in basis:
-            image = _strip_coradical(v)
-            if image and self.elim.insert(image, len(self.lifts)) is None:
-                self.lifts.append(v)
+        self.lifts, self.elim = _saturate(p, vectors, conjugators, _strip_coradical)
         self._operators = {}
 
     @property
@@ -317,7 +312,7 @@ def conjugation_matrix(p, h, space_or_vectors):
     """
     vectors = list(getattr(space_or_vectors, "basis", space_or_vectors))
     h = p.group.reduce(h)
-    basis, elim = _saturate(p, vectors, [h])
+    basis, elim = _saturate(p, vectors, [h], lambda v: v.terms)
     cols = []
     for b in basis:
         coords = elim.solve(conjugate(p, h, b).terms)
@@ -359,7 +354,7 @@ def generalized_commutator(p, y, generators=None, level_bound=24):
         raise ValueError("element lies in the coradical")
     gens_elts = ([p.group.reduce(g) for g in generators] if generators
                  else p.group.generators())
-    q = QuotientSpace(p, weight, [y], gens_elts)
+    q = QuotientSpace(p, [y], gens_elts)
     ops = [q.operator(h) for h in gens_elts]
     out = []
     for chars, vec in _refine(ops, q.coords(y)):
@@ -551,7 +546,7 @@ def compute_invariants(p, degree_bound=6, group_word_bound=6, power_bound=6,
         space = find_skew_primitives(p, weight, degree_bound, group_word_bound)
         if not space.witnesses():
             continue
-        q = QuotientSpace(p, weight, space.basis, gens_elts)
+        q = QuotientSpace(p, space.basis, gens_elts)
         bound = max(level_bound, q.dim)
         ops = [q.operator(g2) for g2 in gens_elts]
         own = q.operator(weight)

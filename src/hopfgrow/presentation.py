@@ -30,7 +30,7 @@ import itertools
 
 from .elements import AlgebraElement, add_term, y_counts, yword_key
 from .errors import NonConfluentError, PresentationError, ResourceCeilingError
-from .intmat import row_reduce_with_transform
+from .intmat import row_echelon
 
 # the largest y-power, free rank or cyclotomic order a file may ask for, and
 # the largest growth horizon; each is checked before anything of that size
@@ -42,10 +42,9 @@ def _echelon_lattice(rows):
     """The lattice the integer rows span, as echelon (pivot column, row)
     pairs with every pivot positive."""
     lattice = []
-    for row in row_reduce_with_transform(rows)[0]:
-        col = next((k for k, x in enumerate(row) if x), None)
-        if col is not None:
-            lattice.append((col, row if row[col] > 0 else [-x for x in row]))
+    for row in row_echelon(rows):
+        col = next(k for k, x in enumerate(row) if x)
+        lattice.append((col, row if row[col] > 0 else [-x for x in row]))
     return lattice
 
 

@@ -257,6 +257,30 @@ def test_growth_resource_ceiling(capsys, monkeypatch):
     assert code == 3
 
 
+def test_conjugation_closure_ceiling(capsys):
+    # on exterior free=true at degree 6 the conjugation closure of the
+    # primitives passes its dimension guard: one line and exit 3
+    code, out, err = run(capsys, "invariants", "--example", "exterior",
+                         "--param", "free=true", "--param", "s=3", "--degree", "6",
+                         "--group-bound", "1", "--power-bound", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("resource ceiling: conjugation closure"), err
+    assert err.count("\n") == 1, err
+
+
+def test_builtin_cyclotomic_order_capped(capsys):
+    # p is the cyclotomic order of taft and skew_trunc, so a p past the
+    # size ceiling is refused before the cyclotomic polynomial is built
+    for name, element in (("taft", "y"), ("skew_trunc", "y1")):
+        code, out, err = run(capsys, "normalize", "--example", name,
+                             "--param", "p=100000", "--element", element)
+        assert (code, out) == (1, "")
+        assert err == "presentation error: parameter p 100000 is above the size ceiling 1000\n"
+    code, out, err = run(capsys, "normalize", "--example", "taft",
+                         "--param", "p=1000", "--element", "y")
+    assert (code, err) == (0, "")
+
+
 def test_growth_horizon_capped(capsys):
     # n_max + 1 dims are built, so a horizon past the parser's size cap is
     # refused before any growth is measured

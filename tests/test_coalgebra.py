@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -84,7 +85,7 @@ def test_delta_power_formula_small():
 def test_delta_power_formula_matches_multiplicative(label):
     if label == "one":
         p = skew_free_presentation(v=1, tau=1)  # trivial character via tau route
-        p = skew_free_presentation(v=1, conductor=1)
+        p = skew_free_presentation(v=1)
         # build trivial character directly
         dom = ScalarDomain(1, ("q1",))
         group = GroupData(1)
@@ -569,6 +570,20 @@ def test_grading_lattices_match_graded_rules():
     assert not _lattices_are_trivial(p) and not _rules_are_graded(p)
 
 
+def test_grading_of_many_rules_builds_no_transform():
+    # the lattices come from the echelon form of one row per rule term,
+    # and nothing of the size rows x rows is built: exterior s=90 has 4,095
+    # rules, and a transform of that size peaked at 137 MB
+    tracemalloc.start()
+    try:
+        p = exterior_presentation(90)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(p.rules) == 4095
+    assert peak < 32 * 2 ** 20, peak
+
+
 def _normal_words(p, degree, radius):
     return [(h, yw) for words in p.irreducible_ywords(degree) for yw in words
             for h in p.group.ball(radius)]
@@ -590,6 +605,21 @@ def test_delta_word_matches_expansion(builder):
     p = builder()
     for word in _normal_words(p, 3, 1):
         assert delta_word(p, word) == delta_word_expanded(p, word), word
+
+
+@pytest.mark.parametrize("builder", ORACLE_BUILTINS)
+def test_point_column_is_the_exact_column_at_the_point(builder):
+    # the point column keeps the exact column's keys, its zero values
+    # dropped, and subtracts 1 at the same two keys
+    p = builder()
+    point = _point(p.domain.conductor, p.domain.nvars)
+    minus_one = -p.domain.one()
+    for weight in p.group.ball(1):
+        for word in _normal_words(p, 3, 1):
+            exact = _defect_column(p, word, weight, minus_one)
+            values = {key: c._at(point) for key, c in exact.items()}
+            expected = {key: v for key, v in values.items() if v}
+            assert coalgebra._defect_column_at(p, word, weight, point) == expected, word
 
 
 @pytest.mark.parametrize("builder", ORACLE_BUILTINS)

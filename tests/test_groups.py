@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hopfgrow.groups import GroupData, cyclic_support
-from hopfgrow.intmat import integer_rank
+from hopfgrow.intmat import integer_kernel, integer_rank
 from hopfgrow.scalars import INFINITE
 
 
@@ -72,6 +72,40 @@ def test_integer_rank_matches_sympy():
     for rows in cases:
         ncols = len(rows[0]) if rows else 0
         assert integer_rank(rows) == sympy.Matrix(len(rows), ncols, sum(rows, [])).rank(), rows
+
+
+
+def test_integer_kernel_matches_sympy():
+    # the kernel is read off the echelon form of [rows | I]: it must solve
+    # x * rows = 0, have n - rank vectors, and be saturated (a basis of
+    # the whole kernel lattice, not of a sublattice of finite index)
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    rng = random.Random(1101)
+    cases = [[], [[], []], [[0, 0], [0, 0]], [[2], [3]], [[2, 4], [3, 6]]]
+    while len(cases) < 300:
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 5)
+        rows = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.4:  # a dependent row, often with a common factor
+            k = rng.choice([1, 2, 3, 6])
+            rows.append([k * (rng.randint(-2, 2) * a + rng.randint(-2, 2) * b)
+                         for a, b in zip(rows[0], rows[-1])])
+        if rng.random() < 0.2:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+        cases.append(rows)
+    for rows in cases:
+        n = len(rows)
+        ncols = len(rows[0]) if rows else 0
+        kernel = integer_kernel(rows)
+        rank = sympy.Matrix(n, ncols, sum(rows, [])).rank()
+        assert len(kernel) == n - rank, rows
+        for x in kernel:
+            assert len(x) == n, rows
+            assert all(sum(c * row[j] for c, row in zip(x, rows)) == 0
+                       for j in range(ncols)), (rows, x)
+        if kernel:
+            snf = smith_normal_form(sympy.Matrix(kernel), domain=sympy.ZZ)
+            assert all(abs(snf[i, i]) == 1 for i in range(len(kernel))), (rows, kernel)
 
 
 def test_cyclic_support_free():

@@ -1,13 +1,21 @@
+import random
+
 import pytest
 
+from hopfgrow import invariants
 from hopfgrow.catalog import (exterior_presentation, qplane_presentation,
                               skew_free_presentation, skew_trunc_presentation,
                               taft_presentation)
-from hopfgrow.invariants import (CommutatorAnalysis, commutator_level,
+from hopfgrow.coalgebra import find_skew_primitives
+from hopfgrow.invariants import (CommutatorAnalysis, QuotientSpace, _level,
+                                 _saturate, _strip_coradical, commutator_level,
                                  compute_invariants, conjugate,
                                  conjugation_matrix, generalized_commutator,
                                  is_skew_primitive)
-from hopfgrow.scalars import INFINITE, multiplicative_order
+from hopfgrow.linalg import ScalarElimination
+from hopfgrow.scalars import INFINITE, ScalarDomain, multiplicative_order
+
+from conftest import confluent_random_presentation
 
 
 def test_conjugation_matrix_line_only():
@@ -244,3 +252,93 @@ def test_level_bound_boundary(p):
     assert single is None and [c[1] for c in comps] == [None]
     single, _ = generalized_commutator(p, y, level_bound=level)
     assert single[1] == level
+
+
+def _jordan(dom, n):
+    """The nilpotent n x n Jordan block N e_j = e_{j-1}, as columns."""
+    return [{j - 1: dom.one()} if j else {} for j in range(n)]
+
+
+def _recorded_frontiers(monkeypatch):
+    """A list that collects every vector _level applies an operator to."""
+    seen = []
+    mat_apply = invariants._mat_apply
+
+    def record(matrix, vec):
+        seen.append(vec)
+        return mat_apply(matrix, vec)
+
+    monkeypatch.setattr(invariants, "_mat_apply", record)
+    return seen
+
+
+def test_level_climbs_a_jordan_chain():
+    # N kills e0 and moves e2 -> e1 -> e0, so e2 needs three levels
+    dom = ScalarDomain(1)
+    n = _jordan(dom, 3)
+    e = [{j: dom.one()} for j in range(3)]
+    assert _level(dom, [n], e[2], 3) == 3
+    assert _level(dom, [n], e[2], 2) is None
+    assert _level(dom, [n], e[1], 2) == 2
+    assert _level(dom, [n], e[0], 1) == 1
+
+
+@pytest.mark.parametrize("size, level, frontiers", [
+    # [N, N^2] on e2: the images e1, e0, then e0 alone
+    (3, 3, [[2], [1, 0], [0]]),
+    # [N, N^2] on e3: the second level's images e1, e0, e0 (N e1 and
+    # N^2 e2) leave the frontier e1, e0
+    (4, 4, [[3], [2, 1], [1, 0], [0]]),
+])
+def test_level_of_an_operator_pair_keeps_its_frontier_a_basis(
+        monkeypatch, size, level, frontiers):
+    dom = ScalarDomain(1)
+    n = _jordan(dom, size)
+    pair = [n, [invariants._mat_apply(n, col) for col in n]]
+    seen = _recorded_frontiers(monkeypatch)
+    assert _level(dom, pair, {size - 1: dom.one()}, size + 1) == level
+    # each level applies both operators to each frontier vector once
+    assert seen == [{j: dom.one()} for front in frontiers for _ in pair for j in front]
+
+
+def _quotient_by_two_passes(p, weight, vectors, conjugators):
+    """Oracle: the closure of the vectors and the line weight - 1 in full
+    terms, then the closure vectors independent modulo the coradical, in
+    closure order."""
+    seeds = list(vectors)
+    if not p.group.is_identity(weight):
+        seeds.append(p.group_element(weight) - p.one())
+    basis, _ = _saturate(p, seeds, conjugators, lambda v: v.terms)
+    elim = ScalarElimination(p.domain)
+    return [v for i, v in enumerate(basis)
+            if elim.insert(_strip_coradical(v), i) is None]
+
+
+def test_quotient_space_matches_two_pass_closure():
+    # one closure modulo the coradical keeps the lifts, in the order, that
+    # the closure in full terms followed by a quotient elimination keeps
+    rng = random.Random(2207)
+    settings = [(p, 2) for p in (
+        exterior_presentation(2), taft_presentation(5), qplane_presentation(3),
+        skew_free_presentation(v=2), skew_free_presentation(v=1, tau=1),
+        skew_free_presentation(v=2, tau=1), skew_trunc_presentation(3, beta=1, v=2))]
+    settings += [(confluent_random_presentation(rng), 1) for _ in range(20)]
+    spaces = 0
+    for p, radius in settings:
+        gens = p.group.generators()
+        for weight in p.group.ball(radius):
+            space = find_skew_primitives(p, weight, 3, radius)
+            witnesses = space.witnesses()
+            if not witnesses:
+                continue
+            # the basis, as compute_invariants closes it, and the sum of
+            # the witnesses, whose closure grows past its one seed
+            total = witnesses[0]
+            for w in witnesses[1:]:
+                total = total + w
+            for vectors in (space.basis, [total]):
+                lifts = QuotientSpace(p, vectors, gens).lifts
+                oracle = _quotient_by_two_passes(p, weight, vectors, gens)
+                assert [repr(v) for v in lifts] == [repr(v) for v in oracle], (p, weight)
+                spaces += 1
+    assert spaces > 30
