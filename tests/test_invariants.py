@@ -259,19 +259,6 @@ def _jordan(dom, n):
     return [{j - 1: dom.one()} if j else {} for j in range(n)]
 
 
-def _recorded_frontiers(monkeypatch):
-    """A list that collects every vector _level applies an operator to."""
-    seen = []
-    mat_apply = invariants._mat_apply
-
-    def record(matrix, vec):
-        seen.append(vec)
-        return mat_apply(matrix, vec)
-
-    monkeypatch.setattr(invariants, "_mat_apply", record)
-    return seen
-
-
 def test_level_climbs_a_jordan_chain():
     # N kills e0 and moves e2 -> e1 -> e0, so e2 needs three levels
     dom = ScalarDomain(1)
@@ -294,8 +281,15 @@ def test_level_of_an_operator_pair_keeps_its_frontier_a_basis(
         monkeypatch, size, level, frontiers):
     dom = ScalarDomain(1)
     n = _jordan(dom, size)
-    pair = [n, [invariants._mat_apply(n, col) for col in n]]
-    seen = _recorded_frontiers(monkeypatch)
+    mat_apply = invariants._mat_apply
+    pair = [n, [mat_apply(n, col) for col in n]]
+    seen = []  # every vector _level applies an operator to
+
+    def record(matrix, vec):
+        seen.append(vec)
+        return mat_apply(matrix, vec)
+
+    monkeypatch.setattr(invariants, "_mat_apply", record)
     assert _level(dom, pair, {size - 1: dom.one()}, size + 1) == level
     # each level applies both operators to each frontier vector once
     assert seen == [{j: dom.one()} for front in frontiers for _ in pair for j in front]
