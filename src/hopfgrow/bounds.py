@@ -8,10 +8,11 @@ otherwise the report carries the failing hypothesis and no value.
 
 from .errors import ConsistencyError
 from .groups import cyclic_support
-from .invariants import (_char_at, _strip_coradical, is_skew_primitive,
+from .invariants import (_strip_coradical, is_skew_primitive,
                          proportionality_mod_coradical)
 from .intmat import integer_rank
 from .linalg import ScalarElimination
+from .presentation import _char_at
 from .scalars import (INFINITE, ScalarShapeError, _powers_cancel,
                       multiplicative_order, subgroup_rank)
 
@@ -255,8 +256,8 @@ def detect_exponential(p, report, m_max=12):
                     {"pair": label, "reason": "weights share no cyclic support"})
                 continue
             x, d1, d2 = support
-            u1 = _char_at(p, r1.character, x).as_unit_monomial()
-            u2 = _char_at(p, r2.character, x).as_unit_monomial()
+            u1 = _char_at(p.domain, r1.character, x).as_unit_monomial()
+            u2 = _char_at(p.domain, r2.character, x).as_unit_monomial()
             if u1 is None or u2 is None:
                 evidence["skipped"].append(
                     {"pair": label, "reason": "pair scalars are not unit monomials"})

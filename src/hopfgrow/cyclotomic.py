@@ -13,6 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .intmat import primitive_vector
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -177,10 +179,10 @@ class CycloField:
         if self._root_index is None:
             index = {}
             for a in range(self.conductor):
-                key, s = _primitive(self.zeta(a).nums)
+                key, s = primitive_vector(self.zeta(a).nums)
                 index.setdefault(key, (a, s))
             self._root_index = index
-        key, s = _primitive(x.nums)
+        key, s = primitive_vector(x.nums)
         hit = self._root_index.get(key)
         if hit is None:
             return None
@@ -216,15 +218,6 @@ class CycloField:
 
     def __repr__(self):
         return "CycloField(%d)" % self.conductor
-
-
-def _primitive(nums):
-    """(key, s) with nums = s * key, key a primitive integer vector whose
-    first nonzero entry is positive; nums must not be all zero."""
-    g = gcd(*nums)
-    if next(n for n in nums if n) < 0:
-        g = -g
-    return (nums if g == 1 else tuple(n // g for n in nums)), g
 
 
 def _canonical(field, nums, den):

@@ -118,22 +118,21 @@ def parse_element_expr(p, text):
     sign = 1
     coeff = None
     letters = []
+    started = False  # a token read since the last + or -, even y^0
 
     def flush():
-        nonlocal coeff, letters, sign
-        if coeff is None and not letters:
-            return
-        c = coeff if coeff is not None else p.domain.rational(sign)
-        terms.append((c, tuple(letters)))
-        coeff = None
-        letters = []
-        sign = 1
+        nonlocal coeff, letters, started
+        if started:
+            c = coeff if coeff is not None else p.domain.rational(sign)
+            terms.append((c, tuple(letters)))
+        coeff, letters, started = None, [], False
 
     for tok in _tokens(text):
         if tok in ("+", "-"):
             flush()
             sign = 1 if tok == "+" else -1
             continue
+        started = True
         m = _POWERED.match(tok)
         name = m.group(1) if m else None
         if name and len(name) > 1 and name.startswith("g") and name[1:].isdigit():

@@ -9,7 +9,7 @@ import itertools
 import math
 import operator
 
-from .intmat import integer_kernel, integer_rank
+from .intmat import integer_kernel, integer_rank, primitive_vector
 from .scalars import INFINITE
 
 
@@ -82,13 +82,42 @@ class GroupData:
         return order
 
     def ball(self, radius):
-        """All elements of word length <= radius, in sorted order."""
-        ranges = [range(-radius, radius + 1)] * self.free_rank
-        ranges += [range(m) for m in self.torsion]
-        out = [e for e in itertools.product(*ranges)
-               if self.word_length(e) <= radius]
-        out.sort()
-        return out
+        """All elements of word length <= radius, in sorted order, built
+        one coordinate at a time from the length the earlier ones left."""
+        partial = [((), radius)]  # (leading coordinates, length left)
+        for i in range(self.ngens):
+            values = [self._coordinate_values(i, left) for left in range(radius + 1)]
+            partial = [(head + (x,), left - d) for head, left in partial
+                       for x, d in values[left]]
+        return [head for head, _ in partial]
+
+    def _coordinate_values(self, i, budget):
+        """The values of coordinate i of word length <= budget, sorted, as
+        (value, length) pairs: x and -x on Z, d and m - d on Z/m."""
+        if i < self.free_rank:
+            return [(x, abs(x)) for x in range(-budget, budget + 1)]
+        m = self.torsion[i - self.free_rank]
+        top = min(budget, m // 2)
+        return ([(d, d) for d in range(top + 1)]
+                + [(m - d, d) for d in range(top, 0, -1) if m - d != d])
+
+    def ball_sizes(self, n):
+        """|B_0|, ..., |B_n| without listing an element.
+
+        Word length adds up over the coordinates, so a coordinate whose
+        values of length d number s(d) takes the sizes B of the others to
+        B'(l) = sum_d s(d) B(l - d), one prefix sum of B per coordinate.
+        On Z/m, s(0) = 1, s(d) = 2 for 0 < d < m/2 (d and m - d) and
+        s(m/2) = 1; within radius n, Z is Z/m with m = 2n + 1.
+        """
+        sizes = [1] * (n + 1)
+        for m in [2 * n + 1] * self.free_rank + list(self.torsion):
+            half = (m - 1) // 2
+            mid = m // 2 if m % 2 == 0 else n + 1  # no value of length m/2 when m is odd
+            prefix = [0, *itertools.accumulate(sizes)]
+            sizes = [sizes[l] + 2 * (prefix[l] - prefix[max(l - half, 0)])
+                     + (sizes[l - mid] if l >= mid else 0) for l in range(n + 1)]
+        return sizes
 
     def gk_dimension(self):
         """GK-dimension of the group algebra: the free rank."""
@@ -143,22 +172,6 @@ class GroupData:
         return "GroupData(%s)" % (" x ".join(parts) if parts else "trivial")
 
 
-def _primitive_vector(v):
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(x))
-    if g == 0:
-        return None, 0
-    prim = tuple(x // g for x in v)
-    for x in prim:
-        if x != 0:
-            if x < 0:
-                prim = tuple(-y for y in prim)
-                g = -g
-            break
-    return prim, g
-
-
 def cyclic_support(group, a, b):
     """Common cyclic support of two group elements.
 
@@ -175,14 +188,14 @@ def cyclic_support(group, a, b):
         return None
     if not any(a_tors) and not any(b_tors):
         if not any(a):
-            x, d2 = _primitive_vector(b_free)
+            x, d2 = primitive_vector(b_free)
             return (x + (0,) * len(group.torsion), 0, d2)
         if not any(b):
-            x, d1 = _primitive_vector(a_free)
+            x, d1 = primitive_vector(a_free)
             return (x + (0,) * len(group.torsion), d1, 0)
-        x, d1 = _primitive_vector(a_free)
+        x, d1 = primitive_vector(a_free)
         # b must be an integer multiple of the same primitive direction
-        xb, d2 = _primitive_vector(b_free)
+        xb, d2 = primitive_vector(b_free)
         if xb != x and xb != tuple(-c for c in x):
             return None
         if xb != x:

@@ -1,6 +1,17 @@
 """Small exact integer matrix utilities: one echelon form, which builds no
 transform, and the rank and kernel lattices read off it."""
 
+from math import gcd
+
+
+def primitive_vector(v):
+    """(v / g, g) for a nonzero integer tuple v: g is its gcd, signed so
+    that the first nonzero entry of v / g is positive."""
+    g = gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return (v if g == 1 else tuple(x // g for x in v)), g
+
 
 def row_echelon(rows):
     """The nonzero rows of the integer row echelon form, by unimodular row

@@ -21,6 +21,7 @@ from .coalgebra import find_skew_primitives, is_skew_primitive
 from .elements import AlgebraElement, add_term
 from .errors import ConsistencyError, ResourceCeilingError
 from .linalg import ScalarElimination, nullspace_of_columns
+from .presentation import _char_at
 from .scalars import INFINITE, ScalarShapeError, _powers_cancel, multiplicative_order
 
 
@@ -500,16 +501,6 @@ def _power_tests(p, recs, power_bound):
                 % rec.power_predicted_n)
 
 
-def _char_at(p, character, weight):
-    # the generators are the standard basis, so the coordinates of the
-    # weight are its exponents with respect to them
-    val = p.domain.one()
-    for c, e in zip(character, weight):
-        if e:
-            val = val * c ** e
-    return val
-
-
 def _relation_search(u1, u2, bound):
     """Positive (N, M) with u1^N u2^M = 1 among unit monomials, or None."""
     for total in range(2, bound + 1):
@@ -562,7 +553,7 @@ def compute_invariants(p, degree_bound=6, group_word_bound=6, power_bound=6,
                 raise ConsistencyError(
                     "character refinement changed an eigenspace dimension")
             for chars, v in chosen:
-                if gens_elts and _char_at(p, chars, weight) != c:
+                if gens_elts and _char_at(dom, chars, weight) != c:
                     raise ConsistencyError(
                         "character does not reproduce the commutator eigenvalue")
                 level = _level(dom, [own.shifted(c)], v, bound)

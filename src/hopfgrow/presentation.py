@@ -48,6 +48,16 @@ def _echelon_lattice(rows):
     return lattice
 
 
+def _char_at(domain, character, h):
+    """The character with the images `character` of the group generators,
+    at the group element h: the product of c_k^(h_k)."""
+    val = domain.one()
+    for c, e in zip(character, h):
+        if e:
+            val = val * c ** e
+    return val
+
+
 def _reduce_mod(vec, lattice):
     """The canonical representative of vec modulo an echelon lattice: each
     pivot column brought into [0, pivot)."""
@@ -225,26 +235,32 @@ class Presentation:
         A normal word h w has degree (counts(w) mod L, h mu(w) mod M), and
         no rewriting step leaves a degree.  A rule term c g u of lhs moves
         the counts by counts(u) - counts(lhs) and the group content by
-        g mu(u) mu(lhs)^-1; the tau terms of y_i h drop y_i and move the
-        group content by 1 or mu_i^-1.  M also holds the torsion rows
-        m_j e_j, so that it reduces group elements as well.
+        g mu(u) mu(lhs)^-1, which is g alone when u keeps the letters of
+        lhs; the tau terms of y_i h drop y_i and move the group content by
+        1 or mu_i^-1.  M also holds the torsion rows m_j e_j, so that it
+        reduces group elements as well.  Each distinct nonzero row enters
+        the elimination once.
         """
-        count_rows, group_rows = [], []
+        count_rows, group_rows = {}, {}  # distinct rows, in first-seen order
         for rule in self.rules:
             counts = y_counts(rule.lhs, self.ny)
-            content = self._content(rule.lhs)
             for g, u in rule.rhs.terms:
-                count_rows.append([a - b for a, b in zip(counts, y_counts(u, self.ny))])
-                group_rows.append([a - b - c for a, b, c
-                                   in zip(content, g, self._content(u))])
+                u_counts = y_counts(u, self.ny)
+                if u_counts == counts:
+                    group_rows[g] = None
+                    continue
+                count_rows[tuple(a - b for a, b in zip(counts, u_counts))] = None
+                group_rows[tuple(a - b - c for a, b, c in zip(
+                    self._content(rule.lhs), g, self._content(u)))] = None
         for i, gen in enumerate(self.gens):
             if any(not t.is_zero() for t in gen.tau):
-                count_rows.append([int(k == i) for k in range(self.ny)])
-                group_rows.append(list(gen.weight))
+                count_rows[tuple(int(k == i) for k in range(self.ny))] = None
+                group_rows[tuple(gen.weight)] = None
         r = self.group.free_rank
         for j, m in enumerate(self.group.torsion):
-            group_rows.append([m if k == r + j else 0 for k in range(self.group.ngens)])
-        return _echelon_lattice(count_rows), _echelon_lattice(group_rows)
+            group_rows[tuple(m if k == r + j else 0 for k in range(self.group.ngens))] = None
+        return (_echelon_lattice([row for row in count_rows if any(row)]),
+                _echelon_lattice([row for row in group_rows if any(row)]))
 
     def _group_class(self, vec):
         """The canonical representative of a group element mod M."""
@@ -265,11 +281,7 @@ class Presentation:
         cached = self._char_cache.get(key)
         if cached is not None:
             return cached
-        val = self.domain.one()
-        for img, e in zip(self.gens[i].character, h):
-            if e:
-                val = val * img ** e
-        self._char_cache[key] = val
+        val = self._char_cache[key] = _char_at(self.domain, self.gens[i].character, h)
         return val
 
     def tau_value(self, i, h):
@@ -579,8 +591,8 @@ class Presentation:
 
         On a length_filtered presentation the words reached are exactly
         the normal words h v with |h| + |v| <= n, so dims[n] is
-        sum_t Y(t) ball[n - t], Y(t) the normal y-words of length t from
-        _word_levels:
+        sum_t Y(t) |B_{n - t}|, Y(t) the normal y-words of length t from
+        _word_levels and |B_r| from GroupData.ball_sizes:
         1. each such word is reached by n letters: v by its y-letters from
            1, using tau_i(1) = 0, then h by group letters;
         2. no step lengthens a word: a rule term c g u has |g| + |u| <=
@@ -590,9 +602,7 @@ class Presentation:
         _closure_dims.
 
         Raises ResourceCeilingError at the first level whose count passes
-        max_words, attaching the sequence of the levels before it.  A ball
-        cut at its horizon holds more than max_words words, so the count
-        raises by that level, before it reads the ball past the cut.
+        max_words, attaching the sequence of the levels before it.
         Raises ValueError, before any work, when n_max is above the size
         ceiling _SIZE_CEILING: the sequence holds n_max + 1 entries.
         """
@@ -602,9 +612,7 @@ class Presentation:
         self.require_confluent()
         if not self.length_filtered:
             return self._closure_dims(n_max, max_words)
-        spheres = self._letter_ball(n_max, max_words)
-        ball = list(itertools.accumulate(len(sphere) for sphere in spheres))
-        ball += ball[-1:] * (n_max + 1 - len(ball))  # no element past the last sphere
+        ball = self.group.ball_sizes(n_max)
         levels = self._word_levels()
         nonzero = []  # (t, Y(t)) with Y(t) > 0
         dims = []
@@ -618,31 +626,6 @@ class Presentation:
                     "enumeration exceeded %d words" % max_words, partial=dims)
             dims.append(count)
         return dims
-
-    def _letter_ball(self, n_max, max_words=None):
-        """The spheres of elements at each word length r over the group
-        letters, up to n_max or the last nonempty one, cut at the first
-        radius whose ball grows past max_words: dims >= ball, so the count
-        passes the ceiling by that radius."""
-        mul = self.group.mul
-        group_letters = [val for kind, val in self.default_generating_letters()
-                         if kind == "g"]
-        seen = {self.group.identity()}
-        spheres = [list(seen)]
-        for _ in range(n_max):
-            sphere = []
-            for k in spheres[-1]:
-                for x in group_letters:
-                    k2 = mul(x, k)
-                    if k2 not in seen:
-                        seen.add(k2)
-                        sphere.append(k2)
-            if not sphere:
-                break
-            spheres.append(sphere)
-            if max_words is not None and len(seen) > max_words:
-                break
-        return spheres
 
     def _word_levels(self):
         """Yield Y(b) for b = 0, 1, ... before the first b with Y(b) = 0,

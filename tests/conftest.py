@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -23,6 +27,26 @@ CHECK_SETTINGS = [
     ("taft", ["free=true"]), ("exterior", ["free=true"]), ("skew_free", ["v=3"]),
 ]
 CHECK_IDS = ["-".join([name] + params) for name, params in CHECK_SETTINGS]
+
+
+def run_guarded(argv, timeout=30, address_space=1 << 30):
+    """Run `python argv` with src/ on the path, in a subprocess under a
+    timeout and an address-space cap, so that a hang or a blowup fails a
+    test in seconds instead of stalling the suite.  Returns the
+    CompletedProcess, text mode."""
+    import resource
+
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY:
+        address_space = min(address_space, hard)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=timeout, preexec_fn=cap)
 
 
 def random_element(p, rng, max_degree=3, group_radius=2, nterms=3):

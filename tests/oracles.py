@@ -9,12 +9,22 @@ word.  The coalgebra axioms are checked through the program's own delta,
 counit and antipode.
 """
 
+import itertools
 import random
 
 from hopfgrow.coalgebra import antipode, counit, delta, delta_word
 from hopfgrow.elements import AlgebraElement, TensorElement, add_term
 
 from conftest import random_element
+
+
+def box_ball(group, radius):
+    """The elements of word length <= radius, sorted: the whole box
+    [-radius, radius]^free_rank x prod Z/m, filtered by word length."""
+    ranges = [range(-radius, radius + 1)] * group.free_rank
+    ranges += [range(m) for m in group.torsion]
+    return sorted(e for e in itertools.product(*ranges)
+                  if group.word_length(e) <= radius)
 
 
 def char_value(p, i, h):

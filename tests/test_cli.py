@@ -12,7 +12,7 @@ from hopfgrow.cli import UsageError, _parse_param, build_parser, main
 from hopfgrow.growth import dp_word_counts
 from hopfgrow.fileformat import presentation_to_jsonable
 
-from conftest import CHECK_IDS, CHECK_SETTINGS
+from conftest import CHECK_IDS, CHECK_SETTINGS, run_guarded
 
 with open("src/hopfgrow/schemas/report.schema.json") as fh:
     SCHEMA = json.load(fh)
@@ -43,6 +43,19 @@ def test_normalize_command(capsys):
                              "--element", "y2 y1")
     assert code == 0
     assert payload["report"]["normal_form"] == "q1 * y1 y2"
+
+
+def test_normalize_zeroth_power(capsys, tmp_path):
+    # y^0 is 1, in an element and in a rule
+    for element, normal in [("y^0", "1"), ("3 - y^0", "2")]:
+        code, out, err = run(capsys, "normalize", "--example", "taft", "--element", element)
+        assert (code, out) == (0, "%s  ->  %s\n" % (element, normal))
+    doc = presentation_to_jsonable(taft_presentation(2))
+    doc["relations"] = [{"lhs": "y y", "rhs": "y^0"}]
+    path = tmp_path / "square-one.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "normalize", str(path), "--element", "y y")
+    assert (code, out) == (0, "y y  ->  1\n")
 
 
 def test_delta_command(capsys):
@@ -495,6 +508,21 @@ def test_parse_error_exit(capsys, tmp_path):
     assert (code, out, err.count("\n")) == (1, "", 1), err[:200]
     assert err.startswith("presentation error: ") and "9" * 100 not in err
 
+
+
+def test_huge_torsion_order_needs_no_cap(tmp_path):
+    # the ball over Z/10^9 holds 3 elements within radius 1: listing the
+    # whole cyclic group fails the timeout or the address-space cap
+    doc = {"scalars": {"cyclotomic_order": 1, "transcendentals": []},
+           "group": {"free_rank": 0, "torsion": [10 ** 9]},
+           "generators": [{"name": "y", "weight": [1], "character": ["1"]}]}
+    path = tmp_path / "huge-torsion.json"
+    path.write_text(json.dumps(doc))
+    result = run_guarded(["-m", "hopfgrow", "primitives", str(path),
+                          "--degree", "1", "--group-bound", "1"], timeout=20)
+    assert result.returncode == 0, result.stderr
+    assert "weight g1: dim 2" in result.stdout
+    assert "weight g1^999999999: dim 1" in result.stdout
 
 
 def test_closed_stdout_exits_without_traceback():

@@ -204,6 +204,19 @@ def test_element_expr():
         parse_element_expr(p, "y9")
 
 
+def test_zeroth_power_is_one():
+    # y^0 reads no letter, yet it is a term: 1
+    p = taft_presentation(3)
+    one = p.one()
+    assert parse_element_expr(p, "y^0") == one
+    assert parse_element_expr(p, "3 - y^0") == one.scale(p.domain.rational(2))
+    assert parse_element_expr(p, "- y^0 + y") == p.y(0) - one
+    assert parse_element_expr(p, "2 y^0 y") == p.y(0).scale(p.domain.rational(2))
+    doc = dict(_document(p), relations=[{"lhs": "y y y", "rhs": "y^0 - g1"}])
+    rule = parse_presentation_data(doc).rules[0]
+    assert rule.rhs == one - p.group_element(p.group.generator(0))
+
+
 def test_element_string_round_trip():
     p = skew_trunc_presentation(3, beta=1, v=2)
     elt = parse_element_expr(p, "zeta * g1 y1 y2 + 1/2 * y1 - g1^3")

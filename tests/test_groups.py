@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,6 +6,9 @@ import pytest
 from hopfgrow.groups import GroupData, cyclic_support
 from hopfgrow.intmat import integer_kernel, integer_rank
 from hopfgrow.scalars import INFINITE
+
+from conftest import run_guarded
+from oracles import box_ball
 
 
 def test_arithmetic_and_reduction():
@@ -37,6 +41,44 @@ def test_word_length_and_ball():
     assert z5.word_length((4,)) == 1
     assert z5.word_length((2,)) == 2
     assert len(z5.ball(2)) == 5
+
+
+def test_ball_and_sizes_match_the_box_filter():
+    # seeded random Z^a x prod Z/m, even m (2 included) among them: the
+    # ball lists, and ball_sizes counts, what the box filter keeps
+    rng = random.Random(23)
+    for _ in range(300):
+        group = GroupData(rng.randint(0, 3), tuple(
+            rng.choice((2, 2, 3, 4, 5, 6, 7, 8, 10)) for _ in range(rng.randint(0, 2))))
+        radius = rng.randint(0, 3)
+        box = box_ball(group, radius)
+        assert group.ball(radius) == box, (group, radius)
+        lengths = [group.word_length(e) for e in box]
+        assert group.ball_sizes(radius) == [
+            sum(1 for d in lengths if d <= r) for r in range(radius + 1)], (group, radius)
+
+
+def test_ball_sizes_past_the_torsion_orders():
+    # Z/2 x Z/3 has 6 elements, all within length 2; Z within radius n is
+    # Z/(2n + 1), and Z/m with m > 2n + 1 is Z as far as radius n sees
+    assert GroupData(0, (2, 3)).ball_sizes(5) == [1, 4, 6, 6, 6, 6]
+    assert GroupData(0, (7,)).ball_sizes(4) == GroupData(1).ball_sizes(3) + [7]
+    assert GroupData(0, (10 ** 9,)).ball_sizes(4) == GroupData(1).ball_sizes(4)
+    assert GroupData(0).ball_sizes(3) == [1, 1, 1, 1]
+
+
+def test_large_balls_are_built_by_length():
+    # the box [-2, 2]^20 holds 5^20 elements and range(10^9) a billion;
+    # the balls hold 841 and 3, so a box filter fails the timeout or the
+    # address-space cap.  |B_r| in Z^n is sum_k 2^k C(n, k) C(r, k).
+    code = ("from hopfgrow.groups import GroupData\n"
+            "print(len(GroupData(20).ball(2)), len(GroupData(10).ball(2)),\n"
+            "      GroupData(0, (10 ** 9,)).ball(1), GroupData(1000).ball_sizes(3))")
+    result = run_guarded(["-c", code], timeout=20)
+    assert result.returncode == 0, result.stderr
+    sizes = [sum(2 ** k * math.comb(1000, k) * math.comb(r, k) for k in range(r + 1))
+             for r in range(4)]
+    assert result.stdout == "841 221 [(0,), (1,), (999999999,)] %s\n" % sizes
 
 
 def test_element_order():

@@ -22,7 +22,7 @@ from hopfgrow.scalars import ScalarDomain
 
 from conftest import (CHECK_IDS, CHECK_SETTINGS, confluent_random_presentation,
                       cyclic_g3_truncation, g3_truncation, random_presentation,
-                      random_truncation, rank2_truncation)
+                      random_truncation, rank2_truncation, run_guarded)
 
 
 def test_laurent_growth_degree_one():
@@ -323,19 +323,38 @@ def test_factored_dims_merge_several_centers(build, n_max):
     (rank2_truncation, 300, 2000)],
     ids=["taft-3", "taft-free", "qplane-1", "qplane-3", "g3-v=1", "rank2-g1^2"])
 def test_word_ceiling_stops_a_long_horizon(build, n_max, max_words):
-    # with n_max far past the level where the closure raises, the ball over
-    # the group letters and the count stop by that level too (the rank-2
-    # horizon stays small: a ball that ignored the ceiling would hold
-    # about 2 n_max^2 elements)
+    # with n_max far past the level where the closure raises, the count
+    # stops by that level too
     p = build()
     partial = _ceiling_partial(p._closure_dims, n_max, max_words)
     # filtration_dims takes horizons up to the size ceiling only
     assert _ceiling_partial(p.filtration_dims, min(n_max, _SIZE_CEILING),
                             max_words) == partial
-    spheres = p._letter_ball(n_max, max_words)
-    ball = sum(len(sphere) for sphere in spheres)
-    assert ball <= (1 + 2 * p.group.ngens) * max_words
-    assert len(spheres) - 1 < n_max or ball <= max_words
+
+
+def test_growth_over_wide_free_groups():
+    # one y of weight g1 with trivial character over Z^10, Z^20 and Z^40:
+    # the count reads its ball sizes, and the word ceiling truncates it at
+    # 9, 6 and 5 levels; a ball listed by breadth-first search over the
+    # group letters, or filtered from a box, fails the timeout or the cap
+    code = """if True:
+        from hopfgrow.groups import GroupData
+        from hopfgrow.growth import measure_growth
+        from hopfgrow.presentation import Presentation, SkewGenerator
+        from hopfgrow.scalars import ScalarDomain
+        for rank in (10, 20, 40):
+            dom, group = ScalarDomain(1), GroupData(rank)
+            gen = SkewGenerator("y", group.generator(0), (dom.one(),) * rank)
+            report = measure_growth(Presentation(dom, group, [gen]), n_max=12,
+                                    max_words=%d)
+            print(report.truncated, report.dims)
+    """ % DEFAULT_MAX_WORDS
+    result = run_guarded(["-c", code], timeout=20)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "True [1, 22, 243, 1804, 10165, 46530, 180775, 614680, 1871145]",
+        "True [1, 42, 883, 12404, 131125, 1113854]",
+        "True [1, 82, 3363, 92004, 1889445]"]
 
 
 def test_word_ceiling_on_y_letters_alone():

@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfgrow.catalog import (exterior_presentation, qplane_presentation,
-                              skew_free_presentation, skew_trunc_presentation,
-                              taft_presentation)
-from hopfgrow.elements import AlgebraElement
+from hopfgrow.catalog import (build_example, exterior_presentation,
+                              qplane_presentation, skew_free_presentation,
+                              skew_trunc_presentation, taft_presentation)
+from hopfgrow.cli import _parse_param
+from hopfgrow.elements import AlgebraElement, y_counts, yword_key
 from hopfgrow.errors import NonConfluentError, PresentationError
 from hopfgrow.groups import GroupData
-from hopfgrow.presentation import Presentation, SkewGenerator
+from hopfgrow.presentation import (Presentation, SkewGenerator, _echelon_lattice,
+                                   _reduce_mod)
 from hopfgrow.scalars import ScalarDomain
 
-from conftest import confluent_random_presentation, random_element
+from conftest import (CHECK_SETTINGS, confluent_random_presentation, random_element,
+                      random_presentation, random_truncation)
 from oracles import normal_form_yword_random, normalize_random_order
 
 
@@ -211,6 +214,74 @@ def test_products_keep_the_degree():
                         degree = pres._degree((h, (i,) + yw))
                         for term in pres.multiply(pres.y(i), word).terms:
                             assert pres._degree(term) == degree, (pres, h, yw, i)
+
+
+def _dense_grading_rows(p):
+    """The grading's rows as first built: one count row and one group row
+    per rule term, zero and repeated rows included, then one of each per
+    generator with tau != 0, then the torsion rows."""
+    def content(yword):
+        vec = [0] * p.group.ngens
+        for i in yword:
+            vec = [a + b for a, b in zip(vec, p.gens[i].weight)]
+        return vec
+
+    count_rows, group_rows = [], []
+    for rule in p.rules:
+        for g, u in rule.rhs.terms:
+            count_rows.append([a - b for a, b in zip(y_counts(rule.lhs, p.ny),
+                                                     y_counts(u, p.ny))])
+            group_rows.append([a - b - c for a, b, c
+                               in zip(content(rule.lhs), g, content(u))])
+    for i, gen in enumerate(p.gens):
+        if any(not t.is_zero() for t in gen.tau):
+            count_rows.append([int(k == i) for k in range(p.ny)])
+            group_rows.append(list(gen.weight))
+    for j, m in enumerate(p.group.torsion):
+        group_rows.append([m * (k == p.group.free_rank + j) for k in range(p.group.ngens)])
+    return count_rows, group_rows
+
+
+def _random_rule_presentation(rng):
+    """Up to three y's over a random group with random deg-lex decreasing
+    rules: each term a permutation of the left-hand side or a shorter
+    word, with a random group part.  Not a Hopf algebra in general, but
+    the grading is read from the rules alone."""
+    group = GroupData(rng.randint(0, 2), tuple(rng.choice((2, 3, 4)) for _ in range(rng.randint(0, 1))))
+    if not group.ngens:
+        group = GroupData(1)
+    dom = ScalarDomain(1)
+    ny = rng.randint(1, 3)
+    gens = [SkewGenerator("y%d" % (i + 1), group.generators()[rng.randrange(group.ngens)],
+                          (dom.one(),) * group.ngens) for i in range(ny)]
+    ball = group.ball(2)
+    rules = {}
+    for _ in range(rng.randint(1, 4)):
+        lhs = tuple(rng.randrange(ny) for _ in range(rng.randint(2, 3)))
+        key = yword_key(lhs, ny)
+        words = {tuple(rng.sample(lhs, len(lhs))) for _ in range(3)}
+        words |= {lhs[:rng.randint(0, len(lhs) - 1)] for _ in range(2)}
+        rules[lhs] = {(rng.choice(ball), u): dom.rational(rng.randint(1, 3))
+                      for u in words if yword_key(u, ny) < key}
+    return Presentation(dom, group, gens, list(rules.items()))
+
+
+def test_grading_spans_the_dense_lattices():
+    # the grading feeds the elimination each distinct nonzero row once, and
+    # a term that keeps the letters of its left-hand side only its group
+    # part: L and M must still span what one row per term spans
+    rng = random.Random(2323)
+    pool = [build_example(name, dict(_parse_param(prm) for prm in params))[0]
+            for name, params in CHECK_SETTINGS]
+    pool += [random_presentation(rng) for _ in range(40)]
+    pool += [random_truncation(rng) for _ in range(20)]
+    pool += [_random_rule_presentation(rng) for _ in range(100)]
+    for p in pool:
+        for rows, lattice in zip(_dense_grading_rows(p),
+                                 (p._count_lattice, p._group_lattice)):
+            dense = _echelon_lattice(rows)
+            assert all(not any(_reduce_mod(row, lattice)) for row in rows), p
+            assert all(not any(_reduce_mod(row, dense)) for _, row in lattice), p
 
 
 def test_long_words_need_no_recursion():
