@@ -8,10 +8,8 @@ otherwise the report carries the failing hypothesis and no value.
 
 from .errors import ConsistencyError
 from .groups import cyclic_support
-from .invariants import (_strip_coradical, is_skew_primitive,
-                         proportionality_mod_coradical)
+from .invariants import _rank_mod_coradical, commutation_scalar, is_skew_primitive
 from .intmat import integer_rank
-from .linalg import ScalarElimination
 from .presentation import _char_at
 from .scalars import (INFINITE, ScalarShapeError, _powers_cancel,
                       multiplicative_order, subgroup_rank)
@@ -75,11 +73,7 @@ def bound_first(p, primitives):
         weights.append(w)
     hypotheses = []
     # (a) independence modulo the coradical
-    elim = ScalarElimination(p.domain)
-    count = 0
-    for z in primitives:
-        if elim.insert(_strip_coradical(z), count) is None:
-            count += 1
+    count = _rank_mod_coradical(p, primitives)
     hypotheses.append(HypothesisCheck(
         "independent-mod-coradical", count == len(primitives),
         "rank %d of %d" % (count, len(primitives))))
@@ -91,9 +85,7 @@ def bound_first(p, primitives):
         for j, zj in enumerate(primitives):
             if i > j:
                 continue
-            mu_j = p.group_element(weights[j])
-            lam = proportionality_mod_coradical(
-                p, p.multiply(zi, mu_j), p.multiply(mu_j, zi))
+            lam = commutation_scalar(p, zi, weights[j])
             if lam is None:
                 ok_b = False
                 detail_b = "no scalar for pair (%d, %d)" % (i + 1, j + 1)

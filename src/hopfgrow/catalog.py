@@ -37,6 +37,7 @@ def skew_free_presentation(v=2, same_q=False, tau=None):
     _typed(v=(v, int), same_q=(same_q, bool), tau=(0 if tau is None else tau, Fraction))
     if v < 1:
         raise PresentationError("need at least one skew generator")
+    _bounded(v, "parameter v")
     ntrans = 1 if same_q else v
     dom = ScalarDomain(1, tuple("q%d" % (i + 1) for i in range(ntrans)))
     group = GroupData(1)
@@ -65,6 +66,7 @@ def skew_trunc_presentation(p=3, beta=1, v=2, bad_gen=False):
     if p < 2:
         raise PresentationError("truncation exponent must be at least 2")
     _bounded(p, "parameter p")
+    _bounded(v, "parameter v")
     rank = 2 if bad_gen else 1
     dom = ScalarDomain(p, ("q1",))
     group = GroupData(rank)
@@ -145,6 +147,7 @@ def exterior_presentation(s=2, free=False):
     _typed(s=(s, int), free=(free, bool))
     if s < 1:
         raise PresentationError("need at least one anticommuting generator")
+    _bounded(s, "parameter s")
     dom = ScalarDomain(2)
     group = GroupData(0, (2,))
     x = group.generator(0)

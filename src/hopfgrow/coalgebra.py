@@ -278,16 +278,22 @@ def _kernel_elements(p, candidates, weight):
     return [_lead_normalized(p, combo) for combo in kernel]
 
 
-def _graded_ywords(p, degree_bound):
-    """The irreducible y-words of degree at most degree_bound, in the order
-    of irreducible_ywords, each with its degree (counts(w) mod L, mu(w) mod
-    M); cached on the presentation."""
-    found = p._graded_ywords.get(degree_bound)
+def _search_space(p, degree_bound, group_word_bound):
+    """The search space within the bounds, built once per pair and cached
+    on the presentation: the irreducible y-words of degree at most
+    degree_bound, in the order of irreducible_ywords, each with its degree
+    (counts(w) mod L, mu(w) mod M), and the sorted group ball of radius
+    group_word_bound split by class mod M."""
+    key = (degree_bound, group_word_bound)
+    found = p._search_spaces.get(key)
     if found is None:
         e = p.group.identity()
-        found = p._graded_ywords[degree_bound] = [
-            (yw, *p._degree((e, yw)))
-            for words in p.irreducible_ywords(degree_bound) for yw in words]
+        ywords = [(yw, *p._degree((e, yw)))
+                  for words in p.irreducible_ywords(degree_bound) for yw in words]
+        ball_by_class = {}
+        for h in p.group.ball(group_word_bound):
+            ball_by_class.setdefault(p._group_class(h), []).append(h)
+        found = p._search_spaces[key] = ywords, ball_by_class
     return found
 
 
@@ -332,11 +338,9 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
     group = p.group
     weight = group.reduce(weight)
     e = group.identity()
-    ball_by_class = {}
-    for h in group.ball(group_word_bound):
-        ball_by_class.setdefault(p._group_class(h), []).append(h)
+    ywords, ball_by_class = _search_space(p, degree_bound, group_word_bound)
     blocks = {}
-    for yw, counts, content in _graded_ywords(p, degree_bound):
+    for yw, counts, content in ywords:
         classes = {p._group_class([a - b for a, b in zip(weight, content)])}
         if not any(counts):
             classes.add(p._group_class([-b for b in content]))

@@ -17,7 +17,8 @@ A presentation file is a JSON document:
 Element expressions are whitespace-separated tokens: group generators as
 g1, g1^-1, skew generators by name (y1^2 allowed), scalar literals zeta^a,
 q1^e and rationals, optional * separators, with standalone + and - between
-terms.
+terms.  A generator name is an identifier other than g<k>, zeta and the
+transcendentals, which these tokens read as something else.
 """
 
 import json
@@ -32,6 +33,8 @@ from .serialize import element_to_str, scalar_from_jsonable, scalar_to_jsonable
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 _POWERED = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?$")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_GROUP_NAME = re.compile(r"g[0-9]+")
 
 
 def _bounded(size, what):
@@ -135,7 +138,7 @@ def parse_element_expr(p, text):
         started = True
         m = _POWERED.match(tok)
         name = m.group(1) if m else None
-        if name and len(name) > 1 and name.startswith("g") and name[1:].isdigit():
+        if name and _GROUP_NAME.fullmatch(name):
             idx = _number(int, name[1:], "a group generator index") - 1
             if not 0 <= idx < p.group.ngens:
                 raise PresentationError("unknown group generator %r" % tok)
@@ -166,7 +169,7 @@ def parse_group_element(group, text):
         if tok == "1":
             continue
         m = _POWERED.match(tok)
-        if not m or not m.group(1).startswith("g") or not m.group(1)[1:].isdigit():
+        if not m or not _GROUP_NAME.fullmatch(m.group(1)):
             raise PresentationError("bad group token %r" % tok)
         idx = _number(int, m.group(1)[1:], "a group generator index") - 1
         if not 0 <= idx < group.ngens:
@@ -224,6 +227,12 @@ def parse_presentation_data(data, name=None):
             tau = [_parse_scalar_entry(domain, c, where)
                    for c in _typed(gdata["tau"], list, where + ".tau")]
         gname = _typed(gdata["name"], str, where + ".name")
+        # the expression syntax reads g<k>, zeta and a transcendental first
+        if (not _NAME.fullmatch(gname) or _GROUP_NAME.fullmatch(gname)
+                or gname == "zeta" or gname in domain.transcendentals):
+            raise PresentationError(
+                "%s.name %r must be an identifier other than g<k>, zeta and the "
+                "transcendentals" % (where, gname))
         weight = _typed(gdata["weight"], list, where + ".weight")
         if len(weight) != group.ngens or any(type(x) is not int for x in weight):
             raise PresentationError("%s.weight needs %d integer exponents"

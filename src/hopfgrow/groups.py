@@ -148,16 +148,10 @@ class GroupData:
                 return False
         return True
 
-    def format_element(self, a, names=None):
-        a = self.reduce(a)
-        if not any(a):
-            return "1"
-        bits = []
-        for i, x in enumerate(a):
-            if x:
-                name = names[i] if names else "g%d" % (i + 1)
-                bits.append(name if x == 1 else "%s^%d" % (name, x))
-        return " ".join(bits)
+    def format_element(self, a):
+        bits = ["g%d" % (i + 1) if x == 1 else "g%d^%d" % (i + 1, x)
+                for i, x in enumerate(self.reduce(a)) if x]
+        return " ".join(bits) or "1"
 
     def __eq__(self, other):
         return (isinstance(other, GroupData)

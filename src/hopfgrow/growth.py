@@ -15,7 +15,7 @@ import statistics
 
 from .coalgebra import is_skew_primitive
 from .errors import ConsistencyError, ResourceCeilingError
-from .invariants import _strip_coradical, self_commutation_scalar
+from .invariants import _strip_coradical, commutation_scalar
 from .linalg import ScalarElimination
 from .scalars import INFINITE, multiplicative_order
 
@@ -243,7 +243,7 @@ def _check_dependence_conclusions(p, primitives, weights, monomial, relation):
         return out
     z = nonzero[0]
     p_z = monomial[z]
-    lam_z = self_commutation_scalar(p, primitives[z], weights[z])
+    lam_z = commutation_scalar(p, primitives[z], weights[z])
     order = multiplicative_order(lam_z) if lam_z is not None else None
     out["self-commutation-is-primitive-root"] = (
         order is not None and order is not INFINITE and order == p_z and p_z > 1)
@@ -265,7 +265,7 @@ def _check_dependence_conclusions(p, primitives, weights, monomial, relation):
             continue
         j = support[0]
         p_j = e2[j]
-        lam_j = self_commutation_scalar(p, primitives[j], weights[j])
+        lam_j = commutation_scalar(p, primitives[j], weights[j])
         oj = multiplicative_order(lam_j) if lam_j is not None else None
         if not (oj == p_j and p_j > 1):
             ok_shape = False

@@ -52,10 +52,10 @@ def proportionality_mod_coradical(p, a, b):
     return lam
 
 
-def self_commutation_scalar(p, z, weight):
-    """The scalar lam with z * weight = lam * weight * z modulo the
-    coradical, or None when no such scalar exists."""
-    mu = p.group_element(weight)
+def commutation_scalar(p, z, h):
+    """The scalar lam with z * h = lam * h * z modulo the coradical, or
+    None when no such scalar exists."""
+    mu = p.group_element(h)
     return proportionality_mod_coradical(p, p.multiply(z, mu),
                                          p.multiply(mu, z))
 
@@ -63,6 +63,14 @@ def self_commutation_scalar(p, z, weight):
 def _strip_coradical(elt):
     """Image modulo the coradical: drop all pure-group words."""
     return {w: c for w, c in elt.terms.items() if w[1]}
+
+
+def _rank_mod_coradical(p, elements):
+    """The rank of the elements modulo the coradical."""
+    elim = ScalarElimination(p.domain)
+    for i, z in enumerate(elements):
+        elim.insert(_strip_coradical(z), i)
+    return elim.rank
 
 
 # guards of the conjugation closure: its dimension, and the word length
@@ -451,13 +459,8 @@ class InvariantReport:
                     "a free-commutator witness has a primitive power")
         # witnesses with pairwise distinct (weight, commutator) data stay
         # independent modulo the coradical
-        elim = ScalarElimination(self.presentation.domain)
-        count = 0
-        for rec in self.witnesses:
-            image = _strip_coradical(rec.element)
-            if elim.insert(image, count) is None:
-                count += 1
-        if count != len(self.witnesses):
+        elements = [rec.element for rec in self.witnesses]
+        if _rank_mod_coradical(self.presentation, elements) != len(elements):
             raise ConsistencyError("witnesses are dependent modulo the coradical")
 
     def summary_counts(self):

@@ -138,7 +138,7 @@ class Presentation:
         self._tau_cache = {}
         self._coproduct_cache = {}  # y-word -> {(left, right): coeff}
         self._coproduct_point_cache = {}  # y-word -> that at the point, or None
-        self._graded_ywords = {}  # degree bound -> [(irreducible y-word, its degree)]
+        self._search_spaces = {}  # (degree bound, group bound) -> (y-words, ball by class)
         self._confluence = None
         self._rules_by_first = {}  # first letter -> [(rest of lhs, rule)]
         for rule in self.rules:

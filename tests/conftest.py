@@ -49,6 +49,15 @@ def run_guarded(argv, timeout=30, address_space=1 << 30):
                           text=True, timeout=timeout, preexec_fn=cap)
 
 
+def wide_free_document(rank=10):
+    """A presentation file document: one y of weight g1 over Z^rank, with
+    character (q1, 1, ..., 1) and no relations."""
+    return {"scalars": {"cyclotomic_order": 1, "transcendentals": ["q1"]},
+            "group": {"free_rank": rank},
+            "generators": [{"name": "y", "weight": [1] + [0] * (rank - 1),
+                            "character": ["q1"] + ["1"] * (rank - 1)}]}
+
+
 def random_element(p, rng, max_degree=3, group_radius=2, nterms=3):
     """A random element with small words and simple coefficients."""
     ball = p.group.ball(group_radius)

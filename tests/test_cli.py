@@ -12,7 +12,7 @@ from hopfgrow.cli import UsageError, _parse_param, build_parser, main
 from hopfgrow.growth import dp_word_counts
 from hopfgrow.fileformat import presentation_to_jsonable
 
-from conftest import CHECK_IDS, CHECK_SETTINGS, run_guarded
+from conftest import CHECK_IDS, CHECK_SETTINGS, run_guarded, wide_free_document
 
 with open("src/hopfgrow/schemas/report.schema.json") as fh:
     SCHEMA = json.load(fh)
@@ -294,6 +294,20 @@ def test_builtin_cyclotomic_order_capped(capsys):
     assert (code, err) == (0, "")
 
 
+def test_builtin_generator_counts_capped(capsys):
+    # v transcendentals and v or s generators are built, so a count past
+    # the size ceiling is refused first
+    for name, param in (("skew_free", "v"), ("skew_trunc", "v"), ("exterior", "s")):
+        code, out, err = run(capsys, "normalize", "--example", name,
+                             "--param", "%s=1001" % param, "--element", "y1")
+        assert (code, out) == (1, "")
+        assert err == ("presentation error: parameter %s 1001 is above the size "
+                       "ceiling 1000\n" % param)
+    code, out, err = run(capsys, "normalize", "--example", "skew_free",
+                         "--param", "v=1000", "--element", "y1")
+    assert (code, out, err) == (0, "y1  ->  y1\n", "")
+
+
 def test_growth_horizon_capped(capsys):
     # n_max + 1 dims are built, so a horizon past the parser's size cap is
     # refused before any growth is measured
@@ -523,6 +537,30 @@ def test_huge_torsion_order_needs_no_cap(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "weight g1: dim 2" in result.stdout
     assert "weight g1^999999999: dim 1" in result.stdout
+
+
+def test_generator_named_like_a_group_generator_refused(capsys, tmp_path):
+    # a generator g1 would turn the element "g1 g1" into the group element
+    # g1^2, while the rule reads it as its own square
+    doc = wide_free_document(1)
+    doc["generators"][0]["name"] = "g1"
+    doc["relations"] = [{"lhs": "g1 g1", "rhs": ""}]
+    path = tmp_path / "g1.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "normalize", str(path), "--element", "g1 g1")
+    assert (code, out, err.count("\n")) == (1, "", 1), err
+    assert err.startswith("presentation error: generators[0].name 'g1' "), err
+
+
+def test_primitive_search_builds_one_ball_per_run(tmp_path):
+    # |B_4| = 19,361 weights over Z^10: a search that lists and classes the
+    # ball once per weight fails the timeout
+    path = tmp_path / "z10.json"
+    path.write_text(json.dumps(wide_free_document(10)))
+    result = run_guarded(["-m", "hopfgrow", "invariants", str(path), "--degree", "2",
+                          "--group-bound", "4", "--power-bound", "2"], timeout=20)
+    assert result.returncode == 0, result.stderr
+    assert "  weights: {g1}" in result.stdout.splitlines()
 
 
 def test_closed_stdout_exits_without_traceback():

@@ -200,6 +200,21 @@ def test_primitive_search_matches_direct_check(rng):
                 assert is_skew_primitive(p, e) == p.group.reduce(h)
 
 
+def test_search_space_keeps_each_pair_of_bounds():
+    # the cached search space of one group bound must not serve another:
+    # the line g^2 - 1 needs radius 2, and radius 2 brings group parts
+    # that radius 1 has no room for
+    def spaces(p, radius):
+        return [(repr(s.basis), s.has_coradical_line)
+                for s in (find_skew_primitives(p, w, 2, radius) for w in p.group.ball(2))]
+
+    for builder in ALL_BUILTINS:
+        fresh = {radius: spaces(builder(), radius) for radius in (1, 2)}
+        for order in ((1, 2), (2, 1)):
+            p = builder()
+            assert [spaces(p, radius) for radius in order] == [fresh[r] for r in order]
+
+
 def test_degree_two_primitive_weight_product_constraint():
     # in the unquotiented anticommuting model, y_i y_j + y_j y_i and y_i^2
     # are primitives of degree 2; their terms obey the sign product rule

@@ -282,6 +282,28 @@ def test_bad_sanity_order_rejected():
         })
 
 
+@pytest.mark.parametrize("name", [
+    "g1", "g12", "zeta", "q1", "y 1", "", "y^2", "1y", "y-1", "y\n"])
+def test_generator_names_the_syntax_reads_otherwise_refused(name):
+    # g<k>, zeta and a transcendental read as group elements and scalars,
+    # and a non-identifier cannot be read back at all
+    doc = _document(skew_free_presentation(v=1))
+    doc["generators"][0]["name"] = name
+    with pytest.raises(PresentationError) as err:
+        parse_presentation_data(doc)
+    assert str(err.value).startswith("generators[0].name %r " % name)
+
+
+@pytest.mark.parametrize("name", ["y", "g", "gamma", "g1a", "Zeta", "_q1", "x_2"])
+def test_generator_names_that_read_back_load(name):
+    doc = _document(skew_free_presentation(v=1))
+    doc["generators"][0]["name"] = name
+    p = parse_presentation_data(doc)
+    square = parse_element_expr(p, name + "^2")
+    assert element_to_str(p, square) == "%s %s" % (name, name)
+    assert parse_element_expr(p, element_to_str(p, square)) == square
+
+
 @pytest.fixture
 def address_space_cap():
     """Cap this process's address space at its size plus 256 MB while a

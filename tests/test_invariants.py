@@ -7,6 +7,8 @@ from hopfgrow.catalog import (exterior_presentation, qplane_presentation,
                               skew_free_presentation, skew_trunc_presentation,
                               taft_presentation)
 from hopfgrow.coalgebra import find_skew_primitives
+from hopfgrow.fileformat import parse_presentation_data
+from hopfgrow.groups import GroupData
 from hopfgrow.invariants import (CommutatorAnalysis, QuotientSpace, _level,
                                  _saturate, _strip_coradical, commutator_level,
                                  compute_invariants, conjugate,
@@ -15,7 +17,7 @@ from hopfgrow.invariants import (CommutatorAnalysis, QuotientSpace, _level,
 from hopfgrow.linalg import ScalarElimination
 from hopfgrow.scalars import INFINITE, ScalarDomain, multiplicative_order
 
-from conftest import confluent_random_presentation
+from conftest import confluent_random_presentation, wide_free_document
 
 
 def test_conjugation_matrix_line_only():
@@ -336,3 +338,22 @@ def test_quotient_space_matches_two_pass_closure():
                 assert [repr(v) for v in lifts] == [repr(v) for v in oracle], (p, weight)
                 spaces += 1
     assert spaces > 30
+
+
+def test_compute_invariants_lists_two_balls(monkeypatch):
+    # one ball for the weights and one for the search space, not one per
+    # weight: over Z^10, |B_2| = 221 and |B_3| = 1,561
+    calls = []
+    ball = GroupData.ball
+
+    def counted(group, radius):
+        calls.append(radius)
+        return ball(group, radius)
+
+    monkeypatch.setattr(GroupData, "ball", counted)
+    for radius in (2, 3):
+        p = parse_presentation_data(wide_free_document(10))
+        calls.clear()
+        report = compute_invariants(p, 2, radius, 2)
+        assert report.weights == [p.group.generator(0)]
+        assert len(calls) <= 2, calls
