@@ -18,7 +18,7 @@ by the pure y-word w; its values at one point mod P sit on the same keys,
 cached beside it, for the primitive search.
 """
 
-from .elements import AlgebraElement, TensorElement, add_term, word_key
+from .elements import AlgebraElement, TensorElement, add_term, word_key, yword_key
 from .linalg import ScalarElimination, _dependences_mod, nullspace_of_columns
 from .scalars import _point, quantum_binomial
 
@@ -281,20 +281,39 @@ def _kernel_elements(p, candidates, weight):
 def _search_space(p, degree_bound, group_word_bound):
     """The search space within the bounds, built once per pair and cached
     on the presentation: the irreducible y-words of degree at most
-    degree_bound, in the order of irreducible_ywords, each with its degree
-    (counts(w) mod L, mu(w) mod M), and the sorted group ball of radius
-    group_word_bound split by class mod M."""
+    degree_bound, in the order of irreducible_ywords, each with its
+    deg-lex key, its degree (counts(w) mod L, mu(w) mod M) and mu(w)
+    reduced, and the sorted group ball of radius group_word_bound split by
+    class mod M."""
     key = (degree_bound, group_word_bound)
     found = p._search_spaces.get(key)
     if found is None:
         e = p.group.identity()
-        ywords = [(yw, *p._degree((e, yw)))
+        ywords = [(yw, yword_key(yw, p.ny), *p._degree((e, yw)),
+                   p.group.reduce(p._content(yw)))
                   for words in p.irreducible_ywords(degree_bound) for yw in words]
         ball_by_class = {}
         for h in p.group.ball(group_word_bound):
             ball_by_class.setdefault(p._group_class(h), []).append(h)
         found = p._search_spaces[key] = ywords, ball_by_class
     return found
+
+
+def _below_top_word(block):
+    """The candidates h w of a block that can lie in a kernel vector, in
+    search order.  The block lists (y-word, deg-lex key, group parts, the
+    part h with h mu(w) = weight) by y-word; its top word is the largest
+    y-word whose part h on the weight is among its group parts."""
+    top = max((key for yw, key, parts, on_weight in block
+               if yw and on_weight in parts), default=None)
+    out = []
+    for yw, key, parts, on_weight in block:
+        if yw and key == top:
+            parts = [on_weight]
+        elif yw and (top is None or key > top):
+            continue
+        out.extend((h, yw) for h in parts)
+    return out
 
 
 def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
@@ -324,6 +343,20 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
     change.  The empty y-word keeps every group part, for the coradical
     line.
 
+    In every block, a candidate h w whose y-word lies above the block's
+    top word, or at it with h mu(w) != weight, lies in no kernel vector
+    either.  The top word is the deg-lex largest nonempty y-word w among
+    the block's candidates h w with h mu(w) = weight.  The right words of
+    Delta(h' w') are deg-lex at most w', with equality only in the
+    all-right term h' mu(w') (x) h' w', of coefficient 1, and z (x) 1 has
+    no y-letter on the right.  So if w is the largest y-word of a kernel
+    vector z, then on the row h mu(w) (x) h w only the term c h w of z
+    puts an entry, c, and weight (x) z puts -c there exactly when
+    h mu(w) = weight.  Hence every candidate of z at w is on the weight,
+    and w is at most the top word.  Dropping the other columns keeps each
+    relation, as above, so the basis and its order do not change; a block
+    left with no candidate is skipped.
+
     A block opens only when a y-word brings it a candidate, and is first
     eliminated at one point mod P (_certified_kernel): columns
     independent there are independent, and only each dependence found
@@ -340,7 +373,7 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
     e = group.identity()
     ywords, ball_by_class = _search_space(p, degree_bound, group_word_bound)
     blocks = {}
-    for yw, counts, content in ywords:
+    for yw, key, counts, content, mu in ywords:
         classes = {p._group_class([a - b for a, b in zip(weight, content)])}
         if not any(counts):
             classes.add(p._group_class([-b for b in content]))
@@ -349,10 +382,13 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
         else:
             group_parts = sorted(h for cls in classes for h in ball_by_class.get(cls, ()))
         if group_parts:
-            blocks.setdefault(counts, []).extend((h, yw) for h in group_parts)
+            on_weight = group.mul(weight, group.inv(mu))
+            blocks.setdefault(counts, []).append((yw, key, group_parts, on_weight))
     basis = []
-    for candidates in blocks.values():
-        basis.extend(_kernel_elements(p, candidates, weight))
+    for block in blocks.values():
+        candidates = _below_top_word(block)
+        if candidates:
+            basis.extend(_kernel_elements(p, candidates, weight))
     basis.sort(key=lambda e: max(word_key(w, p.ny) for w in e.terms))
 
     # canonicalize against the coradical line k(weight - 1): the line lies

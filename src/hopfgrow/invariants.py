@@ -505,7 +505,17 @@ def _power_tests(p, recs, power_bound):
 
 
 def _relation_search(u1, u2, bound):
-    """Positive (N, M) with u1^N u2^M = 1 among unit monomials, or None."""
+    """Positive (N, M) with u1^N u2^M = 1 among unit monomials, or None.
+
+    N e1 + M e2 = 0 for the q-exponent vectors e1, e2 has a positive
+    solution only when both vanish or they are negatively proportional,
+    that is, e1.e2 < 0 with equality in Cauchy-Schwarz; otherwise there
+    is nothing to search."""
+    e1, e2 = u1.exps, u2.exps
+    dot = sum(x * y for x, y in zip(e1, e2))
+    if (any(e1) or any(e2)) and not (
+            dot < 0 and dot * dot == sum(x * x for x in e1) * sum(y * y for y in e2)):
+        return None
     for total in range(2, bound + 1):
         for n in range(1, total):
             m = total - n

@@ -1,10 +1,13 @@
 """Exact linear algebra over the scalar domain.
 
 Vectors are sparse columns: dicts mapping a hashable, sortable row key to
-a nonzero Scalar.  Elimination is fraction-free.  A pivot entry that is a
-unit monomial u is stored with -u^-1, and clears a column's entry c in
-place: col += (-c u^-1) pivot, over the pivot column's keys only.  Any
-other pivot entry p takes the cross step p*col - c*pivot, after which the
+a nonzero Scalar.  Elimination is fraction-free.  Pivots are indexed by
+their row key, so a column visits only the pivots whose rows it holds, in
+insertion order; a step that brings in the row of a later pivot queues
+that pivot.  A pivot entry that is a unit monomial u clears a column's
+entry c in place: col += (-c u^-1) pivot, over the pivot column's keys
+only, with -u^-1 computed when a column first meets the pivot.  Any other
+pivot entry p takes the cross step p*col - c*pivot, after which the
 column and its combination are divided by the previous such entry of the
 same reduction whenever that divides every entry of both exactly
 (Bareiss's divisor).  Nothing is rescaled for content, so entries stay
@@ -22,7 +25,11 @@ at the point.  A bad point therefore costs time, never a wrong answer:
 results do not depend on the point.
 """
 
+from heapq import heapify, heappop, heappush
+
 from .elements import add_term
+
+_UNSEEN = object()  # a pivot's -u^-1 slot before any column meets it
 
 
 def _scale_sub(p, col, c, pcol):
@@ -38,6 +45,15 @@ def _add_multiple(col, f, pcol):
     """col += f*pcol in place, touching pcol's keys only."""
     for k, v in pcol.items():
         add_term(col, k, f * v)
+
+
+def _neg_inv(pivot):
+    """-u^-1 for the pivot's entry u if that is a unit monomial, else None;
+    computed when a column first meets the pivot."""
+    if pivot[3] is _UNSEEN:
+        um = pivot[1][pivot[0]].as_unit_monomial()
+        pivot[3] = -um.inverse().to_scalar() if um is not None else None
+    return pivot[3]
 
 
 def _divide_exact(col, combo, d):
@@ -59,16 +75,30 @@ class ScalarElimination:
 
     def __init__(self, domain):
         self.domain = domain
-        # (row_key, column, combo, -1/entry if the entry is a unit
-        # monomial else None), in insertion order
+        # [row_key, column, combo, -1/entry if the entry is a unit
+        # monomial else None, or _UNSEEN until a column meets the pivot],
+        # in insertion order
         self.pivots = []
+        self._position = {}  # row key -> index in pivots
 
     def _reduce(self, col, combo):
+        # each step adds only keys of the pivot column, whose rows of
+        # earlier pivots are already clear, so the pivots col meets form a
+        # heap of positions that grows only past the one being taken
+        position = self._position
+        heap = [position[k] for k in col if k in position]
+        heapify(heap)
         prev = None  # the last non-unit pivot entry col was multiplied by
-        for rk, pcol, pcombo, neg_inv in self.pivots:
+        while heap:
+            pivot = self.pivots[heappop(heap)]
+            rk, pcol, pcombo, _ = pivot
             c = col.get(rk)
             if c is None:
                 continue
+            for k in pcol:
+                if k not in col and k in position:
+                    heappush(heap, position[k])
+            neg_inv = _neg_inv(pivot)
             if neg_inv is not None:
                 f = c * neg_inv
                 _add_multiple(col, f, pcol)
@@ -94,16 +124,18 @@ class ScalarElimination:
         if not col:
             return combo
         # prefer a pivot entry that is a unit monomial: reducing by it
-        # needs no cross step
-        candidates = sorted(col.keys())
-        rk, um = candidates[0], None
-        for k in candidates:
-            um = col[k].as_unit_monomial()
-            if um is not None:
-                rk = k
-                break
-        neg_inv = -um.inverse().to_scalar() if um is not None else None
-        self.pivots.append((rk, col, combo, neg_inv))
+        # needs no cross step; a one-entry column has no choice to make
+        keys = sorted(col)
+        rk, neg_inv = keys[0], _UNSEEN
+        if len(keys) > 1:
+            for k in keys:
+                if col[k].as_unit_monomial() is not None:
+                    rk = k
+                    break
+            else:
+                neg_inv = None
+        self._position[rk] = len(self.pivots)
+        self.pivots.append([rk, col, combo, neg_inv])
         return None
 
     def solve(self, target):

@@ -10,7 +10,9 @@ their output directories; a change that should not alter any output
 leaves no difference.  The list covers check-example on every builtin
 setting the tests check, and invariants, bounds, primitives, growth,
 delta and normalize on the same settings (tau ones included), in text
-and json; no command takes more than a few seconds.
+and json, and invariants and bounds at the default bounds on the two
+settings where the primitive search leaves out the most columns; no
+command takes more than a few seconds.
 """
 
 import os
@@ -27,6 +29,10 @@ from conftest import CHECK_SETTINGS  # noqa: E402
 # search bounds below the defaults: at 6/6/6, invariants on
 # exterior free=true runs for minutes
 _SEARCH = ["--degree", "4", "--group-bound", "2"]
+
+# run at the default bounds
+_AT_DEFAULTS = [["--example", "skew_free", "--param", "v=2", "--param", "tau=1"],
+                ["--example", "skew_trunc"]]
 
 
 def _element(name):
@@ -54,6 +60,10 @@ def commands():
         ]
         for fmt in ("text", "json"):
             out += [argv + ["--format", fmt] for argv in per_format]
+    for source in _AT_DEFAULTS:
+        for fmt in ("text", "json"):
+            out += [[command] + source + ["--format", fmt]
+                    for command in ("invariants", "bounds")]
     return out
 
 

@@ -462,6 +462,30 @@ def test_tau_primitive_spans_two_count_classes():
     _assert_matches_full_search(p, weight, 2, 2)
 
 
+def test_top_word_pruning_drops_words_off_the_weight(monkeypatch):
+    # on skew_free v=2 tau=1 a y-word of length n has mu(w) = g^n, so no
+    # y-word tops a kernel vector at the weights g^-1 to g^-3, and none
+    # longer than 2 at g^2: the blocks there hold no such column
+    p = skew_free_presentation(v=2, tau=1)
+    opened = []
+    kernel_elements = coalgebra._kernel_elements
+
+    def record(p, candidates, weight):
+        opened.append((weight, max(len(yw) for _, yw in candidates)))
+        return kernel_elements(p, candidates, weight)
+
+    monkeypatch.setattr(coalgebra, "_kernel_elements", record)
+    g = p.group.generator(0)
+    for k in (-1, -2, -3, 2):
+        opened.clear()
+        weight = p.group.power(g, k)
+        find_skew_primitives(p, weight, 4, 3)
+        assert opened, k
+        longest = max(length for _, length in opened)
+        assert longest == (2 if k == 2 else 0), (k, opened)
+        _assert_matches_full_search(p, weight, 4, 3)
+
+
 def _bases_without_the_flag(monkeypatch, p, weights, degree, radius):
     """Assert that the primitive space at each weight equals, down to the
     printed coefficients, the one the search finds with count_graded

@@ -15,7 +15,7 @@ from hopfgrow.invariants import (CommutatorAnalysis, QuotientSpace, _level,
                                  conjugation_matrix, generalized_commutator,
                                  is_skew_primitive)
 from hopfgrow.linalg import ScalarElimination
-from hopfgrow.scalars import INFINITE, ScalarDomain, multiplicative_order
+from hopfgrow.scalars import INFINITE, ScalarDomain, UnitMonomial, multiplicative_order
 
 from conftest import confluent_random_presentation, wide_free_document
 
@@ -357,3 +357,38 @@ def test_compute_invariants_lists_two_balls(monkeypatch):
         report = compute_invariants(p, 2, radius, 2)
         assert report.weights == [p.group.generator(0)]
         assert len(calls) <= 2, calls
+
+
+def _relation_by_powers(u1, u2, bound):
+    """Oracle: the first positive (N, M) by total N + M, then N, with
+    u1^N u2^M = 1, from unit-monomial products."""
+    for total in range(2, bound + 1):
+        for n in range(1, total):
+            if (u1 ** n * u2 ** (total - n)).is_one():
+                return (n, total - n)
+    return None
+
+
+def test_relation_search_matches_the_power_loop():
+    # the early exit must answer as the loop does; half the pairs have
+    # proportional exponents, most of them negatively, so that the loop
+    # still runs there
+    dom = ScalarDomain(12, ("q1", "q2", "q3"))
+    order = dom.field.unity_order
+    rng = random.Random(25)
+    found = missing = 0
+    for _ in range(400):
+        base = [rng.choice((0, 0, 1, -1, 2)) for _ in range(3)]
+        if rng.random() < 0.5:
+            a, b = rng.randint(1, 3), rng.choice((-3, -2, -1, 1, 2))
+            e1, e2 = [a * x for x in base], [-b * x for x in base]
+        else:
+            e1, e2 = base, [rng.choice((0, 0, 1, -1, -2)) for _ in range(3)]
+        u1, u2 = (UnitMonomial(dom, rng.choice((0, order // 2, rng.randrange(order))), e)
+                  for e in (e1, e2))
+        bound = rng.randint(2, 20)
+        rel = invariants._relation_search(u1, u2, bound)
+        assert rel == _relation_by_powers(u1, u2, bound), (u1, u2, bound)
+        found += rel is not None
+        missing += rel is None
+    assert found > 50 and missing > 50

@@ -7,7 +7,7 @@ from hopfgrow import coalgebra
 from hopfgrow.catalog import (qplane_presentation, skew_free_presentation,
                               skew_trunc_presentation, taft_presentation)
 from hopfgrow.linalg import ScalarElimination, _dependences_mod, nullspace_of_columns
-from hopfgrow.scalars import ScalarDomain, _lp_divexact, _lp_mul
+from hopfgrow.scalars import Scalar, ScalarDomain, _lp_divexact, _lp_mul
 
 
 def _combine(domain, columns, combo):
@@ -210,6 +210,58 @@ def test_elimination_matches_oracle_random():
                 else:
                     target[k] = s
         _assert_matches_oracle(dom, cols, target)
+
+
+def test_elimination_matches_oracle_on_pivot_chains():
+    # chain columns a_i e_i + b_i e_(i+1) take the pivot rows 0, 1, ...;
+    # a column with rows 0 and k is reduced by pivot 0 first, which brings
+    # in row 1, the row of a later pivot, and so on down the chain to k
+    dom = ScalarDomain(4, ("q1", "q2"))
+    one, q1, q2, z = dom.one(), dom.q(0), dom.q(1), dom.zeta()
+    units = [one, -one, q1, q2, z, dom.q(0, -1) * q2]
+    non_units = [one + q1, q1 - one, dom.rational(2), z + q1]
+    rng = random.Random(25)
+    for trial in range(30):
+        pool = units if trial % 3 == 0 else units + non_units
+        n = rng.randint(2, 6)
+        chain = [{i: rng.choice(pool), i + 1: rng.choice(pool)} for i in range(n)]
+        # sum_i c_i chain_i with c_i = (-1)^i b_0...b_(i-1) a_(i+1)...a_(k-1)
+        # clears the rows 1 to k - 1; a column of random entries at rows 0
+        # and k takes the same walk and is, most likely, independent
+        probes = []
+        for k in rng.sample(range(1, n + 1), min(n, 3)):
+            coeffs = {}
+            for i in range(k):
+                c = -one if i % 2 else one
+                for j in range(k):
+                    c = c * (chain[j][j + 1] if j < i else chain[j][j] if j > i else one)
+                coeffs[i] = c
+            probes.append(_combine(dom, chain, coeffs))
+            probes.append({0: rng.choice(pool), k: rng.choice(pool)})
+        _assert_matches_oracle(dom, chain + probes)
+
+
+def test_one_entry_pivots_test_their_entry_on_first_use(monkeypatch):
+    dom = ScalarDomain(4, ("q1", "q2"))
+    one, q1, q2 = dom.one(), dom.q(0), dom.q(1)
+    entries = [one, q1 + one, -q2, dom.rational(2), dom.zeta() * q1, q1 - q2]
+    singles = [{r: v} for r, v in enumerate(entries)]
+    # unit and non-unit pivots alike, met by a column of the same rows
+    meet = {r: v * (q1 + one) for r, v in enumerate(entries)}
+    _assert_matches_oracle(dom, singles + [meet, {0: q1, 3: one, 6: q2}])
+
+    tested = []
+    as_unit_monomial = Scalar.as_unit_monomial
+    monkeypatch.setattr(Scalar, "as_unit_monomial",
+                        lambda s: tested.append(s) or as_unit_monomial(s))
+    elim = _eliminate(dom, singles)
+    assert tested == []  # no column met them
+    # the first column to meet pivot 1 tests its entry, and the next one
+    # finds the answer kept
+    assert elim.insert({1: q2 * entries[1]}, "first") is not None
+    assert [s is entries[1] for s in tested] == [True]
+    assert elim.insert({1: entries[1] * entries[1]}, "again") is not None
+    assert len(tested) == 1
 
 
 def test_elimination_matches_oracle_on_primitive_blocks(monkeypatch):
