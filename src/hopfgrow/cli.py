@@ -217,7 +217,7 @@ def cmd_delta(args):
 def cmd_primitives(args):
     p, source = _load(args)
     if args.weight:
-        weights = [parse_group_element(p.group, args.weight)]
+        weights = [parse_group_element(p, args.weight)]
     else:
         weights = p.group.ball(args.group_bound)
     spaces = []

@@ -1,4 +1,4 @@
-"""Presentation files and the element/scalar expression syntax.
+"""Presentation files and the expression syntax.
 
 A presentation file is a JSON document:
 
@@ -14,10 +14,26 @@ A presentation file is a JSON document:
       "meta": {"expected": {...}}
     }
 
-Element expressions are whitespace-separated tokens: group generators as
-g1, g1^-1, skew generators by name (y1^2 allowed), scalar literals zeta^a,
-q1^e and rationals, optional * separators, with standalone + and - between
-terms.  A generator name is an identifier other than g<k>, zeta and the
+A scalar in "character" or "tau" is a JSON integer, an expression string,
+{"root": [a, d], "exps": [e1, ...]} for zeta^a q1^e1 ... with d the order
+of zeta^a, or {"num": ..., "den": ...}, lists of [exponents, coefficients]
+pairs.  Exponents, a and d are integers and coefficients integers or
+strings; a JSON boolean is no number.
+
+One grammar reads every expression.  Tokens are whitespace-separated, and
+* is a space.  A standalone + or - ends a term and gives the next one its
+sign, so a scalar may start with a sign as an element may.  In a term,
+rationals (2, -1/3), zeta^a and a transcendental q^e multiply into the
+coefficient; g<k>^e is the k-th group generator; and a skew generator
+name^e is e >= 0 letters, with e at most the size ceiling 1000 (y^0 is 1).
+Each entry point reads some of these letters:
+
+    scalar (character, tau)     no letters: a sum of coefficients
+    element (rhs, --element)    group and skew generators
+    --weight                    group generators, one term, coefficient 1
+    relation lhs                skew generators, one term, coefficient 1
+
+A generator name is an identifier other than g<k>, zeta and the
 transcendentals, which these tokens read as something else.
 """
 
@@ -31,7 +47,7 @@ from .presentation import _SIZE_CEILING, Presentation, SkewGenerator
 from .scalars import ScalarDomain
 from .serialize import element_to_str, scalar_from_jsonable, scalar_to_jsonable
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL = re.compile(r"^[+-]?\d+(/\d*[1-9]\d*)?$")  # no zero denominator
 _POWERED = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?$")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _GROUP_NAME = re.compile(r"g[0-9]+")
@@ -45,15 +61,6 @@ def _bounded(size, what):
     return size
 
 
-def _power(m, what):
-    """The ^power of a _POWERED match, checked against the ceiling."""
-    digits = m.group(2) or "1"
-    if len(digits) > 20:  # above the ceiling, and too long to echo or convert
-        raise PresentationError("%s has %d digits, above the size ceiling %d"
-                                % (what, len(digits), _SIZE_CEILING))
-    return _bounded(int(digits), what)
-
-
 def _number(convert, text, what):
     """convert(text) for int or Fraction, or a PresentationError when the
     text has more digits than Python converts."""
@@ -64,118 +71,76 @@ def _number(convert, text, what):
                                 % (what, sum(ch.isdigit() for ch in text))) from None
 
 
-def _tokens(text):
-    out = []
-    for raw in text.replace("*", " ").split():
-        out.append(raw)
-    return out
+def _terms(text, domain, group=None, names=()):
+    """The terms of an expression as [coefficient, letters] pairs, split at
+    standalone + and -.  A letter is ("g", element) for g<k>^e when a
+    group is given, or ("y", i) for names[i]^e; every other token is a
+    scalar literal of domain."""
+    terms, sign, term = [], 1, None
+    for tok in text.replace("*", " ").split():
+        if tok in ("+", "-"):
+            sign, term = (1 if tok == "+" else -1), None
+            continue
+        if term is None:
+            term = [domain.rational(sign), []]
+            terms.append(term)
+        m = _POWERED.match(tok)
+        name, power = m.groups("1") if m else (None, None)
+        if _RATIONAL.match(tok):
+            term[0] = term[0] * domain.rational(_number(Fraction, tok, "a rational"))
+        elif name is None:
+            raise PresentationError("unknown token %r in %r" % (tok, text))
+        elif group is not None and _GROUP_NAME.fullmatch(name):
+            idx = _number(int, name[1:], "a group generator index") - 1
+            if not 0 <= idx < group.ngens:
+                raise PresentationError("unknown group generator %r" % tok)
+            power = _number(int, power, "power of %s" % name)
+            term[1].append(("g", group.power(group.generator(idx), power)))
+        elif name in names:
+            if len(power) > 20:  # above the ceiling, and too long to echo or convert
+                raise PresentationError("power of %s has %d digits, above the size "
+                                        "ceiling %d" % (name, len(power), _SIZE_CEILING))
+            power = _bounded(int(power), "power of %s" % name)
+            if power < 0:
+                raise PresentationError("negative power of a skew generator %r" % tok)
+            term[1].extend([("y", names.index(name))] * power)
+        elif name == "zeta":
+            term[0] = term[0] * domain.zeta(_number(int, power, "power of zeta"))
+        elif name in domain.transcendentals:
+            term[0] = term[0] * domain.q(name, _number(int, power, "power of %s" % name))
+        else:
+            raise PresentationError("unknown token %r in %r" % (tok, text))
+    return terms
+
+
+def _word(text, *args):
+    """The letters of text read by _terms(text, *args), which must be one
+    term with coefficient 1."""
+    terms = _terms(text, *args)
+    if len(terms) != 1 or not terms[0][0].is_one():
+        raise PresentationError("%r is not one word with coefficient 1" % (text,))
+    return terms[0][1]
 
 
 def parse_scalar_expr(domain, text):
-    """A scalar from literal syntax: rationals, zeta^a, q-names, products."""
-    total = None
-    sign = 1
-    current = None
-    for tok in _tokens(text):
-        if tok == "+" or tok == "-":
-            if current is None:
-                raise PresentationError("misplaced %r in scalar %r" % (tok, text))
-            total = current if total is None else total + current
-            current = None
-            sign = 1 if tok == "+" else -1
-            continue
-        factor = _scalar_factor(domain, tok)
-        if factor is None:
-            raise PresentationError("bad scalar token %r in %r" % (tok, text))
-        if current is None:
-            current = domain.rational(sign)
-        current = current * factor
-    if current is not None:
-        total = current if total is None else total + current
-    if total is None:
+    """A scalar from the expression syntax: a sum of products of
+    rationals, zeta^a and transcendentals."""
+    terms = _terms(text, domain)
+    if not terms:
         raise PresentationError("empty scalar expression %r" % (text,))
-    return total
-
-
-def _scalar_factor(domain, tok):
-    if _RATIONAL.match(tok):
-        try:
-            return domain.rational(_number(Fraction, tok, "a rational"))
-        except ZeroDivisionError:
-            return None
-    m = _POWERED.match(tok)
-    if not m:
-        return None
-    name = m.group(1)
-    power = _number(int, m.group(2) or "1", "power of %s" % name)
-    if name == "zeta":
-        return domain.zeta(power)
-    if name in domain.transcendentals:
-        return domain.q(name, power) if power != 1 else domain.q(name)
-    return None
+    return sum((c for c, _ in terms[1:]), terms[0][0])
 
 
 def parse_element_expr(p, text):
-    """An algebra element from the word syntax, already normalized."""
-    terms = []
-    sign = 1
-    coeff = None
-    letters = []
-    started = False  # a token read since the last + or -, even y^0
-
-    def flush():
-        nonlocal coeff, letters, started
-        if started:
-            c = coeff if coeff is not None else p.domain.rational(sign)
-            terms.append((c, tuple(letters)))
-        coeff, letters, started = None, [], False
-
-    for tok in _tokens(text):
-        if tok in ("+", "-"):
-            flush()
-            sign = 1 if tok == "+" else -1
-            continue
-        started = True
-        m = _POWERED.match(tok)
-        name = m.group(1) if m else None
-        if name and _GROUP_NAME.fullmatch(name):
-            idx = _number(int, name[1:], "a group generator index") - 1
-            if not 0 <= idx < p.group.ngens:
-                raise PresentationError("unknown group generator %r" % tok)
-            power = _number(int, m.group(2) or "1", "power of %s" % name)
-            letters.append(("g", p.group.power(p.group.generator(idx), power)))
-            continue
-        if name and any(g.name == name for g in p.gens):
-            power = _power(m, "power of %s" % name)
-            if power < 0:
-                raise PresentationError("negative power of a skew generator %r" % tok)
-            yi = p.gen_index(name)
-            letters.extend([("y", yi)] * power)
-            continue
-        factor = _scalar_factor(p.domain, tok)
-        if factor is None:
-            raise PresentationError("unknown token %r in element %r" % (tok, text))
-        if coeff is None:
-            coeff = p.domain.rational(sign)
-        coeff = coeff * factor
-    flush()
-    return p.normalize(terms)
+    """An algebra element from the expression syntax, already normalized."""
+    return p.normalize(_terms(text, p.domain, p.group, tuple(g.name for g in p.gens)))
 
 
-def parse_group_element(group, text):
-    """A group element from a word like 'g1^2 g2^-1' (or '1')."""
-    elt = group.identity()
-    for tok in _tokens(text):
-        if tok == "1":
-            continue
-        m = _POWERED.match(tok)
-        if not m or not _GROUP_NAME.fullmatch(m.group(1)):
-            raise PresentationError("bad group token %r" % tok)
-        idx = _number(int, m.group(1)[1:], "a group generator index") - 1
-        if not 0 <= idx < group.ngens:
-            raise PresentationError("unknown group generator %r" % tok)
-        power = _number(int, m.group(2) or "1", "power of %s" % m.group(1))
-        elt = group.mul(elt, group.power(group.generator(idx), power))
+def parse_group_element(p, text):
+    """A group element of p from a word like 'g1^2 g2^-1' (or '1')."""
+    elt = p.group.identity()
+    for _, h in _word(text, p.domain, p.group):
+        elt = p.group.mul(elt, h)
     return elt
 
 
@@ -183,10 +148,10 @@ def _parse_scalar_entry(domain, data, where):
     try:
         if isinstance(data, dict):
             return scalar_from_jsonable(domain, data)
-        if isinstance(data, (int, str)):
-            if isinstance(data, str) and not _RATIONAL.match(data):
-                return parse_scalar_expr(domain, data)
-            return domain.rational(Fraction(data))
+        if isinstance(data, str):
+            return parse_scalar_expr(domain, data)
+        if type(data) is int:  # a bool is no number
+            return domain.rational(data)
     except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
         raise PresentationError("%s: bad scalar %r (%s)" % (where, data, exc))
     raise PresentationError("%s: bad scalar %r" % (where, data))
@@ -239,6 +204,7 @@ def parse_presentation_data(data, name=None):
                                     % (where, group.ngens))
         gens.append(SkewGenerator(gname, tuple(weight), tuple(character), tau))
     pre = Presentation(domain, group, gens, (), name=name)
+    names = tuple(g.name for g in gens)
     rules = []
     for k, rdata in enumerate(_typed(data.get("relations", []), list,
                                      "relations")):
@@ -248,23 +214,15 @@ def parse_presentation_data(data, name=None):
         if not lhs_txt:
             raise PresentationError("%s: missing lhs" % where)
         _typed(lhs_txt, str, where + ".lhs")
-        lhs = []
-        for tok in _tokens(lhs_txt):
-            m = _POWERED.match(tok)
-            if not m or not any(g.name == m.group(1) for g in pre.gens):
-                raise PresentationError("%s: lhs token %r is not a skew generator"
-                                        % (where, tok))
-            power = _power(m, "%s.lhs: power of %s" % (where, m.group(1)))
-            lhs.extend([pre.gen_index(m.group(1))] * power)
-        if rhs_txt in ("", "0"):
-            rhs = {}
-        else:
-            try:
-                elt = parse_element_expr(pre, rhs_txt)
-            except PresentationError as exc:
-                raise PresentationError("%s.rhs: %s" % (where, exc))
-            rhs = {w: c for w, c in elt.terms.items()}
-        rules.append((tuple(lhs), rhs))
+        try:
+            lhs = tuple(i for _, i in _word(lhs_txt, domain, None, names))
+        except PresentationError as exc:
+            raise PresentationError("%s.lhs: %s" % (where, exc))
+        try:
+            rhs = parse_element_expr(pre, rhs_txt).terms
+        except PresentationError as exc:
+            raise PresentationError("%s.rhs: %s" % (where, exc))
+        rules.append((lhs, rhs))
     return Presentation(domain, group, gens, rules, name=name)
 
 

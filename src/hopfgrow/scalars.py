@@ -30,7 +30,6 @@ homomorphism from those scalars onto Z/P.
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 from operator import add, sub
 
 from .cyclotomic import _power, CycloField, euler_phi
@@ -120,13 +119,38 @@ def _lp_at(a, point):
     return total % prime
 
 
+def _is_prime(n):
+    """Whether n is prime, for n < 4,759,123,141: the strong probable-prime
+    tests to the bases 2, 7 and 61 have no common false positive below
+    that bound (Jaeschke, Math. Comp. 61, 1993)."""
+    for b in (2, 7, 61):
+        if n % b == 0:
+            return n == b
+    if n < 2:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in (2, 7, 61):
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def _point(conductor, nvars):
     """(P, images of zeta^0..zeta^(phi(N) - 1), images of q_1..q_k): P the
     largest prime kN + 1 below 2^30, so residues and their sums of
     products stay small ints."""
     prime = (2 ** 30 - 2) // conductor * conductor + 1
-    while any(prime % d == 0 for d in range(2, isqrt(prime) + 1)):
+    while not _is_prime(prime):
         prime -= conductor
     rng = random.Random(1)
     while True:

@@ -24,23 +24,30 @@ def scalar_to_jsonable(s):
     return {"num": lp(s.num), "den": lp(s.den)}
 
 
+def _list_of(values, kinds, what):
+    """values, or a ValueError unless it is a list of kinds (a bool is no int)."""
+    if type(values) is not list or any(type(v) not in kinds for v in values):
+        raise ValueError("%s must be a list of %s"
+                         % (what, " or ".join(k.__name__ for k in kinds)))
+    return values
+
+
 def scalar_from_jsonable(domain, data):
-    if isinstance(data, (int, str)):
-        return domain.rational(Fraction(data))
     if "root" in data:
-        a, claimed = data["root"]
+        a, claimed = _list_of(data["root"], (int,), "root")
         order = domain.conductor // gcd(a, domain.conductor)
-        if claimed is not None and order != claimed:
+        if order != claimed:
             raise ValueError(
                 "scalar sanity check failed: zeta^%d has order %s, file says %s"
                 % (a, order, claimed))
-        exps = data.get("exps", [0] * domain.nvars)
+        exps = _list_of(data.get("exps", [0] * domain.nvars), (int,), "exps")
         return domain.monomial(domain.field.zeta(a), exps)
     def lp(side):
         out = domain.zero()
         for e, coeffs in side:
+            coeffs = _list_of(coeffs, (int, str), "coefficients")
             c = domain.field.from_coeffs([Fraction(x) for x in coeffs])
-            out = out + domain.monomial(c, e)
+            out = out + domain.monomial(c, _list_of(e, (int,), "exponents"))
         return out
     num = lp(data["num"])
     den = lp(data.get("den", [[[0] * domain.nvars, ["1"]]]))

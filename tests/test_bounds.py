@@ -54,6 +54,17 @@ def test_bound_first_dependent_family(reports):
     assert result.failing()[0].name == "independent-mod-coradical"
 
 
+
+def test_bound_first_needs_a_skew_commutation_scalar():
+    # y1 + y2 has weight g, but y1 g = q1 g y1 and y2 g = q2 g y2, so no
+    # one scalar commutes it past g
+    p = skew_free_presentation(v=2)
+    result = bound_first(p, [p.y(0) + p.y(1)])
+    assert result.value is None
+    assert [(h.name, h.detail) for h in result.failing()] == [
+        ("skew-commutation", "no scalar for pair (1, 1)"),
+        ("self-commutation-free", "")]
+
 def test_bound_second_examples(reports):
     p, report = reports["exterior"]
     base, refinement = bound_second(report)

@@ -7,7 +7,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from hopfgrow.catalog import EXAMPLES, build_example, taft_presentation
+from hopfgrow.catalog import (EXAMPLES, build_example, skew_free_presentation,
+                              taft_presentation)
 from hopfgrow.cli import UsageError, _parse_param, build_parser, main
 from hopfgrow.growth import dp_word_counts
 from hopfgrow.fileformat import presentation_to_jsonable
@@ -523,6 +524,31 @@ def test_parse_error_exit(capsys, tmp_path):
     assert err.startswith("presentation error: ") and "9" * 100 not in err
 
 
+
+
+@pytest.mark.parametrize("entry", [
+    {"root": [0, 1], "exps": ["q1", 0]}, {"root": [0, 1], "exps": [1.5, 0]},
+    {"root": [0, 1], "exps": [True, 0]}, {"root": [True, 1], "exps": [1, 0]},
+    {"root": [0, True], "exps": [1, 0]}, {"num": [[[1.5, 0], ["1"]]]},
+    {"num": [[[1, 0], ["1"]]], "den": [[[0, "0"], ["1"]]]},
+    {"num": [[[1, 0], [True]]]}, True],
+    ids=["exps-str", "exps-float", "exps-bool", "root-bool", "root-order-bool",
+         "num-float", "den-str", "coefficient-bool", "bool"])
+def test_file_scalar_types_end_in_one_error_line(capsys, tmp_path, entry):
+    # generator 0's character is q1, {"root": [0, 1], "exps": [1, 0]}; each
+    # entry puts a string, a float or a boolean where an integer belongs,
+    # which delta and invariants would read as a number or fail on
+    doc = presentation_to_jsonable(skew_free_presentation(v=2))
+    doc["generators"][0]["character"] = [entry]
+    path = tmp_path / "character.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["normalize", str(path), "--element", "y1"],
+                 ["delta", str(path), "--element", "y1 y2"],
+                 ["invariants", str(path), "--degree", "2", "--group-bound", "1",
+                  "--power-bound", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.count("\n")) == (1, "", 1), (argv, err)
+        assert err.startswith("presentation error: generators[0]: bad scalar "), err
 
 def test_huge_torsion_order_needs_no_cap(tmp_path):
     # the ball over Z/10^9 holds 3 elements within radius 1: listing the

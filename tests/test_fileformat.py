@@ -6,10 +6,13 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfgrow.catalog import (exterior_presentation, qplane_presentation,
                               skew_free_presentation, skew_trunc_presentation,
                               taft_presentation)
+from hopfgrow.coalgebra import delta
 from hopfgrow.errors import PresentationError
 from hopfgrow.fileformat import (load_presentation, parse_element_expr,
                                  parse_group_element, parse_presentation_data,
@@ -133,8 +136,11 @@ def test_scalar_expr_parsing():
     assert parse_scalar_expr(dom, "-1 * q1^2 * q2^-1") == \
         dom.rational(-1) * dom.q(0) ** 2 * dom.q(1) ** -1
     assert parse_scalar_expr(dom, "1 + zeta") == dom.one() + dom.zeta()
-    with pytest.raises(PresentationError):
-        parse_scalar_expr(dom, "nope")
+    # a scalar may start with a sign, as an element may
+    assert parse_scalar_expr(dom, "- 1 + zeta") == dom.zeta() - dom.one()
+    for text in ("nope", "1/0", "", "+", "y1", "g1"):
+        with pytest.raises(PresentationError):
+            parse_scalar_expr(dom, text)
 
 
 def _root_multiples():
@@ -225,9 +231,27 @@ def test_element_string_round_trip():
 
 def test_group_word_parsing():
     p = exterior_presentation(2)
-    assert parse_group_element(p.group, "g1") == (1,)
-    assert parse_group_element(p.group, "g1^2") == (0,)
-    assert parse_group_element(p.group, "1") == (0,)
+    assert parse_group_element(p, "g1") == (1,)
+    assert parse_group_element(p, "g1^2") == (0,)
+    assert parse_group_element(p, "1") == (0,)
+    # one term with coefficient 1, and group letters only
+    for text in ("2 g1", "- g1", "g1 + g1", "", "y1", "g2"):
+        with pytest.raises(PresentationError):
+            parse_group_element(p, text)
+
+
+@pytest.mark.parametrize("lhs, message", [
+    ("y1 + y2", "relations[0].lhs: 'y1 + y2' is not one word with coefficient 1"),
+    ("2 y1", "relations[0].lhs: '2 y1' is not one word with coefficient 1"),
+    ("y1 g1", "relations[0].lhs: unknown token 'g1' in 'y1 g1'"),
+    ("y1^-1", "relations[0].lhs: negative power of a skew generator 'y1^-1'"),
+])
+def test_relation_lhs_is_one_word(lhs, message):
+    doc = dict(_document(skew_free_presentation(v=2)),
+               relations=[{"lhs": lhs, "rhs": ""}])
+    with pytest.raises(PresentationError) as err:
+        parse_presentation_data(doc)
+    assert str(err.value) == message
 
 
 def test_file_loading(tmp_path):
@@ -353,3 +377,72 @@ def test_size_ceiling_is_inclusive():
     assert parse_element_expr(p, "y^1000").is_zero()  # y^3 = 0
     with pytest.raises(PresentationError, match="size ceiling"):
         parse_element_expr(p, "y^1001")
+
+
+# the reader's alphabet on a presentation with zeta_6, q1, Z x Z/3 and two
+# skew generators: g0, g3 and x name nothing, 1/0 is no rational
+_READER_DOC = {
+    "scalars": {"cyclotomic_order": 6, "transcendentals": ["q1"]},
+    "group": {"free_rank": 1, "torsion": [3]},
+    "generators": [
+        {"name": "y1", "weight": [1, 0], "character": ["q1", "zeta^2"]},
+        {"name": "y2", "weight": [0, 1], "character": ["-1", 1]}],
+}
+_READER_P = parse_presentation_data(_READER_DOC)
+_LETTER_FREE = ("zeta", "q1", "x", "2", "-1/3", "0", "1/0")
+_TOKENS = st.one_of(
+    st.tuples(st.sampled_from(("y1", "y2", "g0", "g1", "g2", "g3") + _LETTER_FREE),
+              st.sampled_from(("", "^-1", "^0", "^2", "^" + "9" * 25))).map("".join),
+    st.sampled_from(("+", "-", "*")))
+
+
+def _reads(parse, *args):
+    """parse(*args), or None when it raises a PresentationError."""
+    try:
+        return parse(*args)
+    except PresentationError:
+        return None
+
+
+@settings(derandomize=True, max_examples=300)
+@given(tokens=st.lists(_TOKENS, max_size=8))
+def test_reader_agrees_across_entry_points(tokens):
+    p, text = _READER_P, " ".join(tokens)
+    scalar = _reads(parse_scalar_expr, p.domain, text)
+    element = _reads(parse_element_expr, p, text)
+    word = _reads(parse_group_element, p, text)
+    doc = dict(_READER_DOC, relations=[{"lhs": text, "rhs": ""}])
+    _reads(parse_presentation_data, doc)
+    identity = p.group.identity()
+    if scalar is not None:
+        assert element is not None
+        assert set(element.terms) <= {(identity, ())}
+        assert element.terms.get((identity, ()), p.domain.zero()) == scalar
+    if word is not None:
+        assert element == p.group_element(word)
+
+
+# characters of y1 on skew_free v=2 (conductor 1, q1 and q2): q1, 1,
+# q1 + 2 q2 and 1/2; a draw puts wrong types at up to two of their nodes
+_CHARACTERS = [{"root": [0, 1], "exps": [1, 0]}, {"root": [3, 1]},
+               {"num": [[[1, 0], ["1"]], [[0, 1], [2]]], "den": [[[0, 0], ["1"]]]},
+               {"num": [[[0, 0], ["1/2"]]]}]
+_NODES = st.sampled_from([True, False, None, 1.5, "q1", "1", "1/0", "x", [], {}, [1],
+                          [[1]], 10 ** 30, -1, 0, 1, 2])
+
+
+@settings(derandomize=True, max_examples=300)
+@given(data=st.data())
+def test_scalar_dicts_load_or_raise_presentation_error(data):
+    scalar = copy.deepcopy(data.draw(st.sampled_from(_CHARACTERS)))
+    for _ in range(data.draw(st.integers(0, 2))):
+        path = data.draw(st.sampled_from(list(_paths(scalar))[1:]))
+        parent = scalar
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = copy.deepcopy(data.draw(_NODES))
+    doc = _document(skew_free_presentation(v=2))
+    doc["generators"][0]["character"] = [scalar]
+    p = _reads(parse_presentation_data, doc)
+    if p is not None:
+        delta(p, parse_element_expr(p, "y1 y2"))

@@ -530,3 +530,31 @@ def test_pbw_scan_multiplies_in_monomial_order():
     family = [p.y(0), p.y(1)]
     assert pbw_dependence_scan(p, family, 4).independent
     _assert_scan_matches_oracle(p, family, 4)
+
+
+def test_dependence_conclusions_on_relations_that_are_not_pure_powers():
+    # y1^3 = relation, with y1, y3 of weight g and lambda = zeta_3, y2 of
+    # weight g^3 and y4 of weight g^2, both with the trivial character
+    dom, group = ScalarDomain(3), GroupData(1)
+    g = group.generator(0)
+    weights = [g, group.power(g, 3), g, group.power(g, 2)]
+    chars = [dom.zeta(), dom.one(), dom.zeta(), dom.one()]
+    p = Presentation(dom, group, [SkewGenerator("y%d" % (i + 1), w, (c,))
+                                  for i, (w, c) in enumerate(zip(weights, chars))])
+    primitives = [p.y(i) for i in range(4)]
+
+    def conclusions(*monomials):
+        out = _check_dependence_conclusions(p, primitives, weights, (3, 0, 0, 0),
+                                            {e: dom.one() for e in monomials})
+        assert out["dependent-monomial-is-pure-power"]
+        assert out["self-commutation-is-primitive-root"]
+        return (out["relation-monomials-have-predicted-shape"],
+                out["relation-weights-match"])
+
+    # a coradical term, a linear term of weight g^3, and y3^3 (order 3)
+    assert conclusions((0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 3, 0)) == (True, True)
+    assert conclusions((1, 0, 0, 0)) == (True, False)  # weight g, not g^3
+    assert conclusions((0, 0, 0, 1)) == (True, False)  # weight g^2
+    assert conclusions((0, 1, 1, 0)) == (False, True)  # two primitives
+    assert conclusions((0, 0, 2, 0)) == (False, False)  # lambda_3 has order 3
+    assert conclusions((0, 0, 0, 2)) == (False, False)  # lambda_4 = 1

@@ -13,7 +13,7 @@ from hopfgrow.invariants import (CommutatorAnalysis, QuotientSpace, _level,
                                  _saturate, _strip_coradical, commutator_level,
                                  compute_invariants, conjugate,
                                  conjugation_matrix, generalized_commutator,
-                                 is_skew_primitive)
+                                 is_skew_primitive, normalize_witness)
 from hopfgrow.linalg import ScalarElimination
 from hopfgrow.scalars import INFINITE, ScalarDomain, UnitMonomial, multiplicative_order
 
@@ -392,3 +392,17 @@ def test_relation_search_matches_the_power_loop():
         found += rel is not None
         missing += rel is None
     assert found > 50 and missing > 50
+
+
+def test_normalize_witness_shifts_off_the_coradical_line():
+    # on taft, g^-1 y g = zeta y; z = y + c (g - 1) is skew primitive of
+    # weight g, and T(z) - zeta z = c (1 - zeta) (g - 1) is shifted away
+    p = taft_presentation(3)
+    g = p.group.generator(0)
+    y = p.y(0)
+    gamma = p.domain.zeta()
+    assert conjugate(p, g, y) == y.scale(gamma)
+    z = y + (p.group_element(g) - p.one()).scale(p.domain.rational(5))
+    assert is_skew_primitive(p, z) == g
+    assert normalize_witness(p, g, gamma, z) == y
+    assert normalize_witness(p, g, gamma, y) == y

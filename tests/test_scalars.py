@@ -7,7 +7,7 @@ import pytest
 
 from hopfgrow.cyclotomic import cyclotomic_polynomial
 from hopfgrow.scalars import (INFINITE, Scalar, ScalarDomain, ScalarShapeError,
-                              UnitMonomial, _lp_add, _lp_mul, _point,
+                              UnitMonomial, _is_prime, _lp_add, _lp_mul, _point,
                               _powers_cancel, multiplicative_order, quantum_binomial,
                               subgroup_rank)
 
@@ -417,3 +417,30 @@ def test_operations_leave_operands_unchanged(conductor):
     assert dom._one_lp == one_lp and dom.one().num is dom._one_lp
     scalars = pool + [x for x in results if isinstance(x, Scalar)]
     assert all(x.den is dom._one_lp for x in scalars if len(x.den) == 1)
+
+
+def _prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    # every n below 20,000 holds the strong pseudoprimes to base 2 there
+    # (2047, 3277, 4033, ...); then every candidate the search of _point
+    # visits for N = 1..60, and random n below 2^30
+    candidates = list(range(20000))
+    for conductor in range(1, 61):
+        n = (2 ** 30 - 2) // conductor * conductor + 1
+        while not _prime_by_trial_division(n):
+            candidates.append(n)
+            n -= conductor
+        candidates.append(n)
+    rng = random.Random(1313)
+    candidates += [rng.randrange(2 ** 30) for _ in range(2000)]
+    for n in candidates:
+        assert _is_prime(n) == _prime_by_trial_division(n), n
+
+
+@pytest.mark.parametrize("conductor, prime", [
+    (1, 1073741789), (3, 1073741719), (7, 1073741789), (12, 1073741689)])
+def test_point_prime_is_pinned(conductor, prime):
+    assert _point(conductor, 1)[0] == prime
