@@ -1,12 +1,14 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_N).
 
-Elements are represented as polynomials in zeta_N of degree < phi(N),
-reduced modulo the N-th cyclotomic polynomial, with integer coefficients
-over one common positive denominator (the nf_elem form of FLINT/Antic).
-Dividing through by the gcd makes the representation canonical, so
-equality is coefficient-wise.  Phi_N is monic with integer coefficients,
-so a product is an integer convolution and an integer reduction; the gcd
-pass is skipped when the denominator is 1.
+An element is a polynomial in zeta_N of degree < phi(N) = deg Phi_N with
+integer coefficients over one common positive denominator, divided through
+by their gcd (the nf_elem form of FLINT/Antic), so equality is
+coefficient-wise.  Phi_N is monic with integer coefficients, so a product
+is an integer convolution and reduction.  Fractions appear only at input
+and output (rational, from_coeffs, coeffs) and in the remainders of
+inverse, which runs extended Euclid against Phi_N with its Bezout
+coefficients kept as field elements; one polynomial division serves it
+and the construction of Phi_N.
 """
 
 from fractions import Fraction
@@ -15,60 +17,34 @@ from math import gcd
 
 from .intmat import primitive_vector
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-def euler_phi(n):
-    """Euler totient of a positive integer."""
-    if n < 1:
-        raise ValueError("euler_phi needs a positive integer")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-def _poly_divmod_int(num, den):
-    """Exact division of integer coefficient lists (low-to-high).
-
-    Raises if the division leaves a remainder; used only where divisibility
-    is guaranteed (cyclotomic polynomial recursion).
-    """
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for shift in range(len(num) - len(den), -1, -1):
-        c = num[shift + len(den) - 1]
-        if c % lead != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        q = c // lead
-        out[shift] = q
-        if q:
-            for i, d in enumerate(den):
-                num[shift + i] -= q * d
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
+def _poly_divmod(num, den):
+    """(quotient, remainder) of coefficient lists (low-to-high) over Q,
+    the remainder stripped of trailing zeros; den's top coefficient is
+    nonzero.  Integer lists stay integer when den is monic."""
+    rem = list(num)
+    n = len(den) - 1
+    lead = den[n]
+    quo = [0] * max(0, len(rem) - n)
+    for shift in range(len(rem) - n - 1, -1, -1):
+        c = rem[shift + n]
+        if c:
+            if lead != 1:
+                c = Fraction(c, lead)
+            quo[shift] = c
+            for i in range(n):
+                rem[shift + i] -= c * den[i]
+    del rem[n:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
     """Coefficients (low-to-high, ints) of the n-th cyclotomic polynomial."""
-    if n == 1:
-        return (-1, 1)
     # x^n - 1 divided by the product of Phi_d over proper divisors d of n
-    num = [0] * (n + 1)
-    num[0] = -1
-    num[n] = 1
+    num = [-1] + [0] * (n - 1) + [1]
     den = [1]
     for d in range(1, n):
         if n % d == 0:
@@ -79,7 +55,7 @@ def cyclotomic_polynomial(n):
                     for j, b in enumerate(phi_d):
                         new[i + j] += a * b
             den = new
-    return tuple(_poly_divmod_int(num, den))
+    return tuple(_poly_divmod(num, den)[0])
 
 
 class CycloField:
@@ -100,9 +76,8 @@ class CycloField:
         if conductor < 1:
             raise ValueError("conductor must be a positive integer")
         self.conductor = conductor
-        self.degree = euler_phi(conductor)
         modulus = cyclotomic_polynomial(conductor)
-        self._modulus = tuple(Fraction(c) for c in modulus)
+        self.degree = len(modulus) - 1
         # zeta^degree = -(lower part of Phi_N), Phi_N being monic
         self._ext_rows = [tuple(-c for c in modulus[:-1])]
         self._zero = CycloRational(self, (0,) * self.degree, 1)
@@ -230,48 +205,6 @@ def _canonical(field, nums, den):
     return CycloRational(field, nums, den)
 
 
-def _poly_mul_frac(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_ext_gcd_frac(a, m):
-    """Extended Euclid over Q[x]: returns (g, u) with u*a = g mod m."""
-    r0, r1 = list(m), list(a)
-    s0, s1 = [_ZERO], [_ONE]
-    while any(r1):
-        rem = list(r0)
-        while rem and not rem[-1]:
-            rem.pop()
-        r1t = list(r1)
-        while r1t and not r1t[-1]:
-            r1t.pop()
-        q = [_ZERO] * max(1, len(rem) - len(r1t) + 1)
-        while True:
-            while rem and not rem[-1]:
-                rem.pop()
-            if not rem or len(rem) < len(r1t):
-                break
-            c = rem[-1] / r1t[-1]
-            shift = len(rem) - len(r1t)
-            q[shift] += c
-            for i in range(len(r1t)):
-                rem[shift + i] -= c * r1t[i]
-            rem.pop()
-        prod = _poly_mul_frac(q, s1)
-        new_s = list(s0) + [_ZERO] * max(0, len(prod) - len(s0))
-        for i, v in enumerate(prod):
-            new_s[i] -= v
-        r0, r1 = r1, rem
-        s0, s1 = s1, new_s
-    return r0, s0
-
-
 def _power(x, n, one):
     """x^n for an integer n by square-and-multiply, one being the unit of
     x's ring; a negative n raises x.inverse()."""
@@ -377,18 +310,27 @@ class CycloRational:
     __rmul__ = __mul__
 
     def inverse(self):
+        """1 / self by extended Euclid of nums against Phi_N: each Bezout
+        coefficient is a field element s with s * nums(zeta) = r(zeta) for
+        the current remainder r, and once r is a constant c the inverse of
+        nums / den is s * den / c."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % self.field.conductor)
         if self.is_rational():
             return self.field.rational(Fraction(self.den, self.nums[0]))
-        g, u = _poly_ext_gcd_frac(list(self.coeffs), list(self.field._modulus))
-        while g and not g[-1]:
-            g.pop()
-        if len(g) != 1:
+        field = self.field
+        r0, r1 = cyclotomic_polynomial(field.conductor), list(self.nums)
+        while not r1[-1]:
+            r1.pop()
+        s0, s1 = field.zero(), field.one()
+        while len(r1) > 1:
+            q, r = _poly_divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, s0 - field.from_coeffs(q) * s1
+        if not r1:
             # Phi_N is irreducible over Q, so the gcd must be a constant
             raise ArithmeticError("cyclotomic inversion failed")
-        c = g[0]
-        return self.field.from_coeffs([x / c for x in u])
+        return s1 * Fraction(self.den, r1[0])
 
     def __truediv__(self, other):
         return self * other.inverse()

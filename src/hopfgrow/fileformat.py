@@ -22,10 +22,11 @@ strings; a JSON boolean is no number.
 
 One grammar reads every expression.  Tokens are whitespace-separated, and
 * is a space.  A standalone + or - ends a term and gives the next one its
-sign, so a scalar may start with a sign as an element may.  In a term,
-rationals (2, -1/3), zeta^a and a transcendental q^e multiply into the
-coefficient; g<k>^e is the k-th group generator; and a skew generator
-name^e is e >= 0 letters, with e at most the size ceiling 1000 (y^0 is 1).
+sign, so a scalar may start with a sign as an element may; a sign may not
+follow a sign.  In a term, rationals (2, -1/3), zeta^a and a
+transcendental q^e multiply into the coefficient; g<k>^e is the k-th group
+generator; and a skew generator name^e is e >= 0 letters, with e at most
+the size ceiling 1000 (y^0 is 1).
 Each entry point reads some of these letters:
 
     scalar (character, tau)     no letters: a sum of coefficients
@@ -33,12 +34,14 @@ Each entry point reads some of these letters:
     --weight                    group generators, one term, coefficient 1
     relation lhs                skew generators, one term, coefficient 1
 
-A generator name is an identifier other than g<k>, zeta and the
-transcendentals, which these tokens read as something else.
+A transcendental is an identifier other than g<k>, zeta and the
+transcendentals before it, and a generator name one other than g<k>, zeta
+and the transcendentals, which these tokens read as something else.
 """
 
 import json
 import re
+import reprlib
 from fractions import Fraction
 
 from .errors import PresentationError
@@ -75,25 +78,26 @@ def _terms(text, domain, group=None, names=()):
     """The terms of an expression as [coefficient, letters] pairs, split at
     standalone + and -.  A letter is ("g", element) for g<k>^e when a
     group is given, or ("y", i) for names[i]^e; every other token is a
-    scalar literal of domain."""
+    scalar literal of domain.  A sign may not follow a sign."""
     terms, sign, term = [], 1, None
-    for tok in text.replace("*", " ").split():
+    tokens = text.replace("*", " ").split()
+    for prev, tok in zip([None] + tokens, tokens):
         if tok in ("+", "-"):
+            if prev in ("+", "-"):
+                raise PresentationError("a sign follows a sign in %s" % reprlib.repr(text))
             sign, term = (1 if tok == "+" else -1), None
             continue
         if term is None:
             term = [domain.rational(sign), []]
             terms.append(term)
         m = _POWERED.match(tok)
-        name, power = m.groups("1") if m else (None, None)
+        name, power = m.groups("1") if m else ("", None)  # "" names nothing
         if _RATIONAL.match(tok):
             term[0] = term[0] * domain.rational(_number(Fraction, tok, "a rational"))
-        elif name is None:
-            raise PresentationError("unknown token %r in %r" % (tok, text))
         elif group is not None and _GROUP_NAME.fullmatch(name):
             idx = _number(int, name[1:], "a group generator index") - 1
             if not 0 <= idx < group.ngens:
-                raise PresentationError("unknown group generator %r" % tok)
+                raise PresentationError("unknown group generator %s" % reprlib.repr(tok))
             power = _number(int, power, "power of %s" % name)
             term[1].append(("g", group.power(group.generator(idx), power)))
         elif name in names:
@@ -109,7 +113,8 @@ def _terms(text, domain, group=None, names=()):
         elif name in domain.transcendentals:
             term[0] = term[0] * domain.q(name, _number(int, power, "power of %s" % name))
         else:
-            raise PresentationError("unknown token %r in %r" % (tok, text))
+            raise PresentationError("unknown token %s in %s"
+                                    % (reprlib.repr(tok), reprlib.repr(text)))
     return terms
 
 
@@ -118,7 +123,7 @@ def _word(text, *args):
     term with coefficient 1."""
     terms = _terms(text, *args)
     if len(terms) != 1 or not terms[0][0].is_one():
-        raise PresentationError("%r is not one word with coefficient 1" % (text,))
+        raise PresentationError("%s is not one word with coefficient 1" % reprlib.repr(text))
     return terms[0][1]
 
 
@@ -127,7 +132,7 @@ def parse_scalar_expr(domain, text):
     rationals, zeta^a and transcendentals."""
     terms = _terms(text, domain)
     if not terms:
-        raise PresentationError("empty scalar expression %r" % (text,))
+        raise PresentationError("empty scalar expression %s" % reprlib.repr(text))
     return sum((c for c, _ in terms[1:]), terms[0][0])
 
 
@@ -153,8 +158,8 @@ def _parse_scalar_entry(domain, data, where):
         if type(data) is int:  # a bool is no number
             return domain.rational(data)
     except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
-        raise PresentationError("%s: bad scalar %r (%s)" % (where, data, exc))
-    raise PresentationError("%s: bad scalar %r" % (where, data))
+        raise PresentationError("%s: bad scalar %s (%s)" % (where, reprlib.repr(data), exc))
+    raise PresentationError("%s: bad scalar %s" % (where, reprlib.repr(data)))
 
 
 _JSON_TYPES = {dict: "object", list: "list", str: "string"}
@@ -167,6 +172,17 @@ def _typed(value, kind, where):
     return value
 
 
+def _identifier(name, where, taken, what):
+    """name, or a PresentationError unless it is an identifier other than
+    g<k>, zeta and the names taken, which the expression syntax reads
+    first; what describes taken."""
+    if (not _NAME.fullmatch(name) or _GROUP_NAME.fullmatch(name)
+            or name == "zeta" or name in taken):
+        raise PresentationError("%s %s must be an identifier other than g<k>, zeta and %s"
+                                % (where, reprlib.repr(name), what))
+    return name
+
+
 def parse_presentation_data(data, name=None):
     """Build a Presentation from a decoded JSON document."""
     _typed(data, dict, "presentation file")
@@ -174,8 +190,13 @@ def parse_presentation_data(data, name=None):
     grp = _typed(data.get("group", {}), dict, "group")
     order = _bounded(scal.get("cyclotomic_order", 1), "scalars.cyclotomic_order")
     free_rank = _bounded(grp.get("free_rank", 0), "group.free_rank")
+    qnames = _typed(scal.get("transcendentals", []), list, "scalars.transcendentals")
+    for k, qname in enumerate(qnames):
+        where = "scalars.transcendentals[%d]" % k
+        _identifier(_typed(qname, str, where), where, qnames[:k],
+                    "the transcendentals before it")
     try:
-        domain = ScalarDomain(order, tuple(scal.get("transcendentals", ())))
+        domain = ScalarDomain(order, tuple(qnames))
         group = GroupData(free_rank, tuple(grp.get("torsion", ())))
     except (ValueError, TypeError, OverflowError) as exc:
         raise PresentationError("bad scalars or group: %s" % exc)
@@ -191,13 +212,8 @@ def parse_presentation_data(data, name=None):
         if "tau" in gdata:
             tau = [_parse_scalar_entry(domain, c, where)
                    for c in _typed(gdata["tau"], list, where + ".tau")]
-        gname = _typed(gdata["name"], str, where + ".name")
-        # the expression syntax reads g<k>, zeta and a transcendental first
-        if (not _NAME.fullmatch(gname) or _GROUP_NAME.fullmatch(gname)
-                or gname == "zeta" or gname in domain.transcendentals):
-            raise PresentationError(
-                "%s.name %r must be an identifier other than g<k>, zeta and the "
-                "transcendentals" % (where, gname))
+        gname = _identifier(_typed(gdata["name"], str, where + ".name"), where + ".name",
+                            domain.transcendentals, "the transcendentals")
         weight = _typed(gdata["weight"], list, where + ".weight")
         if len(weight) != group.ngens or any(type(x) is not int for x in weight):
             raise PresentationError("%s.weight needs %d integer exponents"

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 
-from .cyclotomic import _power, CycloField, euler_phi
+from .cyclotomic import _power, CycloField, cyclotomic_polynomial
 from .elements import add_term
 from .intmat import integer_rank
 
@@ -157,7 +157,8 @@ def _point(conductor, nvars):
         zeta = pow(rng.randrange(2, prime), (prime - 1) // conductor, prime)
         if all(pow(zeta, d, prime) != 1 for d in range(1, conductor) if conductor % d == 0):
             break
-    zeta_powers = tuple(pow(zeta, i, prime) for i in range(euler_phi(conductor)))
+    degree = len(cyclotomic_polynomial(conductor)) - 1
+    zeta_powers = tuple(pow(zeta, i, prime) for i in range(degree))
     return prime, zeta_powers, tuple(rng.randrange(1, prime) for _ in range(nvars))
 
 

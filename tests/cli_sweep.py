@@ -11,10 +11,15 @@ leaves no difference.  The list covers check-example on every builtin
 setting the tests check, and invariants, bounds, primitives, growth,
 delta and normalize on the same settings (tau ones included), in text
 and json, and invariants and bounds at the default bounds on the two
-settings where the primitive search leaves out the most columns; no
+settings where the primitive search leaves out the most columns.  It also
+writes three presentation files into OUT_DIR, whose characters are
+fractions of cyclotomic polynomials: reading them inverts elements of
+Q(zeta_N) that are not rational, which no builtin does.  Every command
+runs in OUT_DIR, so these files are named without a directory, and no
 command takes more than a few seconds.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -33,6 +38,36 @@ _SEARCH = ["--degree", "4", "--group-bound", "2"]
 # run at the default bounds
 _AT_DEFAULTS = [["--example", "skew_free", "--param", "v=2", "--param", "tau=1"],
                 ["--example", "skew_trunc"]]
+
+
+def _ratio(num, den, nvars=0, exps=None):
+    """The JSON scalar num / den for power-basis coefficient lists num and
+    den, num carrying q-exponents exps."""
+    return {"num": [[exps or [0] * nvars, num]], "den": [[[0] * nvars, den]]}
+
+
+def _file(conductor, characters, relations=(), transcendentals=()):
+    """A presentation over Z with generators y1, y2, ... of weight g1, one
+    for each character."""
+    return {"scalars": {"cyclotomic_order": conductor,
+                        "transcendentals": list(transcendentals)},
+            "group": {"free_rank": 1},
+            "generators": [{"name": "y%d" % (i + 1), "weight": [1], "character": [c]}
+                           for i, c in enumerate(characters)],
+            "relations": [{"lhs": lhs, "rhs": ""} for lhs in relations]}
+
+
+FILES = {
+    # (1 + zeta) / (1 + zeta^-1) = zeta at N = 12, and y1^12 = 0
+    "fraction-root.json": _file(12, [_ratio(["1", "1"], ["1", "1", "0", "-1"])],
+                                ["y1^12"]),
+    # q1 / (1 + zeta) and (2 - zeta^2) / (1 + zeta^3) at N = 12
+    "fraction-q.json": _file(12, [_ratio(["1"], ["1", "1"], 1, [1]),
+                                  _ratio(["2", "0", "-1"], ["1", "0", "0", "1"], 1)],
+                             transcendentals=["q1"]),
+    # 1 / (1 + zeta) at N = 420, where phi(N) = 96
+    "fraction-420.json": _file(420, [_ratio(["1"], ["1", "1"])]),
+}
 
 
 def _element(name):
@@ -64,6 +99,14 @@ def commands():
         for fmt in ("text", "json"):
             out += [[command] + source + ["--format", fmt]
                     for command in ("invariants", "bounds")]
+    search = ["--degree", "4", "--group-bound", "2", "--power-bound", "4"]
+    out += [["invariants", "fraction-root.json"] + search,
+            ["bounds", "fraction-root.json"] + search,
+            ["normalize", "fraction-q.json", "--element", "y1 g1"],
+            ["delta", "fraction-q.json", "--element", "y1 y2"],
+            ["invariants", "fraction-q.json", "--degree", "3", "--group-bound", "2",
+             "--power-bound", "3"],
+            ["normalize", "fraction-420.json", "--element", "y1 g1"]]
     return out
 
 
@@ -75,9 +118,11 @@ def main(argv):
     out_dir.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     env.pop("HOPFGROW_MAX_WORDS", None)
+    for name, doc in FILES.items():
+        (out_dir / name).write_text(json.dumps(doc, indent=1) + "\n")
     listing = []
     for n, cmd in enumerate(commands()):
-        done = subprocess.run([sys.executable, "-m", "hopfgrow"] + cmd,
+        done = subprocess.run([sys.executable, "-m", "hopfgrow"] + cmd, cwd=out_dir,
                               capture_output=True, env=env, timeout=60)
         stem = out_dir / ("%03d" % n)
         stem.with_suffix(".out").write_bytes(done.stdout)

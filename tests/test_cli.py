@@ -550,6 +550,39 @@ def test_file_scalar_types_end_in_one_error_line(capsys, tmp_path, entry):
         assert (code, out, err.count("\n")) == (1, "", 1), (argv, err)
         assert err.startswith("presentation error: generators[0]: bad scalar "), err
 
+
+@pytest.mark.parametrize("names", [[None], [3], ["1"], ["zeta"], ["g1"], ["q 1"],
+                                   ["q1", "q1"]],
+                         ids=["null", "int", "digit", "zeta", "g1", "space", "repeat"])
+def test_file_transcendental_names_end_in_one_error_line(capsys, tmp_path, names):
+    # none of these is a name the expression syntax reads back as that
+    # transcendental: a non-string, a number, zeta, a group generator, two
+    # tokens, or a name already taken
+    doc = presentation_to_jsonable(skew_free_presentation(v=1))
+    doc["scalars"]["transcendentals"] = names
+    path = tmp_path / "transcendentals.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["normalize", str(path), "--element", "y1 g1"],
+                 ["invariants", str(path), "--degree", "2", "--group-bound", "1",
+                  "--power-bound", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.count("\n")) == (1, "", 1), (argv, err)
+        assert err.startswith("presentation error: scalars.transcendentals[%d] "
+                              % (len(names) - 1)), err
+        assert "Traceback" not in err
+
+
+def test_long_file_scalar_is_not_echoed(capsys, tmp_path):
+    doc = presentation_to_jsonable(skew_free_presentation(v=1))
+    doc["generators"][0]["character"] = ["9" * 5000]
+    path = tmp_path / "long-scalar.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "normalize", str(path), "--element", "y1")
+    assert (code, out, err.count("\n")) == (1, "", 1), err[:200]
+    assert err.startswith("presentation error: generators[0]: bad scalar ")
+    assert len(err) < 200 and "Traceback" not in err
+
+
 def test_huge_torsion_order_needs_no_cap(tmp_path):
     # the ball over Z/10^9 holds 3 elements within radius 1: listing the
     # whole cyclic group fails the timeout or the address-space cap

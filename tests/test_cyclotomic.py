@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hopfgrow.cyclotomic import CycloField, cyclotomic_polynomial, euler_phi
+from hopfgrow.cyclotomic import CycloField, cyclotomic_polynomial
 
 
 def test_cyclotomic_polynomials_small():
@@ -17,7 +19,7 @@ def test_cyclotomic_polynomials_small():
 
 
 def test_euler_phi():
-    assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+    assert [CycloField(n).degree for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
 
 def test_zeta_powers_and_relations():
@@ -122,7 +124,18 @@ def _oracle_element(f, rng):
     return f.from_coeffs(coeffs)
 
 
-@pytest.mark.parametrize("conductor", [1, 2, 3, 4, 5, 7, 8, 9, 12, 15])
+def _sparse_elements(f):
+    """1 + zeta, three powers of zeta, 2 + zeta - 3 zeta^5, and one dense
+    element with small coefficients."""
+    rng = random.Random(f.conductor)
+    yield f.one() + f.zeta()
+    for a in (1, 7, f.conductor - 1):
+        yield f.zeta(a)
+    yield f.rational(2) + f.zeta() - f.zeta(5) * 3
+    yield f.from_coeffs([rng.randint(-2, 2) for _ in range(f.degree)])
+
+
+@pytest.mark.parametrize("conductor", [1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 105])
 def test_arithmetic_matches_sympy(conductor):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
@@ -147,8 +160,17 @@ def test_arithmetic_matches_sympy(conductor):
         assert hash(f.from_coeffs(e.coeffs)) == hash(e)
 
     rng = random.Random(500 + conductor)
-    for _ in range(12):
-        a, b = _oracle_element(f, rng), _oracle_element(f, rng)
+
+    def pairs():
+        # large random coefficients while phi(N) is small, then the sparse
+        # elements and the dense one, each beside the next
+        if f.degree < 48:
+            for _ in range(12):
+                yield _oracle_element(f, rng), _oracle_element(f, rng)
+        sparse = list(_sparse_elements(f))
+        yield from zip(sparse, sparse[1:] + sparse[:1])
+
+    for a, b in pairs():
         pa, pb = to_poly(a), to_poly(b)
         assert coeffs_of(pa) == a.coeffs
         results = [(a + b, pa + pb), (a - b, pa - pb), (a * b, (pa * pb).rem(modulus))]
@@ -179,3 +201,31 @@ def test_zeta_multiple_recovers_the_rational_factor(conductor):
             assert b <= a and f.zeta(b) * s == x, (a, r)
             assert (x.unity_order() is None) == (r not in (1, -1)), (a, r)
     assert f.zeta_multiple(f.zero()) is None
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 121):
+        poly = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
+        assert cyclotomic_polynomial(n) == tuple(int(c) for c in reversed(poly.all_coeffs())), n
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@settings(derandomize=True, max_examples=100)
+@given(data=st.data())
+def test_inverse_times_element_is_one(data):
+    # up to six terms r * zeta^a, a up to 2N so that powers past phi(N) reduce
+    f = CycloField(data.draw(st.integers(1, 60)))
+    terms = data.draw(st.lists(st.tuples(st.integers(0, 2 * f.conductor), _FRACTIONS),
+                               min_size=1, max_size=6))
+    x = f.zero()
+    for a, r in terms:
+        x = x + f.zeta(a) * r
+    if x.is_zero():
+        return
+    inv = x.inverse()
+    assert (x * inv).is_one() and (inv * x).is_one()
+    assert inv.inverse() == x

@@ -6,7 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopfgrow.catalog import (exterior_presentation, qplane_presentation,
@@ -141,6 +141,19 @@ def test_scalar_expr_parsing():
     for text in ("nope", "1/0", "", "+", "y1", "g1"):
         with pytest.raises(PresentationError):
             parse_scalar_expr(dom, text)
+
+
+def test_a_sign_may_not_follow_a_sign():
+    # two signs in a row have no one reading, so each is refused; a sign
+    # glued to a literal is part of the literal
+    p = taft_presentation(3)
+    for parse, text in ((parse_element_expr, "1 - - 2"), (parse_element_expr, "1 - + 2"),
+                        (parse_scalar_expr, "- - 1")):
+        with pytest.raises(PresentationError) as err:
+            parse(p if parse is parse_element_expr else p.domain, text)
+        assert str(err.value) == "a sign follows a sign in %r" % text
+    assert parse_scalar_expr(p.domain, "- 1") == p.domain.rational(-1)
+    assert parse_element_expr(p, "1 - -2") == p.one().scale(p.domain.rational(3))
 
 
 def _root_multiples():
@@ -406,14 +419,22 @@ def _reads(parse, *args):
 
 @settings(derandomize=True, max_examples=300)
 @given(tokens=st.lists(_TOKENS, max_size=8))
+@example(tokens=["1", "-", "-", "2"])
+@example(tokens=["1", "-", "+", "2"])
+@example(tokens=["-", "-", "1"])
+@example(tokens=["-", "*", "-", "g1"])
 def test_reader_agrees_across_entry_points(tokens):
     p, text = _READER_P, " ".join(tokens)
     scalar = _reads(parse_scalar_expr, p.domain, text)
     element = _reads(parse_element_expr, p, text)
     word = _reads(parse_group_element, p, text)
     doc = dict(_READER_DOC, relations=[{"lhs": text, "rhs": ""}])
-    _reads(parse_presentation_data, doc)
+    lhs = _reads(parse_presentation_data, doc)
     identity = p.group.identity()
+    # a sign that follows a sign is refused by every entry point
+    split = text.replace("*", " ").split()
+    if any({a, b} <= {"+", "-"} for a, b in zip(split, split[1:])):
+        assert scalar is element is word is lhs is None
     if scalar is not None:
         assert element is not None
         assert set(element.terms) <= {(identity, ())}
