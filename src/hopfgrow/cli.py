@@ -219,6 +219,8 @@ def cmd_primitives(args):
     if args.weight:
         weights = [parse_group_element(p, args.weight)]
     else:
+        # every weight of the ball, not only those a y-word reaches: the
+        # coradical lines k(g - 1) are reported too
         weights = p.group.ball(args.group_bound)
     spaces = []
     lines = []

@@ -283,8 +283,25 @@ def _search_space(p, degree_bound, group_word_bound):
     on the presentation: the irreducible y-words of degree at most
     degree_bound, in the order of irreducible_ywords, each with its
     deg-lex key, its degree (counts(w) mod L, mu(w) mod M) and mu(w)
-    reduced, and the sorted group ball of radius group_word_bound split by
-    class mod M."""
+    reduced; the sorted group ball B_r of radius group_word_bound split by
+    class mod M; and the weights worth searching: the mu(w) of the
+    nonempty y-words w that lie in B_r, in ball order.
+
+    Only these weights can hold a witness, on every presentation.  Let z
+    be a kernel vector of the defect at the weight g outside the span of
+    group elements, and w its deg-lex largest y-word, in a term c h w.  On
+    the row h w (x) h, the all-left term of Delta(h w) puts c.  No other
+    term of Delta(z) reaches it: the all-left term of Delta(h' w') is
+    h' w' (x) h', and each of its other terms has fewer y-letters on the
+    left than w', so than w.  g (x) z has none on the left, and z (x) 1
+    puts -c there only when h = 1.  So h = 1.  On the row mu(w) (x) w only
+    the all-right term of Delta(w) puts an entry, c (see
+    find_skew_primitives), and g (x) z cancels it only when g = mu(w).  At
+    any other weight the kernel lies in the span of group elements, where
+    Delta(sum c_h h) - (sum c_h h) (x) 1 - g (x) (sum c_h h) vanishes on
+    k(g - 1) alone, and on 0 when g = 1: at most the coradical line, and
+    no witness.
+    """
     key = (degree_bound, group_word_bound)
     found = p._search_spaces.get(key)
     if found is None:
@@ -292,10 +309,13 @@ def _search_space(p, degree_bound, group_word_bound):
         ywords = [(yw, yword_key(yw, p.ny), *p._degree((e, yw)),
                    p.group.reduce(p._content(yw)))
                   for words in p.irreducible_ywords(degree_bound) for yw in words]
+        ball = p.group.ball(group_word_bound)
         ball_by_class = {}
-        for h in p.group.ball(group_word_bound):
+        for h in ball:
             ball_by_class.setdefault(p._group_class(h), []).append(h)
-        found = p._search_spaces[key] = ywords, ball_by_class
+        reached = {mu for yw, _, _, _, mu in ywords if yw}
+        weights = [g for g in ball if g in reached]
+        found = p._search_spaces[key] = ywords, ball_by_class, weights
     return found
 
 
@@ -371,7 +391,7 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
     group = p.group
     weight = group.reduce(weight)
     e = group.identity()
-    ywords, ball_by_class = _search_space(p, degree_bound, group_word_bound)
+    ywords, ball_by_class, _ = _search_space(p, degree_bound, group_word_bound)
     blocks = {}
     for yw, key, counts, content, mu in ywords:
         classes = {p._group_class([a - b for a, b in zip(weight, content)])}

@@ -78,9 +78,12 @@ def _terms(text, domain, group=None, names=()):
     """The terms of an expression as [coefficient, letters] pairs, split at
     standalone + and -.  A letter is ("g", element) for g<k>^e when a
     group is given, or ("y", i) for names[i]^e; every other token is a
-    scalar literal of domain.  A sign may not follow a sign."""
+    scalar literal of domain.  A sign may not follow a sign, nor end the
+    text."""
     terms, sign, term = [], 1, None
     tokens = text.replace("*", " ").split()
+    if tokens and tokens[-1] in ("+", "-"):
+        raise PresentationError("no term follows the last sign in %s" % reprlib.repr(text))
     for prev, tok in zip([None] + tokens, tokens):
         if tok in ("+", "-"):
             if prev in ("+", "-"):

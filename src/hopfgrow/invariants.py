@@ -17,7 +17,7 @@ stays inside the scalar domain.
 
 from itertools import combinations
 
-from .coalgebra import find_skew_primitives, is_skew_primitive
+from .coalgebra import _search_space, find_skew_primitives, is_skew_primitive
 from .elements import AlgebraElement, add_term
 from .errors import ConsistencyError, ResourceCeilingError
 from .linalg import ScalarElimination, nullspace_of_columns
@@ -528,12 +528,25 @@ def compute_invariants(p, degree_bound=6, group_word_bound=6, power_bound=6,
                        level_bound=12):
     """Full weight/commutator analysis of a confluent presentation.
 
-    For every candidate weight in the group ball, finds the primitives,
-    saturates them under conjugation, decomposes by commutator eigenvalue
-    and group character, runs the power tests, and assembles the report.
-    The report's structural invariants are assert-checked before returning.
+    For every weight of the group ball that is mu(w) for a nonempty
+    y-word w within the degree bound (the weights of _search_space), finds
+    the primitives, saturates them under conjugation, decomposes by
+    commutator eigenvalue and group character, runs the power tests, and
+    assembles the report.  Every other weight of the ball holds at most
+    the coradical line k(weight - 1), so it has no witness and would be
+    left out of the report anyway.  The report's structural invariants
+    are assert-checked before returning.
     """
     p.require_confluent()
+    _, _, weights = _search_space(p, degree_bound, group_word_bound)
+    return _report_at(p, weights, degree_bound, group_word_bound, power_bound,
+                      level_bound)
+
+
+def _report_at(p, weights, degree_bound, group_word_bound, power_bound,
+               level_bound):
+    """The invariant report over the given weights, in their order: a
+    weight whose primitives have no witness is left out."""
     report = InvariantReport(p, {
         "degree_bound": degree_bound,
         "group_word_bound": group_word_bound,
@@ -546,7 +559,7 @@ def compute_invariants(p, degree_bound=6, group_word_bound=6, power_bound=6,
     # its UnitMonomial form keys the deduplication in first-seen order
     pairs = {}          # (weight, commutator) -> WeightCommutator
     commutators = {}    # commutator -> its first scalar
-    for weight in p.group.ball(group_word_bound):
+    for weight in weights:
         space = find_skew_primitives(p, weight, degree_bound, group_word_bound)
         if not space.witnesses():
             continue

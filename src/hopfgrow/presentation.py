@@ -138,7 +138,8 @@ class Presentation:
         self._tau_cache = {}
         self._coproduct_cache = {}  # y-word -> {(left, right): coeff}
         self._coproduct_point_cache = {}  # y-word -> that at the point, or None
-        self._search_spaces = {}  # (degree bound, group bound) -> (y-words, ball by class)
+        # (degree bound, group bound) -> (y-words, ball by class, weights)
+        self._search_spaces = {}
         self._confluence = None
         self._rules_by_first = {}  # first letter -> [(rest of lhs, rule)]
         for rule in self.rules:

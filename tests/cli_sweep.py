@@ -12,9 +12,13 @@ setting the tests check, and invariants, bounds, primitives, growth,
 delta and normalize on the same settings (tau ones included), in text
 and json, and invariants and bounds at the default bounds on the two
 settings where the primitive search leaves out the most columns.  It also
-writes three presentation files into OUT_DIR, whose characters are
-fractions of cyclotomic polynomials: reading them inverts elements of
-Q(zeta_N) that are not rational, which no builtin does.  Every command
+writes presentation files into OUT_DIR.  The characters of three of them
+are fractions of cyclotomic polynomials: reading them inverts elements of
+Q(zeta_N) that are not rational, which no builtin does.  Three more run
+invariants, bounds and growth where the invariants search skips most
+weights of the group ball: a free file over Z^4, one over Z x Z/6 whose
+y-words have weights to reduce, and a truncation over Z^2 that is not
+count-graded.  Every command
 runs in OUT_DIR, so these files are named without a directory, and no
 command takes more than a few seconds.
 """
@@ -67,7 +71,34 @@ FILES = {
                              transcendentals=["q1"]),
     # 1 / (1 + zeta) at N = 420, where phi(N) = 96
     "fraction-420.json": _file(420, [_ratio(["1"], ["1", "1"])]),
+    # one y of weight g1 over Z^4 with lambda(g1) = -1: y^2 is primitive at
+    # g1^2, and y-words reach 6 of the 1,289 weights of B_6
+    "free-z4.json": {
+        "scalars": {"cyclotomic_order": 2, "transcendentals": ["q1"]},
+        "group": {"free_rank": 4},
+        "generators": [{"name": "y", "weight": [1, 0, 0, 0],
+                        "character": ["-1", "q1", "1", "1"]}]},
+    # over Z x Z/6, y2^2 has mu = g2^10 = g2^4 and y1^3 has mu = g1^3 g2^9
+    # = g1^3 g2^3, and both are primitive there
+    "torsion-z-z6.json": {
+        "scalars": {"cyclotomic_order": 6, "transcendentals": []},
+        "group": {"free_rank": 1, "torsion": [6]},
+        "generators": [{"name": "y1", "weight": [1, 3], "character": ["zeta^2", "1"]},
+                       {"name": "y2", "weight": [0, 5], "character": ["1", "-1"]}]},
+    # the truncation y1^3 = g1^3 - 1 over Z^2, not count-graded
+    "trunc-z2.json": {
+        "scalars": {"cyclotomic_order": 3, "transcendentals": ["q1"]},
+        "group": {"free_rank": 2},
+        "generators": [{"name": "y1", "weight": [1, 0], "character": ["zeta", "1"]},
+                       {"name": "y2", "weight": [0, 1], "character": ["1", "q1"]}],
+        "relations": [{"lhs": "y1^3", "rhs": "g1^3 - 1"}]},
 }
+
+# files whose invariants search skips most weights of the ball, with the
+# bounds they run at
+_SKIPPING = [("free-z4.json", []),
+             ("torsion-z-z6.json", ["--degree", "4", "--power-bound", "4"]),
+             ("trunc-z2.json", ["--degree", "4", "--power-bound", "4"])]
 
 
 def _element(name):
@@ -107,6 +138,10 @@ def commands():
             ["invariants", "fraction-q.json", "--degree", "3", "--group-bound", "2",
              "--power-bound", "3"],
             ["normalize", "fraction-420.json", "--element", "y1 g1"]]
+    for name, bounds in _SKIPPING:
+        for fmt in ("text", "json"):
+            out += [[command, name] + bounds + ["--format", fmt]
+                    for command in ("invariants", "bounds", "growth")]
     return out
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -141,10 +142,55 @@ def random_presentation(rng):
     return Presentation(dom, group, gens, rules, name="random")
 
 
-def confluent_random_presentation(rng):
-    """The first confluent presentation random_presentation draws."""
+def random_weighted_presentation(rng):
+    """A random free or truncated skew extension over Z, Z^2, Z/m, Z x Z/m
+    or Z^2 x Z/m, m in 2, 3, 4, 6.  A weight is a product of one to three
+    group generators, so that mu(w) of a y-word often has to be reduced on
+    a torsion coordinate, and character values are roots of unity of small
+    order times powers of q1, so that powers of a y-letter can be skew
+    primitive at weights no single letter has.  A truncation y1^p =
+    beta (g1^p - 1) with beta = 1 is not count_graded."""
+    free_rank = rng.choice([0, 1, 2])
+    torsion = (rng.choice([2, 3, 4, 6]),) if not free_rank or rng.random() < 0.6 else ()
+    power = rng.choice([2, 3])
+    truncate = free_rank and rng.random() < 0.5
+    conductor = math.lcm(power if truncate else 1, *torsion, rng.choice([1, 2, 3, 4]))
+    dom = ScalarDomain(conductor, ("q1",))
+    group = GroupData(free_rank, torsion)
+
+    def root(m):
+        """A random m-th root of unity, m dividing the conductor."""
+        return dom.zeta((conductor // m) * rng.randrange(m))
+
+    gens = []
+    for i in range(rng.randint(1, 3)):
+        weight = group.identity()
+        while group.is_identity(weight):
+            for _ in range(rng.randint(1, 3)):
+                weight = group.mul(weight, group.generator(rng.randrange(group.ngens)))
+        images = [root(conductor) * dom.q(0) ** rng.choice([-1, 0, 0, 1])
+                  for _ in range(free_rank)]
+        images += [root(m) for m in torsion]
+        gens.append(SkewGenerator("y%d" % (i + 1), weight, tuple(images)))
+    rules = []
+    if truncate:
+        # y1 of weight g1, every character value a p-th root of unity and
+        # lambda_1(g1) a primitive one, so that y1^p is skew primitive
+        g1 = group.generator(0)
+        images = [dom.zeta(conductor // power)]
+        images += [root(power) for _ in range(1, free_rank)]
+        images += [root(math.gcd(power, m)) for m in torsion]
+        gens[0] = SkewGenerator("y1", g1, tuple(images))
+        beta = rng.choice([0, 1])
+        rules.append(((0,) * power, {(group.power(g1, power), ()): dom.rational(beta),
+                                     (group.identity(), ()): dom.rational(-beta)}))
+    return Presentation(dom, group, gens, rules, name="random weighted")
+
+
+def confluent_random_presentation(rng, draw=random_presentation):
+    """The first confluent presentation that draw(rng) gives."""
     while True:
-        p = random_presentation(rng)
+        p = draw(rng)
         if p.check_confluence().confluent:
             return p
 

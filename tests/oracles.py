@@ -12,6 +12,7 @@ counit and antipode.
 import itertools
 import random
 
+from hopfgrow import invariants
 from hopfgrow.coalgebra import antipode, counit, delta, delta_word
 from hopfgrow.elements import AlgebraElement, TensorElement, add_term
 
@@ -180,3 +181,34 @@ def check_axioms_at(p, a):
         right_s = right_s + p.multiply(AlgebraElement({l: c}), sr)
     assert left_s == target
     assert right_s == target
+
+
+def invariants_over_ball(p, degree_bound, group_word_bound, power_bound,
+                         level_bound=12):
+    """compute_invariants with its weight loop over the whole group ball:
+    every weight is searched, and one whose primitives have no witness is
+    left out of the report."""
+    return invariants._report_at(p, p.group.ball(group_word_bound), degree_bound,
+                                 group_word_bound, power_bound, level_bound)
+
+
+def report_data(report):
+    """What an InvariantReport holds, as plain data that compares with ==:
+    the weights in their order, the dimension per weight, every field of
+    each witness, the (weight, commutator) pairs, the commutators, the
+    diagnostics and the summary counts."""
+    return {
+        "weights": report.weights,
+        "power_weights": report.weights_with_primitive_power,
+        "free_weights": report.weights_with_free_commutator,
+        "per_weight_dim": list(report.per_weight_dim.items()),
+        "witnesses": [(r.weight, r.element.terms, r.gamma, r.level, r.gamma_class,
+                       r.character, r.char_level, r.power_primitive_n,
+                       r.power_predicted_n) for r in report.witnesses],
+        "weight_commutators": [(wc.weight, wc.gamma, wc.level, wc.gamma_class)
+                               for wc in report.weight_commutators],
+        "commutators": report.commutators,
+        "diagnostics": report.diagnostics,
+        "counts": report.summary_counts(),
+        "bounds": report.bounds_used,
+    }

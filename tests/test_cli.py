@@ -59,6 +59,14 @@ def test_normalize_zeroth_power(capsys, tmp_path):
     assert (code, out) == (0, "y y  ->  1\n")
 
 
+def test_normalize_refuses_a_trailing_sign(capsys):
+    # a sign that no term follows was dropped: "y -" read as y, "-" as 0
+    for element in ("y -", "1 +", "-"):
+        code, out, err = run(capsys, "normalize", "--example", "taft", "--element", element)
+        assert (code, out, err.count("\n")) == (1, "", 1), err
+        assert err == "presentation error: no term follows the last sign in %r\n" % element
+
+
 def test_delta_command(capsys):
     code, payload = run_json(capsys, "delta", "--example", "taft",
                              "--param", "p=2", "--element", "y")
@@ -620,6 +628,20 @@ def test_primitive_search_builds_one_ball_per_run(tmp_path):
                           "--group-bound", "4", "--power-bound", "2"], timeout=20)
     assert result.returncode == 0, result.stderr
     assert "  weights: {g1}" in result.stdout.splitlines()
+
+
+@pytest.mark.parametrize("command, code", [("invariants", 0), ("bounds", 0),
+                                           ("growth", 3)])
+def test_wide_group_commands_finish_at_the_defaults(tmp_path, command, code):
+    # over Z^10, B_6 holds 134,245 weights and a y-word reaches 6 of them:
+    # a search of every weight takes 30-40 s; growth stops at the word
+    # ceiling
+    path = tmp_path / "z10.json"
+    path.write_text(json.dumps(wide_free_document(10)))
+    result = run_guarded(["-m", "hopfgrow", command, str(path)], timeout=20)
+    assert result.returncode == code, result.stderr
+    if command != "growth":
+        assert "  weights: {g1}" in result.stdout.splitlines()
 
 
 def test_closed_stdout_exits_without_traceback():

@@ -423,6 +423,9 @@ def _reads(parse, *args):
 @example(tokens=["1", "-", "+", "2"])
 @example(tokens=["-", "-", "1"])
 @example(tokens=["-", "*", "-", "g1"])
+@example(tokens=["y1", "-"])
+@example(tokens=["1", "+"])
+@example(tokens=["-"])
 def test_reader_agrees_across_entry_points(tokens):
     p, text = _READER_P, " ".join(tokens)
     scalar = _reads(parse_scalar_expr, p.domain, text)
@@ -431,9 +434,10 @@ def test_reader_agrees_across_entry_points(tokens):
     doc = dict(_READER_DOC, relations=[{"lhs": text, "rhs": ""}])
     lhs = _reads(parse_presentation_data, doc)
     identity = p.group.identity()
-    # a sign that follows a sign is refused by every entry point
+    # a sign that follows a sign, or that no term follows, is refused by
+    # every entry point
     split = text.replace("*", " ").split()
-    if any({a, b} <= {"+", "-"} for a, b in zip(split, split[1:])):
+    if any({a, b} <= {"+", "-"} for a, b in zip(split, split[1:] + ["+"])):
         assert scalar is element is word is lhs is None
     if scalar is not None:
         assert element is not None

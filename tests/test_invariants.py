@@ -3,9 +3,10 @@ import random
 import pytest
 
 from hopfgrow import invariants
-from hopfgrow.catalog import (exterior_presentation, qplane_presentation,
-                              skew_free_presentation, skew_trunc_presentation,
-                              taft_presentation)
+from hopfgrow.catalog import (build_example, exterior_presentation,
+                              qplane_presentation, skew_free_presentation,
+                              skew_trunc_presentation, taft_presentation)
+from hopfgrow.cli import _parse_param
 from hopfgrow.coalgebra import find_skew_primitives
 from hopfgrow.fileformat import parse_presentation_data
 from hopfgrow.groups import GroupData
@@ -17,7 +18,9 @@ from hopfgrow.invariants import (CommutatorAnalysis, QuotientSpace, _level,
 from hopfgrow.linalg import ScalarElimination
 from hopfgrow.scalars import INFINITE, ScalarDomain, UnitMonomial, multiplicative_order
 
-from conftest import confluent_random_presentation, wide_free_document
+from conftest import (CHECK_IDS, CHECK_SETTINGS, confluent_random_presentation,
+                      random_weighted_presentation, wide_free_document)
+from oracles import invariants_over_ball, report_data
 
 
 def test_conjugation_matrix_line_only():
@@ -340,9 +343,10 @@ def test_quotient_space_matches_two_pass_closure():
     assert spaces > 30
 
 
-def test_compute_invariants_lists_two_balls(monkeypatch):
-    # one ball for the weights and one for the search space, not one per
-    # weight: over Z^10, |B_2| = 221 and |B_3| = 1,561
+def test_compute_invariants_lists_one_ball(monkeypatch):
+    # one ball, for the search space and its weights alike, not one per
+    # weight and not a second one for the weight loop: over Z^10,
+    # |B_2| = 221 and |B_3| = 1,561
     calls = []
     ball = GroupData.ball
 
@@ -356,7 +360,49 @@ def test_compute_invariants_lists_two_balls(monkeypatch):
         calls.clear()
         report = compute_invariants(p, 2, radius, 2)
         assert report.weights == [p.group.generator(0)]
-        assert len(calls) <= 2, calls
+        assert calls == [radius]
+
+
+def test_compute_invariants_searches_the_weights_a_y_word_reaches(monkeypatch):
+    # over Z^10 the y-words y^k reach g1^k alone: the other 134,239
+    # weights of B_6 hold at most the coradical line and are not searched
+    searched = []
+    search = invariants.find_skew_primitives
+
+    def recorded(p, weight, *bounds):
+        searched.append(weight)
+        return search(p, weight, *bounds)
+
+    monkeypatch.setattr(invariants, "find_skew_primitives", recorded)
+    p = parse_presentation_data(wide_free_document(10))
+    report = compute_invariants(p, 6, 6, 6)
+    g1 = p.group.generator(0)
+    assert searched == [p.group.power(g1, k) for k in range(1, 7)]
+    assert report.weights == [g1]
+
+
+def _assert_same_report(p, *bounds):
+    """compute_invariants and the loop over the whole ball report alike."""
+    assert report_data(compute_invariants(p, *bounds)) == \
+        report_data(invariants_over_ball(p, *bounds)), (p, bounds)
+
+
+@pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
+def test_compute_invariants_matches_the_full_ball(name, params):
+    p, _ = build_example(name, dict(_parse_param(prm) for prm in params))
+    _assert_same_report(p, 4, 3, 3)
+
+
+def test_compute_invariants_matches_the_full_ball_random():
+    rng = random.Random(28)
+    kinds = set()
+    for _ in range(120):
+        p = confluent_random_presentation(rng, random_weighted_presentation)
+        kinds.add((p.count_graded, p.group.free_rank, bool(p.group.torsion)))
+        _assert_same_report(p, 3, 2, 2)
+    # count-graded and not, torsion groups and free rank 2 among them
+    assert {graded for graded, _, _ in kinds} == {True, False}
+    assert {(0, True), (1, True), (2, True), (2, False)} <= {k[1:] for k in kinds}
 
 
 def _relation_by_powers(u1, u2, bound):
