@@ -6,6 +6,8 @@ group.  A bound value is emitted only when every named hypothesis passes;
 otherwise the report carries the failing hypothesis and no value.
 """
 
+from itertools import combinations
+
 from .errors import ConsistencyError
 from .groups import cyclic_support
 from .invariants import _rank_mod_coradical, commutation_scalar, is_skew_primitive
@@ -237,35 +239,32 @@ def detect_exponential(p, report, m_max=12):
     """
     evidence = {"pairs": [], "skipped": [], "relation_solutions": [],
                 "rank_criterion": None}
-    witnesses = [r for r in report.witnesses if r.character is not None]
-    for i in range(len(witnesses)):
-        for j in range(i + 1, len(witnesses)):
-            r1, r2 = witnesses[i], witnesses[j]
-            support = cyclic_support(p.group, r1.weight, r2.weight)
-            label = "(%s, %s)" % (r1.weight, r2.weight)
-            if support is None:
-                evidence["skipped"].append(
-                    {"pair": label, "reason": "weights share no cyclic support"})
-                continue
-            x, d1, d2 = support
-            u1 = _char_at(p.domain, r1.character, x).as_unit_monomial()
-            u2 = _char_at(p.domain, r2.character, x).as_unit_monomial()
-            if u1 is None or u2 is None:
-                evidence["skipped"].append(
-                    {"pair": label, "reason": "pair scalars are not unit monomials"})
-                continue
-            fired = _pair_cases(u1, u2, d1, d2)
-            fired += ["%s (swapped)" % c for c in _pair_cases(u2, u1, d2, d1)]
-            entry = {"pair": label, "support_exponents": (d1, d2),
-                     "cases": sorted(set(fired))}
-            evidence["pairs"].append(entry)
-            if not fired:
-                solutions = _necessary_relation_solutions(u1, u2, d1, d2, m_max)
-                evidence["relation_solutions"].append({
-                    "pair": label,
-                    "solutions": solutions,
-                    "bound": m_max,
-                })
+    for r1, r2 in combinations(report.witnesses, 2):
+        support = cyclic_support(p.group, r1.weight, r2.weight)
+        label = "(%s, %s)" % (r1.weight, r2.weight)
+        if support is None:
+            evidence["skipped"].append(
+                {"pair": label, "reason": "weights share no cyclic support"})
+            continue
+        x, d1, d2 = support
+        u1 = _char_at(p.domain, r1.character, x).as_unit_monomial()
+        u2 = _char_at(p.domain, r2.character, x).as_unit_monomial()
+        if u1 is None or u2 is None:
+            evidence["skipped"].append(
+                {"pair": label, "reason": "pair scalars are not unit monomials"})
+            continue
+        fired = _pair_cases(u1, u2, d1, d2)
+        fired += ["%s (swapped)" % c for c in _pair_cases(u2, u1, d2, d1)]
+        entry = {"pair": label, "support_exponents": (d1, d2),
+                 "cases": sorted(set(fired))}
+        evidence["pairs"].append(entry)
+        if not fired:
+            solutions = _necessary_relation_solutions(u1, u2, d1, d2, m_max)
+            evidence["relation_solutions"].append({
+                "pair": label,
+                "solutions": solutions,
+                "bound": m_max,
+            })
     # multiplicative-rank criterion over the whole weight set
     weights = report.weights
     if weights:

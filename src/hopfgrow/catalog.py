@@ -181,8 +181,8 @@ class ExampleSpec:
 
 def _skew_free_expected(params):
     v = params["v"]
-    same_q = params["same_q"]
-    pairs = 1 if same_q else v
+    # with same_q, the tau generator adds the commutator 1 beside q1
+    pairs = v if not params["same_q"] else 1 + (params["tau"] is not None and v >= 2)
     out = {
         "confluent": True,
         "weights": 1,
@@ -222,6 +222,7 @@ def _skew_trunc_expected(params):
     if bad and beta != 0:
         return {"confluent": False, "overlap_count": 1}
     pairs = 2 if v >= 2 else 1
+    rank = 2 if bad else 1  # bad_gen adds a second free group generator
     out = {
         "confluent": True,
         "weights": 1,
@@ -231,9 +232,9 @@ def _skew_trunc_expected(params):
         "torsion_weight_commutators": 1,
         "dim_torsion_span": 1,
         "dim_free_quotient": v - 1,
-        "bounds": {"independent-family": None, "weight-count": 1,
-                   "weight-commutator-count": pairs,
-                   "primitive-quotient": v},
+        "bounds": {"independent-family": None, "weight-count": rank,
+                   "weight-commutator-count": pairs + rank - 1,
+                   "primitive-quotient": v + rank - 1},
         "pbw_independent": False,
         "pbw_dependence_degree": p,
     }
@@ -242,7 +243,7 @@ def _skew_trunc_expected(params):
         out["detector"] = "exponential"
     else:
         out["growth_kind"] = "polynomial"
-        out["growth_degree"] = 1
+        out["growth_degree"] = rank
         out["detector"] = "inconclusive"
     return out
 

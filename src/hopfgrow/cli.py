@@ -133,7 +133,7 @@ def _invariant_payload(p, report):
              "element": element_to_str(p, r.element),
              "gamma": scalar_to_expr(r.gamma), "level": r.level,
              "class": r.gamma_class,
-             "character": [scalar_to_expr(c) for c in (r.character or ())],
+             "character": [scalar_to_expr(c) for c in r.character],
              "character_level": r.char_level,
              "power_primitive_n": r.power_primitive_n,
              "power_predicted_n": r.power_predicted_n}

@@ -287,20 +287,25 @@ def _search_space(p, degree_bound, group_word_bound):
     class mod M; and the weights worth searching: the mu(w) of the
     nonempty y-words w that lie in B_r, in ball order.
 
-    Only these weights can hold a witness, on every presentation.  Let z
-    be a kernel vector of the defect at the weight g outside the span of
-    group elements, and w its deg-lex largest y-word, in a term c h w.  On
-    the row h w (x) h, the all-left term of Delta(h w) puts c.  No other
-    term of Delta(z) reaches it: the all-left term of Delta(h' w') is
-    h' w' (x) h', and each of its other terms has fewer y-letters on the
-    left than w', so than w.  g (x) z has none on the left, and z (x) 1
-    puts -c there only when h = 1.  So h = 1.  On the row mu(w) (x) w only
-    the all-right term of Delta(w) puts an entry, c (see
-    find_skew_primitives), and g (x) z cancels it only when g = mu(w).  At
-    any other weight the kernel lies in the span of group elements, where
-    Delta(sum c_h h) - (sum c_h h) (x) 1 - g (x) (sum c_h h) vanishes on
-    k(g - 1) alone, and on 0 when g = 1: at most the coradical line, and
-    no witness.
+    One lemma prunes the search, on every presentation: if z is a kernel
+    vector of the defect at the weight g outside the span of group
+    elements, and c h w a term of z at its deg-lex largest y-word w, then
+    h = 1 and mu(w) = g.  On the row h w (x) h, the all-left term of
+    Delta(h w) puts c.  No other term of Delta(z) reaches it: the all-left
+    term of Delta(h' w') is h' w' (x) h', and each of its other terms has
+    fewer y-letters on the left than w', so than w.  g (x) z has none on
+    the left, and z (x) 1 puts -c there only when h = 1.  The right words
+    of Delta(h' w') are deg-lex at most w', with equality only in the
+    all-right term h' mu(w') (x) h' w', of coefficient 1, and z (x) 1 has
+    no y-letter on the right: on the row mu(w) (x) w only c w puts an
+    entry, c, and g (x) z cancels it only when g = mu(w).
+
+    So a block's top word, the largest y-word w with mu(w) = g, keeps
+    only the candidate 1 w, and the words above it go
+    (find_skew_primitives).  And at a weight that no y-word reaches, the
+    kernel lies in the span of group elements, where Delta(sum c_h h) -
+    (sum c_h h) (x) 1 - g (x) (sum c_h h) vanishes on k(g - 1) alone, and
+    on 0 when g = 1: at most the coradical line, and no witness.
     """
     key = (degree_bound, group_word_bound)
     found = p._search_spaces.get(key)
@@ -319,17 +324,16 @@ def _search_space(p, degree_bound, group_word_bound):
     return found
 
 
-def _below_top_word(block):
+def _below_top_word(block, weight, e):
     """The candidates h w of a block that can lie in a kernel vector, in
-    search order.  The block lists (y-word, deg-lex key, group parts, the
-    part h with h mu(w) = weight) by y-word; its top word is the largest
-    y-word whose part h on the weight is among its group parts."""
-    top = max((key for yw, key, parts, on_weight in block
-               if yw and on_weight in parts), default=None)
+    search order; the block lists (y-word, deg-lex key, group parts,
+    mu(w) reduced) by y-word, and its top word, the largest y-word with
+    mu(w) = weight, keeps only the group part e = 1 (see _search_space)."""
+    top = max((key for yw, key, _, mu in block if yw and mu == weight), default=None)
     out = []
-    for yw, key, parts, on_weight in block:
+    for yw, key, parts, _ in block:
         if yw and key == top:
-            parts = [on_weight]
+            parts = [e]
         elif yw and (top is None or key > top):
             continue
         out.extend((h, yw) for h in parts)
@@ -363,19 +367,10 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
     change.  The empty y-word keeps every group part, for the coradical
     line.
 
-    In every block, a candidate h w whose y-word lies above the block's
-    top word, or at it with h mu(w) != weight, lies in no kernel vector
-    either.  The top word is the deg-lex largest nonempty y-word w among
-    the block's candidates h w with h mu(w) = weight.  The right words of
-    Delta(h' w') are deg-lex at most w', with equality only in the
-    all-right term h' mu(w') (x) h' w', of coefficient 1, and z (x) 1 has
-    no y-letter on the right.  So if w is the largest y-word of a kernel
-    vector z, then on the row h mu(w) (x) h w only the term c h w of z
-    puts an entry, c, and weight (x) z puts -c there exactly when
-    h mu(w) = weight.  Hence every candidate of z at w is on the weight,
-    and w is at most the top word.  Dropping the other columns keeps each
-    relation, as above, so the basis and its order do not change; a block
-    left with no candidate is skipped.
+    In every block, the candidates above the top word, and h w with
+    h != 1 at it, lie in no kernel vector either (the lemma in
+    _search_space).  Dropping them keeps each relation and the basis, as
+    above; a block left with no candidate is skipped.
 
     A block opens only when a y-word brings it a candidate, and is first
     eliminated at one point mod P (_certified_kernel): columns
@@ -402,11 +397,10 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
         else:
             group_parts = sorted(h for cls in classes for h in ball_by_class.get(cls, ()))
         if group_parts:
-            on_weight = group.mul(weight, group.inv(mu))
-            blocks.setdefault(counts, []).append((yw, key, group_parts, on_weight))
+            blocks.setdefault(counts, []).append((yw, key, group_parts, mu))
     basis = []
     for block in blocks.values():
-        candidates = _below_top_word(block)
+        candidates = _below_top_word(block, weight, e)
         if candidates:
             basis.extend(_kernel_elements(p, candidates, weight))
     basis.sort(key=lambda e: max(word_key(w, p.ny) for w in e.terms))

@@ -5,15 +5,16 @@ integer coefficients over one common positive denominator, divided through
 by their gcd (the nf_elem form of FLINT/Antic), so equality is
 coefficient-wise.  Phi_N is monic with integer coefficients, so a product
 is an integer convolution and reduction.  Fractions appear only at input
-and output (rational, from_coeffs, coeffs) and in the remainders of
-inverse, which runs extended Euclid against Phi_N with its Bezout
-coefficients kept as field elements; one polynomial division serves it
-and the construction of Phi_N.
+and output (rational, from_coeffs, coeffs) and within each division step
+of inverse, which runs extended Euclid against Phi_N, makes each
+remainder a primitive integer polynomial and keeps its Bezout
+coefficients as field elements; one polynomial division serves it and
+the construction of Phi_N.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .intmat import primitive_vector
 
@@ -313,7 +314,9 @@ class CycloRational:
         """1 / self by extended Euclid of nums against Phi_N: each Bezout
         coefficient is a field element s with s * nums(zeta) = r(zeta) for
         the current remainder r, and once r is a constant c the inverse of
-        nums / den is s * den / c."""
+        nums / den is s * den / c.  A remainder that goes on is made a
+        primitive integer polynomial, its s scaled to match, so that the
+        coefficients do not grow as Fractions do."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % self.field.conductor)
         if self.is_rational():
@@ -325,8 +328,15 @@ class CycloRational:
         s0, s1 = field.zero(), field.one()
         while len(r1) > 1:
             q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
             s0, s1 = s1, s0 - field.from_coeffs(q) * s1
+            if len(r) > 1:
+                d = lcm(*(c.denominator for c in r))
+                r = [c.numerator * (d // c.denominator) for c in r]
+                g = gcd(*r)
+                if d != 1 or g != 1:
+                    r = [c // g for c in r]
+                    s1 = s1 * Fraction(d, g)
+            r0, r1 = r1, r
         if not r1:
             # Phi_N is irreducible over Q, so the gcd must be a constant
             raise ArithmeticError("cyclotomic inversion failed")

@@ -293,7 +293,7 @@ class WitnessRecord:
         self.element = element
         self.gamma = gamma
         self.level = level
-        self.character = character      # tuple of Scalars per group generator, or None
+        self.character = character      # tuple of Scalars per group generator
         self.char_level = char_level
         self.gamma_class = classify_gamma(gamma)
         self.power_primitive_n = None

@@ -311,12 +311,6 @@ class Presentation:
             raise PresentationError("no y-generator with index %d" % i)
         return AlgebraElement({(self.group.identity(), (i,)): self.domain.one()})
 
-    def gen_index(self, name):
-        for i, g in enumerate(self.gens):
-            if g.name == name:
-                return i
-        raise PresentationError("unknown generator %r" % name)
-
     # -- left products: the rewriting kernel ------------------------------
     def _front_rule(self, i, w):
         """The first rule whose left-hand side is a prefix of y_i w, or None."""

@@ -391,7 +391,20 @@ def test_unread_bound_flag_is_refused_with_its_value(capsys, tmp_path):
         assert err == "usage error: unrecognized arguments: %s %s\n" % tuple(argv[-2:])
 
 
-@pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
+# beside CHECK_SETTINGS, settings whose expectations must count every
+# generator: bad_gen adds a second free group generator to the coradical,
+# and with same_q the tau generator adds the commutator 1 beside q1
+EVERY_GENERATOR = [
+    ("skew_trunc", ["bad_gen=true", "beta=0"]),
+    ("skew_trunc", ["bad_gen=true", "beta=0", "v=1"]),
+    ("skew_trunc", ["bad_gen=true", "beta=0", "p=2"]),
+    ("skew_free", ["same_q=true", "tau=1", "v=2"]),
+    ("skew_free", ["same_q=true", "tau=1", "v=3"]),
+]
+
+
+@pytest.mark.parametrize("name, params", CHECK_SETTINGS + EVERY_GENERATOR,
+                         ids=CHECK_IDS + ["-".join([n] + prm) for n, prm in EVERY_GENERATOR])
 def test_check_example_all_builtins(capsys, name, params):
     argv = [arg for prm in params for arg in ("--param", prm)]
     code, payload = run_json(capsys, "check-example", name, *argv)

@@ -25,7 +25,8 @@ from hopfgrow.presentation import Presentation, SkewGenerator
 from hopfgrow.scalars import ScalarDomain, _point
 
 from conftest import (CHECK_IDS, CHECK_SETTINGS, confluent_random_presentation,
-                      random_presentation, random_truncation_pair, truncation)
+                      random_presentation, random_truncation_pair,
+                      random_weighted_presentation, truncation)
 from oracles import (check_axioms_at, check_coalgebra_axioms, delta_word_expanded,
                      normalize_random_order)
 
@@ -484,6 +485,71 @@ def test_top_word_pruning_drops_words_off_the_weight(monkeypatch):
         longest = max(length for _, length in opened)
         assert longest == (2 if k == 2 else 0), (k, opened)
         _assert_matches_full_search(p, weight, 4, 3)
+
+
+def test_top_word_keeps_group_part_one_off_count_graded():
+    # off count_graded, every y-word below a block's top word keeps all of
+    # its group parts, but the top word keeps only 1: at these bounds that
+    # drops most columns of most draws, and the weights include torsion
+    # ones where mu(w) must be reduced to meet the weight
+    rng = random.Random(2911)
+    draws = 0
+    while draws < 12:
+        draw = rng.choice([random_weighted_presentation, random_truncation_pair])
+        p = confluent_random_presentation(rng, draw)
+        if p.count_graded:
+            continue
+        draws += 1
+        degree, radius = rng.choice([(4, 2), (4, 3), (5, 2), (5, 3)])
+        reached = coalgebra._search_space(p, degree, radius)[2]
+        for weight in reached + [w for w in p.group.ball(1) if w not in reached]:
+            _assert_matches_full_search(p, weight, degree, radius)
+
+
+# columns that compute_invariants hands to the elimination, at the bounds
+# each setting's check-example uses; skew_trunc is the one builtin off
+# count_graded, where the top word drops columns (151 and 124 when every
+# group part on the weight stayed at it)
+CHECK_COLUMNS = {
+    "skew_free": 20, "skew_trunc": 36, "taft": 6, "qplane": 22, "exterior": 6,
+    "skew_free-v=1": 9, "skew_trunc-p=5": 22, "skew_free-v=2-tau=1": 43,
+    "skew_free-v=1-tau=1": 27, "taft-free=true": 8, "exterior-free=true": 33,
+    "skew_free-v=3": 45,
+}
+
+
+def _columns(monkeypatch, p, degree, radius, power):
+    """The number of columns compute_invariants eliminates at the bounds."""
+    count = [0]
+    kernel_elements = coalgebra._kernel_elements
+
+    def record(p, candidates, weight):
+        count[0] += len(candidates)
+        return kernel_elements(p, candidates, weight)
+
+    with monkeypatch.context() as m:
+        m.setattr(coalgebra, "_kernel_elements", record)
+        compute_invariants(p, degree_bound=degree, group_word_bound=radius,
+                           power_bound=power)
+    return count[0]
+
+
+@pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
+def test_column_counts_on_check_settings(monkeypatch, name, params):
+    p, merged = build_example(name, dict(_parse_param(prm) for prm in params))
+    cfg = EXAMPLES[name].check_config(merged)
+    columns = _columns(monkeypatch, p, cfg["degree_bound"], cfg["group_word_bound"],
+                       cfg["power_bound"])
+    assert columns == CHECK_COLUMNS["-".join([name] + params)]
+
+
+def test_top_word_column_counts_on_skew_trunc(monkeypatch):
+    # 151, 2,150 and 238 columns when every group part on the weight
+    # stayed at the top word
+    for prime, bounds, columns in [(3, (4, 3, 4), 36), (3, (6, 6, 6), 468),
+                                   (5, (5, 3, 5), 22)]:
+        p = skew_trunc_presentation(prime, v=2)
+        assert _columns(monkeypatch, p, *bounds) == columns, (prime, bounds)
 
 
 def _bases_without_the_flag(monkeypatch, p, weights, degree, radius):

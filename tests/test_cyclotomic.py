@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from hopfgrow.cyclotomic import CycloField, cyclotomic_polynomial
 
+from conftest import run_guarded
+
 
 def test_cyclotomic_polynomials_small():
     assert cyclotomic_polynomial(1) == (-1, 1)
@@ -229,3 +231,21 @@ def test_inverse_times_element_is_one(data):
     inv = x.inverse()
     assert (x * inv).is_one() and (inv * x).is_one()
     assert inv.inverse() == x
+
+
+def test_dense_inverse_keeps_its_remainders_small():
+    # a dense element of Q(zeta_420) (phi = 96) with coefficients r/s: with
+    # Fraction remainders in extended Euclid its inverse took most of a
+    # minute; primitive integer remainders take well under a second
+    script = "\n".join([
+        "import random",
+        "from fractions import Fraction",
+        "from hopfgrow.cyclotomic import CycloField",
+        "rng = random.Random(5)",
+        "f = CycloField(420)",
+        "x = f.from_coeffs([Fraction(rng.randint(-9, 9), rng.randint(1, 5))",
+        "                   for _ in range(96)])",
+        "assert (x * x.inverse()).is_one()",
+    ])
+    result = run_guarded(["-c", script], timeout=20)
+    assert result.returncode == 0, result.stderr
