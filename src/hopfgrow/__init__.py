@@ -29,7 +29,7 @@ from .growth import (GrowthReport, PbwScan, dp_word_counts, fit_growth,
                      measure_growth, pbw_dependence_scan)
 from .invariants import (CommutatorAnalysis, InvariantReport, WeightCommutator,
                          WitnessRecord, commutator_level, compute_invariants,
-                         conjugation_matrix, generalized_commutator)
+                         generalized_commutator)
 from .presentation import Presentation, RewriteRule, SkewGenerator
 from .scalars import (INFINITE, Scalar, ScalarDomain, UnitMonomial,
                       multiplicative_order, quantum_binomial, subgroup_rank)

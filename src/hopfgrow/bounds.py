@@ -13,8 +13,8 @@ from .groups import cyclic_support
 from .invariants import _rank_mod_coradical, commutation_scalar, is_skew_primitive
 from .intmat import integer_rank
 from .presentation import _char_at
-from .scalars import (INFINITE, ScalarShapeError, _powers_cancel,
-                      multiplicative_order, subgroup_rank)
+from .scalars import (INFINITE, _powers_cancel, multiplicative_order,
+                      subgroup_rank)
 
 
 class HypothesisCheck:
@@ -270,19 +270,17 @@ def detect_exponential(p, report, m_max=12):
     if weights:
         torsionfree = p.group.subgroup_is_torsionfree(weights)
         w_rank = p.group.subgroup_free_rank(weights)
-        try:
-            g_rank = subgroup_rank(report.commutators)
-            evidence["rank_criterion"] = {
-                "weights_torsionfree": torsionfree,
-                "weight_rank": w_rank,
-                "commutator_rank": g_rank,
-                "fires": torsionfree and w_rank == 1 and g_rank > 1,
-            }
-        except (ScalarShapeError, ZeroDivisionError) as exc:
-            evidence["rank_criterion"] = {"error": str(exc)}
+        # every commutator passed classify_gamma: a nonzero unit monomial
+        g_rank = subgroup_rank(report.commutators)
+        evidence["rank_criterion"] = {
+            "weights_torsionfree": torsionfree,
+            "weight_rank": w_rank,
+            "commutator_rank": g_rank,
+            "fires": torsionfree and w_rank == 1 and g_rank > 1,
+        }
     fired_cases = [e for e in evidence["pairs"] if e["cases"]]
     rank_fires = bool(evidence["rank_criterion"]
-                      and evidence["rank_criterion"].get("fires"))
+                      and evidence["rank_criterion"]["fires"])
     if fired_cases or rank_fires:
         return GrowthVerdict("exponential", evidence)
     return GrowthVerdict("inconclusive", evidence)

@@ -13,8 +13,9 @@ Presentations come from a builtin (--example, with --param overrides) or a
 JSON file.  Exit codes: 0 ok, 1 usage or parse error or a standard output
 closed before the report was written (silently), 2 hypothesis or
 consistency failure (including non-confluence and check mismatches),
-3 resource ceiling reached.  HOPFGROW_MAX_WORDS caps the growth
-enumeration; a value that is not a nonnegative integer is a usage error.
+3 the growth enumeration reached its word ceiling.  HOPFGROW_MAX_WORDS
+sets that ceiling; a value that is not a nonnegative integer is a usage
+error.
 """
 
 import argparse
@@ -283,7 +284,7 @@ def cmd_bounds(args):
         if e["cases"]:
             lines.append("  pair %s fires %s" % (e["pair"], ", ".join(e["cases"])))
     rc = verdict.evidence.get("rank_criterion")
-    if rc and rc.get("fires"):
+    if rc and rc["fires"]:
         lines.append("  commutator rank %d exceeds weight rank %d"
                      % (rc["commutator_rank"], rc["weight_rank"]))
     _emit(args, {"command": "bounds", "presentation": source,

@@ -17,7 +17,7 @@ class NonConfluentError(RuntimeError):
 
 
 class ResourceCeilingError(RuntimeError):
-    """An enumeration or a closure exceeded its configured ceiling."""
+    """An enumeration exceeded its configured ceiling."""
 
     def __init__(self, message, partial=None):
         super().__init__(message)

@@ -19,14 +19,10 @@ from itertools import combinations
 
 from .coalgebra import _search_space, find_skew_primitives, is_skew_primitive
 from .elements import AlgebraElement, add_term
-from .errors import ConsistencyError, ResourceCeilingError
+from .errors import ConsistencyError
 from .linalg import ScalarElimination, nullspace_of_columns
 from .presentation import _char_at
 from .scalars import INFINITE, ScalarShapeError, _powers_cancel, multiplicative_order
-
-
-class SaturationError(ResourceCeilingError):
-    """Conjugation closure outgrew its guard."""
 
 
 def conjugate(p, h, elt):
@@ -42,7 +38,7 @@ def proportionality_mod_coradical(p, a, b):
     kb = _strip_coradical(b)
     if not ka and not kb:
         return p.domain.one()
-    if not ka or not kb or set(ka) != set(kb):
+    if set(ka) != set(kb):
         return None
     w0 = next(iter(kb))
     lam = ka[w0] / kb[w0]
@@ -73,53 +69,36 @@ def _rank_mod_coradical(p, elements):
     return elim.rank
 
 
-# guards of the conjugation closure: its dimension, and the word length
-# of its group parts against that of the seeds
-_MAX_DIM = 64
-_WORD_SLACK = 8
-
-
-def _saturate(p, vectors, conjugators, image):
-    """The closure of the vectors under inverse conjugation by the
-    conjugators: the vectors whose image (a sparse column) is independent
-    of those kept before, each conjugated once kept, and the one
-    elimination of their images, tagged by index.  Modulo the coradical
-    nothing is lost, since conjugation maps the coradical into itself: if
-    v = sum a_i l_i there, over l_i kept before v, then T(v) = sum a_i
-    T(l_i), and each T(l_i) is queued earlier.  So the kept vectors and
-    their order are those the full closure keeps modulo the coradical.
-    """
-    max_word_length = 4 * max(
-        (p.group.word_length(w[0]) for v in vectors for w in v.terms),
-        default=0) + _WORD_SLACK
-    elim = ScalarElimination(p.domain)
-    basis = []
-    queue = list(vectors)
-    for v in queue:  # grows while it is read
-        if elim.insert(image(v), len(basis)) is not None:
-            continue
-        basis.append(v)
-        if len(basis) > _MAX_DIM:
-            raise SaturationError(
-                "conjugation closure exceeded %d dimensions" % _MAX_DIM)
-        if any(p.group.word_length(w[0]) > max_word_length for w in v.terms):
-            raise SaturationError(
-                "conjugation closure left the group-word bound %d" % max_word_length)
-        queue.extend(conjugate(p, h, v) for h in conjugators)
-    return basis, elim
-
-
 class QuotientSpace:
-    """The conjugation closure of primitives of one weight, modulo the
-    coradical.
+    """The conjugation closure of primitives of one weight g, modulo the
+    coradical: the kept vectors (the lifts) and the one elimination of
+    their images that coordinates are solved against.
 
-    One _saturate pass modulo the coradical keeps the lifts and the
-    elimination of their images that coordinates are solved against.
+    One pass keeps a vector when its image modulo the coradical is
+    independent of those kept before, and queues its conjugates.  Nothing
+    is lost, since conjugation maps the coradical into itself: if
+    v = sum a_i l_i there, over l_i kept before v, then T(v) = sum a_i
+    T(l_i), and each T(l_i) is queued earlier.
+
+    The closure ends by the lemma of _search_space, in its third use.
+    Conjugation keeps the weight g, the group being abelian, and does not
+    raise the y-degree.  Each (1,g)-primitive outside the coradical has a
+    top word w with group part 1 and mu(w) = g; echelon the kept vectors
+    by top word, and each one adds a new top word.  So at most N_g
+    vectors are kept, N_g the number of irreducible y-words w of degree
+    1..d (d the largest y-degree of the seeds) with mu(w) = g reduced,
+    and the closure needs no cap of its own.
     """
 
     def __init__(self, p, vectors, conjugators):
         self.presentation = p
-        self.lifts, self.elim = _saturate(p, vectors, conjugators, _strip_coradical)
+        self.elim = ScalarElimination(p.domain)
+        self.lifts = []
+        queue = list(vectors)
+        for v in queue:  # grows while it is read
+            if self.elim.insert(_strip_coradical(v), len(self.lifts)) is None:
+                self.lifts.append(v)
+                queue.extend(conjugate(p, h, v) for h in conjugators)
         self._operators = {}
 
     @property
@@ -311,24 +290,6 @@ class CommutatorAnalysis:
         self.weight = weight
         self.components = components    # list of (gamma, level, element)
         self.single = single            # WeightCommutator or None
-
-
-def conjugation_matrix(p, h, space_or_vectors):
-    """Matrix of T_{h^{-1}} on a space of primitives, saturating if needed.
-
-    Returns (matrix, basis): matrix[j] maps basis index i to the
-    coefficient of basis_i in T(basis_j).
-    """
-    vectors = list(getattr(space_or_vectors, "basis", space_or_vectors))
-    h = p.group.reduce(h)
-    basis, elim = _saturate(p, vectors, [h], lambda v: v.terms)
-    cols = []
-    for b in basis:
-        coords = elim.solve(conjugate(p, h, b).terms)
-        if coords is None:
-            raise ConsistencyError("conjugation image escapes the saturated space")
-        cols.append(coords)
-    return cols, basis
 
 
 def commutator_level(p, y, level_bound=24):

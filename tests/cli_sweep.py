@@ -18,9 +18,10 @@ Q(zeta_N) that are not rational, which no builtin does.  Three more run
 invariants, bounds and growth where the invariants search skips most
 weights of the group ball: a free file over Z^4, one over Z x Z/6 whose
 y-words have weights to reduce, and a truncation over Z^2 that is not
-count-graded.  Every command
-runs in OUT_DIR, so these files are named without a directory, and no
-command takes more than a few seconds.
+count-graded.  Two more run invariants on exterior free=true where the
+conjugation closure keeps 148 and 228 vectors at one weight.  Every
+command runs in OUT_DIR, so these files are named without a directory,
+and no command takes more than a few seconds.
 """
 
 import json
@@ -142,6 +143,10 @@ def commands():
         for fmt in ("text", "json"):
             out += [[command, name] + bounds + ["--format", fmt]
                     for command in ("invariants", "bounds", "growth")]
+    for s, degree, fmt in ((3, 6, "text"), (4, 5, "json")):
+        out.append(["invariants", "--example", "exterior", "--param", "free=true",
+                    "--param", "s=%d" % s, "--degree", str(degree), "--group-bound", "1",
+                    "--power-bound", "1", "--format", fmt])
     return out
 
 

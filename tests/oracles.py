@@ -15,6 +15,7 @@ import random
 from hopfgrow import invariants
 from hopfgrow.coalgebra import antipode, counit, delta, delta_word
 from hopfgrow.elements import AlgebraElement, TensorElement, add_term
+from hopfgrow.linalg import ScalarElimination
 
 from conftest import random_element
 
@@ -181,6 +182,23 @@ def check_axioms_at(p, a):
         right_s = right_s + p.multiply(AlgebraElement({l: c}), sr)
     assert left_s == target
     assert right_s == target
+
+
+def conjugation_closure(p, vectors, conjugators):
+    """The closure of the vectors under inverse conjugation by the
+    conjugators in full terms, the coradical included: a vector
+    independent of those kept before is kept and its conjugates queued.
+    It ends as invariants.QuotientSpace does: the (1,g)-primitives of
+    bounded y-degree exceed their image modulo the coradical by at most
+    the line k(g - 1)."""
+    elim = ScalarElimination(p.domain)
+    basis = []
+    queue = list(vectors)
+    for v in queue:  # grows while it is read
+        if elim.insert(v.terms, len(basis)) is None:
+            basis.append(v)
+            queue.extend(invariants.conjugate(p, h, v) for h in conjugators)
+    return basis
 
 
 def invariants_over_ball(p, degree_bound, group_word_bound, power_bound,

@@ -5,6 +5,7 @@ from hopfgrow.bounds import (all_bounds, bound_first, bound_second, bound_third,
 from hopfgrow.catalog import (exterior_presentation, qplane_presentation,
                               skew_free_presentation, skew_trunc_presentation,
                               taft_presentation)
+from hopfgrow.fileformat import parse_presentation_data
 from hopfgrow.invariants import compute_invariants
 
 SMALL = dict(degree_bound=4, group_word_bound=3, power_bound=4)
@@ -64,6 +65,36 @@ def test_bound_first_needs_a_skew_commutation_scalar():
     assert [(h.name, h.detail) for h in result.failing()] == [
         ("skew-commutation", "no scalar for pair (1, 1)"),
         ("self-commutation-free", "")]
+
+
+def test_bound_first_on_the_coradical_line():
+    # g1 - 1 commutes with g1 within the coradical: the scalar is 1, and
+    # only the independence modulo the coradical fails
+    p = skew_free_presentation(v=1)
+    result = bound_first(p, [p.group_element(p.group.generator(0)) - p.one()])
+    assert result.value is None
+    assert [(h.name, h.passed, h.detail) for h in result.hypotheses] == [
+        ("independent-mod-coradical", False, "rank 0 of 1"),
+        ("skew-commutation", True, ""), ("self-commutation-free", True, "")]
+
+
+def test_detect_exponential_skips_a_character_off_the_unit_monomials():
+    # y1 of weight 1 with lambda_1(g1) = 1 + q1 and y2 of weight g1 share
+    # the cyclic support g1, where y1's character is no unit monomial
+    p = parse_presentation_data({
+        "scalars": {"cyclotomic_order": 1, "transcendentals": ["q1"]},
+        "group": {"free_rank": 1},
+        "generators": [{"name": "y1", "weight": [0], "character": ["1 + q1"]},
+                       {"name": "y2", "weight": [1], "character": ["q1"]}]})
+    report = compute_invariants(p, 2, 1, 2)
+    assert [r.character for r in report.witnesses] == [
+        (p.gens[0].character[0],), (p.domain.q(0),)]
+    verdict = detect_exponential(p, report)
+    assert verdict.classification == "inconclusive"
+    assert verdict.evidence["pairs"] == []
+    assert verdict.evidence["skipped"] == [
+        {"pair": "((0,), (1,))", "reason": "pair scalars are not unit monomials"}]
+
 
 def test_bound_second_examples(reports):
     p, report = reports["exterior"]

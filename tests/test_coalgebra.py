@@ -152,6 +152,17 @@ def test_is_skew_primitive():
     assert is_skew_primitive(p, AlgebraElement({})) is None
 
 
+def test_is_skew_primitive_refuses_two_weights_and_a_scalar():
+    # Delta(z) - z (x) 1 is g1 (x) y1 + g1^-1 (x) y2 for z = y1 + y2 in
+    # qplane v=2, with two left group parts, 0 for z = 1, with none, and
+    # g1 (x) y1 for z = y1 + 1, whose right factor is not z
+    p = qplane_presentation(2)
+    assert [gen.weight for gen in p.gens] == [(1,), (-1,)]
+    assert is_skew_primitive(p, p.y(0) + p.y(1)) is None
+    assert is_skew_primitive(p, p.one()) is None
+    assert is_skew_primitive(p, p.y(0) + p.one()) is None
+
+
 def test_find_primitives_identity_weight_degree0():
     for p in [skew_free_presentation(v=1), taft_presentation(3)]:
         space = find_skew_primitives(p, p.group.identity(), degree_bound=0,

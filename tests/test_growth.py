@@ -11,6 +11,7 @@ from hopfgrow.cli import _parse_param
 from hopfgrow.coalgebra import is_skew_primitive
 from hopfgrow.elements import AlgebraElement
 from hopfgrow.errors import ResourceCeilingError
+from hopfgrow.fileformat import parse_presentation_data
 from hopfgrow.groups import GroupData
 from hopfgrow.growth import (DEFAULT_MAX_WORDS, PbwScan, _check_dependence_conclusions,
                              dp_word_counts, fit_growth, measure_growth,
@@ -427,6 +428,23 @@ def test_pbw_free_case():
     p = skew_free_presentation(v=2)
     scan = pbw_dependence_scan(p, [p.y(0), p.y(1)], degree_bound=6)
     assert scan.independent
+
+
+def test_pbw_dependence_off_the_pure_powers():
+    # with the rule y1 y2 -> 0 the scan meets y2^2, then y1 y2 = 0: the
+    # first dependence is the mixed monomial (1, 1), and the conclusions
+    # stop at its shape
+    p = parse_presentation_data({
+        "scalars": {"cyclotomic_order": 1, "transcendentals": ["q1"]},
+        "group": {"free_rank": 1},
+        "generators": [{"name": "y1", "weight": [1], "character": ["q1"]},
+                       {"name": "y2", "weight": [1], "character": ["q1"]}],
+        "relations": [{"lhs": "y1 y2", "rhs": ""}]})
+    assert p.check_confluence().confluent
+    scan = pbw_dependence_scan(p, [p.y(0), p.y(1)], degree_bound=3)
+    assert (scan.independent, scan.monomial, scan.relation) == (False, (1, 1), {})
+    assert scan.conclusions == {"dependent-monomial-is-pure-power": False}
+    assert not scan.consistent
 
 
 def test_pbw_truncated_with_beta():

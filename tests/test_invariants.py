@@ -1,56 +1,27 @@
 import random
+from math import comb
 
 import pytest
 
 from hopfgrow import invariants
-from hopfgrow.catalog import (build_example, exterior_presentation,
+from hopfgrow.catalog import (EXAMPLES, build_example, exterior_presentation,
                               qplane_presentation, skew_free_presentation,
                               skew_trunc_presentation, taft_presentation)
 from hopfgrow.cli import _parse_param
-from hopfgrow.coalgebra import find_skew_primitives
+from hopfgrow.coalgebra import _search_space, find_skew_primitives
 from hopfgrow.fileformat import parse_presentation_data
 from hopfgrow.groups import GroupData
 from hopfgrow.invariants import (CommutatorAnalysis, QuotientSpace, _level,
-                                 _saturate, _strip_coradical, commutator_level,
+                                 _strip_coradical, commutator_level,
                                  compute_invariants, conjugate,
-                                 conjugation_matrix, generalized_commutator,
-                                 is_skew_primitive, normalize_witness)
+                                 generalized_commutator, is_skew_primitive,
+                                 normalize_witness)
 from hopfgrow.linalg import ScalarElimination
 from hopfgrow.scalars import INFINITE, ScalarDomain, UnitMonomial, multiplicative_order
 
 from conftest import (CHECK_IDS, CHECK_SETTINGS, confluent_random_presentation,
                       random_weighted_presentation, wide_free_document)
-from oracles import invariants_over_ball, report_data
-
-
-def test_conjugation_matrix_line_only():
-    p = skew_free_presentation(v=1)
-    g = p.group.generator(0)
-    line = p.group_element(g) - p.one()
-    matrix, basis = conjugation_matrix(p, g, [line])
-    assert len(basis) == 1
-    assert matrix == [{0: p.domain.one()}]
-
-
-def test_conjugation_matrix_diagonal():
-    p = skew_free_presentation(v=1)
-    g = p.gens[0].weight
-    line = p.group_element(g) - p.one()
-    matrix, basis = conjugation_matrix(p, g, [line, p.y(0)])
-    assert len(basis) == 2
-    assert matrix[0] == {0: p.domain.one()}
-    assert matrix[1] == {1: p.domain.q(0)}
-
-
-def test_conjugation_matrix_jordan_block():
-    p = skew_free_presentation(v=1, tau=1)
-    g = p.gens[0].weight
-    line = p.group_element(g) - p.one()
-    matrix, basis = conjugation_matrix(p, g, [line, p.y(0)])
-    assert len(basis) == 2
-    one = p.domain.one()
-    assert matrix[0] == {0: one}
-    assert matrix[1] == {0: one, 1: one}
+from oracles import conjugation_closure, invariants_over_ball, report_data
 
 
 def test_commutator_level_taft():
@@ -307,9 +278,8 @@ def _quotient_by_two_passes(p, weight, vectors, conjugators):
     seeds = list(vectors)
     if not p.group.is_identity(weight):
         seeds.append(p.group_element(weight) - p.one())
-    basis, _ = _saturate(p, seeds, conjugators, lambda v: v.terms)
     elim = ScalarElimination(p.domain)
-    return [v for i, v in enumerate(basis)
+    return [v for i, v in enumerate(conjugation_closure(p, seeds, conjugators))
             if elim.insert(_strip_coradical(v), i) is None]
 
 
@@ -341,6 +311,70 @@ def test_quotient_space_matches_two_pass_closure():
                 assert [repr(v) for v in lifts] == [repr(v) for v in oracle], (p, weight)
                 spaces += 1
     assert spaces > 30
+
+
+def _assert_closures_within_top_words(p, degree, radius):
+    """At every weight g that the search reaches, the conjugation closure
+    of the primitives keeps at most N_g vectors, N_g the y-words w with
+    mu(w) = g that the search lists; returns the dimensions."""
+    ywords, _, weights = _search_space(p, degree, radius)
+    gens = p.group.generators()
+    dims = []
+    for weight in weights:
+        space = find_skew_primitives(p, weight, degree, radius)
+        dim = QuotientSpace(p, space.basis, gens).dim
+        top_words = sum(1 for yw, _, _, _, mu in ywords if yw and mu == weight)
+        assert dim <= top_words, (p, weight)
+        dims.append(dim)
+    return dims
+
+
+@pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
+def test_closure_within_top_words_on_check_settings(name, params):
+    p, merged = build_example(name, dict(_parse_param(prm) for prm in params))
+    cfg = EXAMPLES[name].check_config(merged)
+    _assert_closures_within_top_words(p, cfg["degree_bound"], cfg["group_word_bound"])
+
+
+def test_closure_within_top_words_random():
+    rng = random.Random(30)
+    dims = []
+    for draw in [random_weighted_presentation] * 20 + [None] * 20:
+        p = (confluent_random_presentation(rng, draw) if draw
+             else confluent_random_presentation(rng))
+        dims += _assert_closures_within_top_words(p, 3, 2)
+    assert sum(dims) > 40
+
+
+def _free_lie_superalgebra_dims(s, top):
+    """d_1 .. d_top with prod over odd n of (1 + t^n)^{d_n} times prod over
+    even n of (1 - t^n)^{-d_n} equal to 1 / (1 - s t): the dimensions by
+    degree of the free Lie superalgebra on s odd generators."""
+    series = [1] + [0] * top  # the product over the degrees below n
+    dims = {}
+    for n in range(1, top + 1):
+        d = dims[n] = s ** n - series[n]
+        factor = [comb(d, k) if n % 2 else comb(d + k - 1, k)
+                  for k in range(top // n + 1)]
+        series = [sum(c * series[m - n * k] for k, c in enumerate(factor) if n * k <= m)
+                  for m in range(top + 1)]
+    return dims
+
+
+@pytest.mark.parametrize("s, degree", [(4, 5), (2, 8)])
+def test_free_exterior_primitives_are_the_free_lie_superalgebra(s, degree):
+    # the primitives of the free algebra on s odd generators over Z/2 are
+    # the free Lie superalgebra: its odd degrees lie at the weight x with
+    # commutator -1, its even degrees at 1; at s = 4 the closure keeps
+    # 228 vectors at x
+    p = exterior_presentation(s, free=True)
+    dims = _free_lie_superalgebra_dims(s, degree)
+    odd = sum(d for n, d in dims.items() if n % 2)
+    even = sum(d for n, d in dims.items() if not n % 2)
+    report = compute_invariants(p, degree, 1, 1)
+    x = p.group.generator(0)
+    assert report.per_weight_dim == {x: odd, p.group.identity(): even}
+    assert (report.dim_torsion_span, report.dim_free_quotient) == (odd, even)
 
 
 def test_compute_invariants_lists_one_ball(monkeypatch):

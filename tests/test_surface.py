@@ -21,7 +21,7 @@ PUBLIC_NAMES = [
     "SkewPrimitiveSpace", "TensorElement", "UnitMonomial", "WeightCommutator",
     "WitnessRecord", "all_bounds", "antipode", "bound_first", "bound_second",
     "bound_third", "bounds", "build_example", "catalog", "coalgebra",
-    "commutator_level", "compute_invariants", "conjugation_matrix", "counit",
+    "commutator_level", "compute_invariants", "counit",
     "cyclic_support", "cyclotomic", "cyclotomic_polynomial", "delta",
     "delta_power_formula", "detect_exponential", "dp_word_counts", "elements",
     "errors", "exterior_presentation", "fileformat", "find_skew_primitives",
