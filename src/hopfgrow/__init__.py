@@ -27,9 +27,8 @@ from .fileformat import (load_presentation, parse_element_expr,
 from .groups import GroupData, cyclic_support
 from .growth import (GrowthReport, PbwScan, dp_word_counts, fit_growth,
                      measure_growth, pbw_dependence_scan)
-from .invariants import (CommutatorAnalysis, InvariantReport, WeightCommutator,
-                         WitnessRecord, commutator_level, compute_invariants,
-                         generalized_commutator)
+from .invariants import (InvariantReport, WeightCommutator, WitnessRecord,
+                         compute_invariants, generalized_commutator)
 from .presentation import Presentation, RewriteRule, SkewGenerator
 from .scalars import (INFINITE, Scalar, ScalarDomain, UnitMonomial,
                       multiplicative_order, quantum_binomial, subgroup_rank)

@@ -6,16 +6,17 @@ one QuotientSpace per weight, whose coordinates are solved against the
 elimination that picked its basis.  Each conjugation T_{h^{-1}}:
 z -> h^{-1} z h is split once into generalized eigenspaces.  The
 eigenvalue of T_{g^{-1}} is the commutator, its nilpotency index the
-level, and the joint split under the group generators the character;
-commutator_level, generalized_commutator and compute_invariants share
-that one split and one level function.  On the span of normal words
-T_{h^{-1}} is triangular -- a word g' y_{i_1}..y_{i_s} maps to the
-product of the lambda_i(h) times itself plus lower-degree terms -- so
+level, and the joint split under the group generators the character.
+Each eigenspace keeps its shifted operator T_{h^{-1}} - c, so
+generalized_commutator and compute_invariants share one split, one
+shifted operator per eigenvalue and one level function.  On the span of
+normal words T_{h^{-1}} is triangular -- a word g' y_{i_1}..y_{i_s} maps
+to the product of the lambda_i(h) times itself plus lower-degree terms -- so
 every eigenvalue is a product of character values and the decomposition
 stays inside the scalar domain.
 """
 
-from itertools import combinations
+from itertools import combinations, count
 
 from .coalgebra import _search_space, find_skew_primitives, is_skew_primitive
 from .elements import AlgebraElement, add_term
@@ -136,8 +137,8 @@ def _mat_apply(matrix, vec):
 class _Conjugation:
     """T_{h^{-1}} on a quotient space: its matrix, whose column j holds
     the coordinates of the image of lift j, its generalized eigenspaces
-    as (eigenvalue, basis) pairs, and one elimination over their union
-    that splits vectors."""
+    as (eigenvalue c, basis, shifted operator T - c) triples, and one
+    elimination over their union that splits vectors."""
 
     def __init__(self, q, h):
         p = q.presentation
@@ -157,7 +158,11 @@ class _Conjugation:
         self.spaces = []
         self._elim = ScalarElimination(p.domain)
         for c in candidates:
-            n = self.shifted(c)
+            n = []
+            for j, col in enumerate(self.matrix):
+                col = dict(col)
+                add_term(col, j, -c)
+                n.append(col)
             power = n
             for _ in range(q.dim - 1):
                 power = [_mat_apply(n, col) for col in power]
@@ -165,56 +170,60 @@ class _Conjugation:
             for bi, b in enumerate(kernel):
                 self._elim.insert(b, (len(self.spaces), bi))
             if kernel:
-                self.spaces.append((c, kernel))
+                self.spaces.append((c, kernel, n))
         if self._elim.rank != q.dim:
             raise ConsistencyError(
                 "eigenvalues not computable in the scalar domain: generalized "
                 "eigenspaces cover %d of %d dimensions" % (self._elim.rank, q.dim))
 
-    def shifted(self, c):
-        """matrix - c * identity."""
-        out = []
-        for j, col in enumerate(self.matrix):
-            col = dict(col)
-            add_term(col, j, -c)
-            out.append(col)
-        return out
-
     def split(self, vec):
-        """vec as [(eigenvalue, component)], one per eigenspace it meets."""
+        """vec as [(eigenvalue, shifted operator, component)], one per
+        eigenspace it meets."""
         if not vec:
             return []
         sol = self._elim.solve(vec)
         if sol is None:
             raise ConsistencyError("vector not covered by its eigenspace split")
         parts = []
-        for si, (c, basis) in enumerate(self.spaces):
+        for si, (c, basis, n) in enumerate(self.spaces):
             part = {}
             for (sj, bj), coeff in sol.items():
                 if sj == si:
                     for i, v in basis[bj].items():
                         add_term(part, i, coeff * v)
             if part:
-                parts.append((c, part))
+                parts.append((c, n, part))
         return parts
 
 
 def _refine(operators, vec):
     """Split a coordinate vector into joint generalized eigencomponents:
-    [(character, component)], a character holding one eigenvalue per
-    operator."""
-    comps = [((), vec)]
+    [(character, shifted operators, component)], a character holding one
+    eigenvalue c per operator and the shifted operators their T - c."""
+    comps = [((), [], vec)]
     for op in operators:
-        comps = [(chars + (c,), part) for chars, v in comps
-                 for c, part in op.split(v)]
+        comps = [(chars + (c,), shifted + [n], part)
+                 for chars, shifted, v in comps for c, n, part in op.split(v)]
     return comps
 
 
-def _level(domain, shifted, vec, bound):
+def _level(domain, shifted, vec):
     """Least n with every product of n shifted operators killing the
-    nonzero vec, or None when n exceeds bound."""
+    nonzero vec.
+
+    The loop needs no cap.  The operators commute, the group being
+    abelian, and each keeps the joint generalized eigenspace E that holds
+    vec and is nilpotent on it.  So they generate a nilpotent ideal A,
+    the spaces A^k vec (spanned by the products of k or more operators
+    applied to vec) shrink strictly until they vanish, since A F = F
+    forces F = A^m F = 0, and the level is at most dim E, at most the
+    size of the matrices.  The frontier at step k spans the products of
+    exactly k operators applied to vec; it is empty exactly when A^k vec
+    is.  A frontier still nonzero at that size means an operator that is
+    not nilpotent on E, a broken split, and raises.
+    """
     frontier = [vec]
-    for level in range(1, bound + 1):
+    for level in count(1):
         images = []
         for n in shifted:
             for v in frontier:
@@ -223,10 +232,11 @@ def _level(domain, shifted, vec, bound):
                     images.append(img)
         if not images:
             return level
+        if level == len(shifted[0]):
+            raise ConsistencyError("shifted operators are not nilpotent on their space")
         # a basis of the images keeps the frontier small
         elim = ScalarElimination(domain)
         frontier = [v for i, v in enumerate(images) if elim.insert(v, i) is None]
-    return None
 
 
 class WeightCommutator:
@@ -283,39 +293,14 @@ class WitnessRecord:
             self.weight, self.gamma, self.level, self.gamma_class)
 
 
-class CommutatorAnalysis:
-    """Result of commutator_level: single pair or a decomposition."""
-
-    def __init__(self, weight, components, single):
-        self.weight = weight
-        self.components = components    # list of (gamma, level, element)
-        self.single = single            # WeightCommutator or None
-
-
-def commutator_level(p, y, level_bound=24):
-    """Commutator data of a skew primitive: unique (gamma, level) or split.
-
-    The generalized commutator of y under conjugation by its own weight;
-    when y is not a generalized eigenvector for a single eigenvalue the
-    analysis returns the decomposition instead of a single pair.
-    """
-    weight = is_skew_primitive(p, y)
-    if weight is None:
-        raise ValueError("element is not skew primitive")
-    single, comps = generalized_commutator(p, y, [weight], level_bound)
-    components = [(chars[0], level, elt) for chars, level, elt in comps]
-    if single is not None:
-        (gamma,), level = single
-        single = WeightCommutator(weight, gamma, level, classify_gamma(gamma))
-    return CommutatorAnalysis(weight, components, single)
-
-
-def generalized_commutator(p, y, generators=None, level_bound=24):
-    """Simultaneous eigencharacter of conjugation by the whole group.
+def generalized_commutator(p, y, generators=None):
+    """Simultaneous eigencharacter of conjugation by the group generators,
+    or by the given group elements.
 
     Returns (character tuple, level) when y carries a single generalized
-    character, else (None, components): the decomposition into character
-    summands.  The level is None when it exceeds level_bound.
+    character, else (None, components): the decomposition into
+    (character, level, element) summands.  With generators [weight of y]
+    the character is the commutator of y and the level its level.
     """
     weight = is_skew_primitive(p, y)
     if weight is None:
@@ -327,12 +312,10 @@ def generalized_commutator(p, y, generators=None, level_bound=24):
     q = QuotientSpace(p, [y], gens_elts)
     ops = [q.operator(h) for h in gens_elts]
     out = []
-    for chars, vec in _refine(ops, q.coords(y)):
-        shifted = [op.shifted(c) for op, c in zip(ops, chars)]
-        out.append((chars, _level(p.domain, shifted, vec, level_bound),
-                    q.lift(vec)))
-    if len(out) == 1 and out[0][1] is not None:
-        return (out[0][0], out[0][1]), out
+    for chars, shifted, vec in _refine(ops, q.coords(y)):
+        out.append((chars, _level(p.domain, shifted, vec), q.lift(vec)))
+    if len(out) == 1:
+        return out[0][:2], out
     return None, out
 
 
@@ -485,8 +468,7 @@ def _relation_search(u1, u2, bound):
     return None
 
 
-def compute_invariants(p, degree_bound=6, group_word_bound=6, power_bound=6,
-                       level_bound=12):
+def compute_invariants(p, degree_bound=6, group_word_bound=6, power_bound=6):
     """Full weight/commutator analysis of a confluent presentation.
 
     For every weight of the group ball that is mu(w) for a nonempty
@@ -500,19 +482,16 @@ def compute_invariants(p, degree_bound=6, group_word_bound=6, power_bound=6,
     """
     p.require_confluent()
     _, _, weights = _search_space(p, degree_bound, group_word_bound)
-    return _report_at(p, weights, degree_bound, group_word_bound, power_bound,
-                      level_bound)
+    return _report_at(p, weights, degree_bound, group_word_bound, power_bound)
 
 
-def _report_at(p, weights, degree_bound, group_word_bound, power_bound,
-               level_bound):
+def _report_at(p, weights, degree_bound, group_word_bound, power_bound):
     """The invariant report over the given weights, in their order: a
     weight whose primitives have no witness is left out."""
     report = InvariantReport(p, {
         "degree_bound": degree_bound,
         "group_word_bound": group_word_bound,
         "power_bound": power_bound,
-        "level_bound": level_bound,
     })
     gens_elts = p.group.generators()
     dom = p.domain
@@ -525,29 +504,25 @@ def _report_at(p, weights, degree_bound, group_word_bound, power_bound,
         if not space.witnesses():
             continue
         q = QuotientSpace(p, space.basis, gens_elts)
-        bound = max(level_bound, q.dim)
         ops = [q.operator(g2) for g2 in gens_elts]
         own = q.operator(weight)
         recs = []
-        for c, kbasis in own.spaces:
+        for c, kbasis, n in own.spaces:
             elim = ScalarElimination(dom)
             chosen = []
             for vec in kbasis:
-                for chars, v in _refine(ops, vec):
+                for chars, shifted, v in _refine(ops, vec):
                     if elim.insert(v, len(chosen)) is None:
-                        chosen.append((chars, v))
+                        chosen.append((chars, shifted, v))
             if len(chosen) != len(kbasis):
                 raise ConsistencyError(
                     "character refinement changed an eigenspace dimension")
-            for chars, v in chosen:
+            for chars, shifted, v in chosen:
                 if gens_elts and _char_at(dom, chars, weight) != c:
                     raise ConsistencyError(
                         "character does not reproduce the commutator eigenvalue")
-                level = _level(dom, [own.shifted(c)], v, bound)
-                if level is None:
-                    raise ConsistencyError("commutator level exceeded its bound")
-                char_level = _level(
-                    dom, [op.shifted(x) for op, x in zip(ops, chars)], v, bound)
+                level = _level(dom, [n], v)
+                char_level = _level(dom, shifted, v)
                 elt = q.lift(v)
                 if level == 1:
                     elt = normalize_witness(p, weight, c, elt)

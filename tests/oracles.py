@@ -201,13 +201,12 @@ def conjugation_closure(p, vectors, conjugators):
     return basis
 
 
-def invariants_over_ball(p, degree_bound, group_word_bound, power_bound,
-                         level_bound=12):
+def invariants_over_ball(p, degree_bound, group_word_bound, power_bound):
     """compute_invariants with its weight loop over the whole group ball:
     every weight is searched, and one whose primitives have no witness is
     left out of the report."""
     return invariants._report_at(p, p.group.ball(group_word_bound), degree_bound,
-                                 group_word_bound, power_bound, level_bound)
+                                 group_word_bound, power_bound)
 
 
 def report_data(report):

@@ -145,7 +145,7 @@ def test_invariants_command_skew_trunc(capsys):
     assert err == ""
     assert out == (
         "invariants of skew_trunc (bounds {'degree_bound': 5, 'group_word_bound': 5,"
-        " 'power_bound': 5, 'level_bound': 12})\n"
+        " 'power_bound': 5})\n"
         "  weights: {g1}\n"
         "  with primitive power: {g1}\n"
         "  with free commutator: {g1}\n"

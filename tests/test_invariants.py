@@ -9,11 +9,11 @@ from hopfgrow.catalog import (EXAMPLES, build_example, exterior_presentation,
                               skew_trunc_presentation, taft_presentation)
 from hopfgrow.cli import _parse_param
 from hopfgrow.coalgebra import _search_space, find_skew_primitives
+from hopfgrow.errors import ConsistencyError
 from hopfgrow.fileformat import parse_presentation_data
 from hopfgrow.groups import GroupData
-from hopfgrow.invariants import (CommutatorAnalysis, QuotientSpace, _level,
-                                 _strip_coradical, commutator_level,
-                                 compute_invariants, conjugate,
+from hopfgrow.invariants import (QuotientSpace, _level, _strip_coradical,
+                                 classify_gamma, compute_invariants, conjugate,
                                  generalized_commutator, is_skew_primitive,
                                  normalize_witness)
 from hopfgrow.linalg import ScalarElimination
@@ -24,33 +24,39 @@ from conftest import (CHECK_IDS, CHECK_SETTINGS, confluent_random_presentation,
 from oracles import conjugation_closure, invariants_over_ball, report_data
 
 
+def own_commutator(p, y):
+    """(commutator, level) of a skew primitive y with one generalized
+    eigenvalue under conjugation by its own weight."""
+    single, _ = generalized_commutator(p, y, [is_skew_primitive(p, y)])
+    (gamma,), level = single
+    return gamma, level
+
+
 def test_commutator_level_taft():
     p = taft_presentation(5)
-    analysis = commutator_level(p, p.y(0))
-    assert analysis.single is not None
-    wc = analysis.single
-    assert wc.weight == p.gens[0].weight
-    assert wc.gamma == p.domain.zeta()
-    assert wc.level == 1
-    assert wc.gamma_class == "torsion"
+    assert is_skew_primitive(p, p.y(0)) == p.gens[0].weight
+    gamma, level = own_commutator(p, p.y(0))
+    assert gamma == p.domain.zeta()
+    assert level == 1
+    assert classify_gamma(gamma) == "torsion"
 
 
 def test_commutator_level_trivial_char_with_tau():
     p = skew_free_presentation(v=1, tau=1)
-    analysis = commutator_level(p, p.y(0))
-    assert analysis.single is not None
-    assert analysis.single.gamma.is_one()
-    assert analysis.single.level == 1
-    assert analysis.single.gamma_class == "trivial"
+    gamma, level = own_commutator(p, p.y(0))
+    assert gamma.is_one()
+    assert level == 1
+    assert classify_gamma(gamma) == "trivial"
 
 
 def test_commutator_level_rejects_coradical():
     p = skew_free_presentation(v=1)
     g = p.group.generator(0)
     with pytest.raises(ValueError):
-        commutator_level(p, p.group_element(g) - p.one())
+        generalized_commutator(p, p.group_element(g) - p.one(), [g])
     with pytest.raises(ValueError):
-        commutator_level(p, p.multiply(p.y(0), p.y(0)))  # not primitive
+        # not primitive
+        generalized_commutator(p, p.multiply(p.y(0), p.y(0)), [g])
 
 
 def test_generalized_commutator_basic():
@@ -82,14 +88,14 @@ def test_generalized_commutator_splits_sum():
 def test_conjugates_keep_weight_commutator():
     for p in [exterior_presentation(2), skew_free_presentation(v=2)]:
         for i in range(p.ny):
-            base = commutator_level(p, p.y(i)).single
+            weight = is_skew_primitive(p, p.y(i))
+            base = own_commutator(p, p.y(i))
             for h in p.group.ball(2):
                 conj = conjugate(p, h, p.y(i))
                 if conj.is_zero():
                     continue
-                wc = commutator_level(p, conj).single
-                assert wc.weight == base.weight
-                assert wc.gamma == base.gamma
+                assert is_skew_primitive(p, conj) == weight
+                assert own_commutator(p, conj)[0] == base[0]
 
 
 def test_invariants_exterior():
@@ -207,27 +213,8 @@ def test_entry_points_agree_on_witnesses(p):
     for rec in report.witnesses:
         single, _ = generalized_commutator(p, rec.element)
         assert single == (rec.character, rec.char_level)
-        wc = commutator_level(p, rec.element).single
-        assert (wc.gamma, wc.level) == (rec.gamma, rec.level)
-
-
-@pytest.mark.parametrize("p", [
-    skew_free_presentation(v=1, tau=1), taft_presentation(3),
-    skew_free_presentation(v=2)],
-    ids=["skew_free-v=1-tau=1", "taft-p=3", "skew_free-v=2"])
-def test_level_bound_boundary(p):
-    # the level is None exactly when it exceeds the bound
-    y = p.y(0)
-    level = commutator_level(p, y).single.level
-    below = commutator_level(p, y, level_bound=level - 1)
-    assert below.single is None
-    assert [c[1] for c in below.components] == [None]
-    at = commutator_level(p, y, level_bound=level)
-    assert at.single.level == level
-    single, comps = generalized_commutator(p, y, level_bound=level - 1)
-    assert single is None and [c[1] for c in comps] == [None]
-    single, _ = generalized_commutator(p, y, level_bound=level)
-    assert single[1] == level
+        single, _ = generalized_commutator(p, rec.element, [rec.weight])
+        assert single == ((rec.gamma,), rec.level)
 
 
 def _jordan(dom, n):
@@ -240,10 +227,19 @@ def test_level_climbs_a_jordan_chain():
     dom = ScalarDomain(1)
     n = _jordan(dom, 3)
     e = [{j: dom.one()} for j in range(3)]
-    assert _level(dom, [n], e[2], 3) == 3
-    assert _level(dom, [n], e[2], 2) is None
-    assert _level(dom, [n], e[1], 2) == 2
-    assert _level(dom, [n], e[0], 1) == 1
+    assert _level(dom, [n], e[2]) == 3
+    assert _level(dom, [n], e[1]) == 2
+    assert _level(dom, [n], e[0]) == 1
+
+
+def test_level_refuses_an_operator_that_is_not_nilpotent():
+    # N + I fixes nothing to zero: the frontier outlives the matrix size
+    dom = ScalarDomain(1)
+    n = [{**col, j: dom.one()} for j, col in enumerate(_jordan(dom, 3))]
+    with pytest.raises(ConsistencyError):
+        _level(dom, [n], {0: dom.one()})
+    with pytest.raises(ConsistencyError):
+        _level(dom, [_jordan(dom, 3), n], {2: dom.one()})
 
 
 @pytest.mark.parametrize("size, level, frontiers", [
@@ -266,7 +262,7 @@ def test_level_of_an_operator_pair_keeps_its_frontier_a_basis(
         return mat_apply(matrix, vec)
 
     monkeypatch.setattr(invariants, "_mat_apply", record)
-    assert _level(dom, pair, {size - 1: dom.one()}, size + 1) == level
+    assert _level(dom, pair, {size - 1: dom.one()}) == level
     # each level applies both operators to each frontier vector once
     assert seen == [{j: dom.one()} for front in frontiers for _ in pair for j in front]
 
@@ -344,6 +340,35 @@ def test_closure_within_top_words_random():
              else confluent_random_presentation(rng))
         dims += _assert_closures_within_top_words(p, 3, 2)
     assert sum(dims) > 40
+
+
+def _assert_levels_within_dims(report):
+    """1 <= level, char_level <= the quotient dimension of the witness's
+    weight: the bound that _level's loop ends by."""
+    dims = [report.per_weight_dim[rec.weight] for rec in report.witnesses]
+    for rec, dim in zip(report.witnesses, dims):
+        assert 1 <= rec.level <= dim and 1 <= rec.char_level <= dim, rec
+    return dims
+
+
+@pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
+def test_levels_within_dims_on_check_settings(name, params):
+    p, merged = build_example(name, dict(_parse_param(prm) for prm in params))
+    cfg = EXAMPLES[name].check_config(merged)
+    report = compute_invariants(p, cfg["degree_bound"], cfg["group_word_bound"],
+                                cfg["power_bound"])
+    assert _assert_levels_within_dims(report)
+
+
+def test_levels_within_dims_random():
+    rng = random.Random(31)
+    dims = []
+    for draw in [random_weighted_presentation] * 20 + [None] * 20:
+        p = (confluent_random_presentation(rng, draw) if draw
+             else confluent_random_presentation(rng))
+        dims += _assert_levels_within_dims(compute_invariants(p, 3, 2, 2))
+    # witnesses in quotients of dimension 1 and larger
+    assert min(dims) == 1 and max(dims) > 2
 
 
 def _free_lie_superalgebra_dims(s, top):

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # the sorted hopfgrow.__all__: a name leaves or joins it only with an edit here
 PUBLIC_NAMES = [
-    "AlgebraElement", "BoundReport", "CommutatorAnalysis", "ConsistencyError",
+    "AlgebraElement", "BoundReport", "ConsistencyError",
     "CycloField", "CycloRational", "EXAMPLES", "GroupData", "GrowthReport",
     "GrowthVerdict", "INFINITE", "InvariantReport", "NonConfluentError", "PbwScan",
     "Presentation", "PresentationError", "ResourceCeilingError", "RewriteRule",
@@ -21,7 +21,7 @@ PUBLIC_NAMES = [
     "SkewPrimitiveSpace", "TensorElement", "UnitMonomial", "WeightCommutator",
     "WitnessRecord", "all_bounds", "antipode", "bound_first", "bound_second",
     "bound_third", "bounds", "build_example", "catalog", "coalgebra",
-    "commutator_level", "compute_invariants", "counit",
+    "compute_invariants", "counit",
     "cyclic_support", "cyclotomic", "cyclotomic_polynomial", "delta",
     "delta_power_formula", "detect_exponential", "dp_word_counts", "elements",
     "errors", "exterior_presentation", "fileformat", "find_skew_primitives",
