@@ -18,8 +18,9 @@ by the pure y-word w; its values at one point mod P sit on the same keys,
 cached beside it, for the primitive search.
 """
 
-from .elements import AlgebraElement, TensorElement, add_term, word_key, yword_key
+from .elements import AlgebraElement, TensorElement, add_term, word_key, y_counts
 from .linalg import ScalarElimination, _dependences_mod, nullspace_of_columns
+from .presentation import _reduce_mod
 from .scalars import _point, quantum_binomial
 
 
@@ -311,10 +312,15 @@ def _search_space(p, degree_bound, group_word_bound):
     key = (degree_bound, group_word_bound)
     found = p._search_spaces.get(key)
     if found is None:
-        e = p.group.identity()
-        ywords = [(yw, yword_key(yw, p.ny), *p._degree((e, yw)),
-                   p.group.reduce(p._content(yw)))
-                  for words in p.irreducible_ywords(degree_bound) for yw in words]
+        ywords = []
+        for words in p.irreducible_ywords(degree_bound):
+            for yw in words:
+                # yword_key and p._degree((1, yw)), from one count and
+                # one content
+                counts, content = y_counts(yw, p.ny), p._content(yw)
+                ywords.append((yw, (len(yw), counts, yw),
+                               _reduce_mod(counts, p._count_lattice),
+                               p._group_class(content), p.group.reduce(content)))
         ball = p.group.ball(group_word_bound)
         ball_by_class = {}
         for h in ball:

@@ -338,14 +338,14 @@ class Presentation:
             return found
         stack = []  # (key, suspended rule fold waiting for a product)
         while True:
-            found = cache.get(key)
-            if found is None:
-                rule = self._front_rule(*key)
-                if rule is None:
-                    found = cache[key] = {
-                        (self.group.identity(), (key[0],) + key[1]): self.domain.one()}
-                else:
-                    stack.append((key, self._rule_fold(rule, key[1])))
+            # key is a cache miss: folds suspend on nothing else
+            rule = self._front_rule(*key)
+            if rule is None:
+                found = cache[key] = {
+                    (self.group.identity(), (key[0],) + key[1]): self.domain.one()}
+            else:
+                found = None
+                stack.append((key, self._rule_fold(rule, key[1])))
             while stack:
                 top, fold = stack[-1]
                 try:
@@ -362,10 +362,12 @@ class Presentation:
 
         The sum of c g (u s) over the right-hand side terms c g u, where the
         letters of u fold onto the normal word s from the right.  A
-        generator: it yields each (letter, normal y-word) pair whose product
-        it needs, is sent that product, and returns the sum.
+        generator: it reads the products it needs from the kernel's cache,
+        yields each (letter, normal y-word) pair the cache lacks, is sent
+        that product, and returns the sum.
         """
         e = self.group.identity()
+        cache = self._letter_cache
         s = w[len(rule.lhs) - 1:]
         acc = {}
         for (g, u), c in rule.rhs.terms.items():
@@ -373,7 +375,9 @@ class Presentation:
             for i in reversed(u):
                 new = {}
                 for (h, v), cv in terms.items():
-                    nf = yield i, v
+                    nf = cache.get((i, v))
+                    if nf is None:
+                        nf = yield i, v
                     self._add_letter_times(new, i, h, v, cv, nf)
                 terms = new
             for (h, v), cv in terms.items():
@@ -384,11 +388,20 @@ class Presentation:
         """Add c y_i (h v) to acc, for a normal word h v and nf = NF(y_i v):
 
             y_i h v = lambda_i(h) h NF(y_i v) + tau_i(h) h (mu_i - 1) v.
+
+        At h = 1 that is c NF(y_i v), as tau_i(1) = 0.  No product by the
+        domain's one is taken.
         """
+        one = self.domain._one
+        if not any(h):
+            for word, c3 in nf.items():
+                add_term(acc, word, c if c3 is one else c * c3)
+            return
         mul = self.group.mul
-        lam = c * self.char_value(i, h)
+        lam = self.char_value(i, h)
+        lam = c if lam is one else c * lam
         for (h3, v3), c3 in nf.items():
-            add_term(acc, (mul(h, h3), v3), lam * c3)
+            add_term(acc, (mul(h, h3), v3), lam if c3 is one else lam * c3)
         if not self.tau_free:
             tau = self.tau_value(i, h)
             if not tau.is_zero():
@@ -398,9 +411,13 @@ class Presentation:
 
     def _y_times(self, i, terms):
         """y_i times {(h, normal y-word): coeff}, in normal form."""
+        cache = self._letter_cache
         out = {}
         for (h, v), c in terms.items():
-            self._add_letter_times(out, i, h, v, c, self._letter_times(i, v))
+            nf = cache.get((i, v))
+            if nf is None:
+                nf = self._letter_times(i, v)
+            self._add_letter_times(out, i, h, v, c, nf)
         return out
 
     def normal_form_yword(self, yword):
@@ -505,9 +522,24 @@ class Presentation:
         times each positive group generator x reduces by its rule and by
         normalize(u x), which commutes x to the left.  A finite rule set has
         finitely many overlaps, each of length at most |u| + |v| - 1
-        (Bergman's diamond lemma), so none is skipped.  Returns a
-        ConfluenceResult listing every critical pair whose two reductions
-        differ.
+        (Bergman's diamond lemma).  Returns a ConfluenceResult listing every
+        critical pair whose two reductions differ.
+
+        A group overlap u x of the rule u -> sum c g w is settled by the
+        character grading, and not normalized, when
+        1. the presentation is tau-free,
+        2. every right-hand side word w has the letter counts of u, and
+        3. no other rule's left-hand side occurs in u, at any position.
+        Let N be the kernel's right fold.  With tau = 0 each fold step is
+        y_i (h v) = lambda_i(h) h N(y_i v), so N(u x) = lambda_u(x) x N(u)
+        and N(g w x) = lambda_w(x) x g N(w), lambda_u the product of the
+        lambda of the letters of u.  By 2, lambda_w = lambda_u.  By 3 every
+        proper suffix of u is normal and u's own rule is its front rule, so
+        N(u) = N(sum c g w).  Both reductions are lambda_u(x) x N(u): the
+        overlap resolves, and the failure list is the one that normalizing
+        it would give.  Without any one condition an overlap can fail: a
+        tau-generator with y1 y1 -> 0, skew_trunc with bad_gen, and the
+        rules y1 -> y2, y2 y1 -> 0 over Z.
         """
         if self._confluence is not None:
             return self._confluence
@@ -522,6 +554,17 @@ class Presentation:
             rest = letters(word[pos + len(rule.lhs):]) + tail
             return self.normalize([(c, head + (("g", g),) + letters(yw) + rest)
                                    for (g, yw), c in rule.rhs.terms.items()])
+
+        lhs_set = {rule.lhs for rule in self.rules}
+        lhs_lengths = {len(lhs) for lhs in lhs_set}
+
+        def settled_by_grading(rule):
+            u = rule.lhs
+            counts = y_counts(u, self.ny)
+            return (self.tau_free
+                    and all(y_counts(w, self.ny) == counts for _, w in rule.rhs.terms)
+                    and not any(u[a:a + n] in lhs_set for n in lhs_lengths
+                                if n < len(u) for a in range(len(u) - n + 1)))
 
         failures = []
         for ra, rb in itertools.product(self.rules, repeat=2):
@@ -542,6 +585,8 @@ class Presentation:
                         self._yname(u), self._yname(v), self._yname(word))
                 failures.append(OverlapFailure("yy", word, detail, first, second))
         for rule in self.rules:
+            if settled_by_grading(rule):
+                continue
             for gi in range(self.group.ngens):
                 x = (("g", self.group.generator(gi)),)
                 first = reduced(rule.lhs, 0, rule, x)

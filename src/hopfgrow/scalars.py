@@ -311,6 +311,8 @@ class Scalar:
     def __mul__(self, other):
         if not isinstance(other, Scalar) and isinstance(other, (int, Fraction)):
             other = self.domain.rational(other)
+        if other is self.domain._one:
+            return self
         self._check(other)
         if self.is_zero() or other.is_zero():
             return self.domain.zero()

@@ -19,8 +19,10 @@ invariants, bounds and growth where the invariants search skips most
 weights of the group ball: a free file over Z^4, one over Z x Z/6 whose
 y-words have weights to reduce, and a truncation over Z^2 that is not
 count-graded.  Two more run invariants on exterior free=true where the
-conjugation closure keeps 148 and 228 vectors at one weight.  Every
-command runs in OUT_DIR, so these files are named without a directory,
+conjugation closure keeps 148 and 228 vectors at one weight.  The last
+two run growth and delta on a tau presentation whose group overlap does
+not resolve, which check_confluence must normalize.  Every command
+runs in OUT_DIR, so these files are named without a directory,
 and no command takes more than a few seconds.
 """
 
@@ -93,6 +95,13 @@ FILES = {
         "generators": [{"name": "y1", "weight": [1, 0], "character": ["zeta", "1"]},
                        {"name": "y2", "weight": [0, 1], "character": ["1", "q1"]}],
         "relations": [{"lhs": "y1^3", "rhs": "g1^3 - 1"}]},
+    # y1 y1 = 0 for a tau-generator y1 of weight g1 over Z, trivial
+    # character, tau(g1) = 2: its group overlap does not resolve
+    "tau-square.json": {
+        "scalars": {"cyclotomic_order": 1, "transcendentals": []},
+        "group": {"free_rank": 1},
+        "generators": [{"name": "y1", "weight": [1], "character": ["1"], "tau": ["2"]}],
+        "relations": [{"lhs": "y1^2", "rhs": ""}]},
 }
 
 # files whose invariants search skips most weights of the ball, with the
@@ -147,6 +156,8 @@ def commands():
         out.append(["invariants", "--example", "exterior", "--param", "free=true",
                     "--param", "s=%d" % s, "--degree", str(degree), "--group-bound", "1",
                     "--power-bound", "1", "--format", fmt])
+    out += [["growth", "tau-square.json"],
+            ["delta", "tau-square.json", "--element", "y1 g1"]]
     return out
 
 

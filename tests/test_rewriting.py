@@ -17,7 +17,7 @@ from hopfgrow.presentation import (Presentation, SkewGenerator, _echelon_lattice
 from hopfgrow.scalars import ScalarDomain
 
 from conftest import (CHECK_SETTINGS, confluent_random_presentation, random_element,
-                      random_presentation, random_truncation)
+                      random_presentation, random_truncation, random_weighted_presentation)
 from oracles import normal_form_yword_random, normalize_random_order
 
 
@@ -158,6 +158,74 @@ def _two_rule_presentation(rank, lhs):
 def test_overlap_kinds_are_each_checked(rank, lhs, expected):
     failures = _two_rule_presentation(rank, lhs).check_confluence().failures
     assert [(f.kind, f.detail) for f in failures] == expected
+
+
+def _tau_square_zero():
+    """y1 y1 -> 0 over Z for a tau-generator y1 of weight g1: trivial
+    character, tau(g1) = 2."""
+    dom, z = ScalarDomain(1), GroupData(1)
+    gen = SkewGenerator("y1", z.generator(0), (dom.one(),), (dom.rational(2),))
+    return Presentation(dom, z, [gen], [((0, 0), {})])
+
+
+def _unresolved_group_overlaps(p):
+    """The pairs (lhs, group generator index) at which rhs x and lhs x
+    normalize differently, for every rule lhs -> rhs and generator x."""
+    one = p.domain.one()
+
+    def ys(yword):
+        return [("y", i) for i in yword]
+
+    out = set()
+    for rule in p.rules:
+        for gi, x in enumerate(p.group.generators()):
+            rhs_x = p.normalize([(c, [("g", g)] + ys(w) + [("g", x)])
+                                 for (g, w), c in rule.rhs.terms.items()])
+            if rhs_x != p.normalize([(one, ys(rule.lhs) + [("g", x)])]):
+                out.add((rule.lhs, gi))
+    return out
+
+
+def test_group_overlap_failures_match_normalizing_each():
+    # check_confluence settles some group overlaps by the character grading
+    # and normalizes none of them; its ygroup failures must still be the
+    # overlaps whose two reductions differ.  The three counterexamples each
+    # break one condition of that skip (tau, the letter counts of the
+    # right-hand side, a rule inside the left-hand side), each failing at
+    # a group overlap.  The random draws are not filtered for confluence;
+    # some hold tau and a truncation
+    rng = random.Random(3232)
+    pool = [build_example(name, dict(_parse_param(prm) for prm in params))[0]
+            for name, params in CHECK_SETTINGS]
+    pool += [skew_trunc_presentation(3, beta=1, v=2, bad_gen=True), _tau_square_zero(),
+             _two_rule_presentation(1, (1, 0))]
+    draws = [random_presentation(rng) for _ in range(150)]
+    draws += [random_weighted_presentation(rng) for _ in range(150)]
+    failing = []
+    for p in pool + draws:
+        gens = p.group.generators()
+        found = {(f.word[:-1], gens.index(f.word[-1][1]))
+                 for f in p.check_confluence().failures if f.kind == "ygroup"}
+        assert found == _unresolved_group_overlaps(p), p
+        if found:
+            failing.append(p)
+    assert all(p in failing for p in pool[-3:])
+    assert sum(bool(p.rules) and not p.tau_free for p in draws) >= 3
+
+
+@pytest.mark.parametrize("build, calls", [
+    (lambda: exterior_presentation(4), 40), (lambda: qplane_presentation(3), 2),
+], ids=["exterior-s=4", "qplane-v=3"])
+def test_group_overlaps_settled_by_grading_are_not_normalized(monkeypatch, build, calls):
+    # every group overlap of these two is settled by the grading: only the
+    # yy overlaps are normalized, two calls each
+    p = build()
+    seen = []
+    normalize = Presentation.normalize
+    monkeypatch.setattr(Presentation, "normalize",
+                        lambda self, raw: seen.append(raw) or normalize(self, raw))
+    assert p.check_confluence().confluent
+    assert len(seen) == calls
 
 
 def test_randomized_reduction_order_agrees(rng):

@@ -375,6 +375,9 @@ def test_shortcuts_match_cross_multiplication(conductor):
     one = dom.one()
     assert sum(len(x.den) > 1 for x in pool) >= 5
     assert sum(x.is_one() for x in pool) >= 3
+    # an int or Fraction factor becomes a Scalar first, also beside one
+    for value in (3, Fraction(1, 2)):
+        assert isinstance(one * value, Scalar) and one * value == dom.rational(value)
     for a in pool:
         _check_invariant(a)
         assert a.is_one() == _same_value(a, one.num, one.den)
