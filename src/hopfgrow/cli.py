@@ -193,6 +193,7 @@ def _bound_payload(results):
 def cmd_normalize(args):
     p, source = _load(args)
     elt = parse_element_expr(p, args.element)
+    p.require_confluent()
     payload = {"input": args.element,
                "normal_form": element_to_str(p, elt)}
     _emit(args, {"command": "normalize", "presentation": source,

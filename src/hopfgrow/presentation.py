@@ -21,12 +21,11 @@ decides whether y_i w is normal; otherwise the rule's right-hand side folds
 onto the rest of w through cached products by smaller words (deg-lex
 rewriting is compatible with concatenation: Bergman, The diamond lemma for
 ring theory, Adv. Math. 29, 1978).  Normal forms of words, normalize,
-multiply, coproducts and the growth closure are folds of that kernel.
+multiply, both reductions of each confluence overlap, coproducts and the
+growth closure are folds of that kernel.
 The tests check it against whole-word rewriting in random order, an
 oracle in tests/oracles.py that evaluates the characters itself.
 """
-
-import itertools
 
 from .elements import AlgebraElement, add_term, y_counts, yword_key
 from .errors import NonConfluentError, PresentationError, ResourceCeilingError
@@ -420,6 +419,13 @@ class Presentation:
             self._add_letter_times(out, i, h, v, c, nf)
         return out
 
+    def _fold(self, yword, terms):
+        """The y-word times {(h, normal y-word): coeff}, in normal form: a
+        right fold of _y_times."""
+        for i in reversed(yword):
+            terms = self._y_times(i, terms)
+        return terms
+
     def normal_form_yword(self, yword):
         """Normal form of a pure y-word as an AlgebraElement.
 
@@ -428,10 +434,8 @@ class Presentation:
         rules are tested at position 0 only and the products of shorter
         suffixes come from its cache.
         """
-        terms = {(self.group.identity(), ()): self.domain.one()}
-        for i in reversed(tuple(yword)):
-            terms = self._y_times(i, terms)
-        return AlgebraElement(terms)
+        return AlgebraElement(
+            self._fold(tuple(yword), {(self.group.identity(), ()): self.domain.one()}))
 
     # -- products ----------------------------------------------------------
     def normalize(self, raw):
@@ -472,10 +476,7 @@ class Presentation:
         mul = self.group.mul
         acc = {}
         for (h1, u), c1 in a.terms.items():
-            terms = b.terms
-            for i in reversed(u):
-                terms = self._y_times(i, terms)
-            for (h, v), c in terms.items():
+            for (h, v), c in self._fold(u, b.terms).items():
                 add_term(acc, (mul(h1, h), v), c1 * c)
         return AlgebraElement(acc)
 
@@ -520,13 +521,19 @@ class Presentation:
         0 and by the second at s: shared boundaries, where v reaches the end
         of u, by growing overlap, then containments left to right.  Each u
         times each positive group generator x reduces by its rule and by
-        normalize(u x), which commutes x to the left.  A finite rule set has
-        finitely many overlaps, each of length at most |u| + |v| - 1
-        (Bergman's diamond lemma).  Returns a ConfluenceResult listing every
-        critical pair whose two reductions differ.
+        commuting x to the left through u.  A finite rule set has finitely
+        many overlaps, each of length at most |u| + |v| - 1 (Bergman's
+        diamond lemma).  Returns a ConfluenceResult listing every critical
+        pair whose two reductions differ.
+
+        A pair (u, v) is tried only when v's first letter occurs in u: at
+        every position s it meets u, be it a shared boundary, a containment
+        or u a prefix of v (s = 0), u[s] = v[0], so no overlap is lost.
+        Both reductions of an overlap are right folds of the left-product
+        kernel over normal terms (_overlap_reduction); so is u x.
 
         A group overlap u x of the rule u -> sum c g w is settled by the
-        character grading, and not normalized, when
+        character grading, and not reduced, when
         1. the presentation is tau-free,
         2. every right-hand side word w has the letter counts of u, and
         3. no other rule's left-hand side occurs in u, at any position.
@@ -536,25 +543,14 @@ class Presentation:
         lambda of the letters of u.  By 2, lambda_w = lambda_u.  By 3 every
         proper suffix of u is normal and u's own rule is its front rule, so
         N(u) = N(sum c g w).  Both reductions are lambda_u(x) x N(u): the
-        overlap resolves, and the failure list is the one that normalizing
-        it would give.  Without any one condition an overlap can fail: a
+        overlap resolves, and the failure list is the one that reducing it
+        would give.  Without any one condition an overlap can fail: a
         tau-generator with y1 y1 -> 0, skew_trunc with bad_gen, and the
         rules y1 -> y2, y2 y1 -> 0 over Z.
         """
         if self._confluence is not None:
             return self._confluence
-
-        def letters(yword):
-            return tuple(("y", i) for i in yword)
-
-        def reduced(word, pos, rule, tail=()):
-            """NF of word with the redex of rule at pos replaced by its
-            right-hand side, times the letters tail."""
-            head = letters(word[:pos])
-            rest = letters(word[pos + len(rule.lhs):]) + tail
-            return self.normalize([(c, head + (("g", g),) + letters(yw) + rest)
-                                   for (g, yw), c in rule.rhs.terms.items()])
-
+        e = self.group.identity()
         lhs_set = {rule.lhs for rule in self.rules}
         lhs_lengths = {len(lhs) for lhs in lhs_set}
 
@@ -567,39 +563,60 @@ class Presentation:
                                 if n < len(u) for a in range(len(u) - n + 1)))
 
         failures = []
-        for ra, rb in itertools.product(self.rules, repeat=2):
-            u, v = ra.lhs, rb.lhs
-            for s in [*range(len(u) - 1, max(len(u) - len(v), 0) - 1, -1),
-                      *range(1, len(u) - len(v))]:
-                # at 0, v inside a longer u is the pair the other way round
-                if (s == 0 and len(u) == len(v)) or u[s:s + len(v)] != v[:len(u) - s]:
+        for ra in self.rules:
+            u = ra.lhs
+            meets = set(u)
+            for rb in self.rules:
+                v = rb.lhs
+                if v[0] not in meets:
                     continue
-                word = u + v[len(u) - s:]
-                first, second = reduced(word, 0, ra), reduced(word, s, rb)
-                if first == second:
-                    continue
-                if s + len(v) < len(u):
-                    detail = "rule %s inside %s" % (self._yname(v), self._yname(u))
-                else:
-                    detail = "rules %s and %s on word %s" % (
-                        self._yname(u), self._yname(v), self._yname(word))
-                failures.append(OverlapFailure("yy", word, detail, first, second))
+                for s in [*range(len(u) - 1, max(len(u) - len(v), 0) - 1, -1),
+                          *range(1, len(u) - len(v))]:
+                    # at 0, v inside a longer u is the pair the other way round
+                    if (s == 0 and len(u) == len(v)) or u[s:s + len(v)] != v[:len(u) - s]:
+                        continue
+                    word = u + v[len(u) - s:]
+                    first = self._overlap_reduction((), ra, word[len(u):], e)
+                    second = self._overlap_reduction(word[:s], rb, word[s + len(v):], e)
+                    if first == second:
+                        continue
+                    if s + len(v) < len(u):
+                        detail = "rule %s inside %s" % (self._yname(v), self._yname(u))
+                    else:
+                        detail = "rules %s and %s on word %s" % (
+                            self._yname(u), self._yname(v), self._yname(word))
+                    failures.append(OverlapFailure("yy", word, detail, first, second))
         for rule in self.rules:
             if settled_by_grading(rule):
                 continue
             for gi in range(self.group.ngens):
-                x = (("g", self.group.generator(gi)),)
-                first = reduced(rule.lhs, 0, rule, x)
-                second = self.normalize([(self.domain.one(), letters(rule.lhs) + x)])
+                x = self.group.generator(gi)
+                first = self._overlap_reduction((), rule, (), x)
+                second = AlgebraElement(self._fold(rule.lhs, {(x, ()): self.domain.one()}))
                 if first != second:
                     failures.append(OverlapFailure(
-                        "ygroup", rule.lhs + x,
+                        "ygroup", rule.lhs + (("g", x),),
                         "rule %s against group generator g%d"
                         % (self._yname(rule.lhs), gi + 1),
                         first, second))
         result = ConfluenceResult(failures)
         self._confluence = result
         return result
+
+    def _overlap_reduction(self, head, rule, rest, x):
+        """NF(head a rest x) for the rule's right-hand side a, the y-words
+        head and rest and the group element x: rest folds onto x, each term
+        c g w of a folds w onto that and relabels by g, and head folds onto
+        the sum, all through the left-product kernel."""
+        if not rule.rhs.terms:
+            return AlgebraElement()
+        tail = self._fold(rest, {(x, ()): self.domain.one()})
+        mul = self.group.mul
+        acc = {}
+        for (g, w), c in rule.rhs.terms.items():
+            for (h, v), cv in self._fold(w, tail).items():
+                add_term(acc, (mul(g, h), v), c * cv)
+        return AlgebraElement(self._fold(head, acc))
 
     def require_confluent(self):
         result = self.check_confluence()

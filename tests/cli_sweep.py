@@ -20,8 +20,9 @@ weights of the group ball: a free file over Z^4, one over Z x Z/6 whose
 y-words have weights to reduce, and a truncation over Z^2 that is not
 count-graded.  Two more run invariants on exterior free=true where the
 conjugation closure keeps 148 and 228 vectors at one weight.  The last
-two run growth and delta on a tau presentation whose group overlap does
-not resolve, which check_confluence must normalize.  Every command
+three run growth, delta and normalize on a tau presentation whose group
+overlap does not resolve, which check_confluence must reduce: each exits
+2 with the same one-line non-confluent error.  Every command
 runs in OUT_DIR, so these files are named without a directory,
 and no command takes more than a few seconds.
 """
@@ -157,7 +158,8 @@ def commands():
                     "--param", "s=%d" % s, "--degree", str(degree), "--group-bound", "1",
                     "--power-bound", "1", "--format", fmt])
     out += [["growth", "tau-square.json"],
-            ["delta", "tau-square.json", "--element", "y1 g1"]]
+            ["delta", "tau-square.json", "--element", "y1 g1"],
+            ["normalize", "tau-square.json", "--element", "y1 g1"]]
     return out
 
 

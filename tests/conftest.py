@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from hopfgrow.elements import AlgebraElement
+from hopfgrow.elements import AlgebraElement, yword_key
 from hopfgrow.groups import GroupData
 from hopfgrow.presentation import Presentation, SkewGenerator
 from hopfgrow.scalars import ScalarDomain
@@ -185,6 +185,49 @@ def random_weighted_presentation(rng):
         rules.append(((0,) * power, {(group.power(g1, power), ()): dom.rational(beta),
                                      (group.identity(), ()): dom.rational(-beta)}))
     return Presentation(dom, group, gens, rules, name="random weighted")
+
+
+def random_quadratic_presentation(rng):
+    """Two or three generators over Z, Z/m or Z x Z/m, m in 2, 3, 4, with
+    quadratic rules: q-commutations y_j y_i -> c y_i y_j for i < j and
+    squares y_i y_i -> 0, each drawn or not.  Now and then a rule gets a
+    second right-hand side term d h w, w a y-word below the left-hand side
+    in deg-lex and h a group generator or 1.  That term breaks the letter
+    counts, so many draws leave yy or group overlaps unresolved."""
+    free_rank = rng.choice([0, 1, 1])
+    torsion = (rng.choice([2, 3, 4]),) if not free_rank or rng.random() < 0.4 else ()
+    conductor = math.lcm(*torsion, rng.choice([1, 2, 4]))
+    dom = ScalarDomain(conductor, ("q1",))
+    group = GroupData(free_rank, torsion)
+    ny = rng.randint(2, 3)
+
+    def scalar():
+        """A root of unity times a power of q1."""
+        return dom.zeta(rng.randrange(conductor)) * dom.q(0) ** rng.choice([-1, 0, 0, 1])
+
+    gens = []
+    for i in range(ny):
+        weight = group.generator(rng.randrange(group.ngens))
+        images = [scalar() for _ in range(free_rank)]
+        images += [dom.zeta((conductor // m) * rng.randrange(m)) for m in torsion]
+        gens.append(SkewGenerator("y%d" % (i + 1), weight, tuple(images)))
+    # every y-word of length at most 2, in deg-lex order
+    words = sorted([()] + [(i,) for i in range(ny)]
+                   + [(i, j) for i in range(ny) for j in range(ny)],
+                   key=lambda w: yword_key(w, ny))
+    rules = []
+    for j in range(ny):
+        for i in range(j + 1):
+            if rng.random() >= (0.5 if i == j else 0.7):
+                continue
+            lhs = (j, i)
+            rhs = {} if i == j else {(group.identity(), (i, j)): scalar()}
+            if rng.random() < 0.3:
+                below = words[:words.index(lhs)]
+                h = rng.choice([group.identity()] + group.generators())
+                rhs.setdefault((h, rng.choice(below)), scalar())
+            rules.append((lhs, rhs))
+    return Presentation(dom, group, gens, rules, name="random quadratic")
 
 
 def confluent_random_presentation(rng, draw=random_presentation):

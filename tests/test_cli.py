@@ -482,6 +482,22 @@ def test_exit_code_non_confluent(capsys):
     assert "overlap" in err
 
 
+def test_normalize_refuses_non_confluent_file(capsys, tmp_path):
+    # y1 y1 = 0 for a tau-generator y1 of weight g1: the group overlap of
+    # the rule does not resolve, so no reduction of y1 g1 is the normal form
+    doc = {"scalars": {"cyclotomic_order": 1, "transcendentals": []},
+           "group": {"free_rank": 1},
+           "generators": [{"name": "y1", "weight": [1], "character": ["1"],
+                           "tau": ["2"]}],
+           "relations": [{"lhs": "y1^2", "rhs": ""}]}
+    path = tmp_path / "tau-square.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "normalize", str(path), "--element", "y1 g1")
+    assert (code, out, err.count("\n")) == (2, "", 1), err
+    assert err.startswith("non-confluent: ") and "ygroup overlap on rule y1 y1" in err, err
+    assert run(capsys, "delta", str(path), "--element", "y1 g1") == (2, "", err)
+
+
 def test_check_example_reports_non_confluent_instance(capsys):
     code, payload = run_json(capsys, "check-example", "skew_trunc",
                              "--param", "bad_gen=true")

@@ -17,8 +17,10 @@ from hopfgrow.presentation import (Presentation, SkewGenerator, _echelon_lattice
 from hopfgrow.scalars import ScalarDomain
 
 from conftest import (CHECK_SETTINGS, confluent_random_presentation, random_element,
-                      random_presentation, random_truncation, random_weighted_presentation)
-from oracles import normal_form_yword_random, normalize_random_order
+                      random_presentation, random_quadratic_presentation,
+                      random_truncation, random_weighted_presentation)
+from oracles import (confluence_failures_by_normalizing, normal_form_yword_random,
+                     normalize_random_order)
 
 
 def test_commute_y_past_group():
@@ -168,64 +170,59 @@ def _tau_square_zero():
     return Presentation(dom, z, [gen], [((0, 0), {})])
 
 
-def _unresolved_group_overlaps(p):
-    """The pairs (lhs, group generator index) at which rhs x and lhs x
-    normalize differently, for every rule lhs -> rhs and generator x."""
-    one = p.domain.one()
-
-    def ys(yword):
-        return [("y", i) for i in yword]
-
-    out = set()
-    for rule in p.rules:
-        for gi, x in enumerate(p.group.generators()):
-            rhs_x = p.normalize([(c, [("g", g)] + ys(w) + [("g", x)])
-                                 for (g, w), c in rule.rhs.terms.items()])
-            if rhs_x != p.normalize([(one, ys(rule.lhs) + [("g", x)])]):
-                out.add((rule.lhs, gi))
-    return out
+def _long_head():
+    """y3 y2 y1 -> 0 and y1 y1 -> y2 y2 over the trivial group: the second
+    reduction of y3 y2 y1 y1 puts y2 y2 after the two-letter head y3 y2."""
+    dom, group = ScalarDomain(1, ("q1",)), GroupData(0)
+    gens = [SkewGenerator("y%d" % (i + 1), (), ()) for i in range(3)]
+    rules = [((2, 1, 0), {}), ((0, 0), {((), (1, 1)): dom.one()})]
+    return Presentation(dom, group, gens, rules)
 
 
-def test_group_overlap_failures_match_normalizing_each():
-    # check_confluence settles some group overlaps by the character grading
-    # and normalizes none of them; its ygroup failures must still be the
-    # overlaps whose two reductions differ.  The three counterexamples each
-    # break one condition of that skip (tau, the letter counts of the
-    # right-hand side, a rule inside the left-hand side), each failing at
-    # a group overlap.  The random draws are not filtered for confluence;
-    # some hold tau and a truncation
+def test_check_confluence_matches_normalizing_oracle():
+    # check_confluence prunes rule pairs, settles group overlaps by the
+    # character grading and reduces by kernel folds; its failures must be
+    # the oracle's, field by field and in order.  The counterexamples each
+    # fail: a tau square, a group overlap not settled by the grading, each
+    # kind of yy overlap, and a head of two distinct letters.  The draws
+    # are not filtered for confluence; some hold tau and a truncation, and
+    # the quadratic ones often fail
     rng = random.Random(3232)
     pool = [build_example(name, dict(_parse_param(prm) for prm in params))[0]
             for name, params in CHECK_SETTINGS]
-    pool += [skew_trunc_presentation(3, beta=1, v=2, bad_gen=True), _tau_square_zero(),
-             _two_rule_presentation(1, (1, 0))]
+    counterexamples = [skew_trunc_presentation(3, beta=1, v=2, bad_gen=True),
+                       _tau_square_zero(), _two_rule_presentation(1, (1, 0)),
+                       _two_rule_presentation(0, (1, 0, 1)),
+                       _two_rule_presentation(0, (0, 1)), _long_head()]
     draws = [random_presentation(rng) for _ in range(150)]
     draws += [random_weighted_presentation(rng) for _ in range(150)]
-    failing = []
-    for p in pool + draws:
-        gens = p.group.generators()
-        found = {(f.word[:-1], gens.index(f.word[-1][1]))
-                 for f in p.check_confluence().failures if f.kind == "ygroup"}
-        assert found == _unresolved_group_overlaps(p), p
-        if found:
-            failing.append(p)
-    assert all(p in failing for p in pool[-3:])
+    quadratic = [random_quadratic_presentation(rng) for _ in range(150)]
+    for p in pool + counterexamples + draws + quadratic:
+        found = [(f.kind, f.word, f.detail, f.first, f.second)
+                 for f in p.check_confluence().failures]
+        assert found == confluence_failures_by_normalizing(p), p
+    assert all(not p.check_confluence().confluent for p in counterexamples)
     assert sum(bool(p.rules) and not p.tau_free for p in draws) >= 3
+    kinds = [{f.kind for f in p.check_confluence().failures} for p in quadratic]
+    assert sum("yy" in k for k in kinds) >= 30
+    assert sum("ygroup" in k for k in kinds) >= 30
 
 
-@pytest.mark.parametrize("build, calls", [
-    (lambda: exterior_presentation(4), 40), (lambda: qplane_presentation(3), 2),
+@pytest.mark.parametrize("build, overlaps", [
+    (lambda: exterior_presentation(4), 20), (lambda: qplane_presentation(3), 1),
 ], ids=["exterior-s=4", "qplane-v=3"])
-def test_group_overlaps_settled_by_grading_are_not_normalized(monkeypatch, build, calls):
-    # every group overlap of these two is settled by the grading: only the
-    # yy overlaps are normalized, two calls each
+def test_group_overlaps_settled_by_grading_are_not_normalized(monkeypatch, build, overlaps):
+    # every group overlap of these two is settled by the grading: the only
+    # reductions are the two of each yy overlap, none times a group letter
     p = build()
-    seen = []
-    normalize = Presentation.normalize
-    monkeypatch.setattr(Presentation, "normalize",
-                        lambda self, raw: seen.append(raw) or normalize(self, raw))
+    tails = []
+    reduction = Presentation._overlap_reduction
+    monkeypatch.setattr(Presentation, "_overlap_reduction",
+                        lambda self, head, rule, rest, x:
+                        tails.append(x) or reduction(self, head, rule, rest, x))
     assert p.check_confluence().confluent
-    assert len(seen) == calls
+    assert len(tails) == 2 * overlaps
+    assert all(p.group.is_identity(x) for x in tails)
 
 
 def test_randomized_reduction_order_agrees(rng):
