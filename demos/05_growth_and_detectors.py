@@ -1,12 +1,14 @@
 """Measured growth, its classification, and the exponential detectors.
 
 The growth function counts normal words reachable by products of at most
-n generators.  A tight log-log fit gives a polynomial degree; otherwise
-bounded-away-from-1 ratios flag exponential growth.  Independently, pairs
-of witnesses with weights x^{d1}, x^{d2} are run through the
-free-subalgebra criteria, and the necessary relation for non-freeness is
-searched when nothing fires.  The two routes must never contradict, and
-every emitted bound must sit below a measured polynomial degree.
+n generators.  On these length-filtered presentations the rule automaton
+of the normal words decides the growth exactly: exponential, or a
+polynomial degree (with the dimension of a finite algebra).
+Independently, pairs of witnesses with weights x^{d1}, x^{d2} are run
+through the free-subalgebra criteria, and the necessary relation for
+non-freeness is searched when nothing fires.  The two routes must never
+contradict, and every emitted bound must sit below a measured polynomial
+degree.
 """
 
 from hopfgrow import (all_bounds, compute_invariants, detect_exponential,

@@ -10,7 +10,6 @@ from fractions import Fraction
 from .errors import PresentationError
 from .fileformat import _bounded
 from .groups import GroupData
-from .growth import DEFAULT_MAX_WORDS
 from .presentation import Presentation, SkewGenerator
 from .scalars import ScalarDomain
 
@@ -208,15 +207,6 @@ def _skew_free_expected(params):
     return out
 
 
-def _skew_free_n_max(v):
-    """13, or less where dim F_n = sum_t v^t (2(n - t) + 1), the normal
-    words g^a w with |a| + |w| <= n, passes the word ceiling (v >= 3)."""
-    n = 13
-    while sum(v ** t * (2 * (n - t) + 1) for t in range(n + 1)) > DEFAULT_MAX_WORDS:
-        n -= 1
-    return n
-
-
 def _skew_trunc_expected(params):
     p, beta, v, bad = params["p"], params["beta"], params["v"], params["bad_gen"]
     if bad and beta != 0:
@@ -362,7 +352,7 @@ EXAMPLES = {
         skew_free_presentation,
         _skew_free_expected,
         lambda prm: {"degree_bound": 4, "group_word_bound": 3, "power_bound": 3,
-                     "n_max": _skew_free_n_max(prm["v"]), "pbw_degree": 6},
+                     "pbw_degree": 6},
     ),
     "skew_trunc": ExampleSpec(
         "the free extension plus one truncation y1^p = beta (mu1^p - 1); "
@@ -372,7 +362,7 @@ EXAMPLES = {
         _skew_trunc_expected,
         # the PBW scan must reach the truncation relation y1^p
         lambda prm: {"degree_bound": 4, "group_word_bound": 3, "power_bound": 4,
-                     "n_max": 12, "pbw_degree": max(4, prm["p"])},
+                     "pbw_degree": max(4, prm["p"])},
     ),
     "taft": ExampleSpec(
         "Taft algebra: Z/p with one skew primitive, y g = zeta_p g y, y^p = 0",
@@ -380,7 +370,7 @@ EXAMPLES = {
         taft_presentation,
         _taft_expected,
         lambda prm: {"degree_bound": prm["p"], "group_word_bound": 2,
-                     "power_bound": prm["p"], "n_max": 12, "pbw_degree": prm["p"] + 1},
+                     "power_bound": prm["p"], "pbw_degree": prm["p"] + 1},
     ),
     "qplane": ExampleSpec(
         "quantum-plane quotient over Z with v in {1,2,3} skew primitives; "
@@ -389,7 +379,7 @@ EXAMPLES = {
         qplane_presentation,
         _qplane_expected,
         lambda prm: {"degree_bound": 3, "group_word_bound": 3, "power_bound": 3,
-                     "n_max": 12 if prm["v"] == 1 else 24, "pbw_degree": 8},
+                     "pbw_degree": 8},
     ),
     "exterior": ExampleSpec(
         "anticommuting generators over Z/2 (s = 1 is the four-dimensional "
@@ -398,7 +388,7 @@ EXAMPLES = {
         exterior_presentation,
         _exterior_expected,
         lambda prm: {"degree_bound": 4, "group_word_bound": 2, "power_bound": 3,
-                     "n_max": 12, "pbw_degree": 4},
+                     "pbw_degree": 4},
     ),
 }
 
@@ -464,24 +454,20 @@ def run_example_check(name, params=None):
     results = {r.rule: r.value for r in all_bounds(p, report)}
     for rule, val in expected["bounds"].items():
         outcome.add("bound:%s" % rule, val, results.get(rule))
-    growth = measure_growth(p, n_max=cfg["n_max"])
-    outcome.add("growth-kind", expected["growth_kind"],
-                growth.estimate["kind"])
-    if expected.get("growth_degree") is not None:
-        outcome.add("growth-degree", expected["growth_degree"],
-                    growth.estimate.get("degree"))
-    if expected.get("total_dimension") is not None:
-        outcome.add("total-dimension", expected["total_dimension"],
-                    growth.dims[-1])
+    estimate = measure_growth(p).estimate
+    outcome.add("growth-kind", expected["growth_kind"], estimate["kind"])
+    for label, key, field in (("growth-degree", "growth_degree", "degree"),
+                              ("total-dimension", "total_dimension", "dimension")):
+        if expected.get(key) is not None:
+            outcome.add(label, expected[key], estimate.get(field))
     verdict = detect_exponential(p, report)
     outcome.add("detector", expected["detector"], verdict.classification)
     # detector and measurement must never contradict
     contradiction = (verdict.classification == "exponential"
-                     and growth.estimate["kind"] == "polynomial")
+                     and estimate["kind"] == "polynomial")
     outcome.add("detector-vs-growth", False, contradiction)
-    if growth.estimate["kind"] == "polynomial":
-        degree = growth.estimate["degree"]
-        sound = all(v is None or v <= degree for v in results.values())
+    if estimate["kind"] == "polynomial":
+        sound = all(v is None or v <= estimate["degree"] for v in results.values())
         outcome.add("bounds-below-growth", True, sound)
     scan = pbw_dependence_scan(p, [r.element for r in report.witnesses],
                                degree_bound=cfg["pbw_degree"])

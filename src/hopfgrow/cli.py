@@ -13,9 +13,9 @@ Presentations come from a builtin (--example, with --param overrides) or a
 JSON file.  Exit codes: 0 ok, 1 usage or parse error or a standard output
 closed before the report was written (silently), 2 hypothesis or
 consistency failure (including non-confluence and check mismatches),
-3 the growth enumeration reached its word ceiling.  HOPFGROW_MAX_WORDS
-sets that ceiling; a value that is not a nonnegative integer is a usage
-error.
+3 the growth closure of a presentation that is not length-filtered
+reached its word ceiling HOPFGROW_MAX_WORDS; a value of it that is not a
+nonnegative integer is a usage error.
 """
 
 import argparse

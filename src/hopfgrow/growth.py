@@ -1,11 +1,11 @@
-"""Empirical growth measurement and PBW dependence scanning.
+"""Growth measurement and PBW dependence scanning.
 
 The growth function counts distinct normal words reachable by products of
 at most n generators (group generators with inverses, the y's, and 1).
-The GK-dimension estimate comes from a least-squares fit of log(dim)
-against log(n): when the fit is tight the growth is polynomial of the
-rounded slope; when it is loose and the consecutive ratios stay bounded
-away from 1, the growth is flagged exponential.
+A length-filtered presentation takes the exact verdict of its rule
+automaton (Presentation._growth_verdict).  On any other, a least-squares
+fit of log(dim) against log(n) is polynomial of the rounded slope when
+tight, exponential when loose with ratios bounded away from 1.
 """
 
 import itertools
@@ -94,33 +94,34 @@ def fit_growth(dims):
                 "slope": slope, "residual": residual}
     ratios = [dims[n + 1] / dims[n] for n in window[:-1]]
     if all(r >= 1 + _EXP_DELTA for r in ratios):
-        rate = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
-        return {"kind": "exponential", "rate": rate,
-                "min_ratio": min(ratios), "residual": residual}
+        return {"kind": "exponential", "min_ratio": min(ratios), "residual": residual}
     return {"kind": "inconclusive", "slope": slope, "residual": residual,
             "reason": "neither fit criterion met"}
 
 
 def measure_growth(p, n_max=12, max_words=None):
-    """Exact growth of the default generating set up to n_max.
+    """Exact growth of the default generating set up to n_max, with the
+    automaton's verdict if p is length_filtered and the fit if not.
 
-    Returns a GrowthReport; when the enumeration hits the word ceiling the
+    Returns a GrowthReport; when the closure hits the word ceiling the
     report carries the partial sequence and is flagged truncated.
     """
-    if max_words is None:
-        max_words = word_ceiling()
     desc = "%d group letters and %d skew generators" % (
         2 * p.group.ngens, p.ny)
+    if max_words is None and not p.length_filtered:
+        max_words = word_ceiling()
     try:
         dims = p.filtration_dims(n_max, max_words=max_words)
     except ResourceCeilingError as exc:
         dims = exc.partial or [1]
-        return GrowthReport(dims, {"kind": "inconclusive",
+        return GrowthReport(dims, {"kind": "inconclusive", "method": "fit",
                                    "reason": "word ceiling %d reached" % max_words},
                             (0, len(dims) - 1), desc, truncated=True)
     if any(b < a for a, b in zip(dims, dims[1:])) or dims[0] != 1:
         raise ConsistencyError("growth sequence is not a filtration")
-    return GrowthReport(dims, fit_growth(dims), _fit_window(len(dims) - 1), desc)
+    estimate = (p._growth_verdict() if p.length_filtered
+                else dict(fit_growth(dims), method="fit"))
+    return GrowthReport(dims, estimate, _fit_window(len(dims) - 1), desc)
 
 
 # -- independent counting oracle ------------------------------------------

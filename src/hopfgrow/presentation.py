@@ -27,6 +27,8 @@ The tests check it against whole-word rewriting in random order, an
 oracle in tests/oracles.py that evaluates the characters itself.
 """
 
+import math
+
 from .elements import AlgebraElement, add_term, y_counts, yword_key
 from .errors import NonConfluentError, PresentationError, ResourceCeilingError
 from .intmat import row_echelon
@@ -140,6 +142,7 @@ class Presentation:
         # (degree bound, group bound) -> (y-words, ball by class, weights)
         self._search_spaces = {}
         self._confluence = None
+        self._automaton = None  # successor states of each rule automaton state
         self._rules_by_first = {}  # first letter -> [(rest of lhs, rule)]
         for rule in self.rules:
             self._rules_by_first.setdefault(rule.lhs[0], []).append((rule.lhs[1:], rule))
@@ -658,8 +661,8 @@ class Presentation:
         Every other presentation takes the breadth-first closure
         _closure_dims.
 
-        Raises ResourceCeilingError at the first level whose count passes
-        max_words, attaching the sequence of the levels before it.
+        Raises ResourceCeilingError when the closure passes max_words,
+        attaching the levels before it; the count lists no word.
         Raises ValueError, before any work, when n_max is above the size
         ceiling _SIZE_CEILING: the sequence holds n_max + 1 entries.
         """
@@ -669,37 +672,90 @@ class Presentation:
         self.require_confluent()
         if not self.length_filtered:
             return self._closure_dims(n_max, max_words)
+        ys = [y for _, y in zip(range(n_max + 1), self._word_levels())]
         ball = self.group.ball_sizes(n_max)
-        levels = self._word_levels()
-        nonzero = []  # (t, Y(t)) with Y(t) > 0
-        dims = []
-        for n in range(n_max + 1):
-            new = next(levels, 0)
-            if new:
-                nonzero.append((n, new))
-            count = sum(y * ball[n - t] for t, y in nonzero)
-            if dims and count > dims[-1] and max_words is not None and count > max_words:
-                raise ResourceCeilingError(
-                    "enumeration exceeded %d words" % max_words, partial=dims)
-            dims.append(count)
-        return dims
+        return [sum(y * ball[n - t] for t, y in enumerate(ys[:n + 1]))
+                for n in range(n_max + 1)]
+
+    def _rule_automaton(self):
+        """Per state, its successors by the letters y_i that may be prepended.
+        The state of a normal y-word w (0 for w = 1) is its longest prefix s
+        that is a proper suffix of a left-hand side, so y_i w is normal iff
+        y_i s is, and its state is the longest such prefix of y_i s."""
+        if self._automaton is None:
+            suffixes = {()}.union(rule.lhs[k:] for rule in self.rules
+                                  for k in range(1, len(rule.lhs)))
+            states, index, self._automaton = [()], {(): 0}, []
+            for s in states:  # breadth-first: the list grows as it is read
+                out = []
+                for w in [(i,) + s for i in range(self.ny) if not self._front_rule(i, s)]:
+                    t = next(w[:k] for k in range(len(w), -1, -1) if w[:k] in suffixes)
+                    if index.setdefault(t, len(states)) == len(states):
+                        states.append(t)
+                    out.append(index[t])
+                self._automaton.append(out)
+        return self._automaton
+
+    def _growth_verdict(self):
+        """The growth of filtration_dims on a length_filtered presentation
+        (Ufnarovski, Math. Notes 31, 1982): exponential if a strongly
+        connected component of the rule automaton has more edges than
+        states, else of degree r + d, r the free rank and d the most cyclic
+        components on a path from state 0, and dimension sum_b Y(b) |G| if
+        r + d = 0.  Proof: dims[n] = sum_t Y(t) |B_{n - t}|, Y(t) the paths
+        of length t from state 0.  (1) Such a component has a state with
+        two edges inside it, each closing to a cycle; k blocks of either,
+        raised to one length, give 2^k paths.  (2) Else a path is fixed, up
+        to finitely many choices, by its turns round at most d cycles: S(n)
+        = sum_{t <= n} Y(t) is Theta(n^d), |B_n| is Theta(n^r), and
+        |B_{n/2}| S(n/2) <= dims[n] <= |B_n| S(n).  Tarjan's algorithm
+        (SIAM J. Comput. 1, 1972) ends each component after all it reaches."""
+        edges = self._rule_automaton()
+        num, low, comp, depth = {0: 0}, [0] * len(edges), {}, []  # depth: d per component
+        stack, calls = [0], [(0, iter(edges[0]))]
+        while calls:
+            v, succ = calls[-1]
+            for w in succ:
+                if w not in num:
+                    num[w] = low[w] = len(num)
+                    stack.append(w)
+                    calls.append((w, iter(edges[w])))
+                    break
+                if w not in comp:  # still on the stack
+                    low[v] = min(low[v], num[w])
+            else:
+                calls.pop()
+                if calls:
+                    low[calls[-1][0]] = min(low[calls[-1][0]], low[v])
+                if low[v] < num[v]:
+                    continue
+                c, members = len(depth), []
+                while v not in comp:
+                    members.append(stack.pop())
+                    comp[members[-1]] = c
+                targets = [comp[w] for u in members for w in edges[u]]
+                if targets.count(c) > len(members):
+                    return {"kind": "exponential", "method": "automaton"}
+                depth.append(max([depth[t] for t in targets if t < c], default=0)
+                             + (c in targets))
+        out = {"kind": "polynomial", "degree": self.group.free_rank + depth[-1],
+               "method": "automaton"}
+        if not out["degree"]:
+            out["dimension"] = sum(self._word_levels()) * math.prod(self.group.torsion)
+        return out
 
     def _word_levels(self):
         """Yield Y(b) for b = 0, 1, ... before the first b with Y(b) = 0,
-        Y(b) the normal y-words of length b: a transfer count over the
-        first K - 1 letters of a word, K the longest left-hand side, which
-        decide the rule test of y_i w."""
-        k = max((len(rule.lhs) for rule in self.rules), default=1) - 1
-        states = {(): 1}
-        while states:
-            yield sum(states.values())
+        Y(b) the normal y-words of length b: the paths of length b from
+        state 0 of the rule automaton, counted level by level."""
+        edges, profile = self._rule_automaton(), {0: 1}
+        while profile:
+            yield sum(profile.values())
             new = {}
-            for s, m in states.items():
-                for i in range(self.ny):
-                    if self._front_rule(i, s) is None:
-                        s2 = ((i,) + s)[:k]
-                        new[s2] = new.get(s2, 0) + m
-            states = new
+            for s, m in profile.items():
+                for t in edges[s]:
+                    new[t] = new.get(t, 0) + m
+            profile = new
 
     def _closure_dims(self, n_max, max_words=None):
         """filtration_dims by breadth-first closure, F_n = V F_{n-1}: level

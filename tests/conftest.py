@@ -230,12 +230,21 @@ def random_quadratic_presentation(rng):
     return Presentation(dom, group, gens, rules, name="random quadratic")
 
 
+# the most draws confluent_random_presentation makes
+MAX_DRAWS = 1000
+
+
 def confluent_random_presentation(rng, draw=random_presentation):
-    """The first confluent presentation that draw(rng) gives."""
-    while True:
+    """The first confluent presentation that draw(rng) gives.  Raises
+    AssertionError, naming draw, when none of MAX_DRAWS draws is
+    confluent, so that a confluence check which refuses every draw fails a
+    test instead of hanging it."""
+    for _ in range(MAX_DRAWS):
         p = draw(rng)
         if p.check_confluence().confluent:
             return p
+    raise AssertionError("no confluent presentation in %d draws of %s"
+                         % (MAX_DRAWS, draw.__name__))
 
 
 @pytest.fixture

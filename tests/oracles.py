@@ -8,16 +8,22 @@ y-words, and y-words rewrite at redexes chosen at random anywhere in the
 word.  The confluence oracle reduces every overlap through the program's
 own normalize, so it checks which overlaps check_confluence tries and how
 it reduces them.  The coalgebra axioms are checked through the program's
-own delta, counit and antipode.
+own delta, counit and antipode.  The growth oracle reads the growth off
+the slopes of dp_word_counts, which keeps an automaton of its own.
 """
 
 import itertools
+import math
 import random
 
 from hopfgrow import invariants
 from hopfgrow.coalgebra import antipode, counit, delta, delta_word
 from hopfgrow.elements import AlgebraElement, TensorElement, add_term
+from hopfgrow.groups import GroupData
+from hopfgrow.growth import dp_word_counts
 from hopfgrow.linalg import ScalarElimination
+from hopfgrow.presentation import Presentation, SkewGenerator
+from hopfgrow.scalars import ScalarDomain
 
 from conftest import random_element
 
@@ -282,3 +288,26 @@ def report_data(report):
         "counts": report.summary_counts(),
         "bounds": report.bounds_used,
     }
+
+
+def growth_by_slope(p, n=256):
+    """The growth of a length-filtered p as (kind, degree), read off the
+    log-log slopes of dp_word_counts at the horizon n.
+
+    The count runs on the monomial shadow of p: its y-generators over the
+    trivial group, each left-hand side rewritten to 0.  The shadow has the
+    normal y-words of p, and its dims[m] is S(m) = sum_{t <= m} Y(t), with
+    no ball of p's group to list; the group's free rank r adds r to the
+    degree, since dims[m] = sum_t Y(t) |B_{m - t}|.  With s1 and s2 the
+    slopes log2 S(x) / S(x / 2) at x = n / 2 and x = n, the growth is
+    exponential when s2 > 1.5 s1 + 0.5, as the slope of an exponential
+    doubles with x, and otherwise polynomial of degree r + round(s2).
+    """
+    shadow = Presentation(ScalarDomain(1), GroupData(0),
+                          [SkewGenerator(gen.name, (), ()) for gen in p.gens],
+                          [(rule.lhs, {}) for rule in p.rules])
+    sums = dp_word_counts(shadow, n)
+    s1, s2 = (math.log2(sums[x]) - math.log2(sums[x // 2]) for x in (n // 2, n))
+    if s2 > 1.5 * s1 + 0.5:
+        return "exponential", None
+    return "polynomial", p.group.free_rank + round(s2)

@@ -271,12 +271,24 @@ def test_growth_default_bounds_finish(capsys, name, params, nmax):
     assert report["detector"]["classification"] == expected["detector"]
 
 
-def test_growth_resource_ceiling(capsys, monkeypatch):
-    monkeypatch.setenv("HOPFGROW_MAX_WORDS", "40")
-    code, out, err = run(capsys, "growth", "--example", "skew_free",
-                         "--nmax", "12", "--degree", "2",
-                         "--group-bound", "2", "--power-bound", "2")
+def test_growth_resource_ceiling(capsys, monkeypatch, tmp_path):
+    # a tau-generator of weight g1^2 is not length-filtered, so growth takes
+    # the closure 1, 4, 10, 19, 31, ..., which stops at the ceiling with
+    # exit 3; the count of skew_free lists no word and passes it
+    monkeypatch.setenv("HOPFGROW_MAX_WORDS", "20")
+    doc = {"scalars": {"cyclotomic_order": 1, "transcendentals": []},
+           "group": {"free_rank": 1},
+           "generators": [{"name": "y", "weight": [2], "character": ["1"], "tau": ["1"]}]}
+    path = tmp_path / "tau-g1^2.json"
+    path.write_text(json.dumps(doc))
+    bounds = ["--nmax", "12", "--degree", "2", "--group-bound", "2", "--power-bound", "2"]
+    code, payload = run_json(capsys, "growth", str(path), *bounds)
     assert code == 3
+    report = payload["report"]
+    assert (report["dims"], report["truncated"]) == ([1, 4, 10, 19], True)
+    assert report["estimate"]["method"] == "fit"
+    code, payload = run_json(capsys, "growth", "--example", "skew_free", *bounds)
+    assert code == 0 and len(payload["report"]["dims"]) == 13
 
 
 def test_conjugation_closure_ceiling(capsys):
@@ -661,17 +673,69 @@ def test_primitive_search_builds_one_ball_per_run(tmp_path):
 
 
 @pytest.mark.parametrize("command, code", [("invariants", 0), ("bounds", 0),
-                                           ("growth", 3)])
+                                           ("growth", 0)])
 def test_wide_group_commands_finish_at_the_defaults(tmp_path, command, code):
     # over Z^10, B_6 holds 134,245 weights and a y-word reaches 6 of them:
-    # a search of every weight takes 30-40 s; growth stops at the word
-    # ceiling
+    # a search of every weight takes 30-40 s; the growth count lists no
+    # word and takes no ceiling
     path = tmp_path / "z10.json"
     path.write_text(json.dumps(wide_free_document(10)))
     result = run_guarded(["-m", "hopfgrow", command, str(path)], timeout=20)
     assert result.returncode == code, result.stderr
     if command != "growth":
         assert "  weights: {g1}" in result.stdout.splitlines()
+
+
+# the check-example settings whose growth the log-log fit misread
+FIT_MISREAD_SETTINGS = (
+    [["taft", "--param", "p=%d" % p] for p in (8, 9, 10, 11, 12, 13, 23, 50)]
+    + [["exterior", "--param", "s=11"], ["skew_trunc", "--param", "v=1", "--param", "p=11"],
+       ["skew_trunc", "--param", "bad_gen=true", "--param", "beta=0", "--param", "v=3"]])
+
+
+def test_exact_growth_verdicts_at_the_defaults(tmp_path):
+    # each setting passes check-example; qplane v=3 reads degree 4 at the
+    # default horizon, and growth on the Z^10 file prints all 13 levels
+    # with degree 11 = 10 + 1
+    path = tmp_path / "z10.json"
+    path.write_text(json.dumps(wide_free_document(10)))
+    commands = [["check-example"] + argv for argv in FIT_MISREAD_SETTINGS]
+    commands += [["growth", "--example", "qplane", "--param", "v=3", "--format", "json"],
+                 ["growth", str(path), "--format", "json"]]
+    code = """if True:
+        import contextlib, io, json, sys
+        from hopfgrow.cli import main
+        for argv in json.loads(sys.argv[1]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            report = json.loads(out.getvalue())["report"] if argv[0] == "growth" else {}
+            estimate = report.get("estimate", {})
+            print(code, estimate.get("degree"), len(report.get("dims", ())))
+    """
+    result = run_guarded(["-c", code, json.dumps(commands)], timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["0 None 0"] * len(FIT_MISREAD_SETTINGS) + [
+        "0 4 13", "0 11 13"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--example", "skew_trunc", "--param", "p=50", "--param", "v=2", "--nmax", "60"],
+    ["--example", "taft", "--param", "p=1000", "--nmax", "40"]],
+    ids=["skew_trunc-p=50", "taft-p=1000"])
+def test_growth_of_long_rules_finishes(argv):
+    # the rule automaton has one state per proper suffix of a left-hand
+    # side, 50 and 1000 here: a state per word's first K - 1 letters would
+    # be 2^49 states for p=50, and a recursive component search overflows
+    # on the chain of 1000 states
+    result = run_guarded(["-m", "hopfgrow", "growth", *argv, "--degree", "2",
+                          "--group-bound", "1", "--power-bound", "2", "--format", "json"],
+                         timeout=20)
+    assert result.returncode == 0, result.stderr
+    estimate = json.loads(result.stdout)["report"]["estimate"]
+    assert estimate == ({"kind": "exponential", "method": "automaton"} if "p=50" in argv
+                        else {"kind": "polynomial", "degree": 0, "method": "automaton",
+                              "dimension": 1000 ** 2})
 
 
 def test_closed_stdout_exits_without_traceback():

@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hopfgrow import growth
 from hopfgrow.catalog import (EXAMPLES, build_example, exterior_presentation,
                               qplane_presentation, skew_free_presentation,
                               skew_trunc_presentation, taft_presentation)
@@ -13,9 +15,8 @@ from hopfgrow.elements import AlgebraElement
 from hopfgrow.errors import ResourceCeilingError
 from hopfgrow.fileformat import parse_presentation_data
 from hopfgrow.groups import GroupData
-from hopfgrow.growth import (DEFAULT_MAX_WORDS, PbwScan, _check_dependence_conclusions,
-                             dp_word_counts, fit_growth, measure_growth,
-                             pbw_dependence_scan)
+from hopfgrow.growth import (PbwScan, _check_dependence_conclusions, dp_word_counts,
+                             fit_growth, measure_growth, pbw_dependence_scan)
 from hopfgrow.invariants import _strip_coradical, compute_invariants
 from hopfgrow.linalg import ScalarElimination
 from hopfgrow.presentation import _SIZE_CEILING, Presentation, SkewGenerator
@@ -23,7 +24,9 @@ from hopfgrow.scalars import ScalarDomain
 
 from conftest import (CHECK_IDS, CHECK_SETTINGS, confluent_random_presentation,
                       cyclic_g3_truncation, g3_truncation, random_presentation,
-                      random_truncation, rank2_truncation, run_guarded)
+                      random_quadratic_presentation, random_truncation,
+                      random_weighted_presentation, rank2_truncation, run_guarded)
+from oracles import growth_by_slope
 
 
 def test_laurent_growth_degree_one():
@@ -89,8 +92,10 @@ def _ceiling_partial(dims_fn, n_max, max_words):
 
 
 def test_word_ceiling_truncates():
-    # the partial sequence ends at the last level within the ceiling; each
-    # presentation is length-filtered and takes the count, the tau one too
+    # the closure's partial sequence ends at the last level within the
+    # ceiling; each presentation is length-filtered, the tau one too, so
+    # measure_growth takes the count, which lists no word and gives the
+    # whole sequence
     for build, n_max, max_words, partial in [
             (lambda: skew_free_presentation(v=2), 12, 50, [1, 5, 15, 37]),
             (lambda: qplane_presentation(3), 24, 1000,
@@ -102,10 +107,11 @@ def test_word_ceiling_truncates():
         p = build()
         assert p.length_filtered
         report = measure_growth(p, n_max=n_max, max_words=max_words)
-        assert report.truncated
-        assert report.estimate["kind"] == "inconclusive"
-        assert report.dims == partial
+        assert not report.truncated
+        assert report.estimate["method"] == "automaton"
+        assert report.dims == p._closure_dims(n_max)
         assert _ceiling_partial(p._closure_dims, n_max, max_words) == partial
+        assert report.dims[:len(partial)] == partial
 
 
 def test_dp_oracle_matches_enumeration():
@@ -220,14 +226,20 @@ BUILTIN_SETTINGS = [
 
 def _assert_factored_matches_closure(p, n_max):
     """filtration_dims against the closure at every n <= n_max, which pins
-    Y(t) on the counted side since ball[0] = 1, and their partial sequences
-    under a ceiling halfway up; return which side ran."""
+    Y(t) on the counted side since ball[0] = 1.  Under a ceiling halfway
+    up the closure stops with a prefix of the sequence, and so does
+    filtration_dims where it takes the closure; the count lists no word
+    and gives the whole sequence.  Return which side ran."""
     dims = p._closure_dims(n_max)
     assert p.filtration_dims(n_max) == dims, p
     if dims[-1] > 1:
         max_words = (1 + dims[-1]) // 2
-        assert (_ceiling_partial(p.filtration_dims, n_max, max_words)
-                == _ceiling_partial(p._closure_dims, n_max, max_words)), p
+        partial = _ceiling_partial(p._closure_dims, n_max, max_words)
+        assert partial == dims[:len(partial)], p
+        if p.length_filtered:
+            assert p.filtration_dims(n_max, max_words=max_words) == dims, p
+        else:
+            assert _ceiling_partial(p.filtration_dims, n_max, max_words) == partial, p
     return p.length_filtered
 
 
@@ -274,17 +286,81 @@ def test_tau_weight_past_one_letter_takes_the_closure():
 
 @pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
 def test_check_settings_take_the_count(name, params, monkeypatch):
-    # every checked setting, tau included, is length-filtered: at its check
-    # horizon filtration_dims never falls back to the closure
-    p, merged = build_example(name, dict(_parse_param(prm) for prm in params))
-    n_max = EXAMPLES[name].check_config(merged)["n_max"]
+    # every checked setting, tau included, is length-filtered:
+    # filtration_dims never falls back to the closure, and the count takes
+    # no word ceiling, so even a ceiling of 0 words gives every level
+    p, _ = build_example(name, dict(_parse_param(prm) for prm in params))
 
     def closure(*args, **kwargs):
         raise AssertionError("filtration_dims took the closure")
 
     monkeypatch.setattr(Presentation, "_closure_dims", closure)
-    dims = p.filtration_dims(n_max, max_words=DEFAULT_MAX_WORDS)
-    assert len(dims) == n_max + 1
+    dims = p.filtration_dims(24, max_words=0)
+    assert dims == dp_word_counts(p, 24)
+
+
+@pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
+def test_growth_verdict_matches_catalog(name, params, monkeypatch):
+    # the automaton's verdict is the catalog's kind, degree and total
+    # dimension, and a length-filtered presentation runs neither the fit
+    # nor the word ceiling
+    p, merged = build_example(name, dict(_parse_param(prm) for prm in params))
+    expected = EXAMPLES[name].expected(merged)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("measure_growth ran the fit or the word ceiling")
+
+    monkeypatch.setattr(growth, "fit_growth", refuse)
+    monkeypatch.setattr(growth, "word_ceiling", refuse)
+    estimate = measure_growth(p).estimate
+    assert estimate["method"] == "automaton"
+    assert (estimate["kind"], estimate.get("degree"), estimate.get("dimension")) == (
+        expected["growth_kind"], expected.get("growth_degree"),
+        expected.get("total_dimension"))
+
+
+def _length_filtered_draws(seed, count):
+    """The length-filtered ones among count confluent draws of each random
+    generator, the truncations included."""
+    rng = random.Random(seed)
+    draws = [confluent_random_presentation(rng, draw) for draw in (
+        random_presentation, random_weighted_presentation,
+        random_quadratic_presentation, random_truncation) for _ in range(count)]
+    return [p for p in draws if p.length_filtered]
+
+
+def test_growth_verdict_matches_slope_random():
+    # the verdict against the slopes of dp_word_counts at the horizon 256,
+    # and a finite algebra's dimension against the count at its end
+    kinds = set()
+    for p in _length_filtered_draws(717, 40):
+        estimate = p._growth_verdict()
+        assert (estimate["kind"], estimate.get("degree")) == growth_by_slope(p), p
+        if "dimension" in estimate:
+            assert estimate["dimension"] == dp_word_counts(p, 64)[-1], p
+        kinds.add((estimate["kind"], "dimension" in estimate))
+    assert kinds == {("exponential", False), ("polynomial", False), ("polynomial", True)}
+
+
+def test_rule_automaton_state_bound():
+    # a state is a proper suffix of a left-hand side: at most
+    # 1 + sum(|lhs| - 1) states, and at most one edge per letter
+    builtins = [build_example(name, params)[0] for name, params, _ in BUILTIN_SETTINGS]
+    for p in builtins + _length_filtered_draws(818, 25):
+        edges = p._rule_automaton()
+        assert len(edges) <= 1 + sum(len(rule.lhs) - 1 for rule in p.rules), p
+        assert all(len(out) <= p.ny for out in edges), p
+
+
+def test_closure_growth_estimate_is_the_fit():
+    # a tau-generator of weight g1^2 is not length-filtered: its growth is
+    # the closure's, read by the fit
+    dom, z = ScalarDomain(1), GroupData(1)
+    g2 = z.power(z.generator(0), 2)
+    p = Presentation(dom, z, [SkewGenerator("y", g2, (dom.one(),), (dom.one(),))])
+    report = measure_growth(p, n_max=12)
+    assert report.estimate["method"] == "fit"
+    assert (report.estimate["kind"], report.estimate["degree"]) == ("polynomial", 2)
 
 
 def test_factored_dims_random_truncations():
@@ -324,20 +400,26 @@ def test_factored_dims_merge_several_centers(build, n_max):
     (rank2_truncation, 300, 2000)],
     ids=["taft-3", "taft-free", "qplane-1", "qplane-3", "g3-v=1", "rank2-g1^2"])
 def test_word_ceiling_stops_a_long_horizon(build, n_max, max_words):
-    # with n_max far past the level where the closure raises, the count
-    # stops by that level too
+    # with n_max far past the level where the closure raises, filtration_dims
+    # stops by that level too where it takes the closure; the count of a
+    # length-filtered presentation lists no word and runs to the horizon
     p = build()
     partial = _ceiling_partial(p._closure_dims, n_max, max_words)
     # filtration_dims takes horizons up to the size ceiling only
-    assert _ceiling_partial(p.filtration_dims, min(n_max, _SIZE_CEILING),
-                            max_words) == partial
+    n_max = min(n_max, _SIZE_CEILING)
+    if p.length_filtered:
+        dims = p.filtration_dims(n_max, max_words=max_words)
+        assert len(dims) == n_max + 1 and dims[:len(partial)] == partial
+    else:
+        assert _ceiling_partial(p.filtration_dims, n_max, max_words) == partial
 
 
 def test_growth_over_wide_free_groups():
     # one y of weight g1 with trivial character over Z^10, Z^20 and Z^40:
-    # the count reads its ball sizes, and the word ceiling truncates it at
-    # 9, 6 and 5 levels; a ball listed by breadth-first search over the
-    # group letters, or filtered from a box, fails the timeout or the cap
+    # the count reads its ball sizes and takes no word ceiling, so even a
+    # ceiling of 0 words leaves all 13 levels, and the verdict is the
+    # degree rank + 1; a ball listed by breadth-first search over the group
+    # letters, or filtered from a box, fails the timeout or the cap
     code = """if True:
         from hopfgrow.groups import GroupData
         from hopfgrow.growth import measure_growth
@@ -347,25 +429,31 @@ def test_growth_over_wide_free_groups():
             dom, group = ScalarDomain(1), GroupData(rank)
             gen = SkewGenerator("y", group.generator(0), (dom.one(),) * rank)
             report = measure_growth(Presentation(dom, group, [gen]), n_max=12,
-                                    max_words=%d)
-            print(report.truncated, report.dims)
-    """ % DEFAULT_MAX_WORDS
+                                    max_words=0)
+            print(report.truncated, report.estimate["degree"], report.dims)
+    """
     result = run_guarded(["-c", code], timeout=20)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == [
-        "True [1, 22, 243, 1804, 10165, 46530, 180775, 614680, 1871145]",
-        "True [1, 42, 883, 12404, 131125, 1113854]",
-        "True [1, 82, 3363, 92004, 1889445]"]
+    # dims[n] = sum_{m <= n} |B_m|, and Z^r has sum_k 2^k C(r, k) C(m, k)
+    # elements of word length <= m
+    expected = []
+    for rank in (10, 20, 40):
+        balls = [sum(2 ** k * math.comb(rank, k) * math.comb(m, k) for k in range(m + 1))
+                 for m in range(13)]
+        dims = [sum(balls[:n + 1]) for n in range(13)]
+        expected.append("False %d %s" % (rank + 1, dims))
+    assert result.stdout.splitlines() == expected
 
 
 def test_word_ceiling_on_y_letters_alone():
     # over the trivial group the letters are the two y's alone, and the
-    # normal y-words are the whole closure, so their own ceiling stops it
+    # normal y-words are the whole closure, so their own ceiling stops it;
+    # the count lists none of them and runs to the horizon
     dom, group = ScalarDomain(1), GroupData(0)
     p = Presentation(dom, group, [SkewGenerator("y%d" % i, (), ()) for i in (1, 2)])
     assert p.default_generating_letters() == [("y", 0), ("y", 1)]
-    for dims_fn in (p.filtration_dims, p._closure_dims):
-        assert _ceiling_partial(dims_fn, 12, 50) == [1, 3, 7, 15, 31]
+    assert _ceiling_partial(p._closure_dims, 12, 50) == [1, 3, 7, 15, 31]
+    assert p.filtration_dims(12, max_words=50) == [2 ** (n + 1) - 1 for n in range(13)]
 
 
 def test_word_ceiling_zero_without_growth():

@@ -208,6 +208,17 @@ def test_check_confluence_matches_normalizing_oracle():
     assert sum("ygroup" in k for k in kinds) >= 30
 
 
+def test_confluent_draws_are_bounded():
+    # a draw that is never confluent ends in a failure that names it,
+    # instead of a loop without end
+    def tau_square_draw(rng):
+        return _tau_square_zero()
+
+    with pytest.raises(AssertionError, match="no confluent presentation in 1000 "
+                                             "draws of tau_square_draw"):
+        confluent_random_presentation(random.Random(1), tau_square_draw)
+
+
 @pytest.mark.parametrize("build, overlaps", [
     (lambda: exterior_presentation(4), 20), (lambda: qplane_presentation(3), 1),
 ], ids=["exterior-s=4", "qplane-v=3"])
