@@ -25,8 +25,8 @@ from .fileformat import (load_presentation, parse_element_expr,
                          parse_presentation_data, parse_scalar_expr,
                          presentation_to_jsonable)
 from .groups import GroupData, cyclic_support
-from .growth import (GrowthReport, PbwScan, dp_word_counts, fit_growth,
-                     measure_growth, pbw_dependence_scan)
+from .growth import (GrowthReport, PbwScan, dp_word_counts, measure_growth,
+                     pbw_dependence_scan)
 from .invariants import (InvariantReport, WeightCommutator, WitnessRecord,
                          compute_invariants, generalized_commutator)
 from .presentation import Presentation, RewriteRule, SkewGenerator

@@ -194,6 +194,17 @@ def all_bounds(p, report):
     return out
 
 
+def _growth_contradictions(estimate, classification, bounds=()):
+    """What an exact polynomial growth estimate refutes: whether the
+    detector classification is exponential, and the rules of the
+    BoundReports whose value lies above its degree.  (False, []) for an
+    estimate of any other kind."""
+    if estimate["kind"] != "polynomial":
+        return False, []
+    return (classification == "exponential",
+            [r.rule for r in bounds if r.value is not None and r.value > estimate["degree"]])
+
+
 def _pair_cases(u1, u2, d1, d2):
     """Which of the four free-subalgebra criteria fire for this data."""
     fired = []

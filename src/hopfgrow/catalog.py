@@ -425,7 +425,7 @@ class CheckOutcome:
 
 def run_example_check(name, params=None):
     """Compare a builtin's computed reports against its expected block."""
-    from .bounds import all_bounds, detect_exponential
+    from .bounds import _growth_contradictions, all_bounds, detect_exponential
     from .growth import measure_growth, pbw_dependence_scan
     from .invariants import compute_invariants
 
@@ -451,7 +451,8 @@ def run_example_check(name, params=None):
                 "torsion_weight_commutators", "dim_torsion_span",
                 "dim_free_quotient"):
         outcome.add(key, expected[key], counts[key])
-    results = {r.rule: r.value for r in all_bounds(p, report)}
+    bounds = all_bounds(p, report)
+    results = {r.rule: r.value for r in bounds}
     for rule, val in expected["bounds"].items():
         outcome.add("bound:%s" % rule, val, results.get(rule))
     estimate = measure_growth(p).estimate
@@ -462,13 +463,11 @@ def run_example_check(name, params=None):
             outcome.add(label, expected[key], estimate.get(field))
     verdict = detect_exponential(p, report)
     outcome.add("detector", expected["detector"], verdict.classification)
-    # detector and measurement must never contradict
-    contradiction = (verdict.classification == "exponential"
-                     and estimate["kind"] == "polynomial")
-    outcome.add("detector-vs-growth", False, contradiction)
+    # detector, bounds and measurement must never contradict
+    refuted, above = _growth_contradictions(estimate, verdict.classification, bounds)
+    outcome.add("detector-vs-growth", False, refuted)
     if estimate["kind"] == "polynomial":
-        sound = all(v is None or v <= estimate["degree"] for v in results.values())
-        outcome.add("bounds-below-growth", True, sound)
+        outcome.add("bounds-below-growth", True, not above)
     scan = pbw_dependence_scan(p, [r.element for r in report.witnesses],
                                degree_bound=cfg["pbw_degree"])
     outcome.add("pbw-independent", expected["pbw_independent"], scan.independent)

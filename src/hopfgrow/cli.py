@@ -24,7 +24,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .bounds import all_bounds, detect_exponential
+from .bounds import _growth_contradictions, all_bounds, detect_exponential
 from .catalog import EXAMPLES, build_example, run_example_check
 from .coalgebra import delta, find_skew_primitives
 from .errors import (ConsistencyError, NonConfluentError, PresentationError,
@@ -261,11 +261,25 @@ def cmd_invariants(args):
     return EXIT_OK
 
 
+def _check_against_growth(estimate, verdict, bounds=()):
+    """Raise ConsistencyError where an exact polynomial growth estimate
+    refutes the detector verdict or a bound."""
+    refuted, above = _growth_contradictions(estimate, verdict.classification, bounds)
+    if refuted:
+        raise ConsistencyError(
+            "detector says exponential but the measured growth is polynomial")
+    if above:
+        raise ConsistencyError("%s above the growth degree %d"
+                               % (", ".join(above), estimate["degree"]))
+
+
 def cmd_bounds(args):
     p, source = _load(args)
     report = _invariants(p, args)
     results = all_bounds(p, report)
     verdict = detect_exponential(p, report, m_max=args.mmax)
+    # the verdict reads the rules alone, so a table of one level will do
+    _check_against_growth(measure_growth(p, n_max=0).estimate, verdict, results)
     payload = {
         "invariants": _invariant_payload(p, report),
         "bounds": _bound_payload(results),
@@ -298,14 +312,10 @@ def cmd_growth(args):
     growth = measure_growth(p, n_max=args.nmax)
     report = _invariants(p, args)
     verdict = detect_exponential(p, report, m_max=args.mmax)
-    if (verdict.classification == "exponential"
-            and growth.estimate["kind"] == "polynomial"):
-        raise ConsistencyError(
-            "detector says exponential but the measured growth is polynomial")
+    _check_against_growth(growth.estimate, verdict)
     payload = {
         "dims": growth.dims,
         "estimate": growth.estimate,
-        "window": list(growth.window),
         "truncated": growth.truncated,
         "generating_set": growth.letters_desc,
         "detector": {"classification": verdict.classification},

@@ -2,16 +2,14 @@
 
 The growth function counts distinct normal words reachable by products of
 at most n generators (group generators with inverses, the y's, and 1).
-A length-filtered presentation takes the exact verdict of its rule
-automaton (Presentation._growth_verdict).  On any other, a least-squares
-fit of log(dim) against log(n) is polynomial of the rounded slope when
-tight, exponential when loose with ratios bounded away from 1.
+Its verdict is the exact one of the rule automaton
+(Presentation._growth_verdict), which reads the left-hand sides of the
+rules and never the table, so the table's horizon and any word ceiling
+cut it short without changing the verdict.
 """
 
 import itertools
-import math
 import os
-import statistics
 
 from .coalgebra import is_skew_primitive
 from .errors import ConsistencyError, ResourceCeilingError
@@ -21,11 +19,6 @@ from .scalars import INFINITE, multiplicative_order
 
 DEFAULT_MAX_WORDS = 2_000_000
 ENV_MAX_WORDS = "HOPFGROW_MAX_WORDS"
-# fit_growth: largest log-log residual of a polynomial fit, least ratio
-# dims[n + 1] / dims[n] - 1 of exponential growth, fewest window points
-_POLY_RESIDUAL_TOL = 0.05
-_EXP_DELTA = 0.15
-_MIN_WINDOW = 4
 
 
 def word_ceiling():
@@ -48,10 +41,9 @@ def word_ceiling():
 
 
 class GrowthReport:
-    def __init__(self, dims, estimate, window, letters_desc, truncated=False):
+    def __init__(self, dims, estimate, letters_desc, truncated=False):
         self.dims = dims
         self.estimate = estimate
-        self.window = window
         self.letters_desc = letters_desc
         self.truncated = truncated
 
@@ -69,59 +61,27 @@ class GrowthReport:
         return "GrowthReport(%s, n_max=%d)" % (self.estimate, self.n_max)
 
 
-def _fit_window(n_max):
-    """The levels (lo, n_max) the fit reads: the upper half of 1..n_max."""
-    return max(1, (n_max + 1) // 2), n_max
-
-
-def fit_growth(dims):
-    """Classify a dimension sequence; see module docstring for the rules."""
-    lo, n_max = _fit_window(len(dims) - 1)
-    window = list(range(lo, n_max + 1))
-    if len(window) < _MIN_WINDOW:
-        return {"kind": "inconclusive",
-                "reason": "window below %d points" % _MIN_WINDOW}
-    xs = [math.log(n) for n in window]
-    ys = [math.log(dims[n]) for n in window]
-    if max(ys) == min(ys):
-        slope, intercept = 0.0, ys[0]
-    else:
-        slope, intercept = statistics.linear_regression(xs, ys)
-    residual = math.sqrt(sum((y - (slope * x + intercept)) ** 2
-                             for x, y in zip(xs, ys)) / len(window))
-    if residual < _POLY_RESIDUAL_TOL:
-        return {"kind": "polynomial", "degree": round(slope),
-                "slope": slope, "residual": residual}
-    ratios = [dims[n + 1] / dims[n] for n in window[:-1]]
-    if all(r >= 1 + _EXP_DELTA for r in ratios):
-        return {"kind": "exponential", "min_ratio": min(ratios), "residual": residual}
-    return {"kind": "inconclusive", "slope": slope, "residual": residual,
-            "reason": "neither fit criterion met"}
-
-
 def measure_growth(p, n_max=12, max_words=None):
-    """Exact growth of the default generating set up to n_max, with the
-    automaton's verdict if p is length_filtered and the fit if not.
+    """The growth of the default generating set: the table dims[n] for n
+    <= n_max from filtration_dims, and the automaton's exact verdict.
 
-    Returns a GrowthReport; when the closure hits the word ceiling the
-    report carries the partial sequence and is flagged truncated.
+    The table of a presentation that is not length_filtered comes from
+    the closure under max_words, by default word_ceiling(); when the
+    closure passes it, the report carries the levels before it and is
+    flagged truncated, with the same verdict.
     """
     desc = "%d group letters and %d skew generators" % (
         2 * p.group.ngens, p.ny)
     if max_words is None and not p.length_filtered:
         max_words = word_ceiling()
+    truncated = False
     try:
         dims = p.filtration_dims(n_max, max_words=max_words)
     except ResourceCeilingError as exc:
-        dims = exc.partial or [1]
-        return GrowthReport(dims, {"kind": "inconclusive", "method": "fit",
-                                   "reason": "word ceiling %d reached" % max_words},
-                            (0, len(dims) - 1), desc, truncated=True)
+        dims, truncated = exc.partial, True
     if any(b < a for a, b in zip(dims, dims[1:])) or dims[0] != 1:
         raise ConsistencyError("growth sequence is not a filtration")
-    estimate = (p._growth_verdict() if p.length_filtered
-                else dict(fit_growth(dims), method="fit"))
-    return GrowthReport(dims, estimate, _fit_window(len(dims) - 1), desc)
+    return GrowthReport(dims, p._growth_verdict(), desc, truncated)
 
 
 # -- independent counting oracle ------------------------------------------

@@ -697,19 +697,34 @@ class Presentation:
         return self._automaton
 
     def _growth_verdict(self):
-        """The growth of filtration_dims on a length_filtered presentation
-        (Ufnarovski, Math. Notes 31, 1982): exponential if a strongly
-        connected component of the rule automaton has more edges than
-        states, else of degree r + d, r the free rank and d the most cyclic
-        components on a path from state 0, and dimension sum_b Y(b) |G| if
-        r + d = 0.  Proof: dims[n] = sum_t Y(t) |B_{n - t}|, Y(t) the paths
-        of length t from state 0.  (1) Such a component has a state with
-        two edges inside it, each closing to a cycle; k blocks of either,
-        raised to one length, give 2^k paths.  (2) Else a path is fixed, up
-        to finitely many choices, by its turns round at most d cycles: S(n)
-        = sum_{t <= n} Y(t) is Theta(n^d), |B_n| is Theta(n^r), and
-        |B_{n/2}| S(n/2) <= dims[n] <= |B_n| S(n).  Tarjan's algorithm
-        (SIAM J. Comput. 1, 1972) ends each component after all it reaches."""
+        """The growth of filtration_dims (Ufnarovski, Math. Notes 31, 1982):
+        exponential if a strongly connected component of the rule automaton
+        has more edges than states, else of degree r + d, r the free rank
+        and d the most cyclic components on a path from state 0, and
+        dimension sum_b Y(b) |G| if r + d = 0.  Inconclusive if a rule term
+        c g u with |u| = |lhs| has g != 1.  Proof: else take the weight
+        W = max(1, |mu_i| over the tau-generators, ceil(|g| / (|lhs| - |u|))
+        over the rule terms with |u| < |lhs|); deg-lex leaves no |u| > |lhs|.
+        No rule step, and no tau step g mu_i, raises the weighted length
+        |h| + W|w| of a word h w, so F_n = span{h w : |h| + W|w| <= n} is an
+        algebra filtration, and its words are reached by |h| + |w| <= n
+        letters, each of weighted length <= W: the words counted by dims[n]
+        and the products of n letters lie between F_n and F_Wn, which has
+        the same growth (Krause and Lenagan, Growth of Algebras and
+        Gelfand-Kirillov Dimension, 2000).  dim F_n = sum_t Y(t) |B_{n - Wt}|,
+        Y(t) the paths of length t from state 0.  (1) Such a component has a
+        state with two edges inside it, each closing to a cycle; k blocks of
+        either, raised to one length, give 2^k paths.  (2) Else a path is
+        fixed, up to finitely many choices, by its turns round at most d
+        cycles: S(n) = sum_{t <= n} Y(t) is Theta(n^d), |B_n| is Theta(n^r),
+        and |B_{n/2}| S(n/2W) <= dim F_n <= |B_n| S(n).  W = 1 on a
+        length_filtered presentation, and no W is computed.  Tarjan's
+        algorithm (SIAM J. Comput. 1, 1972) ends each component after all
+        it reaches."""
+        if any(len(u) == len(rule.lhs) and not self.group.is_identity(g)
+               for rule in self.rules for g, u in rule.rhs.terms):
+            return {"kind": "inconclusive",
+                    "reason": "a rule term as long as its left-hand side has a group part"}
         edges = self._rule_automaton()
         num, low, comp, depth = {0: 0}, [0] * len(edges), {}, []  # depth: d per component
         stack, calls = [0], [(0, iter(edges[0]))]
@@ -735,11 +750,10 @@ class Presentation:
                     comp[members[-1]] = c
                 targets = [comp[w] for u in members for w in edges[u]]
                 if targets.count(c) > len(members):
-                    return {"kind": "exponential", "method": "automaton"}
+                    return {"kind": "exponential"}
                 depth.append(max([depth[t] for t in targets if t < c], default=0)
                              + (c in targets))
-        out = {"kind": "polynomial", "degree": self.group.free_rank + depth[-1],
-               "method": "automaton"}
+        out = {"kind": "polynomial", "degree": self.group.free_rank + depth[-1]}
         if not out["degree"]:
             out["dimension"] = sum(self._word_levels()) * math.prod(self.group.torsion)
         return out

@@ -19,12 +19,17 @@ invariants, bounds and growth where the invariants search skips most
 weights of the group ball: a free file over Z^4, one over Z x Z/6 whose
 y-words have weights to reduce, and a truncation over Z^2 that is not
 count-graded.  Two more run invariants on exterior free=true where the
-conjugation closure keeps 148 and 228 vectors at one weight.  The last
-three run growth, delta and normalize on a tau presentation whose group
+conjugation closure keeps 148 and 228 vectors at one weight.  Three
+more run growth, delta and normalize on a tau presentation whose group
 overlap does not resolve, which check_confluence must reduce: each exits
-2 with the same one-line non-confluent error.  Every command
-runs in OUT_DIR, so these files are named without a directory,
-and no command takes more than a few seconds.
+2 with the same one-line non-confluent error.  The last six run growth,
+in text and json, on three presentations that are not length-filtered,
+where the table is the closure's and the verdict the automaton's: a
+tau-generator of weight g1^2, the truncation y1^2 = g1^6 - 1 for y1 of
+weight g1^3, and a rule term g1 y1 y2 as long as its left-hand side y2 y1,
+whose verdict is inconclusive.  Every command runs in OUT_DIR, so these
+files are named without a directory, and no command takes more than a
+few seconds.
 """
 
 import json
@@ -103,6 +108,28 @@ FILES = {
         "group": {"free_rank": 1},
         "generators": [{"name": "y1", "weight": [1], "character": ["1"], "tau": ["2"]}],
         "relations": [{"lhs": "y1^2", "rhs": ""}]},
+    # y g1 = g1 y + g1 (g1^2 - 1) for y of weight g1^2 over Z: the closure
+    # 1, 4, 10, 19, 31, ... of polynomial degree 2
+    "tau-g1^2.json": {
+        "scalars": {"cyclotomic_order": 1, "transcendentals": []},
+        "group": {"free_rank": 1},
+        "generators": [{"name": "y", "weight": [2], "character": ["1"], "tau": ["1"]}]},
+    # y1 of weight g1^3 over Z with lambda_1(g1) = -1 and y1^2 = g1^6 - 1:
+    # polynomial of degree 1
+    "g3-trunc.json": {
+        "scalars": {"cyclotomic_order": 2, "transcendentals": ["q1"]},
+        "group": {"free_rank": 1},
+        "generators": [{"name": "y1", "weight": [3], "character": ["-1"]}],
+        "relations": [{"lhs": "y1^2", "rhs": "g1^6 - 1"}]},
+    # y2 y1 = y1 y2 + g1 y1 y2 for y1, y2 of weight g1 over Z: confluent,
+    # with the closure C(n + 4, 4), and no weight per letter keeps its
+    # rule from lengthening a word
+    "full-length-group-part.json": {
+        "scalars": {"cyclotomic_order": 1, "transcendentals": ["q1", "q2"]},
+        "group": {"free_rank": 1},
+        "generators": [{"name": "y1", "weight": [1], "character": ["q1"]},
+                       {"name": "y2", "weight": [1], "character": ["q2"]}],
+        "relations": [{"lhs": "y2 y1", "rhs": "y1 y2 + g1 y1 y2"}]},
 }
 
 # files whose invariants search skips most weights of the ball, with the
@@ -160,6 +187,10 @@ def commands():
     out += [["growth", "tau-square.json"],
             ["delta", "tau-square.json", "--element", "y1 g1"],
             ["normalize", "tau-square.json", "--element", "y1 g1"]]
+    for name in ("tau-g1^2.json", "g3-trunc.json", "full-length-group-part.json"):
+        for fmt in ("text", "json"):
+            out.append(["growth", name] + _SEARCH + ["--power-bound", "3", "--nmax", "8",
+                                                     "--mmax", "6", "--format", fmt])
     return out
 
 

@@ -291,17 +291,19 @@ def report_data(report):
 
 
 def growth_by_slope(p, n=256):
-    """The growth of a length-filtered p as (kind, degree), read off the
-    log-log slopes of dp_word_counts at the horizon n.
+    """The growth of p as (kind, degree), read off the log-log slopes of
+    dp_word_counts at the horizon n, for p with no group part on a rule
+    term as long as its left-hand side.
 
     The count runs on the monomial shadow of p: its y-generators over the
     trivial group, each left-hand side rewritten to 0.  The shadow has the
     normal y-words of p, and its dims[m] is S(m) = sum_{t <= m} Y(t), with
     no ball of p's group to list; the group's free rank r adds r to the
-    degree, since dims[m] = sum_t Y(t) |B_{m - t}|.  With s1 and s2 the
-    slopes log2 S(x) / S(x / 2) at x = n / 2 and x = n, the growth is
-    exponential when s2 > 1.5 s1 + 0.5, as the slope of an exponential
-    doubles with x, and otherwise polynomial of degree r + round(s2).
+    degree, since p's growth is that of sum_t Y(t) |B_{m - Wt}| for a
+    weight W per y-letter.  With s1 and s2 the slopes log2 S(x) / S(x / 2)
+    at x = n / 2 and x = n, the growth is exponential when s2 > 1.5 s1 +
+    0.5, as the slope of an exponential doubles with x, and otherwise
+    polynomial of degree r + round(s2).
     """
     shadow = Presentation(ScalarDomain(1), GroupData(0),
                           [SkewGenerator(gen.name, (), ()) for gen in p.gens],

@@ -2,7 +2,7 @@
 
 Every expected value here is either a frozen hand-derived number or an
 exact structural property; comparisons are exact (integers and exact
-scalars), with no tolerances beyond the documented fit thresholds.
+scalars), with no tolerances.
 """
 
 import math

@@ -7,6 +7,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from hopfgrow import cli
+from hopfgrow.bounds import BoundReport
 from hopfgrow.catalog import (EXAMPLES, build_example, skew_free_presentation,
                               taft_presentation)
 from hopfgrow.cli import UsageError, _parse_param, build_parser, main
@@ -274,7 +276,8 @@ def test_growth_default_bounds_finish(capsys, name, params, nmax):
 def test_growth_resource_ceiling(capsys, monkeypatch, tmp_path):
     # a tau-generator of weight g1^2 is not length-filtered, so growth takes
     # the closure 1, 4, 10, 19, 31, ..., which stops at the ceiling with
-    # exit 3; the count of skew_free lists no word and passes it
+    # exit 3 and still carries the automaton's exact verdict; the count of
+    # skew_free lists no word and passes it
     monkeypatch.setenv("HOPFGROW_MAX_WORDS", "20")
     doc = {"scalars": {"cyclotomic_order": 1, "transcendentals": []},
            "group": {"free_rank": 1},
@@ -286,9 +289,42 @@ def test_growth_resource_ceiling(capsys, monkeypatch, tmp_path):
     assert code == 3
     report = payload["report"]
     assert (report["dims"], report["truncated"]) == ([1, 4, 10, 19], True)
-    assert report["estimate"]["method"] == "fit"
+    assert report["estimate"] == {"kind": "polynomial", "degree": 2}
     code, payload = run_json(capsys, "growth", "--example", "skew_free", *bounds)
     assert code == 0 and len(payload["report"]["dims"]) == 13
+
+
+# y1 and y2 of weight g1 over Z with the characters q1 and q2, and the
+# rule y2 y1 = y1 y2: no Hopf ideal, so the detector's criteria fire on an
+# algebra of polynomial growth of degree 3
+COMMUTING_PAIR = {"scalars": {"cyclotomic_order": 1, "transcendentals": ["q1", "q2"]},
+                  "group": {"free_rank": 1},
+                  "generators": [{"name": "y1", "weight": [1], "character": ["q1"]},
+                                 {"name": "y2", "weight": [1], "character": ["q2"]}],
+                  "relations": [{"lhs": "y2 y1", "rhs": "y1 y2"}]}
+
+
+def test_exact_verdict_refutes_detector_and_bounds(capsys, monkeypatch, tmp_path):
+    # bounds and growth both hold the detector and the bounds to the exact
+    # growth verdict, and exit 2 where it refutes them
+    path = tmp_path / "commuting-pair.json"
+    path.write_text(json.dumps(COMMUTING_PAIR))
+    search = ["--degree", "4", "--group-bound", "2", "--power-bound", "3"]
+    for command in ("bounds", "growth"):
+        code, out, err = run(capsys, command, str(path), *search)
+        assert (code, out) == (2, "")
+        assert err == ("consistency failure: detector says exponential but the "
+                       "measured growth is polynomial\n")
+    real = cli.all_bounds
+
+    def inflated(p, report):
+        return real(p, report) + [BoundReport("inflated", [], 3, {})]
+
+    monkeypatch.setattr(cli, "all_bounds", inflated)
+    code, out, err = run(capsys, "bounds", "--example", "qplane", "--param", "v=1",
+                         *search)
+    assert (code, out) == (2, "")
+    assert err == "consistency failure: inflated above the growth degree 2\n"
 
 
 def test_conjugation_closure_ceiling(capsys):
@@ -733,9 +769,8 @@ def test_growth_of_long_rules_finishes(argv):
                          timeout=20)
     assert result.returncode == 0, result.stderr
     estimate = json.loads(result.stdout)["report"]["estimate"]
-    assert estimate == ({"kind": "exponential", "method": "automaton"} if "p=50" in argv
-                        else {"kind": "polynomial", "degree": 0, "method": "automaton",
-                              "dimension": 1000 ** 2})
+    assert estimate == ({"kind": "exponential"} if "p=50" in argv
+                        else {"kind": "polynomial", "degree": 0, "dimension": 1000 ** 2})
 
 
 def test_closed_stdout_exits_without_traceback():

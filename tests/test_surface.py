@@ -25,7 +25,7 @@ PUBLIC_NAMES = [
     "cyclic_support", "cyclotomic", "cyclotomic_polynomial", "delta",
     "delta_power_formula", "detect_exponential", "dp_word_counts", "elements",
     "errors", "exterior_presentation", "fileformat", "find_skew_primitives",
-    "fit_growth", "generalized_commutator", "groups", "growth", "intmat",
+    "generalized_commutator", "groups", "growth", "intmat",
     "invariants", "is_skew_primitive", "linalg", "load_presentation",
     "measure_growth", "multiplicative_order", "parse_element_expr",
     "parse_presentation_data", "parse_scalar_expr", "pbw_dependence_scan",
