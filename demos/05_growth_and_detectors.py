@@ -1,9 +1,9 @@
 """Measured growth, its classification, and the exponential detectors.
 
 The growth function counts normal words reachable by products of at most
-n generators.  On these length-filtered presentations the rule automaton
-of the normal words decides the growth exactly: exponential, or a
-polynomial degree (with the dimension of a finite algebra).
+n generators.  The rule automaton of the normal words decides the growth
+exactly: exponential, or a polynomial degree (with the dimension of a
+finite algebra).
 Independently, pairs of witnesses with weights x^{d1}, x^{d2} are run
 through the free-subalgebra criteria, and the necessary relation for
 non-freeness is searched when nothing fires.  The two routes must never
@@ -41,11 +41,10 @@ for label, p, nmax in [
     if growth.estimate["kind"] == "polynomial":
         print("  bounds", bounds, "all below measured degree",
               growth.estimate["degree"])
-    # on a length-filtered presentation the count (normal y-words convolved
-    # with the group ball) agrees with the independent counting oracle
-    if p.length_filtered:
-        assert dp_word_counts(p, 8) == growth.dims[:9]
-        print("  counting oracle agrees through n = 8")
+    # the count (normal y-words convolved with the group ball) agrees with
+    # the independent counting oracle
+    assert dp_word_counts(p, 8) == growth.dims[:9]
+    print("  counting oracle agrees through n = 8")
     print()
 
 # ordered monomials in the witnesses: free through degree 8 for the

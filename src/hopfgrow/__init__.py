@@ -20,7 +20,7 @@ from .coalgebra import (SkewPrimitiveSpace, antipode, counit, delta,
 from .cyclotomic import CycloField, CycloRational, cyclotomic_polynomial
 from .elements import AlgebraElement, TensorElement
 from .errors import (ConsistencyError, NonConfluentError, PresentationError,
-                     ResourceCeilingError, ScalarShapeError)
+                     ScalarShapeError)
 from .fileformat import (load_presentation, parse_element_expr,
                          parse_presentation_data, parse_scalar_expr,
                          presentation_to_jsonable)

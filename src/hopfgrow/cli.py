@@ -12,10 +12,10 @@
 Presentations come from a builtin (--example, with --param overrides) or a
 JSON file.  Exit codes: 0 ok, 1 usage or parse error or a standard output
 closed before the report was written (silently), 2 hypothesis or
-consistency failure (including non-confluence and check mismatches),
-3 the growth closure of a presentation that is not length-filtered
-reached its word ceiling HOPFGROW_MAX_WORDS; a value of it that is not a
-nonnegative integer is a usage error.
+consistency failure (including non-confluence and check mismatches).
+growth and bounds refuse, with exit 1, a presentation that has no letter
+weight: one with a rule term as long as its left-hand side that carries a
+group part.
 """
 
 import argparse
@@ -28,10 +28,10 @@ from .bounds import _growth_contradictions, all_bounds, detect_exponential
 from .catalog import EXAMPLES, build_example, run_example_check
 from .coalgebra import delta, find_skew_primitives
 from .errors import (ConsistencyError, NonConfluentError, PresentationError,
-                     ResourceCeilingError, ScalarShapeError)
+                     ScalarShapeError)
 from .fileformat import (_SIZE_CEILING, load_presentation, parse_element_expr,
                          parse_group_element)
-from .growth import measure_growth, word_ceiling
+from .growth import measure_growth
 from .invariants import compute_invariants
 from .scalars import INFINITE
 from .serialize import (element_to_str, scalar_to_expr, tensor_to_str,
@@ -40,7 +40,6 @@ from .serialize import (element_to_str, scalar_to_expr, tensor_to_str,
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILURE = 2
-EXIT_RESOURCE = 3
 
 
 class UsageError(Exception):
@@ -316,18 +315,16 @@ def cmd_growth(args):
     payload = {
         "dims": growth.dims,
         "estimate": growth.estimate,
-        "truncated": growth.truncated,
+        "letter_weight": p.letter_weight,
         "generating_set": growth.letters_desc,
         "detector": {"classification": verdict.classification},
         "table": growth.table(),
     }
     lines = [growth.table(), "", "estimate: %r" % (growth.estimate,),
              "detector: %s" % verdict.classification]
-    if growth.truncated:
-        lines.append("enumeration truncated at the word ceiling")
     _emit(args, {"command": "growth", "presentation": source,
                  "report": payload}, "\n".join(lines))
-    return EXIT_RESOURCE if growth.truncated else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_check_example(args):
@@ -469,10 +466,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        try:
-            word_ceiling()
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
@@ -493,9 +486,6 @@ def main(argv=None):
     except (ConsistencyError, ScalarShapeError) as exc:
         print("consistency failure: %s" % exc, file=sys.stderr)
         return EXIT_FAILURE
-    except ResourceCeilingError as exc:
-        print("resource ceiling: %s" % exc, file=sys.stderr)
-        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

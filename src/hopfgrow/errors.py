@@ -16,13 +16,5 @@ class NonConfluentError(RuntimeError):
         super().__init__("presentation is not confluent; unresolved overlaps: %s" % names)
 
 
-class ResourceCeilingError(RuntimeError):
-    """An enumeration exceeded its configured ceiling."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class ConsistencyError(RuntimeError):
     """A cross-check between independently computed quantities failed."""

@@ -1,51 +1,31 @@
 """Growth measurement and PBW dependence scanning.
 
-The growth function counts distinct normal words reachable by products of
-at most n generators (group generators with inverses, the y's, and 1).
+The growth table is dim F_n of the letter-weight filtration
+(Presentation.filtration_dims).  Where the letter weight is 1, F_n is
+spanned by the products of at most n generators (group generators with
+inverses, the y's, and 1); past it, F is a filtration with the same growth.
 Its verdict is the exact one of the rule automaton
 (Presentation._growth_verdict), which reads the left-hand sides of the
-rules and never the table, so the table's horizon and any word ceiling
-cut it short without changing the verdict.
+rules and never the table, so the table's horizon does not change it.
 """
 
 import itertools
-import os
 
 from .coalgebra import is_skew_primitive
-from .errors import ConsistencyError, ResourceCeilingError
+from .errors import ConsistencyError
 from .invariants import _strip_coradical, commutation_scalar
 from .linalg import ScalarElimination
 from .scalars import INFINITE, multiplicative_order
 
-DEFAULT_MAX_WORDS = 2_000_000
-ENV_MAX_WORDS = "HOPFGROW_MAX_WORDS"
-
-
-def word_ceiling():
-    """The enumeration word ceiling: HOPFGROW_MAX_WORDS, or the default.
-
-    Raises ValueError when the variable is set to anything but a
-    nonnegative integer.
-    """
-    raw = os.environ.get(ENV_MAX_WORDS)
-    if raw is None:
-        return DEFAULT_MAX_WORDS
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise ValueError("%s must be a nonnegative integer, got %r"
-                         % (ENV_MAX_WORDS, raw))
-    return value
-
 
 class GrowthReport:
-    def __init__(self, dims, estimate, letters_desc, truncated=False):
+    # no table is cut short; the benchmark reads the flag
+    truncated = False
+
+    def __init__(self, dims, estimate, letters_desc):
         self.dims = dims
         self.estimate = estimate
         self.letters_desc = letters_desc
-        self.truncated = truncated
 
     @property
     def n_max(self):
@@ -61,27 +41,16 @@ class GrowthReport:
         return "GrowthReport(%s, n_max=%d)" % (self.estimate, self.n_max)
 
 
-def measure_growth(p, n_max=12, max_words=None):
-    """The growth of the default generating set: the table dims[n] for n
-    <= n_max from filtration_dims, and the automaton's exact verdict.
-
-    The table of a presentation that is not length_filtered comes from
-    the closure under max_words, by default word_ceiling(); when the
-    closure passes it, the report carries the levels before it and is
-    flagged truncated, with the same verdict.
-    """
+def measure_growth(p, n_max=12):
+    """The growth of the default generating set: the table dims[n] =
+    dim F_n for n <= n_max of the letter-weight filtration, which grows as
+    that set's powers do, and the automaton's exact verdict."""
     desc = "%d group letters and %d skew generators" % (
         2 * p.group.ngens, p.ny)
-    if max_words is None and not p.length_filtered:
-        max_words = word_ceiling()
-    truncated = False
-    try:
-        dims = p.filtration_dims(n_max, max_words=max_words)
-    except ResourceCeilingError as exc:
-        dims, truncated = exc.partial, True
+    dims = p.filtration_dims(n_max)
     if any(b < a for a, b in zip(dims, dims[1:])) or dims[0] != 1:
         raise ConsistencyError("growth sequence is not a filtration")
-    return GrowthReport(dims, p._growth_verdict(), desc, truncated)
+    return GrowthReport(dims, p._growth_verdict(), desc)
 
 
 # -- independent counting oracle ------------------------------------------
@@ -96,20 +65,17 @@ def _prefix_states(rules):
 
 def dp_word_counts(p, n_max):
     """Irreducible-word counts by the forbidden-subword automaton, convolved
-    with group ball sizes: an independent oracle for filtration_dims.  It
-    stays in the package because the benchmark checks its growth answers
-    against it.
-
-    Valid where p.length_filtered holds, which is exactly where
-    filtration_dims takes the same count: the multigraded presentations,
-    the truncation y1^p = beta (g1^p - 1) and the tau extensions of
-    skew_free among them.
+    with group ball sizes at the letter weight W: an independent oracle for
+    the Y(t) of filtration_dims, as the automaton is its own.  It stays in
+    the package because the benchmark checks its growth answers against
+    it.  Raises PresentationError where no letter weight exists.
     """
+    weight = p._require_weight()
     states, lhss = _prefix_states(p.rules)
     index = {s: k for k, s in enumerate(states)}
     counts = [1]  # degree 0: the empty word
     profile = {index[()]: 1}
-    for _ in range(n_max):
+    for _ in range(n_max // weight):
         new = {}
         for st, mult in profile.items():
             state = states[st]
@@ -123,8 +89,8 @@ def dp_word_counts(p, n_max):
                 new[index[suffix]] = new.get(index[suffix], 0) + mult
         counts.append(sum(new.values()))
         profile = new
-    balls = [len(p.group.ball(r)) for r in range(n_max + 1)]
-    return [sum(counts[t] * balls[n - t] for t in range(n + 1))
+    balls = p.group.ball_sizes(n_max)
+    return [sum(counts[t] * balls[n - weight * t] for t in range(n // weight + 1))
             for n in range(n_max + 1)]
 
 

@@ -21,8 +21,8 @@ decides whether y_i w is normal; otherwise the rule's right-hand side folds
 onto the rest of w through cached products by smaller words (deg-lex
 rewriting is compatible with concatenation: Bergman, The diamond lemma for
 ring theory, Adv. Math. 29, 1978).  Normal forms of words, normalize,
-multiply, both reductions of each confluence overlap, coproducts and the
-growth closure are folds of that kernel.
+multiply, both reductions of each confluence overlap and coproducts are
+folds of that kernel.
 The tests check it against whole-word rewriting in random order, an
 oracle in tests/oracles.py that evaluates the characters itself.
 """
@@ -30,7 +30,7 @@ oracle in tests/oracles.py that evaluates the characters itself.
 import math
 
 from .elements import AlgebraElement, add_term, y_counts, yword_key
-from .errors import NonConfluentError, PresentationError, ResourceCeilingError
+from .errors import NonConfluentError, PresentationError
 from .intmat import row_echelon
 
 # the largest y-power, free rank or cyclotomic order a file may ask for, and
@@ -147,14 +147,7 @@ class Presentation:
         for rule in self.rules:
             self._rules_by_first.setdefault(rule.lhs[0], []).append((rule.lhs[1:], rule))
         self.tau_free = all(t.is_zero() for g in self.gens for t in g.tau)
-        # length-filtered: no rule term, and no tau term g mu_i, lengthens a
-        # word g u, of length |g| + |u| with |g| its group word length
-        length = self.group.word_length
-        self.length_filtered = all(
-            length(g) + len(u) <= len(rule.lhs)
-            for rule in self.rules for g, u in rule.rhs.terms) and all(
-            length(gen.weight) <= 1 for gen in self.gens
-            if any(not t.is_zero() for t in gen.tau))
+        self.letter_weight = self._letter_weight()
         # count-graded: every rule term c g u keeps the letter counts of its
         # left-hand side, with g = 1 unless tau vanishes (moving g left past
         # y_j then drops no letter), so the normal form of a y-word is a sum
@@ -164,6 +157,25 @@ class Presentation:
             and (self.tau_free or self.group.is_identity(g))
             for rule in self.rules for g, u in rule.rhs.terms)
         self._count_lattice, self._group_lattice = self._grading()
+
+    def _letter_weight(self):
+        """W = max(1, |mu_i| over the tau-generators, ceil(|g| / (|lhs| - |u|))
+        over the rule terms c g u with |u| < |lhs|): a weight of a y-letter,
+        against 1 for a group letter, at which no rule step and no tau step
+        g mu_i raises the weighted length |h| + W|w| of a word h w.  None
+        where a rule term with |u| = |lhs| has g != 1, which raises it at
+        every weight; deg-lex leaves no |u| > |lhs|."""
+        length = self.group.word_length
+        weight = max([1] + [length(gen.weight) for gen in self.gens
+                            if any(not t.is_zero() for t in gen.tau)])
+        for rule in self.rules:
+            for g, u in rule.rhs.terms:
+                drop = len(rule.lhs) - len(u)
+                if drop:
+                    weight = max(weight, -(-length(g) // drop))
+                elif not self.group.is_identity(g):
+                    return None
+        return weight
 
     # ------------------------------------------------------------------
     def _coerce_rhs(self, rhs):
@@ -630,52 +642,57 @@ class Presentation:
         return " ".join(self.gens[i].name for i in yword) if yword else "1"
 
     # -- filtration dimensions -------------------------------------------
-    def default_generating_letters(self):
-        letters = []
-        for i in range(self.group.ngens):
-            g = self.group.generator(i)
-            letters.append(("g", g))
-            letters.append(("g", self.group.inv(g)))
-        for i in range(self.ny):
-            letters.append(("y", i))
-        return letters
+    def filtration_dims(self, n_max):
+        """dim F_n for n <= n_max, F_n the span of the normal words h w of
+        weighted length |h| + W|w| <= n, W = letter_weight: dims[n] is
+        sum_t Y(t) |B_{n - Wt}|, Y(t) the normal y-words of length t from
+        _word_levels and |B_r| from GroupData.ball_sizes.  No word is
+        listed.
 
-    def filtration_dims(self, n_max, max_words=None):
-        """Number of distinct normal words in products of <= n generators.
+        No rule step and no tau step raises the weighted length (see
+        _growth_verdict), so F is an algebra filtration.  Let V be the
+        span of 1, the group generators and their inverses, and the y's.
+        At W = 1, F_n is V^n: each normal word h v of |h| + |v| <= n is a
+        product of its n letters, v built from 1 by its y-letters using
+        tau_i(1) = 0, and V^n lies in F_n.  At W > 1, F_n lies in V^n and
+        V^n in F_Wn, a different filtration with the same growth.
 
-        dims[n] counts the words reached by products of at most n letters
-        of default_generating_letters (1 included), each letter multiplying
-        on the left and reaching the support of its product.  That is the
-        size of a spanning set of normal words, so an upper bound on
-        dim F_n, equal to it when no combination of reached words cancels.
-
-        On a length_filtered presentation the words reached are exactly
-        the normal words h v with |h| + |v| <= n, so dims[n] is
-        sum_t Y(t) |B_{n - t}|, Y(t) the normal y-words of length t from
-        _word_levels and |B_r| from GroupData.ball_sizes:
-        1. each such word is reached by n letters: v by its y-letters from
-           1, using tau_i(1) = 0, then h by group letters;
-        2. no step lengthens a word: a rule term c g u has |g| + |u| <=
-           |lhs|, and moving g left past y_j gives lambda_j(g) g y_j,
-           tau_j(g) g mu_j and -tau_j(g) g, where |g mu_j| <= |g| + 1.
-        Every other presentation takes the breadth-first closure
-        _closure_dims.
-
-        Raises ResourceCeilingError when the closure passes max_words,
-        attaching the levels before it; the count lists no word.
-        Raises ValueError, before any work, when n_max is above the size
-        ceiling _SIZE_CEILING: the sequence holds n_max + 1 entries.
+        Raises PresentationError where letter_weight is None, and
+        ValueError, before any work, when n_max is above the size ceiling
+        _SIZE_CEILING: the sequence holds n_max + 1 entries.
         """
         if n_max > _SIZE_CEILING:
             raise ValueError("n_max %d is above the size ceiling %d"
                              % (n_max, _SIZE_CEILING))
         self.require_confluent()
-        if not self.length_filtered:
-            return self._closure_dims(n_max, max_words)
-        ys = [y for _, y in zip(range(n_max + 1), self._word_levels())]
+        weight = self._require_weight()
+        ys = [y for _, y in zip(range(n_max // weight + 1), self._word_levels())]
         ball = self.group.ball_sizes(n_max)
-        return [sum(y * ball[n - t] for t, y in enumerate(ys[:n + 1]))
+        return [sum(y * ball[n - weight * t] for t, y in enumerate(ys[:n // weight + 1]))
                 for n in range(n_max + 1)]
+
+    def _require_weight(self):
+        """letter_weight, or a PresentationError where there is none.
+
+        Then some rule term c h u with |u| = |lhs| has h != 1, and a
+        confluent presentation whose right-hand sides are normal is no
+        Hopf algebra.  Filter A by y-length: no rewriting step raises it,
+        so the normal words of y-length s are a basis of gr_s A, and
+        Delta(y_i) = y_i (x) 1 + mu_i (x) y_i makes
+        rho = (id (x) pi) gr Delta an algebra map gr A -> gr A (x) kG, pi
+        the projection onto y-length 0, with rho(y_i) = y_i (x) 1 and
+        rho(g) = g (x) g.  At the top y-length s = |lhs| the relation reads
+        lhs = sum c g u over its terms with |u| = s, and rho gives
+        lhs (x) 1 = sum c g u (x) g.  So the terms with g = h sum to 0 in
+        gr_s A, which for normal words u forces c = 0: the relations span
+        no Hopf ideal.
+        """
+        if self.letter_weight is None:
+            raise PresentationError(
+                "no letter weight: a rule term as long as its left-hand side "
+                "has a group part, which no Hopf ideal with normal right-hand "
+                "sides allows")
+        return self.letter_weight
 
     def _rule_automaton(self):
         """Per state, its successors by the letters y_i that may be prepended.
@@ -701,30 +718,27 @@ class Presentation:
         exponential if a strongly connected component of the rule automaton
         has more edges than states, else of degree r + d, r the free rank
         and d the most cyclic components on a path from state 0, and
-        dimension sum_b Y(b) |G| if r + d = 0.  Inconclusive if a rule term
-        c g u with |u| = |lhs| has g != 1.  Proof: else take the weight
-        W = max(1, |mu_i| over the tau-generators, ceil(|g| / (|lhs| - |u|))
-        over the rule terms with |u| < |lhs|); deg-lex leaves no |u| > |lhs|.
-        No rule step, and no tau step g mu_i, raises the weighted length
-        |h| + W|w| of a word h w, so F_n = span{h w : |h| + W|w| <= n} is an
-        algebra filtration, and its words are reached by |h| + |w| <= n
-        letters, each of weighted length <= W: the words counted by dims[n]
-        and the products of n letters lie between F_n and F_Wn, which has
-        the same growth (Krause and Lenagan, Growth of Algebras and
-        Gelfand-Kirillov Dimension, 2000).  dim F_n = sum_t Y(t) |B_{n - Wt}|,
-        Y(t) the paths of length t from state 0.  (1) Such a component has a
-        state with two edges inside it, each closing to a cycle; k blocks of
-        either, raised to one length, give 2^k paths.  (2) Else a path is
-        fixed, up to finitely many choices, by its turns round at most d
-        cycles: S(n) = sum_{t <= n} Y(t) is Theta(n^d), |B_n| is Theta(n^r),
-        and |B_{n/2}| S(n/2W) <= dim F_n <= |B_n| S(n).  W = 1 on a
-        length_filtered presentation, and no W is computed.  Tarjan's
-        algorithm (SIAM J. Comput. 1, 1972) ends each component after all
-        it reaches."""
-        if any(len(u) == len(rule.lhs) and not self.group.is_identity(g)
-               for rule in self.rules for g, u in rule.rhs.terms):
-            return {"kind": "inconclusive",
-                    "reason": "a rule term as long as its left-hand side has a group part"}
+        dimension sum_b Y(b) |G| if r + d = 0.  Raises PresentationError
+        where letter_weight is None (_require_weight).  Proof: with the
+        weight W = letter_weight, no rule step c g u of lhs raises the
+        weighted length |h| + W|w| of a word h w, as |g| <= W(|lhs| - |u|),
+        and moving g left past y_j gives lambda_j(g) g y_j, tau_j(g) g mu_j
+        and -tau_j(g) g, where |g mu_j| <= |g| + W for a tau-generator.  So
+        F_n = span{h w : |h| + W|w| <= n} is an algebra filtration, and its
+        words are reached by |h| + |w| <= n letters, each of weighted
+        length <= W: the products of n letters lie between F_n and F_Wn,
+        which has the same growth (Krause and Lenagan, Growth of
+        Algebras and Gelfand-Kirillov Dimension, 2000).
+        dim F_n = sum_t Y(t) |B_{n - Wt}|, Y(t) the paths of length t from
+        state 0.  (1) Such a component has a state with two edges inside
+        it, each closing to a cycle; k blocks of either, raised to one
+        length, give 2^k paths.  (2) Else a path is fixed, up to finitely
+        many choices, by its turns round at most d cycles:
+        S(n) = sum_{t <= n} Y(t) is Theta(n^d), |B_n| is Theta(n^r), and
+        |B_{n/2}| S(n/2W) <= dim F_n <= |B_n| S(n).  Tarjan's algorithm
+        (SIAM J. Comput. 1, 1972) ends each component after all it
+        reaches."""
+        self._require_weight()
         edges = self._rule_automaton()
         num, low, comp, depth = {0: 0}, [0] * len(edges), {}, []  # depth: d per component
         stack, calls = [0], [(0, iter(edges[0]))]
@@ -770,31 +784,6 @@ class Presentation:
                 for t in edges[s]:
                     new[t] = new.get(t, 0) + m
             profile = new
-
-    def _closure_dims(self, n_max, max_words=None):
-        """filtration_dims by breadth-first closure, F_n = V F_{n-1}: level
-        n adds the support of letter * w for each word w first reached at
-        level n - 1.  The path of every presentation that is not
-        length_filtered, and the test oracle of the count."""
-        letters = self.default_generating_letters()
-        seen = {(self.group.identity(), ())}
-        frontier = list(seen)
-        dims = [1]
-        for _ in range(n_max):
-            new_frontier = []
-            for word in frontier:
-                for letter in letters:
-                    for w2 in self.word_times_letter(word, letter):
-                        if w2 not in seen:
-                            seen.add(w2)
-                            new_frontier.append(w2)
-                            if max_words is not None and len(seen) > max_words:
-                                raise ResourceCeilingError(
-                                    "enumeration exceeded %d words" % max_words,
-                                    partial=dims)
-            dims.append(len(seen))
-            frontier = new_frontier
-        return dims
 
     def __repr__(self):
         label = self.name or "presentation"

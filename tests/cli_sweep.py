@@ -23,13 +23,14 @@ conjugation closure keeps 148 and 228 vectors at one weight.  Three
 more run growth, delta and normalize on a tau presentation whose group
 overlap does not resolve, which check_confluence must reduce: each exits
 2 with the same one-line non-confluent error.  The last six run growth,
-in text and json, on three presentations that are not length-filtered,
-where the table is the closure's and the verdict the automaton's: a
-tau-generator of weight g1^2, the truncation y1^2 = g1^6 - 1 for y1 of
-weight g1^3, and a rule term g1 y1 y2 as long as its left-hand side y2 y1,
-whose verdict is inconclusive.  Every command runs in OUT_DIR, so these
-files are named without a directory, and no command takes more than a
-few seconds.
+in text and json, on three presentations whose letter weight is not 1.
+Four print tables of weight above 1, which count the letter-weight
+filtration, with the automaton's verdict: a tau-generator of weight g1^2
+(weight 2) and the truncation y1^2 = g1^6 - 1 for y1 of weight g1^3
+(weight 3).  Two are refusals: a rule term g1 y1 y2 as long as its
+left-hand side y2 y1 leaves no letter weight, and growth exits 1 with one
+line.  Every command runs in OUT_DIR, so these files are named without a
+directory, and no command takes more than a few seconds.
 """
 
 import json
@@ -108,22 +109,22 @@ FILES = {
         "group": {"free_rank": 1},
         "generators": [{"name": "y1", "weight": [1], "character": ["1"], "tau": ["2"]}],
         "relations": [{"lhs": "y1^2", "rhs": ""}]},
-    # y g1 = g1 y + g1 (g1^2 - 1) for y of weight g1^2 over Z: the closure
-    # 1, 4, 10, 19, 31, ... of polynomial degree 2
+    # y g1 = g1 y + g1 (g1^2 - 1) for y of weight g1^2 over Z: the letter
+    # weight 2 and the table 1, 3, 6, 10, 15, ... of polynomial degree 2
     "tau-g1^2.json": {
         "scalars": {"cyclotomic_order": 1, "transcendentals": []},
         "group": {"free_rank": 1},
         "generators": [{"name": "y", "weight": [2], "character": ["1"], "tau": ["1"]}]},
     # y1 of weight g1^3 over Z with lambda_1(g1) = -1 and y1^2 = g1^6 - 1:
-    # polynomial of degree 1
+    # the letter weight 3 and the table 1, 3, 5, 8, 12, ... of degree 1
     "g3-trunc.json": {
         "scalars": {"cyclotomic_order": 2, "transcendentals": ["q1"]},
         "group": {"free_rank": 1},
         "generators": [{"name": "y1", "weight": [3], "character": ["-1"]}],
         "relations": [{"lhs": "y1^2", "rhs": "g1^6 - 1"}]},
     # y2 y1 = y1 y2 + g1 y1 y2 for y1, y2 of weight g1 over Z: confluent,
-    # with the closure C(n + 4, 4), and no weight per letter keeps its
-    # rule from lengthening a word
+    # but no letter weight keeps its rule from lengthening a word, so
+    # growth refuses it
     "full-length-group-part.json": {
         "scalars": {"cyclotomic_order": 1, "transcendentals": ["q1", "q2"]},
         "group": {"free_rank": 1},
@@ -201,7 +202,6 @@ def main(argv):
     src = Path(argv[2]) if len(argv) == 3 else HERE.parent / "src"
     out_dir.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
-    env.pop("HOPFGROW_MAX_WORDS", None)
     for name, doc in FILES.items():
         (out_dir / name).write_text(json.dumps(doc, indent=1) + "\n")
     listing = []

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from hopfgrow.elements import AlgebraElement, yword_key
+from hopfgrow.elements import AlgebraElement, add_term, yword_key
 from hopfgrow.groups import GroupData
 from hopfgrow.presentation import Presentation, SkewGenerator
 from hopfgrow.scalars import ScalarDomain
@@ -253,11 +253,13 @@ def rng():
 
 
 def truncation(dom, group, mu, character, power, extra=()):
-    """y1 of weight mu with y1^power = mu^power - 1, plus free generators."""
+    """y1 of weight mu with y1^power = mu^power - 1, plus free generators.
+    Where mu^power = 1 the two terms cancel, and y1^power = 0."""
     gens = [SkewGenerator("y1", mu, character)]
     gens += [SkewGenerator("y%d" % (i + 2), w, c) for i, (w, c) in enumerate(extra)]
-    rhs = {(group.power(mu, power), ()): dom.one(),
-           (group.identity(), ()): dom.rational(-1)}
+    rhs = {}
+    add_term(rhs, (group.power(mu, power), ()), dom.one())
+    add_term(rhs, (group.identity(), ()), dom.rational(-1))
     return Presentation(dom, group, gens, [((0,) * power, rhs)], name="truncation")
 
 

@@ -8,8 +8,10 @@ y-words, and y-words rewrite at redexes chosen at random anywhere in the
 word.  The confluence oracle reduces every overlap through the program's
 own normalize, so it checks which overlaps check_confluence tries and how
 it reduces them.  The coalgebra axioms are checked through the program's
-own delta, counit and antipode.  The growth oracle reads the growth off
-the slopes of dp_word_counts, which keeps an automaton of its own.
+own delta, counit and antipode.  The growth oracles read the growth off
+the slopes of dp_word_counts, which keeps an automaton of its own, and
+list the words that products of at most n generators reach, by a
+breadth-first closure over the program's left products.
 """
 
 import itertools
@@ -313,3 +315,35 @@ def growth_by_slope(p, n=256):
     if s2 > 1.5 * s1 + 0.5:
         return "exponential", None
     return "polynomial", p.group.free_rank + round(s2)
+
+
+def generating_letters(p):
+    """The letters ("g", group element) or ("y", index) of the default
+    generating set: the group generators, their inverses and the y's."""
+    return ([("g", g) for x in p.group.generators() for g in (x, p.group.inv(x))]
+            + [("y", i) for i in range(p.ny)])
+
+
+def closure_dims(p, n_max):
+    """The number of normal words reached by products of at most n
+    generating letters, for n <= n_max, each letter multiplying on the
+    left and reaching the support of its product
+    (Presentation.word_times_letter).  Level n adds the products of each
+    letter with the words first reached at level n - 1.  On a presentation
+    of letter weight W that is dim F_n of filtration_dims where W = 1, and
+    lies between dims[n] and dims[Wn] where W > 1."""
+    letters = generating_letters(p)
+    seen = {(p.group.identity(), ())}
+    frontier = list(seen)
+    dims = [1]
+    for _ in range(n_max):
+        new_frontier = []
+        for word in frontier:
+            for letter in letters:
+                for w2 in p.word_times_letter(word, letter):
+                    if w2 not in seen:
+                        seen.add(w2)
+                        new_frontier.append(w2)
+        dims.append(len(seen))
+        frontier = new_frontier
+    return dims

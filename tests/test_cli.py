@@ -273,12 +273,11 @@ def test_growth_default_bounds_finish(capsys, name, params, nmax):
     assert report["detector"]["classification"] == expected["detector"]
 
 
-def test_growth_resource_ceiling(capsys, monkeypatch, tmp_path):
-    # a tau-generator of weight g1^2 is not length-filtered, so growth takes
-    # the closure 1, 4, 10, 19, 31, ..., which stops at the ceiling with
-    # exit 3 and still carries the automaton's exact verdict; the count of
-    # skew_free lists no word and passes it
-    monkeypatch.setenv("HOPFGROW_MAX_WORDS", "20")
+def test_growth_letter_weight(capsys, tmp_path):
+    # a tau-generator of weight g1^2 weighs 2 letters: growth counts F^2,
+    # 1, 3, 6, 10, ..., below the closure 1, 4, 10, 19, ... of the words of
+    # n letters and of the same degree, and reports the weight; skew_free
+    # weighs 1
     doc = {"scalars": {"cyclotomic_order": 1, "transcendentals": []},
            "group": {"free_rank": 1},
            "generators": [{"name": "y", "weight": [2], "character": ["1"], "tau": ["1"]}]}
@@ -286,12 +285,35 @@ def test_growth_resource_ceiling(capsys, monkeypatch, tmp_path):
     path.write_text(json.dumps(doc))
     bounds = ["--nmax", "12", "--degree", "2", "--group-bound", "2", "--power-bound", "2"]
     code, payload = run_json(capsys, "growth", str(path), *bounds)
-    assert code == 3
+    assert code == 0
     report = payload["report"]
-    assert (report["dims"], report["truncated"]) == ([1, 4, 10, 19], True)
+    assert report["letter_weight"] == 2 and "truncated" not in report
+    assert report["dims"] == [(n + 1) * (n + 2) // 2 for n in range(13)]
     assert report["estimate"] == {"kind": "polynomial", "degree": 2}
     code, payload = run_json(capsys, "growth", "--example", "skew_free", *bounds)
-    assert code == 0 and len(payload["report"]["dims"]) == 13
+    assert code == 0 and payload["report"]["letter_weight"] == 1
+    assert len(payload["report"]["dims"]) == 13
+
+
+def test_growth_and_bounds_refuse_a_presentation_without_letter_weight(capsys, tmp_path):
+    # y2 y1 = y1 y2 + g1 y1 y2 is confluent, but its rule term g1 y1 y2 is
+    # as long as y2 y1 and carries a group part: no letter weight exists,
+    # and both commands that read the growth end in one line with exit 1
+    doc = {"scalars": {"cyclotomic_order": 1, "transcendentals": ["q1", "q2"]},
+           "group": {"free_rank": 1},
+           "generators": [{"name": "y1", "weight": [1], "character": ["q1"]},
+                          {"name": "y2", "weight": [1], "character": ["q2"]}],
+           "relations": [{"lhs": "y2 y1", "rhs": "y1 y2 + g1 y1 y2"}]}
+    path = tmp_path / "full-length-group-part.json"
+    path.write_text(json.dumps(doc))
+    search = ["--degree", "4", "--group-bound", "2", "--power-bound", "3"]
+    for command in ("growth", "bounds"):
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, command, str(path), *search, "--format", fmt)
+            assert (code, out, err.count("\n")) == (1, "", 1), (command, err)
+            assert err.startswith("presentation error: no letter weight:"), err
+    code, out, err = run(capsys, "normalize", str(path), "--element", "y2 y1")
+    assert (code, err) == (0, "")
 
 
 # y1 and y2 of weight g1 over Z with the characters q1 and q2, and the
@@ -470,7 +492,7 @@ def test_check_example_taft(capsys):
     assert "bounds-below-growth" in names
 
 
-def test_exit_code_usage(capsys, tmp_path, monkeypatch):
+def test_exit_code_usage(capsys, tmp_path):
     code, out, err = run(capsys, "normalize", "--element", "y1")
     assert code == 1
     code, out, err = run(capsys, "normalize", "--example", "nope",
@@ -515,12 +537,6 @@ def test_exit_code_usage(capsys, tmp_path, monkeypatch):
         assert (code, out, err.count("\n")) == (1, "", 1), err[-300:]
         assert err.startswith(("usage error:", "presentation error:")), err
         assert ("parameter p" in err or "--param p" in err) and big not in err, err
-    # so is a word ceiling that is not a nonnegative integer
-    for raw in ("abc", "-5"):
-        monkeypatch.setenv("HOPFGROW_MAX_WORDS", raw)
-        code, out, err = run(capsys, "growth", "--example", "taft", "--nmax", "3")
-        assert code == 1, raw
-        assert err.startswith("usage error:") and err.count("\n") == 1, err
 
 
 def test_exit_code_non_confluent(capsys):

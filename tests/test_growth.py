@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfgrow import growth
 from hopfgrow.catalog import (EXAMPLES, build_example, exterior_presentation,
                               qplane_presentation, skew_free_presentation,
                               skew_trunc_presentation, taft_presentation)
 from hopfgrow.cli import _parse_param
 from hopfgrow.coalgebra import is_skew_primitive
 from hopfgrow.elements import AlgebraElement
-from hopfgrow.errors import ResourceCeilingError
+from hopfgrow.errors import PresentationError
 from hopfgrow.fileformat import parse_presentation_data
 from hopfgrow.groups import GroupData
 from hopfgrow.growth import (PbwScan, _check_dependence_conclusions, dp_word_counts,
@@ -26,7 +25,7 @@ from conftest import (CHECK_IDS, CHECK_SETTINGS, confluent_random_presentation,
                       cyclic_g3_truncation, g3_truncation, random_presentation,
                       random_quadratic_presentation, random_truncation,
                       random_weighted_presentation, rank2_truncation, run_guarded)
-from oracles import growth_by_slope
+from oracles import closure_dims, generating_letters, growth_by_slope
 
 
 def test_laurent_growth_degree_one():
@@ -85,45 +84,17 @@ def test_truncated_still_exponential():
     assert report.estimate["kind"] == "exponential"
 
 
-def _ceiling_partial(dims_fn, n_max, max_words):
-    with pytest.raises(ResourceCeilingError) as exc:
-        dims_fn(n_max, max_words=max_words)
-    return exc.value.partial
-
-
-def test_word_ceiling_truncates():
-    # the closure's partial sequence ends at the last level within the
-    # ceiling; each presentation is length-filtered, the tau one too, so
-    # measure_growth takes the count, which lists no word and gives the
-    # whole sequence
-    for build, n_max, max_words, partial in [
-            (lambda: skew_free_presentation(v=2), 12, 50, [1, 5, 15, 37]),
-            (lambda: qplane_presentation(3), 24, 1000,
-             [1, 6, 20, 50, 105, 196, 336, 540, 825]),
-            (lambda: skew_trunc_presentation(3, v=2), 13, 2000,
-             [1, 5, 15, 36, 77, 155, 301, 572, 1073, 1997]),
-            (lambda: skew_free_presentation(v=2, tau=1), 8, 100,
-             [1, 5, 15, 37, 83])]:
-        p = build()
-        assert p.length_filtered
-        report = measure_growth(p, n_max=n_max, max_words=max_words)
-        assert not report.truncated
-        assert report.dims == p._closure_dims(n_max)
-        assert _ceiling_partial(p._closure_dims, n_max, max_words) == partial
-        assert report.dims[:len(partial)] == partial
-
-
 def test_dp_oracle_matches_enumeration():
-    # the oracle holds on length-filtered presentations: the multigraded
-    # ones, the truncation y1^3 = g1^3 - 1, whose count lattice L is not
-    # zero, and the tau ones whose tau-generators have weight g1
+    # the oracle at the letter weight 1: the multigraded presentations,
+    # the truncation y1^3 = g1^3 - 1, whose count lattice L is not zero,
+    # and the tau ones whose tau-generators have weight g1
     truncated = skew_trunc_presentation(3, beta=1, v=2)
     assert truncated._count_lattice
     for p in [qplane_presentation(2), taft_presentation(3),
               exterior_presentation(2), skew_free_presentation(v=2),
               skew_trunc_presentation(3, beta=0, v=2), truncated,
               skew_free_presentation(v=1, tau=1), skew_free_presentation(v=2, tau=1)]:
-        assert p.length_filtered
+        assert p.letter_weight == 1
         dims = p.filtration_dims(8)
         assert dp_word_counts(p, 8) == dims
 
@@ -136,7 +107,7 @@ def _span_rank_dims(p, n_max):
     only the basis elements new at level n - 1 are multiplied.
     """
     letters = [p.group_element(val) if kind == "g" else p.y(val)
-               for kind, val in p.default_generating_letters()]
+               for kind, val in generating_letters(p)]
     elim = ScalarElimination(p.domain)
     elim.insert(p.one().terms, 0)
     new_basis = [p.one()]
@@ -166,7 +137,7 @@ def _span_rank_dims(p, n_max):
 def test_closure_matches_span_rank(build, n_max, expected):
     p = build()
     dims = p.filtration_dims(n_max)
-    assert dims == _span_rank_dims(p, n_max)
+    assert p.letter_weight == 1 and dims == _span_rank_dims(p, n_max)
     if expected is not None:
         assert dims == expected
 
@@ -174,7 +145,7 @@ def test_closure_matches_span_rank(build, n_max, expected):
 def _check_left_product_support(p, radius=1, degree=3):
     """word_times_letter gives the exact support of letter * word."""
     ywords = [w for level in p.irreducible_ywords(degree) for w in level]
-    for kind, val in p.default_generating_letters():
+    for kind, val in generating_letters(p):
         x = p.group_element(val) if kind == "g" else p.y(val)
         for h in p.group.ball(radius):
             for yw in ywords:
@@ -193,14 +164,17 @@ def test_word_times_letter_is_left_product_support():
 
 
 def test_closure_matches_span_rank_random():
+    # the closure oracle is dim V^n; so is the count at the letter weight 1
     rng = random.Random(404)
     count = 0
     while count < 40:
         p = random_presentation(rng)
         if not p.check_confluence().confluent:
             continue
-        dims = p.filtration_dims(4)
+        dims = closure_dims(p, 4)
         assert dims == _span_rank_dims(p, 4), p
+        if p.letter_weight == 1:
+            assert p.filtration_dims(4) == dims, p
         _check_left_product_support(p, degree=2)
         count += 1
 
@@ -224,22 +198,18 @@ BUILTIN_SETTINGS = [
 
 
 def _assert_factored_matches_closure(p, n_max):
-    """filtration_dims against the closure at every n <= n_max, which pins
-    Y(t) on the counted side since ball[0] = 1.  Under a ceiling halfway
-    up the closure stops with a prefix of the sequence, and so does
-    filtration_dims where it takes the closure; the count lists no word
-    and gives the whole sequence.  Return which side ran."""
-    dims = p._closure_dims(n_max)
-    assert p.filtration_dims(n_max) == dims, p
-    if dims[-1] > 1:
-        max_words = (1 + dims[-1]) // 2
-        partial = _ceiling_partial(p._closure_dims, n_max, max_words)
-        assert partial == dims[:len(partial)], p
-        if p.length_filtered:
-            assert p.filtration_dims(n_max, max_words=max_words) == dims, p
-        else:
-            assert _ceiling_partial(p.filtration_dims, n_max, max_words) == partial, p
-    return p.length_filtered
+    """filtration_dims against the closure oracle at every n <= n_max:
+    equal at the letter weight W = 1, which pins Y(t) since ball[0] = 1,
+    and dims[n] <= closure[n] <= dims[Wn] at W > 1, as F_n lies in V^n and
+    V^n in F_Wn.  Return whether W = 1."""
+    weight = p.letter_weight
+    closure = closure_dims(p, n_max)
+    dims = p.filtration_dims(weight * n_max)
+    if weight == 1:
+        assert dims == closure, p
+    for n in range(n_max + 1):
+        assert dims[n] <= closure[n] <= dims[weight * n], (p, n, dims, closure)
+    return weight == 1
 
 
 def test_factored_dims_match_closure_builtins():
@@ -249,9 +219,9 @@ def test_factored_dims_match_closure_builtins():
 
 
 def test_factored_dims_match_closure_random():
-    # every tau-free presentation random_presentation draws is
-    # length-filtered; a tau-generator whose weight is a product of two
-    # group generators is not
+    # every tau-free presentation random_presentation draws has the letter
+    # weight 1; a tau-generator whose weight is a product of two group
+    # generators has 2
     rng = random.Random(606)
     sides = set()
     for _ in range(200):
@@ -264,52 +234,43 @@ def test_factored_dims_match_closure_random():
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n_max=st.integers(0, 6))
 def test_factored_dims_match_closure_property(seed, n_max):
-    # the filter does not depend on n_max: below n_max = p1, where the ball
-    # does not yet reach the rule term g1^p1, a filtered draw still counts
+    # the letter weight does not depend on n_max: below n_max = p1, where
+    # the ball does not yet reach the rule term g1^p1, it is still the
+    # weight of that term
     _assert_factored_matches_closure(confluent_random_presentation(random.Random(seed)),
                                      n_max)
 
 
-def test_tau_weight_past_one_letter_takes_the_closure():
+def test_tau_weight_past_one_letter_weighs_two():
     # y g = g y + g (g^2 - 1): the tau term reaches g^(a+2) y^(b-1) from
-    # g^a y^b, two letters further from 1 than the y it drops, so the
-    # closure outgrows the count sum_t Y(t) ball[n - t] = (n + 1)^2
+    # g^a y^b, two letters further from 1 than the y it drops, so y weighs
+    # 2 letters and the count sum_t Y(t) ball[n - 2t] = C(n + 2, 2)
+    # sits between the closure at n / 2 and at n
     dom, z = ScalarDomain(1), GroupData(1)
     g2 = z.power(z.generator(0), 2)
     p = Presentation(dom, z, [SkewGenerator("y", g2, (dom.one(),), (dom.one(),))])
-    assert not p.tau_free and not p.length_filtered
-    assert dp_word_counts(p, 8) == [(n + 1) ** 2 for n in range(9)]
-    assert p.filtration_dims(8) == [1, 4, 10, 19, 31, 46, 64, 85, 109]
+    assert not p.tau_free and p.letter_weight == 2
+    assert p.filtration_dims(8) == [math.comb(n + 2, 2) for n in range(9)]
+    assert dp_word_counts(p, 8) == p.filtration_dims(8)
+    assert closure_dims(p, 8) == [1, 4, 10, 19, 31, 46, 64, 85, 109]
     assert _assert_factored_matches_closure(p, 8) is False
 
 
 @pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
-def test_check_settings_take_the_count(name, params, monkeypatch):
-    # every checked setting, tau included, is length-filtered:
-    # filtration_dims never falls back to the closure, and the count takes
-    # no word ceiling, so even a ceiling of 0 words gives every level
+def test_check_settings_take_the_count(name, params):
+    # every checked setting, tau included, has the letter weight 1, so its
+    # table is the count of the words of at most n letters
     p, _ = build_example(name, dict(_parse_param(prm) for prm in params))
-
-    def closure(*args, **kwargs):
-        raise AssertionError("filtration_dims took the closure")
-
-    monkeypatch.setattr(Presentation, "_closure_dims", closure)
-    dims = p.filtration_dims(24, max_words=0)
-    assert dims == dp_word_counts(p, 24)
+    assert p.letter_weight == 1
+    assert p.filtration_dims(24) == dp_word_counts(p, 24)
 
 
 @pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
-def test_growth_verdict_matches_catalog(name, params, monkeypatch):
+def test_growth_verdict_matches_catalog(name, params):
     # the automaton's verdict is the catalog's kind, degree and total
-    # dimension, and a length-filtered presentation never reads the word
-    # ceiling
+    # dimension
     p, merged = build_example(name, dict(_parse_param(prm) for prm in params))
     expected = EXAMPLES[name].expected(merged)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("measure_growth read the word ceiling")
-
-    monkeypatch.setattr(growth, "word_ceiling", refuse)
     estimate = measure_growth(p).estimate
     assert (estimate["kind"], estimate.get("degree"), estimate.get("dimension")) == (
         expected["growth_kind"], expected.get("growth_degree"),
@@ -333,23 +294,25 @@ def _group_part_at_full_length(p):
 
 def test_growth_verdict_matches_slope_random():
     # the verdict against the slopes of dp_word_counts at the horizon 256,
-    # and a finite algebra's dimension against the count at its end, on the
-    # length-filtered draws and the others alike; a draw with a group part
-    # on a rule term of full length has no weight and is inconclusive
+    # and a finite algebra's dimension against the count at its end, at the
+    # letter weight 1 and above it alike; a draw with a group part on a rule
+    # term of full length has no letter weight and is refused
     kinds, filtered = set(), set()
     for p in _confluent_draws(717, 40):
-        estimate = p._growth_verdict()
         if _group_part_at_full_length(p):
-            kinds.add(estimate["kind"])
-            assert estimate["kind"] == "inconclusive", p
+            assert p.letter_weight is None, p
+            with pytest.raises(PresentationError, match="no letter weight"):
+                p._growth_verdict()
+            kinds.add("refused")
             continue
+        estimate = p._growth_verdict()
         assert (estimate["kind"], estimate.get("degree")) == growth_by_slope(p), p
         if "dimension" in estimate:
             assert estimate["dimension"] == dp_word_counts(p, 64)[-1], p
         kinds.add((estimate["kind"], "dimension" in estimate))
-        filtered.add(p.length_filtered)
+        filtered.add(p.letter_weight == 1)
     assert kinds == {("exponential", False), ("polynomial", False), ("polynomial", True),
-                     "inconclusive"}
+                     "refused"}
     assert filtered == {True, False}
 
 
@@ -364,14 +327,23 @@ def test_rule_automaton_state_bound():
 
 
 def test_closure_growth_estimate_is_exact():
-    # a tau-generator of weight g1^2 is not length-filtered: its table is
-    # the closure's, and its verdict the automaton's at the weight 2
+    # a tau-generator of weight g1^2 has the letter weight 2: its table
+    # counts F^2, and its verdict is the automaton's, of the closure's
+    # degree 2; three free generators over Z x Z/3, one a tau-generator of
+    # weight g1 g2, have the letter weight 2 and grow exponentially
     dom, z = ScalarDomain(1), GroupData(1)
     g2 = z.power(z.generator(0), 2)
     p = Presentation(dom, z, [SkewGenerator("y", g2, (dom.one(),), (dom.one(),))])
     report = measure_growth(p, n_max=12)
-    assert report.dims == p._closure_dims(12)
+    assert report.dims == [math.comb(n + 2, 2) for n in range(13)]
     assert report.estimate == {"kind": "polynomial", "degree": 2}
+    _assert_closure_tail(p, report.estimate)
+    p = random_presentation(random.Random(108))
+    assert not p.rules and p.letter_weight == 2
+    report = measure_growth(p, n_max=12)
+    assert report.dims[:6] == [1, 5, 14, 32, 65, 125]
+    assert report.estimate == {"kind": "exponential"}
+    assert _assert_factored_matches_closure(p, 5) is False
 
 
 def _differences(seq, order):
@@ -388,11 +360,11 @@ def _assert_closure_tail(p, verdict):
     order at most the free rank plus the y-generators still rises over
     the last 6."""
     if verdict["kind"] == "polynomial":
-        tail = _differences(p._closure_dims(30), verdict["degree"])[-6:]
+        tail = _differences(closure_dims(p, 30), verdict["degree"])[-6:]
         assert len(set(tail)) == 1 and tail[0] > 0, (p, tail)
         return
     assert verdict["kind"] == "exponential", (p, verdict)
-    dims = p._closure_dims(10)
+    dims = closure_dims(p, 10)
     for order in range(p.group.free_rank + p.ny + 1):
         tail = _differences(dims, order)[-6:]
         assert all(a < b for a, b in zip(tail, tail[1:])), (p, order, tail)
@@ -408,37 +380,26 @@ def test_random_truncation_reads_the_free_rank(seed):
     # y1 of weight g1^k with y1^p = g1^(kp) - 1 and no second generator:
     # polynomial of the free rank, which the closure's tail confirms
     p = random_truncation(random.Random(seed))
-    assert p.ny == 1 and not p.group.torsion and not p.length_filtered
+    assert p.ny == 1 and not p.group.torsion and p.letter_weight > 1
     report = measure_growth(p, n_max=12)
     assert report.estimate == {"kind": "polynomial", "degree": p.group.free_rank}
     _assert_closure_tail(p, report.estimate)
 
 
 def test_closure_tail_random_truncations():
-    # an independent check of the verdict where the count does not hold:
-    # over Z and Z^2 no random truncation is length-filtered
+    # an independent check of the verdict above the letter weight 1, which
+    # no random truncation over Z or Z^2 has
     rng = random.Random(515)
     kinds = set()
     for _ in range(24):
         p = random_truncation(rng)
         if p.group.torsion:
             continue
-        assert not p.length_filtered and p.check_confluence().confluent, p
+        assert p.letter_weight > 1 and p.check_confluence().confluent, p
         verdict = p._growth_verdict()
         _assert_closure_tail(p, verdict)
         kinds.add(verdict["kind"])
     assert kinds == {"polynomial", "exponential"}
-
-
-def test_truncated_closure_keeps_the_verdict():
-    # three free generators over Z x Z/3, one a tau-generator of weight
-    # g1 g2: not length-filtered, so the closure stops at the word ceiling,
-    # and the verdict is exponential all the same
-    p = random_presentation(random.Random(108))
-    assert not p.rules and not p.length_filtered
-    report = measure_growth(p, n_max=12, max_words=2000)
-    assert report.truncated and report.dims == [1, 8, 36, 127, 406, 1249]
-    assert report.estimate == {"kind": "exponential"}
 
 
 def _full_length_group_part():
@@ -452,26 +413,33 @@ def _full_length_group_part():
     return Presentation(dom, z, gens, [((1, 0), rhs)])
 
 
-def test_group_part_at_full_length_is_inconclusive():
+def test_group_part_at_full_length_is_refused():
     # the closure's table is C(n + 4, 4), of degree 4, above the r + d = 3
-    # of its automaton: each swap of y2 y1 lengthens the group part
+    # of its automaton: each swap of y2 y1 lengthens the group part, so no
+    # letter weight exists, and the table, the verdict and the counting
+    # oracle each refuse it with one line
     p = _full_length_group_part()
     assert p.check_confluence().confluent and _group_part_at_full_length(p)
-    report = measure_growth(p, n_max=8)
-    assert report.dims == [math.comb(n + 4, 4) for n in range(9)]
-    assert report.estimate["kind"] == "inconclusive" and report.estimate["reason"]
+    assert closure_dims(p, 8) == [math.comb(n + 4, 4) for n in range(9)]
+    assert p.letter_weight is None
+    for run in (lambda: measure_growth(p, n_max=8), p._growth_verdict,
+                lambda: dp_word_counts(p, 8)):
+        with pytest.raises(PresentationError) as exc:
+            run()
+        assert str(exc.value).startswith("no letter weight:")
+        assert "\n" not in str(exc.value)
 
 
 def test_factored_dims_random_truncations():
-    # both sides of the choice: the closure where a rule term lies too far
-    # from 1, the count of normal y-words where the group wraps round
+    # both letter weights: above 1 where a rule term lies too far from 1,
+    # 1 where the group wraps round
     rng = random.Random(909)
     sides = set()
     for _ in range(24):
         p = random_truncation(rng)
         assert p.check_confluence().confluent
         sides.add(_assert_factored_matches_closure(p, 5))
-        assert p.filtration_dims(5) == _span_rank_dims(p, 5), p
+        assert closure_dims(p, 5) == _span_rank_dims(p, 5), p
     assert sides == {True, False}
 
 
@@ -480,45 +448,67 @@ def test_factored_dims_random_truncations():
     (rank2_truncation, 5), (cyclic_g3_truncation, 10)],
     ids=["g3-v=1", "g3-v=2", "rank2-g1^2", "cyclic-g3"])
 def test_factored_dims_merge_several_centers(build, n_max):
-    # y1^power reaches g1^6 v at level power < 6 = dist(g1^6): that center
-    # and 1 v both count, and their shifted balls overlap
+    # y1^power reaches g1^6 v at level power < 6 = dist(g1^6): in the
+    # closure that center and 1 v both count, and their shifted balls
+    # overlap; the letter weight counts g1^6 v at the weighted length of
+    # y1^power v
     p = build()
     assert p.tau_free and p.check_confluence().confluent
-    assert not p.length_filtered
-    dims = p.filtration_dims(n_max)
-    assert dims == p._closure_dims(n_max)
-    assert dims == _span_rank_dims(p, n_max)
+    assert p.letter_weight > 1
+    assert closure_dims(p, n_max) == _span_rank_dims(p, n_max)
+    assert _assert_factored_matches_closure(p, n_max) is False
 
 
-@pytest.mark.parametrize("build, n_max, max_words", [
-    (lambda: taft_presentation(3), 10 ** 5, 8),
-    (lambda: taft_presentation(3, free=True), 10 ** 5, 300),
-    (lambda: qplane_presentation(1), 10 ** 5, 500),
-    (lambda: qplane_presentation(3), 10 ** 5, 2000),
-    (lambda: g3_truncation(1), 10 ** 5, 500),
-    (rank2_truncation, 300, 2000)],
-    ids=["taft-3", "taft-free", "qplane-1", "qplane-3", "g3-v=1", "rank2-g1^2"])
-def test_word_ceiling_stops_a_long_horizon(build, n_max, max_words):
-    # with n_max far past the level where the closure raises, filtration_dims
-    # stops by that level too where it takes the closure; the count of a
-    # length-filtered presentation lists no word and runs to the horizon
-    p = build()
-    partial = _ceiling_partial(p._closure_dims, n_max, max_words)
-    # filtration_dims takes horizons up to the size ceiling only
-    n_max = min(n_max, _SIZE_CEILING)
-    if p.length_filtered:
-        dims = p.filtration_dims(n_max, max_words=max_words)
-        assert len(dims) == n_max + 1 and dims[:len(partial)] == partial
-    else:
-        assert _ceiling_partial(p.filtration_dims, n_max, max_words) == partial
+def test_count_matches_closure_oracle():
+    # the count lists no word: it runs to the largest horizon
+    # filtration_dims accepts, and it is the closure oracle at the letter
+    # weight 1 (between the closure's levels above it), on builtins, on the
+    # truncations of weight 3 and 2, over the trivial group where the
+    # letters are the y's alone, and where nothing grows past the word 1
+    for p, n_max in [(skew_free_presentation(v=2), 12), (qplane_presentation(3), 24),
+                     (skew_trunc_presentation(3, v=2), 13),
+                     (skew_free_presentation(v=2, tau=1), 8)]:
+        assert p.letter_weight == 1
+        assert p.filtration_dims(n_max) == closure_dims(p, n_max), p
+    for p in [taft_presentation(3), taft_presentation(3, free=True), qplane_presentation(1),
+              qplane_presentation(3), g3_truncation(1), rank2_truncation()]:
+        assert len(p.filtration_dims(_SIZE_CEILING)) == _SIZE_CEILING + 1
+        _assert_factored_matches_closure(p, 6)
+    dom, group = ScalarDomain(1), GroupData(0)
+    p = Presentation(dom, group, [SkewGenerator("y%d" % i, (), ()) for i in (1, 2)])
+    assert p.filtration_dims(12) == closure_dims(p, 12) == [2 ** (n + 1) - 1 for n in range(13)]
+    p = Presentation(ScalarDomain(1), GroupData(0), [], ())
+    assert p.filtration_dims(4) == closure_dims(p, 4) == [1] * 5
+
+
+def test_weighted_count_brackets_the_closure_random_truncations():
+    # the filtration of the letter weight W against the closure,
+    # dims[n] <= closure[n] <= dims[Wn], on every confluent draw at seeds
+    # 0-149 of weight above 1, and W = 1 exactly where no rule term g u has
+    # |g| + |u| > |lhs|; y1 of weight g1^3 with y1^2 = g1^6 - 1 weighs 3
+    p = g3_truncation(1)
+    assert p.letter_weight == 3
+    assert p.filtration_dims(8) == [1, 3, 5, 8, 12, 16, 20, 24, 28]
+    weighted = 0
+    for seed in range(150):
+        p = random_truncation(random.Random(seed))
+        if not p.check_confluence().confluent:
+            continue
+        length = p.group.word_length
+        filtered = all(length(g) + len(u) <= len(rule.lhs)
+                       for rule in p.rules for g, u in rule.rhs.terms)
+        assert (p.letter_weight == 1) == filtered, seed
+        if not filtered:
+            assert _assert_factored_matches_closure(p, 4) is False
+            weighted += 1
+    assert weighted == 108
 
 
 def test_growth_over_wide_free_groups():
     # one y of weight g1 with trivial character over Z^10, Z^20 and Z^40:
-    # the count reads its ball sizes and takes no word ceiling, so even a
-    # ceiling of 0 words leaves all 13 levels, and the verdict is the
-    # degree rank + 1; a ball listed by breadth-first search over the group
-    # letters, or filtered from a box, fails the timeout or the cap
+    # the count reads its ball sizes and lists no word, and the verdict is
+    # the degree rank + 1; a ball listed by breadth-first search over the
+    # group letters, or filtered from a box, fails the timeout or the cap
     code = """if True:
         from hopfgrow.groups import GroupData
         from hopfgrow.growth import measure_growth
@@ -527,9 +517,8 @@ def test_growth_over_wide_free_groups():
         for rank in (10, 20, 40):
             dom, group = ScalarDomain(1), GroupData(rank)
             gen = SkewGenerator("y", group.generator(0), (dom.one(),) * rank)
-            report = measure_growth(Presentation(dom, group, [gen]), n_max=12,
-                                    max_words=0)
-            print(report.truncated, report.estimate["degree"], report.dims)
+            report = measure_growth(Presentation(dom, group, [gen]), n_max=12)
+            print(report.estimate["degree"], report.dims)
     """
     result = run_guarded(["-c", code], timeout=20)
     assert result.returncode == 0, result.stderr
@@ -540,27 +529,8 @@ def test_growth_over_wide_free_groups():
         balls = [sum(2 ** k * math.comb(rank, k) * math.comb(m, k) for k in range(m + 1))
                  for m in range(13)]
         dims = [sum(balls[:n + 1]) for n in range(13)]
-        expected.append("False %d %s" % (rank + 1, dims))
+        expected.append("%d %s" % (rank + 1, dims))
     assert result.stdout.splitlines() == expected
-
-
-def test_word_ceiling_on_y_letters_alone():
-    # over the trivial group the letters are the two y's alone, and the
-    # normal y-words are the whole closure, so their own ceiling stops it;
-    # the count lists none of them and runs to the horizon
-    dom, group = ScalarDomain(1), GroupData(0)
-    p = Presentation(dom, group, [SkewGenerator("y%d" % i, (), ()) for i in (1, 2)])
-    assert p.default_generating_letters() == [("y", 0), ("y", 1)]
-    assert _ceiling_partial(p._closure_dims, 12, 50) == [1, 3, 7, 15, 31]
-    assert p.filtration_dims(12, max_words=50) == [2 ** (n + 1) - 1 for n in range(13)]
-
-
-def test_word_ceiling_zero_without_growth():
-    # over the trivial group with no y-generator nothing grows past the
-    # word 1, so not even a ceiling of 0 words raises
-    p = Presentation(ScalarDomain(1), GroupData(0), [], ())
-    for dims_fn in (p.filtration_dims, p._closure_dims):
-        assert dims_fn(4, max_words=0) == [1] * 5
 
 
 @pytest.mark.parametrize("build", [
@@ -568,10 +538,11 @@ def test_word_ceiling_zero_without_growth():
     ids=["taft-3", "exterior-2", "cyclic-g3"])
 def test_factored_dims_long_horizon_finite(build):
     # a finite closure: the count stays once T and every ball have ended,
-    # up to the largest horizon filtration_dims accepts
+    # up to the largest horizon filtration_dims accepts, at the algebra's
+    # dimension whatever the letter weight
     p = build()
-    assert p.filtration_dims(_SIZE_CEILING) == p._closure_dims(_SIZE_CEILING)
-
+    dims, closure = p.filtration_dims(_SIZE_CEILING), closure_dims(p, _SIZE_CEILING)
+    assert dims == closure if p.letter_weight == 1 else dims[-1] == closure[-1]
 
 
 def test_pbw_independent_qplane():

@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "AlgebraElement", "BoundReport", "ConsistencyError",
     "CycloField", "CycloRational", "EXAMPLES", "GroupData", "GrowthReport",
     "GrowthVerdict", "INFINITE", "InvariantReport", "NonConfluentError", "PbwScan",
-    "Presentation", "PresentationError", "ResourceCeilingError", "RewriteRule",
+    "Presentation", "PresentationError", "RewriteRule",
     "Scalar", "ScalarDomain", "ScalarShapeError", "SkewGenerator",
     "SkewPrimitiveSpace", "TensorElement", "UnitMonomial", "WeightCommutator",
     "WitnessRecord", "all_bounds", "antipode", "bound_first", "bound_second",
