@@ -329,8 +329,7 @@ def test_rule_automaton_state_bound():
 def test_closure_growth_estimate_is_exact():
     # a tau-generator of weight g1^2 has the letter weight 2: its table
     # counts F^2, and its verdict is the automaton's, of the closure's
-    # degree 2; three free generators over Z x Z/3, one a tau-generator of
-    # weight g1 g2, have the letter weight 2 and grow exponentially
+    # degree 2
     dom, z = ScalarDomain(1), GroupData(1)
     g2 = z.power(z.generator(0), 2)
     p = Presentation(dom, z, [SkewGenerator("y", g2, (dom.one(),), (dom.one(),))])
@@ -338,12 +337,6 @@ def test_closure_growth_estimate_is_exact():
     assert report.dims == [math.comb(n + 2, 2) for n in range(13)]
     assert report.estimate == {"kind": "polynomial", "degree": 2}
     _assert_closure_tail(p, report.estimate)
-    p = random_presentation(random.Random(108))
-    assert not p.rules and p.letter_weight == 2
-    report = measure_growth(p, n_max=12)
-    assert report.dims[:6] == [1, 5, 14, 32, 65, 125]
-    assert report.estimate == {"kind": "exponential"}
-    assert _assert_factored_matches_closure(p, 5) is False
 
 
 def _differences(seq, order):
@@ -459,26 +452,83 @@ def test_factored_dims_merge_several_centers(build, n_max):
     assert _assert_factored_matches_closure(p, n_max) is False
 
 
-def test_count_matches_closure_oracle():
-    # the count lists no word: it runs to the largest horizon
-    # filtration_dims accepts, and it is the closure oracle at the letter
-    # weight 1 (between the closure's levels above it), on builtins, on the
-    # truncations of weight 3 and 2, over the trivial group where the
-    # letters are the y's alone, and where nothing grows past the word 1
-    for p, n_max in [(skew_free_presentation(v=2), 12), (qplane_presentation(3), 24),
-                     (skew_trunc_presentation(3, v=2), 13),
-                     (skew_free_presentation(v=2, tau=1), 8)]:
+def test_truncated_closure_keeps_the_verdict():
+    # three free generators over Z x Z/3, one a tau-generator of weight
+    # g1 g2: the letter weight 2, so the table counts F^2 and is never cut;
+    # the closure, whose 1249 words at level 5 passed the old word ceiling
+    # of 2000 at level 6, lies between its levels, and the verdict is
+    # exponential
+    p = random_presentation(random.Random(108))
+    assert not p.rules and p.letter_weight == 2
+    assert closure_dims(p, 5) == [1, 8, 36, 127, 406, 1249]
+    report = measure_growth(p, n_max=12)
+    assert not report.truncated and len(report.dims) == 13
+    assert report.dims[:6] == [1, 5, 14, 32, 65, 125]
+    assert report.estimate == {"kind": "exponential"}
+    assert _assert_factored_matches_closure(p, 5) is False
+
+
+def test_word_ceiling_truncates():
+    # the count has no word ceiling: past the level where a ceiling of
+    # max_words stopped the closure, the table runs to n_max, and at the
+    # letter weight 1 it is the closure oracle at every level, the tau
+    # presentation too
+    for build, n_max, max_words, partial in [
+            (lambda: skew_free_presentation(v=2), 12, 50, [1, 5, 15, 37]),
+            (lambda: qplane_presentation(3), 24, 1000,
+             [1, 6, 20, 50, 105, 196, 336, 540, 825]),
+            (lambda: skew_trunc_presentation(3, v=2), 13, 2000,
+             [1, 5, 15, 36, 77, 155, 301, 572, 1073, 1997]),
+            (lambda: skew_free_presentation(v=2, tau=1), 8, 100,
+             [1, 5, 15, 37, 83])]:
+        p = build()
         assert p.letter_weight == 1
-        assert p.filtration_dims(n_max) == closure_dims(p, n_max), p
-    for p in [taft_presentation(3), taft_presentation(3, free=True), qplane_presentation(1),
-              qplane_presentation(3), g3_truncation(1), rank2_truncation()]:
-        assert len(p.filtration_dims(_SIZE_CEILING)) == _SIZE_CEILING + 1
-        _assert_factored_matches_closure(p, 6)
+        report = measure_growth(p, n_max=n_max)
+        assert not report.truncated
+        assert report.dims == closure_dims(p, n_max), p
+        assert report.dims[:len(partial)] == partial
+        assert report.dims[len(partial)] > max_words
+
+
+@pytest.mark.parametrize("build, n_max, max_words", [
+    (lambda: taft_presentation(3), 10 ** 5, 8),
+    (lambda: taft_presentation(3, free=True), 10 ** 5, 300),
+    (lambda: qplane_presentation(1), 10 ** 5, 500),
+    (lambda: qplane_presentation(3), 10 ** 5, 2000),
+    (lambda: g3_truncation(1), 10 ** 5, 500),
+    (rank2_truncation, 300, 2000)],
+    ids=["taft-3", "taft-free", "qplane-1", "qplane-3", "g3-v=1", "rank2-g1^2"])
+def test_word_ceiling_stops_a_long_horizon(build, n_max, max_words):
+    # with n_max far past the level where a ceiling of max_words stopped
+    # the closure, the count lists no word and runs to the horizon, capped
+    # at the largest one filtration_dims accepts; it is the closure oracle
+    # at the letter weight 1, and between the closure's levels above it
+    p = build()
+    n_max = min(n_max, _SIZE_CEILING)
+    dims = p.filtration_dims(n_max)
+    assert len(dims) == n_max + 1 and dims[-1] > max_words
+    _assert_factored_matches_closure(p, 6)
+
+
+def test_word_ceiling_on_y_letters_alone():
+    # over the trivial group the letters are the two y's alone, and the
+    # normal y-words are the whole closure; the count lists none of them
+    # and runs to the horizon, past the 50 words where a ceiling stopped
+    # the closure at [1, 3, 7, 15, 31]
     dom, group = ScalarDomain(1), GroupData(0)
     p = Presentation(dom, group, [SkewGenerator("y%d" % i, (), ()) for i in (1, 2)])
-    assert p.filtration_dims(12) == closure_dims(p, 12) == [2 ** (n + 1) - 1 for n in range(13)]
+    assert generating_letters(p) == [("y", 0), ("y", 1)]
+    dims = p.filtration_dims(12)
+    assert dims == closure_dims(p, 12) == [2 ** (n + 1) - 1 for n in range(13)]
+    assert dims[:5] == [1, 3, 7, 15, 31] and dims[5] > 50
+
+
+def test_word_ceiling_zero_without_growth():
+    # over the trivial group with no y-generator nothing grows past the
+    # word 1, in the count, in the closure and in the growth report
     p = Presentation(ScalarDomain(1), GroupData(0), [], ())
     assert p.filtration_dims(4) == closure_dims(p, 4) == [1] * 5
+    assert measure_growth(p, n_max=4).dims == [1] * 5
 
 
 def test_weighted_count_brackets_the_closure_random_truncations():
