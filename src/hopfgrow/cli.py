@@ -14,8 +14,10 @@ JSON file.  Exit codes: 0 ok, 1 usage or parse error or a standard output
 closed before the report was written (silently), 2 hypothesis or
 consistency failure (including non-confluence and check mismatches).
 growth and bounds refuse, with exit 1, a presentation that has no letter
-weight: one with a rule term as long as its left-hand side that carries a
-group part.
+weight: one where a rule's right-hand side, in normal form, keeps a term as
+long as its left-hand side with a group part.  Where the letter weight W is
+above 1 the growth table counts a y-letter W times, and the text report
+says so in its last line.
 """
 
 import argparse
@@ -274,11 +276,14 @@ def _check_against_growth(estimate, verdict, bounds=()):
 
 def cmd_bounds(args):
     p, source = _load(args)
+    # the verdict reads the rules alone, so a table of one level will do;
+    # it comes first, so that a presentation without a letter weight is
+    # refused before any search
+    estimate = measure_growth(p, n_max=0).estimate
     report = _invariants(p, args)
     results = all_bounds(p, report)
     verdict = detect_exponential(p, report, m_max=args.mmax)
-    # the verdict reads the rules alone, so a table of one level will do
-    _check_against_growth(measure_growth(p, n_max=0).estimate, verdict, results)
+    _check_against_growth(estimate, verdict, results)
     payload = {
         "invariants": _invariant_payload(p, report),
         "bounds": _bound_payload(results),
@@ -322,6 +327,9 @@ def cmd_growth(args):
     }
     lines = [growth.table(), "", "estimate: %r" % (growth.estimate,),
              "detector: %s" % verdict.classification]
+    if p.letter_weight > 1:
+        lines.append("letter weight: %d (n counts a y-letter %d times)"
+                     % (p.letter_weight, p.letter_weight))
     _emit(args, {"command": "growth", "presentation": source,
                  "report": payload}, "\n".join(lines))
     return EXIT_OK

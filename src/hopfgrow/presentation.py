@@ -162,20 +162,30 @@ class Presentation:
         """W = max(1, |mu_i| over the tau-generators, ceil(|g| / (|lhs| - |u|))
         over the rule terms c g u with |u| < |lhs|): a weight of a y-letter,
         against 1 for a group letter, at which no rule step and no tau step
-        g mu_i raises the weighted length |h| + W|w| of a word h w.  None
-        where a rule term with |u| = |lhs| has g != 1, which raises it at
-        every weight; deg-lex leaves no |u| > |lhs|."""
+        g mu_i raises the weighted length |h| + W|w| of a word h w.  A rule
+        term with |u| = |lhs| and g != 1 raises it at every weight, and
+        deg-lex leaves no |u| > |lhs|.  Such a term may vanish once u is
+        rewritten, so where the rules as given leave no W it is read from
+        the normal forms of their right-hand sides: the rules
+        lhs -> NF(rhs) have the same left-hand sides and span the same
+        ideal.  None where those leave no W either."""
         length = self.group.word_length
-        weight = max([1] + [length(gen.weight) for gen in self.gens
-                            if any(not t.is_zero() for t in gen.tau)])
-        for rule in self.rules:
-            for g, u in rule.rhs.terms:
-                drop = len(rule.lhs) - len(u)
-                if drop:
-                    weight = max(weight, -(-length(g) // drop))
-                elif not self.group.is_identity(g):
-                    return None
-        return weight
+        base = max([1] + [length(gen.weight) for gen in self.gens
+                          if any(not t.is_zero() for t in gen.tau)])
+
+        def weight(rhs):
+            found = base
+            for rule in self.rules:
+                for g, u in rhs(rule).terms:
+                    drop = len(rule.lhs) - len(u)
+                    if drop:
+                        found = max(found, -(-length(g) // drop))
+                    elif not self.group.is_identity(g):
+                        return None
+            return found
+
+        found = weight(lambda rule: rule.rhs)
+        return found if found is not None else weight(lambda rule: self.normalize(rule.rhs))
 
     # ------------------------------------------------------------------
     def _coerce_rhs(self, rhs):
@@ -674,24 +684,23 @@ class Presentation:
     def _require_weight(self):
         """letter_weight, or a PresentationError where there is none.
 
-        Then some rule term c h u with |u| = |lhs| has h != 1, and a
-        confluent presentation whose right-hand sides are normal is no
-        Hopf algebra.  Filter A by y-length: no rewriting step raises it,
+        Then the normal form of some rule's right-hand side has a term
+        c h u with |u| = |lhs| and h != 1, and a confluent presentation is
+        no Hopf algebra.  Filter A by y-length: no rewriting step raises it,
         so the normal words of y-length s are a basis of gr_s A, and
         Delta(y_i) = y_i (x) 1 + mu_i (x) y_i makes
         rho = (id (x) pi) gr Delta an algebra map gr A -> gr A (x) kG, pi
         the projection onto y-length 0, with rho(y_i) = y_i (x) 1 and
-        rho(g) = g (x) g.  At the top y-length s = |lhs| the relation reads
-        lhs = sum c g u over its terms with |u| = s, and rho gives
-        lhs (x) 1 = sum c g u (x) g.  So the terms with g = h sum to 0 in
-        gr_s A, which for normal words u forces c = 0: the relations span
-        no Hopf ideal.
+        rho(g) = g (x) g.  At the top y-length s = |lhs| the relation
+        lhs = NF(rhs) reads lhs = sum c g u over its terms with |u| = s,
+        and rho gives lhs (x) 1 = sum c g u (x) g.  So the terms with g = h
+        sum to 0 in gr_s A, which for the normal words u forces c = 0: the
+        relations span no Hopf ideal.
         """
         if self.letter_weight is None:
             raise PresentationError(
                 "no letter weight: a rule term as long as its left-hand side "
-                "has a group part, which no Hopf ideal with normal right-hand "
-                "sides allows")
+                "keeps a group part in normal form, which no Hopf ideal allows")
         return self.letter_weight
 
     def _rule_automaton(self):

@@ -25,9 +25,9 @@ overlap does not resolve, which check_confluence must reduce: each exits
 2 with the same one-line non-confluent error.  The last six run growth,
 in text and json, on three presentations whose letter weight is not 1.
 Four print tables of weight above 1, which count the letter-weight
-filtration, with the automaton's verdict: a tau-generator of weight g1^2
-(weight 2) and the truncation y1^2 = g1^6 - 1 for y1 of weight g1^3
-(weight 3).  Two are refusals: a rule term g1 y1 y2 as long as its
+filtration, with the automaton's verdict and, in text, a last line that
+names the weight: a tau-generator of weight g1^2 (weight 2) and the
+truncation y1^2 = g1^6 - 1 for y1 of weight g1^3 (weight 3).  Two are refusals: a rule term g1 y1 y2 as long as its
 left-hand side y2 y1 leaves no letter weight, and growth exits 1 with one
 line.  Every command runs in OUT_DIR, so these files are named without a
 directory, and no command takes more than a few seconds.

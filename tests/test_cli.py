@@ -290,15 +290,21 @@ def test_growth_letter_weight(capsys, tmp_path):
     assert report["letter_weight"] == 2 and "truncated" not in report
     assert report["dims"] == [(n + 1) * (n + 2) // 2 for n in range(13)]
     assert report["estimate"] == {"kind": "polynomial", "degree": 2}
+    code, out, err = run(capsys, "growth", str(path), *bounds)
+    assert code == 0 and out.splitlines()[-1] == "letter weight: 2 (n counts a y-letter 2 times)"
     code, payload = run_json(capsys, "growth", "--example", "skew_free", *bounds)
     assert code == 0 and payload["report"]["letter_weight"] == 1
     assert len(payload["report"]["dims"]) == 13
+    code, out, err = run(capsys, "growth", "--example", "skew_free", *bounds)
+    assert code == 0 and "letter weight" not in out
 
 
-def test_growth_and_bounds_refuse_a_presentation_without_letter_weight(capsys, tmp_path):
+def test_growth_and_bounds_refuse_a_presentation_without_letter_weight(
+        capsys, monkeypatch, tmp_path):
     # y2 y1 = y1 y2 + g1 y1 y2 is confluent, but its rule term g1 y1 y2 is
     # as long as y2 y1 and carries a group part: no letter weight exists,
-    # and both commands that read the growth end in one line with exit 1
+    # and both commands that read the growth end in one line with exit 1,
+    # before any invariant search
     doc = {"scalars": {"cyclotomic_order": 1, "transcendentals": ["q1", "q2"]},
            "group": {"free_rank": 1},
            "generators": [{"name": "y1", "weight": [1], "character": ["q1"]},
@@ -307,13 +313,29 @@ def test_growth_and_bounds_refuse_a_presentation_without_letter_weight(capsys, t
     path = tmp_path / "full-length-group-part.json"
     path.write_text(json.dumps(doc))
     search = ["--degree", "4", "--group-bound", "2", "--power-bound", "3"]
-    for command in ("growth", "bounds"):
-        for fmt in ("text", "json"):
-            code, out, err = run(capsys, command, str(path), *search, "--format", fmt)
-            assert (code, out, err.count("\n")) == (1, "", 1), (command, err)
-            assert err.startswith("presentation error: no letter weight:"), err
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_invariants", lambda *args: pytest.fail("searched"))
+        for command in ("growth", "bounds"):
+            for fmt in ("text", "json"):
+                code, out, err = run(capsys, command, str(path), *search, "--format", fmt)
+                assert (code, out, err.count("\n")) == (1, "", 1), (command, err)
+                assert err.startswith("presentation error: no letter weight:"), err
     code, out, err = run(capsys, "normalize", str(path), "--element", "y2 y1")
     assert (code, err) == (0, "")
+    # y1 y1 = g1 y2 y2 with y2 y2 = 0 and both characters -1: the
+    # full-length group part vanishes in normal form, so the letter weight
+    # is 1 and neither command refuses
+    doc = {"scalars": {"cyclotomic_order": 2, "transcendentals": []},
+           "group": {"free_rank": 1},
+           "generators": [{"name": "y1", "weight": [1], "character": ["-1"]},
+                          {"name": "y2", "weight": [1], "character": ["-1"]}],
+           "relations": [{"lhs": "y2 y2", "rhs": "0"}, {"lhs": "y1 y1", "rhs": "g1 y2 y2"}]}
+    path.write_text(json.dumps(doc))
+    for command in ("bounds", "growth"):
+        code, payload = run_json(capsys, command, str(path), *search)
+        assert code == 0, command
+    assert payload["report"]["letter_weight"] == 1
+    assert payload["report"]["estimate"] == {"kind": "polynomial", "degree": 2}
 
 
 # y1 and y2 of weight g1 over Z with the characters q1 and q2, and the

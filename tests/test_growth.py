@@ -286,20 +286,25 @@ def _confluent_draws(seed, count):
         random_quadratic_presentation, random_truncation) for _ in range(count)]
 
 
-def _group_part_at_full_length(p):
-    """Whether some rule term c g u with |u| = |lhs| has g != 1."""
+def _group_part_at_full_length(p, normal=False):
+    """Whether some rule term c g u with |u| = |lhs| has g != 1, in the
+    right-hand sides as given or, with normal, in their normal forms."""
     return any(len(u) == len(rule.lhs) and not p.group.is_identity(g)
-               for rule in p.rules for g, u in rule.rhs.terms)
+               for rule in p.rules
+               for g, u in (p.normalize(rule.rhs) if normal else rule.rhs).terms)
 
 
 def test_growth_verdict_matches_slope_random():
     # the verdict against the slopes of dp_word_counts at the horizon 256,
     # and a finite algebra's dimension against the count at its end, at the
     # letter weight 1 and above it alike; a draw with a group part on a rule
-    # term of full length has no letter weight and is refused
+    # term of full length has no letter weight and is refused, unless that
+    # term vanishes in normal form
     kinds, filtered = set(), set()
     for p in _confluent_draws(717, 40):
-        if _group_part_at_full_length(p):
+        if _group_part_at_full_length(p) and not _group_part_at_full_length(p, True):
+            kinds.add("reducible")
+        if _group_part_at_full_length(p, True):
             assert p.letter_weight is None, p
             with pytest.raises(PresentationError, match="no letter weight"):
                 p._growth_verdict()
@@ -312,7 +317,7 @@ def test_growth_verdict_matches_slope_random():
         kinds.add((estimate["kind"], "dimension" in estimate))
         filtered.add(p.letter_weight == 1)
     assert kinds == {("exponential", False), ("polynomial", False), ("polynomial", True),
-                     "refused"}
+                     "refused", "reducible"}
     assert filtered == {True, False}
 
 
@@ -423,6 +428,20 @@ def test_group_part_at_full_length_is_refused():
         assert "\n" not in str(exc.value)
 
 
+def test_reducible_group_part_at_full_length_has_a_letter_weight():
+    # y1 y1 -> g1 y2 y2 with y2 y2 -> 0: the full-length term g1 y2 y2
+    # vanishes in normal form, so the letter weight is read from the
+    # normal right-hand side 0, and the table is the closure oracle's
+    dom, z = ScalarDomain(1, ("q1", "q2")), GroupData(1)
+    g1 = z.generator(0)
+    gens = [SkewGenerator("y1", g1, (dom.q(0),)), SkewGenerator("y2", g1, (dom.q(1),))]
+    p = Presentation(dom, z, gens, [((1, 1), {}), ((0, 0), {(g1, (1, 1)): dom.one()})])
+    assert p.check_confluence().confluent and _group_part_at_full_length(p)
+    assert p.letter_weight == 1
+    assert _assert_factored_matches_closure(p, 8)
+    assert measure_growth(p, n_max=8).estimate == {"kind": "polynomial", "degree": 2}
+
+
 def test_factored_dims_random_truncations():
     # both letter weights: above 1 where a rule term lies too far from 1,
     # 1 where the group wraps round
@@ -501,13 +520,18 @@ def test_word_ceiling_truncates():
 def test_word_ceiling_stops_a_long_horizon(build, n_max, max_words):
     # with n_max far past the level where a ceiling of max_words stopped
     # the closure, the count lists no word and runs to the horizon, capped
-    # at the largest one filtration_dims accepts; it is the closure oracle
-    # at the letter weight 1, and between the closure's levels above it
+    # at the largest one filtration_dims accepts; up to that level it is
+    # the closure oracle at the letter weight 1, and between the closure's
+    # levels above it
     p = build()
     n_max = min(n_max, _SIZE_CEILING)
     dims = p.filtration_dims(n_max)
     assert len(dims) == n_max + 1 and dims[-1] > max_words
-    _assert_factored_matches_closure(p, 6)
+    closure = closure_dims(p, 8)
+    while closure[-1] <= max_words:
+        closure = closure_dims(p, 2 * len(closure))
+    stop = next(n for n, d in enumerate(closure) if d > max_words)
+    _assert_factored_matches_closure(p, stop)
 
 
 def test_word_ceiling_on_y_letters_alone():
