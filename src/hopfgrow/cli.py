@@ -315,7 +315,7 @@ def cmd_growth(args):
     p, source = _load(args)
     growth = measure_growth(p, n_max=args.nmax)
     report = _invariants(p, args)
-    verdict = detect_exponential(p, report, m_max=args.mmax)
+    verdict = detect_exponential(p, report)
     _check_against_growth(growth.estimate, verdict)
     payload = {
         "dims": growth.dims,
@@ -417,7 +417,7 @@ _COMMANDS = (
     ("bounds", cmd_bounds, "invariants, all lower bounds, detectors",
      _INVARIANT_BOUNDS + ("--mmax",), {}),
     ("growth", cmd_growth, "measured growth and its classification",
-     _INVARIANT_BOUNDS + ("--nmax", "--mmax"), {}),
+     _INVARIANT_BOUNDS + ("--nmax",), {}),
 )
 
 

@@ -307,7 +307,7 @@ def _search_space(p, degree_bound, group_word_bound):
     kernel lies in the span of group elements, where Delta(sum c_h h) -
     (sum c_h h) (x) 1 - g (x) (sum c_h h) vanishes on k(g - 1) alone, and
     on 0 when g = 1: at most the coradical line, and no witness.  A third
-    use bounds the conjugation closure (invariants.QuotientSpace).
+    use bounds the conjugation closure (invariants.closure_mod_coradical).
     """
     key = (degree_bound, group_word_bound)
     found = p._search_spaces.get(key)

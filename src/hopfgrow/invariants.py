@@ -1,27 +1,38 @@
 """Skew-primitive invariants: weights, commutators, levels, characters.
 
 For each candidate weight g the (1,g)-primitives are computed and closed
-under inverse conjugation by the group modulo the coradical in one pass:
-one QuotientSpace per weight, whose coordinates are solved against the
-elimination that picked its basis.  Each conjugation T_{h^{-1}}:
-z -> h^{-1} z h is split once into generalized eigenspaces.  The
-eigenvalue of T_{g^{-1}} is the commutator, its nilpotency index the
-level, and the joint split under the group generators the character.
-Each eigenspace keeps its shifted operator T_{h^{-1}} - c, so
-generalized_commutator and compute_invariants share one split, one
-shifted operator per eigenvalue and one level function.  On the span of
-normal words T_{h^{-1}} is triangular -- a word g' y_{i_1}..y_{i_s} maps
-to the product of the lambda_i(h) times itself plus lower-degree terms -- so
-every eigenvalue is a product of character values and the decomposition
-stays inside the scalar domain.
+under inverse conjugation T_h: z -> h^{-1} z h by the group generators,
+modulo the coradical.  Each closure vector is split into its joint
+generalized eigencomponents under the T_h, which are read off its normal
+words: the eigenvalue of T_g on a component is the commutator, the
+nilpotency index of T_g minus it the level, and the eigenvalues of the
+generators the character.
+
+The components are sums of terms because A is graded by the characters.
+Write chi_w(h) for the product of the lambda_i(h) over the y-letters of
+a word w.  In the free algebra F,
+
+    T_h(y_i) = lambda_i(h) y_i + tau_i(h) (mu_i - 1),
+
+and Presentation._validate requires tau_i = 0 unless lambda_i is
+trivial.  So T_h maps the span F_chi of the words w with chi_w = chi into
+itself, and on F_chi the map T_h - chi(h) strictly lowers the y-length.
+T_h is locally finite and the relation ideal I is T_h-stable, so
+I = sum over chi of I meet F_chi, and A = F/I is chi-graded with every
+normal word homogeneous.  Hence the joint generalized eigencomponent of
+z for chi is the sum of the terms of z whose y-word w has chi_w = chi,
+its eigenvalue under T_h is chi(h), and its level is at most its
+y-degree: each shifted conjugation lowers the y-length filtration, and
+y-length 0 is the coradical.  The split needs no matrix, no
+eigen-solve and no division.
 """
 
 from itertools import combinations, count
 
 from .coalgebra import _search_space, find_skew_primitives, is_skew_primitive
-from .elements import AlgebraElement, add_term
+from .elements import AlgebraElement
 from .errors import ConsistencyError
-from .linalg import ScalarElimination, nullspace_of_columns
+from .linalg import ScalarElimination
 from .presentation import _char_at
 from .scalars import INFINITE, ScalarShapeError, _powers_cancel, multiplicative_order
 
@@ -70,10 +81,9 @@ def _rank_mod_coradical(p, elements):
     return elim.rank
 
 
-class QuotientSpace:
+def closure_mod_coradical(p, vectors, conjugators):
     """The conjugation closure of primitives of one weight g, modulo the
-    coradical: the kept vectors (the lifts) and the one elimination of
-    their images that coordinates are solved against.
+    coradical: the kept vectors (the lifts), in the order kept.
 
     One pass keeps a vector when its image modulo the coradical is
     independent of those kept before, and queues its conjugates.  Nothing
@@ -90,153 +100,81 @@ class QuotientSpace:
     1..d (d the largest y-degree of the seeds) with mu(w) = g reduced,
     and the closure needs no cap of its own.
     """
-
-    def __init__(self, p, vectors, conjugators):
-        self.presentation = p
-        self.elim = ScalarElimination(p.domain)
-        self.lifts = []
-        queue = list(vectors)
-        for v in queue:  # grows while it is read
-            if self.elim.insert(_strip_coradical(v), len(self.lifts)) is None:
-                self.lifts.append(v)
-                queue.extend(conjugate(p, h, v) for h in conjugators)
-        self._operators = {}
-
-    @property
-    def dim(self):
-        return len(self.lifts)
-
-    def coords(self, elt):
-        sol = self.elim.solve(_strip_coradical(elt))
-        if sol is None:
-            raise ConsistencyError("vector escapes its conjugation-stable space")
-        return sol
-
-    def lift(self, coords):
-        out = AlgebraElement({})
-        for i, c in coords.items():
-            out = out + self.lifts[i].scale(c)
-        return out
-
-    def operator(self, h):
-        """The induced T_{h^{-1}}, built once per conjugator."""
-        op = self._operators.get(h)
-        if op is None:
-            op = self._operators[h] = _Conjugation(self, h)
-        return op
+    elim = ScalarElimination(p.domain)
+    lifts = []
+    queue = list(vectors)
+    for v in queue:  # grows while it is read
+        if elim.insert(_strip_coradical(v), len(lifts)) is None:
+            lifts.append(v)
+            queue.extend(conjugate(p, h, v) for h in conjugators)
+    return lifts
 
 
-def _mat_apply(matrix, vec):
-    out = {}
-    for j, c in vec.items():
-        for i, m in matrix[j].items():
-            add_term(out, i, m * c)
-    return out
+def _components(p, elt, conjugators):
+    """elt split into its joint generalized eigencomponents under the
+    conjugations by the conjugators, as [(eigenvalues, component)] in
+    first-seen order of the terms: a term of y-word w goes to the
+    eigenvalues chi_w(h), the product of lambda_i(h) over its letters.
 
-
-class _Conjugation:
-    """T_{h^{-1}} on a quotient space: its matrix, whose column j holds
-    the coordinates of the image of lift j, its generalized eigenspaces
-    as (eigenvalue c, basis, shifted operator T - c) triples, and one
-    elimination over their union that splits vectors."""
-
-    def __init__(self, q, h):
-        p = q.presentation
-        self.matrix = [q.coords(conjugate(p, h, lift)) for lift in q.lifts]
-        # the action is triangular on normal words, so the eigenvalues are
-        # among the character products over the y-letters of each word
-        candidates = []
-        for lift in q.lifts:
-            for _, yw in lift.terms:
-                if not yw:
-                    continue
-                val = p.domain.one()
-                for i in yw:
-                    val = val * p.char_value(i, h)
-                if not any(val == s for s in candidates):
-                    candidates.append(val)
-        self.spaces = []
-        self._elim = ScalarElimination(p.domain)
-        for c in candidates:
-            n = []
-            for j, col in enumerate(self.matrix):
-                col = dict(col)
-                add_term(col, j, -c)
-                n.append(col)
-            power = n
-            for _ in range(q.dim - 1):
-                power = [_mat_apply(n, col) for col in power]
-            kernel = nullspace_of_columns(p.domain, power)
-            for bi, b in enumerate(kernel):
-                self._elim.insert(b, (len(self.spaces), bi))
-            if kernel:
-                self.spaces.append((c, kernel, n))
-        if self._elim.rank != q.dim:
-            raise ConsistencyError(
-                "eigenvalues not computable in the scalar domain: generalized "
-                "eigenspaces cover %d of %d dimensions" % (self._elim.rank, q.dim))
-
-    def split(self, vec):
-        """vec as [(eigenvalue, shifted operator, component)], one per
-        eigenspace it meets."""
-        if not vec:
-            return []
-        sol = self._elim.solve(vec)
-        if sol is None:
-            raise ConsistencyError("vector not covered by its eigenspace split")
-        parts = []
-        for si, (c, basis, n) in enumerate(self.spaces):
-            part = {}
-            for (sj, bj), coeff in sol.items():
-                if sj == si:
-                    for i, v in basis[bj].items():
-                        add_term(part, i, coeff * v)
-            if part:
-                parts.append((c, n, part))
-        return parts
-
-
-def _refine(operators, vec):
-    """Split a coordinate vector into joint generalized eigencomponents:
-    [(character, shifted operators, component)], a character holding one
-    eigenvalue c per operator and the shifted operators their T - c."""
-    comps = [((), [], vec)]
-    for op in operators:
-        comps = [(chars + (c,), shifted + [n], part)
-                 for chars, shifted, v in comps for c, n, part in op.split(v)]
-    return comps
-
-
-def _level(domain, shifted, vec):
-    """Least n with every product of n shifted operators killing the
-    nonzero vec.
-
-    The loop needs no cap.  The operators commute, the group being
-    abelian, and each keeps the joint generalized eigenspace E that holds
-    vec and is nilpotent on it.  So they generate a nilpotent ideal A,
-    the spaces A^k vec (spanned by the products of k or more operators
-    applied to vec) shrink strictly until they vanish, since A F = F
-    forces F = A^m F = 0, and the level is at most dim E, at most the
-    size of the matrices.  The frontier at step k spans the products of
-    exactly k operators applied to vec; it is empty exactly when A^k vec
-    is.  A frontier still nonzero at that size means an operator that is
-    not nilpotent on E, a broken split, and raises.
+    Scalars do not hash, so the eigenvalue tuples are compared with ==.
+    The coradical terms join the component of trivial character or, when
+    there is none, the first one; either way every component stays skew
+    primitive, and an element of one character is its own component.
     """
-    frontier = [vec]
+    keys, parts, coradical = [], [], {}
+    for w, c in elt.terms.items():
+        if not w[1]:
+            coradical[w] = c
+            continue
+        key = []
+        for h in conjugators:
+            val = p.domain.one()
+            for i in w[1]:
+                val = val * p.char_value(i, h)
+            key.append(val)
+        key = tuple(key)
+        for k, part in zip(keys, parts):
+            if k == key:
+                part[w] = c
+                break
+        else:
+            keys.append(key)
+            parts.append({w: c})
+    if coradical and parts:
+        trivial = [part for k, part in zip(keys, parts) if all(v.is_one() for v in k)]
+        (trivial or parts)[0].update(coradical)
+    return [(k, AlgebraElement(part)) for k, part in zip(keys, parts)]
+
+
+def _level(p, shifts, z):
+    """Least n with every product of n shifted conjugations T_h - c, for
+    (h, c) in shifts, killing z modulo the coradical; z is nonzero there.
+
+    Each shifted conjugation lowers the y-length filtration on the
+    component of z (see the module docstring), so the level is at most
+    the y-degree of z.  The frontier at step k spans the products of
+    exactly k shifted conjugations applied to z, modulo the coradical, and
+    is kept a basis.  A frontier still nonzero past the y-degree means a
+    wrong eigenvalue, and raises instead of looping.
+    """
+    degree = max(len(yw) for _, yw in z.terms)
+    frontier = [AlgebraElement(_strip_coradical(z))]
     for level in count(1):
         images = []
-        for n in shifted:
+        for h, c in shifts:
             for v in frontier:
-                img = _mat_apply(n, v)
+                img = _strip_coradical(conjugate(p, h, v) - v.scale(c))
                 if img:
                     images.append(img)
         if not images:
             return level
-        if level == len(shifted[0]):
-            raise ConsistencyError("shifted operators are not nilpotent on their space")
+        if level == degree:
+            raise ConsistencyError(
+                "shifted conjugations do not kill a component within its y-degree")
         # a basis of the images keeps the frontier small
-        elim = ScalarElimination(domain)
-        frontier = [v for i, v in enumerate(images) if elim.insert(v, i) is None]
+        elim = ScalarElimination(p.domain)
+        frontier = [AlgebraElement(v) for i, v in enumerate(images)
+                    if elim.insert(v, i) is None]
 
 
 class WeightCommutator:
@@ -309,11 +247,8 @@ def generalized_commutator(p, y, generators=None):
         raise ValueError("element lies in the coradical")
     gens_elts = ([p.group.reduce(g) for g in generators] if generators
                  else p.group.generators())
-    q = QuotientSpace(p, [y], gens_elts)
-    ops = [q.operator(h) for h in gens_elts]
-    out = []
-    for chars, shifted, vec in _refine(ops, q.coords(y)):
-        out.append((chars, _level(p.domain, shifted, vec), q.lift(vec)))
+    out = [(chars, _level(p, list(zip(gens_elts, chars)), elt), elt)
+           for chars, elt in _components(p, y, gens_elts)]
     if len(out) == 1:
         return out[0][:2], out
     return None, out
@@ -503,33 +438,40 @@ def _report_at(p, weights, degree_bound, group_word_bound, power_bound):
         space = find_skew_primitives(p, weight, degree_bound, group_word_bound)
         if not space.witnesses():
             continue
-        q = QuotientSpace(p, space.basis, gens_elts)
-        ops = [q.operator(g2) for g2 in gens_elts]
-        own = q.operator(weight)
+        lifts = closure_mod_coradical(p, space.basis, gens_elts)
+        # the components of the lifts, keyed by their eigenvalues at the
+        # generators and the weight, grouped by the eigenvalue at the
+        # weight in first-seen order
+        by_gamma = []   # (commutator, [(character, component)])
+        for lift in lifts:
+            for key, elt in _components(p, lift, gens_elts + [weight]):
+                for c, members in by_gamma:
+                    if c == key[-1]:
+                        members.append((key[:-1], elt))
+                        break
+                else:
+                    by_gamma.append((key[-1], [(key[:-1], elt)]))
+        elim = ScalarElimination(dom)
         recs = []
-        for c, kbasis, n in own.spaces:
-            elim = ScalarElimination(dom)
-            chosen = []
-            for vec in kbasis:
-                for chars, shifted, v in _refine(ops, vec):
-                    if elim.insert(v, len(chosen)) is None:
-                        chosen.append((chars, shifted, v))
-            if len(chosen) != len(kbasis):
-                raise ConsistencyError(
-                    "character refinement changed an eigenspace dimension")
-            for chars, shifted, v in chosen:
+        for c, members in by_gamma:
+            for chars, elt in members:
+                if elim.insert(_strip_coradical(elt), len(recs)) is not None:
+                    continue
                 if gens_elts and _char_at(dom, chars, weight) != c:
                     raise ConsistencyError(
                         "character does not reproduce the commutator eigenvalue")
-                level = _level(dom, [n], v)
-                char_level = _level(dom, shifted, v)
-                elt = q.lift(v)
+                level = _level(p, [(weight, c)], elt)
+                char_level = _level(p, list(zip(gens_elts, chars)), elt)
                 if level == 1:
                     elt = normalize_witness(p, weight, c, elt)
                 recs.append(WitnessRecord(weight, elt, c, level, chars, char_level))
+        if len(recs) != len(lifts):
+            raise ConsistencyError(
+                "eigencomponents span %d of the %d closure dimensions"
+                % (len(recs), len(lifts)))
         _power_tests(p, recs, power_bound)
         report.weights.append(weight)
-        report.per_weight_dim[weight] = q.dim
+        report.per_weight_dim[weight] = len(lifts)
         report.witnesses.extend(recs)
         # a torsion commutator predicts a primitive power through the
         # level-1 bottom of its chain even past the direct-check bound

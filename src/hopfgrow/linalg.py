@@ -138,18 +138,6 @@ class ScalarElimination:
         self.pivots.append([rk, col, combo, neg_inv])
         return None
 
-    def solve(self, target):
-        """Coefficients by tag expressing target in the span of the
-        inserted columns, or None; target is copied and nothing is
-        inserted."""
-        sentinel = object()
-        col, combo = self._reduce(dict(target), {sentinel: self.domain.one()})
-        if col:
-            return None
-        # combo says: scale*target + sum(c_i * column_i) == 0
-        neg_inv = -(combo.pop(sentinel).inverse())
-        return {tag: neg_inv * c for tag, c in combo.items()}
-
     @property
     def rank(self):
         return len(self.pivots)

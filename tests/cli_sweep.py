@@ -158,8 +158,7 @@ def commands():
             ["bounds"] + source + _SEARCH + ["--power-bound", "3", "--mmax", "6"],
             ["primitives"] + source + _SEARCH,
             ["primitives"] + source + _SEARCH + ["--weight", "g1"],
-            ["growth"] + source + _SEARCH + ["--power-bound", "3", "--nmax", "8",
-                                             "--mmax", "6"],
+            ["growth"] + source + _SEARCH + ["--power-bound", "3", "--nmax", "8"],
             ["delta"] + source + ["--element", _element(name)],
             ["normalize"] + source + ["--element", _element(name)],
         ]
@@ -191,7 +190,7 @@ def commands():
     for name in ("tau-g1^2.json", "g3-trunc.json", "full-length-group-part.json"):
         for fmt in ("text", "json"):
             out.append(["growth", name] + _SEARCH + ["--power-bound", "3", "--nmax", "8",
-                                                     "--mmax", "6", "--format", fmt])
+                                                     "--format", fmt])
     return out
 
 

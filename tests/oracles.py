@@ -11,7 +11,10 @@ it reduces them.  The coalgebra axioms are checked through the program's
 own delta, counit and antipode.  The growth oracles read the growth off
 the slopes of dp_word_counts, which keeps an automaton of its own, and
 list the words that products of at most n generators reach, by a
-breadth-first closure over the program's left products.
+breadth-first closure over the program's left products.  The eigen-split
+oracle splits an element under conjugation by linear algebra, with
+matrices, their powers, nullspaces and a solve, where the program reads
+the split off the characters of the words.
 """
 
 import itertools
@@ -23,7 +26,7 @@ from hopfgrow.coalgebra import antipode, counit, delta, delta_word
 from hopfgrow.elements import AlgebraElement, TensorElement, add_term
 from hopfgrow.groups import GroupData
 from hopfgrow.growth import dp_word_counts
-from hopfgrow.linalg import ScalarElimination
+from hopfgrow.linalg import ScalarElimination, nullspace_of_columns
 from hopfgrow.presentation import Presentation, SkewGenerator
 from hopfgrow.scalars import ScalarDomain
 
@@ -249,9 +252,9 @@ def conjugation_closure(p, vectors, conjugators):
     """The closure of the vectors under inverse conjugation by the
     conjugators in full terms, the coradical included: a vector
     independent of those kept before is kept and its conjugates queued.
-    It ends as invariants.QuotientSpace does: the (1,g)-primitives of
-    bounded y-degree exceed their image modulo the coradical by at most
-    the line k(g - 1)."""
+    It ends as invariants.closure_mod_coradical does: the
+    (1,g)-primitives of bounded y-degree exceed their image modulo the
+    coradical by at most the line k(g - 1)."""
     elim = ScalarElimination(p.domain)
     basis = []
     queue = list(vectors)
@@ -260,6 +263,108 @@ def conjugation_closure(p, vectors, conjugators):
             basis.append(v)
             queue.extend(invariants.conjugate(p, h, v) for h in conjugators)
     return basis
+
+
+def _solve(domain, columns, target):
+    """Coefficients by index expressing target in the span of the
+    columns, or None: the kernel combination that a sentinel column
+    holding target finds, divided by the sentinel's coefficient."""
+    elim = ScalarElimination(domain)
+    for j, col in enumerate(columns):
+        elim.insert(col, j)
+    sentinel = object()
+    combo = elim.insert(target, sentinel)
+    if combo is None:
+        return None
+    f = -(combo.pop(sentinel).inverse())
+    return {j: f * c for j, c in combo.items()}
+
+
+def _mat_apply(matrix, vec):
+    out = {}
+    for j, c in vec.items():
+        for i, m in matrix[j].items():
+            add_term(out, i, m * c)
+    return out
+
+
+def _matrix_level(domain, shifted, vec):
+    """Least n with every product of n of the nilpotent matrices killing
+    the nonzero vec."""
+    frontier = [vec]
+    for level in itertools.count(1):
+        images = [img for n in shifted for v in frontier if (img := _mat_apply(n, v))]
+        if not images:
+            return level
+        assert level < len(shifted[0]), "shifted matrices are not nilpotent"
+        elim = ScalarElimination(domain)
+        frontier = [v for i, v in enumerate(images) if elim.insert(v, i) is None]
+
+
+def eigen_split(p, y, conjugators):
+    """The joint generalized eigencomponents of the element y outside the
+    coradical under the inverse conjugations by the conjugators, by
+    linear algebra: [(eigenvalues, level, component modulo the
+    coradical)].
+
+    Each conjugation is a matrix on the coordinates of a space that holds
+    y and is stable under the conjugations modulo the coradical: the
+    closure of the words of y, one at a time, which keeps the entries
+    small.  Its eigenvalues are among the character products over the
+    y-words of the closure (it is triangular on normal words); the
+    generalized eigenspace of c is the kernel of (M - c)^dim, and a vector
+    splits by solving it in the union of those kernels.  The level is the
+    nilpotency index of the shifted matrices on the component."""
+    strip = invariants._strip_coradical
+    dom = p.domain
+    words = [AlgebraElement({w: dom.one()}) for w in strip(y)]
+    lifts = invariants.closure_mod_coradical(p, words, conjugators)
+    images = [strip(v) for v in lifts]
+    dim = len(lifts)
+    comps = [((), [], _solve(dom, images, strip(y)))]
+    for h in conjugators:
+        matrix = [_solve(dom, images, strip(invariants.conjugate(p, h, v))) for v in lifts]
+        candidates = []
+        for v in lifts:
+            for _, yw in v.terms:
+                val = dom.one()
+                for i in yw:
+                    val = val * char_value(p, i, h)
+                if yw and not any(val == c for c in candidates):
+                    candidates.append(val)
+        spaces, union = [], []
+        for c in candidates:
+            n = [dict(col) for col in matrix]
+            for j, col in enumerate(n):
+                add_term(col, j, -c)
+            power = n
+            for _ in range(dim - 1):
+                power = [_mat_apply(n, col) for col in power]
+            kernel = nullspace_of_columns(dom, power)
+            spaces.append((c, n, len(union), len(union) + len(kernel)))
+            union += kernel
+        assert len(union) == dim, "eigenspaces do not cover the closure"
+        split = []
+        for key, shifted, vec in comps:
+            sol = _solve(dom, union, vec)
+            for c, n, lo, hi in spaces:
+                part = {}
+                for b, coeff in sol.items():
+                    if lo <= b < hi:
+                        for i, v in union[b].items():
+                            add_term(part, i, coeff * v)
+                if part:
+                    split.append((key + (c,), shifted + [n], part))
+        comps = split
+    out = []
+    for key, shifted, vec in comps:
+        level = _matrix_level(dom, shifted, vec) if shifted else 1
+        elt = {}
+        for j, c in vec.items():
+            for w, v in images[j].items():
+                add_term(elt, w, c * v)
+        out.append((key, level, elt))
+    return out
 
 
 def invariants_over_ball(p, degree_bound, group_word_bound, power_bound):

@@ -251,11 +251,15 @@ def test_degree_two_primitive_weight_product_constraint():
             assert prod.is_one()
 
 
-def _in_span(p, elements, target):
+def _rank(p, elements):
     elim = ScalarElimination(p.domain)
     for idx, e in enumerate(elements):
         elim.insert(e.terms, idx)
-    return elim.solve(target.terms) is not None
+    return elim.rank
+
+
+def _in_span(p, elements, target):
+    return _rank(p, elements + [target]) == _rank(p, elements)
 
 
 def _find_skew_primitives_full(p, weight, degree_bound, group_word_bound):

@@ -12,16 +12,18 @@ from hopfgrow.coalgebra import _search_space, find_skew_primitives
 from hopfgrow.errors import ConsistencyError
 from hopfgrow.fileformat import parse_presentation_data
 from hopfgrow.groups import GroupData
-from hopfgrow.invariants import (QuotientSpace, _level, _strip_coradical,
-                                 classify_gamma, compute_invariants, conjugate,
+from hopfgrow.invariants import (_level, _strip_coradical, classify_gamma,
+                                 closure_mod_coradical, compute_invariants, conjugate,
                                  generalized_commutator, is_skew_primitive,
                                  normalize_witness)
 from hopfgrow.linalg import ScalarElimination
-from hopfgrow.scalars import INFINITE, ScalarDomain, UnitMonomial, multiplicative_order
+from hopfgrow.scalars import (INFINITE, Scalar, ScalarDomain, UnitMonomial,
+                              multiplicative_order)
 
 from conftest import (CHECK_IDS, CHECK_SETTINGS, confluent_random_presentation,
                       random_weighted_presentation, wide_free_document)
-from oracles import conjugation_closure, invariants_over_ball, report_data
+from oracles import (char_value, conjugation_closure, eigen_split, invariants_over_ball,
+                     report_data)
 
 
 def own_commutator(p, y):
@@ -72,17 +74,55 @@ def test_generalized_commutator_basic():
     assert single[0] == (xp.domain.rational(-1),)
 
 
-def test_generalized_commutator_splits_sum():
-    p = skew_free_presentation(v=2)
-    y_sum = p.y(0) + p.y(1)
-    single, comps = generalized_commutator(p, y_sum)
-    assert single is None
-    assert len(comps) == 2
-    recovered = comps[0][2] + comps[1][2]
-    assert recovered == y_sum
-    for chars, level, elt in comps:
-        assert level == 1
-        assert is_skew_primitive(p, elt) == p.gens[0].weight
+def test_generalized_commutator_splits_sum(monkeypatch):
+    # the components are read off the words: exactly y1, y2 (and y3),
+    # with no true fraction built on the way; the matrix split did not
+    # finish within 30 s on three summands, its entries growing in the
+    # matrix powers
+    init = Scalar.__init__
+    fractions = []
+
+    def recording(scalar, *args, **kwargs):
+        init(scalar, *args, **kwargs)
+        if len(scalar.den) > 1:
+            fractions.append(scalar)
+
+    monkeypatch.setattr(Scalar, "__init__", recording)
+    for v in (2, 3):
+        p = skew_free_presentation(v=v)
+        y_sum = p.y(0)
+        for i in range(1, v):
+            y_sum = y_sum + p.y(i)
+        single, comps = generalized_commutator(p, y_sum)
+        assert single is None
+        assert comps == [((p.domain.q(i),), 1, p.y(i)) for i in range(v)]
+        for chars, level, elt in comps:
+            assert is_skew_primitive(p, elt) == p.gens[0].weight
+    assert fractions == []
+
+
+def test_generalized_commutator_splits_by_every_generator():
+    # over Z^2, y1, y2 and y3 of weight g1 have the characters (q1, 1),
+    # (q2, 1) and (q1, q2): both generators tell all three apart, g2
+    # alone does not tell y1 from y2, and g1, the weight, not y1 from y3
+    characters = [["q1", "1"], ["q2", "1"], ["q1", "q2"]]
+    p = parse_presentation_data({
+        "scalars": {"cyclotomic_order": 1, "transcendentals": ["q1", "q2"]},
+        "group": {"free_rank": 2},
+        "generators": [{"name": "y%d" % (i + 1), "weight": [1, 0], "character": chars}
+                       for i, chars in enumerate(characters)]})
+    one, q1, q2 = p.domain.one(), p.domain.q(0), p.domain.q(1)
+    y1, y2, y3 = p.y(0), p.y(1), p.y(2)
+    total = y1 + y2 + y3
+    g1, g2 = p.group.generators()
+    expected = {
+        (g1, g2): [((q1, one), 1, y1), ((q2, one), 1, y2), ((q1, q2), 1, y3)],
+        (g2,): [((one,), 1, y1 + y2), ((q2,), 1, y3)],
+        (g1,): [((q1,), 1, y1 + y3), ((q2,), 1, y2)],
+    }
+    for conjugators, comps in expected.items():
+        assert generalized_commutator(p, total, list(conjugators)) == (None, comps)
+        _assert_split_matches(p, total, list(conjugators))
 
 
 def test_conjugates_keep_weight_commutator():
@@ -217,54 +257,69 @@ def test_entry_points_agree_on_witnesses(p):
         assert single == ((rec.gamma,), rec.level)
 
 
-def _jordan(dom, n):
-    """The nilpotent n x n Jordan block N e_j = e_{j-1}, as columns."""
-    return [{j - 1: dom.one()} if j else {} for j in range(n)]
+def _power(p, z, k):
+    out = z
+    for _ in range(k - 1):
+        out = p.multiply(out, z)
+    return out
 
 
 def test_level_climbs_a_jordan_chain():
-    # N kills e0 and moves e2 -> e1 -> e0, so e2 needs three levels
-    dom = ScalarDomain(1)
-    n = _jordan(dom, 3)
-    e = [{j: dom.one()} for j in range(3)]
-    assert _level(dom, [n], e[2]) == 3
-    assert _level(dom, [n], e[1]) == 2
-    assert _level(dom, [n], e[0]) == 1
+    # on skew_free v=1 tau=1, T_g(y) = y + (g - 1), so T_g - 1 lowers y^k
+    # one step at a time: y^k needs k levels
+    p = skew_free_presentation(v=1, tau=1)
+    g = p.group.generator(0)
+    for k in range(1, 5):
+        assert _level(p, [(g, p.domain.one())], _power(p, p.y(0), k)) == k
 
 
 def test_level_refuses_an_operator_that_is_not_nilpotent():
-    # N + I fixes nothing to zero: the frontier outlives the matrix size
-    dom = ScalarDomain(1)
-    n = [{**col, j: dom.one()} for j, col in enumerate(_jordan(dom, 3))]
+    # T_g - 2 keeps y^2 alive past its y-degree: a wrong eigenvalue raises
+    # instead of looping
+    p = skew_free_presentation(v=1, tau=1)
+    g = p.group.generator(0)
+    one, two = p.domain.one(), p.domain.rational(2)
+    y2 = _power(p, p.y(0), 2)
     with pytest.raises(ConsistencyError):
-        _level(dom, [n], {0: dom.one()})
+        _level(p, [(g, two)], y2)
     with pytest.raises(ConsistencyError):
-        _level(dom, [_jordan(dom, 3), n], {2: dom.one()})
+        _level(p, [(g, one), (g, two)], y2)
 
 
-@pytest.mark.parametrize("size, level, frontiers", [
-    # [N, N^2] on e2: the images e1, e0, then e0 alone
-    (3, 3, [[2], [1, 0], [0]]),
-    # [N, N^2] on e3: the second level's images e1, e0, e0 (N e1 and
-    # N^2 e2) leave the frontier e1, e0
-    (4, 4, [[3], [2, 1], [1, 0], [0]]),
+@pytest.mark.parametrize("degree, level, frontiers", [
+    # [T_g - 1, T_{g^2} - 1] on y^3: the frontier sizes 1, 2, 1
+    (3, 3, [1, 2, 1]),
+    # on y^4: 1, 2, 2, 1
+    (4, 4, [1, 2, 2, 1]),
 ])
 def test_level_of_an_operator_pair_keeps_its_frontier_a_basis(
-        monkeypatch, size, level, frontiers):
-    dom = ScalarDomain(1)
-    n = _jordan(dom, size)
-    mat_apply = invariants._mat_apply
-    pair = [n, [mat_apply(n, col) for col in n]]
-    seen = []  # every vector _level applies an operator to
+        monkeypatch, degree, level, frontiers):
+    p = skew_free_presentation(v=1, tau=1)
+    g = p.group.generator(0)
+    pair = [(g, p.domain.one()), (p.group.power(g, 2), p.domain.one())]
+    seen = []  # every element _level conjugates, with its conjugator
+    conj = invariants.conjugate
 
-    def record(matrix, vec):
-        seen.append(vec)
-        return mat_apply(matrix, vec)
+    def record(p_, h, elt):
+        seen.append((h, elt))
+        return conj(p_, h, elt)
 
-    monkeypatch.setattr(invariants, "_mat_apply", record)
-    assert _level(dom, pair, {size - 1: dom.one()}) == level
-    # each level applies both operators to each frontier vector once
-    assert seen == [{j: dom.one()} for front in frontiers for _ in pair for j in front]
+    monkeypatch.setattr(invariants, "conjugate", record)
+    assert _level(p, pair, _power(p, p.y(0), degree)) == level
+    # each level conjugates each frontier element once by each conjugator
+    steps = iter(seen)
+    for size in frontiers:
+        front = []
+        for h, _ in pair:
+            got = [next(steps) for _ in range(size)]
+            assert [gh for gh, _ in got] == [h] * size
+            front.append([elt for _, elt in got])
+        assert front[0] == front[1]
+        # the frontier is a basis modulo the coradical, held without it
+        assert all(elt.terms == _strip_coradical(elt) for elt in front[0])
+        elim = ScalarElimination(p.domain)
+        assert all(elim.insert(elt.terms, i) is None for i, elt in enumerate(front[0]))
+    assert next(steps, None) is None
 
 
 def _quotient_by_two_passes(p, weight, vectors, conjugators):
@@ -302,7 +357,7 @@ def test_quotient_space_matches_two_pass_closure():
             for w in witnesses[1:]:
                 total = total + w
             for vectors in (space.basis, [total]):
-                lifts = QuotientSpace(p, vectors, gens).lifts
+                lifts = closure_mod_coradical(p, vectors, gens)
                 oracle = _quotient_by_two_passes(p, weight, vectors, gens)
                 assert [repr(v) for v in lifts] == [repr(v) for v in oracle], (p, weight)
                 spaces += 1
@@ -318,7 +373,7 @@ def _assert_closures_within_top_words(p, degree, radius):
     dims = []
     for weight in weights:
         space = find_skew_primitives(p, weight, degree, radius)
-        dim = QuotientSpace(p, space.basis, gens).dim
+        dim = len(closure_mod_coradical(p, space.basis, gens))
         top_words = sum(1 for yw, _, _, _, mu in ywords if yw and mu == weight)
         assert dim <= top_words, (p, weight)
         dims.append(dim)
@@ -343,8 +398,9 @@ def test_closure_within_top_words_random():
 
 
 def _assert_levels_within_dims(report):
-    """1 <= level, char_level <= the quotient dimension of the witness's
-    weight: the bound that _level's loop ends by."""
+    """1 <= level, char_level <= the closure dimension of the witness's
+    weight: the shifted conjugations are nilpotent on that space.  The
+    tighter bound, the y-degree, is _assert_witnesses_homogeneous's."""
     dims = [report.per_weight_dim[rec.weight] for rec in report.witnesses]
     for rec, dim in zip(report.witnesses, dims):
         assert 1 <= rec.level <= dim and 1 <= rec.char_level <= dim, rec
@@ -369,6 +425,104 @@ def test_levels_within_dims_random():
         dims += _assert_levels_within_dims(compute_invariants(p, 3, 2, 2))
     # witnesses in quotients of dimension 1 and larger
     assert min(dims) == 1 and max(dims) > 2
+
+
+def _word_value(p, yw, h):
+    """chi_w(h): the product of lambda_i(h) over the letters of the y-word."""
+    val = p.domain.one()
+    for i in yw:
+        val = val * char_value(p, i, h)
+    return val
+
+
+def _assert_witnesses_homogeneous(p, report):
+    """Every witness is a sum of words of one character: rec.character at
+    the generators and rec.gamma at its weight, with 1 <= level,
+    char_level <= its y-degree; shifted by the coradical line it is
+    still its own component.  Returns the number of witnesses."""
+    gens = p.group.generators()
+    for rec in report.witnesses:
+        ywords = [yw for _, yw in rec.element.terms if yw]
+        for yw in ywords:
+            assert tuple(_word_value(p, yw, h) for h in gens) == rec.character, rec
+            assert _word_value(p, yw, rec.weight) == rec.gamma, rec
+        degree = max(map(len, ywords))
+        assert 1 <= rec.level <= degree and 1 <= rec.char_level <= degree, rec
+        shifted = rec.element
+        if not p.group.is_identity(rec.weight):
+            line = p.group_element(rec.weight) - p.one()
+            shifted = shifted + line.scale(p.domain.rational(3))
+        single, comps = generalized_commutator(p, shifted)
+        assert single == (rec.character, rec.char_level), rec
+        assert comps == [(rec.character, rec.char_level, shifted)], rec
+    return len(report.witnesses)
+
+
+def _check_setting_report(name, params):
+    p, merged = build_example(name, dict(_parse_param(prm) for prm in params))
+    cfg = EXAMPLES[name].check_config(merged)
+    return p, compute_invariants(p, cfg["degree_bound"], cfg["group_word_bound"],
+                                 cfg["power_bound"])
+
+
+def _random_reports(seed, count):
+    rng = random.Random(seed)
+    for draw in [random_weighted_presentation, None] * count:
+        p = (confluent_random_presentation(rng, draw) if draw
+             else confluent_random_presentation(rng))
+        yield p, compute_invariants(p, 3, 2, 2)
+
+
+@pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
+def test_witnesses_are_homogeneous_on_check_settings(name, params):
+    assert _assert_witnesses_homogeneous(*_check_setting_report(name, params))
+
+
+def test_witnesses_are_homogeneous_random():
+    assert sum(_assert_witnesses_homogeneous(p, report)
+               for p, report in _random_reports(32, 40)) > 100
+
+
+def _assert_split_matches(p, z, conjugators):
+    """generalized_commutator splits z as the matrix split of
+    tests/oracles.py does, in any order: the same eigenvalues, levels and
+    components modulo the coradical.  Returns the number of components."""
+    _, comps = generalized_commutator(p, z, conjugators)
+    expected = eigen_split(p, z, conjugators)
+    assert len(comps) == len(expected), (p, z)
+    for chars, level, elt in comps:
+        match = [rest for key, *rest in expected if key == chars]
+        assert match == [[level, _strip_coradical(elt)]], (p, z, chars)
+    return len(comps)
+
+
+def _assert_split_matches_the_matrix_oracle(p, report):
+    """At each weight, the sum of the witnesses of pairwise distinct
+    characters splits as the matrix split of tests/oracles.py says, under
+    the generators and under the weight: the same eigenvalues, levels and
+    components modulo the coradical.  Returns the number of components."""
+    split = 0
+    for weight in report.weights:
+        chosen = []
+        for rec in report.witnesses:
+            if rec.weight == weight and all(rec.character != r.character for r in chosen):
+                chosen.append(rec)
+        total = chosen[0].element
+        for rec in chosen[1:]:
+            total = total + rec.element
+        for conjugators in (p.group.generators(), [weight]):
+            split += _assert_split_matches(p, total, conjugators)
+    return split
+
+
+@pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
+def test_split_matches_the_matrix_oracle_on_check_settings(name, params):
+    assert _assert_split_matches_the_matrix_oracle(*_check_setting_report(name, params))
+
+
+def test_split_matches_the_matrix_oracle_random():
+    assert sum(_assert_split_matches_the_matrix_oracle(p, report)
+               for p, report in _random_reports(33, 40)) > 100
 
 
 def _free_lie_superalgebra_dims(s, top):

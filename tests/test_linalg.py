@@ -44,25 +44,19 @@ def test_nullspace_simple():
 
 
 def test_solve_in_span():
+    # a target in the span of the inserted columns is solved for by the
+    # kernel combination that inserting it returns; one outside is kept
     dom = ScalarDomain(1, ("q1",))
     one = dom.one()
     q = dom.q(0)
     basis = [{"a": one, "b": q}, {"b": one}]
     target = {"a": q, "b": q * q + one}
     elim = _eliminate(dom, basis)
-    sol = elim.solve(target)
-    assert sol is not None
-    recombined = _combine(dom, basis, sol)
-    diff = dict(recombined)
-    for k, v in target.items():
-        s = diff.get(k, dom.zero()) - v
-        if s.is_zero():
-            diff.pop(k, None)
-        else:
-            diff[k] = s
-    assert diff == {}
-    assert elim.solve({"c": one}) is None
-    assert elim.solve({}) == {}
+    combo = elim.insert(target, 2)
+    assert combo is not None and not combo[2].is_zero()
+    assert _combine(dom, basis + [target], combo) == {}
+    assert elim.insert({"c": one}, 3) is None
+    assert elim.rank == 3
 
 
 def test_random_kernels_annihilate():
@@ -135,15 +129,13 @@ class _OracleElimination:
         return None
 
 
-def _oracle_solve(domain, basis, target):
+def _oracle_relation(domain, basis, target):
+    """The oracle's kernel combination of the basis and the target, tagged
+    len(basis), or None when the target lies outside the span."""
     elim = _OracleElimination(domain)
     for tag, col in enumerate(basis):
         elim.insert(col, tag)
-    combo = elim.insert(target, "target")
-    if combo is None:
-        return None
-    neg_inv = -(combo.pop("target").inverse())
-    return {tag: neg_inv * c for tag, c in combo.items()}
+    return elim.insert(target, len(basis))
 
 
 def _is_multiple(a, b):
@@ -171,11 +163,14 @@ def _assert_matches_oracle(domain, columns, target=None):
     if all(pcol[rk].as_unit_monomial() is not None for rk, pcol, _ in oracle.pivots):
         assert [rk for rk, *_ in elim.pivots] == [rk for rk, *_ in oracle.pivots]
     if target is not None:
-        expected = _oracle_solve(domain, columns, target)
-        # solving against the held elimination inserts nothing
-        rank = elim.rank
-        assert elim.solve(target) == expected
-        assert elim.rank == rank
+        # the target in the span: inserting it finds the oracle's relation
+        # up to a scalar, with a nonzero coefficient on the target
+        expected = _oracle_relation(domain, columns, target)
+        combo = elim.insert(target, len(columns))
+        assert expected is not None and combo is not None
+        assert not combo[len(columns)].is_zero()
+        assert _combine(domain, columns + [target], combo) == {}
+        assert _is_multiple(combo, expected)
 
 
 def _random_columns(rng, pool, nrows, ncols):
@@ -199,7 +194,7 @@ def test_elimination_matches_oracle_random():
     for trial in range(80):
         pool = units if trial % 4 == 0 else units + non_units
         cols = _random_columns(rng, pool, rng.randint(2, 5), rng.randint(2, 7))
-        # a target in the span, so that solve has something to find
+        # a target in the span, so that its insertion finds a relation
         target = {}
         for col in cols[:3]:
             c = rng.choice(pool)
