@@ -457,7 +457,7 @@ def _report_at(p, weights, degree_bound, group_word_bound, power_bound):
             for chars, elt in members:
                 if elim.insert(_strip_coradical(elt), len(recs)) is not None:
                     continue
-                if gens_elts and _char_at(dom, chars, weight) != c:
+                if _char_at(dom, chars, weight) != c:
                     raise ConsistencyError(
                         "character does not reproduce the commutator eigenvalue")
                 level = _level(p, [(weight, c)], elt)
