@@ -14,8 +14,8 @@ irreducible y-word is irreducible, so Delta(y_i w) = Delta(y_i) Delta(w)
 multiplies a normal word by one letter on the left of each side, through
 the presentation's left-product kernel, and Delta(h w) = (h (x) h)
 Delta(w) only shifts group parts.  The cache on the presentation is keyed
-by the pure y-word w; its values at one point mod P sit on the same keys,
-cached beside it, for the primitive search.
+by the pure y-word w.  The primitive search runs the same fold at one
+point mod P, from kernel steps read there, into a cache beside it.
 """
 
 from .elements import AlgebraElement, TensorElement, add_term, word_key, y_counts
@@ -195,19 +195,43 @@ def _defect_column(p, word, weight, minus_one):
 
 def _delta_yword_at(p, yw, point):
     """_delta_yword(p, yw) at the point: {(left, right): value mod P} on
-    the same keys, zero values dropped, or None when a coefficient has no
-    value there; cached beside it."""
+    the same keys, zero values dropped, or None when a coefficient of a
+    kernel step has no value there; cached by y-word.
+
+    The same fold as _delta_yword, from the suffix's image, with each
+    kernel step y_i (h v) read at the point (Presentation._letter_times_at):
+    the value map is a ring homomorphism where it is defined, so every
+    value is the exact coefficient's, and the exact coproduct is not built.
+    """
     cache = p._coproduct_point_cache
     if yw in cache:
         return cache[yw]
-    image = {}
-    for pair, c in _delta_yword(p, yw).items():
-        v = c._at(point)
-        if v is None:
-            image = None
-            break
-        if v:
-            image[pair] = v
+    if not yw:
+        e = p.group.identity()
+        image = cache[yw] = {((e, ()), (e, ())): 1}
+        return image
+    rest = _delta_yword_at(p, yw[1:], point)
+    image = None
+    if rest is not None:
+        i = yw[0]
+        mu = p.gens[i].weight
+        mul = p.group.mul
+        step = p._letter_times_at
+        prime = point[0]
+        acc = {}
+        for (left, right), v in rest.items():
+            lefts, rights = step(i, left, point), step(i, right, point)
+            if lefts is None or rights is None:
+                break
+            for left2, v2 in lefts.items():
+                k = (left2, right)
+                acc[k] = (acc.get(k, 0) + v * v2) % prime
+            moved = (mul(mu, left[0]), left[1])
+            for right2, v2 in rights.items():
+                k = (moved, right2)
+                acc[k] = (acc.get(k, 0) + v * v2) % prime
+        else:
+            image = {k: v for k, v in acc.items() if v}
     cache[yw] = image
     return image
 
@@ -395,14 +419,21 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
     e = group.identity()
     ywords, ball_by_class, _ = _search_space(p, degree_bound, group_word_bound)
     blocks = {}
+    # the group parts depend on the y-word only through its content class,
+    # whether its counts vanish and whether it keeps the part 1 alone
+    parts_of = {}
     for yw, key, counts, content, mu in ywords:
-        classes = {p._group_class([a - b for a, b in zip(weight, content)])}
-        if not any(counts):
-            classes.add(p._group_class([-b for b in content]))
-        if yw and p.count_graded:
-            group_parts = [e] if e in classes else []
-        else:
-            group_parts = sorted(h for cls in classes for h in ball_by_class.get(cls, ()))
+        memo = (content, not any(counts), bool(yw) and p.count_graded)
+        group_parts = parts_of.get(memo)
+        if group_parts is None:
+            classes = {p._group_class([a - b for a, b in zip(weight, content)])}
+            if memo[1]:
+                classes.add(p._group_class([-b for b in content]))
+            if memo[2]:
+                group_parts = [e] if e in classes else []
+            else:
+                group_parts = sorted(h for cls in classes for h in ball_by_class.get(cls, ()))
+            parts_of[memo] = group_parts
         if group_parts:
             blocks.setdefault(counts, []).append((yw, key, group_parts, mu))
     basis = []

@@ -25,6 +25,7 @@ class GroupData:
         self.free_rank = free_rank
         self.torsion = torsion
         self.ngens = free_rank + len(torsion)
+        self._products = {}  # (a, b) -> a b reduced, for this instance only
 
     # -- elements ------------------------------------------------------
     def identity(self):
@@ -38,10 +39,17 @@ class GroupData:
         return elt[:r] + tuple(x % m for x, m in zip(elt[r:], self.torsion))
 
     def mul(self, a, b):
-        c = tuple(map(operator.add, a, b))
-        if self.torsion or len(c) != self.ngens:
-            return self.reduce(c)
-        return c
+        """a b reduced, for exponent tuples a and b, memoized per pair: a
+        torsion reduction runs once.  A pair of the wrong length raises,
+        and nothing is stored."""
+        key = (a, b)
+        found = self._products.get(key)
+        if found is None:
+            found = tuple(map(operator.add, a, b))
+            if self.torsion or len(found) != self.ngens:
+                found = self.reduce(found)
+            self._products[key] = found
+        return found
 
     def inv(self, a):
         return self.reduce(tuple(-x for x in a))

@@ -37,8 +37,24 @@ from .presentation import _char_at
 from .scalars import INFINITE, ScalarShapeError, _powers_cancel, multiplicative_order
 
 
+def _chi(p, yw, h):
+    """chi_w(h): the product of lambda_i(h) over the letters of the y-word."""
+    val = p.domain.one()
+    for i in yw:
+        val = val * p.char_value(i, h)
+    return val
+
+
 def conjugate(p, h, elt):
-    """Inverse conjugation T_{h^{-1}}: z -> h^{-1} z h, normalized."""
+    """Inverse conjugation T_{h^{-1}}: z -> h^{-1} z h, normalized.
+
+    On a tau-free presentation w h = chi_w(h) h w for a normal y-word w,
+    so T(h' w) = chi_w(h) h' w: each term is rescaled and no product is
+    taken (the module docstring's grading with tau = 0).
+    """
+    if p.tau_free:
+        return AlgebraElement({(g, yw): c * _chi(p, yw, h)
+                               for (g, yw), c in elt.terms.items()})
     left = p.group_element(p.group.inv(h))
     right = p.group_element(h)
     return p.multiply(p.multiply(left, elt), right)
@@ -126,13 +142,7 @@ def _components(p, elt, conjugators):
         if not w[1]:
             coradical[w] = c
             continue
-        key = []
-        for h in conjugators:
-            val = p.domain.one()
-            for i in w[1]:
-                val = val * p.char_value(i, h)
-            key.append(val)
-        key = tuple(key)
+        key = tuple(_chi(p, w[1], h) for h in conjugators)
         for k, part in zip(keys, parts):
             if k == key:
                 part[w] = c

@@ -135,6 +135,7 @@ class Presentation:
         self.rules = [RewriteRule(lhs, self._coerce_rhs(rhs)) for lhs, rhs in rules]
         self._validate()
         self._letter_cache = {}  # (i, normal y-word w) -> NF(y_i w)
+        self._letter_point_cache = {}  # (i, h, w) -> y_i h w at the point, or None
         self._char_cache = {}
         self._tau_cache = {}
         self._coproduct_cache = {}  # y-word -> {(left, right): coeff}
@@ -432,6 +433,40 @@ class Presentation:
                 tau = c * tau
                 add_term(acc, (mul(h, self.gens[i].weight), v), tau)
                 add_term(acc, (h, v), -tau)
+
+    def _letter_times_at(self, i, word, point):
+        """y_i times the normal word h v at a point mod P (scalars._point):
+        the residues of lambda_i(h) h NF(y_i v) + tau_i(h) h (mu_i - 1) v,
+        zeros dropped, or None when lambda_i(h), tau_i(h) or a coefficient
+        of NF(y_i v) has no value there.  Built once from the kernel's
+        entry NF(y_i v) and cached, keyed by (i, h, v); callers must not
+        change it."""
+        h, v = word
+        key = (i, h, v)
+        cache = self._letter_point_cache
+        if key in cache:
+            return cache[key]
+        prime, one = point[0], self.domain._one
+        lam = self.char_value(i, h)
+        lam = 1 if lam is one else lam._at(point)
+        tau = 0 if self.tau_free else self.tau_value(i, h)._at(point)
+        out = None
+        if lam is not None and tau is not None:
+            mul = self.group.mul
+            acc = {}
+            for (h3, v3), c in self._letter_times(i, v).items():
+                r = 1 if c is one else c._at(point)
+                if r is None:
+                    break
+                k = (mul(h, h3), v3)
+                acc[k] = (acc.get(k, 0) + lam * r) % prime
+            else:
+                if tau:
+                    for k, r in (((mul(h, self.gens[i].weight), v), tau), ((h, v), -tau)):
+                        acc[k] = (acc.get(k, 0) + r) % prime
+                out = {k: r for k, r in acc.items() if r}
+        cache[key] = out
+        return out
 
     def _y_times(self, i, terms):
         """y_i times {(h, normal y-word): coeff}, in normal form."""

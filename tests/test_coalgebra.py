@@ -25,8 +25,9 @@ from hopfgrow.presentation import Presentation, SkewGenerator
 from hopfgrow.scalars import ScalarDomain, _point
 
 from conftest import (CHECK_IDS, CHECK_SETTINGS, confluent_random_presentation,
-                      random_presentation, random_truncation_pair,
-                      random_weighted_presentation, truncation)
+                      random_presentation, random_quadratic_presentation,
+                      random_truncation_pair, random_weighted_presentation,
+                      truncation)
 from oracles import (check_axioms_at, check_coalgebra_axioms, delta_word_expanded,
                      normalize_random_order)
 
@@ -727,19 +728,46 @@ def test_delta_word_matches_expansion(builder):
         assert delta_word(p, word) == delta_word_expanded(p, word), word
 
 
-@pytest.mark.parametrize("builder", ORACLE_BUILTINS)
-def test_point_column_is_the_exact_column_at_the_point(builder):
-    # the point column keeps the exact column's keys, its zero values
-    # dropped, and subtracts 1 at the same two keys
-    p = builder()
+def _check_point_columns(p):
+    """Assert that each defect column at the point, at the words of y-degree
+    3 and group radius 1 and the weights of radius 1, is the exact column
+    evaluated there: the same keys, zero values dropped, and 1 subtracted
+    at the same two keys.  Columns where either side has no value are
+    skipped; returns (columns compared, columns)."""
     point = _point(p.domain.conductor, p.domain.nvars)
     minus_one = -p.domain.one()
+    compared = total = 0
     for weight in p.group.ball(1):
         for word in _normal_words(p, 3, 1):
-            exact = _defect_column(p, word, weight, minus_one)
-            values = {key: c._at(point) for key, c in exact.items()}
-            expected = {key: v for key, v in values.items() if v}
-            assert coalgebra._defect_column_at(p, word, weight, point) == expected, word
+            total += 1
+            values = {key: c._at(point)
+                      for key, c in _defect_column(p, word, weight, minus_one).items()}
+            column = coalgebra._defect_column_at(p, word, weight, point)
+            if column is None or None in values.values():
+                continue
+            assert column == {key: v for key, v in values.items() if v}, (p, word)
+            compared += 1
+    return compared, total
+
+
+@pytest.mark.parametrize("builder", ORACLE_BUILTINS)
+def test_point_column_is_the_exact_column_at_the_point(builder):
+    compared, total = _check_point_columns(builder())
+    assert compared == total
+
+
+@pytest.mark.parametrize("draw", [random_presentation, random_weighted_presentation,
+                                  random_quadratic_presentation])
+def test_point_column_is_the_exact_column_at_the_point_random(draw):
+    # the coproduct folded from kernel steps at the point, shifted by a
+    # group part, on random confluent draws: tau-generators, torsion
+    # groups and rules with group parts among them
+    rng = random.Random(7331)
+    draws = [confluent_random_presentation(rng, draw) for _ in range(12)]
+    assert sum(_check_point_columns(p)[0] for p in draws) > 500
+    assert any(p.group.torsion for p in draws)
+    if draw is random_presentation:
+        assert not all(p.tau_free for p in draws)
 
 
 @pytest.mark.parametrize("builder", ORACLE_BUILTINS)

@@ -33,6 +33,29 @@ def test_mul_rejects_wrong_length():
         z2.is_identity((0,))
 
 
+def test_products_are_memoized_per_group():
+    # the memoized product is the plain reduction of the coordinate sum,
+    # on free and torsion groups, at the first call and at the repeat; a
+    # pair of the wrong length raises each time, after good products too
+    rng = random.Random(31)
+    for group in (GroupData(2), GroupData(1, (4,)), GroupData(0, (2, 3)), GroupData(2, (6,))):
+        elements = group.ball(2) + [tuple(rng.randint(-9, 9) for _ in range(group.ngens))
+                                    for _ in range(8)]
+        for _ in range(2):
+            for a in elements:
+                for b in elements:
+                    assert group.mul(a, b) == group.reduce([x + y for x, y in zip(a, b)])
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                group.mul((1,) * (group.ngens + 1), (1,) * (group.ngens + 1))
+    # two equal groups share no memo: no product carries over from one
+    # presentation, or one benchmark job, to the next
+    first, second = GroupData(1, (3,)), GroupData(1, (3,))
+    assert first == second
+    assert first.mul((1, 2), (1, 2)) == (2, 1)
+    assert first._products and not second._products
+
+
 def test_word_length_and_ball():
     z = GroupData(1)
     assert [len(z.ball(n)) for n in range(4)] == [1, 3, 5, 7]

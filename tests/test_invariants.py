@@ -21,6 +21,7 @@ from hopfgrow.scalars import (INFINITE, Scalar, ScalarDomain, UnitMonomial,
                               multiplicative_order)
 
 from conftest import (CHECK_IDS, CHECK_SETTINGS, confluent_random_presentation,
+                      random_element, random_presentation,
                       random_weighted_presentation, wide_free_document)
 from oracles import (char_value, conjugation_closure, eigen_split, invariants_over_ball,
                      report_data)
@@ -123,6 +124,49 @@ def test_generalized_commutator_splits_by_every_generator():
     for conjugators, comps in expected.items():
         assert generalized_commutator(p, total, list(conjugators)) == (None, comps)
         _assert_split_matches(p, total, list(conjugators))
+
+
+def _assert_conjugate_is_two_products(p, rng):
+    """conjugate(h, z) is h^-1 z h by two products, term by term in the
+    same order, for each group generator h and its inverse."""
+    for g in p.group.generators():
+        for h in (g, p.group.inv(g)):
+            left, right = p.group_element(p.group.inv(h)), p.group_element(h)
+            for _ in range(4):
+                z = random_element(p, rng)
+                product = p.multiply(p.multiply(left, z), right)
+                assert list(conjugate(p, h, z).terms.items()) == list(product.terms.items())
+
+
+@pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
+def test_conjugate_is_two_products_on_check_settings(name, params):
+    p, _ = build_example(name, dict(_parse_param(prm) for prm in params))
+    _assert_conjugate_is_two_products(p, random.Random(41))
+
+
+def test_conjugate_is_two_products_random():
+    # tau-free draws, torsion groups and rules with group parts among them
+    rng = random.Random(4141)
+    drawn = []
+    while len(drawn) < 24:
+        p = confluent_random_presentation(rng, rng.choice(
+            [random_presentation, random_weighted_presentation]))
+        if p.tau_free:
+            drawn.append(p)
+            _assert_conjugate_is_two_products(p, rng)
+    assert any(p.group.torsion for p in drawn)
+    assert any(not p.count_graded for p in drawn)
+
+
+def test_conjugate_with_tau_keeps_the_tau_term():
+    # g^-1 y g = y + tau(g) (g - 1) for y of weight g and trivial
+    # character: a tau presentation still conjugates by products
+    p = skew_free_presentation(v=1, tau=1)
+    g = p.group.generator(0)
+    assert p.gens[0].weight == g and not p.tau_value(0, g).is_zero()
+    line = (p.group_element(g) - p.one()).scale(p.tau_value(0, g))
+    assert conjugate(p, g, p.y(0)) == p.y(0) + line
+    assert conjugate(p, p.group.inv(g), p.y(0)) == p.y(0) - line
 
 
 def test_conjugates_keep_weight_commutator():
