@@ -160,7 +160,12 @@ def is_skew_primitive(p, z):
 
 
 class SkewPrimitiveSpace:
-    """Basis of the (1,g)-primitives found within the stated bounds."""
+    """Basis of the (1,g)-primitives found within the stated bounds.
+
+    has_coradical_line says whether the coradical line k(g - 1) lies in
+    the space: exactly when g != 1 and g lies in the group ball of the
+    bounds.  The basis then starts with g - 1, scaled to lead coefficient
+    1, and the rest are reduced against it."""
 
     def __init__(self, presentation, weight, basis, degree_bound,
                  group_word_bound, has_coradical_line):
@@ -330,8 +335,10 @@ def _search_space(p, degree_bound, group_word_bound):
     (find_skew_primitives).  And at a weight that no y-word reaches, the
     kernel lies in the span of group elements, where Delta(sum c_h h) -
     (sum c_h h) (x) 1 - g (x) (sum c_h h) vanishes on k(g - 1) alone, and
-    on 0 when g = 1: at most the coradical line, and no witness.  A third
-    use bounds the conjugation closure (invariants.closure_mod_coradical).
+    on 0 when g = 1: at most the coradical line, and no witness (where
+    every rule term keeps a y-letter, find_skew_primitives opens no block
+    there at all).  A third use bounds the conjugation closure
+    (invariants.closure_mod_coradical).
     """
     key = (degree_bound, group_word_bound)
     found = p._search_spaces.get(key)
@@ -371,6 +378,21 @@ def _below_top_word(block, weight, e):
     return out
 
 
+def _canonical_block(p, keyed, line):
+    """The (top key, vector) pairs of one block, in top-key order, as one
+    elimination of the line (if not None) and then their vectors leaves
+    them: each vector reduced against the pivots before it and scaled to
+    lead coefficient 1, and a vector that those span dropped."""
+    elim = ScalarElimination(p.domain)
+    if line is not None:
+        elim.insert(line.terms, -1)
+    out = []
+    for idx, (key, z) in enumerate(keyed):
+        if elim.insert(z.terms, idx) is None:
+            out.append((key, _lead_normalized(p, elim.pivots[-1][1])))
+    return out
+
+
 def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
     """Solve for all (1,weight)-primitives within the given bounds.
 
@@ -383,7 +405,34 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
     z -> Delta(z) - z(x)1 - weight(x)z keeps the degree of z except for
     its weight(x)z part, and Delta(x) = x(x)1 forces x into k1.  So each
     count class c is one block: the words of degree (c, weight M), and in
-    the class c = 0 also those of degree (0, M), for the coradical line.
+    the class c = 0 also those of degree (0, M), the group elements among
+    them.
+
+    Among those, the group candidates h split off from the y-words where
+    every rule term keeps a y-letter (Presentation.y_terms_only).  Call a
+    row h (x) h' with both sides pure group a group row.  The column of h,
+    h (x) h - h (x) 1 - weight (x) h, lies on group rows alone.  No column
+    of a y-word candidate h w reaches one.  Rewrite a nonempty y-word: a
+    rule term c g u puts u != () after g, and moving g left past y_j, to
+    lambda_j(g) g y_j + tau_j(g) g (mu_j - 1), keeps what followed g, so
+    in every term each group letter has a y-letter after it, and no rule
+    term is empty: every term of the normal form keeps a y-letter.  Now
+    Delta(h w) is the sum over the sets S of letters of w of
+    h left_S (x) h NF(y_S), the letters of S going right as y_S and left
+    as their weights.  S empty gives h w (x) h, with a y-letter on the
+    left, and any other S a right side whose terms keep a y-letter;
+    h w (x) 1 has one on the left and weight (x) h w one on the right.
+    So each block's kernel is that of its group candidates plus that of
+    its y-word candidates.  On the group rows, sum c_h h is in the kernel
+    when c_h = 0 for h not 1 or weight (the row h (x) h) and
+    c_1 + c_weight = 0 (the row weight (x) 1), and at weight = 1 when
+    c_1 = 0: the group kernel is k(weight - 1) when weight != 1 and both
+    1 and weight are candidates, that is, weight lies in the ball, and 0
+    otherwise.  So under y_terms_only the empty y-word gets no group part, and
+    the line costs no column.  Off it the group candidates stay, and the
+    same test reads has_coradical_line: weight - 1 is (1,weight)-primitive
+    on every presentation, and lies in the span of the candidates exactly
+    when weight is one.
 
     On a count_graded presentation a nonempty y-word w enters only with
     the group part 1.  A word h w with h != 1 has a private row h w (x) 1
@@ -395,8 +444,7 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
     itself reaches the row, with entry -1: the column is a pivot of every
     elimination and lies in no kernel vector.  Without it, each dependent
     column keeps its unique relation, and the basis and its order do not
-    change.  The empty y-word keeps every group part, for the coradical
-    line.
+    change.
 
     In every block, the candidates above the top word, and h w with
     h != 1 at it, lie in no kernel vector either (the lemma in
@@ -412,17 +460,29 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
     block is eliminated exactly as a whole.  Either way the kernel is the
     one the exact elimination of the whole block finds, so the basis
     never depends on the point.
+
+    The basis is sorted by top word.  When it holds the line, it is the
+    line, scaled to lead coefficient 1, then the rest as one elimination
+    of [line] + basis leaves it (_canonical_block).  Blocks share no word,
+    so no vector meets another block's pivot, and under y_terms_only none
+    meets the line's: only a block with two or more kernel vectors, and
+    off y_terms_only the block that holds the group candidates, with the
+    line first, is eliminated; there the one vector the line makes
+    dependent drops out.
     """
     p.require_confluent()
     group = p.group
     weight = group.reduce(weight)
     e = group.identity()
+    has_line = not group.is_identity(weight) and group.word_length(weight) <= group_word_bound
     ywords, ball_by_class, _ = _search_space(p, degree_bound, group_word_bound)
     blocks = {}
     # the group parts depend on the y-word only through its content class,
     # whether its counts vanish and whether it keeps the part 1 alone
     parts_of = {}
     for yw, key, counts, content, mu in ywords:
+        if not yw and p.y_terms_only:
+            continue  # its group candidates give the line alone
         memo = (content, not any(counts), bool(yw) and p.count_graded)
         group_parts = parts_of.get(memo)
         if group_parts is None:
@@ -436,26 +496,23 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
             parts_of[memo] = group_parts
         if group_parts:
             blocks.setdefault(counts, []).append((yw, key, group_parts, mu))
-    basis = []
+    line = p.group_element(weight) - p.one() if has_line else None
+    keyed = []  # (top word key, kernel vector)
     for block in blocks.values():
         candidates = _below_top_word(block, weight, e)
-        if candidates:
-            basis.extend(_kernel_elements(p, candidates, weight))
-    basis.sort(key=lambda e: max(word_key(w, p.ny) for w in e.terms))
-
-    # canonicalize against the coradical line k(weight - 1): the line lies
-    # in the span of the independent basis exactly when eliminating it
-    # first leaves len(basis) pivots; the basis is then re-derived from
-    # them, the line first and the rest reduced against it (and against
-    # each other)
-    has_line = False
-    if not p.group.is_identity(weight):
-        elim = ScalarElimination(p.domain)
-        line = p.group_element(weight) - p.one()
-        for idx, e in enumerate([line] + basis):
-            elim.insert(e.terms, idx)
-        has_line = elim.rank == len(basis)
-        if has_line:
-            basis = [_lead_normalized(p, col) for _, col, _, _ in elim.pivots]
+        if not candidates:
+            continue
+        kernel = sorted(((max(word_key(w, p.ny) for w in z.terms), z)
+                         for z in _kernel_elements(p, candidates, weight)),
+                        key=lambda pair: pair[0])
+        # the empty y-word, if it is here, is the block's first candidate
+        holds_line = not candidates[0][1]
+        if has_line and (holds_line or len(kernel) > 1):
+            kernel = _canonical_block(p, kernel, line if holds_line else None)
+        keyed.extend(kernel)
+    keyed.sort(key=lambda pair: pair[0])
+    basis = [z for _, z in keyed]
+    if has_line:
+        basis.insert(0, _lead_normalized(p, line.terms))
     return SkewPrimitiveSpace(p, weight, basis, degree_bound,
                               group_word_bound, has_line)

@@ -157,6 +157,9 @@ class Presentation:
             y_counts(u, self.ny) == y_counts(rule.lhs, self.ny)
             and (self.tau_free or self.group.is_identity(g))
             for rule in self.rules for g, u in rule.rhs.terms)
+        # every rule term keeps a y-letter, so no coproduct of a y-word
+        # reaches a pure group on both sides (coalgebra.find_skew_primitives)
+        self.y_terms_only = all(u for rule in self.rules for _, u in rule.rhs.terms)
         self._count_lattice, self._group_lattice = self._grading()
 
     def _letter_weight(self):

@@ -29,7 +29,9 @@ filtration, with the automaton's verdict and, in text, a last line that
 names the weight: a tau-generator of weight g1^2 (weight 2) and the
 truncation y1^2 = g1^6 - 1 for y1 of weight g1^3 (weight 3).  Two are refusals: a rule term g1 y1 y2 as long as its
 left-hand side y2 y1 leaves no letter weight, and growth exits 1 with one
-line.  Every command runs in OUT_DIR, so these files are named without a
+line.  The last two ask primitives for one weight outside the group ball
+and for the weight 1, where the search holds no coradical line: both
+print dim 0.  Every command runs in OUT_DIR, so these files are named without a
 directory, and no command takes more than a few seconds.
 """
 
@@ -191,6 +193,8 @@ def commands():
         for fmt in ("text", "json"):
             out.append(["growth", name] + _SEARCH + ["--power-bound", "3", "--nmax", "8",
                                                      "--format", fmt])
+    out += [["primitives", "--example", "qplane", "--param", "v=2", "--weight", weight,
+             "--group-bound", "2", "--degree", "5"] for weight in ("g1^5", "1")]
     return out
 
 

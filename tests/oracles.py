@@ -8,7 +8,10 @@ y-words, and y-words rewrite at redexes chosen at random anywhere in the
 word.  The confluence oracle reduces every overlap through the program's
 own normalize, so it checks which overlaps check_confluence tries and how
 it reduces them.  The coalgebra axioms are checked through the program's
-own delta, counit and antipode.  The growth oracles read the growth off
+own delta, counit and antipode.  The line-and-basis oracle reduces the
+kernel vectors of a primitive search, from all blocks at once, against
+the coradical line in one elimination, where the program reduces only
+the blocks that need it.  The growth oracles read the growth off
 the slopes of dp_word_counts, which keeps an automaton of its own, and
 list the words that products of at most n generators reach, by a
 breadth-first closure over the program's left products.  The eigen-split
@@ -23,7 +26,7 @@ import random
 
 from hopfgrow import invariants
 from hopfgrow.coalgebra import antipode, counit, delta, delta_word
-from hopfgrow.elements import AlgebraElement, TensorElement, add_term
+from hopfgrow.elements import AlgebraElement, TensorElement, add_term, word_key
 from hopfgrow.groups import GroupData
 from hopfgrow.growth import dp_word_counts
 from hopfgrow.linalg import ScalarElimination, nullspace_of_columns
@@ -205,6 +208,31 @@ def delta_word_expanded(p, word):
             for wr, cr in relt.terms.items():
                 add_term(acc, (wl, wr), c * cl * cr)
     return TensorElement(acc)
+
+
+def line_and_basis(p, weight, kernel):
+    """The basis and has_coradical_line of a primitive search whose blocks
+    have the kernel vectors kernel, from one elimination of them all: the
+    vectors sorted by top word, and when the line k(weight - 1) lies in
+    their span, the pivots of [line] + vectors instead, each scaled to
+    lead coefficient 1."""
+    def top(elt):
+        return max(word_key(w, p.ny) for w in elt.terms)
+
+    basis = sorted(kernel, key=top)
+    if p.group.is_identity(weight):
+        return basis, False
+    elim = ScalarElimination(p.domain)
+    for idx, e in enumerate([p.group_element(weight) - p.one()] + basis):
+        elim.insert(e.terms, idx)
+    if elim.rank != len(basis):
+        return basis, False
+    out = []
+    for _, col, _, _ in elim.pivots:
+        elt = AlgebraElement(dict(col))
+        lead = max(elt.terms, key=lambda w: word_key(w, p.ny))
+        out.append(elt.scale(elt.terms[lead].inverse()))
+    return out, True
 
 
 def check_coalgebra_axioms(p, rng, samples=30, max_degree=3):

@@ -113,6 +113,22 @@ def test_primitives_command_skew_free_tau(capsys):
     assert [s["witnesses"] for s in spaces if s["witnesses"]] == [["y2", "y1"]]
 
 
+def test_primitives_command_has_no_line_outside_the_ball_or_at_1(capsys):
+    # g1^5 lies outside the ball of radius 2, and the line g - 1 vanishes at
+    # g = 1: neither space holds the coradical line, and qplane has no
+    # primitive of either weight within degree 5
+    for weight in ("g1^5", "1"):
+        argv = ["primitives", "--example", "qplane", "--param", "v=2", "--weight", weight,
+                "--group-bound", "2", "--degree", "5"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, "weight %s: dim 0\n" % weight, "")
+        code, payload = run_json(capsys, *argv)
+        assert code == 0
+        assert payload["report"]["spaces"] == [
+            {"basis": [], "dim": 0, "has_coradical_line": False, "weight": weight,
+             "witnesses": []}]
+
+
 def test_primitives_command_skew_trunc(capsys):
     code, payload = run_json(capsys, "primitives", "--example", "skew_trunc",
                              "--param", "p=4", "--degree", "4",

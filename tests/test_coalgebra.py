@@ -26,10 +26,10 @@ from hopfgrow.scalars import ScalarDomain, _point
 
 from conftest import (CHECK_IDS, CHECK_SETTINGS, confluent_random_presentation,
                       random_presentation, random_quadratic_presentation,
-                      random_truncation_pair, random_weighted_presentation,
-                      truncation)
+                      random_truncation, random_truncation_pair,
+                      random_weighted_presentation, truncation)
 from oracles import (check_axioms_at, check_coalgebra_axioms, delta_word_expanded,
-                     normalize_random_order)
+                     line_and_basis, normalize_random_order)
 
 ALL_BUILTINS = [
     lambda: skew_free_presentation(v=2),
@@ -272,21 +272,7 @@ def _find_skew_primitives_full(p, weight, degree_bound, group_word_bound):
     ball = p.group.ball(group_word_bound)
     candidates = [(h, yw) for words in p.irreducible_ywords(degree_bound)
                   for yw in words for h in ball]
-    basis = _kernel_elements(p, candidates, weight)
-    basis.sort(key=lambda e: max(word_key(w, p.ny) for w in e.terms))
-    if p.group.is_identity(weight):
-        return basis, False
-    line = p.group_element(weight) - p.one()
-    if not _in_span(p, basis, line):
-        return basis, False
-    elim = ScalarElimination(p.domain)
-    stacked = []
-    for idx, e in enumerate([line] + basis):
-        if elim.insert(e.terms, idx) is None:
-            reduced = AlgebraElement(dict(elim.pivots[-1][1]))
-            lead = max(reduced.terms.keys(), key=lambda w: word_key(w, p.ny))
-            stacked.append(reduced.scale(reduced.terms[lead].inverse()))
-    return stacked, True
+    return line_and_basis(p, weight, _kernel_elements(p, candidates, weight))
 
 
 def _assert_matches_full_search(p, weight, degree_bound, group_word_bound):
@@ -389,10 +375,17 @@ def test_certified_blocks_match_oracle_on_check_settings(monkeypatch, name, para
     if not p.check_confluence().confluent:
         return
     cfg = EXAMPLES[name].check_config(merged)
+    bounds = dict(degree_bound=cfg["degree_bound"], group_word_bound=cfg["group_word_bound"],
+                  power_bound=cfg["power_bound"])
     blocks = _record_blocks(monkeypatch)
-    compute_invariants(p, degree_bound=cfg["degree_bound"],
-                       group_word_bound=cfg["group_word_bound"],
-                       power_bound=cfg["power_bound"])
+    compute_invariants(p, **bounds)
+    _assert_blocks_match_oracle(blocks)
+    # with the group candidates kept (y_terms_only off, the path of
+    # skew_trunc with beta != 0), every setting has a certified block of
+    # several columns
+    blocks.clear()
+    monkeypatch.setattr(p, "y_terms_only", False)
+    compute_invariants(p, **bounds)
     assert any(certified and len(candidates) > 1
                for _, candidates, _, _, certified in blocks)
     _assert_blocks_match_oracle(blocks)
@@ -431,12 +424,15 @@ def test_column_vanishing_at_the_point_falls_back(monkeypatch):
     # a point at which every entry of a block's first column vanishes: the
     # column looks dependent on nothing there, yet it is not zero, so the
     # block falls back, and the relations that use the column (such as the
-    # coradical line g - 1) are still found
+    # coradical line g - 1) are still found; the group candidates are kept
+    # (y_terms_only off, the path of skew_trunc with beta != 0), since on
+    # qplane every y-word column with a relation here is zero
     dependences = coalgebra._dependences_mod
     monkeypatch.setattr(coalgebra, "_dependences_mod",
                         lambda columns, prime: dependences([{}] + columns[1:], prime))
     blocks = _record_blocks(monkeypatch)
     p = qplane_presentation(2)
+    monkeypatch.setattr(p, "y_terms_only", False)
     for weight in p.group.ball(1):
         find_skew_primitives(p, weight, 2, 1)
     assert any(kernel and not certified for *_, kernel, certified in blocks)
@@ -482,8 +478,11 @@ def test_tau_primitive_spans_two_count_classes():
 def test_top_word_pruning_drops_words_off_the_weight(monkeypatch):
     # on skew_free v=2 tau=1 a y-word of length n has mu(w) = g^n, so no
     # y-word tops a kernel vector at the weights g^-1 to g^-3, and none
-    # longer than 2 at g^2: the blocks there hold no such column
+    # longer than 2 at g^2: the blocks there hold no such column.  The
+    # group candidates are kept (y_terms_only off, the path of skew_trunc
+    # with beta != 0), so that a block opens at every weight
     p = skew_free_presentation(v=2, tau=1)
+    monkeypatch.setattr(p, "y_terms_only", False)
     opened = []
     kernel_elements = coalgebra._kernel_elements
 
@@ -524,13 +523,16 @@ def test_top_word_keeps_group_part_one_off_count_graded():
 
 # columns that compute_invariants hands to the elimination, at the bounds
 # each setting's check-example uses; skew_trunc is the one builtin off
-# count_graded, where the top word drops columns (151 and 124 when every
-# group part on the weight stayed at it)
+# count_graded and off y_terms_only, where the top word drops columns (151
+# and 124 when every group part on the weight stayed at it) and the group
+# candidates stay.  On the others the group candidates split off as the
+# coradical line, with no column: the counts were 20, 6, 22, 6, 9, 43, 27,
+# 8, 33 and 45 with them
 CHECK_COLUMNS = {
-    "skew_free": 20, "skew_trunc": 36, "taft": 6, "qplane": 22, "exterior": 6,
-    "skew_free-v=1": 9, "skew_trunc-p=5": 22, "skew_free-v=2-tau=1": 43,
-    "skew_free-v=1-tau=1": 27, "taft-free=true": 8, "exterior-free=true": 33,
-    "skew_free-v=3": 45,
+    "skew_free": 14, "skew_trunc": 36, "taft": 2, "qplane": 9, "exterior": 3,
+    "skew_free-v=1": 3, "skew_trunc-p=5": 22, "skew_free-v=2-tau=1": 22,
+    "skew_free-v=1-tau=1": 6, "taft-free=true": 3, "exterior-free=true": 30,
+    "skew_free-v=3": 39,
 }
 
 
@@ -620,6 +622,7 @@ def test_count_graded_holds_on_builtins_but_truncations():
         p, merged = build_example(name, params)
         truncated = name == "skew_trunc" and merged["beta"] != 0
         assert p.count_graded is not truncated, (name, params)
+        assert p.y_terms_only is not truncated, (name, params)
     # a rule term with a group part keeps the letter counts only without
     # tau: y1 g = g y1 + tau(g) g (g - 1) drops a letter
     dom = ScalarDomain(1)
@@ -654,6 +657,94 @@ def test_count_graded_is_needed():
     assert not p.count_graded
     p.count_graded = True
     assert find_skew_primitives(p, weight, 4, 2).dim == 1
+
+
+def _bases_without_the_split(monkeypatch, p, weights, degree, radius):
+    """Assert that the primitive space at each weight equals, down to the
+    printed coefficients and has_coradical_line, the one the search finds
+    with y_terms_only turned off, and that both equal one elimination of
+    the line and all the kernel vectors of that search (line_and_basis)."""
+    kernel_elements = coalgebra._kernel_elements
+    kernel = []
+
+    def record(p, candidates, weight):
+        found = kernel_elements(p, candidates, weight)
+        kernel.extend(found)
+        return found
+
+    for w in weights:
+        fast = find_skew_primitives(p, w, degree, radius)
+        kernel.clear()
+        with monkeypatch.context() as m:
+            m.setattr(p, "y_terms_only", False)
+            m.setattr(coalgebra, "_kernel_elements", record)
+            full = find_skew_primitives(p, w, degree, radius)
+        basis, has_line = line_and_basis(p, p.group.reduce(w), kernel)
+        for space in (fast, full):
+            assert space.basis == basis, (p, w)
+            assert [repr(e) for e in space.basis] == [repr(e) for e in basis], (p, w)
+            assert space.has_coradical_line == has_line, (p, w)
+
+
+@pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
+def test_split_search_matches_full_search_on_check_settings(monkeypatch, name, params):
+    # at every weight of the ball one step past the search's: in the
+    # search's ball, outside it, and 1
+    p, merged = build_example(name, dict(_parse_param(prm) for prm in params))
+    if not p.check_confluence().confluent:
+        return
+    cfg = EXAMPLES[name].check_config(merged)
+    radius = cfg["group_word_bound"]
+    _bases_without_the_split(monkeypatch, p, p.group.ball(radius + 1),
+                             cfg["degree_bound"], radius)
+
+
+def test_split_search_matches_full_search_random(monkeypatch):
+    rng = random.Random(3907)
+    drawn = []
+    for draw in (random_presentation, random_weighted_presentation,
+                 random_quadratic_presentation, random_truncation,
+                 random_truncation_pair):
+        for _ in range(12):
+            p = confluent_random_presentation(rng, draw)
+            drawn.append(p)
+            _bases_without_the_split(monkeypatch, p, p.group.ball(2), 3, 1)
+    assert {p.y_terms_only for p in drawn} == {True, False}
+    assert any(not p.tau_free for p in drawn)
+    assert any(p.group.torsion for p in drawn)
+
+
+def test_split_search_reduces_a_block_of_two_kernel_vectors(monkeypatch):
+    # over Z/3 = <t>, y1, y2 and y3 of weight t, lambda1(t) = zeta^2 and
+    # y2, y3 of trivial character: at the weight t^5 = t^2 the count class
+    # (3, 1, 1) holds two primitives of degree 5 that share words, and the
+    # second is reduced against the first, as one elimination of the line
+    # and the whole basis reduces it
+    dom = ScalarDomain(3)
+    group = GroupData(0, (3,))
+    t = group.generator(0)
+    gens = [SkewGenerator("y%d" % (k + 1), t, (c,))
+            for k, c in enumerate((dom.zeta(2), dom.one(), dom.one()))]
+    p = Presentation(dom, group, gens)
+    weight = group.power(t, 2)
+    kernel = []
+    kernel_elements = coalgebra._kernel_elements
+
+    def record(p, candidates, weight):
+        found = kernel_elements(p, candidates, weight)
+        kernel.append(found)
+        return found
+
+    with monkeypatch.context() as m:
+        m.setattr(coalgebra, "_kernel_elements", record)
+        space = find_skew_primitives(p, weight, 5, 1)
+    assert space.has_coradical_line
+    assert any(len(found) == 2 and not set(found[0].terms).isdisjoint(found[1].terms)
+               for found in kernel)
+    unreduced = sorted((z for found in kernel for z in found),
+                       key=lambda z: max(word_key(w, p.ny) for w in z.terms))
+    assert space.basis[1:] != unreduced
+    _bases_without_the_split(monkeypatch, p, [weight], 5, 1)
 
 
 def _rules_are_graded(p):

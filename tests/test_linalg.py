@@ -272,13 +272,16 @@ def test_elimination_matches_oracle_on_primitive_blocks(monkeypatch):
         return kernel_elements(p, candidates, weight)
 
     monkeypatch.setattr(coalgebra, "_kernel_elements", recording)
-    # the weight g^2 of the tau presentations makes non-unit pivots
+    # the weight g^2 of the tau presentations makes non-unit pivots; the
+    # group candidates are kept (y_terms_only off, the path of skew_trunc
+    # with beta != 0), so that they join the y-word columns of their block
     for p, degree, radius in [
             (skew_free_presentation(v=2), 3, 2), (taft_presentation(3), 3, 2),
             (qplane_presentation(2), 3, 2), (skew_trunc_presentation(3, beta=2, v=2), 3, 2),
             (skew_free_presentation(v=1, tau=1), 4, 1),
             (skew_free_presentation(v=2, tau=1), 3, 1),
             (skew_free_presentation(v=2, tau=2), 3, 1)]:
+        monkeypatch.setattr(p, "y_terms_only", False)
         for weight in p.group.ball(2):
             coalgebra.find_skew_primitives(p, weight, degree, radius)
     assert len(recorded) > 50
