@@ -434,12 +434,12 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
     on every presentation, and lies in the span of the candidates exactly
     when weight is one.
 
-    On a count_graded presentation a nonempty y-word w enters only with
-    the group part 1.  A word h w with h != 1 has a private row h w (x) 1
+    Under y_terms_only, too, a nonempty y-word w enters only with the
+    group part 1.  A word h w with h != 1 has a private row h w (x) 1
     in the defect D.  Delta(h' w') is the sum over subwords S of w' of
     h' left_S (x) h' NF(y_S).  S empty gives h' w' (x) h', which reaches
     that row only if h' = 1, and then h' w' != h w.  Any other S gives a
-    right factor with a nonempty y-word, since NF keeps letter counts.
+    right factor whose terms all keep a y-letter, as shown above.
     weight (x) z has no y-letter on the left.  So only z (x) 1 of h w
     itself reaches the row, with entry -1: the column is a pivot of every
     elimination and lies in no kernel vector.  Without it, each dependent
@@ -477,19 +477,19 @@ def find_skew_primitives(p, weight, degree_bound=6, group_word_bound=6):
     has_line = not group.is_identity(weight) and group.word_length(weight) <= group_word_bound
     ywords, ball_by_class, _ = _search_space(p, degree_bound, group_word_bound)
     blocks = {}
-    # the group parts depend on the y-word only through its content class,
-    # whether its counts vanish and whether it keeps the part 1 alone
+    # the group parts depend on the y-word only through its content class
+    # and whether its counts vanish
     parts_of = {}
     for yw, key, counts, content, mu in ywords:
         if not yw and p.y_terms_only:
             continue  # its group candidates give the line alone
-        memo = (content, not any(counts), bool(yw) and p.count_graded)
+        memo = (content, not any(counts))
         group_parts = parts_of.get(memo)
         if group_parts is None:
             classes = {p._group_class([a - b for a, b in zip(weight, content)])}
             if memo[1]:
                 classes.add(p._group_class([-b for b in content]))
-            if memo[2]:
+            if p.y_terms_only:
                 group_parts = [e] if e in classes else []
             else:
                 group_parts = sorted(h for cls in classes for h in ball_by_class.get(cls, ()))

@@ -60,28 +60,23 @@ def conjugate(p, h, elt):
     return p.multiply(p.multiply(left, elt), right)
 
 
-def proportionality_mod_coradical(p, a, b):
-    """Scalar lam with a = lam * b modulo the coradical, or None."""
-    ka = _strip_coradical(a)
-    kb = _strip_coradical(b)
-    if not ka and not kb:
-        return p.domain.one()
-    if set(ka) != set(kb):
-        return None
-    w0 = next(iter(kb))
-    lam = ka[w0] / kb[w0]
-    for w, c in kb.items():
-        if ka[w] != lam * c:
-            return None
-    return lam
-
-
 def commutation_scalar(p, z, h):
     """The scalar lam with z * h = lam * h * z modulo the coradical, or
-    None when no such scalar exists."""
-    mu = p.group_element(h)
-    return proportionality_mod_coradical(p, p.multiply(z, mu),
-                                         p.multiply(mu, z))
+    None when no such scalar exists.
+
+    That is, T_h(z) = h^{-1} z h is lam z modulo the coradical.  T_h(h' w)
+    is chi_w(h) h' w plus terms of lower y-length (the module docstring),
+    so at a word h' w of greatest y-length in the y-part of z the only lam
+    there can be is chi_w(h), and it fits exactly when T_h(z) has the
+    y-part lam z.  A z with no y-part commutes with h: lam = 1.  No ratio is
+    formed, and on a tau-free presentation T_h is a rescale.
+    """
+    part = _strip_coradical(z)
+    if not part:
+        return p.domain.one()
+    lam = _chi(p, max(part, key=lambda w: len(w[1]))[1], h)
+    image = _strip_coradical(conjugate(p, h, z))
+    return lam if image == {w: lam * c for w, c in part.items()} else None
 
 
 def _strip_coradical(elt):
@@ -264,19 +259,21 @@ def generalized_commutator(p, y, generators=None):
     return None, out
 
 
-def normalize_witness(p, weight, gamma, element):
-    """Shift a level-1 witness so that conjugation scales it exactly.
+def normalize_witness(gamma, element):
+    """A level-1 witness of commutator gamma, shifted off the coradical so
+    that conjugation T by its weight scales it exactly.
 
-    With T(z) - gamma z = t (weight - 1) and gamma != 1, the replacement
-    z + (gamma-1)^{-1} t (weight-1) is a genuine eigenvector; for
-    gamma = 1 the element is returned unchanged.
+    For gamma = 1 the element is returned unchanged.  Otherwise z, a
+    component of _components, is z_chi + cor(z), its y-words sharing a
+    character chi with chi(weight) = gamma != 1 and cor(z), its pure-group
+    words, fixed by T and in A_1.  Level 1 puts T(z) - gamma z =
+    (T - gamma) z_chi + (1 - gamma) cor(z) in the coradical, inside A_1,
+    and A_chi meets A_1 in 0: so T(z_chi) = gamma z_chi, and z without its
+    pure-group words is the eigenvector.
     """
-    remainder = conjugate(p, weight, element) - element.scale(gamma)
-    if remainder.is_zero() or not remainder.group_support_only():
-        return element
     if gamma.is_one():
         return element
-    return element + remainder.scale((gamma - p.domain.one()).inverse())
+    return AlgebraElement(_strip_coradical(element))
 
 
 class InvariantReport:
@@ -473,7 +470,7 @@ def _report_at(p, weights, degree_bound, group_word_bound, power_bound):
                 level = _level(p, [(weight, c)], elt)
                 char_level = _level(p, list(zip(gens_elts, chars)), elt)
                 if level == 1:
-                    elt = normalize_witness(p, weight, c, elt)
+                    elt = normalize_witness(c, elt)
                 recs.append(WitnessRecord(weight, elt, c, level, chars, char_level))
         if len(recs) != len(lifts):
             raise ConsistencyError(

@@ -149,16 +149,8 @@ class Presentation:
             self._rules_by_first.setdefault(rule.lhs[0], []).append((rule.lhs[1:], rule))
         self.tau_free = all(t.is_zero() for g in self.gens for t in g.tau)
         self.letter_weight = self._letter_weight()
-        # count-graded: every rule term c g u keeps the letter counts of its
-        # left-hand side, with g = 1 unless tau vanishes (moving g left past
-        # y_j then drops no letter), so the normal form of a y-word is a sum
-        # of words with its letter counts
-        self.count_graded = all(
-            y_counts(u, self.ny) == y_counts(rule.lhs, self.ny)
-            and (self.tau_free or self.group.is_identity(g))
-            for rule in self.rules for g, u in rule.rhs.terms)
-        # every rule term keeps a y-letter, so no coproduct of a y-word
-        # reaches a pure group on both sides (coalgebra.find_skew_primitives)
+        # every rule term keeps a y-letter, so every term of the normal form
+        # of a nonempty y-word keeps one (coalgebra.find_skew_primitives)
         self.y_terms_only = all(u for rule in self.rules for _, u in rule.rhs.terms)
         self._count_lattice, self._group_lattice = self._grading()
 

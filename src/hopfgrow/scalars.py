@@ -234,10 +234,11 @@ class Scalar:
     """A fraction of Laurent polynomials over Q(zeta_N).
 
     A one-term denominator is always the constant 1: the constructor folds
-    it into the numerator.  Zero, one, negation and the Laurent polynomial
-    paths of +, * skip the fold and take the domain's one dict as that
-    denominator.  num and den are never mutated, so scalars share them;
-    x * 1 and 1 * x return x itself.
+    it into the numerator, and divides out a longer one that divides the
+    numerator, so a scalar equal to a Laurent polynomial has den 1.  Zero,
+    one, negation and the Laurent polynomial paths of +, * skip the fold
+    and take the domain's one dict as that denominator.  num and den are
+    never mutated, so scalars share them; x * 1 and 1 * x return x itself.
     """
 
     __slots__ = ("domain", "num", "den")
@@ -264,6 +265,11 @@ class Scalar:
                 num = {tuple(x - y for x, y in zip(en, e)): cn * cinv
                        for en, cn in num.items()}
             self.num = num
+            self.den = domain._one_lp
+            return
+        quotient = _lp_divexact(num, den)
+        if quotient is not None:
+            self.num = quotient
             self.den = domain._one_lp
             return
         # strip common monomial content so exponents stay near zero

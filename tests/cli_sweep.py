@@ -17,8 +17,8 @@ are fractions of cyclotomic polynomials: reading them inverts elements of
 Q(zeta_N) that are not rational, which no builtin does.  Three more run
 invariants, bounds and growth where the invariants search skips most
 weights of the group ball: a free file over Z^4, one over Z x Z/6 whose
-y-words have weights to reduce, and a truncation over Z^2 that is not
-count-graded.  Two more run invariants on exterior free=true where the
+y-words have weights to reduce, and a truncation over Z^2 with a rule
+term that has no y-letter.  Two more run invariants on exterior free=true where the
 conjugation closure keeps 148 and 228 vectors at one weight.  Three
 more run growth, delta and normalize on a tau presentation whose group
 overlap does not resolve, which check_confluence must reduce: each exits
@@ -31,7 +31,9 @@ truncation y1^2 = g1^6 - 1 for y1 of weight g1^3 (weight 3).  Two are refusals: 
 left-hand side y2 y1 leaves no letter weight, and growth exits 1 with one
 line.  The last two ask primitives for one weight outside the group ball
 and for the weight 1, where the search holds no coradical line: both
-print dim 0.  Every command runs in OUT_DIR, so these files are named without a
+print dim 0.  The three after them run normalize, delta and primitives on
+a file whose character 1 + q1 builds a true fraction of Laurent
+polynomials, 1/(1 + q1), and a term where it cancels to 1.  Every command runs in OUT_DIR, so these files are named without a
 directory, and no command takes more than a few seconds.
 """
 
@@ -97,7 +99,7 @@ FILES = {
         "group": {"free_rank": 1, "torsion": [6]},
         "generators": [{"name": "y1", "weight": [1, 3], "character": ["zeta^2", "1"]},
                        {"name": "y2", "weight": [0, 5], "character": ["1", "-1"]}]},
-    # the truncation y1^3 = g1^3 - 1 over Z^2, not count-graded
+    # the truncation y1^3 = g1^3 - 1 over Z^2, a rule term with no y-letter
     "trunc-z2.json": {
         "scalars": {"cyclotomic_order": 3, "transcendentals": ["q1"]},
         "group": {"free_rank": 2},
@@ -124,6 +126,13 @@ FILES = {
         "group": {"free_rank": 1},
         "generators": [{"name": "y1", "weight": [3], "character": ["-1"]}],
         "relations": [{"lhs": "y1^2", "rhs": "g1^6 - 1"}]},
+    # y1, y2 of weight g1 over Z with characters 1 + q1 and q1: moving
+    # g1^-1 left past y1 divides by 1 + q1
+    "one-plus-q.json": {
+        "scalars": {"cyclotomic_order": 1, "transcendentals": ["q1"]},
+        "group": {"free_rank": 1},
+        "generators": [{"name": "y1", "weight": [1], "character": ["1 + q1"]},
+                       {"name": "y2", "weight": [1], "character": ["q1"]}]},
     # y2 y1 = y1 y2 + g1 y1 y2 for y1, y2 of weight g1 over Z: confluent,
     # but no letter weight keeps its rule from lengthening a word, so
     # growth refuses it
@@ -195,6 +204,9 @@ def commands():
                                                      "--format", fmt])
     out += [["primitives", "--example", "qplane", "--param", "v=2", "--weight", weight,
              "--group-bound", "2", "--degree", "5"] for weight in ("g1^5", "1")]
+    out += [["normalize", "one-plus-q.json", "--element", "y1 g1^-1"],
+            ["delta", "one-plus-q.json", "--element", "y1 g1^-1 y2"],
+            ["primitives", "one-plus-q.json", "--degree", "3", "--group-bound", "2"]]
     return out
 
 

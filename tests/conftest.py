@@ -149,7 +149,7 @@ def random_weighted_presentation(rng):
     a torsion coordinate, and character values are roots of unity of small
     order times powers of q1, so that powers of a y-letter can be skew
     primitive at weights no single letter has.  A truncation y1^p =
-    beta (g1^p - 1) with beta = 1 is not count_graded."""
+    beta (g1^p - 1) with beta = 1 is not y_terms_only."""
     free_rank = rng.choice([0, 1, 2])
     torsion = (rng.choice([2, 3, 4, 6]),) if not free_rank or rng.random() < 0.6 else ()
     power = rng.choice([2, 3])

@@ -17,7 +17,10 @@ list the words that products of at most n generators reach, by a
 breadth-first closure over the program's left products.  The eigen-split
 oracle splits an element under conjugation by linear algebra, with
 matrices, their powers, nullspaces and a solve, where the program reads
-the split off the characters of the words.
+the split off the characters of the words.  The commutation oracles find
+a commutation scalar as the ratio of z h to h z and shift a witness by
+its conjugation remainder divided by gamma - 1, where the program reads
+both off the character grading.
 """
 
 import itertools
@@ -393,6 +396,36 @@ def eigen_split(p, y, conjugators):
                 add_term(elt, w, c * v)
         out.append((key, level, elt))
     return out
+
+
+def commutation_scalar_by_products(p, z, h):
+    """The scalar lam with z h = lam h z modulo the coradical, or None:
+    the ratio of the two products at one word of their y-parts, checked
+    at every other word."""
+    mu = p.group_element(h)
+    ka = invariants._strip_coradical(p.multiply(z, mu))
+    kb = invariants._strip_coradical(p.multiply(mu, z))
+    if not ka and not kb:
+        return p.domain.one()
+    if set(ka) != set(kb):
+        return None
+    w0 = next(iter(kb))
+    lam = ka[w0] / kb[w0]
+    if any(ka[w] != lam * c for w, c in kb.items()):
+        return None
+    return lam
+
+
+def normalize_witness_by_shift(p, weight, gamma, element):
+    """A level-1 witness z shifted by (gamma - 1)^{-1} t (weight - 1) when
+    T(z) - gamma z = t (weight - 1) and gamma != 1: then T scales it by
+    gamma exactly.  Returned unchanged for gamma = 1."""
+    remainder = invariants.conjugate(p, weight, element) - element.scale(gamma)
+    if remainder.is_zero() or not remainder.group_support_only():
+        return element
+    if gamma.is_one():
+        return element
+    return element + remainder.scale((gamma - p.domain.one()).inverse())
 
 
 def invariants_over_ball(p, degree_bound, group_word_bound, power_bound):

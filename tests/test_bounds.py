@@ -67,6 +67,15 @@ def test_bound_first_needs_a_skew_commutation_scalar():
         ("self-commutation-free", "")]
 
 
+def test_bound_first_on_a_scaled_generator():
+    # (1 + q1) y1 commutes past g1 by q1, of infinite order, as y1 does:
+    # read as a ratio of products the scalar was the unreduced
+    # (q1 + q1^2)/(1 + q1), and the bound raised
+    p = skew_free_presentation(v=1)
+    z = p.y(0).scale(p.domain.one() + p.domain.q(0))
+    assert bound_first(p, [z]).value == bound_first(p, [p.y(0)]).value == 2
+
+
 def test_bound_first_on_the_coradical_line():
     # g1 - 1 commutes with g1 within the coradical: the scalar is 1, and
     # only the independence modulo the coradical fails

@@ -88,6 +88,23 @@ def test_delta_text_brackets_coefficients(capsys):
         " + (1 + z + z^2) * [g1^2 y (x) y y] + g1^3 (x) y y y\n")
 
 
+def test_delta_prints_an_exact_fraction_as_a_polynomial(capsys, tmp_path):
+    # y1 of character 1 + q1: moving g1^-1 left past y1 divides by 1 + q1,
+    # and where the coproduct multiplies that back the term has coefficient 1
+    doc = {"scalars": {"cyclotomic_order": 1, "transcendentals": ["q1"]},
+           "group": {"free_rank": 1},
+           "generators": [{"name": "y1", "weight": [1], "character": ["1 + q1"]},
+                          {"name": "y2", "weight": [1], "character": ["q1"]}]}
+    path = tmp_path / "one-plus-q.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "delta", str(path), "--element", "y1 g1^-1 y2")
+    assert code == 0
+    assert out == (
+        "delta(y1 g1^-1 y2) = ((1)/(1 + q1)) * [g1^-1 y1 y2 (x) g1^-1]"
+        " + y1 (x) g1^-1 y2 + ((1)/(1 + q1)) * [y2 (x) g1^-1 y1]"
+        " + ((1)/(1 + q1)) * [g1 (x) g1^-1 y1 y2]\n")
+
+
 def test_primitives_command(capsys):
     code, payload = run_json(capsys, "primitives", "--example", "exterior",
                              "--param", "s=2", "--weight", "g1",

@@ -503,7 +503,7 @@ def test_top_word_pruning_drops_words_off_the_weight(monkeypatch):
 
 
 def test_top_word_keeps_group_part_one_off_count_graded():
-    # off count_graded, every y-word below a block's top word keeps all of
+    # off y_terms_only, every y-word below a block's top word keeps all of
     # its group parts, but the top word keeps only 1: at these bounds that
     # drops most columns of most draws, and the weights include torsion
     # ones where mu(w) must be reduced to meet the weight
@@ -512,7 +512,7 @@ def test_top_word_keeps_group_part_one_off_count_graded():
     while draws < 12:
         draw = rng.choice([random_weighted_presentation, random_truncation_pair])
         p = confluent_random_presentation(rng, draw)
-        if p.count_graded:
+        if p.y_terms_only:
             continue
         draws += 1
         degree, radius = rng.choice([(4, 2), (4, 3), (5, 2), (5, 3)])
@@ -523,11 +523,10 @@ def test_top_word_keeps_group_part_one_off_count_graded():
 
 # columns that compute_invariants hands to the elimination, at the bounds
 # each setting's check-example uses; skew_trunc is the one builtin off
-# count_graded and off y_terms_only, where the top word drops columns (151
-# and 124 when every group part on the weight stayed at it) and the group
-# candidates stay.  On the others the group candidates split off as the
-# coradical line, with no column: the counts were 20, 6, 22, 6, 9, 43, 27,
-# 8, 33 and 45 with them
+# y_terms_only, where the top word drops columns (151 and 124 when every
+# group part on the weight stayed at it) and the group candidates stay.
+# On the others the group candidates split off as the coradical line, with
+# no column: the counts were 20, 6, 22, 6, 9, 43, 27, 8, 33 and 45 with them
 CHECK_COLUMNS = {
     "skew_free": 14, "skew_trunc": 36, "taft": 2, "qplane": 9, "exterior": 3,
     "skew_free-v=1": 3, "skew_trunc-p=5": 22, "skew_free-v=2-tau=1": 22,
@@ -570,46 +569,44 @@ def test_top_word_column_counts_on_skew_trunc(monkeypatch):
         assert _columns(monkeypatch, p, *bounds) == columns, (prime, bounds)
 
 
-def _bases_without_the_flag(monkeypatch, p, weights, degree, radius):
-    """Assert that the primitive space at each weight equals, down to the
-    printed coefficients, the one the search finds with count_graded
-    turned off."""
-    fast = [find_skew_primitives(p, w, degree, radius) for w in weights]
-    with monkeypatch.context() as m:
-        m.setattr(p, "count_graded", False)
-        full = [find_skew_primitives(p, w, degree, radius) for w in weights]
-    for a, b in zip(fast, full):
-        assert a.basis == b.basis, (p, a.weight)
-        assert [repr(e) for e in a.basis] == [repr(e) for e in b.basis], (p, a.weight)
-        assert a.has_coradical_line == b.has_coradical_line, (p, a.weight)
-
-
 @pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
 def test_count_graded_search_matches_full_search_on_check_settings(
         monkeypatch, name, params):
+    # the private-row lemma of find_skew_primitives, read off the full
+    # search (y_terms_only off): under y_terms_only no kernel vector holds
+    # a word h w with h != 1 and w nonempty; on the two tau settings the
+    # full search offers 78 and 18 such columns, on the others none
     p, merged = build_example(name, dict(_parse_param(prm) for prm in params))
-    if not p.check_confluence().confluent:
+    if not p.y_terms_only or not p.check_confluence().confluent:
         return
     cfg = EXAMPLES[name].check_config(merged)
     radius = cfg["group_word_bound"]
-    _bases_without_the_flag(monkeypatch, p, p.group.ball(radius),
-                            cfg["degree_bound"], radius)
+    blocks = _record_blocks(monkeypatch)
+    monkeypatch.setattr(p, "y_terms_only", False)
+    for weight in p.group.ball(radius):
+        find_skew_primitives(p, weight, cfg["degree_bound"], radius)
+    e = p.group.identity()
+    for _, _, weight, kernel, _ in blocks:
+        for z in kernel:
+            assert all(h == e or not yw for h, yw in z.terms), (weight, z)
 
 
 def test_count_graded_search_matches_full_search_random(monkeypatch):
+    # the search on random draws against the full search, y_terms_only on
+    # and off among them
     rng = random.Random(1903)
-    graded = 0
+    split = 0
     for _ in range(150):
         p = confluent_random_presentation(rng)
-        graded += p.count_graded
-        _bases_without_the_flag(monkeypatch, p, p.group.ball(1), 3, 1)
-    assert graded > 50
+        split += p.y_terms_only
+        _bases_without_the_split(monkeypatch, p, p.group.ball(1), 3, 1)
+    assert 50 < split < 150
     # at the degree and radius where the Z x Z/2 case of
     # test_count_graded_is_needed has its primitive
     for _ in range(100):
         p = random_truncation_pair(rng)
         assert p.check_confluence().confluent
-        _bases_without_the_flag(monkeypatch, p, p.group.ball(2), 4, 2)
+        _bases_without_the_split(monkeypatch, p, p.group.ball(2), 4, 2)
 
 
 def test_count_graded_holds_on_builtins_but_truncations():
@@ -621,17 +618,16 @@ def test_count_graded_holds_on_builtins_but_truncations():
     for name, params in settings:
         p, merged = build_example(name, params)
         truncated = name == "skew_trunc" and merged["beta"] != 0
-        assert p.count_graded is not truncated, (name, params)
         assert p.y_terms_only is not truncated, (name, params)
-    # a rule term with a group part keeps the letter counts only without
-    # tau: y1 g = g y1 + tau(g) g (g - 1) drops a letter
+    # a rule term with a group part keeps a y-letter with tau too, though
+    # y1 g = g y1 + tau(g) g (g - 1) drops a letter
     dom = ScalarDomain(1)
     group = GroupData(1)
     g = group.generator(0)
-    for tau, graded in [(None, True), ((dom.one(),), False)]:
+    for tau in (None, (dom.one(),)):
         gens = [SkewGenerator("y%d" % k, g, (dom.one(),), tau) for k in (1, 2)]
         p = Presentation(dom, group, gens, [((1, 0), {(g, (0, 1)): dom.one()})])
-        assert p.count_graded is graded
+        assert p.y_terms_only
 
 
 def test_count_graded_is_needed():
@@ -639,7 +635,7 @@ def test_count_graded_is_needed():
     # y1^2 = g^2 - 1, y2 of weight x with the trivial character: at weight
     # g^2 the primitive y1y2y1y2 - y1y2y2y1 + y2y1y2y1 + y2^2 - g^2 y2^2
     # needs the group part g^2 on a nonempty y-word, so a search that keeps
-    # only the group part 1 there loses it
+    # only the group part 1 there, as under y_terms_only, loses it
     dom = ScalarDomain(2)
     group = GroupData(1, (2,))
     g, x = group.generators()
@@ -654,8 +650,8 @@ def test_count_graded_is_needed():
                      (-one, (("g", weight), ("y", 1), ("y", 1)))])
     assert is_skew_primitive(p, z) == weight
     assert space.dim == 2 and space.witnesses() == [z]
-    assert not p.count_graded
-    p.count_graded = True
+    assert not p.y_terms_only
+    p.y_terms_only = True
     assert find_skew_primitives(p, weight, 4, 2).dim == 1
 
 

@@ -676,6 +676,18 @@ def test_pbw_dependence_off_the_pure_powers():
     assert not scan.consistent
 
 
+def test_pbw_self_commutation_of_a_scaled_generator():
+    # (1 + q1) y1 on skew_trunc p=3 commutes past g1 by the primitive cube
+    # root zeta, the scalar y1 has: read as a ratio of products it was the
+    # unreduced (zeta + zeta q1)/(1 + q1), of no order
+    p = skew_trunc_presentation(3, v=1)
+    z = p.y(0).scale(p.domain.one() + p.domain.q(0))
+    scan = pbw_dependence_scan(p, [z], degree_bound=4)
+    assert scan.monomial == (3,)
+    assert scan.conclusions["self-commutation-is-primitive-root"]
+    assert scan.consistent
+
+
 def test_pbw_truncated_with_beta():
     # y1^p = beta*(mu^p - 1) is a coradical element: dependence at degree p
     p = skew_trunc_presentation(3, beta=1, v=2)

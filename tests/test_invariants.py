@@ -22,8 +22,11 @@ from hopfgrow.scalars import (INFINITE, Scalar, ScalarDomain, UnitMonomial,
 
 from conftest import (CHECK_IDS, CHECK_SETTINGS, confluent_random_presentation,
                       random_element, random_presentation,
-                      random_weighted_presentation, wide_free_document)
-from oracles import (char_value, conjugation_closure, eigen_split, invariants_over_ball,
+                      random_quadratic_presentation, random_truncation,
+                      random_truncation_pair, random_weighted_presentation,
+                      wide_free_document)
+from oracles import (char_value, commutation_scalar_by_products, conjugation_closure,
+                     eigen_split, invariants_over_ball, normalize_witness_by_shift,
                      report_data)
 
 
@@ -155,7 +158,7 @@ def test_conjugate_is_two_products_random():
             drawn.append(p)
             _assert_conjugate_is_two_products(p, rng)
     assert any(p.group.torsion for p in drawn)
-    assert any(not p.count_graded for p in drawn)
+    assert any(not p.y_terms_only for p in drawn)
 
 
 def test_conjugate_with_tau_keeps_the_tau_term():
@@ -655,10 +658,10 @@ def test_compute_invariants_matches_the_full_ball_random():
     kinds = set()
     for _ in range(120):
         p = confluent_random_presentation(rng, random_weighted_presentation)
-        kinds.add((p.count_graded, p.group.free_rank, bool(p.group.torsion)))
+        kinds.add((p.y_terms_only, p.group.free_rank, bool(p.group.torsion)))
         _assert_same_report(p, 3, 2, 2)
-    # count-graded and not, torsion groups and free rank 2 among them
-    assert {graded for graded, _, _ in kinds} == {True, False}
+    # y_terms_only and not, torsion groups and free rank 2 among them
+    assert {split for split, _, _ in kinds} == {True, False}
     assert {(0, True), (1, True), (2, True), (2, False)} <= {k[1:] for k in kinds}
 
 
@@ -707,5 +710,81 @@ def test_normalize_witness_shifts_off_the_coradical_line():
     assert conjugate(p, g, y) == y.scale(gamma)
     z = y + (p.group_element(g) - p.one()).scale(p.domain.rational(5))
     assert is_skew_primitive(p, z) == g
-    assert normalize_witness(p, g, gamma, z) == y
-    assert normalize_witness(p, g, gamma, y) == y
+    assert normalize_witness(gamma, z) == y
+    assert normalize_witness(gamma, y) == y
+
+
+def test_normalize_witness_keeps_the_coradical_at_commutator_one():
+    # on skew_free v=1 tau=1, g^-1 y g = y + (g - 1): z = y + 5 (g - 1) is a
+    # level-1 witness of commutator 1, where T(z) - z = g - 1 comes from
+    # tau, whatever the coradical part of z, and z is left as it is
+    p = skew_free_presentation(v=1, tau=1)
+    g = p.group.generator(0)
+    line = p.group_element(g) - p.one()
+    assert conjugate(p, g, p.y(0)) == p.y(0) + line
+    z = p.y(0) + line.scale(p.domain.rational(5))
+    assert is_skew_primitive(p, z) == g
+    assert normalize_witness(p.domain.one(), z) == z
+
+
+def _assert_witness_analysis_matches_oracles(monkeypatch, p, rng, *bounds):
+    """compute_invariants with each normalize_witness checked against the
+    shift oracle; then commutation_scalar of each witness, and of random
+    elements, at each group generator, its inverse and each witness
+    weight, checked against the products oracle.  Returns the report, or
+    None when compute_invariants finds the presentation inconsistent (its
+    rules span no Hopf ideal), and then checks the level-1 witnesses."""
+    normalize = invariants.normalize_witness
+    witnesses = []
+
+    def checked(gamma, element):
+        out = normalize(gamma, element)
+        old = normalize_witness_by_shift(p, is_skew_primitive(p, element), gamma, element)
+        assert list(out.terms.items()) == list(old.terms.items()), (p, element)
+        witnesses.append(out)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(invariants, "normalize_witness", checked)
+        try:
+            report = compute_invariants(p, *bounds)
+        except ConsistencyError:
+            report = None
+    if report is not None:
+        witnesses = [rec.element for rec in report.witnesses]
+    gens = p.group.generators()
+    hs = gens + [p.group.inv(g) for g in gens] + [is_skew_primitive(p, z) for z in witnesses]
+    for z in witnesses + [random_element(p, rng) for _ in range(4)]:
+        for h in hs:
+            lam = invariants.commutation_scalar(p, z, h)
+            assert lam == commutation_scalar_by_products(p, z, h), (p, z, h)
+            assert lam is None or lam.as_unit_monomial() is not None, (p, z, h)
+    return report
+
+
+@pytest.mark.parametrize("name, params", CHECK_SETTINGS, ids=CHECK_IDS)
+def test_witness_analysis_matches_oracles_on_check_settings(monkeypatch, name, params):
+    p, merged = build_example(name, dict(_parse_param(prm) for prm in params))
+    cfg = EXAMPLES[name].check_config(merged)
+    report = _assert_witness_analysis_matches_oracles(
+        monkeypatch, p, random.Random(43), cfg["degree_bound"], cfg["group_word_bound"],
+        cfg["power_bound"])
+    assert report.witnesses
+
+
+def test_witness_analysis_matches_oracles_random(monkeypatch):
+    # tau and tau-free draws, y_terms_only on and off among them; the
+    # draws that compute_invariants refuses are random quadratic ones
+    rng = random.Random(4343)
+    drawn = []
+    for draw in (random_presentation, random_weighted_presentation,
+                 random_quadratic_presentation, random_truncation,
+                 random_truncation_pair):
+        for _ in range(12):
+            p = confluent_random_presentation(rng, draw)
+            report = _assert_witness_analysis_matches_oracles(monkeypatch, p, rng, 3, 2, 2)
+            drawn.append((draw, p, report))
+    assert {p.tau_free for _, p, _ in drawn} == {p.y_terms_only for _, p, _ in drawn} \
+        == {True, False}
+    assert {draw for draw, _, report in drawn if report is None} \
+        == {random_quadratic_presentation}

@@ -40,6 +40,16 @@ def test_equality_by_cross_multiplication(dom):
     assert a == one + q1
 
 
+def test_exact_fraction_is_a_laurent_polynomial(dom):
+    # a denominator that divides the numerator is divided out: the scalar
+    # keeps the denominator 1 and prints as a Laurent polynomial
+    q1 = dom.q(0)
+    one = dom.one()
+    a = (one - q1 * q1) / (one - q1)
+    assert len(a.den) == 1 and repr(a) == "1 + q1"
+    assert len((one / (one + q1)).den) == 2
+
+
 def test_quantum_binomial_base_case(dom):
     lam = dom.q(0)
     assert quantum_binomial(2, 1, lam) == dom.one() + lam
